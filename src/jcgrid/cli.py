@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import grids, hnk, opspace, serialize
-from .errors import CapacityError
+from .errors import CapacityError, DimensionError, TransformError
 from .numlin import ExactMatrix, operator_norm
 from .report import VerificationReport
 
@@ -51,9 +51,9 @@ def _parser() -> argparse.ArgumentParser:
     v.add_argument("--kind", choices=["rectangular", "hermitian", "symplectic", "spin"],
                    help="grid kind for the grid / matrix-units targets")
     _size_flags(v)
-    v.add_argument("--samples", type=int, default=200,
+    v.add_argument("--samples", type=_positive_int, default=200,
                    help="random samples for the projection contractivity check")
-    v.add_argument("--conjugations", type=int, default=20,
+    v.add_argument("--conjugations", type=_positive_int, default=20,
                    help="seeded conjugation count for matrix-units naturality")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--format", choices=["text", "json"], default="text")
@@ -62,6 +62,13 @@ def _parser() -> argparse.ArgumentParser:
     w.add_argument("--n", type=int, required=True)
     w.add_argument("--k", type=int, required=True)
     return p
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _size_flags(p: argparse.ArgumentParser) -> None:
@@ -234,6 +241,8 @@ def _verify_split(args) -> VerificationReport:
 def _verify_matrix_units(args) -> VerificationReport:
     import random as _random
     kind = args.kind or "hermitian"
+    if kind not in ("hermitian", "symplectic"):
+        raise _UsageError(f"matrix-units needs --kind hermitian or symplectic, got {kind}")
     (m,) = _need(args, "m")
     rep = VerificationReport(subject=f"matrix-units({kind}, m={m})")
     build = grids.hermitian_grid if kind == "hermitian" else grids.symplectic_grid
@@ -245,7 +254,7 @@ def _verify_matrix_units(args) -> VerificationReport:
         canonical = all(fam.unit(i, j) == ExactMatrix.unit(m, m, i - 1, j - 1)
                         for i in range(1, m + 1) for j in range(1, m + 1))
         rep.add("canonical_units_recovered", canonical)
-    except Exception as exc:  # relation failures carry the identity name
+    except (TransformError, DimensionError) as exc:  # failures carry the identity name
         rep.add("transform", False, detail=str(exc))
         return rep
     rng = _random.Random(args.seed)

@@ -171,15 +171,6 @@ class HnkSpace:
                                 self.row_index(J), self.col_index(I),
                                 ExactScalar(sign))
 
-    def signed_units(self, c: int) -> List[SignedUnit]:
-        out = []
-        for I in self.col_combs:
-            if c in I:
-                continue
-            J = I.union(Combination.of(self.n, [c])).complement()
-            out.append(SignedUnit(rowJ=J, colI=I, sign=signature_one(I, c, J)))
-        return out
-
     def realization(self) -> "RankOneRealization":
         return RankOneRealization(tuple(PartialIsometry(b) for b in self.basis))
 

@@ -2,9 +2,11 @@
 
 ``ExactScalar`` is a Gaussian rational a + b*i with ``Fraction`` parts, so all
 algebraic identities can be checked with zero residual.  ``ExactMatrix`` is a
-dense row-major immutable matrix over such scalars.  ``ApproxMatrix`` wraps a
-complex128 array and carries the spectral computations (operator norm, trace
-norm) through the Jacobi kernel in :mod:`jcgrid.backend`.
+dense row-major immutable matrix over such scalars; its products skip zero
+entries, so unit-like matrices multiply in time proportional to their support.
+``ApproxMatrix`` wraps a complex128 array and carries the spectral computations
+(operator norm, trace norm) through LAPACK's Hermitian eigensolver on the
+smaller Gram matrix.
 """
 
 from __future__ import annotations
@@ -14,10 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .backend import kernels
 from .errors import DimensionError, NumericError
-
-JACOBI_TOL = 1e-14
 
 
 def _part(x):
@@ -226,9 +225,27 @@ class ExactMatrix:
             if self.cols != other.rows:
                 raise DimensionError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            out = kernels.matmul(list(self.entries), self.rows, self.cols,
-                                 list(other.entries), other.rows, other.cols, EX_ZERO)
-            return ExactMatrix(self.rows, other.cols, out)
+            a, b = self.entries, other.entries
+            ac, bc = self.cols, other.cols
+            out = [EX_ZERO] * (self.rows * bc)
+            for i in range(self.rows):
+                ia = i * ac
+                io = i * bc
+                for k in range(ac):
+                    av = a[ia + k]
+                    if av is EX_ZERO:
+                        continue
+                    ib = k * bc
+                    for j in range(bc):
+                        bv = b[ib + j]
+                        if bv is EX_ZERO:
+                            continue
+                        cur = out[io + j]
+                        if cur is EX_ZERO:
+                            out[io + j] = av * bv
+                        else:
+                            out[io + j] = cur + av * bv
+            return ExactMatrix(self.rows, bc, out)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -244,23 +261,31 @@ class ExactMatrix:
     def adjoint(self) -> "ExactMatrix":
         adj = self._adj
         if adj is None:
-            adj = ExactMatrix(self.cols, self.rows,
-                              kernels.adjoint(list(self.entries), self.rows, self.cols))
+            e, r, c = self.entries, self.rows, self.cols
+            adj = ExactMatrix(c, r, [e[i * c + j].conjugate() for j in range(c) for i in range(r)])
             adj._adj = self
             self._adj = adj
         return adj
 
-    def transpose(self) -> "ExactMatrix":
-        out = [EX_ZERO] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j * self.rows + i] = self.entries[i * self.cols + j]
-        return ExactMatrix(self.cols, self.rows, out)
-
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        out = kernels.kron(list(self.entries), self.rows, self.cols,
-                           list(other.entries), other.rows, other.cols, EX_ZERO)
-        return ExactMatrix(self.rows * other.rows, self.cols * other.cols, out)
+        """Kronecker product; the (i, j) block of the result is self[i, j] * other."""
+        a, b = self.entries, other.entries
+        ac, br, bc = self.cols, other.rows, other.cols
+        cols = ac * bc
+        out = [EX_ZERO] * (self.rows * br * cols)
+        for i in range(self.rows):
+            for j in range(ac):
+                av = a[i * ac + j]
+                if av is EX_ZERO:
+                    continue
+                for p in range(br):
+                    ro = (i * br + p) * cols + j * bc
+                    bo = p * bc
+                    for q in range(bc):
+                        bv = b[bo + q]
+                        if bv is not EX_ZERO:
+                            out[ro + q] = av * bv
+        return ExactMatrix(self.rows * br, cols, out)
 
     def trace(self) -> ExactScalar:
         if self.rows != self.cols:
@@ -298,22 +323,6 @@ class ExactMatrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-
-
-def mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a * b
-
-
-def add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a + b
-
-
-def adjoint(a: ExactMatrix) -> ExactMatrix:
-    return a.adjoint()
-
-
-def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a.kron(b)
 
 
 def block_row(parts: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -426,7 +435,8 @@ def _as_array(a) -> np.ndarray:
 
 
 def singular_values(a) -> np.ndarray:
-    """All singular values, descending, via Jacobi on the smaller Gram matrix.
+    """All singular values, descending, via LAPACK ``eigvalsh`` on the smaller
+    Gram matrix.
 
     Gram eigenvalues below the numerical-rank cutoff (relative to the largest)
     are treated as exact zeros; squaring would otherwise inflate them to
@@ -437,7 +447,10 @@ def singular_values(a) -> np.ndarray:
         gram = arr @ arr.conj().T
     else:
         gram = arr.conj().T @ arr
-    eigs = np.asarray(kernels.hermitian_eigenvalues(gram, JACOBI_TOL))
+    try:
+        eigs = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Hermitian eigenvalues did not converge: {exc}") from exc
     eigs = np.clip(eigs, 0.0, None)
     if eigs.size:
         cutoff = eigs[-1] * max(arr.shape) * 8.0 * np.finfo(np.float64).eps
@@ -489,15 +502,11 @@ def exact_rank(vectors: Iterable[Sequence[ExactScalar]]) -> int:
     return rank
 
 
-def _vectorize(m: ExactMatrix) -> tuple:
-    return m.entries
-
-
 def span_contains(basis: Sequence[ExactMatrix], target: ExactMatrix) -> bool:
     """Exact membership of ``target`` in the complex span of ``basis``."""
-    vecs = [_vectorize(b) for b in basis]
+    vecs = [b.entries for b in basis]
     r0 = exact_rank(vecs)
-    return exact_rank(vecs + [_vectorize(target)]) == r0
+    return exact_rank(vecs + [target.entries]) == r0
 
 
 def exact_linearly_independent(mats: Sequence[ExactMatrix]) -> bool:

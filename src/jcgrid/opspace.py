@@ -10,7 +10,6 @@ are ever claimed).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -219,13 +218,3 @@ def cb_separation_report(n: int, k: int) -> CbSeparationReport:
         sum_right_supports_is_other_identity=right_ok,
         degenerate=degenerate,
     )
-
-
-def witness_norms(n: int, k: int) -> Tuple[float, float]:
-    """(row-witness norm, its row-space image norm): sqrt(k) and sqrt(n)."""
-    rep = cb_separation_report(n, k)
-    return rep.row_witness_norm, rep.row_image_norm
-
-
-def expected_witness_values(n: int, k: int) -> Tuple[float, float]:
-    return math.sqrt(k), math.sqrt(n - k + 1)

@@ -60,11 +60,9 @@ class PartialIsometry:
 
 
 def _check_triple_shapes(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> None:
-    if a.cols != b.cols or b.rows != c.rows:
-        raise DimensionError("a b* c is not defined for these shapes")
-    if (a.rows, c.cols) != (c.rows, a.cols) and (a.rows != c.rows or a.cols != c.cols):
-        # both a b* c and c b* a must exist and share a shape
-        raise DimensionError("a b* c and c b* a do not have equal shapes")
+    # a b* c and c b* a both exist exactly when the three shapes agree
+    if not a.shape == b.shape == c.shape:
+        raise DimensionError("triple product needs a, b and c of one shape")
 
 
 def ternary_product(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatrix:

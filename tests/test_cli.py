@@ -52,6 +52,13 @@ class TestConstruct:
     def test_missing_flags_usage_error(self):
         res = run_cli("construct", "hnk", "--n", "3")
         assert res.returncode == 2
+        # counts below 1 would make the sampled checks pass vacuously
+        for flag, target in [("--samples", ("projection", "--n", "3", "--k", "2")),
+                             ("--conjugations",
+                              ("matrix-units", "--kind", "symplectic", "--m", "5"))]:
+            for value in ("0", "-5"):
+                res = run_cli("verify", *target, flag, value)
+                assert res.returncode == 2 and res.stdout == "", (flag, value)
 
     def test_capacity_exit_code(self):
         res = run_cli("construct", "hnk", "--n", "9", "--k", "4")
@@ -91,6 +98,13 @@ class TestVerify:
         res = run_cli("verify", "matrix-units", "--kind", "symplectic", "--m", "5",
                       "--conjugations", "2")
         assert res.returncode == 0
+
+    @pytest.mark.parametrize("kind", ["spin", "rectangular"])
+    def test_matrix_units_rejects_kind_without_transform(self, kind):
+        res = run_cli("verify", "matrix-units", "--kind", kind, "--m", "5")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "hermitian or symplectic" in res.stderr
 
     def test_json_format(self):
         res = run_cli("verify", "hnk", "--n", "3", "--k", "2", "--format", "json")

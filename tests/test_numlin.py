@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import (exact_matrices, power_iteration_norm, random_exact,
-                      square_exact, svd_norms)
+from conftest import (exact_matrices, jacobi_eigenvalues, power_iteration_norm,
+                      random_exact, square_exact, svd_norms)
 from jcgrid.errors import DimensionError, NumericError
 from jcgrid.numlin import (EX_I, ApproxMatrix, ExactMatrix,
                            ExactScalar, block_diag, block_grid, block_row,
@@ -161,6 +161,18 @@ class TestNorms:
             assert abs(operator_norm(x) - op) <= 1e-10 * scale
             assert abs(trace_norm(x) - tr) <= 1e-9 * max(1.0, tr)
             assert abs(power_iteration_norm(x) - op) <= 1e-8 * scale
+        # Gram sizes 1, 2, 5, 12, 20 against the Jacobi oracle
+        for rows, cols in [(1, 1), (2, 7), (5, 5), (15, 12), (20, 24)]:
+            x = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            gram = x @ x.conj().T if rows <= cols else x.conj().T @ x
+            want = jacobi_eigenvalues(gram)[::-1]
+            scale = max(1.0, float(np.abs(gram).max()))
+            assert np.abs(singular_values(x) ** 2 - want).max() <= 1e-10 * scale
+        assert np.array_equal(singular_values(np.zeros((3, 4))), np.zeros(3))
+        assert np.array_equal(jacobi_eigenvalues(np.zeros((3, 3))), np.zeros(3))
+        z = np.array([[2.5 - 1.5j]])
+        assert jacobi_eigenvalues(z @ z.conj().T) == pytest.approx([8.5], abs=1e-10)
+        assert singular_values(z) ** 2 == pytest.approx([8.5], abs=1e-10)
 
     def test_trace_norm_dominates(self, rng):
         for _ in range(10):
@@ -174,6 +186,13 @@ class TestNorms:
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericError):
             operator_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_eigensolver_failure_is_numeric_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericError, match="did not converge"):
+            singular_values(np.eye(3))
 
     def test_singular_values_sorted(self, rng):
         x = rng.standard_normal((6, 6))
