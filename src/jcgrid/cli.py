@@ -181,8 +181,8 @@ def _verify_projection(args) -> VerificationReport:
         npx = operator_norm(px)
         if nx > 1e-12:
             worst_ratio = max(worst_ratio, npx / nx)
-    rep.add("idempotent", worst_idem <= 1e-12, residual=worst_idem,
-            detail=f"{args.samples} samples")
+    rep.add_counted("idempotent", worst_idem <= 1e-12, args.samples, "samples",
+                    residual=worst_idem)
     rep.add("contractive", worst_ratio <= 1.0 + 1e-9,
             residual=max(0.0, worst_ratio - 1.0),
             detail=f"max ratio {worst_ratio:.12f}")
@@ -244,6 +244,9 @@ def _verify_matrix_units(args) -> VerificationReport:
     if kind not in ("hermitian", "symplectic"):
         raise _UsageError(f"matrix-units needs --kind hermitian or symplectic, got {kind}")
     (m,) = _need(args, "m")
+    if kind == "symplectic" and m < grids.SYMPLECTIC_TRANSFORM_MIN_SIZE:
+        raise _UsageError(f"matrix-units --kind symplectic needs --m >= "
+                          f"{grids.SYMPLECTIC_TRANSFORM_MIN_SIZE}, got {m}")
     rep = VerificationReport(subject=f"matrix-units({kind}, m={m})")
     build = grids.hermitian_grid if kind == "hermitian" else grids.symplectic_grid
     to_units = (grids.hermitian_to_matrix_units if kind == "hermitian"
@@ -268,8 +271,9 @@ def _verify_matrix_units(args) -> VerificationReport:
         if any(fam2.unit(i, j) != left * ExactMatrix.unit(m, m, i - 1, j - 1) * right
                for i in range(1, m + 1) for j in range(1, m + 1)):
             bad += 1
-    rep.add("conjugation_naturality", bad == 0,
-            detail=f"{args.conjugations} seeded signed-permutation conjugations")
+    rep.add_counted("conjugation_naturality", bad == 0, args.conjugations,
+                    "seeded signed-permutation conjugations",
+                    failure=f"{bad} of {args.conjugations} conjugations break naturality")
     return rep
 
 
@@ -291,8 +295,8 @@ def _cmd_verify(args) -> int:
         space = hnk.build_hnk(n, k)
         rep = hnk.verify_uIJ_grid(space.realization(), space)
         checked, failures = hnk.ones_triple_coherence(space.realization())
-        rep.add("ones_triple_sign_coherence", failures == 0,
-                detail=f"{checked} triples")
+        rep.add_counted("ones_triple_sign_coherence", failures == 0, checked, "triples",
+                        failure=f"{failures} of {checked} triples incoherent")
     elif args.target == "projection":
         rep = _verify_projection(args)
     elif args.target == "trace":

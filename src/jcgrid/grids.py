@@ -26,6 +26,8 @@ from .triple import (GridRelation, PartialIsometry, classify_relation,
 SPIN_SYSTEM_CAP = 12
 EXHAUSTIVE_TRIPLE_CAP = 20
 TRIPLE_SAMPLE_SIZE = 500
+# Smallest symplectic grid that symplectic_to_matrix_units accepts.
+SYMPLECTIC_TRANSFORM_MIN_SIZE = 5
 
 # Pauli matrices; sigma3 is the one whose tensor chains build the spin system.
 SIGMA1 = ExactMatrix.from_rows([[1, 0], [0, -1]])
@@ -211,8 +213,7 @@ def conjugate_grid(g: Grid, left: ExactMatrix, right: ExactMatrix) -> Grid:
 
 def signed_permutation(n: int, perm: Sequence[int], signs: Sequence[int]) -> ExactMatrix:
     """Exact signed permutation unitary: column j carries sign[j] at row perm[j]."""
-    m = ExactMatrix.zeros(n, n)
-    out = list(m.entries)
+    out = [EX_ZERO] * (n * n)
     for j in range(n):
         out[perm[j] * n + j] = ExactScalar(signs[j])
     return ExactMatrix(n, n, out)
@@ -439,8 +440,7 @@ def verify_grid(grid: Grid) -> VerificationReport:
 
     bad = [i for i in idxs
            if mats[i].is_zero() or mats[i] * mats[i].adjoint() * mats[i] != mats[i]]
-    rep.add("partial_isometry", not bad,
-            detail=f"{n} elements" if not bad else f"failed at {bad[:4]}")
+    rep.add_counted("partial_isometry", not bad, n, "elements", failure=f"failed at {bad[:4]}")
 
     mism = []
     for x in range(n):
@@ -449,8 +449,8 @@ def verify_grid(grid: Grid) -> VerificationReport:
             got = classify_relation(grid.element(idxs[x]), grid.element(idxs[y]))
             if got is not want:
                 mism.append((idxs[x], idxs[y], want.value, got.value))
-    rep.add("pairwise_relations", not mism,
-            detail=f"{n * (n - 1) // 2} pairs" if not mism else f"mismatch {mism[:3]}")
+    rep.add_counted("pairwise_relations", not mism, n * (n - 1) // 2, "pairs",
+                    failure=f"mismatch {mism[:3]}")
 
     minimal = _minimal_indices(grid)
     notmin = []
@@ -460,8 +460,8 @@ def verify_grid(grid: Grid) -> VerificationReport:
                 continue
             if not ternary_product(mats[i], mats[j], mats[i]).is_zero():
                 notmin.append((i, j))
-    rep.add("minimality", not notmin,
-            detail=f"{len(minimal)} elements" if not notmin else f"failed {notmin[:3]}")
+    rep.add_counted("minimality", not notmin, len(minimal), "elements",
+                    failure=f"failed {notmin[:3]}")
 
     if n <= EXHAUSTIVE_TRIPLE_CAP:
         # {a,b,c} = {c,b,a}, so checking x <= z covers every ordered triple
@@ -484,8 +484,8 @@ def verify_grid(grid: Grid) -> VerificationReport:
             ok = got == want
         if not ok:
             badt.append((a, b, c))
-    rep.add("triple_products", not badt,
-            detail=f"{len(triples)} triples ({mode})" if not badt else f"failed {badt[:3]}")
+    rep.add_counted("triple_products", not badt, len(triples), f"triples ({mode})",
+                    failure=f"failed {badt[:3]}")
 
     _named_checks(grid, rep, mats)
     return rep
@@ -738,8 +738,9 @@ def symplectic_to_matrix_units(g: Grid) -> MatrixUnitFamily:
     if g.kind != "symplectic":
         raise TransformError("symplectic_to_matrix_units requires a symplectic grid")
     m = g.params["m"]
-    if m < 5:
-        raise TransformError("symplectic transform requires size >= 5")
+    if m < SYMPLECTIC_TRANSFORM_MIN_SIZE:
+        raise TransformError(
+            f"symplectic transform requires size >= {SYMPLECTIC_TRANSFORM_MIN_SIZE}")
     mats = {idx: g.matrix(idx) for idx in g.indices}
     u = lambda a, b: _sympl_mat(mats, a, b)
     units = {}

@@ -474,8 +474,8 @@ def verify_uIJ_grid(real: RankOneRealization,
     signs = {key: sign for key, (_, sign) in fam.items()}
 
     bad = [k for k in keys if mats[k].is_zero() or mats[k] * mats[k].adjoint() * mats[k] != mats[k]]
-    rep.add("uij_partial_isometries", not bad,
-            detail=f"{len(keys)} elements" if not bad else f"failed {bad[:2]}")
+    rep.add_counted("uij_partial_isometries", not bad, len(keys), "elements",
+                    failure=f"failed {bad[:2]}")
 
     badmin, badorth, badcol, badassoc = [], [], [], []
     for a in keys:

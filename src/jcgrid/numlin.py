@@ -1,16 +1,18 @@
 """Exact and floating dense-matrix kernel.
 
-``ExactScalar`` is a Gaussian rational a + b*i with ``Fraction`` parts, so all
-algebraic identities can be checked with zero residual.  ``ExactMatrix`` is a
-dense row-major immutable matrix over such scalars; its products skip zero
-entries, so unit-like matrices multiply in time proportional to their support.
-``ApproxMatrix`` wraps a complex128 array and carries the spectral computations
-(operator norm, trace norm) through LAPACK's Hermitian eigensolver on the
-smaller Gram matrix.
+``ExactScalar`` is a Gaussian rational a + b*i with ``int``/``Fraction`` parts,
+so all algebraic identities can be checked with zero residual.  ``ExactMatrix``
+is an immutable matrix of Gaussian rationals held as two integer numerator
+arrays over one common denominator, (re + i*im) / den; its algebra is numpy
+integer array arithmetic, on int64 while a bound on the result stays below
+2^62 and on Python ints otherwise.  ``ApproxMatrix`` wraps a complex128 array
+and carries the spectral computations (operator norm, trace norm) through
+LAPACK's Hermitian eigensolver on the smaller Gram matrix.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -133,26 +135,102 @@ EX_I = ExactScalar(0, 1)
 EX_HALF = ExactScalar(Fraction(1, 2))
 
 
-def _normalize(value) -> ExactScalar:
-    s = ExactScalar.coerce(value)
-    return s if s else EX_ZERO
+# Numerators are stored as int64 while every one of them is below this bound;
+# an operation whose result could reach it runs on Python ints (dtype=object).
+_INT64_LIMIT = 1 << 62
+# Integers below this convert to float64 without rounding.
+_FLOAT_EXACT = 1 << 53
+_OBJECT = np.dtype(object)
+
+
+def _scalar_parts(s: ExactScalar):
+    """(re numerator, im numerator, common denominator) of a Gaussian rational."""
+    re, im = s.re, s.im  # int or Fraction: both have numerator and denominator
+    q = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (q // re.denominator), im.numerator * (q // im.denominator), q
+
+
+def _abs_max(a: np.ndarray) -> int:
+    return int(np.abs(a).max())
+
+
+def _gcd_all(a: np.ndarray) -> int:
+    return int(np.gcd.reduce(a.ravel()))
+
+
+def _canonical(re: np.ndarray, im: np.ndarray, den: int):
+    """Lowest terms (gcd(den, numerators) == 1, den == 1 for zero) and int64
+    storage whenever every numerator is below ``_INT64_LIMIT``."""
+    if den != 1:
+        g = math.gcd(den, _gcd_all(re))
+        if g != 1:
+            g = math.gcd(g, _gcd_all(im))
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
+    if re.dtype is _OBJECT or im.dtype is _OBJECT:
+        if max(_abs_max(re), _abs_max(im)) < _INT64_LIMIT:
+            re, im = re.astype(np.int64), im.astype(np.int64)
+        else:
+            re, im = re.astype(object), im.astype(object)
+    return re, im, den
+
+
+def _as_numerators(parts, den: int, shape) -> np.ndarray:
+    """Exact parts (int or Fraction) times ``den`` as an integer array."""
+    if den != 1:
+        parts = [x.numerator * (den // x.denominator) for x in parts]
+    big = max(map(abs, parts)) >= _INT64_LIMIT
+    return np.array(parts, dtype=object if big else np.int64).reshape(shape)
+
+
+def _times(x: np.ndarray, f: int) -> np.ndarray:
+    return x if f == 1 else x * f
+
+
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    (xr, xc), (yr, yc) = x.shape, y.shape
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(xr * yr, xc * yc)
 
 
 class ExactMatrix:
-    """Immutable dense rectangular matrix over Gaussian rationals."""
+    """Immutable dense rectangular matrix over Gaussian rationals.
 
-    __slots__ = ("rows", "cols", "entries", "_adj")
+    Stored as ``(re + i*im) / den``: ``re`` and ``im`` are read-only integer
+    numerator arrays of shape rows x cols and ``den`` is a positive int, kept
+    in lowest terms (``den == 1`` for the zero matrix).  Numerators are int64
+    while all of them are below 2^62; every product, sum, scale and Kronecker
+    product first bounds its result from the operands' largest numerators and
+    runs on Python ints (``dtype=object``) when the bound could reach 2^62, so
+    no operation can overflow.  Canonical form makes ``==`` and ``hash``
+    exact comparisons of (shape, den, re, im).
+    """
 
-    def __init__(self, rows: int, cols: int, entries: Sequence):
+    __slots__ = ("rows", "cols", "re", "im", "den", "_adj", "_mag")
+
+    def __init__(self, rows: int, cols: int, entries: Sequence = None, *, _arrays=None):
         if rows < 1 or cols < 1:
             raise DimensionError("matrix dimensions must be positive")
-        entries = tuple(_normalize(e) for e in entries)
-        if len(entries) != rows * cols:
-            raise DimensionError(f"expected {rows * cols} entries, got {len(entries)}")
+        if _arrays is None:
+            scalars = [ExactScalar.coerce(e) for e in entries]
+            if len(scalars) != rows * cols:
+                raise DimensionError(f"expected {rows * cols} entries, got {len(scalars)}")
+            res = [s.re for s in scalars]
+            ims = [s.im for s in scalars]
+            den = math.lcm(*{x.denominator for x in res + ims})
+            re = _as_numerators(res, den, (rows, cols))
+            im = _as_numerators(ims, den, (rows, cols))
+        else:
+            re, im, den = _arrays
+        re, im, den = _canonical(re, im, den)
+        re.flags.writeable = False
+        im.flags.writeable = False
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self.re = re
+        self.im = im
+        self.den = den
         self._adj = None
+        self._mag = None
 
     # -- constructors ------------------------------------------------------
 
@@ -166,86 +244,118 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [EX_ZERO] * (rows * cols))
+        z = np.zeros((rows, cols), dtype=np.int64)
+        return cls(rows, cols, _arrays=(z, z, 1))
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        e = [EX_ZERO] * (n * n)
-        for i in range(n):
-            e[i * n + i] = EX_ONE
-        return cls(n, n, e)
+        return cls(n, n, _arrays=(np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64), 1))
 
     @classmethod
     def unit(cls, rows: int, cols: int, i: int, j: int, value=EX_ONE) -> "ExactMatrix":
         """Matrix with a single entry ``value`` at 0-based position (i, j)."""
-        e = [EX_ZERO] * (rows * cols)
-        e[i * cols + j] = ExactScalar.coerce(value)
-        return cls(rows, cols, e)
+        vr, vi, q = _scalar_parts(ExactScalar.coerce(value))
+        dtype = np.int64 if max(abs(vr), abs(vi)) < _INT64_LIMIT else object
+        re = np.zeros((rows, cols), dtype=dtype)
+        im = np.zeros((rows, cols), dtype=dtype)
+        re[i, j] = vr
+        im[i, j] = vi
+        return cls(rows, cols, _arrays=(re, im, q))
 
     # -- accessors ---------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> ExactScalar:
-        return self.entries[i * self.cols + j]
+    def _scalar(self, re: int, im: int) -> ExactScalar:
+        if not (re or im):
+            return EX_ZERO
+        if self.den == 1:
+            return ExactScalar(re, im)
+        return ExactScalar(Fraction(re, self.den), Fraction(im, self.den))
 
-    def row_lists(self) -> list:
-        return [list(self.entries[i * self.cols:(i + 1) * self.cols]) for i in range(self.rows)]
+    @property
+    def entries(self) -> tuple:
+        """Row-major tuple of the entries; zeros are ``EX_ZERO``."""
+        return tuple(map(self._scalar, self.re.ravel().tolist(), self.im.ravel().tolist()))
+
+    def entry(self, i: int, j: int) -> ExactScalar:
+        return self._scalar(int(self.re[i, j]), int(self.im[i, j]))
 
     @property
     def shape(self):
         return (self.rows, self.cols)
 
+    def _mags(self) -> tuple:
+        """Largest absolute real and imaginary numerators."""
+        if self._mag is None:
+            self._mag = (_abs_max(self.re), _abs_max(self.im))
+        return self._mag
+
+    def _bound(self) -> int:
+        return max(self._mags())
+
     def is_zero(self) -> bool:
-        return all(e is EX_ZERO for e in self.entries)
+        if self._mag is not None:
+            return self._mag == (0, 0)
+        return not (np.count_nonzero(self.re) or np.count_nonzero(self.im))
 
     def nnz(self) -> int:
-        return sum(1 for e in self.entries if e is not EX_ZERO)
+        return int(np.count_nonzero(self.re | self.im))
 
     def support(self) -> list:
-        """0-based (i, j, value) triples of the nonzero entries."""
-        c = self.cols
-        return [(idx // c, idx % c, e) for idx, e in enumerate(self.entries) if e is not EX_ZERO]
+        """0-based (i, j, value) triples of the nonzero entries, row-major."""
+        ii, jj = np.nonzero(self.re | self.im)
+        return [(i, j, self._scalar(r, m)) for i, j, r, m in
+                zip(ii.tolist(), jj.tolist(), self.re[ii, jj].tolist(), self.im[ii, jj].tolist())]
 
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        return ExactMatrix(self.rows, self.cols,
-                           [a + b for a, b in zip(self.entries, other.entries)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
+        """self + sign * other over the common denominator."""
         self._same_shape(other)
+        # a zero operand (den 1) would be lifted by the other's whole denominator
+        if not other._bound():
+            return self
+        if not self._bound():
+            return other if sign == 1 else -other
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
+        if self._bound() * fa + other._bound() * fb >= _INT64_LIMIT:
+            ar, ai, br, bi = (x.astype(object) for x in (ar, ai, br, bi))
+        op = np.add if sign == 1 else np.subtract
         return ExactMatrix(self.rows, self.cols,
-                           [a - b for a, b in zip(self.entries, other.entries)])
+                           _arrays=(op(_times(ar, fa), _times(br, fb)),
+                                    op(_times(ai, fa), _times(bi, fb)), den))
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [-e for e in self.entries])
+        return ExactMatrix(self.rows, self.cols, _arrays=(-self.re, -self.im, self.den))
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
             if self.cols != other.rows:
                 raise DimensionError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            a, b = self.entries, other.entries
-            ac, bc = self.cols, other.cols
-            out = [EX_ZERO] * (self.rows * bc)
-            for i in range(self.rows):
-                ia = i * ac
-                io = i * bc
-                for k in range(ac):
-                    av = a[ia + k]
-                    if av is EX_ZERO:
-                        continue
-                    ib = k * bc
-                    for j in range(bc):
-                        bv = b[ib + j]
-                        if bv is EX_ZERO:
-                            continue
-                        cur = out[io + j]
-                        if cur is EX_ZERO:
-                            out[io + j] = av * bv
-                        else:
-                            out[io + j] = cur + av * bv
-            return ExactMatrix(self.rows, bc, out)
+            ar, ai, br, bi = self.re, self.im, other.re, other.im
+            (_, a_im), (_, b_im) = ma, mb = self._mags(), other._mags()
+            if 2 * self.cols * max(ma) * max(mb) >= _INT64_LIMIT:
+                ar, ai, br, bi = (x.astype(object) for x in (ar, ai, br, bi))
+            # products with an all-zero imaginary part are skipped
+            re = np.dot(ar, br)
+            if a_im and b_im:
+                re = re - np.dot(ai, bi)
+                im = np.dot(ar, bi) + np.dot(ai, br)
+            elif a_im:
+                im = np.dot(ai, br)
+            elif b_im:
+                im = np.dot(ar, bi)
+            else:
+                im = np.zeros(re.shape, dtype=re.dtype)
+            return ExactMatrix(self.rows, other.cols, _arrays=(re, im, self.den * other.den))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -255,66 +365,86 @@ class ExactMatrix:
         return self.__mul__(other)
 
     def scale(self, c) -> "ExactMatrix":
-        c = ExactScalar.coerce(c)
-        return ExactMatrix(self.rows, self.cols, [c * e for e in self.entries])
+        """c * self for a Gaussian rational c = (cr + i ci) / q."""
+        cr, ci, q = _scalar_parts(ExactScalar.coerce(c))
+        if (cr, ci, q) == (1, 0, 1):
+            return self
+        re, im = self.re, self.im
+        if (abs(cr) + abs(ci)) * self._bound() >= _INT64_LIMIT:
+            re, im = re.astype(object), im.astype(object)
+        if not ci:
+            re, im = _times(re, cr), _times(im, cr)
+        elif not cr:
+            re, im = im * -ci, re * ci
+        else:
+            re, im = re * cr - im * ci, im * cr + re * ci
+        return ExactMatrix(self.rows, self.cols, _arrays=(re, im, self.den * q))
 
     def adjoint(self) -> "ExactMatrix":
         adj = self._adj
         if adj is None:
-            e, r, c = self.entries, self.rows, self.cols
-            adj = ExactMatrix(c, r, [e[i * c + j].conjugate() for j in range(c) for i in range(r)])
+            adj = ExactMatrix(self.cols, self.rows, _arrays=(self.re.T, -self.im.T, self.den))
             adj._adj = self
+            adj._mag = self._mag
             self._adj = adj
         return adj
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product; the (i, j) block of the result is self[i, j] * other."""
-        a, b = self.entries, other.entries
-        ac, br, bc = self.cols, other.rows, other.cols
-        cols = ac * bc
-        out = [EX_ZERO] * (self.rows * br * cols)
-        for i in range(self.rows):
-            for j in range(ac):
-                av = a[i * ac + j]
-                if av is EX_ZERO:
-                    continue
-                for p in range(br):
-                    ro = (i * br + p) * cols + j * bc
-                    bo = p * bc
-                    for q in range(bc):
-                        bv = b[bo + q]
-                        if bv is not EX_ZERO:
-                            out[ro + q] = av * bv
-        return ExactMatrix(self.rows * br, cols, out)
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
+        if 2 * self._bound() * other._bound() >= _INT64_LIMIT:
+            ar, ai, br, bi = (x.astype(object) for x in (ar, ai, br, bi))
+        return ExactMatrix(self.rows * other.rows, self.cols * other.cols,
+                           _arrays=(_kron(ar, br) - _kron(ai, bi),
+                                    _kron(ar, bi) + _kron(ai, br), self.den * other.den))
 
     def trace(self) -> ExactScalar:
         if self.rows != self.cols:
             raise DimensionError("trace of a non-square matrix")
-        t = EX_ZERO
-        for i in range(self.rows):
-            t = t + self.entries[i * self.cols + i]
-        return t
+        return ExactScalar(Fraction(sum(self.re.diagonal().tolist()), self.den),
+                           Fraction(sum(self.im.diagonal().tolist()), self.den))
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+        if (self.rows, self.cols, self.den) != (other.rows, other.cols, other.den):
+            return False
+        if self.re.dtype is _OBJECT or other.re.dtype is _OBJECT:
+            # canonical storage: equal matrices have equal dtypes
+            return bool((self.re == other.re).all()) and bool((self.im == other.im).all())
+        return (self.re.tobytes() == other.re.tobytes()
+                and self.im.tobytes() == other.im.tobytes())
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        if self.re.dtype is _OBJECT:
+            parts = (tuple(self.re.ravel().tolist()), tuple(self.im.ravel().tolist()))
+        else:
+            parts = (self.re.tobytes(), self.im.tobytes())
+        return hash((self.rows, self.cols, self.den) + parts)
 
     def to_approx(self) -> "ApproxMatrix":
-        arr = np.zeros((self.rows, self.cols), dtype=np.complex128)
-        for i, j, e in self.support():
-            arr[i, j] = complex(e)
+        re, im, den = self.re, self.im, self.den
+        if re.dtype is _OBJECT or self._bound() >= _FLOAT_EXACT or den >= _FLOAT_EXACT:
+            # exact ints: Python's int / int is correctly rounded at any size
+            re, im = re.astype(object), im.astype(object)
+        arr = np.empty((self.rows, self.cols), dtype=np.complex128)
+        arr.real = re / den
+        arr.imag = im / den
         return ApproxMatrix(arr)
 
     def __str__(self):
-        cells = [[str(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
-        widths = [max(len(cells[i][j]) for i in range(self.rows)) for j in range(self.cols)]
-        return "\n".join("  ".join(cells[i][j].rjust(widths[j]) for j in range(self.cols))
-                         for i in range(self.rows))
+        den = self.den
+        memo = {}
+
+        def cell(re, im):
+            key = (re, im)
+            if key not in memo:
+                memo[key] = str(ExactScalar(Fraction(re, den), Fraction(im, den)))
+            return memo[key]
+
+        cells = [list(map(cell, r, i)) for r, i in zip(self.re.tolist(), self.im.tolist())]
+        widths = [max(len(row[j]) for row in cells) for j in range(self.cols)]
+        return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells)
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
@@ -325,6 +455,24 @@ class ExactMatrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
+def _assemble(rows: int, cols: int, placed) -> ExactMatrix:
+    """One matrix from blocks placed at (row offset, col offset), over the
+    least common denominator of the blocks; uncovered entries are zero."""
+    den = math.lcm(*(p.den for _, _, p in placed))
+    big = max(p._bound() * (den // p.den) for _, _, p in placed) >= _INT64_LIMIT
+    dtype = object if big else np.int64
+    re = np.zeros((rows, cols), dtype=dtype)
+    im = np.zeros((rows, cols), dtype=dtype)
+    for r0, c0, p in placed:
+        if not p._bound():
+            continue
+        f = den // p.den
+        pre, pim = (p.re.astype(object), p.im.astype(object)) if big else (p.re, p.im)
+        re[r0:r0 + p.rows, c0:c0 + p.cols] = _times(pre, f)
+        im[r0:r0 + p.rows, c0:c0 + p.cols] = _times(pim, f)
+    return ExactMatrix(rows, cols, _arrays=(re, im, den))
+
+
 def block_row(parts: Sequence[ExactMatrix]) -> ExactMatrix:
     """Horizontal concatenation [p_1 p_2 ... p_m]."""
     parts = list(parts)
@@ -333,14 +481,8 @@ def block_row(parts: Sequence[ExactMatrix]) -> ExactMatrix:
     rows = parts[0].rows
     if any(p.rows != rows for p in parts):
         raise DimensionError("block_row requires equal row counts")
-    cols = sum(p.cols for p in parts)
-    out = [EX_ZERO] * (rows * cols)
-    off = 0
-    for p in parts:
-        for i, j, e in p.support():
-            out[i * cols + off + j] = e
-        off += p.cols
-    return ExactMatrix(rows, cols, out)
+    offsets = np.cumsum([0] + [p.cols for p in parts]).tolist()
+    return _assemble(rows, offsets[-1], [(0, c0, p) for c0, p in zip(offsets, parts)])
 
 
 def block_col(parts: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -351,30 +493,17 @@ def block_col(parts: Sequence[ExactMatrix]) -> ExactMatrix:
     cols = parts[0].cols
     if any(p.cols != cols for p in parts):
         raise DimensionError("block_col requires equal column counts")
-    rows = sum(p.rows for p in parts)
-    out = [EX_ZERO] * (rows * cols)
-    off = 0
-    for p in parts:
-        for i, j, e in p.support():
-            out[(off + i) * cols + j] = e
-        off += p.rows
-    return ExactMatrix(rows, cols, out)
+    offsets = np.cumsum([0] + [p.rows for p in parts]).tolist()
+    return _assemble(offsets[-1], cols, [(r0, 0, p) for r0, p in zip(offsets, parts)])
 
 
 def block_diag(parts: Sequence[ExactMatrix]) -> ExactMatrix:
     parts = list(parts)
     if not parts:
         raise DimensionError("block_diag of no blocks")
-    rows = sum(p.rows for p in parts)
-    cols = sum(p.cols for p in parts)
-    out = [EX_ZERO] * (rows * cols)
-    ro = co = 0
-    for p in parts:
-        for i, j, e in p.support():
-            out[(ro + i) * cols + co + j] = e
-        ro += p.rows
-        co += p.cols
-    return ExactMatrix(rows, cols, out)
+    roffs = np.cumsum([0] + [p.rows for p in parts]).tolist()
+    coffs = np.cumsum([0] + [p.cols for p in parts]).tolist()
+    return _assemble(roffs[-1], coffs[-1], list(zip(roffs, coffs, parts)))
 
 
 def block_grid(blocks: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
@@ -389,7 +518,9 @@ def block_grid(blocks: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
         for blk in row:
             if blk.rows != br or blk.cols != bc:
                 raise DimensionError("block_grid requires equally shaped blocks")
-    return block_col([block_row(row) for row in blocks])
+    return _assemble(len(blocks) * br, ncols * bc,
+                     [(i * br, j * bc, blk) for i, row in enumerate(blocks)
+                      for j, blk in enumerate(row)])
 
 
 class ApproxMatrix:

@@ -33,6 +33,18 @@ class VerificationReport:
     def add(self, name: str, ok: bool, residual: float = 0.0, detail: str = "") -> None:
         self.checks.append(Check(name, PASS if ok else FAIL, residual, detail))
 
+    def add_counted(self, name: str, ok: bool, checked: int, unit: str,
+                    residual: float = 0.0, failure: str = "") -> None:
+        """A check run over ``checked`` instances, described as "<checked> <unit>".
+
+        A check over an empty set proves nothing: it is flagged, never passed.
+        ``failure`` replaces the count as the detail of a failed check.
+        """
+        if checked == 0:
+            self.flag(name, f"0 {unit}: nothing to check")
+        else:
+            self.add(name, ok, residual, failure if failure and not ok else f"{checked} {unit}")
+
     def flag(self, name: str, detail: str) -> None:
         self.checks.append(Check(name, FLAGGED, 0.0, detail))
 

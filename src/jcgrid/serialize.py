@@ -9,8 +9,11 @@ complex entry as a re,im pair).
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import List
+
+import numpy as np
 
 from .grids import Grid
 from .hnk import HnkSpace
@@ -32,12 +35,26 @@ def scalar_from_json(d: dict) -> ExactScalar:
     )
 
 
+def _part_json(num: int, den: int) -> dict:
+    g = math.gcd(num, den)
+    return {"num": str(num // g), "den": str(den // g)}
+
+
 def matrix_to_json(m: ExactMatrix) -> dict:
+    den = m.den
+    memo = {}
+
+    def cell(re, im):
+        # the strings of a repeated value are built once; each cell gets its own dict
+        parts = memo.get((re, im))
+        if parts is None:
+            parts = memo[(re, im)] = (_part_json(re, den), _part_json(im, den))
+        return {"re": dict(parts[0]), "im": dict(parts[1])}
+
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [[scalar_to_json(m.entry(i, j)) for j in range(m.cols)]
-                    for i in range(m.rows)],
+        "entries": [list(map(cell, r, i)) for r, i in zip(m.re.tolist(), m.im.tolist())],
     }
 
 
@@ -47,15 +64,9 @@ def matrix_from_json(d: dict) -> ExactMatrix:
 
 
 def matrix_to_csv_lines(m: ExactMatrix) -> List[str]:
-    out = []
-    for i in range(m.rows):
-        cells = []
-        for j in range(m.cols):
-            z = complex(m.entry(i, j))
-            cells.append(f"{z.real:.17g}")
-            cells.append(f"{z.imag:.17g}")
-        out.append(",".join(cells))
-    return out
+    # a complex128 row viewed as float64 is its re,im pairs in order
+    pairs = m.to_approx().array.view(np.float64).tolist()
+    return [",".join(f"{x:.17g}" for x in row) for row in pairs]
 
 
 def matrix_pretty(m: ExactMatrix) -> str:

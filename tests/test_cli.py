@@ -1,5 +1,6 @@
 """CLI behaviour: outputs, exit codes, determinism, round trips."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -106,6 +107,31 @@ class TestVerify:
         assert res.stdout == ""
         assert "hermitian or symplectic" in res.stderr
 
+    @pytest.mark.parametrize("m", ["3", "4"])
+    def test_matrix_units_symplectic_below_transform_size(self, m):
+        # symplectic_grid accepts m = 4, the transform needs m >= 5: a usage error,
+        # not a verification failure
+        res = run_cli("verify", "matrix-units", "--kind", "symplectic", "--m", m)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "--m >= 5" in res.stderr
+
+    def test_hnk_empty_pair_set_is_flagged(self):
+        res = run_cli("verify", "hnk", "--n", "1", "--k", "1", "--format", "json")
+        assert res.returncode == 0
+        checks = {c["name"]: c for c in json.loads(res.stdout)["checks"]}
+        assert checks["pairwise_relations"]["status"] == "flagged"
+        assert checks["pairwise_relations"]["detail"] == "0 pairs: nothing to check"
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_uij_empty_triple_set_is_flagged(self, n):
+        res = run_cli("verify", "uij-grid", "--n", n, "--k", "1", "--format", "json")
+        assert res.returncode == 0
+        checks = {c["name"]: c for c in json.loads(res.stdout)["checks"]}
+        coherence = checks["ones_triple_sign_coherence"]
+        assert coherence["status"] == "flagged"
+        assert coherence["detail"] == "0 triples: nothing to check"
+
     def test_json_format(self):
         res = run_cli("verify", "hnk", "--n", "3", "--k", "2", "--format", "json")
         payload = json.loads(res.stdout)
@@ -148,3 +174,33 @@ class TestDeterminism:
         b = run_cli(*args)
         assert a.returncode == b.returncode
         assert a.stdout == b.stdout
+
+
+# sha256 of stdout, recorded before the exact layer moved to integer numerator
+# arrays; the exact representation must not change a byte of any output.
+GOLDEN_STDOUT = {
+    ("construct", "hnk", "--n", "4", "--k", "2", "--format", "json"):
+        "681c55d643377275835d2f82e66a1d172567f211a63629e1a9369b0808617671",
+    ("construct", "hnk", "--n", "4", "--k", "2", "--format", "csv"):
+        "e7ea98cdf35122c5be8471ca97ef9d88786a03a938dd192b973d68af935938da",
+    ("construct", "hnk", "--n", "4", "--k", "2", "--format", "pretty"):
+        "666e1790c964d42ef3ff62b7874024b1b77fa6363d4c7d99cb9bef068256cbd1",
+    ("construct", "spin-system", "--k", "4", "--format", "json"):
+        "b7eb530e1e8d455a250a83cee67b653bef3d8ba21517423530affd44cdcce626",
+    ("construct", "hermitian", "--m", "3", "--format", "csv"):
+        "a4777c1a9b99a20335df8c5b7a35809735d38141b33c2d115d7f2bf756a4c2e4",
+    ("construct", "spin", "--r", "2", "--format", "pretty"):
+        "091424fcb345403ab5495846b964e36dfb5e0d6cacdff5c0e10b83792cec15d8",
+    ("verify", "hnk", "--n", "4", "--k", "3", "--format", "json"):
+        "ac84988aff2d29884498b524b1f48ccca9ee695db9a676c6ec6e786b1dc880d6",
+    ("witness", "--n", "3", "--k", "2"):
+        "a1acd6782baa66bf8d48bb48432d08e1dda7b03b606a34088d77cafeb45515ec",
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("args", list(GOLDEN_STDOUT), ids=" ".join)
+    def test_stdout_sha256(self, args):
+        res = run_cli(*args)
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == GOLDEN_STDOUT[args]

@@ -6,11 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (exact_matrices, jacobi_eigenvalues, power_iteration_norm,
                       random_exact, square_exact, svd_norms)
 from jcgrid.errors import DimensionError, NumericError
-from jcgrid.numlin import (EX_I, ApproxMatrix, ExactMatrix,
+from jcgrid.numlin import (EX_HALF, EX_I, EX_ZERO, ApproxMatrix, ExactMatrix,
                            ExactScalar, block_diag, block_grid, block_row,
                            exact_linearly_independent, exact_rank,
                            operator_norm, singular_values, span_contains,
@@ -254,3 +255,219 @@ class TestExactLinearAlgebra:
     def test_independence(self):
         assert exact_linearly_independent([SIGMA1, SIGMA2, SIGMA3])
         assert not exact_linearly_independent([SIGMA1, SIGMA1.scale(-2)])
+
+
+LIMIT = 2 ** 62  # numerators at or above this are stored as Python ints
+
+
+def one(value):
+    """1x1 exact matrix."""
+    return ExactMatrix.from_rows([[value]])
+
+
+def ref_product(a, b):
+    """Product from ExactScalar arithmetic on the entries: the Fraction reference."""
+    rows_a = [a.entries[i * a.cols:(i + 1) * a.cols] for i in range(a.rows)]
+    cols_b = [b.entries[j::b.cols] for j in range(b.cols)]
+    return [[sum((x * y for x, y in zip(r, c)), ExactScalar(0)) for c in cols_b] for r in rows_a]
+
+
+def as_rows(m):
+    return [list(m.entries[i * m.cols:(i + 1) * m.cols]) for i in range(m.rows)]
+
+
+def assert_canonical_storage(m):
+    """int64 exactly when every numerator is below 2^62, else Python ints."""
+    big = max(abs(x) for x in m.re.ravel().tolist() + m.im.ravel().tolist()) >= LIMIT
+    assert m.re.dtype == m.im.dtype == (object if big else np.int64)
+
+
+class TestRepresentation:
+    def test_canonical_form(self):
+        x = ExactMatrix.from_rows([[Fraction(1, 2), ExactScalar(0, Fraction(2, 3))],
+                                   [3, Fraction(-5, 6)]])
+        assert x.den == 6
+        assert x.re.tolist() == [[3, 0], [18, -5]] and x.im.tolist() == [[0, 4], [0, 0]]
+        assert x.re.dtype == np.int64 and not x.re.flags.writeable
+        zero = x - x
+        assert zero.den == 1 and zero.is_zero() and zero == ExactMatrix.zeros(2, 2)
+        assert math.gcd(x.scale(6).den, 6) == 1 and x.scale(6).den == 1
+
+    def test_entries_are_derived(self):
+        x = ExactMatrix.from_rows([[0, Fraction(1, 2)], [EX_I, 0]])
+        assert x.entries == (EX_ZERO, EX_HALF, EX_I, EX_ZERO)
+        assert x.entries[0] is EX_ZERO and x.entries[3] is EX_ZERO
+        assert x.entry(0, 1) == EX_HALF and x.entry(1, 1) is EX_ZERO
+        assert x.support() == [(0, 1, EX_HALF), (1, 0, EX_I)]
+        assert x.nnz() == 2 and x.adjoint().entries == (EX_ZERO, -EX_I, EX_HALF, EX_ZERO)
+
+    @settings(max_examples=40, deadline=None)
+    @given(square_exact(4))
+    def test_scale_round_trip_is_canonical(self, x):
+        y = x.scale(2).scale(EX_HALF)
+        assert y == x and hash(y) == hash(x)
+        assert (y.den, y.re.tolist(), y.im.tolist()) == (x.den, x.re.tolist(), x.im.tolist())
+
+    def test_object_storage_reduced_back(self, rng):
+        x = random_exact(rng, 5, 4)
+        big = Fraction(2 ** 70 + 1, 3)
+        y = x.scale(big)
+        assert y.re.dtype == object
+        z = y.scale(1 / big)
+        assert z.re.dtype == np.int64 and z.im.dtype == np.int64
+        assert z == x and hash(z) == hash(x)
+
+
+class TestPromotionBoundary:
+    """Numerators just below and just above 2^62 stay exact on both storages."""
+
+    @pytest.mark.parametrize("a, b", [
+        (2 ** 31, 2 ** 31 - 1),       # bound trips, result fits: back to int64
+        (2 ** 31, 2 ** 31 + 1),       # result above the limit
+        (2 ** 30, 2 ** 30),           # bound 2^61: int64 all the way
+        (-(2 ** 40), 2 ** 40 + 3),
+    ])
+    def test_real_product(self, a, b):
+        got = one(a) * one(b)
+        assert got.entry(0, 0) == ExactScalar(a * b)
+        assert_canonical_storage(got)
+
+    def test_complex_product_near_limit(self):
+        # (M + Mi)^2 = 2 M^2 i: 2^63 does not fit int64 at all
+        for m in (2 ** 31 - 1, 2 ** 31):
+            z = one(ExactScalar(m, m))
+            got = z * z
+            assert got.entry(0, 0) == ExactScalar(0, 2 * m * m)
+            assert_canonical_storage(got)
+
+    def test_inner_sum_near_limit(self):
+        # each product is below 2^62 but their sum is not
+        a = ExactMatrix.from_rows([[2 ** 31, 2 ** 31]])
+        b = ExactMatrix.from_rows([[2 ** 30], [2 ** 30 + 1]])
+        got = a * b
+        assert got.entry(0, 0) == ExactScalar(2 ** 62 + 2 ** 31)
+        assert_canonical_storage(got)
+        assert as_rows(got) == ref_product(a, b)
+
+    @pytest.mark.parametrize("x, y", [
+        (LIMIT - 2, 1), (LIMIT - 1, 1), (LIMIT - 1, LIMIT - 1), (-(LIMIT - 1), -1),
+        (Fraction(LIMIT - 1, 3), Fraction(1, 5)),
+    ])
+    def test_sum(self, x, y):
+        got = one(x) + one(y)
+        assert got.entry(0, 0) == ExactScalar(Fraction(x) + Fraction(y))
+        assert (one(x) - one(y)).entry(0, 0) == ExactScalar(Fraction(x) - Fraction(y))
+        assert_canonical_storage(got)
+
+    @pytest.mark.parametrize("x, c", [
+        (2 ** 61 - 1, 2), (2 ** 61, 2), (2 ** 61, Fraction(1, 2)),
+        (2 ** 60, ExactScalar(2, -2)), (LIMIT - 1, ExactScalar(Fraction(1, 3), 1)),
+    ])
+    def test_scale(self, x, c):
+        got = one(x).scale(c)
+        assert got.entry(0, 0) == ExactScalar(x) * ExactScalar.coerce(c)
+        assert_canonical_storage(got)
+
+    @pytest.mark.parametrize("x, y", [(2 ** 31 - 1, 2 ** 31), (2 ** 31, 2 ** 31),
+                                      (2 ** 32, 2 ** 31),  # 2^63 overflows int64
+                                      (ExactScalar(2 ** 31, 1), ExactScalar(1, 2 ** 31)),
+                                      (ExactScalar(2 ** 31, 2 ** 31),
+                                       ExactScalar(2 ** 31, 2 ** 31))])
+    def test_kron(self, x, y):
+        a = ExactMatrix.from_rows([[x, 1]])
+        b = ExactMatrix.from_rows([[y], [3]])
+        got = a.kron(b)
+        want = [[ExactScalar.coerce(p) * ExactScalar.coerce(q) for p in (x, 1)]
+                for q in (y, 3)]
+        assert as_rows(got) == want
+        assert_canonical_storage(got)
+
+    def test_returns_to_int64(self):
+        big = one(2 ** 63)
+        assert big.re.dtype == object
+        back = big * one(Fraction(1, 2 ** 62))
+        assert back.re.dtype == np.int64 and back == one(2)
+        assert (big - one(2 ** 63 - 5)).re.dtype == np.int64
+        assert big.scale(Fraction(3, 2 ** 62)) == one(6)
+        assert block_diag([big, one(1)]).re.dtype == object
+        assert block_row([big.scale(Fraction(1, 2 ** 61)), one(1)]) == \
+            ExactMatrix.from_rows([[4, 1]])
+
+    @pytest.mark.parametrize("value", [
+        Fraction(2 ** 53 + 1, 7),  # int64 numerator that float64 cannot hold
+        Fraction(2 ** 70 + 1, 3 * 2 ** 20),
+        ExactScalar(Fraction(1, 3), Fraction(-(2 ** 64), 7)),
+    ])
+    def test_to_approx_rounds_once(self, value):
+        # each entry is the correctly rounded float of the exact value, as
+        # float(Fraction) gives, not a rounded numerator over a rounded den
+        s = ExactScalar.coerce(value)
+        assert one(s).to_approx().array[0, 0] == complex(s)
+
+
+# Entries with large numerators and denominators, so that products and sums
+# cross 2^62 and run on Python ints.
+_wide_parts = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.builds(Fraction, st.integers(-2 ** 40, 2 ** 40), st.integers(1, 2 ** 24)))
+_wide_scalars = st.builds(ExactScalar, _wide_parts, _wide_parts)
+
+
+def wide_matrices(rows, cols):
+    return st.lists(_wide_scalars, min_size=rows * cols, max_size=rows * cols).map(
+        lambda e: ExactMatrix(rows, cols, e))
+
+
+@pytest.fixture(scope="module")
+def qqi():
+    """sympy's exact dense matrices over the Gaussian rationals QQ_I."""
+    domains = pytest.importorskip("sympy.polys.domains")
+    matrices = pytest.importorskip("sympy.polys.matrices")
+    QQ, QQ_I = domains.QQ, domains.QQ_I
+
+    def convert(m):
+        def q(x):
+            x = Fraction(x)
+            return QQ(x.numerator, x.denominator)
+        flat = [QQ_I(q(e.re), q(e.im)) for e in m.entries]
+        return matrices.DomainMatrix([flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)],
+                                     m.shape, QQ_I)
+
+    def adjoint(d):
+        return d.transpose().applyfunc(lambda z: QQ_I(z.x, -z.y))
+
+    def kron(d, e):
+        blocks = [[e.scalarmul(x) for x in row] for row in d.to_list()]
+        rows = [r[0].hstack(*r[1:]) for r in blocks]
+        return rows[0].vstack(*rows[1:])
+
+    def trace(d):
+        return sum(d.diagonal(), QQ_I(0, 0))
+
+    return convert, adjoint, kron, trace
+
+
+class TestSympyOracle:
+    """Cross-check against sympy's exact matrices over Q(i)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+        wide_matrices(2, k), wide_matrices(k, 3), wide_matrices(2, k))))
+    def test_against_sympy(self, qqi, ops):
+        convert, adjoint, kron, trace = qqi
+
+        def same(m, d):  # entrywise, whatever sparse or dense format sympy picked
+            return convert(m).to_list() == d.to_list()
+
+        a, b, c = ops
+        sa, sb, sc = (convert(x) for x in ops)
+        assert same(a * b, sa * sb)
+        assert same(a + c, sa + sc)
+        assert same(a - c, sa - sc)
+        assert same(a.adjoint(), adjoint(sa))
+        assert same(a.kron(b), kron(sa, sb))
+        t = (a * a.adjoint()).trace()
+        want = trace(sa * adjoint(sa))
+        assert (Fraction(t.re), Fraction(t.im)) == (
+            Fraction(want.x.numerator, want.x.denominator),
+            Fraction(want.y.numerator, want.y.denominator))
