@@ -5,9 +5,8 @@ The exact layer works over Gaussian rationals (zero-residual checks); the
 floating layer computes operator and trace norms for the block witnesses.
 """
 
-from .errors import (CapacityError, ConstructionError, DecompositionError,
-                     DegenerateInputError, DimensionError, NumericError,
-                     TransformError)
+from .errors import (CapacityError, DecompositionError, DegenerateInputError,
+                     DimensionError, NumericError, TransformError)
 from .grids import (Grid, MatrixUnitFamily, hermitian_grid,
                     hermitian_to_matrix_units, rectangular_grid, spin_grid,
                     spin_system, spin_to_spin_system, symplectic_grid,

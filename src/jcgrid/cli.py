@@ -6,7 +6,8 @@ Subcommands:
     witness    print the block-row/column witness norms and ratios
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 capacity
-exceeded.  Output on stdout is deterministic byte-for-byte for fixed flags
+exceeded, 4 internal error (any other exception, such as a broken transform
+identity).  Output on stdout is deterministic byte-for-byte for fixed flags
 (including --seed); timings go to stderr.
 """
 
@@ -28,10 +29,21 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
     pass
+
+
+# Exception type -> (exit code, stderr message); the first matching row wins,
+# so CapacityError (a ValueError) precedes the usage row.
+_EXIT_TABLE = (
+    (CapacityError, EXIT_CAPACITY, "capacity: {exc}"),
+    ((_UsageError, ValueError), EXIT_USAGE,
+     "usage error: {exc}\nrun with --help for flag documentation"),
+    (Exception, EXIT_INTERNAL, "internal error: {name}: {exc}"),
+)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -335,13 +347,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             code = _cmd_verify(args)
         else:
             code = _cmd_witness(args)
-    except CapacityError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except (_UsageError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        print("run with --help for flag documentation", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:  # the CLI boundary: every exception becomes an exit code
+        code, message = next((c, m) for types, c, m in _EXIT_TABLE if isinstance(exc, types))
+        print(message.format(exc=exc, name=type(exc).__name__), file=sys.stderr)
+        return code
     print(f"elapsed {1000.0 * (time.perf_counter() - start):.1f} ms", file=sys.stderr)
     return code
 

@@ -13,10 +13,6 @@ class CapacityError(ValueError):
     """Requested size exceeds the supported desk-scale caps."""
 
 
-class ConstructionError(RuntimeError):
-    """A constructor could not produce a family passing its verifier."""
-
-
 class TransformError(RuntimeError):
     """A grid-to-matrix-unit transform violated one of its defining identities."""
 

@@ -12,14 +12,16 @@ trace formula and the contractive projection onto the span.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import CapacityError, DecompositionError, DimensionError
-from .grids import Grid, rank_one_grid
+from .grids import Grid
 from .numlin import (EX_HALF, EX_ZERO, ApproxMatrix, ExactMatrix,
                      ExactScalar, block_diag, trace_norm)
 from .report import VerificationReport
@@ -154,10 +156,16 @@ class HnkSpace:
     row_combs: Tuple[Combination, ...]
     col_combs: Tuple[Combination, ...]
     multiplicity: int
+    rank_one: "RankOneRealization" = field(compare=False, repr=False)
 
     @property
     def shape(self) -> Tuple[int, int]:
         return (len(self.row_combs), len(self.col_combs))
+
+    @cached_property
+    def basis_array(self) -> np.ndarray:
+        """The basis as one (n, rows, cols) complex array, converted once."""
+        return np.stack([b.to_approx().array for b in self.basis])
 
     def row_index(self, J: Combination) -> int:
         return J.rank()
@@ -172,14 +180,18 @@ class HnkSpace:
                                 ExactScalar(sign))
 
     def realization(self) -> "RankOneRealization":
-        return RankOneRealization(tuple(PartialIsometry(b) for b in self.basis))
+        """The rank-1 realization validated when the space was built; every
+        call returns the same object."""
+        return self.rank_one
 
     def as_grid(self) -> Grid:
-        return rank_one_grid([PartialIsometry(b) for b in self.basis])
+        """The basis as a rank-1 grid over the realization's elements."""
+        return self.rank_one.as_grid()
 
 
 def build_hnk(n: int, k: int) -> HnkSpace:
-    """Construct H(n, k) and validate its defining invariants exactly."""
+    """Construct H(n, k) and validate its defining invariants exactly, once:
+    the space keeps the validated ``RankOneRealization``."""
     if n < 1 or k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     if n > HNK_BUILD_CAP:
@@ -196,24 +208,22 @@ def build_hnk(n: int, k: int) -> HnkSpace:
             J = I.union(Combination.of(n, [c])).complement()
             sign = signature_one(I, c, J)
             entries[J.rank() * len(cols) + I.rank()] = ExactScalar(sign)
-        basis.append(ExactMatrix(len(rows), len(cols), entries))
-    space = HnkSpace(n, k, tuple(basis), tuple(rows), tuple(cols), m)
-    for c, u in enumerate(basis, start=1):
+        u = ExactMatrix(len(rows), len(cols), entries)
         if u.nnz() != m or any(e.abs2() != 1 for _, _, e in u.support()):
             raise AssertionError(f"basis element {c} is not a sum of {m} signed units")
-        if u * u.adjoint() * u != u:
-            raise AssertionError(f"basis element {c} is not a partial isometry")
-    real = space.realization()
+        basis.append(u)
+    real = RankOneRealization(PartialIsometry(u) for u in basis)
     if indices(real) != (k, n - k + 1):
         raise AssertionError("constructed space has wrong support indices")
-    return space
+    return HnkSpace(n, k, tuple(basis), tuple(rows), tuple(cols), m, real)
 
 
 class RankOneRealization:
     """An ordered rank-1 rectangular grid: pairwise colinear minimal partial
-    isometries, validated exactly at construction."""
+    isometries, validated exactly at construction.  ``indices`` and
+    ``uij_family`` keep their results on it."""
 
-    def __init__(self, elements: Sequence[PartialIsometry]):
+    def __init__(self, elements: Iterable[PartialIsometry]):
         elements = tuple(elements)
         for a in range(len(elements)):
             for b in range(len(elements)):
@@ -225,6 +235,8 @@ class RankOneRealization:
                 if triple_product(va, va, vb) != vb.scale(EX_HALF):
                     raise ValueError(f"elements {a + 1}, {b + 1} are not colinear")
         self.elements = elements
+        self._indices: Optional[Tuple[int, int]] = None
+        self._uij_family: Optional[Mapping] = None
 
     @property
     def n(self) -> int:
@@ -235,7 +247,8 @@ class RankOneRealization:
         return self.elements[i - 1].mat
 
     def as_grid(self) -> Grid:
-        return rank_one_grid(self.elements)
+        """The elements, unchanged, as a rank-1 grid indexed 1..n."""
+        return Grid("rank1", {"n": self.n}, list(enumerate(self.elements, start=1)))
 
     def __repr__(self):
         return f"RankOneRealization(n={self.n})"
@@ -272,27 +285,25 @@ def indices(real: RankOneRealization) -> Tuple[int, int]:
     """(i_R, i_L): the largest sizes with nonvanishing support products.
 
     One witness set {1..r} per size suffices because vanishing at one size-r
-    set forces vanishing at all of them.
+    set forces vanishing at all of them.  Computed once per realization.
     """
+    if real._indices is not None:
+        return real._indices
     n = real.n
     if n > INDICES_CAP:
         raise CapacityError(f"indices computation capped at n <= {INDICES_CAP}")
-    i_r = i_l = n
-    acc = None
-    for r in range(1, n + 1):
-        u = real.matrix(r)
-        acc = u * u.adjoint() if acc is None else acc * (u * u.adjoint())
-        if acc.is_zero():
-            i_r = r - 1
-            break
-    acc = None
-    for r in range(1, n + 1):
-        u = real.matrix(r)
-        acc = u.adjoint() * u if acc is None else acc * (u.adjoint() * u)
-        if acc.is_zero():
-            i_l = r - 1
-            break
-    return (i_r, i_l)
+    sizes = []
+    for support in (lambda u: u * u.adjoint(), lambda u: u.adjoint() * u):
+        acc, size = None, n
+        for r in range(1, n + 1):
+            p = support(real.matrix(r))
+            acc = p if acc is None else acc * p
+            if acc.is_zero():
+                size = r - 1
+                break
+        sizes.append(size)
+    real._indices = tuple(sizes)
+    return real._indices
 
 
 def _require_tight(real: RankOneRealization) -> Tuple[int, int]:
@@ -434,26 +445,35 @@ def signature_general(real: RankOneRealization, I: Combination, J: Combination) 
     return sign
 
 
-def uij_family(real: RankOneRealization) -> dict:
-    """All (I, J) words with their signatures: {(I, J): (matrix, sign)}."""
-    i_r, i_l = _require_tight(real)
-    out = {}
-    for I in combinations(real.n, i_r - 1):
-        for J in combinations(real.n, i_l - 1):
-            out[(I, J)] = (build_uIJ(real, I, J), signature_general(real, I, J))
-    return out
+def uij_family(real: RankOneRealization) -> Mapping:
+    """All (I, J) words with their signatures: {(I, J): (matrix, sign, error)}.
+
+    Each word is built and decomposed into ones once per realization; later
+    calls return the same read-only mapping.  ``error`` is empty, or the
+    ``DecompositionError`` message of a decomposition that failed, in which
+    case ``sign`` is 0.
+    """
+    if real._uij_family is None:
+        i_r, i_l = _require_tight(real)
+        fam = {}
+        for I in combinations(real.n, i_r - 1):
+            for J in combinations(real.n, i_l - 1):
+                try:
+                    sign, error = signature_general(real, I, J), ""
+                except DecompositionError as exc:
+                    sign, error = 0, str(exc)
+                fam[(I, J)] = (build_uIJ(real, I, J), sign, error)
+        real._uij_family = MappingProxyType(fam)
+    return real._uij_family
 
 
 def sum_decomposition_holds(real: RankOneRealization, c: int) -> bool:
-    """u_c = sum of u_{I,J} over disjoint I, J avoiding c, exactly."""
-    i_r, i_l = _require_tight(real)
+    """u_c = sum of u_{I,J} over disjoint I, J avoiding c (the words whose
+    I | J has complement {c}), exactly."""
     total = None
-    for I in combinations(real.n, i_r - 1):
-        if c in I:
-            continue
-        J = I.union(Combination.of(real.n, [c])).complement()
-        term = build_uIJ(real, I, J)
-        total = term if total is None else total + term
+    for (I, J), (term, _, _) in uij_family(real).items():
+        if I.union(J).complement().members == (c,):
+            total = term if total is None else total + term
     return total == real.matrix(c)
 
 
@@ -462,7 +482,8 @@ def verify_uIJ_grid(real: RankOneRealization,
     """Verify the signed (I, J)-family: minimality, orthogonality,
     colinearity, associative orthogonality, the weak quadrangle, the signed
     quadrangle identity, the sum decomposition, the decomposition into ones,
-    and (for a canonical space) the match with the ambient matrix units."""
+    and (for a canonical space) the match with the ambient matrix units.
+    Every check reads ``uij_family`` and counts the instances it checked."""
     n = real.n
     if n > UIJ_VERIFY_CAP:
         raise CapacityError(f"full (I,J) verification capped at n <= {UIJ_VERIFY_CAP}")
@@ -470,20 +491,22 @@ def verify_uIJ_grid(real: RankOneRealization,
     rep = VerificationReport(subject=f"uij-grid(n={n}, i_R={i_r})")
     fam = uij_family(real)
     keys = sorted(fam.keys(), key=lambda t: (t[0].members, t[1].members))
-    mats = {key: mat for key, (mat, _) in fam.items()}
-    signs = {key: sign for key, (_, sign) in fam.items()}
+    mats = {key: mat for key, (mat, _, _) in fam.items()}
+    signs = {key: sign for key, (_, sign, _) in fam.items()}
 
     bad = [k for k in keys if mats[k].is_zero() or mats[k] * mats[k].adjoint() * mats[k] != mats[k]]
     rep.add_counted("uij_partial_isometries", not bad, len(keys), "elements",
                     failure=f"failed {bad[:2]}")
 
     badmin, badorth, badcol, badassoc = [], [], [], []
+    n_orth = n_col = n_assoc = 0
     for a in keys:
         for b in keys:
             ua, ub = mats[a], mats[b]
             got = ternary_product(ua, ub, ua)
             if got != ua if a == b else not got.is_zero():
                 badmin.append((a, b))
+            n_assoc += (a[0] != b[0]) + (a[1] != b[1])
             if a[0] != b[0] and not (ua * ub.adjoint()).is_zero():
                 badassoc.append(("left", a, b))
             if a[1] != b[1] and not (ua.adjoint() * ub).is_zero():
@@ -491,20 +514,26 @@ def verify_uIJ_grid(real: RankOneRealization,
             if a != b:
                 same_i, same_j = a[0] == b[0], a[1] == b[1]
                 if not same_i and not same_j:
+                    n_orth += 1
                     if not (ua.adjoint() * ub).is_zero() or not (ua * ub.adjoint()).is_zero():
                         badorth.append((a, b))
                 elif same_i != same_j:
+                    n_col += 1
                     if triple_product(ua, ua, ub) != ub.scale(EX_HALF):
                         badcol.append((a, b))
-    rep.add("uij_minimality", not badmin, detail="" if not badmin else f"failed {badmin[:2]}")
-    rep.add("uij_orthogonality", not badorth, detail="" if not badorth else f"failed {badorth[:2]}")
-    rep.add("uij_colinearity", not badcol, detail="" if not badcol else f"failed {badcol[:2]}")
-    rep.add("uij_associative_orthogonality", not badassoc,
-            detail="" if not badassoc else f"failed {badassoc[:2]}")
+    rep.add_counted("uij_minimality", not badmin, len(keys) ** 2, "ordered pairs",
+                    failure=f"failed {badmin[:2]}")
+    rep.add_counted("uij_orthogonality", not badorth, n_orth, "ordered pairs",
+                    failure=f"failed {badorth[:2]}")
+    rep.add_counted("uij_colinearity", not badcol, n_col, "ordered pairs",
+                    failure=f"failed {badcol[:2]}")
+    rep.add_counted("uij_associative_orthogonality", not badassoc, n_assoc, "products",
+                    failure=f"failed {badassoc[:2]}")
 
     Is = sorted({a[0] for a in keys}, key=lambda c: c.members)
     Js = sorted({a[1] for a in keys}, key=lambda c: c.members)
     badweak, badsigned, flagged = [], [], []
+    n_signed = 0
     for I in Is:
         for J in Js:
             for Jp in Js:
@@ -515,6 +544,7 @@ def verify_uIJ_grid(real: RankOneRealization,
                     if got != target and got != -target:
                         badweak.append((I, J, Jp, Ip))
                         continue
+                    n_signed += 1
                     lhs = got.scale(signs[(I, J)] * signs[(I, Jp)] * signs[(Ip, Jp)])
                     if lhs != target.scale(signs[(Ip, J)]):
                         degenerate = I == Ip or J == Jp
@@ -525,35 +555,28 @@ def verify_uIJ_grid(real: RankOneRealization,
                             badsigned.append((I, J, Jp, Ip))
                         else:
                             flagged.append((I, J, Jp, Ip))
-    rep.add("uij_weak_quadrangle", not badweak,
-            detail="" if not badweak else f"failed {badweak[:2]}")
-    rep.add("uij_signed_quadrangle", not badsigned,
-            detail="" if not badsigned else f"failed {badsigned[:2]}")
+    rep.add_counted("uij_weak_quadrangle", not badweak, len(Is) ** 2 * len(Js) ** 2,
+                    "quadruples", failure=f"failed {badweak[:2]}")
+    rep.add_counted("uij_signed_quadrangle", not badsigned, n_signed, "quadruples",
+                    failure=f"failed {badsigned[:2]}")
     if flagged:
         rep.flag("uij_signed_quadrangle_out_of_scope",
                  f"{len(flagged)} configurations outside the ones-triple derivation "
                  f"fail the signed identity, e.g. {flagged[:2]}")
 
     badsum = [c for c in range(1, n + 1) if not sum_decomposition_holds(real, c)]
-    rep.add("uij_sum_decomposition", not badsum,
-            detail="" if not badsum else f"failed at {badsum}")
+    rep.add_counted("uij_sum_decomposition", not badsum, n, "elements",
+                    failure=f"failed at {badsum}")
 
-    baddec = []
-    for (I, J) in keys:
-        try:
-            decompose_into_ones(real, I, J)
-        except DecompositionError as exc:
-            baddec.append((I, J, str(exc)))
-    rep.add("uij_decomposition_into_ones", not baddec,
-            detail="" if not baddec else f"failed {baddec[:2]}")
+    baddec = [(I, J, fam[(I, J)][2]) for (I, J) in keys if fam[(I, J)][2]]
+    rep.add_counted("uij_decomposition_into_ones", not baddec, len(keys), "words",
+                    failure=f"failed {baddec[:2]}")
 
     if space is not None:
-        badunit = []
-        for (I, J) in keys:
-            if mats[(I, J)].scale(signs[(I, J)]) != space.unit(J, I):
-                badunit.append((I, J))
-        rep.add("uij_matches_ambient_units", not badunit,
-                detail="" if not badunit else f"failed {badunit[:2]}")
+        badunit = [(I, J) for (I, J) in keys
+                   if mats[(I, J)].scale(signs[(I, J)]) != space.unit(J, I)]
+        rep.add_counted("uij_matches_ambient_units", not badunit, len(keys), "words",
+                        failure=f"failed {badunit[:2]}")
     return rep
 
 
@@ -564,36 +587,29 @@ def ones_triple_coherence(real: RankOneRealization) -> Tuple[int, int]:
     either the matrix identity u_{IJ'}[u_{IJ}]* u_{I'J} = -u_{I''J'}[u_{I''J''}]* u_{I'J''}
     or the matching sign-product equality broke.
     """
-    i_r, i_l = _require_tight(real)
     n = real.n
+    fam = uij_family(real)
+    word = {key: mat for key, (mat, _, _) in fam.items()}
+    sign = {key: s for key, (_, s, _) in fam.items()}
     checked = failures = 0
-    for I in combinations(n, i_r - 1):
-        for J in combinations(n, i_l - 1):
-            if set(I.members) & set(J.members):
-                continue
-            comp = I.union(J).complement()
-            if len(comp) != 1:
-                continue
-            b = comp.members[0]
-            for a in I:
-                for c in J:
-                    checked += 1
-                    Ip = Combination.of(n, (set(I.members) - {a}) | {b})
-                    Jp = Combination.of(n, (set(J.members) - {c}) | {b})
-                    Ipp = Combination.of(n, (set(I.members) | {c}) - {a})
-                    Jpp = Combination.of(n, (set(J.members) | {a}) - {c})
-                    lhs = (build_uIJ(real, I, Jp)
-                           * build_uIJ(real, I, J).adjoint()
-                           * build_uIJ(real, Ip, J))
-                    rhs = (build_uIJ(real, Ipp, Jp)
-                           * build_uIJ(real, Ipp, Jpp).adjoint()
-                           * build_uIJ(real, Ip, Jpp))
-                    sl = (signature_general(real, I, Jp) * signature_general(real, I, J)
-                          * signature_general(real, Ip, J))
-                    sr = (signature_general(real, Ipp, Jp) * signature_general(real, Ipp, Jpp)
-                          * signature_general(real, Ip, Jpp))
-                    if lhs != -rhs or sl != -sr or lhs.scale(sl) != rhs.scale(sr):
-                        failures += 1
+    for I, J in word:
+        comp = I.union(J).complement()
+        if len(comp) != 1:  # the ones: I and J disjoint
+            continue
+        b = comp.members[0]
+        for a in I:
+            for c in J:
+                checked += 1
+                Ip = Combination.of(n, (set(I.members) - {a}) | {b})
+                Jp = Combination.of(n, (set(J.members) - {c}) | {b})
+                Ipp = Combination.of(n, (set(I.members) | {c}) - {a})
+                Jpp = Combination.of(n, (set(J.members) | {a}) - {c})
+                lhs = word[I, Jp] * word[I, J].adjoint() * word[Ip, J]
+                rhs = word[Ipp, Jp] * word[Ipp, Jpp].adjoint() * word[Ip, Jpp]
+                sl = sign[I, Jp] * sign[I, J] * sign[Ip, J]
+                sr = sign[Ipp, Jp] * sign[Ipp, Jpp] * sign[Ip, Jpp]
+                if lhs != -rhs or sl != -sr or lhs.scale(sl) != rhs.scale(sr):
+                    failures += 1
     return checked, failures
 
 
@@ -722,10 +738,6 @@ def ternary_matrix_unit_image(grid: Grid) -> bool:
 # -- projection and trace formula ---------------------------------------------
 
 
-def _basis_arrays(space: HnkSpace) -> np.ndarray:
-    return np.stack([b.to_approx().array for b in space.basis])
-
-
 def hnk_projection(space: HnkSpace, x) -> ApproxMatrix:
     """P x = sum_i (trace(x U_i*) / m) U_i: the trace-orthogonal projection
     onto the span.
@@ -737,7 +749,7 @@ def hnk_projection(space: HnkSpace, x) -> ApproxMatrix:
     arr = x.array if isinstance(x, ApproxMatrix) else np.asarray(x, dtype=np.complex128)
     if arr.shape != space.shape:
         raise DimensionError(f"expected shape {space.shape}, got {arr.shape}")
-    basis = _basis_arrays(space)
+    basis = space.basis_array
     coeffs = np.tensordot(arr, basis.conj(), axes=([0, 1], [1, 2])) / space.multiplicity
     return ApproxMatrix(np.tensordot(coeffs, basis, axes=(0, 0)))
 
@@ -799,8 +811,7 @@ def trace_formula_check(space: HnkSpace, coefficients) -> TraceFormulaReport:
         mult = m if (single and mult_ok) else None
         verified = bool(single and mult_ok)
     else:
-        arr = sum((complex(a) * u.to_approx().array for a, u in zip(coeffs, space.basis)),
-                  np.zeros(space.shape, dtype=np.complex128))
+        arr = np.tensordot(np.array(coeffs, dtype=np.complex128), space.basis_array, axes=(0, 0))
         norm2 = float(math.sqrt(sum(abs(complex(a)) ** 2 for a in coeffs)))
         lhs = trace_norm(arr)
         eig = None

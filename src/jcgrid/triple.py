@@ -129,8 +129,6 @@ def is_minimal_in_family(v: PartialIsometry, family: Sequence[PartialIsometry]) 
     """Minimality relative to a family: v w* v = 0 for every other member."""
     if all(v.mat != w.mat for w in family):
         raise ValueError("v must belong to the family")
-    if ternary_product(v.mat, v.mat, v.mat) != v.mat:
-        return False
     for w in family:
         if w.mat == v.mat:
             continue

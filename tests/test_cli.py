@@ -7,6 +7,9 @@ import sys
 
 import pytest
 
+from jcgrid import cli, grids, hnk, triple
+from jcgrid.errors import (CapacityError, DecompositionError, DimensionError,
+                           NumericError, TransformError)
 from jcgrid.hnk import build_hnk
 from jcgrid.serialize import hnk_basis_from_json, matrix_from_json
 
@@ -123,14 +126,24 @@ class TestVerify:
         assert checks["pairwise_relations"]["status"] == "flagged"
         assert checks["pairwise_relations"]["detail"] == "0 pairs: nothing to check"
 
-    @pytest.mark.parametrize("n", ["1", "2"])
-    def test_uij_empty_triple_set_is_flagged(self, n):
+    @pytest.mark.parametrize("n,empty", [
+        ("1", {"uij_orthogonality": "ordered pairs", "uij_colinearity": "ordered pairs",
+               "uij_associative_orthogonality": "products",
+               "ones_triple_sign_coherence": "triples"}),
+        ("2", {"uij_orthogonality": "ordered pairs", "ones_triple_sign_coherence": "triples"}),
+    ], ids=["1", "2"])
+    def test_uij_empty_triple_set_is_flagged(self, n, empty):
         res = run_cli("verify", "uij-grid", "--n", n, "--k", "1", "--format", "json")
         assert res.returncode == 0
         checks = {c["name"]: c for c in json.loads(res.stdout)["checks"]}
-        coherence = checks["ones_triple_sign_coherence"]
-        assert coherence["status"] == "flagged"
-        assert coherence["detail"] == "0 triples: nothing to check"
+        for name, unit in empty.items():
+            assert checks[name]["status"] == "flagged", name
+            assert checks[name]["detail"] == f"0 {unit}: nothing to check"
+        # every other uij check counted a nonempty set and passed
+        for name, check in checks.items():
+            if name.startswith("uij_") and name not in empty:
+                assert check["status"] == "pass", name
+                assert check["detail"].split()[0] != "0", name
 
     def test_json_format(self):
         res = run_cli("verify", "hnk", "--n", "3", "--k", "2", "--format", "json")
@@ -195,6 +208,19 @@ GOLDEN_STDOUT = {
         "ac84988aff2d29884498b524b1f48ccca9ee695db9a676c6ec6e786b1dc880d6",
     ("witness", "--n", "3", "--k", "2"):
         "a1acd6782baa66bf8d48bb48432d08e1dda7b03b606a34088d77cafeb45515ec",
+    # recorded while spin_grid still searched the governing scalar with the
+    # verifier as oracle: the closed-form grid must be the grid it accepted
+    ("construct", "spin", "--r", "5", "--odd", "--format", "json"):
+        "b03f5bfe11c267d2e77b6d32c55b0eeeeac19dd6006278b96493b4355e94be83",
+    ("construct", "spin", "--r", "6", "--odd", "--format", "json"):
+        "d59441a6b0cf398ea00eddbca425d6891bdde950067bdf10ee3ec2bee8a25b32",
+    ("verify", "grid", "--kind", "spin", "--r", "3", "--odd", "--format", "json"):
+        "2f015df9a91d8576370dceb7d4a429401e5a790854ef4ff1cbf300458ee561bf",
+    # recorded while build_hnk, realization() and as_grid() each re-validated
+    ("verify", "hnk", "--n", "6", "--k", "3", "--format", "json"):
+        "f8f41dce2dfb7f2b4db1e02b6a5817472d96c2c2450dab7f952cff2180abe806",
+    ("verify", "split", "--n", "3", "--ks", "2,1"):
+        "c7117ed8cd346c7ac6894fe0304cb3b32b7f1e7c3876e9dd45d66d7121f5fd87",
 }
 
 
@@ -204,3 +230,69 @@ class TestGoldenOutput:
         res = run_cli(*args)
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == GOLDEN_STDOUT[args]
+
+
+class TestExitCodeTable:
+    """Every exception leaving a command maps to one exit code and one
+    stderr line; nothing escapes as a traceback with exit 1."""
+
+    @pytest.mark.parametrize("exc,code,prefix", [
+        (CapacityError("too big"), 3, "capacity: too big"),
+        (ValueError("bad input"), 2, "usage error: bad input"),
+        (DimensionError("bad shape"), 2, "usage error: bad shape"),
+        (TransformError("e_11 vanished"), 4, "internal error: TransformError: e_11 vanished"),
+        (DecompositionError("factor vanished"), 4,
+         "internal error: DecompositionError: factor vanished"),
+        (NumericError("no convergence"), 4, "internal error: NumericError: no convergence"),
+        (KeyError("u_1"), 4, "internal error: KeyError: 'u_1'"),
+    ], ids=["CapacityError", "ValueError", "DimensionError", "TransformError",
+            "DecompositionError", "NumericError", "KeyError"])
+    def test_exception_maps_to_exit_code(self, monkeypatch, capsys, exc, code, prefix):
+        def raise_exc(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(hnk, "build_hnk", raise_exc)
+        assert cli.main(["verify", "hnk", "--n", "3", "--k", "2"]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0] == prefix
+        # usage errors add the pointer to --help; the others print one line
+        assert len(lines) == (2 if code == 2 else 1)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` with a wrapper that counts its calls."""
+    calls = []
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestValidateOnce:
+    """Each value is validated where it is made; verifiers reuse it."""
+
+    def test_verify_hnk_builds_each_element_once(self, monkeypatch, capsys):
+        isometries = _count_calls(monkeypatch, triple.PartialIsometry, "__init__")
+        realizations = _count_calls(monkeypatch, hnk.RankOneRealization, "__init__")
+        assert cli.main(["verify", "hnk", "--n", "6", "--k", "3"]) == 0
+        assert "overall: pass" in capsys.readouterr().out
+        assert (len(isometries), len(realizations)) == (6, 1)
+
+    def test_verify_spin_grid_runs_the_verifier_once(self, monkeypatch, capsys):
+        calls = _count_calls(monkeypatch, grids, "verify_grid")
+        assert cli.main(["verify", "grid", "--kind", "spin", "--r", "2", "--odd"]) == 0
+        assert "overall: pass" in capsys.readouterr().out
+        assert len(calls) == 1
+
+    def test_verify_uij_decomposes_each_word_once(self, monkeypatch, capsys):
+        calls = _count_calls(monkeypatch, hnk, "decompose_into_ones")
+        assert cli.main(["verify", "uij-grid", "--n", "4", "--k", "2"]) == 0
+        assert "overall: pass" in capsys.readouterr().out
+        # C(4, 1) * C(4, 2) = 24 words
+        assert len(calls) == 24

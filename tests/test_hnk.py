@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jcgrid.errors import CapacityError, DimensionError
+from jcgrid import hnk
+from jcgrid.errors import CapacityError, DecompositionError, DimensionError
 from jcgrid.grids import verify_grid
 from jcgrid.hnk import (Combination, build_hnk, build_uIJ, combinations,
                         decompose_into_ones, diag_hnk, diag_rect,
@@ -15,7 +16,8 @@ from jcgrid.hnk import (Combination, build_hnk, build_uIJ, combinations,
                         peirce_split, signature_general, signature_one,
                         split_cross_orthogonal, sum_decomposition_holds,
                         support_product, ternary_matrix_unit_image,
-                        trace_formula_check, verify_uIJ_grid)
+                        trace_formula_check, uij_family,
+                        verify_uIJ_grid)
 from jcgrid.numlin import ExactMatrix, ExactScalar, operator_norm
 from jcgrid.triple import ternary_product
 
@@ -121,6 +123,20 @@ class TestBuildHnk:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             build_hnk(9, 4)
+
+    def test_space_keeps_one_realization(self):
+        sp = build_hnk(4, 2)
+        real = sp.realization()
+        assert sp.realization() is real
+        grid = sp.as_grid()
+        for i in range(1, sp.n + 1):
+            assert grid.element(i) is real.elements[i - 1]
+            assert real.matrix(i) is sp.basis[i - 1]
+
+    def test_realization_keeps_indices_and_words(self):
+        real = build_hnk(4, 2).realization()
+        assert indices(real) is indices(real)
+        assert uij_family(real) is uij_family(real)
 
 
 class TestSupportAndIndices:
@@ -239,6 +255,22 @@ class TestVerifyUij:
         sp = build_hnk(n, k)
         rep = verify_uIJ_grid(sp.realization(), sp)
         assert rep.passed, rep.render_text()
+
+    def test_decomposition_error_is_a_failed_check(self, monkeypatch):
+        orig = hnk.decompose_into_ones
+
+        def broken(real, I, J, *args):
+            if (I, J) == (C(3, [1]), C(3, [1])):
+                raise DecompositionError("factor with middle element 2 vanished")
+            return orig(real, I, J, *args)
+
+        monkeypatch.setattr(hnk, "decompose_into_ones", broken)
+        sp = build_hnk(3, 2)
+        checks = {c.name: c for c in verify_uIJ_grid(sp.realization(), sp).checks}
+        dec = checks["uij_decomposition_into_ones"]
+        assert dec.status == "fail" and "middle element 2 vanished" in dec.detail
+        # the word's signature is unknown, so its ambient-unit match fails too
+        assert checks["uij_matches_ambient_units"].status == "fail"
 
     def test_sign_coherence(self):
         real = build_hnk(4, 2).realization()
