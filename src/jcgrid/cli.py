@@ -7,13 +7,15 @@ Subcommands:
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 capacity
 exceeded, 4 internal error (any other exception, such as a broken transform
-identity).  Output on stdout is deterministic byte-for-byte for fixed flags
-(including --seed); timings go to stderr.
+identity), 141 stdout closed by its reader (a pipe into `head`).  Output on
+stdout is deterministic byte-for-byte for fixed flags (including --seed);
+timings go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import List, Optional
@@ -30,6 +32,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
 class _UsageError(Exception):
@@ -347,6 +350,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             code = _cmd_verify(args)
         else:
             code = _cmd_witness(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, which is no fault; point the stdout
+        # descriptor at devnull so the flush at interpreter exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except Exception as exc:  # the CLI boundary: every exception becomes an exit code
         code, message = next((c, m) for types, c, m in _EXIT_TABLE if isinstance(exc, types))
         print(message.format(exc=exc, name=type(exc).__name__), file=sys.stderr)

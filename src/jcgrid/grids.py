@@ -445,8 +445,28 @@ def verify_grid(grid: Grid) -> VerificationReport:
     rep.add_counted("minimality", not notmin, len(minimal), "elements",
                     failure=f"failed {notmin[:3]}")
 
+    # {a,b,c} = {c,b,a}: the table keeps each product under the order with
+    # x <= z, and the named checks read it from there; most products vanish,
+    # and all of those share the first zero matrix
+    pos = {idx: x for x, idx in enumerate(idxs)}
+    products = {}
+    zero = None
+
+    def product(a, b, c) -> ExactMatrix:
+        nonlocal zero
+        if pos[a] > pos[c]:
+            a, c = c, a
+        got = products.get((a, b, c))
+        if got is None:
+            got = triple_product(mats[a], mats[b], mats[c])
+            if got.is_zero():
+                zero = got if zero is None else zero
+                got = zero
+            products[(a, b, c)] = got
+        return got
+
     if n <= EXHAUSTIVE_TRIPLE_CAP:
-        # {a,b,c} = {c,b,a}, so checking x <= z covers every ordered triple
+        # x <= z covers every ordered triple
         triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(x, n)]
         mode = "exhaustive"
     else:
@@ -455,7 +475,7 @@ def verify_grid(grid: Grid) -> VerificationReport:
     badt = []
     for (x, y, z) in triples:
         a, b, c = idxs[x], idxs[y], idxs[z]
-        got = triple_product(mats[a], mats[b], mats[c])
+        got = product(a, b, c)
         want = None
         for idx, coeff in expected_triple_coeffs(grid, a, b, c).items():
             term = mats[idx].scale(coeff)
@@ -469,11 +489,13 @@ def verify_grid(grid: Grid) -> VerificationReport:
     rep.add_counted("triple_products", not badt, len(triples), f"triples ({mode})",
                     failure=f"failed {badt[:3]}")
 
-    _named_checks(grid, rep, mats)
+    _named_checks(grid, rep, mats, product)
     return rep
 
 
-def _named_checks(grid: Grid, rep: VerificationReport, mats: dict) -> None:
+def _named_checks(grid: Grid, rep: VerificationReport, mats: dict, product) -> None:
+    """The kind's named identities; ``product(a, b, c)`` reads {u_a, u_b, u_c}
+    from the triple table and computes only triples a sampled table skipped."""
     kind = grid.kind
     if kind == "rectangular":
         p, q = grid.params["p"], grid.params["q"]
@@ -486,7 +508,7 @@ def _named_checks(grid: Grid, rep: VerificationReport, mats: dict) -> None:
                     for l in range(1, q + 1):
                         if k == l:
                             continue
-                        got = triple_product(mats[(j, k)], mats[(j, l)], mats[(i, l)])
+                        got = product((j, k), (j, l), (i, l))
                         if got != mats[(i, k)].scale(EX_HALF):
                             bad.append((j, k, l, i))
         rep.add("rectangular_chain_identity", not bad,
@@ -502,7 +524,7 @@ def _named_checks(grid: Grid, rep: VerificationReport, mats: dict) -> None:
                         if i == l:
                             continue
                         trio = {key(i, j), key(j, k), key(k, l)}
-                        got = triple_product(mats[key(i, j)], mats[key(j, k)], mats[key(k, l)])
+                        got = product(key(i, j), key(j, k), key(k, l))
                         want = mats[key(i, l)].scale(EX_HALF)
                         if len(trio) < 2:
                             if got != want:
@@ -514,7 +536,7 @@ def _named_checks(grid: Grid, rep: VerificationReport, mats: dict) -> None:
             for j in range(1, m + 1):
                 for k in range(1, m + 1):
                     trio = {key(i, j), key(j, k), key(k, i)}
-                    got = triple_product(mats[key(i, j)], mats[key(j, k)], mats[key(k, i)])
+                    got = product(key(i, j), key(j, k), key(k, i))
                     want = mats[key(i, i)]
                     if len(trio) < 2:
                         if got != want:
@@ -548,12 +570,12 @@ def _named_checks(grid: Grid, rep: VerificationReport, mats: dict) -> None:
             for j in range(1, r + 1):
                 if i == j:
                     continue
-                lhs = triple_product(mats[("u", i)], mats[("u", j)], mats[("ut", i)])
+                lhs = product(("u", i), ("u", j), ("ut", i))
                 if lhs != mats[("ut", j)].scale(EX_HALF).scale(EX_MINUS_ONE):
                     bad.append(("quad1", i, j))
                 # the companion identity closes the quadrangle on u_i, not on
                 # its partner (the value the anticommutation proof expands to)
-                lhs = triple_product(mats[("u", j)], mats[("ut", i)], mats[("ut", j)])
+                lhs = product(("u", j), ("ut", i), ("ut", j))
                 if lhs != mats[("u", i)].scale(EX_HALF).scale(EX_MINUS_ONE):
                     bad.append(("quad2", i, j))
         rep.add("spin_quadrangle_identities", not bad,
@@ -566,12 +588,12 @@ def _named_checks(grid: Grid, rep: VerificationReport, mats: dict) -> None:
         rep.add("spin_partner_orthogonality", not orth,
                 detail="" if not orth else f"failed {orth}")
         if odd:
-            u0 = mats[("u0", 0)]
+            u0 = ("u0", 0)
             badg = []
             for i in range(1, r + 1):
-                if triple_product(u0, mats[("u", i)], u0) != -mats[("ut", i)]:
+                if product(u0, ("u", i), u0) != -mats[("ut", i)]:
                     badg.append(("govern-u", i))
-                if triple_product(u0, mats[("ut", i)], u0) != -mats[("u", i)]:
+                if product(u0, ("ut", i), u0) != -mats[("u", i)]:
                     badg.append(("govern-ut", i))
             rep.add("spin_governing_identities", not badg,
                     detail="" if not badg else f"failed {badg[:3]}")
@@ -581,13 +603,13 @@ def _named_checks(grid: Grid, rep: VerificationReport, mats: dict) -> None:
         for a in range(1, n + 1):
             for b in range(1, n + 1):
                 if a != b:
-                    if triple_product(mats[a], mats[a], mats[b]) != mats[b].scale(EX_HALF):
+                    if product(a, a, b) != mats[b].scale(EX_HALF):
                         bad.append(("colinear", a, b))
-                    if not triple_product(mats[a], mats[b], mats[a]).is_zero():
+                    if not product(a, b, a).is_zero():
                         bad.append(("jordan-minimal", a, b))
                 for c in range(1, n + 1):
                     if len({a, b, c}) == 3:
-                        if not triple_product(mats[a], mats[b], mats[c]).is_zero():
+                        if not product(a, b, c).is_zero():
                             bad.append(("distinct-zero", a, b, c))
         rep.add("rank_one_identities", not bad,
                 detail="" if not bad else f"failed {bad[:3]}")

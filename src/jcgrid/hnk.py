@@ -220,8 +220,8 @@ def build_hnk(n: int, k: int) -> HnkSpace:
 
 class RankOneRealization:
     """An ordered rank-1 rectangular grid: pairwise colinear minimal partial
-    isometries, validated exactly at construction.  ``indices`` and
-    ``uij_family`` keep their results on it."""
+    isometries, validated exactly at construction.  ``indices``,
+    ``build_uIJ`` and ``uij_family`` keep their results on it."""
 
     def __init__(self, elements: Iterable[PartialIsometry]):
         elements = tuple(elements)
@@ -236,6 +236,7 @@ class RankOneRealization:
                     raise ValueError(f"elements {a + 1}, {b + 1} are not colinear")
         self.elements = elements
         self._indices: Optional[Tuple[int, int]] = None
+        self._words: dict = {}
         self._uij_family: Optional[Mapping] = None
 
     @property
@@ -315,12 +316,19 @@ def _require_tight(real: RankOneRealization) -> Tuple[int, int]:
 
 def build_uIJ(real: RankOneRealization, I: Combination, J: Combination) -> ExactMatrix:
     """The word (uu*)_{I-J} u_{c1} u_{d1}* ... u_{c_{s+1}} (u*u)_{J-I} with
-    the c's and d's taken in increasing order."""
+    the c's and d's taken in increasing order.  Built once per realization."""
     i_r, i_l = _require_tight(real)
     if len(I) != i_r - 1 or len(J) != i_l - 1:
         raise DimensionError(
             f"need |I| = {i_r - 1} and |J| = {i_l - 1}, got {len(I)}, {len(J)}")
-    return _word_matrix(real, I, J, None, None)
+    return _increasing_word(real, I, J)
+
+
+def _increasing_word(real: RankOneRealization, I: Combination, J: Combination) -> ExactMatrix:
+    word = real._words.get((I, J))
+    if word is None:
+        word = real._words[(I, J)] = _word_matrix(real, I, J, None, None)
+    return word
 
 
 def _word_matrix(real: RankOneRealization, I: Combination, J: Combination,
@@ -395,7 +403,10 @@ def decompose_into_ones(real: RankOneRealization, I: Combination, J: Combination
     if sorted(c_order) != C or sorted(d_order) != D:
         raise ValueError("c_order / d_order must permute the complement and the intersection")
     factors = _decompose(n, set(I.members), set(J.members), c_order, d_order)
-    word = _word_matrix(real, I, J, c_order, d_order)
+    if c_order == C and d_order == D:
+        word = _increasing_word(real, I, J)
+    else:
+        word = _word_matrix(real, I, J, c_order, d_order)
     prod = None
     for f in factors:
         fm = f.matrix(real)
@@ -458,11 +469,12 @@ def uij_family(real: RankOneRealization) -> Mapping:
         fam = {}
         for I in combinations(real.n, i_r - 1):
             for J in combinations(real.n, i_l - 1):
+                word = build_uIJ(real, I, J)  # the word the decomposition is checked against
                 try:
                     sign, error = signature_general(real, I, J), ""
                 except DecompositionError as exc:
                     sign, error = 0, str(exc)
-                fam[(I, J)] = (build_uIJ(real, I, J), sign, error)
+                fam[(I, J)] = (word, sign, error)
         real._uij_family = MappingProxyType(fam)
     return real._uij_family
 

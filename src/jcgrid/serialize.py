@@ -3,7 +3,10 @@
 JSON carries Gaussian rationals as integer strings
 ``{"re": {"num": "...", "den": "..."}, "im": {...}}`` so construct/parse
 round-trips are exact; CSV emits floats only (17 significant digits, each
-complex entry as a re,im pair).
+complex entry as a re,im pair).  ``dumps`` writes the bytes of
+``json.dumps(payload, indent=2, sort_keys=True)`` without the standard
+library's pure-Python indent encoder: each distinct matrix cell is rendered
+once and its text reused.  Payload keys must be ``str``.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import List
 
 import numpy as np
@@ -129,4 +133,67 @@ def spin_system_to_json(k: int, mats: List[ExactMatrix]) -> dict:
 
 
 def dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)``, byte for
+    byte, written without the standard library's pure-Python indent encoder.
+
+    Dicts (keys sorted) and lists are laid out here; keys and every scalar or
+    empty container go through ``json``'s own encoders, so strings, floats
+    (``NaN``, ``Infinity``), bools and ``None`` read as they always have.  A
+    matrix cell, a dict whose only keys are ``"re"`` and ``"im"``, each a
+    ``{"num": str, "den": str}`` dict, is rendered once per distinct value
+    and indent depth, and that text is reused for every equal cell.  Keys must
+    be ``str``: any other key raises ``TypeError``.
+    """
+    out: List[str] = []
+    _write(payload, 0, out, {})
+    return "".join(out)
+
+
+def _write(obj, level: int, out: List[str], cells: dict) -> None:
+    if isinstance(obj, dict) and obj:
+        key = _cell_key(obj, level)
+        if key is None:
+            _write_dict(obj, level, out, cells)
+            return
+        text = cells.get(key)
+        if text is None:
+            parts: List[str] = []
+            _write_dict(obj, level, parts, cells)
+            text = cells[key] = "".join(parts)
+        out.append(text)
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = "\n" + "  " * (level + 1)
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, level + 1, out, cells)
+            sep = "," + inner
+        out.append("\n" + "  " * level + "]")
+    else:
+        out.append(json.dumps(obj))
+
+
+def _write_dict(d: dict, level: int, out: List[str], cells: dict) -> None:
+    for key in d:
+        if not isinstance(key, str):
+            raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+    inner = "\n" + "  " * (level + 1)
+    sep = "{" + inner
+    for key in sorted(d):
+        out.append(sep + encode_basestring_ascii(key) + ": ")
+        _write(d[key], level + 1, out, cells)
+        sep = "," + inner
+    out.append("\n" + "  " * level + "}")
+
+
+def _cell_key(d: dict, level: int):
+    """(re num, re den, im num, im den, level) when ``d`` is a matrix cell."""
+    if len(d) != 2:
+        return None
+    re, im = d.get("re"), d.get("im")
+    if type(re) is not dict or type(im) is not dict or len(re) != 2 or len(im) != 2:
+        return None
+    rn, rd, i_n, i_d = re.get("num"), re.get("den"), im.get("num"), im.get("den")
+    if type(rn) is str and type(rd) is str and type(i_n) is str and type(i_d) is str:
+        return (rn, rd, i_n, i_d, level)
+    return None

@@ -1,7 +1,10 @@
 """CLI behaviour: outputs, exit codes, determinism, round trips."""
 
+import errno
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -221,6 +224,15 @@ GOLDEN_STDOUT = {
         "f8f41dce2dfb7f2b4db1e02b6a5817472d96c2c2450dab7f952cff2180abe806",
     ("verify", "split", "--n", "3", "--ks", "2,1"):
         "c7117ed8cd346c7ac6894fe0304cb3b32b7f1e7c3876e9dd45d66d7121f5fd87",
+    # recorded while serialize.dumps was json.dumps(indent=2, sort_keys=True)
+    ("construct", "hnk", "--n", "8", "--k", "3", "--format", "json"):
+        "34db5047fc5610c1e8788d3476b1a5d545489421713f54eb1c8d218f27646b23",
+    ("construct", "diag-hnk", "--n", "3", "--ks", "2,1", "--format", "json"):
+        "5349aaee30f44aa971235581d2c97ba8d11eb850827c5564c11e0ecd6fae396d",
+    ("construct", "hermitian", "--m", "4", "--format", "json"):
+        "878df3772ed2c609df0125e21ea899bb461afb0e92c196eeb6b4ea025afe4fd8",
+    ("verify", "grid", "--kind", "hermitian", "--m", "4", "--format", "json"):
+        "114b40dc79c67482ede6cb6320e7ecb3ac9e546a7d81f49d3166a8a9023f9000",
 }
 
 
@@ -296,3 +308,59 @@ class TestValidateOnce:
         assert "overall: pass" in capsys.readouterr().out
         # C(4, 1) * C(4, 2) = 24 words
         assert len(calls) == 24
+
+
+class TestSharedWork:
+    """Work done for one check is read by the next, not redone."""
+
+    def test_rank_one_named_checks_read_the_triple_table(self, monkeypatch, capsys):
+        calls = _count_calls(monkeypatch, grids, "triple_product")
+        assert cli.main(["verify", "hnk", "--n", "6", "--k", "3"]) == 0
+        assert "overall: pass" in capsys.readouterr().out
+        # the exhaustive table: 6 * 6 * 21 products with x <= z
+        assert len(calls) == 126
+
+    def test_uij_family_builds_each_word_once(self, monkeypatch, capsys):
+        calls = _count_calls(monkeypatch, hnk, "_word_matrix")
+        assert cli.main(["verify", "uij-grid", "--n", "4", "--k", "2"]) == 0
+        assert "overall: pass" in capsys.readouterr().out
+        assert len(calls) == 24
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_141_silently(self, monkeypatch, capsys, tmp_path):
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+            assert cli.main(["verify", "hnk", "--n", "3", "--k", "2"]) == 141
+            assert capsys.readouterr().err == ""
+            # the descriptor now writes to devnull, so the exit flush cannot fail
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+
+    def test_reader_closing_after_one_line(self):
+        # 2.4 MB of JSON: far more than a pipe holds, so the writer meets the close
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "jcgrid", "construct", "hnk", "--n", "8", "--k", "3",
+             "--format", "json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert first == b"{\n"
+        assert err == b""

@@ -3,6 +3,10 @@
 import json
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from jcgrid.grids import hermitian_grid, spin_grid, verify_grid
 from jcgrid.hnk import build_hnk
 from jcgrid.numlin import ExactMatrix, ExactScalar
@@ -50,3 +54,71 @@ def test_csv_floats_only():
     m = ExactMatrix.from_rows([[ExactScalar(Fraction(1, 2), -1), ExactScalar(0)]])
     lines = matrix_to_csv_lines(m)
     assert lines == ["0.5,-1,0,0"]
+
+
+# -- the JSON writer: the bytes of json.dumps(indent=2, sort_keys=True) -------
+
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+# two digits give 16 cells, so equal cells recur at different depths
+_digits = st.sampled_from(["0", "1"])
+_part = st.fixed_dictionaries({"num": _digits, "den": _digits})
+_cell = st.fixed_dictionaries({"re": _part, "im": _part})
+# parts that must not be taken for {"num": str, "den": str}
+_near_miss_parts = st.one_of(
+    st.fixed_dictionaries({"num": st.sampled_from([1, True, 1.0, None, "1"]), "den": _digits}),
+    st.fixed_dictionaries({"num": _digits, "dem": _digits}),
+    st.fixed_dictionaries({"num": _digits}),
+    st.fixed_dictionaries({"num": _digits, "den": _digits, "x": _digits}),
+    _scalars, st.lists(_digits, max_size=2),
+)
+_near_miss_cells = st.one_of(
+    st.fixed_dictionaries({"re": _near_miss_parts, "im": _part}),
+    st.fixed_dictionaries({"re": _part, "im": _near_miss_parts}),
+    st.builds(lambda c, k, v: {**c, k: v}, _cell, st.sampled_from(["x", "num"]), _scalars),
+    st.fixed_dictionaries({"re": _part}),
+    st.fixed_dictionaries({"re": _part, "img": _part}),
+)
+_trees = st.recursive(
+    _scalars | _cell | _near_miss_cells,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees)
+def test_dumps_writes_the_stdlib_indent_bytes(payload):
+    assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_dumps_caches_only_true_cells():
+    # each near miss shares its strings with ``cell``, so a cache keyed too
+    # loosely would hand it the cell's text
+    one = {"num": "0", "den": "1"}
+    cell = {"re": {"num": "1", "den": "2"}, "im": one}
+    payload = [cell, [cell], {"a": [[cell]]},
+               {"re": {"num": "1", "den": "2", "x": "3"}, "im": one},
+               {"re": {"num": "1", "dem": "2"}, "im": one},
+               {"re": {"num": "1", "dem": "3"}, "im": one},
+               {"re": {"num": 1, "den": "2"}, "im": one},
+               {"re": {"num": True, "den": "2"}, "im": one},
+               {"re": {"num": 1.0, "den": "2"}, "im": one},
+               {**cell, "x": 0}, {"re": cell["re"], "img": one}]
+    assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_dumps_does_not_use_the_pure_python_encoder(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure-Python indent encoder used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    payload = hnk_to_json(build_hnk(4, 2))
+    assert json.loads(dumps(payload)) == payload
+
+
+@pytest.mark.parametrize("payload", [{1: "a"}, {"a": {None: 1}}, [{"re": 1, 2: 3}]])
+def test_dumps_rejects_non_str_keys(payload):
+    with pytest.raises(TypeError, match="keys must be str"):
+        dumps(payload)
