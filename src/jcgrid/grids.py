@@ -2,26 +2,31 @@
 
 Constructors build concrete matrix families (rectangular / hermitian /
 symplectic / spin / rank-1); ``verify_grid`` checks every pairwise relation
-and the full triple-product table against the kind's expected values, exactly.
+and the triple-product table against the kind's expected values, exactly.
 The transforms turn hermitian and symplectic grids into associative matrix
-units and a spin grid into a spin system inside the isotope algebra.
+units and a spin grid into a spin system inside the isotope algebra.  The
+verifier and the matrix-unit transforms evaluate their triple, minimality
+and unit-product relations on batched family tables (``numlin.ExactFamily``).
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from .errors import CapacityError, TransformError
-from .numlin import (EX_HALF, EX_I, EX_MINUS_ONE, EX_ZERO, ExactMatrix,
-                     ExactScalar, exact_rank)
+from .numlin import (EX_HALF, EX_I, EX_MINUS_ONE, EX_ZERO, ExactFamily,
+                     ExactMatrix, ExactScalar, combination, exact_rank,
+                     scaled_members)
 from .report import VerificationReport
 from .triple import (GridRelation, PartialIsometry, classify_relation,
-                     isotope_involution, isotope_product, ternary_product,
-                     triple_product)
+                     isotope_involution, isotope_product)
 
 SPIN_SYSTEM_CAP = 12
 EXHAUSTIVE_TRIPLE_CAP = 20
@@ -260,39 +265,30 @@ def _sympl_pair(a, b) -> GridRelation:
     return GridRelation.COLINEAR if set(a) & set(b) else GridRelation.ORTHOGONAL
 
 
-def _canonical_matrices(kind: str, m: int) -> dict:
-    if kind == "hermitian":
-        g = hermitian_grid(m)
-    else:
-        g = symplectic_grid(m)
-    return {idx: g.matrix(idx) for idx in g.indices}
-
-
 @lru_cache(maxsize=None)
-def _canonical_cache(kind: str, m: int) -> tuple:
-    model = _canonical_matrices(kind, m)
-    return tuple(sorted(model.items()))
+def _canonical_family(kind: str, m: int) -> tuple:
+    g = hermitian_grid(m) if kind == "hermitian" else symplectic_grid(m)
+    return g.indices, ExactFamily(g.matrices())
 
 
-def _model_triple(kind: str, m: int, a, b, c) -> Dict:
-    """Expected triple-product coefficients, read off the canonical model."""
-    model = dict(_canonical_cache(kind, m))
-    t = triple_product(model[a], model[b], model[c])
-    out: Dict = {}
-    for (i, j), mat in model.items():
-        coeff = t.entry(i - 1, j - 1)
-        if coeff:
-            out[(i, j)] = coeff
-    # the span of the canonical grid is the full symmetric/antisymmetric space,
-    # so the read-off coefficients always reconstruct t; assert it stays true
-    recon = None
-    for idx, coeff in out.items():
-        term = model[idx].scale(coeff)
-        recon = term if recon is None else recon + term
-    if recon is None:
-        recon = ExactMatrix.zeros(m, m)
-    if recon != t:
+def _model_triples(kind: str, m: int, triples: Sequence[tuple]) -> list:
+    """Expected {u_a, u_b, u_c} coefficients of a hermitian or symplectic grid,
+    read off one batched table of the canonical model: entry (i, j) of the
+    model's {M_a, M_b, M_c} is the coefficient of u_ij."""
+    indices, model = _canonical_family(kind, m)
+    pos = {idx: x for x, idx in enumerate(indices)}
+    ia, ib, ic = (np.array([pos[t[s]] for t in triples], dtype=np.intp).reshape(-1)
+                  for s in range(3))
+    twice, _ = model.ternary(ia, ib, ic, sym=True)
+    rows, cols = (np.array(indices) - 1).T
+    coeffs = twice[:, rows, cols]
+    # the canonical grid spans the whole symmetric (antisymmetric) space, so
+    # the read-off coefficients always reconstruct the product; assert it
+    if not (np.tensordot(coeffs, model.re, axes=(1, 0)) == twice).all():
         raise AssertionError("canonical model decomposition failed")
+    out = [{} for _ in triples]
+    for t, k in zip(*np.nonzero(coeffs)):
+        out[t][indices[k]] = Fraction(int(coeffs[t, k]), 2)
     return out
 
 
@@ -346,14 +342,12 @@ def _spin_pair(a, b) -> GridRelation:
     return GridRelation.COLINEAR
 
 
-def _acc(out: Dict, idx, coeff) -> None:
-    cur = out.get(idx)
-    coeff = ExactScalar.coerce(Fraction(coeff) if not isinstance(coeff, (ExactScalar,)) else coeff)
-    total = coeff if cur is None else cur + coeff
+def _acc(out: Dict, idx, coeff: Fraction) -> None:
+    total = out.get(idx, 0) + coeff
     if total:
         out[idx] = total
-    elif cur is not None:
-        del out[idx]
+    else:
+        out.pop(idx, None)
 
 
 def expected_pair_relation(kind: str, a, b) -> GridRelation:
@@ -370,19 +364,15 @@ def expected_pair_relation(kind: str, a, b) -> GridRelation:
     raise ValueError(f"unknown grid kind {kind!r}")
 
 
-def expected_triple_coeffs(grid: Grid, a, b, c) -> Dict:
-    """Coefficients of the expected value of {u_a, u_b, u_c} over the grid."""
+def _expected_triples(grid: Grid, triples: Sequence[tuple]) -> list:
+    """Coefficients {idx: Fraction} of the expected value of each {u_a, u_b, u_c}."""
     kind = grid.kind
-    if kind == "rectangular":
-        raw = _rect_triple(a, b, c)
-    elif kind == "rank1":
-        raw = _rank1_triple(a, b, c)
-    elif kind == "spin":
-        raw = _spin_triple(a, b, c)
-    else:
-        raw = _model_triple(kind, grid.params["m"], a, b, c)
-    return {idx: ExactScalar.coerce(v) if not isinstance(v, ExactScalar) else v
-            for idx, v in raw.items()}
+    if kind in ("hermitian", "symplectic"):
+        return _model_triples(kind, grid.params["m"], triples)
+    table = {"rectangular": _rect_triple, "rank1": _rank1_triple, "spin": _spin_triple}
+    if kind not in table:
+        raise ValueError(f"unknown grid kind {kind!r}")
+    return [table[kind](*t) for t in triples]
 
 
 # -- verification -------------------------------------------------------------
@@ -408,10 +398,14 @@ def verify_grid(grid: Grid) -> VerificationReport:
     a grid, exactly.
 
     The ``partial_isometry`` line counts the elements that the ``Grid``
-    checked when it was made; they are not evaluated again.  Families larger
-    than 20 elements have their triple table checked on a deterministic
-    sample of 500 index triples; everything else is exhaustive.  Failures are
-    reported, never raised.
+    checked when it was made; they are not evaluated again.  Relations are
+    classified pair by pair.  Minimality (u_v u_w* u_v = 0), the triple table
+    and the kind's named identities are read off one batched family table
+    (``ExactFamily``): the table covers every triple with the first index not
+    after the third ({a,b,c} = {c,b,a}) up to 20 elements, and a fixed sample
+    of 500 index triples above; the named identities are evaluated in the
+    same pass.  Failures are reported, never raised, each check listing its
+    first failures in loop order.
     """
     rep = VerificationReport(subject=grid.describe())
     n = len(grid)
@@ -419,7 +413,6 @@ def verify_grid(grid: Grid) -> VerificationReport:
         rep.flag("empty_grid", "vacuously true")
         return rep
     idxs = list(grid.indices)
-    mats = {i: grid.matrix(i) for i in idxs}
 
     # the Grid holds only PartialIsometry values, each checked when it was made
     rep.add_counted("partial_isometry", True, n, "elements")
@@ -434,185 +427,168 @@ def verify_grid(grid: Grid) -> VerificationReport:
     rep.add_counted("pairwise_relations", not mism, n * (n - 1) // 2, "pairs",
                     failure=f"mismatch {mism[:3]}")
 
-    minimal = _minimal_indices(grid)
-    notmin = []
-    for i in minimal:
-        for j in idxs:
-            if i == j:
-                continue
-            if not ternary_product(mats[i], mats[j], mats[i]).is_zero():
-                notmin.append((i, j))
-    rep.add_counted("minimality", not notmin, len(minimal), "elements",
-                    failure=f"failed {notmin[:3]}")
-
-    # {a,b,c} = {c,b,a}: the table keeps each product under the order with
-    # x <= z, and the named checks read it from there; most products vanish,
-    # and all of those share the first zero matrix
+    fam = ExactFamily(grid.matrices())
     pos = {idx: x for x, idx in enumerate(idxs)}
-    products = {}
-    zero = None
-
-    def product(a, b, c) -> ExactMatrix:
-        nonlocal zero
-        if pos[a] > pos[c]:
-            a, c = c, a
-        got = products.get((a, b, c))
-        if got is None:
-            got = triple_product(mats[a], mats[b], mats[c])
-            if got.is_zero():
-                zero = got if zero is None else zero
-                got = zero
-            products[(a, b, c)] = got
-        return got
+    minimal = [pos[i] for i in _minimal_indices(grid)]
+    vs, ws = np.repeat(minimal, n), np.tile(np.arange(n), len(minimal))
+    vs, ws = vs[vs != ws], ws[vs != ws]
+    vanishing = fam.equal(vs, ws, vs)
+    notmin = [(idxs[v], idxs[w]) for v, w in zip(vs[~vanishing], ws[~vanishing])]
+    if not len(vs):
+        rep.flag("minimality", "0 pairs: nothing to check")
+    else:
+        rep.add_counted("minimality", not notmin, len(minimal), "elements",
+                        failure=f"failed {notmin[:3]}")
 
     if n <= EXHAUSTIVE_TRIPLE_CAP:
         # x <= z covers every ordered triple
-        triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(x, n)]
+        table = [(x, y, z) for x in range(n) for y in range(n) for z in range(x, n)]
         mode = "exhaustive"
     else:
-        triples = _triple_index_sample(n)
-        mode = f"sampled {len(_triple_index_sample(n))}"
-    badt = []
-    for (x, y, z) in triples:
-        a, b, c = idxs[x], idxs[y], idxs[z]
-        got = product(a, b, c)
-        want = None
-        for idx, coeff in expected_triple_coeffs(grid, a, b, c).items():
-            term = mats[idx].scale(coeff)
-            want = term if want is None else want + term
-        if want is None:
-            ok = got.is_zero()
-        else:
-            ok = got == want
-        if not ok:
-            badt.append((a, b, c))
-    rep.add_counted("triple_products", not badt, len(triples), f"triples ({mode})",
-                    failure=f"failed {badt[:3]}")
+        table = _triple_index_sample(n)
+        mode = f"sampled {len(table)}"
+    triples = [(idxs[x], idxs[y], idxs[z]) for x, y, z in table]
+    wants = _expected_triples(grid, triples)
+    named = list(_named_instances(grid))
+    triples += [t for _, t, _, _ in named]
+    wants += [want for _, _, want, _ in named]
+    ia, ib, ic = (np.array([pos[t[s]] for t in triples], dtype=np.intp) for s in range(3))
+    ok = fam.equal(ia, ib, ic, combination([{pos[i]: v for i, v in w.items()} for w in wants]),
+                   sym=True)
 
-    _named_checks(grid, rep, mats, product)
+    badt = [t for t, good in zip(triples, ok[:len(table)]) if not good]
+    rep.add_counted("triple_products", not badt, len(table), f"triples ({mode})",
+                    failure=f"failed {badt[:3]}")
+    counts, failed = Counter(), defaultdict(list)
+    for (check, _, _, label), good in zip(named, ok[len(table):]):
+        counts[check] += 1
+        if not good:
+            failed[check].append(label)
+    _report_named(grid, rep, fam, pos, counts, failed)
     return rep
 
 
-def _named_checks(grid: Grid, rep: VerificationReport, mats: dict, product) -> None:
-    """The kind's named identities; ``product(a, b, c)`` reads {u_a, u_b, u_c}
-    from the triple table and computes only triples a sampled table skipped."""
+def _named_instances(grid: Grid):
+    """The kind's named identities as (check, (a, b, c), want, label):
+    {u_a, u_b, u_c} must equal the sum of want[idx] u_idx, and a failure is
+    reported under ``check`` as ``label``, in this order."""
     kind = grid.kind
+    half = Fraction(1, 2)
     if kind == "rectangular":
         p, q = grid.params["p"], grid.params["q"]
-        bad = []
         for j in range(1, p + 1):
             for i in range(1, p + 1):
                 if i == j:
                     continue
                 for k in range(1, q + 1):
                     for l in range(1, q + 1):
-                        if k == l:
-                            continue
-                        got = product((j, k), (j, l), (i, l))
-                        if got != mats[(i, k)].scale(EX_HALF):
-                            bad.append((j, k, l, i))
-        rep.add("rectangular_chain_identity", not bad,
-                detail="" if not bad else f"failed {bad[:3]}")
+                        if k != l:
+                            yield ("rectangular_chain_identity", ((j, k), (j, l), (i, l)),
+                                   {(i, k): half}, (j, k, l, i))
     elif kind == "hermitian":
         m = grid.params["m"]
         key = lambda i, j: (i, j) if i <= j else (j, i)
-        bad_chain, bad_cycle, skipped = [], [], []
+        # index patterns naming fewer than two distinct elements lie outside
+        # the table's side conditions: they are flagged, not failed
+        skipped = "hermitian_table_skipped_patterns"
         for i in range(1, m + 1):
             for j in range(1, m + 1):
                 for k in range(1, m + 1):
                     for l in range(1, m + 1):
                         if i == l:
                             continue
-                        trio = {key(i, j), key(j, k), key(k, l)}
-                        got = product(key(i, j), key(j, k), key(k, l))
-                        want = mats[key(i, l)].scale(EX_HALF)
-                        if len(trio) < 2:
-                            if got != want:
-                                skipped.append(("chain", i, j, k, l))
-                            continue
-                        if got != want:
-                            bad_chain.append((i, j, k, l))
+                        trio = (key(i, j), key(j, k), key(k, l))
+                        if len(set(trio)) < 2:
+                            yield skipped, trio, {key(i, l): half}, ("chain", i, j, k, l)
+                        else:
+                            yield ("hermitian_chain_identity", trio, {key(i, l): half},
+                                   (i, j, k, l))
         for i in range(1, m + 1):
             for j in range(1, m + 1):
                 for k in range(1, m + 1):
-                    trio = {key(i, j), key(j, k), key(k, i)}
-                    got = product(key(i, j), key(j, k), key(k, i))
-                    want = mats[key(i, i)]
-                    if len(trio) < 2:
-                        if got != want:
-                            skipped.append(("cycle", i, j, k))
-                        continue
-                    if got != want:
-                        bad_cycle.append((i, j, k))
-        rep.add("hermitian_chain_identity", not bad_chain,
-                detail="" if not bad_chain else f"failed {bad_chain[:3]}")
-        rep.add("hermitian_cycle_identity", not bad_cycle,
-                detail="" if not bad_cycle else f"failed {bad_cycle[:3]}")
+                    trio = (key(i, j), key(j, k), key(k, i))
+                    if len(set(trio)) < 2:
+                        yield skipped, trio, {key(i, i): 1}, ("cycle", i, j, k)
+                    else:
+                        yield "hermitian_cycle_identity", trio, {key(i, i): 1}, (i, j, k)
+    elif kind == "symplectic":
+        # u_ab = -u_ba: 2 {u_ij, u_il, u_kl} = u_kj in the elements with a < b
+        key = lambda a, b: (a, b) if a < b else (b, a)
+        sign = lambda a, b: 1 if a < b else -1
+        for quad in _distinct_quads(grid.params["m"]):
+            i, j, k, l = quad
+            s = sign(i, j) * sign(i, l) * sign(k, l) * sign(k, j)
+            yield ("symplectic_quad_identity", (key(i, j), key(i, l), key(k, l)),
+                   {key(k, j): Fraction(s, 2)}, quad)
+    elif kind == "spin":
+        r, odd = grid.params["r"], grid.params["odd"]
+        quads = "spin_quadrangle_identities"
+        for i in range(1, r + 1):
+            for j in range(1, r + 1):
+                if i == j:
+                    continue
+                yield quads, (("u", i), ("u", j), ("ut", i)), {("ut", j): -half}, ("quad1", i, j)
+                # the companion identity closes the quadrangle on u_i, not on
+                # its partner (the value the anticommutation proof expands to)
+                yield quads, (("u", j), ("ut", i), ("ut", j)), {("u", i): -half}, ("quad2", i, j)
+        if odd:
+            u0 = ("u0", 0)
+            for i in range(1, r + 1):
+                yield ("spin_governing_identities", (u0, ("u", i), u0), {("ut", i): -1},
+                       ("govern-u", i))
+                yield ("spin_governing_identities", (u0, ("ut", i), u0), {("u", i): -1},
+                       ("govern-ut", i))
+    elif kind == "rank1":
+        n = grid.params["n"]
+        check = "rank_one_identities"
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                if a != b:
+                    yield check, (a, a, b), {b: half}, ("colinear", a, b)
+                    yield check, (a, b, a), {}, ("jordan-minimal", a, b)
+                for c in range(1, n + 1):
+                    if len({a, b, c}) == 3:
+                        yield check, (a, b, c), {}, ("distinct-zero", a, b, c)
+
+
+def _add_named(rep: VerificationReport, name: str, counts: Counter, failed: dict,
+               unit: str) -> None:
+    bad = failed[name]
+    if not counts[name]:
+        rep.flag(name, f"0 {unit}: nothing to check")
+    else:
+        rep.add(name, not bad, detail="" if not bad else f"failed {bad[:3]}")
+
+
+def _report_named(grid: Grid, rep: VerificationReport, fam: ExactFamily, pos: dict,
+                  counts: Counter, failed: dict) -> None:
+    """Report the named identities in the kind's order."""
+    kind = grid.kind
+    if kind == "rectangular":
+        _add_named(rep, "rectangular_chain_identity", counts, failed, "chains")
+    elif kind == "hermitian":
+        _add_named(rep, "hermitian_chain_identity", counts, failed, "chains")
+        _add_named(rep, "hermitian_cycle_identity", counts, failed, "cycles")
+        skipped = failed["hermitian_table_skipped_patterns"]
         if skipped:
             rep.flag("hermitian_table_skipped_patterns",
                      f"{len(skipped)} index patterns outside the table's side "
                      f"conditions, e.g. {skipped[:3]}")
     elif kind == "symplectic":
-        m = grid.params["m"]
-        bad = []
-        for quad in _distinct_quads(m):
-            i, j, k, l = quad
-            got = triple_product(_sympl_mat(mats, i, j), _sympl_mat(mats, i, l),
-                                 _sympl_mat(mats, k, l)).scale(2)
-            if got != _sympl_mat(mats, k, j):
-                bad.append(quad)
-        rep.add("symplectic_quad_identity", not bad,
-                detail="" if not bad else f"failed {bad[:3]}")
+        _add_named(rep, "symplectic_quad_identity", counts, failed, "quadruples")
     elif kind == "spin":
-        r, odd = grid.params["r"], grid.params["odd"]
-        bad = []
-        for i in range(1, r + 1):
-            for j in range(1, r + 1):
-                if i == j:
-                    continue
-                lhs = product(("u", i), ("u", j), ("ut", i))
-                if lhs != mats[("ut", j)].scale(EX_HALF).scale(EX_MINUS_ONE):
-                    bad.append(("quad1", i, j))
-                # the companion identity closes the quadrangle on u_i, not on
-                # its partner (the value the anticommutation proof expands to)
-                lhs = product(("u", j), ("ut", i), ("ut", j))
-                if lhs != mats[("u", i)].scale(EX_HALF).scale(EX_MINUS_ONE):
-                    bad.append(("quad2", i, j))
-        rep.add("spin_quadrangle_identities", not bad,
-                detail="" if not bad else f"failed {bad[:3]}")
-        orth = []
-        for i in range(1, r + 1):
-            u, ut = mats[("u", i)], mats[("ut", i)]
-            if not (u.adjoint() * ut).is_zero() or not (u * ut.adjoint()).is_zero():
-                orth.append(i)
+        r = grid.params["r"]
+        _add_named(rep, "spin_quadrangle_identities", counts, failed, "quadrangles")
+        us = [pos[("u", i)] for i in range(1, r + 1)]
+        uts = [pos[("ut", i)] for i in range(1, r + 1)]
+        apart = fam.vanish(us, uts, star_first=True) & fam.vanish(us, uts)
+        orth = [i for i, good in enumerate(apart, start=1) if not good]
         rep.add("spin_partner_orthogonality", not orth,
                 detail="" if not orth else f"failed {orth}")
-        if odd:
-            u0 = ("u0", 0)
-            badg = []
-            for i in range(1, r + 1):
-                if product(u0, ("u", i), u0) != -mats[("ut", i)]:
-                    badg.append(("govern-u", i))
-                if product(u0, ("ut", i), u0) != -mats[("u", i)]:
-                    badg.append(("govern-ut", i))
-            rep.add("spin_governing_identities", not badg,
-                    detail="" if not badg else f"failed {badg[:3]}")
+        if grid.params["odd"]:
+            _add_named(rep, "spin_governing_identities", counts, failed, "elements")
     elif kind == "rank1":
-        n = grid.params["n"]
-        bad = []
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                if a != b:
-                    if product(a, a, b) != mats[b].scale(EX_HALF):
-                        bad.append(("colinear", a, b))
-                    if not product(a, b, a).is_zero():
-                        bad.append(("jordan-minimal", a, b))
-                for c in range(1, n + 1):
-                    if len({a, b, c}) == 3:
-                        if not product(a, b, c).is_zero():
-                            bad.append(("distinct-zero", a, b, c))
-        rep.add("rank_one_identities", not bad,
-                detail="" if not bad else f"failed {bad[:3]}")
+        _add_named(rep, "rank_one_identities", counts, failed, "instances")
 
 
 def _distinct_quads(m: int):
@@ -682,11 +658,30 @@ def spin_to_spin_system(g: Grid):
     return v, [x for _, x in system]
 
 
+def _unit_table(units: dict, vmat: ExactMatrix):
+    """Per unit e_ij, in the order of ``units``: whether v e_ij* v = e_ji,
+    and the row of e_ij v* e_kl = delta_jk e_il over the units (k, l)."""
+    keys = list(units)
+    at = {key: x for x, key in enumerate(keys)}
+    fam = ExactFamily(list(units.values()) + [vmat])
+    v = size = len(keys)
+    involution = fam.equal([v] * size, range(size), [v] * size,
+                           scaled_members([at[(j, i)] for i, j in keys]))
+    a = np.repeat(np.arange(size), size)
+    c = np.tile(np.arange(size), size)
+    hit = [(i, l) if j == k else None for i, j in keys for k, l in keys]
+    product = fam.equal(a, [v] * len(a), c, scaled_members([at[h] if h else 0 for h in hit],
+                                                         [int(h is not None) for h in hit]))
+    return involution, product.reshape(size, size)
+
+
 def hermitian_to_matrix_units(g: Grid) -> MatrixUnitFamily:
     """Matrix units e_ij = u_ii . u_ij (isotope product at v = sum u_ii).
 
     Verifies the matrix-unit relations, the involution, and the recovery
-    u_ij = e_ij + e_ji, all exactly; failures raise ``TransformError``.
+    u_ij = e_ij + e_ji, all exactly, on batched family tables; failures
+    raise ``TransformError`` naming the first failing relation in the order
+    of the relations above.
     """
     if g.kind != "hermitian":
         raise TransformError("hermitian_to_matrix_units requires a hermitian grid")
@@ -695,22 +690,22 @@ def hermitian_to_matrix_units(g: Grid) -> MatrixUnitFamily:
     vmat = None
     for i in range(1, m + 1):
         vmat = g.matrix((i, i)) if vmat is None else vmat + g.matrix((i, i))
-    v = PartialIsometry(vmat)
-    units = {}
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            units[(i, j)] = isotope_product(v, g.matrix((i, i)), g.matrix(key(i, j)))
-    zero = ExactMatrix.zeros(*vmat.shape)
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if isotope_involution(v, units[(i, j)]) != units[(j, i)]:
-                raise TransformError(f"involution fails: e_{i}{j}^# != e_{j}{i}")
-            for k in range(1, m + 1):
-                for l in range(1, m + 1):
-                    want = units[(i, l)] if j == k else zero
-                    if isotope_product(v, units[(i, j)], units[(k, l)]) != want:
-                        raise TransformError(
-                            f"product fails: e_{i}{j} . e_{k}{l} != delta e_{i}{l}")
+    PartialIsometry(vmat)  # the isotope unit must be a partial isometry
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+    # one family: the grid elements, then v
+    at = {idx: x for x, idx in enumerate(g.indices)}
+    fam = ExactFamily(g.matrices() + [vmat])
+    v = len(g)
+    units = dict(zip(pairs, fam.matrices([at[(i, i)] for i, _ in pairs], [v] * len(pairs),
+                                         [at[key(i, j)] for i, j in pairs])))
+    involution, product = _unit_table(units, vmat)
+    bad = np.flatnonzero(~involution | ~product.all(axis=1))
+    if bad.size:
+        i, j = pairs[bad[0]]
+        if not involution[bad[0]]:
+            raise TransformError(f"involution fails: e_{i}{j}^# != e_{j}{i}")
+        k, l = pairs[int(np.argmin(product[bad[0]]))]
+        raise TransformError(f"product fails: e_{i}{j} . e_{k}{l} != delta e_{i}{l}")
     total = None
     for i in range(1, m + 1):
         total = units[(i, i)] if total is None else total + units[(i, i)]
@@ -721,13 +716,15 @@ def hermitian_to_matrix_units(g: Grid) -> MatrixUnitFamily:
             want = units[(i, j)] + units[(j, i)] if i != j else units[(i, i)]
             if want != g.matrix(key(i, j)):
                 raise TransformError(f"recovery fails: u_{i}{j} != e_{i}{j} + e_{j}{i}")
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i != j:
-                lhs = isotope_product(v, g.matrix((i, i)), g.matrix(key(i, j)))
-                rhs = isotope_product(v, g.matrix(key(i, j)), g.matrix((j, j)))
-                if lhs != rhs:
-                    raise TransformError(f"u_{i}{i}.u_{i}{j} != u_{i}{j}.u_{j}{j}")
+    # u_ii . u_ij is e_ij itself; compare u_ij . u_jj with it
+    off = [(i, j) for i, j in pairs if i != j]
+    fam = ExactFamily(g.matrices() + [vmat] + [units[p] for p in off])
+    same = fam.equal([at[key(i, j)] for i, j in off], [v] * len(off), [at[(j, j)] for _, j in off],
+                     scaled_members(range(v + 1, v + 1 + len(off))))
+    bad = np.flatnonzero(~same)
+    if bad.size:
+        i, j = off[bad[0]]
+        raise TransformError(f"u_{i}{i}.u_{i}{j} != u_{i}{j}.u_{j}{j}")
     return MatrixUnitFamily(m, units, vmat)
 
 
@@ -737,7 +734,8 @@ def symplectic_to_matrix_units(g: Grid) -> MatrixUnitFamily:
     The diagonal units e_ii = u_ij u_jm* u_im must be independent of the
     admissible index pair (j, m); the off-diagonal ones are
     e_ij = e_ii e_ii* u_ij e_jj* e_jj.  All defining relations are verified
-    exactly.
+    exactly on batched family tables; failures raise ``TransformError``
+    naming the first failing relation in the order above.
     """
     if g.kind != "symplectic":
         raise TransformError("symplectic_to_matrix_units requires a symplectic grid")
@@ -747,65 +745,77 @@ def symplectic_to_matrix_units(g: Grid) -> MatrixUnitFamily:
             f"symplectic transform requires size >= {SYMPLECTIC_TRANSFORM_MIN_SIZE}")
     mats = {idx: g.matrix(idx) for idx in g.indices}
     u = lambda a, b: _sympl_mat(mats, a, b)
-    units = {}
+    off = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i != j]
+    at = {p: x for x, p in enumerate(off)}
+    signed = [u(i, j) for i, j in off]
+    # the first admissible pair (j, m) defines e_ii; every other must agree
+    admissible = [(i, j, mm) for i in range(1, m + 1) for j in range(1, m + 1)
+                  for mm in range(1, m + 1) if len({i, j, mm}) == 3]
+    first = {}
+    for i, j, mm in admissible:
+        first.setdefault(i, (j, mm))
+    diag = ExactFamily(signed).matrices([at[(i, j)] for i, (j, _) in first.items()],
+                                        [at[jm] for jm in first.values()],
+                                        [at[(i, mm)] for i, (_, mm) in first.items()])
+    # one family: u_ab for a != b, then e_11 .. e_mm
+    fam = ExactFamily(signed + diag)
+    e = len(signed) - 1  # e + i is the position of e_ii
+    agree = fam.equal([at[(i, j)] for i, j, _ in admissible],
+                      [at[(j, mm)] for _, j, mm in admissible],
+                      [at[(i, mm)] for i, _, mm in admissible],
+                      scaled_members([e + i for i, _, _ in admissible]))
+    fail = next((t for t, good in zip(admissible, agree) if not good), None)
     for i in range(1, m + 1):
-        cand = None
-        for j in range(1, m + 1):
-            for mm in range(1, m + 1):
-                if len({i, j, mm}) != 3:
-                    continue
-                val = ternary_product(u(i, j), u(j, mm), u(i, mm))
-                if cand is None:
-                    cand = val
-                elif val != cand:
-                    raise TransformError(
-                        f"diagonal unit e_{i}{i} is ambiguous at pair ({j},{mm})")
-        if cand is None or cand.is_zero():
+        if fail is not None and fail[0] == i:
+            raise TransformError(
+                f"diagonal unit e_{i}{i} is ambiguous at pair ({fail[1]},{fail[2]})")
+        if diag[i - 1].is_zero():
             raise TransformError(f"diagonal unit e_{i}{i} vanished")
-        units[(i, i)] = cand
+    idx = [e + i for i in range(1, m + 1)]
+    isometry = fam.equal(idx, idx, idx, scaled_members(idx))
+    ei, ej = [e + i for i, _ in off], [e + j for _, j in off]
+    apart = (fam.vanish(ei, ej, star_first=True) & fam.vanish(ei, ej)).tolist()
     for i in range(1, m + 1):
-        ei = units[(i, i)]
-        if ei * ei.adjoint() * ei != ei:
+        if not isometry[i - 1]:
             raise TransformError(f"e_{i}{i} is not a partial isometry")
         for j in range(1, m + 1):
-            if i != j:
-                ej = units[(j, j)]
-                if not (ei.adjoint() * ej).is_zero() or not (ei * ej.adjoint()).is_zero():
-                    raise TransformError(f"e_{i}{i} not orthogonal to e_{j}{j}")
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i != j:
-                ei, ej = units[(i, i)], units[(j, j)]
-                units[(i, j)] = ei * ei.adjoint() * u(i, j) * ej.adjoint() * ej
+            if i != j and not apart[at[(i, j)]]:
+                raise TransformError(f"e_{i}{i} not orthogonal to e_{j}{j}")
+    units = {(i, i): d for i, d in enumerate(diag, start=1)}
+    left = fam.matrices(ei, ei, range(len(off)))  # e_ii e_ii* u_ij
+    right = ExactFamily(left + diag).matrices(range(len(off)), [len(off) + j - 1 for _, j in off],
+                                              [len(off) + j - 1 for _, j in off])
+    units.update(zip(off, right))
     vmat = None
     for i in range(1, m + 1):
         vmat = units[(i, i)] if vmat is None else vmat + units[(i, i)]
-    zero = ExactMatrix.zeros(*vmat.shape)
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             if i != j and units[(i, j)] - units[(j, i)] != u(i, j):
                 raise TransformError(f"recovery fails: u_{i}{j} != e_{i}{j} - e_{j}{i}")
-    va = vmat.adjoint()
-    for (i, j), eij in units.items():
-        if vmat * eij.adjoint() * vmat != units[(j, i)]:
+    involution, product = _unit_table(units, vmat)
+    keys = list(units)
+    bad = np.flatnonzero(~involution | ~product.all(axis=1))
+    if bad.size:
+        i, j = keys[bad[0]]
+        if not involution[bad[0]]:
             raise TransformError(f"involution fails on e_{i}{j}")
-        for (l, k), elk in units.items():
-            want = units[(i, k)] if j == l else zero
-            if eij * va * elk != want:
-                raise TransformError(f"unit product fails: e_{i}{j} v* e_{l}{k}")
-    for i in range(1, m + 1):
-        ei = units[(i, i)]
-        for j in range(1, m + 1):
-            if i == j:
-                continue
-            if not ternary_product(ei, u(i, j), ei).is_zero():
-                raise TransformError(f"e_{i}{i} u_{i}{j}* e_{i}{i} != 0")
-            if triple_product(ei, ei, u(i, j)) != u(i, j).scale(EX_HALF):
-                raise TransformError(f"u_{i}{j} is not Peirce-1 for e_{i}{i}")
-            for k in range(1, m + 1):
-                if k in (i, j):
-                    continue
-                ek = units[(k, k)]
-                if not (u(i, j) * ek.adjoint()).is_zero() or not (ek.adjoint() * u(i, j)).is_zero():
-                    raise TransformError(f"u_{i}{j} not orthogonal to e_{k}{k}")
+        l, k = keys[int(np.argmin(product[bad[0]]))]
+        raise TransformError(f"unit product fails: e_{i}{j} v* e_{l}{k}")
+    # e_ii u_ij* e_ii = 0 and {e_ii, e_ii, u_ij} = u_ij / 2 for i != j
+    pos = range(len(off))
+    minimal = fam.equal(ei, pos, ei).tolist()
+    peirce = fam.equal(ei, ei, pos, scaled_members(pos, 1, 2), sym=True).tolist()
+    # u_ij e_kk* = 0 = e_kk* u_ij for k outside {i, j}
+    third = [(t, k) for t, (i, j) in enumerate(off) for k in range(1, m + 1) if k not in (i, j)]
+    ts, ks = [t for t, _ in third], [e + k for _, k in third]
+    outside = dict(zip(third, (fam.vanish(ts, ks) & fam.vanish(ks, ts, star_first=True)).tolist()))
+    for t, (i, j) in enumerate(off):
+        if not minimal[t]:
+            raise TransformError(f"e_{i}{i} u_{i}{j}* e_{i}{i} != 0")
+        if not peirce[t]:
+            raise TransformError(f"u_{i}{j} is not Peirce-1 for e_{i}{i}")
+        for k in range(1, m + 1):
+            if k not in (i, j) and not outside[(t, k)]:
+                raise TransformError(f"u_{i}{j} not orthogonal to e_{k}{k}")
     return MatrixUnitFamily(m, units, vmat)

@@ -22,8 +22,9 @@ import numpy as np
 
 from .errors import CapacityError, DecompositionError, DimensionError
 from .grids import Grid
-from .numlin import (EX_HALF, EX_ZERO, ApproxMatrix, ExactMatrix,
-                     ExactScalar, block_diag, trace_norm)
+from .numlin import (EX_HALF, EX_ZERO, ApproxMatrix, ExactFamily,
+                     ExactMatrix, ExactScalar, block_diag, scaled_members,
+                     trace_norm)
 from .report import VerificationReport
 from .triple import PartialIsometry, ternary_product, triple_product
 
@@ -495,7 +496,9 @@ def verify_uIJ_grid(real: RankOneRealization,
     colinearity, associative orthogonality, the weak quadrangle, the signed
     quadrangle identity, the sum decomposition, the decomposition into ones,
     and (for a canonical space) the match with the ambient matrix units.
-    Every check reads ``uij_family`` and counts the instances it checked."""
+    Every check reads ``uij_family`` and counts the instances it checked; the
+    pair, minimality, colinearity and quadrangle checks run on one batched
+    family table of the words (``ExactFamily``)."""
     n = real.n
     if n > UIJ_VERIFY_CAP:
         raise CapacityError(f"full (I,J) verification capped at n <= {UIJ_VERIFY_CAP}")
@@ -506,70 +509,75 @@ def verify_uIJ_grid(real: RankOneRealization,
     mats = {key: mat for key, (mat, _, _) in fam.items()}
     signs = {key: sign for key, (_, sign, _) in fam.items()}
 
-    bad = [k for k in keys if mats[k].is_zero() or mats[k] * mats[k].adjoint() * mats[k] != mats[k]]
+    words = ExactFamily([mats[k] for k in keys])
+    size = len(keys)
+    every = np.arange(size)
+    zero = np.array([mats[k].is_zero() for k in keys])
+    cube = words.equal(every, every, every, scaled_members(every))
+    bad = [k for k, z, good in zip(keys, zero, cube) if z or not good]
     rep.add_counted("uij_partial_isometries", not bad, len(keys), "elements",
                     failure=f"failed {bad[:2]}")
 
-    badmin, badorth, badcol, badassoc = [], [], [], []
-    n_orth = n_col = n_assoc = 0
-    for a in keys:
-        for b in keys:
-            ua, ub = mats[a], mats[b]
-            got = ternary_product(ua, ub, ua)
-            if got != ua if a == b else not got.is_zero():
-                badmin.append((a, b))
-            n_assoc += (a[0] != b[0]) + (a[1] != b[1])
-            if a[0] != b[0] and not (ua * ub.adjoint()).is_zero():
-                badassoc.append(("left", a, b))
-            if a[1] != b[1] and not (ua.adjoint() * ub).is_zero():
-                badassoc.append(("right", a, b))
-            if a != b:
-                same_i, same_j = a[0] == b[0], a[1] == b[1]
-                if not same_i and not same_j:
-                    n_orth += 1
-                    if not (ua.adjoint() * ub).is_zero() or not (ua * ub.adjoint()).is_zero():
-                        badorth.append((a, b))
-                elif same_i != same_j:
-                    n_col += 1
-                    if triple_product(ua, ua, ub) != ub.scale(EX_HALF):
-                        badcol.append((a, b))
-    rep.add_counted("uij_minimality", not badmin, len(keys) ** 2, "ordered pairs",
-                    failure=f"failed {badmin[:2]}")
-    rep.add_counted("uij_orthogonality", not badorth, n_orth, "ordered pairs",
-                    failure=f"failed {badorth[:2]}")
-    rep.add_counted("uij_colinearity", not badcol, n_col, "ordered pairs",
-                    failure=f"failed {badcol[:2]}")
-    rep.add_counted("uij_associative_orthogonality", not badassoc, n_assoc, "products",
-                    failure=f"failed {badassoc[:2]}")
-
+    # every ordered pair (a, b), a-major
     Is = sorted({a[0] for a in keys}, key=lambda c: c.members)
     Js = sorted({a[1] for a in keys}, key=lambda c: c.members)
-    badweak, badsigned, flagged = [], [], []
-    n_signed = 0
-    for I in Is:
-        for J in Js:
-            for Jp in Js:
-                for Ip in Is:
-                    x, y, z = mats[(I, J)], mats[(I, Jp)], mats[(Ip, Jp)]
-                    target = mats[(Ip, J)]
-                    got = x * y.adjoint() * z
-                    if got != target and got != -target:
-                        badweak.append((I, J, Jp, Ip))
-                        continue
-                    n_signed += 1
-                    lhs = got.scale(signs[(I, J)] * signs[(I, Jp)] * signs[(Ip, Jp)])
-                    if lhs != target.scale(signs[(Ip, J)]):
-                        degenerate = I == Ip or J == Jp
-                        ones = (not len(I.intersect(J))
-                                and not len(I.intersect(Jp))
-                                and not len(Ip.intersect(J)))
-                        if degenerate or ones:
-                            badsigned.append((I, J, Jp, Ip))
-                        else:
-                            flagged.append((I, J, Jp, Ip))
+    icode = np.array([Is.index(k[0]) for k in keys])
+    jcode = np.array([Js.index(k[1]) for k in keys])
+    a, b = np.repeat(every, size), np.tile(every, size)
+    diff_i, diff_j = icode[a] != icode[b], jcode[a] != jcode[b]
+    # u_a u_b* u_a is u_a for a == b and 0 otherwise
+    minimal = words.equal(a, b, a, scaled_members(a, (a == b).astype(int)))
+    left = np.ones(len(a), dtype=bool)
+    left[diff_i] = words.vanish(a[diff_i], b[diff_i])
+    right = np.ones(len(a), dtype=bool)
+    right[diff_j] = words.vanish(a[diff_j], b[diff_j], star_first=True)
+    orth = diff_i & diff_j
+    col = diff_i != diff_j
+    colinear = np.ones(len(a), dtype=bool)
+    colinear[col] = words.equal(a[col], a[col], b[col], scaled_members(b[col], 1, 2), sym=True)
+    pair = lambda t: (keys[a[t]], keys[b[t]])
+    badmin = [pair(t) for t in np.flatnonzero(~minimal)]
+    badorth = [pair(t) for t in np.flatnonzero(orth & ~(left & right))]
+    badcol = [pair(t) for t in np.flatnonzero(~colinear)]
+    badassoc = []
+    for t in np.flatnonzero(~(left & right)):
+        badassoc += [(side,) + pair(t) for side, good in (("left", left[t]), ("right", right[t]))
+                     if not good]
+    rep.add_counted("uij_minimality", not badmin, len(keys) ** 2, "ordered pairs",
+                    failure=f"failed {badmin[:2]}")
+    rep.add_counted("uij_orthogonality", not badorth, int(orth.sum()), "ordered pairs",
+                    failure=f"failed {badorth[:2]}")
+    rep.add_counted("uij_colinearity", not badcol, int(col.sum()), "ordered pairs",
+                    failure=f"failed {badcol[:2]}")
+    rep.add_counted("uij_associative_orthogonality", not badassoc,
+                    int(diff_i.sum() + diff_j.sum()), "products", failure=f"failed {badassoc[:2]}")
+
+    # quadruples (I, J, J', I'), I-major: x y* z = +-t for x = u_IJ,
+    # y = u_IJ', z = u_I'J' and t = u_I'J
+    at = np.empty((len(Is), len(Js)), dtype=np.intp)
+    at[icode, jcode] = every
+    axes = (np.arange(len(c)) for c in (Is, Js, Js, Is))
+    qi, qj, qjp, qip = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    x, y, z, t = at[qi, qj], at[qi, qjp], at[qip, qjp], at[qip, qj]
+    plus, minus = (words.equal(x, y, z, scaled_members(t, s)) for s in (1, -1))
+    weak = plus | minus
+    # with x y* z = eps t, the signed identity s_x s_y s_z x y* z = s_t t
+    # holds iff eps s_x s_y s_z = s_t or t = 0
+    sign = np.array([signs[k] for k in keys])
+    signed = (np.where(plus, 1, -1) * sign[x] * sign[y] * sign[z] == sign[t]) | zero[t]
+    quad = lambda q: (Is[qi[q]], Js[qj[q]], Js[qjp[q]], Is[qip[q]])
+    badweak = [quad(q) for q in np.flatnonzero(~weak)]
+    badsigned, flagged = [], []
+    for q in np.flatnonzero(weak & ~signed):
+        I, J, Jp, Ip = quad(q)
+        degenerate = I == Ip or J == Jp
+        ones = (not len(I.intersect(J))
+                and not len(I.intersect(Jp))
+                and not len(Ip.intersect(J)))
+        (badsigned if degenerate or ones else flagged).append((I, J, Jp, Ip))
     rep.add_counted("uij_weak_quadrangle", not badweak, len(Is) ** 2 * len(Js) ** 2,
                     "quadruples", failure=f"failed {badweak[:2]}")
-    rep.add_counted("uij_signed_quadrangle", not badsigned, n_signed, "quadruples",
+    rep.add_counted("uij_signed_quadrangle", not badsigned, int(weak.sum()), "quadruples",
                     failure=f"failed {badsigned[:2]}")
     if flagged:
         rep.flag("uij_signed_quadrangle_out_of_scope",
@@ -601,28 +609,35 @@ def ones_triple_coherence(real: RankOneRealization) -> Tuple[int, int]:
     """
     n = real.n
     fam = uij_family(real)
-    word = {key: mat for key, (mat, _, _) in fam.items()}
+    keys = list(fam)
+    at = {key: x for x, key in enumerate(keys)}
     sign = {key: s for key, (_, s, _) in fam.items()}
-    checked = failures = 0
-    for I, J in word:
+    lhs, rhs, signs_ok = [], [], []
+    for I, J in keys:
         comp = I.union(J).complement()
         if len(comp) != 1:  # the ones: I and J disjoint
             continue
         b = comp.members[0]
         for a in I:
             for c in J:
-                checked += 1
                 Ip = Combination.of(n, (set(I.members) - {a}) | {b})
                 Jp = Combination.of(n, (set(J.members) - {c}) | {b})
                 Ipp = Combination.of(n, (set(I.members) | {c}) - {a})
                 Jpp = Combination.of(n, (set(J.members) | {a}) - {c})
-                lhs = word[I, Jp] * word[I, J].adjoint() * word[Ip, J]
-                rhs = word[Ipp, Jp] * word[Ipp, Jpp].adjoint() * word[Ip, Jpp]
+                lhs.append((at[I, Jp], at[I, J], at[Ip, J]))
+                rhs.append((at[Ipp, Jp], at[Ipp, Jpp], at[Ip, Jpp]))
                 sl = sign[I, Jp] * sign[I, J] * sign[Ip, J]
                 sr = sign[Ipp, Jp] * sign[Ipp, Jpp] * sign[Ip, Jpp]
-                if lhs != -rhs or sl != -sr or lhs.scale(sl) != rhs.scale(sr):
-                    failures += 1
-    return checked, failures
+                signs_ok.append(sl == -sr)
+    if not lhs:
+        return 0, 0
+    # with lhs = -rhs and sl = -sr, lhs sl = rhs sr follows
+    words = ExactFamily([fam[key][0] for key in keys])
+    (lr, li), (rr, ri) = (words.ternary(*np.array(side).T) for side in (lhs, rhs))
+    coherent = (lr == -rr).all(axis=(1, 2)) & np.array(signs_ok)
+    if li is not None:
+        coherent &= (li == -ri).all(axis=(1, 2))
+    return len(lhs), int((~coherent).sum())
 
 
 # -- splittings ---------------------------------------------------------------

@@ -523,6 +523,215 @@ def block_grid(blocks: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
                       for j, blk in enumerate(row)])
 
 
+# -- batched family tables ------------------------------------------------------
+
+# Most numerator cells one chunk of a batched evaluation gathers per operand,
+# so that a table over many triples is never held whole.
+_CHUNK_CELLS = 1 << 13
+
+
+def _ctake(x, idx):
+    """Index the leading axis of an (re, im) pair; im None is an all-zero part."""
+    re, im = x
+    return re[idx], None if im is None else im[idx]
+
+
+def _cstar(x):
+    """Conjugate transpose of the last two axes of an (re, im) pair."""
+    re, im = x
+    return np.swapaxes(re, -1, -2), None if im is None else -np.swapaxes(im, -1, -2)
+
+
+def _cmatmul(x, y):
+    """Batched complex matmul of (re, im) pairs, skipping all-zero parts."""
+    (xr, xi), (yr, yi) = x, y
+    re = np.matmul(xr, yr)
+    if xi is None and yi is None:
+        return re, None
+    if xi is None:
+        return re, np.matmul(xr, yi)
+    if yi is None:
+        return re, np.matmul(xi, yr)
+    return re - np.matmul(xi, yi), np.matmul(xr, yi) + np.matmul(xi, yr)
+
+
+def _cells_equal(x, y) -> np.ndarray:
+    """Per leading index: two (re, im) stacks with the same parts agree
+    everywhere; a scalar part broadcasts."""
+    same = (x[0] == y[0]).all(axis=(1, 2))
+    if x[1] is not None:
+        same &= (x[1] == y[1]).all(axis=(1, 2))
+    return same
+
+
+def combination(rows: Sequence[dict]) -> tuple:
+    """The ``want`` argument of ``ExactFamily.equal`` for one
+    {member position: int or Fraction coefficient} dict per triple."""
+    width = max(map(len, rows), default=0)
+    q = math.lcm(*{v.denominator for row in rows for v in row.values()})
+    kidx = np.zeros((len(rows), width), dtype=np.intp)
+    kcoef = np.zeros((len(rows), width), dtype=object)
+    for t, row in enumerate(rows):
+        if row:
+            kidx[t, :len(row)] = list(row)
+            kcoef[t, :len(row)] = [v.numerator * (q // v.denominator) for v in row.values()]
+    return kidx, kcoef, q
+
+
+def scaled_members(kidx, coef=1, q: int = 1) -> tuple:
+    """The ``want`` argument of ``ExactFamily.equal`` for coef[t] / q times
+    the single member kidx[t] per triple; ``coef`` may be one number."""
+    kidx = np.asarray(kidx, dtype=np.intp)[:, None]
+    coef = np.asarray(coef, dtype=object).reshape(-1, 1)
+    return kidx, np.broadcast_to(coef, kidx.shape), q
+
+
+class ExactFamily:
+    """Equally shaped exact matrices, stacked for batched products.
+
+    The members' numerators over one common denominator ``den`` are the
+    (N, rows, cols) integer arrays ``re`` and ``im`` (``im`` is None when
+    every member is real).  ``equal`` compares a b* c, or the triple product
+    {a,b,c} = (a b* c + c b* a)/2, with a rational combination of members for
+    arrays of index triples; ``vanish`` tests a b* or a* b for zero;
+    ``ternary`` and ``matrices`` return a b* c.  Triples are sorted by their
+    first, then middle index and evaluated in chunks of at most
+    ``_CHUNK_CELLS`` cells per operand; a chunk forms each of its distinct
+    products a b* (and b* a) once.
+
+    Every evaluation first bounds each product and partial sum it can form
+    from the largest numerator ``mag``: a b* c sums 2·rows·cols terms of at
+    most 2·mag^3, so |a b* c| <= 4·rows·cols·mag^3 and the triple product
+    doubles that.  Below 2^53 the evaluation runs in float64 on BLAS, where
+    every such integer is exact in any summation order; otherwise on Python
+    ints (dtype=object).
+    """
+
+    def __init__(self, mats: Sequence[ExactMatrix]):
+        mats = list(mats)
+        self.shape = mats[0].shape
+        if any(m.shape != self.shape for m in mats):
+            raise DimensionError("family members must share one shape")
+        self.den = math.lcm(*(m.den for m in mats))
+        factors = [self.den // m.den for m in mats]
+        self.mag = max(m._bound() * f for m, f in zip(mats, factors))
+        big = self.mag >= _INT64_LIMIT
+
+        def stack(parts):
+            return np.stack([_times(p.astype(object) if big else p, f)
+                             for p, f in zip(parts, factors)])
+
+        self.re = stack([m.re for m in mats])
+        self.im = stack([m.im for m in mats]) if any(m._mags()[1] for m in mats) else None
+        self._rungs = {}
+
+    def __len__(self):
+        return len(self.re)
+
+    def _stack(self, bound: int):
+        """The numerators as float64 when ``bound`` < 2^53, else as Python ints."""
+        dtype = np.float64 if bound < _FLOAT_EXACT else _OBJECT
+        if dtype not in self._rungs:
+            self._rungs[dtype] = (self.re.astype(dtype),
+                                  None if self.im is None else self.im.astype(dtype))
+        return self._rungs[dtype]
+
+    def _ternary_bound(self, sym: bool) -> int:
+        rows, cols = self.shape
+        return (8 if sym else 4) * rows * cols * self.mag ** 3
+
+    def _chunks(self, fam, ia, ib, ic, sym: bool):
+        """Yield (positions, (re, im)): a b* c, or a b* c + c b* a with
+        ``sym``, over den^3 for the triples at those positions."""
+        per = max(1, _CHUNK_CELLS // max(self.shape) ** 2)
+        order = np.lexsort((ib, ia))
+        size = len(self)
+        for s in range(0, len(order), per):
+            rows = order[s:s + per]
+            pairs, inv = np.unique(ia[rows] * size + ib[rows], return_inverse=True)
+            a, b = _ctake(fam, pairs // size), _ctake(fam, pairs % size)
+            c = _ctake(fam, ic[rows])
+            re, im = _cmatmul(_ctake(_cmatmul(a, _cstar(b)), inv), c)
+            if sym:
+                re2, im2 = _cmatmul(c, _ctake(_cmatmul(_cstar(b), a), inv))
+                re, im = re + re2, None if im is None else im + im2
+            yield rows, (re, im)
+
+    def equal(self, ia, ib, ic, want=None, sym: bool = False) -> np.ndarray:
+        """For each triple t, whether a b* c (with ``sym``, {a,b,c}) at
+        a, b, c = ia[t], ib[t], ic[t] equals the combination ``want``.
+
+        ``want`` is (kidx, kcoef, q): (T, K) integer arrays and a positive
+        int, standing for sum_k kcoef[t, k] / q * member kidx[t, k] (see
+        ``combination``); None is the zero matrix.
+        """
+        ia, ib, ic = (np.asarray(x, dtype=np.intp) for x in (ia, ib, ic))
+        if want is None:
+            want = np.zeros((len(ia), 0), dtype=np.intp), np.zeros((len(ia), 0), dtype=object), 1
+        kidx, kcoef, q = want
+        ok = np.empty(len(ia), dtype=bool)
+        if not len(ia):
+            return ok
+        # P / den^3 (2 den^3 with sym) == W / (q den)  <=>  q P == factor W
+        factor = self.den ** 2 * (2 if sym else 1)
+        kcoef = np.asarray(kcoef, dtype=object) * factor
+        weight = int(np.abs(kcoef).sum(axis=1).max())
+        fam = self._stack(max(q * self._ternary_bound(sym), weight * self.mag))
+        kcoef = kcoef.astype(fam[0].dtype)
+        for rows, (re, im) in self._chunks(fam, ia, ib, ic, sym):
+            wr = wi = 0
+            for k in range(kidx.shape[1]):
+                w, idx = kcoef[rows, k][:, None, None], kidx[rows, k]
+                wr = wr + w * fam[0][idx]
+                if im is not None:
+                    wi = wi + w * fam[1][idx]
+            if q != 1:
+                re, im = re * q, None if im is None else im * q
+            ok[rows] = _cells_equal((re, im), (wr, wi))
+        return ok
+
+    def vanish(self, ia, ib, star_first: bool = False) -> np.ndarray:
+        """For each pair t, whether a b* (with ``star_first``, a* b) is zero
+        at a, b = ia[t], ib[t]."""
+        ia, ib = (np.asarray(x, dtype=np.intp) for x in (ia, ib))
+        rows, cols = self.shape
+        fam = self._stack(2 * (rows if star_first else cols) * self.mag ** 2)
+        per = max(1, _CHUNK_CELLS // max(self.shape) ** 2)
+        out = np.empty(len(ia), dtype=bool)
+        for s in range(0, len(ia), per):
+            a, b = _ctake(fam, ia[s:s + per]), _ctake(fam, ib[s:s + per])
+            re, im = _cmatmul(_cstar(a), b) if star_first else _cmatmul(a, _cstar(b))
+            nonzero = re.any(axis=(1, 2))
+            if im is not None:
+                nonzero |= im.any(axis=(1, 2))
+            out[s:s + per] = ~nonzero
+        return out
+
+    def ternary(self, ia, ib, ic, sym: bool = False) -> tuple:
+        """(re, im): the integer numerators over den^3 of a b* c (with
+        ``sym``, of a b* c + c b* a) for every triple, as (T, rows, cols)
+        arrays held whole; im is None for a real family."""
+        ia, ib, ic = (np.asarray(x, dtype=np.intp) for x in (ia, ib, ic))
+        fam = self._stack(self._ternary_bound(sym))
+        exact = np.int64 if fam[0].dtype == np.float64 else _OBJECT
+        re = np.zeros((len(ia),) + self.shape, dtype=exact)
+        im = None if self.im is None else np.zeros_like(re)
+        for rows, (pr, pi) in self._chunks(fam, ia, ib, ic, sym):
+            re[rows] = pr
+            if im is not None:
+                im[rows] = pi
+        return re, im
+
+    def matrices(self, ia, ib, ic) -> list:
+        """a b* c for every triple, as ``ExactMatrix`` values."""
+        re, im = self.ternary(ia, ib, ic)
+        if im is None:
+            im = np.zeros_like(re)
+        rows, cols = self.shape
+        den = self.den ** 3
+        return [ExactMatrix(rows, cols, _arrays=(r, i, den)) for r, i in zip(re, im)]
+
+
 class ApproxMatrix:
     """Dense complex128 matrix; the carrier for norms and singular values."""
 

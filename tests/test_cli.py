@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from jcgrid import cli, grids, hnk, triple
+from jcgrid import cli, grids, hnk, numlin, triple
 from jcgrid.errors import (CapacityError, DecompositionError, DimensionError,
                            NumericError, TransformError)
 from jcgrid.hnk import build_hnk
@@ -129,6 +129,25 @@ class TestVerify:
         assert checks["pairwise_relations"]["status"] == "flagged"
         assert checks["pairwise_relations"]["detail"] == "0 pairs: nothing to check"
 
+    @pytest.mark.parametrize("args,empty", [
+        (("hnk", "--n", "1", "--k", "1"),
+         {"minimality": "pairs", "rank_one_identities": "instances"}),
+        (("grid", "--kind", "rectangular", "--p", "1", "--q", "1"),
+         {"minimality": "pairs", "rectangular_chain_identity": "chains"}),
+        (("grid", "--kind", "rectangular", "--p", "1", "--q", "3"),
+         {"rectangular_chain_identity": "chains"}),
+    ], ids=["hnk-1-1", "rectangular-1-1", "rectangular-1-3"])
+    def test_grid_checks_without_instances_are_flagged(self, args, empty):
+        res = run_cli("verify", *args, "--format", "json")
+        assert res.returncode == 0
+        checks = {c["name"]: c for c in json.loads(res.stdout)["checks"]}
+        for name, unit in empty.items():
+            assert checks[name]["status"] == "flagged", name
+            assert checks[name]["detail"] == f"0 {unit}: nothing to check"
+        # the checks that found instances still pass with their counts
+        assert checks["triple_products"]["status"] == "pass"
+        assert checks["triple_products"]["detail"].split()[0] != "0"
+
     @pytest.mark.parametrize("n,empty", [
         ("1", {"uij_orthogonality": "ordered pairs", "uij_colinearity": "ordered pairs",
                "uij_associative_orthogonality": "products",
@@ -233,6 +252,24 @@ GOLDEN_STDOUT = {
         "878df3772ed2c609df0125e21ea899bb461afb0e92c196eeb6b4ea025afe4fd8",
     ("verify", "grid", "--kind", "hermitian", "--m", "4", "--format", "json"):
         "114b40dc79c67482ede6cb6320e7ecb3ac9e546a7d81f49d3166a8a9023f9000",
+    # recorded while every triple, minimality and unit-product check was one
+    # ExactMatrix product at a time
+    ("verify", "grid", "--kind", "hermitian", "--m", "6", "--format", "json"):
+        "139b81a5f1437b58bc34f15e3f2a47b8c9fa423a9d0255f4da20711f667084af",
+    ("verify", "grid", "--kind", "symplectic", "--m", "5", "--format", "json"):
+        "1fddffa811118a91faaf009101c07328148e93b7faeff41b337d71d4fa8e7362",
+    ("verify", "grid", "--kind", "rectangular", "--p", "4", "--q", "4", "--format", "json"):
+        "8c0089202d2fdc5b9a3ec5e4bc6a5a15ebe775257b731a9bba9ca3d6da363010",
+    ("verify", "grid", "--kind", "spin", "--r", "2", "--odd", "--format", "json"):
+        "c79d252c7b3a63f39e616bc949de9cae8e87593c23d362820259ce676f5d24d3",
+    ("verify", "uij-grid", "--n", "4", "--k", "2", "--format", "json"):
+        "d551a36ac79cd2c9e179edb2faabb41ad12d885d4393c8f3d03dbcf44392d2a4",
+    ("verify", "matrix-units", "--kind", "hermitian", "--m", "6", "--conjugations", "5",
+     "--seed", "7", "--format", "json"):
+        "8f289222f42395053763969aa25103399372ca94092e359107493acf8b801d3e",
+    ("verify", "matrix-units", "--kind", "symplectic", "--m", "6", "--conjugations", "5",
+     "--seed", "7", "--format", "json"):
+        "9a019fa113ad295ea62a99adb1345ff7942daa3e13e91e2db33242db05b819dc",
 }
 
 
@@ -314,11 +351,20 @@ class TestSharedWork:
     """Work done for one check is read by the next, not redone."""
 
     def test_rank_one_named_checks_read_the_triple_table(self, monkeypatch, capsys):
-        calls = _count_calls(monkeypatch, grids, "triple_product")
+        sizes = []
+        orig = numlin.ExactFamily.equal
+
+        def counted(self, ia, ib, ic, want=None, sym=False):
+            if sym:
+                sizes.append(len(ia))
+            return orig(self, ia, ib, ic, want, sym)
+
+        monkeypatch.setattr(numlin.ExactFamily, "equal", counted)
         assert cli.main(["verify", "hnk", "--n", "6", "--k", "3"]) == 0
         assert "overall: pass" in capsys.readouterr().out
-        # the exhaustive table: 6 * 6 * 21 products with x <= z
-        assert len(calls) == 126
+        # one batched evaluation: the exhaustive table, 6 * 6 * 21 triples
+        # with x <= z, and the 6 * 5 * (1 + 1 + 4) named rank-one instances
+        assert sizes == [126 + 180]
 
     def test_uij_family_builds_each_word_once(self, monkeypatch, capsys):
         calls = _count_calls(monkeypatch, hnk, "_word_matrix")

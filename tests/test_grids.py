@@ -10,6 +10,7 @@ from jcgrid.grids import (Grid, conjugate_grid, hermitian_grid,
                           rectangular_grid, spin_grid, spin_system,
                           spin_to_spin_system, symplectic_grid,
                           symplectic_to_matrix_units, verify_grid)
+from jcgrid.hnk import build_hnk
 from jcgrid.numlin import EX_HALF, EX_I, ExactMatrix, exact_rank
 from jcgrid.triple import (GridRelation, classify_relation, isotope_product,
                            ternary_product, triple_product)
@@ -276,3 +277,170 @@ class TestSymplecticTransform:
             for i in range(1, m + 1):
                 for j in range(1, m + 1):
                     assert fam.unit(i, j) == left * E(m, m, i - 1, j - 1) * right
+
+
+def _replace(g, idx, mat):
+    return Grid(g.kind, g.params, [(i, mat if i == idx else g.matrix(i)) for i in g.indices])
+
+
+def _scaled(g, idx, c):
+    return _replace(g, idx, g.matrix(idx).scale(c))
+
+
+def _corrupted_grids():
+    spin_odd, spin_even = spin_grid(2, True), spin_grid(3, False)
+    rank1 = build_hnk(3, 2)
+    return {
+        "rectangular": _replace(rectangular_grid(2, 3), (1, 2), E(2, 3, 1, 0)),
+        "hermitian": _replace(hermitian_grid(3), (1, 2), E(3, 3, 0, 1)),
+        "symplectic": _replace(symplectic_grid(4), (1, 2), E(4, 4, 0, 1) + E(4, 4, 1, 0)),
+        "spin": _scaled(spin_odd, ("ut", 1), EX_I),
+        "spin-partner": _replace(spin_even, ("ut", 2), spin_even.matrix(("u", 2))),
+        "hermitian-sampled": _replace(hermitian_grid(6), (2, 5), E(6, 6, 4, 1)),
+        "rank1": _replace(rank1.as_grid(), 2, rank1.basis[0].scale(EX_I)),
+    }
+
+
+# verify_grid reports of corrupted grids, recorded while every check was one
+# ExactMatrix product at a time: (subject, [(check, status, detail)]), every
+# residual 0.  The failure lists are the first three in loop order.
+FAILURE_REPORTS = {
+    "rectangular": ('rectangular(p=2,q=3)', [
+        ('partial_isometry', 'pass',
+         '6 elements'),
+        ('pairwise_relations', 'fail',
+         "mismatch [((1, 2), (1, 3), 'colinear', 'orthogonal'), ((1, 2), (2, 1), 'orthogonal', 'equal'), ((1, 2), (2, 3), 'orthogonal', 'colinear')]"),
+        ('minimality', 'fail',
+         'failed [((1, 2), (2, 1)), ((2, 1), (1, 2))]'),
+        ('triple_products', 'fail',
+         'failed [((1, 1), (1, 2), (2, 1)), ((1, 1), (1, 2), (2, 2)), ((1, 1), (1, 2), (2, 3))]'),
+        ('rectangular_chain_identity', 'fail',
+         'failed [(1, 1, 2, 2), (1, 2, 1, 2), (1, 2, 3, 2)]'),
+    ]),
+    "hermitian": ('hermitian(m=3)', [
+        ('partial_isometry', 'pass',
+         '6 elements'),
+        ('pairwise_relations', 'fail',
+         "mismatch [((1, 1), (1, 2), 'governs-second-over-first', 'colinear'), ((1, 2), (1, 3), 'colinear', 'unclassified'), ((1, 2), (2, 2), 'governs-first-over-second', 'colinear')]"),
+        ('minimality', 'pass',
+         '3 elements'),
+        ('triple_products', 'fail',
+         'failed [((1, 1), (1, 2), (1, 2)), ((1, 1), (1, 2), (2, 2)), ((1, 1), (1, 2), (2, 3))]'),
+        ('hermitian_chain_identity', 'fail',
+         'failed [(1, 1, 2, 2), (1, 1, 2, 3), (1, 1, 3, 2)]'),
+        ('hermitian_cycle_identity', 'fail',
+         'failed [(1, 1, 2), (1, 2, 1), (1, 2, 2)]'),
+        ('hermitian_table_skipped_patterns', 'flagged',
+         "6 index patterns outside the table's side conditions, e.g. [('chain', 1, 2, 1, 2), ('chain', 1, 3, 1, 3), ('chain', 2, 1, 2, 1)]"),
+    ]),
+    "symplectic": ('symplectic(m=4)', [
+        ('partial_isometry', 'pass',
+         '6 elements'),
+        ('pairwise_relations', 'pass',
+         '15 pairs'),
+        ('minimality', 'pass',
+         '6 elements'),
+        ('triple_products', 'fail',
+         'failed [((1, 2), (1, 3), (2, 3)), ((1, 2), (1, 3), (3, 4)), ((1, 2), (1, 4), (2, 4))]'),
+        ('symplectic_quad_identity', 'fail',
+         'failed [(1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 4, 2)]'),
+    ]),
+    "spin": ('spin(odd=True,r=2)', [
+        ('partial_isometry', 'pass',
+         '5 elements'),
+        ('pairwise_relations', 'pass',
+         '10 pairs'),
+        ('minimality', 'pass',
+         '4 elements'),
+        ('triple_products', 'fail',
+         "failed [(('u', 1), ('u', 2), ('ut', 1)), (('u', 1), ('ut', 2), ('ut', 1)), (('u', 1), ('u0', 0), ('ut', 1))]"),
+        ('spin_quadrangle_identities', 'fail',
+         "failed [('quad1', 1, 2), ('quad2', 1, 2), ('quad1', 2, 1)]"),
+        ('spin_partner_orthogonality', 'pass',
+         ''),
+        ('spin_governing_identities', 'fail',
+         "failed [('govern-u', 1), ('govern-ut', 1)]"),
+    ]),
+    "spin-partner": ('spin(odd=False,r=3)', [
+        ('partial_isometry', 'pass',
+         '6 elements'),
+        ('pairwise_relations', 'fail',
+         "mismatch [(('u', 2), ('ut', 2), 'orthogonal', 'equal')]"),
+        ('minimality', 'fail',
+         "failed [(('u', 2), ('ut', 2)), (('ut', 2), ('u', 2))]"),
+        ('triple_products', 'fail',
+         "failed [(('u', 1), ('u', 2), ('ut', 1)), (('u', 1), ('u', 2), ('ut', 2)), (('u', 1), ('ut', 2), ('ut', 1))]"),
+        ('spin_quadrangle_identities', 'fail',
+         "failed [('quad1', 1, 2), ('quad2', 1, 2), ('quad1', 2, 1)]"),
+        ('spin_partner_orthogonality', 'fail',
+         'failed [2]'),
+    ]),
+    "hermitian-sampled": ('hermitian(m=6)', [
+        ('partial_isometry', 'pass',
+         '21 elements'),
+        ('pairwise_relations', 'fail',
+         "mismatch [((1, 2), (2, 5), 'colinear', 'unclassified'), ((1, 5), (2, 5), 'colinear', 'unclassified'), ((2, 2), (2, 5), 'governs-second-over-first', 'colinear')]"),
+        ('minimality', 'pass',
+         '6 elements'),
+        ('triple_products', 'fail',
+         'failed [((1, 2), (2, 2), (2, 5)), ((1, 5), (2, 5), (2, 4)), ((2, 5), (2, 2), (2, 5))]'),
+        ('hermitian_chain_identity', 'fail',
+         'failed [(1, 1, 2, 5), (1, 1, 5, 2), (1, 2, 2, 5)]'),
+        ('hermitian_cycle_identity', 'fail',
+         'failed [(1, 2, 5), (1, 5, 2), (2, 1, 5)]'),
+        ('hermitian_table_skipped_patterns', 'flagged',
+         "30 index patterns outside the table's side conditions, e.g. [('chain', 1, 2, 1, 2), ('chain', 1, 3, 1, 3), ('chain', 1, 4, 1, 4)]"),
+    ]),
+    "rank1": ('rank1(n=3)', [
+        ('partial_isometry', 'pass',
+         '3 elements'),
+        ('pairwise_relations', 'fail',
+         "mismatch [(1, 2, 'colinear', 'unclassified')]"),
+        ('minimality', 'fail',
+         'failed [(1, 2), (2, 1)]'),
+        ('triple_products', 'fail',
+         'failed [(1, 1, 2), (1, 2, 1), (1, 2, 2)]'),
+        ('rank_one_identities', 'fail',
+         "failed [('colinear', 1, 2), ('jordan-minimal', 1, 2), ('distinct-zero', 1, 2, 3)]"),
+    ]),
+}
+
+
+class TestFailureReports:
+    @pytest.mark.parametrize("case", list(FAILURE_REPORTS))
+    def test_report_pins_failures_in_loop_order(self, case):
+        got = verify_grid(_corrupted_grids()[case]).to_json_dict()
+        subject, checks = FAILURE_REPORTS[case]
+        assert got["subject"] == subject and got["overall"] == "fail"
+        assert [(c["name"], c["status"], c["detail"]) for c in got["checks"]] == checks
+        assert all(c["residual"] == 0.0 for c in got["checks"])
+
+
+# the first TransformError of each transform on a corrupted grid, recorded
+# while the relation loops ran one ExactMatrix product at a time
+TRANSFORM_ERRORS = [
+    (hermitian_to_matrix_units, lambda: _replace(hermitian_grid(4), (1, 2), E(4, 4, 0, 1)),
+     "involution fails: e_12^# != e_21"),
+    (hermitian_to_matrix_units,
+     lambda: _replace(hermitian_grid(4), (1, 1), E(4, 4, 0, 0) - E(4, 4, 1, 1)),
+     "product fails: e_12 . e_21 != delta e_11"),
+    (hermitian_to_matrix_units, lambda: _scaled(hermitian_grid(4), (1, 3), EX_I),
+     "product fails: e_12 . e_23 != delta e_13"),
+    (symplectic_to_matrix_units, lambda: _replace(symplectic_grid(5), (1, 2), E(5, 5, 0, 0)),
+     "diagonal unit e_11 is ambiguous at pair (3,4)"),
+    (symplectic_to_matrix_units, lambda: _replace(symplectic_grid(5), (1, 2), E(5, 5, 0, 1)),
+     "diagonal unit e_11 is ambiguous at pair (3,2)"),
+    (symplectic_to_matrix_units, lambda: _scaled(symplectic_grid(5), (1, 4), -EX_I),
+     "diagonal unit e_11 is ambiguous at pair (2,4)"),
+    (symplectic_to_matrix_units, lambda: _replace(symplectic_grid(5), (4, 5), -E(5, 5, 4, 3)),
+     "diagonal unit e_11 is ambiguous at pair (5,4)"),
+]
+
+
+class TestTransformErrors:
+    @pytest.mark.parametrize("transform,grid,message", TRANSFORM_ERRORS,
+                             ids=[m for _, _, m in TRANSFORM_ERRORS])
+    def test_first_error_message(self, transform, grid, message):
+        with pytest.raises(TransformError) as exc:
+            transform(grid())
+        assert str(exc.value) == message

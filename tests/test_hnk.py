@@ -1,5 +1,7 @@
 """Combination calculus, signed-unit spaces, words, splittings, projection."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -276,6 +278,45 @@ class TestVerifyUij:
         real = build_hnk(4, 2).realization()
         checked, failures = ones_triple_coherence(real)
         assert checked > 0 and failures == 0
+
+    @pytest.mark.parametrize("flip", ["sign", "word"])
+    def test_sign_coherence_counts_failures(self, monkeypatch, flip):
+        # flipping the first "one" breaks the sign product or the matrix
+        # identity of every triple it enters (counts recorded while each
+        # triple was checked with ExactMatrix products)
+        real = build_hnk(4, 2).realization()
+        fam = dict(uij_family(real))
+        key = next(k for k in fam if not len(k[0].intersect(k[1])))
+        mat, sign, error = fam[key]
+        fam[key] = (mat, -sign, error) if flip == "sign" else (-mat, sign, error)
+        monkeypatch.setattr(hnk, "uij_family", lambda r: fam)
+        assert ones_triple_coherence(real) == (24, 12)
+
+    @pytest.mark.parametrize("case,failing,digest", [
+        ("negated", ["uij_signed_quadrangle", "uij_signed_quadrangle_out_of_scope",
+                     "uij_matches_ambient_units"],
+         "ec5d33ce5aac66f5b8ff82d1dfd3f24fad7ce9a18494db26283412860f0a41a4"),
+        ("duplicate", ["uij_minimality", "uij_orthogonality", "uij_colinearity",
+                       "uij_associative_orthogonality", "uij_weak_quadrangle",
+                       "uij_matches_ambient_units"],
+         "faa9bde86f3dd748c7b8b05bbd707040b6a0d0a26ffd044f59ca7c15bf122227"),
+    ])
+    def test_failures_in_loop_order(self, monkeypatch, case, failing, digest):
+        # word 1 negated, or word 2 replaced by word 5; the digest of the
+        # (name, status, detail) list was recorded while each check ran one
+        # ExactMatrix product at a time
+        sp = build_hnk(4, 2)
+        fam = dict(uij_family(sp.realization()))
+        keys = list(fam)
+        if case == "negated":
+            fam[keys[1]] = (-fam[keys[1]][0],) + fam[keys[1]][1:]
+        else:
+            fam[keys[2]] = (fam[keys[5]][0],) + fam[keys[2]][1:]
+        monkeypatch.setattr(hnk, "uij_family", lambda r: fam)
+        checks = [[c["name"], c["status"], c["detail"]]
+                  for c in verify_uIJ_grid(sp.realization(), sp).to_json_dict()["checks"]]
+        assert [name for name, status, _ in checks if status != "pass"] == failing
+        assert hashlib.sha256(json.dumps(checks).encode()).hexdigest() == digest
 
     def test_capacity(self):
         with pytest.raises(CapacityError):

@@ -1,5 +1,6 @@
 """Exact kernel: arithmetic, adjoints, Kronecker products, blocks, norms."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 from conftest import (exact_matrices, jacobi_eigenvalues, power_iteration_norm,
                       random_exact, square_exact, svd_norms)
 from jcgrid.errors import DimensionError, NumericError
-from jcgrid.numlin import (EX_HALF, EX_I, EX_ZERO, ApproxMatrix, ExactMatrix,
-                           ExactScalar, block_diag, block_grid, block_row,
-                           exact_linearly_independent, exact_rank,
-                           operator_norm, singular_values, span_contains,
-                           trace_norm)
+from jcgrid.numlin import (EX_HALF, EX_I, EX_ZERO, ApproxMatrix, ExactFamily,
+                           ExactMatrix, ExactScalar, block_diag, block_grid,
+                           block_row, combination, exact_linearly_independent,
+                           exact_rank, operator_norm, scaled_members,
+                           singular_values, span_contains, trace_norm)
+from jcgrid.triple import triple_product
 
 E = ExactMatrix.unit
 SIGMA1 = ExactMatrix.from_rows([[1, 0], [0, -1]])
@@ -471,3 +473,159 @@ class TestSympyOracle:
         assert (Fraction(t.re), Fraction(t.im)) == (
             Fraction(want.x.numerator, want.x.denominator),
             Fraction(want.y.numerator, want.y.denominator))
+
+
+def _family_members(rows, cols):
+    return st.one_of(exact_matrices(rows, cols), wide_matrices(rows, cols),
+                     st.just(ExactMatrix.zeros(rows, cols)))
+
+
+def _stacks():
+    """(rows, cols, members): small, wide (numerators far above 2^53) and zero
+    members mixed, so that both rungs and both outcomes occur."""
+    return st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda s: st.tuples(st.just(s[0]), st.just(s[1]),
+                            st.lists(_family_members(s[0], s[1]), min_size=s[2], max_size=s[2])))
+
+
+def _all_triples(n):
+    return np.array(list(itertools.product(range(n), repeat=3)), dtype=np.intp).reshape(-1, 3).T
+
+
+def _rungs(monkeypatch):
+    """Record the dtype each family evaluation runs in."""
+    used = []
+    orig = ExactFamily._stack
+
+    def spy(self, bound):
+        stack = orig(self, bound)
+        used.append(stack[0].dtype)
+        return stack
+
+    monkeypatch.setattr(ExactFamily, "_stack", spy)
+    return used
+
+
+def _largest_below(k, power):
+    """The largest a with k * a**power < 2^53."""
+    a = int((2 ** 53 / k) ** (1 / power)) + 2
+    while k * a ** power >= 2 ** 53:
+        a -= 1
+    return a
+
+
+class TestFamilyGuard:
+    """The batched kernel's float64 rung ends just below 2^53."""
+
+    @pytest.mark.parametrize("sym", [False, True])
+    def test_ternary_bound(self, monkeypatch, sym):
+        # a 1x1 family: |a b* c| <= 4 rows cols mag^3, doubled for {a,b,c}
+        used = _rungs(monkeypatch)
+        top = _largest_below(8 if sym else 4, 3)
+        for value, rung in ((top, np.float64), (top + 1, object)):
+            fam = ExactFamily([one(value)])
+            re, im = fam.ternary([0], [0], [0], sym=sym)
+            assert re.tolist() == [[[value ** 3 * (2 if sym else 1)]]] and im is None
+            assert not fam.equal([0], [0], [0], sym=sym)[0]
+            assert used[-2:] == [np.dtype(rung)] * 2
+
+    def test_products_above_2_53_stay_exact(self, monkeypatch):
+        used = _rungs(monkeypatch)
+        value = ExactScalar(2 ** 18 + 1, -3)  # |a|^2 a is odd and above 2^54
+        fam = ExactFamily([one(value), one(value * value.conjugate() * value)])
+        assert fam.matrices([0], [0], [0]) == [one(value * value.conjugate() * value)]
+        assert fam.equal([0], [0], [0], scaled_members([1])).tolist() == [True]
+        assert set(used) == {np.dtype(object)}
+
+    def test_pair_bound(self, monkeypatch):
+        used = _rungs(monkeypatch)
+        top = _largest_below(2, 2)
+        for value, rung in ((top, np.float64), (top + 1, object)):
+            fam = ExactFamily([one(value), one(0)])
+            assert fam.vanish([0, 0, 1], [0, 1, 0]).tolist() == [False, True, True]
+            assert fam.vanish([0], [0], star_first=True).tolist() == [False]
+            assert used[-2:] == [np.dtype(rung)] * 2
+
+    def test_combination_bound(self, monkeypatch):
+        # the coefficient side is bounded too: 2^60 + 1 rounds to 2^60 in float64
+        used = _rungs(monkeypatch)
+        fam = ExactFamily([one(1)])
+        q = 2 ** 60
+        assert fam.equal([0], [0], [0], scaled_members([0], q + 1, q)).tolist() == [False]
+        assert fam.equal([0], [0], [0], scaled_members([0], q, q)).tolist() == [True]
+        # (2^60 + 1) u - 2^60 u = u, though each term is far above 2^53
+        want = np.zeros((1, 2), dtype=np.intp), np.array([[q + 1, -q]], dtype=object), 1
+        assert fam.equal([0], [0], [0], want).tolist() == [True]
+        assert used == [np.dtype(object)] * 3
+
+    def test_members_must_share_a_shape(self):
+        with pytest.raises(DimensionError):
+            ExactFamily([E(2, 2, 0, 0), E(2, 3, 0, 0)])
+
+
+class TestFamilyOracle:
+    """Batched products equal the per-product ExactMatrix results."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_stacks())
+    def test_against_exact_matrix(self, stack):
+        rows, cols, mats = stack
+        n = len(mats)
+        fam = ExactFamily(mats)
+        ia, ib, ic = _all_triples(n)
+        ternary = [mats[a] * mats[b].adjoint() * mats[c] for a, b, c in zip(ia, ib, ic)]
+        braces = [triple_product(mats[a], mats[b], mats[c]) for a, b, c in zip(ia, ib, ic)]
+        assert fam.matrices(ia, ib, ic) == ternary
+        re, im = fam.ternary(ia, ib, ic, sym=True)
+        im = np.zeros_like(re) if im is None else im
+        assert [ExactMatrix(rows, cols, _arrays=(r, i, 2 * fam.den ** 3))
+                for r, i in zip(re, im)] == braces
+        pa, pb = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        assert fam.vanish(pa, pb).tolist() == [
+            (mats[a] * mats[b].adjoint()).is_zero() for a, b in zip(pa, pb)]
+        assert fam.vanish(pa, pb, star_first=True).tolist() == [
+            (mats[a].adjoint() * mats[b]).is_zero() for a, b in zip(pa, pb)]
+        # compared with combinations of members: the products themselves, or twice them
+        for sym, values in ((False, ternary), (True, braces)):
+            ext = ExactFamily(mats + values + values)
+            own = n + np.arange(len(values))
+            assert ext.equal(ia, ib, ic, scaled_members(own), sym=sym).all()
+            assert ext.equal(ia, ib, ic, scaled_members(own, 2), sym=sym).tolist() == \
+                [v.is_zero() for v in values]
+            assert ext.equal(ia, ib, ic, sym=sym).tolist() == [v.is_zero() for v in values]
+            thirds = combination([{t: Fraction(1, 3), t + len(values): Fraction(2, 3)}
+                                  for t in own])
+            assert ext.equal(ia, ib, ic, thirds, sym=sym).all()
+
+    def test_chunks_agree_with_one_chunk(self, monkeypatch):
+        from jcgrid import grids, numlin
+        mats = grids.spin_grid(2, True).matrices()
+        mats += [mats[0].scale(Fraction(1, 3)), ExactMatrix.zeros(4, 4)]
+        ia, ib, ic = _all_triples(len(mats))
+        want = combination([{int(c): Fraction(1, 2)} for c in ic])
+
+        def evaluate():
+            fresh = ExactFamily(mats)
+            return (fresh.equal(ia, ib, ic, want, sym=True), fresh.equal(ia, ib, ic),
+                    fresh.ternary(ia, ib, ic, sym=True), fresh.vanish(ia, ib),
+                    fresh.vanish(ib, ic, star_first=True))
+
+        whole = evaluate()
+        chunks = []
+        orig = ExactFamily._chunks
+
+        def counted(self, *args):
+            for chunk in orig(self, *args):
+                chunks.append(len(chunk[0]))
+                yield chunk
+
+        monkeypatch.setattr(numlin, "_CHUNK_CELLS", 1)
+        monkeypatch.setattr(ExactFamily, "_chunks", counted)
+        split = evaluate()
+        assert set(chunks) == {1} and len(chunks) == 3 * len(ia)
+        assert whole[0].any() and not whole[0].all() and whole[1].any()
+        for a, b in zip(whole, split):
+            if isinstance(a, tuple):
+                assert all((x is None and y is None) or (x == y).all() for x, y in zip(a, b))
+            else:
+                assert (a == b).all()
