@@ -98,6 +98,25 @@ def _index_label(idx) -> str:
     return f"u_{idx}"
 
 
+def labels_to_indices(kind: str, labels: Sequence[str]) -> list:
+    """The indices of a grid of ``kind`` whose ``Grid.label`` texts are
+    ``labels``: the inverse of ``_index_label``."""
+    out = []
+    for lab in labels:
+        if kind == "spin":
+            if lab == "u_0":
+                out.append(("u0", 0))
+            elif lab.startswith("u~_"):
+                out.append(("ut", int(lab[3:])))
+            else:
+                out.append(("u", int(lab[2:])))
+        elif kind == "rank1":
+            out.append(int(lab[2:]))
+        else:
+            out.append(tuple(int(t) for t in lab[2:].split("_")))
+    return out
+
+
 # -- constructors ------------------------------------------------------------
 
 
@@ -145,7 +164,8 @@ def spin_system(k: int) -> List[ExactMatrix]:
     padded with identities to the common size.
     """
     if k < 2 or k > SPIN_SYSTEM_CAP:
-        raise CapacityError(f"spin system size must be in 2..{SPIN_SYSTEM_CAP}, got {k}")
+        error = ValueError if k < 2 else CapacityError
+        raise error(f"spin system size must be in 2..{SPIN_SYSTEM_CAP}, got {k}")
     slots = (k + 1) // 2
     out = []
     for idx in range(1, k + 1):

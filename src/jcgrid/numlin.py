@@ -165,7 +165,9 @@ def _canonical(re: np.ndarray, im: np.ndarray, den: int):
         g = math.gcd(den, _gcd_all(re))
         if g != 1:
             g = math.gcd(g, _gcd_all(im))
-        if g != 1:
+        if g == den and not (re.any() or im.any()):
+            den = 1  # zero: den may not fit the int64 numerators it would divide
+        elif g != 1:
             re, im, den = re // g, im // g, den // g
     if re.dtype is _OBJECT or im.dtype is _OBJECT:
         if max(_abs_max(re), _abs_max(im)) < _INT64_LIMIT:

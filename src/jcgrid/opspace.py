@@ -15,12 +15,10 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateInputError, DimensionError
+from .errors import DegenerateInputError, DimensionError
 from .hnk import HnkSpace, build_hnk
 from .numlin import (ExactMatrix, ExactScalar, exact_linearly_independent,
                      operator_norm)
-
-WITNESS_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -176,9 +174,9 @@ def support_sum_identities(space: HnkSpace) -> Tuple[bool, bool]:
     rows, cols = space.shape
     left = ExactMatrix.zeros(rows, rows)
     right = ExactMatrix.zeros(cols, cols)
-    for u in space.basis:
-        left = left + u * u.adjoint()
-        right = right + u.adjoint() * u
+    for u in space.rank_one.elements:
+        left = left + u.left_support()
+        right = right + u.right_support()
     k_id = ExactMatrix.identity(rows).scale(ExactScalar(space.k))
     o_id = ExactMatrix.identity(cols).scale(ExactScalar(space.n - space.k + 1))
     return left == k_id, right == o_id
@@ -190,10 +188,8 @@ def cb_separation_report(n: int, k: int) -> CbSeparationReport:
     For 1 < k < n both ratios exceed 1: sqrt(n/k) against the row space and
     sqrt(n/(n-k+1)) against the column space.  For k = n (row space itself)
     and k = 1 (column space itself) the matching ratio is 1 and no separation
-    is claimed.
+    is claimed.  ``build_hnk`` rejects an invalid (n, k) and caps n.
     """
-    if not (1 <= k <= n <= WITNESS_CAP):
-        raise CapacityError(f"witness report capped at 1 <= k <= n <= {WITNESS_CAP}")
     space = build_hnk(n, k)
     left_ok, right_ok = support_sum_identities(space)
     rw = row_witness(space)

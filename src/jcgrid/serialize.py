@@ -19,7 +19,7 @@ from typing import List
 
 import numpy as np
 
-from .grids import Grid
+from .grids import Grid, labels_to_indices
 from .hnk import HnkSpace
 from .numlin import ExactMatrix, ExactScalar
 
@@ -87,28 +87,9 @@ def grid_to_json(g: Grid) -> dict:
 
 
 def grid_from_json(d: dict) -> Grid:
-    from .grids import Grid as _Grid
-    labels = d["labels"]
     mats = [matrix_from_json(e) for e in d["elements"]]
-    idxs = _labels_to_indices(d["kind"], labels)
-    return _Grid(d["kind"], d["params"], list(zip(idxs, mats)))
-
-
-def _labels_to_indices(kind: str, labels: List[str]) -> list:
-    out = []
-    for lab in labels:
-        if kind == "spin":
-            if lab == "u_0":
-                out.append(("u0", 0))
-            elif lab.startswith("u~_"):
-                out.append(("ut", int(lab[3:])))
-            else:
-                out.append(("u", int(lab[2:])))
-        elif kind == "rank1":
-            out.append(int(lab[2:]))
-        else:
-            out.append(tuple(int(t) for t in lab[2:].split("_")))
-    return out
+    idxs = labels_to_indices(d["kind"], d["labels"])
+    return Grid(d["kind"], d["params"], list(zip(idxs, mats)))
 
 
 def hnk_to_json(space: HnkSpace) -> dict:

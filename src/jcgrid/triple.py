@@ -26,22 +26,33 @@ class GridRelation(enum.Enum):
 
 
 class PartialIsometry:
-    """An exact matrix v with v v* v = v, validated at construction."""
+    """An exact matrix v with v v* v = v, validated at construction.
 
-    __slots__ = ("mat",)
+    It owns its support projections: v v* is kept from the validation and
+    v* v is formed on first use; every caller reads them here.
+    """
+
+    __slots__ = ("mat", "_left", "_right")
 
     def __init__(self, mat: ExactMatrix):
         if mat.is_zero():
             raise ValueError("partial isometry must be nonzero")
-        if mat * mat.adjoint() * mat != mat:
+        left = mat * mat.adjoint()
+        if left * mat != mat:
             raise ValueError("matrix fails the partial isometry identity v v* v = v")
         self.mat = mat
+        self._left = left
+        self._right = None
 
     def left_support(self) -> ExactMatrix:
-        return self.mat * self.mat.adjoint()
+        """v v*, the same object on every call."""
+        return self._left
 
     def right_support(self) -> ExactMatrix:
-        return self.mat.adjoint() * self.mat
+        """v* v, formed once."""
+        if self._right is None:
+            self._right = self.mat.adjoint() * self.mat
+        return self._right
 
     @property
     def shape(self):
@@ -112,15 +123,15 @@ def classify_relation(v: PartialIsometry, w: PartialIsometry) -> GridRelation:
         return GridRelation.EQUAL
     if (v.mat.adjoint() * w.mat).is_zero() and (v.mat * w.mat.adjoint()).is_zero():
         return GridRelation.ORTHOGONAL
-    wwv = triple_product(w.mat, w.mat, v.mat)
-    vvw = triple_product(v.mat, v.mat, w.mat)
-    half_v = v.mat.scale(EX_HALF)
-    half_w = w.mat.scale(EX_HALF)
-    if wwv == half_v and vvw == half_w:
-        return GridRelation.COLINEAR
-    if vvw == w.mat and wwv == half_v:
-        return GridRelation.GOVERNS_FIRST_OVER_SECOND
-    if wwv == v.mat and vvw == half_w:
+    # twice the triple products: 2{w,w,v} = w w* v + v w* w, read off the supports
+    wwv = w.left_support() * v.mat + v.mat * w.right_support()
+    vvw = v.left_support() * w.mat + w.mat * v.right_support()
+    if wwv == v.mat:
+        if vvw == w.mat:
+            return GridRelation.COLINEAR
+        if vvw == w.mat.scale(2):
+            return GridRelation.GOVERNS_FIRST_OVER_SECOND
+    elif vvw == w.mat and wwv == v.mat.scale(2):
         return GridRelation.GOVERNS_SECOND_OVER_FIRST
     return GridRelation.UNCLASSIFIED
 

@@ -196,6 +196,29 @@ class TestWitness:
         assert "ratio=1.00000000" in res.stdout
         assert "degenerate" in res.stdout
 
+    def test_follows_the_build_cap(self, capsys):
+        assert cli.main(["witness", "--n", "8", "--k", "4"]) == 0
+        out = capsys.readouterr().out
+        # sqrt(4) and sqrt(5)
+        assert "row witness: norm=2.00000000" in out
+        assert "col witness: norm=2.23606798" in out
+        assert cli.main(["witness", "--n", "9", "--k", "2"]) == 3
+        assert capsys.readouterr().err.startswith("capacity: ")
+
+
+class TestValidityBeforeCapacity:
+    """An invalid input that exceeds no cap is a usage error, not capacity."""
+
+    @pytest.mark.parametrize("args", [
+        ("witness", "--n", "3", "--k", "5"),
+        ("witness", "--n", "0", "--k", "0"),
+        ("construct", "spin-system", "--k", "1"),
+    ], ids=" ".join)
+    def test_usage_error(self, capsys, args):
+        assert cli.main(list(args)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: ")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
@@ -365,6 +388,18 @@ class TestSharedWork:
         # one batched evaluation: the exhaustive table, 6 * 6 * 21 triples
         # with x <= z, and the 6 * 5 * (1 + 1 + 4) named rank-one instances
         assert sizes == [126 + 180]
+
+    # each count was 524 and 10,124 while every support projection and every
+    # one was formed afresh where it was read
+    @pytest.mark.parametrize("args,products", [
+        (("verify", "uij-grid", "--n", "4", "--k", "2"), 185),
+        (("verify", "split", "--p", "4", "--q", "4"), 1388),
+    ], ids=["uij-grid", "split"])
+    def test_exact_products(self, monkeypatch, capsys, args, products):
+        calls = _count_calls(monkeypatch, numlin.ExactMatrix, "__mul__")
+        assert cli.main(list(args)) == 0
+        assert "overall: pass" in capsys.readouterr().out
+        assert len(calls) == products
 
     def test_uij_family_builds_each_word_once(self, monkeypatch, capsys):
         calls = _count_calls(monkeypatch, hnk, "_word_matrix")

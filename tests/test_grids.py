@@ -158,8 +158,9 @@ class TestSpinSystem:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             spin_system(13)
-        with pytest.raises(CapacityError):
+        with pytest.raises(ValueError) as exc:
             spin_system(1)
+        assert not isinstance(exc.value, CapacityError)
 
 
 class TestSpinGrid:
@@ -404,6 +405,38 @@ FAILURE_REPORTS = {
          "failed [('colinear', 1, 2), ('jordan-minimal', 1, 2), ('distinct-zero', 1, 2, 3)]"),
     ]),
 }
+
+
+def _classify_by_triple_products(v, w):
+    """The relation read off the triple products {w,w,v} and {v,v,w}: the
+    reference for ``classify_relation``."""
+    if v.mat == w.mat:
+        return GridRelation.EQUAL
+    if (v.mat.adjoint() * w.mat).is_zero() and (v.mat * w.mat.adjoint()).is_zero():
+        return GridRelation.ORTHOGONAL
+    wwv = triple_product(w.mat, w.mat, v.mat)
+    vvw = triple_product(v.mat, v.mat, w.mat)
+    half_v, half_w = v.mat.scale(EX_HALF), w.mat.scale(EX_HALF)
+    if wwv == half_v and vvw == half_w:
+        return GridRelation.COLINEAR
+    if vvw == w.mat and wwv == half_v:
+        return GridRelation.GOVERNS_FIRST_OVER_SECOND
+    if wwv == v.mat and vvw == half_w:
+        return GridRelation.GOVERNS_SECOND_OVER_FIRST
+    return GridRelation.UNCLASSIFIED
+
+
+def test_classify_relation_matches_triple_products():
+    clean = [rectangular_grid(2, 3), hermitian_grid(4), symplectic_grid(5),
+             spin_grid(2, True), spin_grid(3, False), build_hnk(4, 2).as_grid()]
+    seen = set()
+    for g in clean + list(_corrupted_grids().values()):
+        for v in g.isometries():
+            for w in g.isometries():
+                got = classify_relation(v, w)
+                assert got is _classify_by_triple_products(v, w)
+                seen.add(got)
+    assert seen == set(GridRelation)
 
 
 class TestFailureReports:

@@ -10,7 +10,7 @@ import pytest
 
 from jcgrid import hnk
 from jcgrid.errors import CapacityError, DecompositionError, DimensionError
-from jcgrid.grids import verify_grid
+from jcgrid.grids import Grid, verify_grid
 from jcgrid.hnk import (Combination, build_hnk, build_uIJ, combinations,
                         decompose_into_ones, diag_hnk, diag_rect,
                         grid_support_split, hnk_projection,
@@ -167,6 +167,23 @@ class TestSupportAndIndices:
                      build_hnk(4, 2).realization()):
             i_r, i_l = indices(real)
             assert i_r + i_l >= real.n + 1
+
+
+class TestOnesAreWords:
+    @pytest.mark.parametrize("n,k", [(4, 2), (5, 3)])
+    def test_factor_is_the_family_word(self, n, k):
+        real = build_hnk(n, k).realization()
+        fam = uij_family(real)
+        factors = [f for I, J in fam for f in decompose_into_ones(real, I, J)]
+        assert any(f.starred for f in factors) and not all(f.starred for f in factors)
+        for f in factors:
+            I, c, J = f.sets()
+            word = fam[(I, J)][0]
+            assert f.matrix(real) is (word.adjoint() if f.starred else word)
+            # the reference: (uu*)_I u_c (u*u)_J from the support products
+            chain = support_product(real, "right", I) * real.matrix(c) \
+                * support_product(real, "left", J)
+            assert word == chain
 
 
 class TestBuildUIJ:
@@ -350,6 +367,19 @@ class TestPeirceSplit:
         p_part, q_part, _ = peirce_split(real)
         assert indices(p_part)[0] > indices(q_part)[0]
 
+    def test_cross_orthogonality_fails_for_a_non_splitting_p(self):
+        real = diag_hnk(3, [2, 1])
+        _, _, p = peirce_split(real)
+        corner = E(p.rows, p.rows, 0, 0)
+        for proj, splits in ((p, True), (corner, False)):
+            assert split_cross_orthogonal(real, proj) is splits
+            # the reference: every cross pair, one product at a time
+            one = ExactMatrix.identity(proj.rows)
+            pairs = [(proj * real.matrix(i), (one - proj) * real.matrix(j))
+                     for i in range(1, 4) for j in range(1, 4)]
+            assert all((a * b.adjoint()).is_zero() and (a.adjoint() * b).is_zero()
+                       for a, b in pairs) is splits
+
 
 class TestDiag:
     def test_single_summand_matches_plain_space(self):
@@ -404,6 +434,14 @@ class TestDiagRect:
     def test_requires_two_by_two(self):
         with pytest.raises(ValueError):
             diag_rect(1, 3)
+
+    def test_unit_image_fails_on_a_corrupted_p_grid(self):
+        p_grid, _, _ = grid_support_split(diag_rect(3, 2))
+        for idx in ((1, 1), (3, 2)):
+            bad = Grid(p_grid.kind, p_grid.params,
+                       [(i, -p_grid.matrix(i) if i == idx else p_grid.matrix(i))
+                        for i in p_grid.indices])
+            assert not ternary_matrix_unit_image(bad)
 
 
 class TestProjection:

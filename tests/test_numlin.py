@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (exact_matrices, jacobi_eigenvalues, power_iteration_norm,
@@ -395,6 +395,19 @@ class TestPromotionBoundary:
         assert block_row([big.scale(Fraction(1, 2 ** 61)), one(1)]) == \
             ExactMatrix.from_rows([[4, 1]])
 
+    @pytest.mark.parametrize("make", [
+        lambda big: big - big,
+        lambda big: big * ExactMatrix.zeros(1, 1),
+        lambda big: ExactMatrix.zeros(1, 1) * big,
+        lambda big: big.scale(0),
+        lambda big: big.kron(ExactMatrix.zeros(1, 1)),
+    ], ids=["sub", "mul-zero", "zero-mul", "scale-0", "kron-zero"])
+    def test_zero_over_wide_denominator(self, make):
+        # the zero result comes over den 2^64 + 1, which no int64 holds
+        got = make(one(Fraction(1, 2 ** 64 + 1)))
+        assert got == ExactMatrix.zeros(1, 1) and got.den == 1
+        assert_canonical_storage(got)
+
     @pytest.mark.parametrize("value", [
         Fraction(2 ** 53 + 1, 7),  # int64 numerator that float64 cannot hold
         Fraction(2 ** 70 + 1, 3 * 2 ** 20),
@@ -568,6 +581,11 @@ class TestFamilyOracle:
 
     @settings(max_examples=25, deadline=None)
     @given(_stacks())
+    # a zero member beside denominators 2, 20249 and 74993: den^3 exceeds 2^63
+    @example((3, 3, [ExactMatrix.from_rows([[Fraction(1, 2), 0, 0],
+                                            [0, Fraction(3, 20249), 0],
+                                            [0, 0, ExactScalar(0, Fraction(-5, 74993))]]),
+                     ExactMatrix.zeros(3, 3)]))
     def test_against_exact_matrix(self, stack):
         rows, cols, mats = stack
         n = len(mats)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jcgrid.grids import hermitian_grid, spin_grid, verify_grid
-from jcgrid.hnk import build_hnk
+from jcgrid.grids import (hermitian_grid, labels_to_indices, rectangular_grid,
+                          spin_grid, symplectic_grid, verify_grid)
+from jcgrid.hnk import build_hnk, diag_rect
 from jcgrid.numlin import ExactMatrix, ExactScalar
 from jcgrid.serialize import (dumps, grid_from_json, grid_to_json,
                               hnk_basis_from_json, hnk_to_json,
@@ -39,6 +40,17 @@ def test_grid_roundtrip_reverifies_identically():
         r1 = verify_grid(g)
         r2 = verify_grid(g2)
         assert r1.to_json_dict() == r2.to_json_dict()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rectangular_grid(2, 3), lambda: hermitian_grid(3), lambda: symplectic_grid(4),
+    lambda: spin_grid(2, True), lambda: build_hnk(3, 2).as_grid(), lambda: diag_rect(2, 3),
+], ids=["rectangular", "hermitian", "symplectic", "spin-odd", "rank1", "diag-rect"])
+def test_labels_round_trip(make):
+    g = make()
+    labels = [g.label(i) for i in g.indices]
+    assert labels_to_indices(g.kind, labels) == list(g.indices)
+    assert grid_from_json(grid_to_json(g)).indices == g.indices
 
 
 def test_hnk_payload_self_describing():

@@ -34,6 +34,11 @@ class TestPartialIsometry:
         assert v.left_support() == E(2, 2, 0, 0)
         assert v.right_support() == E(3, 3, 1, 1)
 
+    def test_supports_are_formed_once(self):
+        v = iso(E(2, 3, 0, 1) + E(2, 3, 1, 2))
+        assert v.left_support() is v.left_support()
+        assert v.right_support() is v.right_support()
+
 
 class TestTripleProduct:
     def test_idempotent(self):
