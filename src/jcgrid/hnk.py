@@ -756,14 +756,17 @@ def hnk_projection(space: HnkSpace, x) -> ApproxMatrix:
 
     Idempotence settles the normalization: dividing by the multiplicity m
     fixes every basis element exactly (``trace_formula_check`` reports the
-    alternative sqrt(m) reading alongside, for comparison only).
+    alternative sqrt(m) reading alongside, for comparison only).  A stack of
+    shape ``(..., rows, cols)`` is projected matrix by matrix in one pair of
+    tensordots.
     """
     arr = x.array if isinstance(x, ApproxMatrix) else np.asarray(x, dtype=np.complex128)
-    if arr.shape != space.shape:
-        raise DimensionError(f"expected shape {space.shape}, got {arr.shape}")
+    if arr.shape[-2:] != space.shape:
+        raise DimensionError(f"expected shape (..., {space.shape[0]}, {space.shape[1]}), "
+                             f"got {arr.shape}")
     basis = space.basis_array
-    coeffs = np.tensordot(arr, basis.conj(), axes=([0, 1], [1, 2])) / space.multiplicity
-    return ApproxMatrix(np.tensordot(coeffs, basis, axes=(0, 0)))
+    coeffs = np.tensordot(arr, basis.conj(), axes=([-2, -1], [1, 2])) / space.multiplicity
+    return ApproxMatrix(np.tensordot(coeffs, basis, axes=(-1, 0)))
 
 
 def hnk_projection_exact(space: HnkSpace, x: ExactMatrix) -> ExactMatrix:

@@ -735,14 +735,15 @@ class ExactFamily:
 
 
 class ApproxMatrix:
-    """Dense complex128 matrix; the carrier for norms and singular values."""
+    """Dense complex128 matrix, or a stack of them in an array of shape
+    ``(..., rows, cols)``; the carrier for norms and singular values."""
 
     __slots__ = ("array",)
 
     def __init__(self, array):
         arr = np.array(array, dtype=np.complex128, copy=True)
-        if arr.ndim != 2:
-            raise DimensionError("ApproxMatrix requires a 2-d array")
+        if arr.ndim < 2:
+            raise DimensionError("ApproxMatrix requires an array of at least 2 dimensions")
         arr.setflags(write=False)
         self.array = arr
 
@@ -752,11 +753,11 @@ class ApproxMatrix:
 
     @property
     def rows(self) -> int:
-        return self.array.shape[0]
+        return self.array.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.array.shape[1]
+        return self.array.shape[-1]
 
     def __repr__(self):
         return f"ApproxMatrix({self.rows}x{self.cols})"
@@ -769,47 +770,51 @@ def _as_array(a) -> np.ndarray:
         arr = a.to_approx().array
     else:
         arr = np.asarray(a, dtype=np.complex128)
-        if arr.ndim != 2:
-            raise DimensionError("expected a 2-d array")
-    if not np.all(np.isfinite(arr.view(np.float64))):
+        if arr.ndim < 2:
+            raise DimensionError("expected a 2-d array or a stack of them")
+    if not np.isfinite(arr).all():
         raise NumericError("matrix has non-finite entries")
     return arr
 
 
 def singular_values(a) -> np.ndarray:
     """All singular values, descending, via LAPACK ``eigvalsh`` on the smaller
-    Gram matrix.
+    Gram matrix.  A stack of shape ``(..., r, c)`` gives one row of values
+    per matrix, shape ``(..., min(r, c))``, from one ``eigvalsh`` call.
 
-    Gram eigenvalues below the numerical-rank cutoff (relative to the largest)
-    are treated as exact zeros; squaring would otherwise inflate them to
-    sqrt(eps)-sized spurious singular values.
+    Gram eigenvalues below the numerical-rank cutoff (relative to the largest
+    of their matrix) are treated as exact zeros; squaring would otherwise
+    inflate them to sqrt(eps)-sized spurious singular values.
     """
     arr = _as_array(a)
-    if arr.shape[0] <= arr.shape[1]:
-        gram = arr @ arr.conj().T
+    if arr.shape[-2] <= arr.shape[-1]:
+        gram = arr @ arr.conj().swapaxes(-1, -2)
     else:
-        gram = arr.conj().T @ arr
+        gram = arr.conj().swapaxes(-1, -2) @ arr
     try:
         eigs = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Hermitian eigenvalues did not converge: {exc}") from exc
     eigs = np.clip(eigs, 0.0, None)
     if eigs.size:
-        cutoff = eigs[-1] * max(arr.shape) * 8.0 * np.finfo(np.float64).eps
+        cutoff = eigs[..., -1:] * max(arr.shape[-2:]) * 8.0 * np.finfo(np.float64).eps
         eigs[eigs <= cutoff] = 0.0
-    return np.sqrt(eigs)[::-1]
+    return np.sqrt(eigs)[..., ::-1]
 
 
-def operator_norm(a) -> float:
-    """Largest singular value."""
+def operator_norm(a):
+    """Largest singular value: a float, or one per matrix of a stack."""
     s = singular_values(a)
-    return float(s[0]) if s.size else 0.0
+    top = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
+    return float(top) if s.ndim == 1 else top
 
 
-def trace_norm(a) -> float:
-    """Sum of singular values.  For the wide/tall Gram reduction this counts
-    only min(rows, cols) values, which is all of the nonzero ones."""
-    return float(np.sum(singular_values(a)))
+def trace_norm(a):
+    """Sum of singular values: a float, or one per matrix of a stack.  For the
+    wide/tall Gram reduction this counts only min(rows, cols) values, which
+    is all of the nonzero ones."""
+    s = singular_values(a)
+    return float(np.sum(s)) if s.ndim == 1 else np.sum(s, axis=-1)
 
 
 # -- exact linear algebra helpers -------------------------------------------

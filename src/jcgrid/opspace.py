@@ -10,6 +10,7 @@ are ever claimed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -147,6 +148,27 @@ class CbSeparationReport:
     sum_right_supports_is_other_identity: bool
     degenerate: str
 
+    def mismatches(self) -> List[str]:
+        """What disagrees with the exact values: a false support identity, or
+        a float norm off by more than 1e-9 relative.  The identities fix the
+        norms: sqrt(k) for the row witness, sqrt(n - k + 1) for the column
+        witness and sqrt(n) for both images."""
+        out = []
+        if not self.sum_left_supports_is_k_identity:
+            out.append("sum u_i u_i* != k.I")
+        if not self.sum_right_supports_is_other_identity:
+            out.append("sum u_i* u_i != (n-k+1).I")
+        n, k = self.n, self.k
+        for name, got, square, label in (
+                ("row witness norm", self.row_witness_norm, k, "sqrt(k)"),
+                ("col witness norm", self.col_witness_norm, n - k + 1, "sqrt(n-k+1)"),
+                ("image-in-row-space norm", self.row_image_norm, n, "sqrt(n)"),
+                ("image-in-col-space norm", self.col_image_norm, n, "sqrt(n)")):
+            want = math.sqrt(square)
+            if not abs(got - want) <= 1e-9 * want:
+                out.append(f"{name}={got:.12f} but {label}={want:.12f}")
+        return out
+
     def lines(self) -> List[str]:
         out = [
             f"space n={self.n} k={self.k}",
@@ -160,9 +182,12 @@ class CbSeparationReport:
             f"sum u_i u_i* = k.I: {self.sum_left_supports_is_k_identity}, "
             f"sum u_i* u_i = (n-k+1).I: {self.sum_right_supports_is_other_identity}",
         ]
+        mismatches = self.mismatches()
         if self.degenerate:
             out.append(self.degenerate)
-        else:
+        if mismatches:
+            out.append("not certified: " + "; ".join(mismatches))
+        elif not self.degenerate:
             out.append(
                 "certified: no isometric coefficient transport onto the row or "
                 "column space is completely contractive (lower bounds above)")

@@ -5,12 +5,14 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from jcgrid import cli, grids, hnk, numlin, triple
+from jcgrid import cli, grids, hnk, numlin, opspace, triple
 from jcgrid.errors import (CapacityError, DecompositionError, DimensionError,
                            NumericError, TransformError)
 from jcgrid.hnk import build_hnk
@@ -204,6 +206,36 @@ class TestWitness:
         assert "col witness: norm=2.23606798" in out
         assert cli.main(["witness", "--n", "9", "--k", "2"]) == 3
         assert capsys.readouterr().err.startswith("capacity: ")
+
+
+class TestWitnessFailures:
+    """The exact identities fix every witness norm; a false identity or an
+    off norm fails the command instead of certifying it."""
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (3, 3)])
+    def test_false_support_identity(self, monkeypatch, capsys, n, k):
+        monkeypatch.setattr(opspace, "support_sum_identities", lambda space: (True, False))
+        assert cli.main(["witness", "--n", str(n), "--k", str(k)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "sum u_i* u_i = (n-k+1).I: False" in lines[3]
+        assert lines[-1] == "not certified: sum u_i* u_i != (n-k+1).I"
+        assert not any(line.startswith("certified:") for line in lines)
+
+    def test_perturbed_float_norm(self, monkeypatch, capsys):
+        monkeypatch.setattr(opspace, "operator_norm",
+                            lambda a: numlin.operator_norm(a) * (1 + 1e-8))
+        assert cli.main(["witness", "--n", "3", "--k", "2"]) == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("not certified: row witness norm=1.414213576")
+        assert "but sqrt(k)=1.414213562373" in last
+        for name in ("col witness norm", "image-in-row-space norm", "image-in-col-space norm"):
+            assert name in last
+
+    def test_norm_within_tolerance_passes(self, monkeypatch, capsys):
+        monkeypatch.setattr(opspace, "operator_norm",
+                            lambda a: numlin.operator_norm(a) * (1 + 1e-10))
+        assert cli.main(["witness", "--n", "3", "--k", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("certified:")
 
 
 class TestValidityBeforeCapacity:
@@ -406,6 +438,74 @@ class TestSharedWork:
         assert cli.main(["verify", "uij-grid", "--n", "4", "--k", "2"]) == 0
         assert "overall: pass" in capsys.readouterr().out
         assert len(calls) == 24
+
+
+def _projection_report(capsys, *args):
+    assert cli.main(["verify", "projection", *args, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["checks"]
+
+
+def _per_sample_projection(n, k, samples, seed):
+    """The projection check one sample at a time, as the CLI ran it before
+    it drew and measured its samples in stacked blocks: (worst idempotence
+    residual, worst norm ratio)."""
+    space = build_hnk(n, k)
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    rows, cols = space.shape
+    worst_idem = worst_ratio = 0.0
+    for _ in range(samples):
+        x = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        px = hnk.hnk_projection(space, x).array
+        ppx = hnk.hnk_projection(space, px).array
+        denom = max(1.0, float(np.abs(px).max()))
+        worst_idem = max(worst_idem, float(np.abs(ppx - px).max()) / denom)
+        nx = numlin.operator_norm(x)
+        npx = numlin.operator_norm(px)
+        if nx > 1e-12:
+            worst_ratio = max(worst_ratio, npx / nx)
+    return worst_idem, worst_ratio
+
+
+class TestProjectionBlocks:
+    """`verify projection` draws, projects and measures its samples one
+    stacked block at a time."""
+
+    def test_one_block_makes_two_projections_and_two_norm_calls(self, monkeypatch, capsys):
+        # 200 of each while every sample was projected and measured alone
+        projections = _count_calls(monkeypatch, hnk, "hnk_projection")
+        eigen = _count_calls(monkeypatch, numlin, "singular_values")
+        checks = _projection_report(capsys, "--n", "4", "--k", "2", "--samples", "100")
+        assert [c["status"] for c in checks] == ["pass"] * 3
+        assert (len(projections), len(eigen)) == (2, 2)
+
+    def test_block_size_does_not_change_the_report(self, monkeypatch, capsys):
+        args = ("--n", "4", "--k", "2", "--samples", "100", "--seed", "5")
+        one = _projection_report(capsys, *args)
+        rows, cols = build_hnk(4, 2).shape
+        monkeypatch.setattr(cli, "PROJECTION_BLOCK_ENTRIES", 15 * rows * cols)
+        projections = _count_calls(monkeypatch, hnk, "hnk_projection")
+        seven = _projection_report(capsys, *args)
+        assert len(projections) == 2 * 7  # 6 blocks of 15 samples and one of 10
+        assert [c["status"] for c in seven] == [c["status"] for c in one]
+        assert seven[2]["detail"] == one[2]["detail"]
+        assert seven[1]["detail"] == one[1]["detail"] == "100 samples"
+        assert abs(seven[1]["residual"] - one[1]["residual"]) <= 1e-15
+
+    def test_matches_the_per_sample_oracle(self, capsys):
+        # the 20 projection commands of the float-norms benchmark workload,
+        # seeded as its seed 1 seeds them
+        seeds = random.Random(1)
+        for n in range(2, 7):
+            for k in range(1, n + 1):
+                seed = seeds.randrange(2 ** 31)
+                checks = _projection_report(capsys, "--n", str(n), "--k", str(k),
+                                            "--samples", "100", "--seed", str(seed))
+                idem, ratio = _per_sample_projection(n, k, 100, seed)
+                assert [c["status"] for c in checks] == [
+                    "pass", "pass" if idem <= 1e-12 else "fail",
+                    "pass" if ratio <= 1.0 + 1e-9 else "fail"]
+                assert checks[2]["detail"] == f"max ratio {ratio:.12f}"
+                assert abs(checks[1]["residual"] - idem) <= 1e-15
 
 
 class _ClosedPipe(io.TextIOBase):

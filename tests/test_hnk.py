@@ -473,6 +473,25 @@ class TestProjection:
         with pytest.raises(DimensionError):
             hnk_projection(sp, np.zeros((2, 2)))
 
+    def test_stack_agrees_with_per_matrix_calls(self, rng):
+        # a stacked tensordot is a gemm where one matrix is a gemv: equal up
+        # to the last bits, not bit for bit
+        for n, k in [(3, 2), (4, 2), (5, 3), (6, 4)]:
+            sp = build_hnk(n, k)
+            shape = (7, 3) + sp.shape
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            px = hnk_projection(sp, x)
+            assert px.array.shape == shape and (px.rows, px.cols) == sp.shape
+            for idx in np.ndindex(*shape[:2]):
+                want = hnk_projection(sp, x[idx]).array
+                assert np.abs(px.array[idx] - want).max() <= 1e-15 * max(1.0, np.abs(x[idx]).max())
+
+    @pytest.mark.parametrize("shape", [(4, 3, 2), (4, 2, 3, 3, 1), (9,), ()], ids=str)
+    def test_stack_with_wrong_trailing_shape(self, shape):
+        sp = build_hnk(3, 2)  # 3 x 3
+        with pytest.raises(DimensionError):
+            hnk_projection(sp, np.zeros(shape))
+
 
 class TestTraceFormula:
     def test_basis_vector_case(self):

@@ -196,11 +196,74 @@ class TestNorms:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(NumericError, match="did not converge"):
             singular_values(np.eye(3))
+        with pytest.raises(NumericError, match="did not converge"):
+            singular_values(np.stack([np.eye(3)] * 4))
 
     def test_singular_values_sorted(self, rng):
         x = rng.standard_normal((6, 6))
         s = singular_values(x)
         assert np.all(np.diff(s) <= 1e-12)
+
+
+class TestStackedNorms:
+    """A stack of shape (..., r, c) gives, per matrix, exactly what the 2-d
+    call gives for that matrix."""
+
+    @pytest.mark.parametrize("shape", [(50, 4, 7), (50, 7, 4), (30, 15, 15), (20, 56, 70),
+                                       (3, 1, 5), (0, 3, 4)], ids=str)
+    def test_equal_to_per_slice_calls(self, rng, shape):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s = singular_values(x)
+        assert s.shape == shape[:-2] + (min(shape[-2:]),)
+        assert np.array_equal(s, np.array([singular_values(m) for m in x]).reshape(s.shape))
+        for norm in (operator_norm, trace_norm):
+            got = norm(x)
+            assert isinstance(got, np.ndarray) and got.shape == shape[:-2]
+            assert np.array_equal(got, np.array([norm(m) for m in x]).reshape(got.shape))
+
+    def test_two_dimensional_call_returns_a_float(self, rng):
+        x = rng.standard_normal((4, 7))
+        assert type(operator_norm(x)) is float and type(trace_norm(x)) is float
+        assert operator_norm(np.zeros((0, 3))) == 0.0
+
+    def test_leading_axes_and_rank_cutoff_per_matrix(self, rng):
+        # the cutoff is relative to each matrix's own largest Gram eigenvalue
+        x = rng.standard_normal((2, 3, 4, 5)) + 1j * rng.standard_normal((2, 3, 4, 5))
+        x[1, 1] = np.outer(np.arange(1, 5), np.arange(1, 6))
+        x[1, 2] = 1e-8 * x[0, 0]  # all of its Gram eigenvalues lie below the others' cutoff
+        s = singular_values(x)
+        assert s.shape == (2, 3, 4)
+        assert np.array_equal(s[1, 1, 1:], np.zeros(3))
+        assert np.all(s[1, 2] > 0)
+        assert np.array_equal(s[1, 2], singular_values(x[1, 2]))
+        assert np.array_equal(operator_norm(x), s[..., 0])
+
+    def test_nonfinite_in_any_slice_rejected(self):
+        x = np.zeros((5, 3, 3))
+        x[3, 1, 2] = np.nan
+        with pytest.raises(NumericError):
+            singular_values(x)
+        x[3, 1, 2] = 0.0
+        x[4, 0, 0] = np.inf
+        for norm in (operator_norm, trace_norm):
+            with pytest.raises(NumericError):
+                norm(x)
+
+    def test_strided_views_accepted(self, rng):
+        # a complex view whose last axis is not contiguous (a transpose, a
+        # slice with a step) once raised ValueError in the finiteness check
+        x = rng.standard_normal((6, 5, 8)) + 1j * rng.standard_normal((6, 5, 8))
+        for view in (x[0].T, x[:, :, ::2], x.swapaxes(-1, -2)):
+            want = singular_values(np.ascontiguousarray(view))
+            assert np.array_equal(singular_values(view), want)
+        x[2, 1, 3] = complex(0.0, np.inf)
+        with pytest.raises(NumericError):
+            operator_norm(x[:, :, ::-1])
+
+    def test_one_dimensional_input_rejected(self):
+        for norm in (singular_values, operator_norm, trace_norm):
+            with pytest.raises(DimensionError):
+                norm(np.ones(4))
 
 
 class TestBlocks:
@@ -242,6 +305,12 @@ class TestApprox:
         a = ApproxMatrix(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             a.array[0, 0] = 1.0
+
+    def test_stack_reads_the_last_two_axes(self):
+        a = ApproxMatrix(np.zeros((5, 2, 3, 4)))
+        assert (a.rows, a.cols) == (3, 4)
+        with pytest.raises(DimensionError):
+            ApproxMatrix(np.zeros(4))
 
 
 class TestExactLinearAlgebra:
