@@ -22,9 +22,8 @@ import numpy as np
 
 from .errors import CapacityError, DecompositionError, DimensionError
 from .grids import Grid
-from .numlin import (EX_HALF, EX_ZERO, ApproxMatrix, ExactFamily,
-                     ExactMatrix, ExactScalar, block_diag, scaled_members,
-                     trace_norm)
+from .numlin import (EX_HALF, ApproxMatrix, ExactFamily, ExactMatrix,
+                     ExactScalar, block_diag, scaled_members, trace_norm)
 from .report import VerificationReport
 from .triple import PartialIsometry, ternary_product, triple_product
 
@@ -199,19 +198,20 @@ def build_hnk(n: int, k: int) -> HnkSpace:
     rows = combinations(n, n - k)
     cols = combinations(n, k - 1)
     m = math.comb(n - 1, k - 1)
+    row_of = {J.members: r for r, J in enumerate(rows)}
+    everything = frozenset(range(1, n + 1))
+    zeros = np.zeros((len(rows), len(cols)), dtype=np.int64)
     basis = []
     for c in range(1, n + 1):
-        entries = [EX_ZERO] * (len(rows) * len(cols))
-        for I in cols:
+        re = zeros.copy()
+        for j, I in enumerate(cols):
             if c in I:
                 continue
-            J = I.union(Combination.of(n, [c])).complement()
-            sign = signature_one(I, c, J)
-            entries[J.rank() * len(cols) + I.rank()] = ExactScalar(sign)
-        u = ExactMatrix(len(rows), len(cols), entries)
-        if u.nnz() != m or any(e.abs2() != 1 for _, _, e in u.support()):
+            r = row_of[tuple(sorted(everything.difference(I.members, (c,))))]
+            re[r, j] = signature_one(I, c, rows[r])
+        if np.count_nonzero(re) != m or np.abs(re).sum() != m:
             raise AssertionError(f"basis element {c} is not a sum of {m} signed units")
-        basis.append(u)
+        basis.append(ExactMatrix(len(rows), len(cols), _arrays=(re, zeros, 1)))
     real = RankOneRealization(PartialIsometry(u) for u in basis)
     if indices(real) != (k, n - k + 1):
         raise AssertionError("constructed space has wrong support indices")
@@ -225,16 +225,17 @@ class RankOneRealization:
 
     def __init__(self, elements: Iterable[PartialIsometry]):
         elements = tuple(elements)
+        mats = [e.mat for e in elements]
+        halves = [v.scale(EX_HALF) for v in mats]
         # the pairwise checks stay on ternary_product / triple_product: the
         # hnk-build trace of perfbench records triple.triple_product here
-        for a in range(len(elements)):
-            for b in range(len(elements)):
+        for a, va in enumerate(mats):
+            for b, vb in enumerate(mats):
                 if a == b:
                     continue
-                va, vb = elements[a].mat, elements[b].mat
                 if not ternary_product(va, vb, va).is_zero():
                     raise ValueError(f"element {a + 1} is not minimal against {b + 1}")
-                if triple_product(va, va, vb) != vb.scale(EX_HALF):
+                if triple_product(va, va, vb) != halves[b]:
                     raise ValueError(f"elements {a + 1}, {b + 1} are not colinear")
         self.elements = elements
         self._indices: Optional[Tuple[int, int]] = None

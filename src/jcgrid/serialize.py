@@ -3,10 +3,12 @@
 JSON carries Gaussian rationals as integer strings
 ``{"re": {"num": "...", "den": "..."}, "im": {...}}`` so construct/parse
 round-trips are exact; CSV emits floats only (17 significant digits, each
-complex entry as a re,im pair).  ``dumps`` writes the bytes of
+complex entry as a re,im pair).  ``matrix_to_json`` gives equal entries of a
+matrix one shared cell dict, so payloads are read-only: mutating a cell
+changes every entry of that value.  ``dumps`` writes the bytes of
 ``json.dumps(payload, indent=2, sort_keys=True)`` without the standard
-library's pure-Python indent encoder: each distinct matrix cell is rendered
-once and its text reused.  Payload keys must be ``str``.
+library's pure-Python indent encoder: each cell object is rendered once per
+indent depth and its text reused.  Payload keys must be ``str``.
 """
 
 from __future__ import annotations
@@ -44,21 +46,26 @@ def _part_json(num: int, den: int) -> dict:
     return {"num": str(num // g), "den": str(den // g)}
 
 
+class _Cells(dict):
+    """(re, im) numerators -> the one cell dict of that value over ``den``."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, key):
+        re, im = key
+        cell = self[key] = {"re": _part_json(re, self.den), "im": _part_json(im, self.den)}
+        return cell
+
+
 def matrix_to_json(m: ExactMatrix) -> dict:
-    den = m.den
-    memo = {}
-
-    def cell(re, im):
-        # the strings of a repeated value are built once; each cell gets its own dict
-        parts = memo.get((re, im))
-        if parts is None:
-            parts = memo[(re, im)] = (_part_json(re, den), _part_json(im, den))
-        return {"re": dict(parts[0]), "im": dict(parts[1])}
-
+    """The matrix as JSON data; equal entries are one shared cell dict."""
+    cell = _Cells(m.den).__getitem__
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [list(map(cell, r, i)) for r, i in zip(m.re.tolist(), m.im.tolist())],
+        "entries": [list(map(cell, zip(r, i))) for r, i in zip(m.re.tolist(), m.im.tolist())],
     }
 
 
@@ -121,40 +128,45 @@ def dumps(payload: dict) -> str:
     empty container go through ``json``'s own encoders, so strings, floats
     (``NaN``, ``Infinity``), bools and ``None`` read as they always have.  A
     matrix cell, a dict whose only keys are ``"re"`` and ``"im"``, each a
-    ``{"num": str, "den": str}`` dict, is rendered once per distinct value
-    and indent depth, and that text is reused for every equal cell.  Keys must
-    be ``str``: any other key raises ``TypeError``.
+    ``{"num": str, "den": str}`` dict, is rendered once per object and indent
+    depth, and that text is reused wherever the same object recurs at that
+    depth.  Keys must be ``str``: any other key raises ``TypeError``.
     """
     out: List[str] = []
     _write(payload, 0, out, {})
     return "".join(out)
 
 
-def _write(obj, level: int, out: List[str], cells: dict) -> None:
+def _write(obj, level: int, out: List[str], texts: dict) -> None:
     if isinstance(obj, dict) and obj:
-        key = _cell_key(obj, level)
-        if key is None:
-            _write_dict(obj, level, out, cells)
-            return
-        text = cells.get(key)
+        # Keyed by id: the payload holds every object it contains for the
+        # whole call, so no id is reused while ``texts`` remembers it.  The
+        # value is the cell's text, or None for a dict that is not a cell.
+        key = (id(obj), level)
+        if key not in texts:
+            texts[key] = None
+            if _is_cell(obj):
+                parts: List[str] = []
+                _write_dict(obj, level, parts, texts)
+                texts[key] = "".join(parts)
+        text = texts[key]
         if text is None:
-            parts: List[str] = []
-            _write_dict(obj, level, parts, cells)
-            text = cells[key] = "".join(parts)
-        out.append(text)
+            _write_dict(obj, level, out, texts)
+        else:
+            out.append(text)
     elif isinstance(obj, (list, tuple)) and obj:
         inner = "\n" + "  " * (level + 1)
         sep = "[" + inner
         for item in obj:
             out.append(sep)
-            _write(item, level + 1, out, cells)
+            _write(item, level + 1, out, texts)
             sep = "," + inner
         out.append("\n" + "  " * level + "]")
     else:
         out.append(json.dumps(obj))
 
 
-def _write_dict(d: dict, level: int, out: List[str], cells: dict) -> None:
+def _write_dict(d: dict, level: int, out: List[str], texts: dict) -> None:
     for key in d:
         if not isinstance(key, str):
             raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
@@ -162,19 +174,17 @@ def _write_dict(d: dict, level: int, out: List[str], cells: dict) -> None:
     sep = "{" + inner
     for key in sorted(d):
         out.append(sep + encode_basestring_ascii(key) + ": ")
-        _write(d[key], level + 1, out, cells)
+        _write(d[key], level + 1, out, texts)
         sep = "," + inner
     out.append("\n" + "  " * level + "}")
 
 
-def _cell_key(d: dict, level: int):
-    """(re num, re den, im num, im den, level) when ``d`` is a matrix cell."""
+def _is_cell(d: dict) -> bool:
+    """Whether ``d`` is a matrix cell: {"re": part, "im": part}, each part
+    exactly {"num": str, "den": str}."""
     if len(d) != 2:
-        return None
+        return False
     re, im = d.get("re"), d.get("im")
     if type(re) is not dict or type(im) is not dict or len(re) != 2 or len(im) != 2:
-        return None
-    rn, rd, i_n, i_d = re.get("num"), re.get("den"), im.get("num"), im.get("den")
-    if type(rn) is str and type(rd) is str and type(i_n) is str and type(i_d) is str:
-        return (rn, rd, i_n, i_d, level)
-    return None
+        return False
+    return all(type(p.get(k)) is str for p in (re, im) for k in ("num", "den"))

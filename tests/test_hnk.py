@@ -91,6 +91,23 @@ class TestSignatureOne:
             signature_one(C(3, [1]), 1, C(3, [2]))
 
 
+def _entrywise_basis(n, k):
+    """H(n, k)'s basis built entry by entry from ExactScalar lists and
+    Combination ranks: the oracle for the array construction."""
+    rows = combinations(n, n - k)
+    cols = combinations(n, k - 1)
+    basis = []
+    for c in range(1, n + 1):
+        entries = [ExactScalar(0)] * (len(rows) * len(cols))
+        for I in cols:
+            if c in I:
+                continue
+            J = I.union(Combination.of(n, [c])).complement()
+            entries[J.rank() * len(cols) + I.rank()] = ExactScalar(signature_one(I, c, J))
+        basis.append(ExactMatrix(len(rows), len(cols), entries))
+    return basis
+
+
 class TestBuildHnk:
     def test_example_n3_k2(self):
         sp = build_hnk(3, 2)
@@ -125,6 +142,28 @@ class TestBuildHnk:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             build_hnk(9, 4)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_the_entrywise_construction(self, n):
+        for k in range(1, n + 1):
+            got = build_hnk(n, k).basis
+            want = _entrywise_basis(n, k)
+            assert list(got) == want
+            assert all(g.re.dtype == g.im.dtype == np.int64 for g in got)
+
+    @pytest.mark.parametrize("bad", [0, 2, -2])
+    def test_a_broken_sign_fails_validation(self, monkeypatch, bad):
+        # the third entry of the basis gets a value that is no sign
+        calls = []
+        sign = signature_one
+
+        def broken(I, c, J):
+            calls.append(c)
+            return bad if len(calls) == 3 else sign(I, c, J)
+
+        monkeypatch.setattr(hnk, "signature_one", broken)
+        with pytest.raises(AssertionError, match="is not a sum of 3 signed units"):
+            build_hnk(4, 2)
 
     def test_space_keeps_one_realization(self):
         sp = build_hnk(4, 2)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import (exact_matrices, jacobi_eigenvalues, power_iteration_norm,
                       random_exact, square_exact, svd_norms)
 from jcgrid.errors import DimensionError, NumericError
-from jcgrid.numlin import (EX_HALF, EX_I, EX_ZERO, ApproxMatrix, ExactFamily,
+from jcgrid.numlin import (_BLAS_MIN_SIZE, EX_HALF, EX_I, EX_ZERO, ApproxMatrix, ExactFamily,
                            ExactMatrix, ExactScalar, block_diag, block_grid,
                            block_row, combination, exact_linearly_independent,
                            exact_rank, operator_norm, scaled_members,
@@ -489,6 +489,92 @@ class TestPromotionBoundary:
         assert one(s).to_approx().array[0, 0] == complex(s)
 
 
+def _dot_dtypes(monkeypatch):
+    """Record the operand dtype of every np.dot call."""
+    used = []
+    orig = np.dot
+
+    def spy(x, y):
+        used.append(x.dtype)
+        return orig(x, y)
+
+    monkeypatch.setattr(np, "dot", spy)
+    return used
+
+
+# (rows x INNER) times (INNER x rows) takes at least _BLAS_MIN_SIZE scalar
+# multiplications; INNER is odd, so INNER * a * b is odd for odd a and b
+INNER = 15
+RUNG_ROWS = next(r for r in itertools.count(1) if r * r * INNER >= _BLAS_MIN_SIZE)
+
+
+def _filled(rows, cols, value):
+    return ExactMatrix(rows, cols, [value] * (rows * cols))
+
+
+def _largest_odd_below(k):
+    """The largest odd a with INNER * a * k < 2^53."""
+    a = (2 ** 53 - 1) // (INNER * k)
+    return a if a % 2 else a - 1
+
+
+class TestFloatRung:
+    """Products of at least _BLAS_MIN_SIZE scalar multiplications run each
+    real dot in float64 while INNER * max|a| * max|b| < 2^53, and stay exact
+    on int64 from that bound up."""
+
+    B = 2 ** 26 + 1
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_bound_just_below_and_above(self, monkeypatch, kind):
+        used = _dot_dtypes(monkeypatch)
+        top = _largest_odd_below(self.B)
+        for a, rung in ((top, np.float64), (top + 2, np.int64)):
+            # every entry of each real dot is +-INNER * a * B: odd, so above
+            # 2^53 a float64 sum would round it
+            x, y = ExactScalar(a), ExactScalar(self.B)
+            if kind == "complex":
+                x, y = ExactScalar(a, a), ExactScalar(self.B, -self.B)
+            left = _filled(RUNG_ROWS, INNER, x)
+            right = _filled(INNER, RUNG_ROWS, y)
+            del used[:]
+            got = left * right
+            assert as_rows(got) == ref_product(left, right)
+            assert_canonical_storage(got)
+            assert used == [np.dtype(rung)] * (1 if kind == "real" else 4)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_mixed_entries_below_the_bound(self, monkeypatch, rng, kind):
+        used = _dot_dtypes(monkeypatch)
+        top = _largest_odd_below(self.B)
+        x = rng.integers(-top, top + 1, size=(RUNG_ROWS, INNER, 2))
+        y = rng.integers(-self.B, self.B + 1, size=(INNER, RUNG_ROWS, 2))
+        x[0, 0, 0], y[0, 0, 0] = top, -self.B
+        if kind == "real":
+            x[..., 1] = y[..., 1] = 0
+        left = ExactMatrix(RUNG_ROWS, INNER, [ExactScalar(*p) for p in x.reshape(-1, 2).tolist()])
+        right = ExactMatrix(INNER, RUNG_ROWS, [ExactScalar(*p) for p in y.reshape(-1, 2).tolist()])
+        got = left * right
+        assert as_rows(got) == ref_product(left, right)
+        assert_canonical_storage(got)
+        assert set(used) == {np.dtype(np.float64)}
+
+    def test_below_the_gate_stays_on_int64(self, monkeypatch, rng):
+        used = _dot_dtypes(monkeypatch)
+        x, y = random_exact(rng, 6, 6), random_exact(rng, 6, 6)
+        assert x._mags()[1] and y._mags()[1]
+        got = x * y
+        assert as_rows(got) == ref_product(x, y)
+        assert used == [np.dtype(np.int64)] * 4
+
+    def test_one_row_short_of_the_gate_stays_on_int64(self, monkeypatch):
+        used = _dot_dtypes(monkeypatch)
+        left = _filled(RUNG_ROWS - 1, INNER, ExactScalar(3))
+        right = _filled(INNER, RUNG_ROWS - 1, ExactScalar(-1))
+        assert left * right == _filled(RUNG_ROWS - 1, RUNG_ROWS - 1, ExactScalar(-3 * INNER))
+        assert used == [np.dtype(np.int64)]
+
+
 # Entries with large numerators and denominators, so that products and sums
 # cross 2^62 and run on Python ints.
 _wide_parts = st.one_of(
@@ -555,6 +641,21 @@ class TestSympyOracle:
         assert (Fraction(t.re), Fraction(t.im)) == (
             Fraction(want.x.numerator, want.x.denominator),
             Fraction(want.y.numerator, want.y.denominator))
+
+    def test_product_on_the_float_rung(self, qqi, monkeypatch, rng):
+        convert = qqi[0]
+        used = _dot_dtypes(monkeypatch)
+        # parts up to 2^20 over 1, 3, 5 or 15: numerators up to 15 * 2^20 over
+        # den 15, so INNER * max|a| * max|b| is about 2^51.7
+        def wide(rows, cols):
+            p, s = rng.integers(-2 ** 20, 2 ** 20 + 1, (2, rows * cols)).tolist()
+            q = rng.choice([1, 3, 5, 15], rows * cols).tolist()
+            return ExactMatrix(rows, cols, [ExactScalar(Fraction(*x), Fraction(*y))
+                                            for x, y in zip(zip(p, q), zip(s, q))])
+
+        a, b = wide(RUNG_ROWS, INNER), wide(INNER, RUNG_ROWS)
+        assert convert(a * b).to_list() == (convert(a) * convert(b)).to_list()
+        assert set(used) == {np.dtype(np.float64)}
 
 
 def _family_members(rows, cols):

@@ -33,6 +33,18 @@ def test_matrix_roundtrip():
     assert matrix_from_json(json.loads(dumps(matrix_to_json(m)))) == m
 
 
+def test_matrix_equal_cells_are_one_object():
+    half = ExactScalar(Fraction(1, 2), -1)
+    m = ExactMatrix.from_rows([[half, 0, half], [0, ExactScalar(0, 3), half]])
+    d = matrix_to_json(m)
+    (a, b, c), (e, f, g) = d["entries"]
+    assert a is c is g and b is e
+    assert len({id(x) for x in (a, b, c, e, f, g)}) == 3
+    assert a == {"re": {"num": "1", "den": "2"}, "im": {"num": "-1", "den": "1"}}
+    assert matrix_from_json(d) == m
+    assert matrix_from_json(json.loads(dumps(d))) == m
+
+
 def test_grid_roundtrip_reverifies_identically():
     for g in (hermitian_grid(3), spin_grid(2, True)):
         payload = json.loads(dumps(grid_to_json(g)))
@@ -99,8 +111,22 @@ _trees = st.recursive(
     max_leaves=30)
 
 
+def _with_shared(objs):
+    """Trees whose leaves may be the given dict objects themselves, so that
+    one object recurs at several depths."""
+    return st.recursive(
+        _scalars | st.sampled_from(objs),
+        lambda children: (st.lists(children, max_size=5)
+                          | st.dictionaries(st.text(max_size=4), children, max_size=5)),
+        max_leaves=30)
+
+
+# one cell object and one near-miss object, each placed anywhere in the tree
+_shared_trees = st.tuples(_cell, _near_miss_cells).flatmap(_with_shared)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_trees)
+@given(_trees | _shared_trees)
 def test_dumps_writes_the_stdlib_indent_bytes(payload):
     assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
@@ -118,6 +144,15 @@ def test_dumps_caches_only_true_cells():
                {"re": {"num": True, "den": "2"}, "im": one},
                {"re": {"num": 1.0, "den": "2"}, "im": one},
                {**cell, "x": 0}, {"re": cell["re"], "img": one}]
+    assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_dumps_reuses_an_object_at_several_depths():
+    one = {"num": "0", "den": "1"}
+    cell = {"re": {"num": "1", "den": "2"}, "im": one}
+    near = {"re": cell["re"], "img": one}
+    payload = {"a": [cell, near, [cell, [near, cell]]], "b": {"c": cell, "d": near},
+               "e": [[[[cell]]]], "re": cell["re"], "im": one}
     assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
