@@ -153,6 +153,21 @@ _FLOAT_EXACT = 1 << 53
 #   56x28x56 90 vs 12, 64x64x64 237 vs 24.
 _BLAS_MIN_SIZE = 2000
 _OBJECT = np.dtype(object)
+# shape -> the read-only int64 zero array that is the imaginary part of every
+# real int64 matrix of that shape
+_ZERO_IMS = {}
+
+
+def _zero_im(shape) -> np.ndarray:
+    z = _ZERO_IMS.get(shape)
+    if z is None:
+        z = _ZERO_IMS[shape] = np.zeros(shape, dtype=np.int64)
+        z.flags.writeable = False
+    return z
+
+
+def _is_zero_im(im: np.ndarray) -> bool:
+    return im is _ZERO_IMS.get(im.shape)
 
 
 def _scalar_parts(s: ExactScalar):
@@ -226,10 +241,12 @@ class ExactMatrix:
     takes at least ``_BLAS_MIN_SIZE`` scalar multiplications runs each real
     dot in float64 on BLAS and casts it back to int64, which is exact.
     Canonical form makes ``==`` and ``hash`` exact comparisons of
-    (shape, den, re, im).
+    (shape, den, re, im).  Real int64 matrices of one shape share one
+    read-only zero array as ``im``; a producer that knows its result is real
+    passes ``im`` as None.  ``adjoint`` and ``gram`` keep their results.
     """
 
-    __slots__ = ("rows", "cols", "re", "im", "den", "_adj", "_mag")
+    __slots__ = ("rows", "cols", "re", "im", "den", "_adj", "_gram", "_mag")
 
     def __init__(self, rows: int, cols: int, entries: Sequence = None, *, _arrays=None):
         if rows < 1 or cols < 1:
@@ -242,10 +259,15 @@ class ExactMatrix:
             ims = [s.im for s in scalars]
             den = math.lcm(*{x.denominator for x in res + ims})
             re = _as_numerators(res, den, (rows, cols))
-            im = _as_numerators(ims, den, (rows, cols))
+            im = _as_numerators(ims, den, (rows, cols)) if any(ims) else None
         else:
             re, im, den = _arrays
+        real = im is None
+        if real:
+            im = _zero_im((rows, cols))
         re, im, den = _canonical(re, im, den)
+        if real and im.dtype is not _OBJECT:
+            im = _zero_im((rows, cols))  # _canonical may have copied it
         re.flags.writeable = False
         im.flags.writeable = False
         self.rows = rows
@@ -254,6 +276,7 @@ class ExactMatrix:
         self.im = im
         self.den = den
         self._adj = None
+        self._gram = None
         self._mag = None
 
     # -- constructors ------------------------------------------------------
@@ -268,12 +291,11 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        z = np.zeros((rows, cols), dtype=np.int64)
-        return cls(rows, cols, _arrays=(z, z, 1))
+        return cls(rows, cols, _arrays=(np.zeros((rows, cols), dtype=np.int64), None, 1))
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, _arrays=(np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64), 1))
+        return cls(n, n, _arrays=(np.eye(n, dtype=np.int64), None, 1))
 
     @classmethod
     def unit(cls, rows: int, cols: int, i: int, j: int, value=EX_ONE) -> "ExactMatrix":
@@ -281,9 +303,11 @@ class ExactMatrix:
         vr, vi, q = _scalar_parts(ExactScalar.coerce(value))
         dtype = np.int64 if max(abs(vr), abs(vi)) < _INT64_LIMIT else object
         re = np.zeros((rows, cols), dtype=dtype)
-        im = np.zeros((rows, cols), dtype=dtype)
         re[i, j] = vr
-        im[i, j] = vi
+        im = None
+        if vi:
+            im = np.zeros((rows, cols), dtype=dtype)
+            im[i, j] = vi
         return cls(rows, cols, _arrays=(re, im, q))
 
     # -- accessors ---------------------------------------------------------
@@ -310,7 +334,8 @@ class ExactMatrix:
     def _mags(self) -> tuple:
         """Largest absolute real and imaginary numerators."""
         if self._mag is None:
-            self._mag = (_abs_max(self.re), _abs_max(self.im))
+            im = self.im
+            self._mag = (_abs_max(self.re), 0 if _is_zero_im(im) else _abs_max(im))
         return self._mag
 
     def _bound(self) -> int:
@@ -352,12 +377,15 @@ class ExactMatrix:
         if self._bound() * fa + other._bound() * fb >= _INT64_LIMIT:
             ar, ai, br, bi = (x.astype(object) for x in (ar, ai, br, bi))
         op = np.add if sign == 1 else np.subtract
+        im = None
+        if self._mag[1] or other._mag[1]:
+            im = op(_times(ai, fa), _times(bi, fb))
         return ExactMatrix(self.rows, self.cols,
-                           _arrays=(op(_times(ar, fa), _times(br, fb)),
-                                    op(_times(ai, fa), _times(bi, fb)), den))
+                           _arrays=(op(_times(ar, fa), _times(br, fb)), im, den))
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, _arrays=(-self.re, -self.im, self.den))
+        im = None if _is_zero_im(self.im) else -self.im
+        return ExactMatrix(self.rows, self.cols, _arrays=(-self.re, im, self.den))
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
@@ -387,7 +415,7 @@ class ExactMatrix:
             elif b_im:
                 im = dot(ar, bi)
             else:
-                im = np.zeros(re.shape, dtype=re.dtype)
+                im = None
             return ExactMatrix(self.rows, other.cols, _arrays=(re, im, self.den * other.den))
         return self.scale(other)
 
@@ -405,10 +433,12 @@ class ExactMatrix:
         re, im = self.re, self.im
         if (abs(cr) + abs(ci)) * self._bound() >= _INT64_LIMIT:
             re, im = re.astype(object), im.astype(object)
+        mr, mi = self._mag
+        # im is None where the magnitudes show the result is real
         if not ci:
-            re, im = _times(re, cr), _times(im, cr)
+            re, im = _times(re, cr), _times(im, cr) if cr and mi else None
         elif not cr:
-            re, im = im * -ci, re * ci
+            re, im = im * -ci, re * ci if mr else None
         else:
             re, im = re * cr - im * ci, im * cr + re * ci
         return ExactMatrix(self.rows, self.cols, _arrays=(re, im, self.den * q))
@@ -416,20 +446,34 @@ class ExactMatrix:
     def adjoint(self) -> "ExactMatrix":
         adj = self._adj
         if adj is None:
-            adj = ExactMatrix(self.cols, self.rows, _arrays=(self.re.T, -self.im.T, self.den))
+            im = None if _is_zero_im(self.im) else -self.im.T
+            adj = ExactMatrix(self.cols, self.rows, _arrays=(self.re.T, im, self.den))
             adj._adj = self
             adj._mag = self._mag
             self._adj = adj
         return adj
+
+    def gram(self) -> "ExactMatrix":
+        """self self*, formed on first use; every call returns the same object.
+
+        The right Gram product self* self is ``self.adjoint().gram()``, kept
+        on the adjoint, which this matrix keeps.
+        """
+        if self._gram is None:
+            self._gram = self * self.adjoint()
+        return self._gram
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product; the (i, j) block of the result is self[i, j] * other."""
         ar, ai, br, bi = self.re, self.im, other.re, other.im
         if 2 * self._bound() * other._bound() >= _INT64_LIMIT:
             ar, ai, br, bi = (x.astype(object) for x in (ar, ai, br, bi))
+        if self._mag[1] or other._mag[1]:
+            re, im = _kron(ar, br) - _kron(ai, bi), _kron(ar, bi) + _kron(ai, br)
+        else:
+            re, im = _kron(ar, br), None
         return ExactMatrix(self.rows * other.rows, self.cols * other.cols,
-                           _arrays=(_kron(ar, br) - _kron(ai, bi),
-                                    _kron(ar, bi) + _kron(ai, br), self.den * other.den))
+                           _arrays=(re, im, self.den * other.den))
 
     def trace(self) -> ExactScalar:
         if self.rows != self.cols:
@@ -495,14 +539,15 @@ def _assemble(rows: int, cols: int, placed) -> ExactMatrix:
     big = max(p._bound() * (den // p.den) for _, _, p in placed) >= _INT64_LIMIT
     dtype = object if big else np.int64
     re = np.zeros((rows, cols), dtype=dtype)
-    im = np.zeros((rows, cols), dtype=dtype)
+    im = np.zeros((rows, cols), dtype=dtype) if any(p._mag[1] for _, _, p in placed) else None
     for r0, c0, p in placed:
         if not p._bound():
             continue
         f = den // p.den
         pre, pim = (p.re.astype(object), p.im.astype(object)) if big else (p.re, p.im)
         re[r0:r0 + p.rows, c0:c0 + p.cols] = _times(pre, f)
-        im[r0:r0 + p.rows, c0:c0 + p.cols] = _times(pim, f)
+        if im is not None:
+            im[r0:r0 + p.rows, c0:c0 + p.cols] = _times(pim, f)
     return ExactMatrix(rows, cols, _arrays=(re, im, den))
 
 
@@ -758,11 +803,10 @@ class ExactFamily:
     def matrices(self, ia, ib, ic) -> list:
         """a b* c for every triple, as ``ExactMatrix`` values."""
         re, im = self.ternary(ia, ib, ic)
-        if im is None:
-            im = np.zeros_like(re)
         rows, cols = self.shape
         den = self.den ** 3
-        return [ExactMatrix(rows, cols, _arrays=(r, i, den)) for r, i in zip(re, im)]
+        ims = [None] * len(re) if im is None else im
+        return [ExactMatrix(rows, cols, _arrays=(r, i, den)) for r, i in zip(re, ims)]
 
 
 class ApproxMatrix:

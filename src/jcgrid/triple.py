@@ -28,31 +28,28 @@ class GridRelation(enum.Enum):
 class PartialIsometry:
     """An exact matrix v with v v* v = v, validated at construction.
 
-    It owns its support projections: v v* is kept from the validation and
-    v* v is formed on first use; every caller reads them here.
+    Its support projections are the Gram products kept on the matrix:
+    v v* = ``v.gram()`` is formed by the validation and v* v =
+    ``v.adjoint().gram()`` on first use, so every caller, and every
+    ``ternary_product`` with a repeated operand, reads the same two objects.
     """
 
-    __slots__ = ("mat", "_left", "_right")
+    __slots__ = ("mat",)
 
     def __init__(self, mat: ExactMatrix):
         if mat.is_zero():
             raise ValueError("partial isometry must be nonzero")
-        left = mat * mat.adjoint()
-        if left * mat != mat:
+        if mat.gram() * mat != mat:
             raise ValueError("matrix fails the partial isometry identity v v* v = v")
         self.mat = mat
-        self._left = left
-        self._right = None
 
     def left_support(self) -> ExactMatrix:
         """v v*, the same object on every call."""
-        return self._left
+        return self.mat.gram()
 
     def right_support(self) -> ExactMatrix:
-        """v* v, formed once."""
-        if self._right is None:
-            self._right = self.mat.adjoint() * self.mat
-        return self._right
+        """v* v, the same object on every call."""
+        return self.mat.adjoint().gram()
 
     @property
     def shape(self):
@@ -77,9 +74,13 @@ def _check_triple_shapes(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> None
 
 
 def ternary_product(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatrix:
-    """a b* c, exact."""
+    """a b* c, exact; a repeated operand reads its kept Gram product."""
     if a.cols != b.cols or b.rows != c.rows:
         raise DimensionError("a b* c is not defined for these shapes")
+    if a is b:
+        return a.gram() * c
+    if b is c:
+        return a * c.adjoint().gram()
     return a * b.adjoint() * c
 
 

@@ -422,15 +422,20 @@ class TestSharedWork:
         assert sizes == [126 + 180]
 
     # each count was 524 and 10,124 while every support projection and every
-    # one was formed afresh where it was read
+    # one was formed afresh where it was read; uij-grid was 185 and construct
+    # hnk 368 while the realization formed six products per ordered pair
     @pytest.mark.parametrize("args,products", [
-        (("verify", "uij-grid", "--n", "4", "--k", "2"), 185),
+        (("verify", "uij-grid", "--n", "4", "--k", "2"), 137),
         (("verify", "split", "--p", "4", "--q", "4"), 1388),
-    ], ids=["uij-grid", "split"])
+        # 8 validations of 2 products, 56 ordered pairs of 2, 8 right
+        # supports, and 3 + 6 support products to find the indices (3, 6)
+        (("construct", "hnk", "--n", "8", "--k", "3"), 145),
+    ], ids=["uij-grid", "split", "construct-hnk"])
     def test_exact_products(self, monkeypatch, capsys, args, products):
         calls = _count_calls(monkeypatch, numlin.ExactMatrix, "__mul__")
         assert cli.main(list(args)) == 0
-        assert "overall: pass" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert args[0] == "construct" or "overall: pass" in out
         assert len(calls) == products
 
     def test_uij_family_builds_each_word_once(self, monkeypatch, capsys):

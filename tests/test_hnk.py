@@ -20,8 +20,8 @@ from jcgrid.hnk import (Combination, build_hnk, build_uIJ, combinations,
                         support_product, ternary_matrix_unit_image,
                         trace_formula_check, uij_family,
                         verify_uIJ_grid)
-from jcgrid.numlin import ExactMatrix, ExactScalar, operator_norm
-from jcgrid.triple import ternary_product
+from jcgrid.numlin import EX_I, ExactMatrix, ExactScalar, operator_norm
+from jcgrid.triple import PartialIsometry, ternary_product
 
 E = ExactMatrix.unit
 C = Combination.of
@@ -108,6 +108,77 @@ def _entrywise_basis(n, k):
     return basis
 
 
+def _creation_operator(n, c):
+    """The Jordan-Wigner creation operator a_c* = Z^(c-1) x [[0,0],[1,0]] x
+    I^(n-c) on (C^2)^n, with mode 1 the most significant tensor factor."""
+    z = ExactMatrix.from_rows([[1, 0], [0, -1]])
+    create = ExactMatrix.from_rows([[0, 0], [1, 0]])
+    out = None
+    for mode in range(1, n + 1):
+        f = z if mode < c else create if mode == c else ExactMatrix.identity(2)
+        out = f if out is None else out.kron(f)
+    return out
+
+
+def _state(n, members):
+    """Index in (C^2)^n of the basis state with the given modes occupied."""
+    return sum(1 << (n - i) for i in members)
+
+
+def _shuffle_sign(K, n):
+    """sgn(K, K^c): the sign of the permutation listing K, then its
+    complement, each ascending."""
+    rest = [y for y in range(1, n + 1) if y not in K]
+    return -1 if sum(x > y for x in K for y in rest) % 2 else 1
+
+
+def _jordan_wigner_basis(n, k):
+    """u_c as the block of a_c* from the (k-1)- to the k-particle sector,
+    row K indexed by its complement J and multiplied by (-1)^(k-1) sgn(K, K^c);
+    an oracle that shares no code with signature_one."""
+    full = set(range(1, n + 1))
+    rows = [sorted(full - set(J.members)) for J in combinations(n, n - k)]
+    cols = [list(I.members) for I in combinations(n, k - 1)]
+    row_idx = np.array([_state(n, K) for K in rows], dtype=np.intp)
+    col_idx = np.array([_state(n, I) for I in cols], dtype=np.intp)
+    signs = np.array([(-1) ** (k - 1) * _shuffle_sign(K, n) for K in rows], dtype=np.int64)
+    out = []
+    for c in range(1, n + 1):
+        a = _creation_operator(n, c)
+        assert a.den == 1 and not a.im.any()
+        out.append(a.re[np.ix_(row_idx, col_idx)] * signs[:, None])
+    return out
+
+
+def _jordan_wigner_mismatches(space):
+    """The c whose u_c differs from the Jordan-Wigner block."""
+    want = _jordan_wigner_basis(space.n, space.k)
+    return [c for c, (u, w) in enumerate(zip(space.basis, want), start=1)
+            if not (u.den == 1 and not u.im.any() and np.array_equal(u.re, w))]
+
+
+class TestJordanWigner:
+    """build_hnk's signs against the Jordan-Wigner creation operators."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_sign_up_to_the_cap(self, n):
+        for k in range(1, n + 1):
+            assert _jordan_wigner_mismatches(build_hnk(n, k)) == []
+
+    def test_a_wrong_sign_rule_is_caught(self, monkeypatch):
+        # the third value negated still builds a valid rank-one grid
+        calls = []
+        sign = signature_one
+
+        def broken(I, c, J):
+            calls.append(c)
+            return -sign(I, c, J) if len(calls) == 3 else sign(I, c, J)
+
+        monkeypatch.setattr(hnk, "signature_one", broken)
+        space = build_hnk(4, 2)
+        assert _jordan_wigner_mismatches(space) == [calls[2]]
+
+
 class TestBuildHnk:
     def test_example_n3_k2(self):
         sp = build_hnk(3, 2)
@@ -178,6 +249,83 @@ class TestBuildHnk:
         real = build_hnk(4, 2).realization()
         assert indices(real) is indices(real)
         assert uij_family(real) is uij_family(real)
+
+
+def _pairwise_oracle(mats):
+    """The realization's check as it ran before it read minimality off
+    colinearity: per ordered pair, a b* a = 0, then {a,a,b} = b/2, each from
+    plain products.  None, or the message of the first failure."""
+    for a, va in enumerate(mats):
+        for b, vb in enumerate(mats):
+            if a == b:
+                continue
+            if not (va * vb.adjoint() * va).is_zero():
+                return f"element {a + 1} is not minimal against {b + 1}"
+            if va * va.adjoint() * vb + vb * va.adjoint() * va != vb:  # 2{a,a,b} = b
+                return f"elements {a + 1}, {b + 1} are not colinear"
+    return None
+
+
+def _partial_permutation(rng, rows, cols):
+    """A random nonzero partial permutation with entries all +-1 or all +-i."""
+    r = int(rng.integers(1, min(rows, cols) + 1))
+    unit = ExactScalar(1) if rng.random() < 0.5 else EX_I
+    out = ExactMatrix.zeros(rows, cols)
+    for i, j in zip(rng.permutation(rows)[:r], rng.permutation(cols)[:r]):
+        sign = 1 if rng.random() < 0.5 else -1
+        out = out + ExactMatrix.unit(rows, cols, int(i), int(j), unit * sign)
+    return out
+
+
+def _realization_error(mats):
+    try:
+        hnk.RankOneRealization(PartialIsometry(m) for m in mats)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestRealizationValidation:
+    """RankOneRealization checks colinearity only; the pairwise oracle also
+    checks minimality first.  They must accept and reject the same families,
+    and the first failing pair is the same: a pair that is not minimal is not
+    colinear either."""
+
+    def test_every_space_up_to_n6_is_accepted(self):
+        for n in range(1, 7):
+            for k in range(1, n + 1):
+                assert _pairwise_oracle(build_hnk(n, k).basis) is None
+
+    def test_corrupted_families_agree_with_the_oracle(self):
+        rng = np.random.default_rng(11)
+        spaces = [build_hnk(n, k) for n in range(2, 7) for k in range(1, n + 1)]
+        outcomes = {"accepted": 0, "minimality": 0, "colinearity": 0}
+        for _ in range(400):
+            space = spaces[int(rng.integers(len(spaces)))]
+            mats = list(space.basis)
+            mats[int(rng.integers(len(mats)))] = _partial_permutation(rng, *space.shape)
+            want = _pairwise_oracle(mats)
+            got = _realization_error(mats)
+            if want is None:
+                outcomes["accepted"] += 1
+                assert got is None
+            elif "minimal" in want:
+                outcomes["minimality"] += 1
+                a, b = want.removeprefix("element ").split(" is not minimal against ")
+                assert got == f"elements {a}, {b} are not colinear"
+            else:
+                outcomes["colinearity"] += 1
+                assert got == want
+        # all three outcomes occur
+        assert min(outcomes.values()) > 0, outcomes
+
+    def test_message_names_the_pair(self):
+        # u_2 replaced by u_1: minimality fails first in the oracle
+        mats = list(build_hnk(3, 2).basis)
+        mats[1] = mats[0]
+        assert _pairwise_oracle(mats) == "element 1 is not minimal against 2"
+        with pytest.raises(ValueError, match=r"^elements 1, 2 are not colinear$"):
+            hnk.RankOneRealization(PartialIsometry(m) for m in mats)
 
 
 class TestSupportAndIndices:

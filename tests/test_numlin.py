@@ -17,7 +17,8 @@ from jcgrid.numlin import (_BLAS_MIN_SIZE, EX_HALF, EX_I, EX_ZERO, ApproxMatrix,
                            block_row, combination, exact_linearly_independent,
                            exact_rank, operator_norm, scaled_members,
                            singular_values, span_contains, trace_norm)
-from jcgrid.triple import triple_product
+from jcgrid.serialize import matrix_to_csv_lines, matrix_to_json
+from jcgrid.triple import ternary_product, triple_product
 
 E = ExactMatrix.unit
 SIGMA1 = ExactMatrix.from_rows([[1, 0], [0, -1]])
@@ -388,6 +389,41 @@ class TestRepresentation:
         assert z.re.dtype == np.int64 and z.im.dtype == np.int64
         assert z == x and hash(z) == hash(x)
 
+    def test_real_matrices_share_one_zero_imaginary_part(self):
+        a = ExactMatrix.from_rows([[1, 0, 2], [Fraction(1, 2), -1, 0], [0, 3, 1]])
+        b = ExactMatrix.from_rows([[0, 1, 0], [2, 0, 0], [0, 0, -1]])
+        col, row = ExactMatrix.from_rows([[1], [2], [3]]), ExactMatrix.from_rows([[1, 0, -1]])
+        real = [a, b, a * b, a.gram(), a.adjoint(), b.adjoint().gram(), -a, a + b, a - b,
+                a.scale(Fraction(2, 3)), a.scale(EX_I).scale(-EX_I), col.kron(row),
+                ExactMatrix.zeros(3, 3), ExactMatrix.identity(3), E(3, 3, 0, 2),
+                E(3, 3, 1, 1, Fraction(1, 3)),
+                block_diag([ExactMatrix.identity(1), ExactMatrix.from_rows([[1, 2], [3, 4]])]),
+                *ExactFamily([a, b]).matrices([0, 1], [1, 1], [0, 0])]
+        shared = ExactMatrix.zeros(3, 3).im
+        assert shared.dtype == np.int64 and not shared.flags.writeable and not shared.any()
+        assert all(m.im is shared for m in real)
+        complex_ = a + E(3, 3, 0, 0, EX_I)
+        assert complex_.im is not shared and complex_.gram().im is not shared
+        # Python-int storage keeps re and im of one dtype, so not the int64 zero
+        huge = a.scale(2 ** 70)
+        assert huge.re.dtype == huge.im.dtype == object and huge.im is not shared
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 5), (4, 3)])
+    def test_shared_zero_changes_no_value(self, rng, rows, cols):
+        x = random_exact(rng, rows, cols)
+        for m in (ExactMatrix(rows, cols, [e.re for e in x.entries]), x.scale(0),
+                  ExactMatrix(rows, cols, [e.re for e in x.entries]).adjoint().gram()):
+            assert m.im is ExactMatrix.zeros(*m.shape).im
+            # the same values over a zero im array of its own
+            own = ExactMatrix(m.rows, m.cols,
+                              _arrays=(m.re.copy(), np.zeros(m.shape, dtype=np.int64), m.den))
+            assert own.im is not m.im
+            assert own == m and hash(own) == hash(m) and own.entries == m.entries
+            assert (own.den, own.re.tolist(), own.im.tolist()) == \
+                (m.den, m.re.tolist(), m.im.tolist())
+            assert matrix_to_json(own) == matrix_to_json(m)
+            assert matrix_to_csv_lines(own) == matrix_to_csv_lines(m)
+
 
 class TestPromotionBoundary:
     """Numerators just below and just above 2^62 stay exact on both storages."""
@@ -695,6 +731,68 @@ def _largest_below(k, power):
     while k * a ** power >= 2 ** 53:
         a -= 1
     return a
+
+
+def ref_ternary(a, b, c):
+    """(a b*) c from ExactScalar arithmetic on the entries."""
+    return ref_product(ExactMatrix.from_rows(ref_product(a, b.adjoint())), c)
+
+
+def _gram_operands(rng, kind, rows, cols):
+    """A pair of random rows x cols matrices: complex with integer entries,
+    complex with denominators 2 and 3, or with numerators whose products
+    pass 2^62."""
+    a, c = (random_exact(rng, rows, cols, density=0.8, halves=kind != "complex")
+            for _ in range(2))
+    if kind == "big":
+        a = a.scale(Fraction(2 ** 40 + 1, 3)) + ExactMatrix.unit(rows, cols, 0, 0, 2 ** 45)
+        c = c.scale(ExactScalar(2 ** 35, 7))
+    return a, c
+
+
+class TestGram:
+    def test_kept_on_the_matrix(self, monkeypatch, rng):
+        a = random_exact(rng, 3, 5)
+        left, right = a.gram(), a.adjoint().gram()
+        calls = []
+        monkeypatch.setattr(ExactMatrix, "__mul__",
+                            lambda *args: calls.append(1) or pytest.fail("formed again"))
+        assert a.gram() is left and a.adjoint().gram() is right
+        assert a.adjoint().adjoint().gram() is left and not calls
+
+    @pytest.mark.parametrize("kind", ["complex", "den", "big"])
+    def test_equals_the_product_with_the_adjoint(self, rng, kind):
+        for rows, cols in ((1, 4), (3, 3), (4, 2)):
+            a, _ = _gram_operands(rng, kind, rows, cols)
+            assert a.gram() == a * a.adjoint()
+            assert a.adjoint().gram() == a.adjoint() * a
+            assert as_rows(a.gram()) == ref_product(a, a.adjoint())
+            assert as_rows(a.adjoint().gram()) == ref_product(a.adjoint(), a)
+            assert_canonical_storage(a.gram())
+        if kind == "big":
+            assert a.gram()._bound() >= LIMIT
+
+    @pytest.mark.parametrize("kind", ["complex", "den", "big"])
+    def test_ternary_shortcuts(self, rng, kind):
+        for rows, cols in ((1, 3), (3, 3), (4, 2)):
+            a, c = _gram_operands(rng, kind, rows, cols)
+            # a a* c reads a.gram(), a c* c reads c.adjoint().gram()
+            assert as_rows(ternary_product(a, a, c)) == ref_ternary(a, a, c)
+            assert as_rows(ternary_product(a, c, c)) == ref_ternary(a, c, c)
+            assert as_rows(ternary_product(a, a, a)) == ref_ternary(a, a, a)
+            assert ternary_product(a, a, c) == a * a.adjoint() * c
+            assert ternary_product(a, c, c) == a * c.adjoint() * c
+            assert_canonical_storage(ternary_product(a, c, c))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_stacks())
+    def test_ternary_shortcuts_on_family_stacks(self, stack):
+        _, _, members = stack
+        for a, c in itertools.product(members, repeat=2):
+            assert ternary_product(a, a, c) == a * a.adjoint() * c
+            assert ternary_product(a, c, c) == a * c.adjoint() * c
+        a = members[0]
+        assert as_rows(ternary_product(a, a, a)) == ref_ternary(a, a, a)
 
 
 class TestFamilyGuard:

@@ -39,6 +39,13 @@ class TestPartialIsometry:
         assert v.left_support() is v.left_support()
         assert v.right_support() is v.right_support()
 
+    def test_supports_are_the_kept_gram_products(self):
+        m = E(2, 3, 0, 1) + E(2, 3, 1, 2)
+        v = iso(m)
+        assert v.left_support() is m.gram() and v.right_support() is m.adjoint().gram()
+        # a second wrapper of the same matrix reads the same products
+        assert iso(m).left_support() is v.left_support()
+
 
 class TestTripleProduct:
     def test_idempotent(self):
