@@ -2,39 +2,49 @@
 
 Constructors build concrete matrix families (rectangular / hermitian /
 symplectic / spin / rank-1); ``verify_grid`` checks every pairwise relation
-and the triple-product table against the kind's expected values, exactly.
-The transforms turn hermitian and symplectic grids into associative matrix
-units and a spin grid into a spin system inside the isotope algebra.  The
-verifier and the matrix-unit transforms evaluate their triple, minimality
-and unit-product relations on batched family tables (``numlin.ExactFamily``).
+and the whole triple-product table against the kind's expected values,
+exactly, for grids of up to ``GRID_VERIFY_CAP`` elements.  The expected
+values come from the indices alone: one matrix-unit rule for the
+rectangular, hermitian and symplectic grids, an index rule each for spin
+and rank-1 grids.  The transforms turn hermitian and symplectic grids into
+associative matrix units and a spin grid into a spin system inside the
+isotope algebra.  The verifier and the matrix-unit transforms evaluate their
+triple, minimality and unit-product relations on batched family tables
+(``numlin.ExactFamily``).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import CapacityError, TransformError
-from .numlin import (EX_HALF, EX_I, EX_MINUS_ONE, EX_ZERO, ExactFamily,
-                     ExactMatrix, ExactScalar, combination, exact_rank,
-                     scaled_members)
+from .numlin import (_CHUNK_CELLS, EX_HALF, EX_I, EX_MINUS_ONE, EX_ZERO,
+                     ExactFamily, ExactMatrix, ExactScalar, combination,
+                     exact_rank, scaled_members)
 from .report import VerificationReport
 from .triple import (GridRelation, PartialIsometry, classify_relation,
                      isotope_involution, isotope_product)
 
 SPIN_SYSTEM_CAP = 12
-EXHAUSTIVE_TRIPLE_CAP = 20
-TRIPLE_SAMPLE_SIZE = 500
+# Most elements verify_grid accepts.  At 78 (hermitian m=12, symplectic
+# m=13, rectangular p*q=78) the exhaustive table holds 240,318 triples: one
+# `verify grid` took 0.9-1.8 s at a peak RSS of 57-72 MB, 31 MB of it the
+# interpreter and imports (Xeon, 2 vCPU, Python 3.11, numpy 2.4).  The time
+# grows as n^3, so doubling the cap would cost about 10 s.
+GRID_VERIFY_CAP = 78
 # Smallest symplectic grid that symplectic_to_matrix_units accepts.
 SYMPLECTIC_TRANSFORM_MIN_SIZE = 5
 
-# Pauli matrices; sigma3 is the one whose tensor chains build the spin system.
+# Pauli matrices under their own names: SIGMA1 = Z = diag(1, -1),
+# SIGMA2 = X and SIGMA3 = [[0, i], [-i, 0]] = -Y.  The spin system is built
+# from chains of SIGMA3, so its chains are not diagonal.
 SIGMA1 = ExactMatrix.from_rows([[1, 0], [0, -1]])
 SIGMA2 = ExactMatrix.from_rows([[0, 1], [1, 0]])
 SIGMA3 = ExactMatrix.from_rows([[EX_ZERO, EX_I], [-EX_I, EX_ZERO]])
@@ -159,9 +169,10 @@ def symplectic_grid(m: int) -> Grid:
 def spin_system(k: int) -> List[ExactMatrix]:
     """Self-adjoint s_1..s_k with s_i s_j + s_j s_i = 2 delta_ij, exactly.
 
-    Built from tensor chains of Pauli matrices in M_{2^ceil(k/2)}: the odd
-    elements are sigma3-chains capped by sigma1, the even ones by sigma2,
-    padded with identities to the common size.
+    Built from tensor chains of Pauli matrices in M_{2^ceil(k/2)}: s_{2t+1}
+    is SIGMA3^{(x)t} (x) Z and s_{2t+2} is SIGMA3^{(x)t} (x) X, padded with
+    identities to the common size.  The chain factor SIGMA3 = -Y is
+    off-diagonal, so s_1 = Z is the only diagonal member.
     """
     if k < 2 or k > SPIN_SYSTEM_CAP:
         error = ValueError if k < 2 else CapacityError
@@ -243,15 +254,6 @@ def _rect_pair(a, b) -> GridRelation:
     return GridRelation.ORTHOGONAL
 
 
-def _rect_triple(a, b, c) -> Dict:
-    out: Dict = {}
-    if a[1] == b[1] and b[0] == c[0]:
-        _acc(out, (a[0], c[1]), Fraction(1, 2))
-    if c[1] == b[1] and b[0] == a[0]:
-        _acc(out, (c[0], a[1]), Fraction(1, 2))
-    return out
-
-
 def _rank1_pair(a, b) -> GridRelation:
     return GridRelation.EQUAL if a == b else GridRelation.COLINEAR
 
@@ -283,33 +285,6 @@ def _sympl_pair(a, b) -> GridRelation:
     if a == b:
         return GridRelation.EQUAL
     return GridRelation.COLINEAR if set(a) & set(b) else GridRelation.ORTHOGONAL
-
-
-@lru_cache(maxsize=None)
-def _canonical_family(kind: str, m: int) -> tuple:
-    g = hermitian_grid(m) if kind == "hermitian" else symplectic_grid(m)
-    return g.indices, ExactFamily(g.matrices())
-
-
-def _model_triples(kind: str, m: int, triples: Sequence[tuple]) -> list:
-    """Expected {u_a, u_b, u_c} coefficients of a hermitian or symplectic grid,
-    read off one batched table of the canonical model: entry (i, j) of the
-    model's {M_a, M_b, M_c} is the coefficient of u_ij."""
-    indices, model = _canonical_family(kind, m)
-    pos = {idx: x for x, idx in enumerate(indices)}
-    ia, ib, ic = (np.array([pos[t[s]] for t in triples], dtype=np.intp).reshape(-1)
-                  for s in range(3))
-    twice, _ = model.ternary(ia, ib, ic, sym=True)
-    rows, cols = (np.array(indices) - 1).T
-    coeffs = twice[:, rows, cols]
-    # the canonical grid spans the whole symmetric (antisymmetric) space, so
-    # the read-off coefficients always reconstruct the product; assert it
-    if not (np.tensordot(coeffs, model.re, axes=(1, 0)) == twice).all():
-        raise AssertionError("canonical model decomposition failed")
-    out = [{} for _ in triples]
-    for t, k in zip(*np.nonzero(coeffs)):
-        out[t][indices[k]] = Fraction(int(coeffs[t, k]), 2)
-    return out
 
 
 def _spin_partner(key):
@@ -384,15 +359,85 @@ def expected_pair_relation(kind: str, a, b) -> GridRelation:
     raise ValueError(f"unknown grid kind {kind!r}")
 
 
-def _expected_triples(grid: Grid, triples: Sequence[tuple]) -> list:
-    """Coefficients {idx: Fraction} of the expected value of each {u_a, u_b, u_c}."""
+def _unit_parts(grid: Grid) -> tuple:
+    """Each element as the sum of two signed matrix units: (rows, cols,
+    signs), each of shape (n, 2).  u_ij is e_ij (rectangular; the second
+    part has sign 0), e_ij + e_ji with u_ii = e_ii (hermitian) or
+    e_ij - e_ji (symplectic)."""
+    i, j = np.array(grid.indices, dtype=np.intp).reshape(-1, 2).T
+    second = {"rectangular": 0, "hermitian": i != j, "symplectic": -1}[grid.kind]
+    signs = np.stack(np.broadcast_arrays(np.ones_like(i), second), axis=1).astype(np.int8)
+    return np.stack([i, j], axis=1), np.stack([j, i], axis=1), signs
+
+
+def _matrix_unit_table(grid: Grid, xs, ys, zs) -> tuple:
+    """The expected {u_x, u_y, u_z} of a rectangular, hermitian or symplectic
+    grid at the positions xs, ys, zs, as the ``want`` of ``ExactFamily.equal``.
+
+    The rule works on the indices alone: e_pq e_rs* e_tu = delta_qs delta_rt
+    e_pu on the parts (``_unit_parts``) of u_x u_y* u_z + u_z u_y* u_x, and
+    the sum of the e_pu is read as u-coefficients at the entries (p, u) that
+    name an element: every entry (rectangular), p <= u (hermitian), p < u
+    (symplectic).  The coefficients are those of 2 {u_x, u_y, u_z}, so q = 2.
+    In a grid every such product is a multiple of one element, so all the
+    terms a triple keeps name the same member: the result has one column.
+    The rule sees only which indices of a triple are equal and how they are
+    ordered, and the grids of ``test_grids.TestMatrixUnitRule`` realize every
+    such pattern (at most six distinct indices), so that test proves this
+    for every size.
+    """
+    rows, cols, signs = _unit_parts(grid)
+    at = np.full((rows.max() + 1,) * 2, -1, dtype=np.intp)
+    at[rows[:, 0], cols[:, 0]] = np.arange(len(grid))
+    kidx = np.zeros((len(xs), 1), dtype=np.intp)
+    kcoef = np.zeros((len(xs), 1), dtype=np.int64)
+    # 16 terms per triple: a chunk's term arrays hold at most _CHUNK_CELLS
+    per = _CHUNK_CELLS // 16
+    for start in range(0, len(xs), per):
+        chunk = slice(start, start + per)
+        first = np.stack([xs[chunk], zs[chunk]], axis=1)
+        # axes: triple, product (u_x u_y* u_z, then u_z u_y* u_x), part of
+        # the first, middle and last factor
+        p, q, sign_a = (v[first][:, :, :, None, None] for v in (rows, cols, signs))
+        r, s, sign_b = (v[ys[chunk]][:, None, None, :, None] for v in (rows, cols, signs))
+        t, u, sign_c = (v[first[:, ::-1]][:, :, None, None, :] for v in (rows, cols, signs))
+        coef = sign_a * sign_b * sign_c * ((q == s) & (r == t))
+        member = at[p, u]
+        live = (coef != 0) & (member >= 0)
+        kidx[chunk, 0] = np.where(live, member, 0).max(axis=(1, 2, 3, 4))
+        kcoef[chunk, 0] = np.where(live, coef, 0).sum(axis=(1, 2, 3, 4))
+    return kidx, kcoef, 2
+
+
+def _stacked_wants(wants: Sequence[tuple]) -> tuple:
+    """One ``want`` of ``ExactFamily.equal`` for the triples of several, in order."""
+    q = math.lcm(*(w[2] for w in wants))
+    width = max(w[0].shape[1] for w in wants)
+    size = sum(len(w[0]) for w in wants)
+    kidx = np.zeros((size, width), dtype=np.intp)
+    kcoef = np.zeros((size, width), dtype=np.int64)
+    at = 0
+    for ki, kc, wq in wants:
+        kidx[at:at + len(ki), :ki.shape[1]] = ki
+        kcoef[at:at + len(ki), :ki.shape[1]] = kc * (q // wq)
+        at += len(ki)
+    return kidx, kcoef, q
+
+
+def _expected_table(grid: Grid, xs, ys, zs) -> tuple:
+    """The expected {u_x, u_y, u_z} at the positions xs, ys, zs, as the
+    ``want`` of ``ExactFamily.equal``: the matrix-unit rule, or the index
+    rule of a spin or rank-1 grid."""
     kind = grid.kind
-    if kind in ("hermitian", "symplectic"):
-        return _model_triples(kind, grid.params["m"], triples)
-    table = {"rectangular": _rect_triple, "rank1": _rank1_triple, "spin": _spin_triple}
-    if kind not in table:
+    if kind in ("rectangular", "hermitian", "symplectic"):
+        return _matrix_unit_table(grid, xs, ys, zs)
+    rules = {"rank1": _rank1_triple, "spin": _spin_triple}
+    if kind not in rules:
         raise ValueError(f"unknown grid kind {kind!r}")
-    return [table[kind](*t) for t in triples]
+    idxs = grid.indices
+    pos = {idx: x for x, idx in enumerate(idxs)}
+    wants = (rules[kind](idxs[x], idxs[y], idxs[z]) for x, y, z in zip(xs, ys, zs))
+    return combination([{pos[i]: v for i, v in w.items()} for w in wants])
 
 
 # -- verification -------------------------------------------------------------
@@ -406,29 +451,28 @@ def _minimal_indices(grid: Grid) -> list:
     return list(grid.indices)
 
 
-def _triple_index_sample(count: int) -> list:
-    rng = random.Random(0)
-    total = count ** 3
-    picks = sorted(rng.sample(range(total), min(TRIPLE_SAMPLE_SIZE, total)))
-    return [(t // (count * count), (t // count) % count, t % count) for t in picks]
-
-
 def verify_grid(grid: Grid) -> VerificationReport:
     """Check pairwise-relation, minimality and triple-product identities of
     a grid, exactly.
 
-    The ``partial_isometry`` line counts the elements that the ``Grid``
-    checked when it was made; they are not evaluated again.  Relations are
+    A grid of more than ``GRID_VERIFY_CAP`` elements raises
+    ``CapacityError`` before any product is formed.  The
+    ``partial_isometry`` line counts the elements that the ``Grid`` checked
+    when it was made; they are not evaluated again.  Relations are
     classified pair by pair.  Minimality (u_v u_w* u_v = 0), the triple table
     and the kind's named identities are read off one batched family table
-    (``ExactFamily``): the table covers every triple with the first index not
-    after the third ({a,b,c} = {c,b,a}) up to 20 elements, and a fixed sample
-    of 500 index triples above; the named identities are evaluated in the
-    same pass.  Failures are reported, never raised, each check listing its
-    first failures in loop order.
+    (``ExactFamily``).  The table covers every triple with the first index
+    not after the third ({a,b,c} = {c,b,a}), at every size; its expected
+    values come from the indices alone (``_expected_table``), never from a
+    model grid.  The named identities are evaluated in the same pass.
+    Failures are reported, never raised, each check listing its first
+    failures in loop order.
     """
-    rep = VerificationReport(subject=grid.describe())
     n = len(grid)
+    if n > GRID_VERIFY_CAP:
+        raise CapacityError(f"grid verification is capped at {GRID_VERIFY_CAP} elements, "
+                            f"got {n}")
+    rep = VerificationReport(subject=grid.describe())
     if n == 0:
         rep.flag("empty_grid", "vacuously true")
         return rep
@@ -460,27 +504,21 @@ def verify_grid(grid: Grid) -> VerificationReport:
         rep.add_counted("minimality", not notmin, len(minimal), "elements",
                         failure=f"failed {notmin[:3]}")
 
-    if n <= EXHAUSTIVE_TRIPLE_CAP:
-        # x <= z covers every ordered triple
-        table = [(x, y, z) for x in range(n) for y in range(n) for z in range(x, n)]
-        mode = "exhaustive"
-    else:
-        table = _triple_index_sample(n)
-        mode = f"sampled {len(table)}"
-    triples = [(idxs[x], idxs[y], idxs[z]) for x, y, z in table]
-    wants = _expected_triples(grid, triples)
+    # x <= z covers every ordered triple, in loop order x, y, z
+    upper = np.triu(np.ones((n, n), dtype=bool))[:, None, :]
+    x, y, z = np.unravel_index(np.flatnonzero(np.broadcast_to(upper, (n, n, n))), (n, n, n))
     named = list(_named_instances(grid))
-    triples += [t for _, t, _, _ in named]
-    wants += [want for _, _, want, _ in named]
-    ia, ib, ic = (np.array([pos[t[s]] for t in triples], dtype=np.intp) for s in range(3))
-    ok = fam.equal(ia, ib, ic, combination([{pos[i]: v for i, v in w.items()} for w in wants]),
+    named_want = combination([{pos[i]: v for i, v in w.items()} for _, _, w, _ in named])
+    ia, ib, ic = (np.concatenate([t, [pos[trio[s]] for _, trio, _, _ in named]]).astype(np.intp)
+                  for s, t in enumerate((x, y, z)))
+    ok = fam.equal(ia, ib, ic, _stacked_wants([_expected_table(grid, x, y, z), named_want]),
                    sym=True)
 
-    badt = [t for t, good in zip(triples, ok[:len(table)]) if not good]
-    rep.add_counted("triple_products", not badt, len(table), f"triples ({mode})",
-                    failure=f"failed {badt[:3]}")
+    badt = [(idxs[x[t]], idxs[y[t]], idxs[z[t]]) for t in np.flatnonzero(~ok[:len(x)])[:3]]
+    rep.add_counted("triple_products", not badt, len(x), "triples (exhaustive)",
+                    failure=f"failed {badt}")
     counts, failed = Counter(), defaultdict(list)
-    for (check, _, _, label), good in zip(named, ok[len(table):]):
+    for (check, _, _, label), good in zip(named, ok[len(x):]):
         counts[check] += 1
         if not good:
             failed[check].append(label)

@@ -675,7 +675,7 @@ class ExactFamily:
     ``ternary`` and ``matrices`` return a b* c.  Triples are sorted by their
     first, then middle index and evaluated in chunks of at most
     ``_CHUNK_CELLS`` cells per operand; a chunk forms each of its distinct
-    products a b* (and b* a) once.
+    products a b* (and b* a) once where that is the smaller square.
 
     Every evaluation first bounds each product and partial sum it can form
     from the largest numerator ``mag``: a b* c sums 2·rows·cols terms of at
@@ -720,8 +720,14 @@ class ExactFamily:
 
     def _chunks(self, fam, ia, ib, ic, sym: bool):
         """Yield (positions, (re, im)): a b* c, or a b* c + c b* a with
-        ``sym``, over den^3 for the triples at those positions."""
-        per = max(1, _CHUNK_CELLS // max(self.shape) ** 2)
+        ``sym``, over den^3 for the triples at those positions.
+
+        Each product is associated so that its inner factor is the smaller
+        square: a b* (rows x rows) or b* a (cols x cols) once per distinct
+        pair when that side is the short one, else b* c or c b* per triple.
+        No intermediate then has more cells than an operand."""
+        nr, nc = self.shape
+        per = max(1, _CHUNK_CELLS // (nr * nc))
         order = np.lexsort((ib, ia))
         size = len(self)
         for s in range(0, len(order), per):
@@ -729,9 +735,15 @@ class ExactFamily:
             pairs, inv = np.unique(ia[rows] * size + ib[rows], return_inverse=True)
             a, b = _ctake(fam, pairs // size), _ctake(fam, pairs % size)
             c = _ctake(fam, ic[rows])
-            re, im = _cmatmul(_ctake(_cmatmul(a, _cstar(b)), inv), c)
+            if nr <= nc:
+                re, im = _cmatmul(_ctake(_cmatmul(a, _cstar(b)), inv), c)
+            else:
+                re, im = _cmatmul(_ctake(a, inv), _cmatmul(_cstar(_ctake(b, inv)), c))
             if sym:
-                re2, im2 = _cmatmul(c, _ctake(_cmatmul(_cstar(b), a), inv))
+                if nc <= nr:
+                    re2, im2 = _cmatmul(c, _ctake(_cmatmul(_cstar(b), a), inv))
+                else:
+                    re2, im2 = _cmatmul(_cmatmul(c, _cstar(_ctake(b, inv))), _ctake(a, inv))
                 re, im = re + re2, None if im is None else im + im2
             yield rows, (re, im)
 

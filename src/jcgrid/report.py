@@ -28,7 +28,6 @@ class VerificationReport:
 
     subject: str
     checks: list = field(default_factory=list)
-    elapsed_ms: float = 0.0
 
     def add(self, name: str, ok: bool, residual: float = 0.0, detail: str = "") -> None:
         self.checks.append(Check(name, PASS if ok else FAIL, residual, detail))

@@ -2,16 +2,18 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from jcgrid import cli, grids
 from jcgrid.errors import CapacityError, TransformError
-from jcgrid.grids import (Grid, conjugate_grid, hermitian_grid,
+from jcgrid.grids import (GRID_VERIFY_CAP, Grid, conjugate_grid, hermitian_grid,
                           hermitian_to_matrix_units, random_signed_permutation,
                           rectangular_grid, spin_grid, spin_system,
                           spin_to_spin_system, symplectic_grid,
                           symplectic_to_matrix_units, verify_grid)
 from jcgrid.hnk import build_hnk
-from jcgrid.numlin import EX_HALF, EX_I, ExactMatrix, exact_rank
+from jcgrid.numlin import EX_HALF, EX_I, ExactFamily, ExactMatrix, exact_rank
 from jcgrid.triple import (GridRelation, classify_relation, isotope_product,
                            ternary_product, triple_product)
 
@@ -297,7 +299,7 @@ def _corrupted_grids():
         "symplectic": _replace(symplectic_grid(4), (1, 2), E(4, 4, 0, 1) + E(4, 4, 1, 0)),
         "spin": _scaled(spin_odd, ("ut", 1), EX_I),
         "spin-partner": _replace(spin_even, ("ut", 2), spin_even.matrix(("u", 2))),
-        "hermitian-sampled": _replace(hermitian_grid(6), (2, 5), E(6, 6, 4, 1)),
+        "hermitian-m6": _replace(hermitian_grid(6), (2, 5), E(6, 6, 4, 1)),
         "rank1": _replace(rank1.as_grid(), 2, rank1.basis[0].scale(EX_I)),
     }
 
@@ -376,7 +378,9 @@ FAILURE_REPORTS = {
         ('spin_partner_orthogonality', 'fail',
          'failed [2]'),
     ]),
-    "hermitian-sampled": ('hermitian(m=6)', [
+    # the triple_products line re-recorded when the table of this 21-element
+    # grid went from a 500-triple sample to all 4,851 triples
+    "hermitian-m6": ('hermitian(m=6)', [
         ('partial_isometry', 'pass',
          '21 elements'),
         ('pairwise_relations', 'fail',
@@ -384,7 +388,7 @@ FAILURE_REPORTS = {
         ('minimality', 'pass',
          '6 elements'),
         ('triple_products', 'fail',
-         'failed [((1, 2), (2, 2), (2, 5)), ((1, 5), (2, 5), (2, 4)), ((2, 5), (2, 2), (2, 5))]'),
+         'failed [((1, 1), (1, 2), (2, 5)), ((1, 1), (1, 5), (2, 5)), ((1, 2), (1, 1), (1, 5))]'),
         ('hermitian_chain_identity', 'fail',
          'failed [(1, 1, 2, 5), (1, 1, 5, 2), (1, 2, 2, 5)]'),
         ('hermitian_cycle_identity', 'fail',
@@ -477,3 +481,96 @@ class TestTransformErrors:
         with pytest.raises(TransformError) as exc:
             transform(grid())
         assert str(exc.value) == message
+
+
+def _upper_triples(n):
+    """Every (x, y, z) with x <= z, in loop order."""
+    return np.array([(x, y, z) for x in range(n) for y in range(n) for z in range(x, n)],
+                    dtype=np.intp).reshape(-1, 3).T
+
+
+def _model_coefficients(g, xs, ys, zs):
+    """The reference for the matrix-unit rule: the u-coefficients of
+    2 {u_x, u_y, u_z}, read off the products of the canonical model itself.
+    The model's elements are matrix units (rectangular) or sums of two, so
+    entry (i, j) of a product is the coefficient of u_ij; the read-off is
+    checked by rebuilding every product from it."""
+    fam = ExactFamily(g.matrices())
+    twice, _ = fam.ternary(xs, ys, zs, sym=True)
+    rows, cols = (np.array(g.indices) - 1).T
+    coeffs = twice[:, rows, cols]
+    assert (np.tensordot(coeffs, fam.re, axes=(1, 0)) == twice).all()
+    return coeffs
+
+
+def _rule_coefficients(g, xs, ys, zs):
+    """The u-coefficients of 2 {u_x, u_y, u_z} that verify_grid expects."""
+    kidx, kcoef, q = grids._expected_table(g, xs, ys, zs)
+    assert q == 2
+    dense = np.zeros((len(xs), len(g)), dtype=np.int64)
+    np.add.at(dense, (np.arange(len(xs))[:, None], kidx), kcoef.astype(np.int64))
+    return dense
+
+
+class TestMatrixUnitRule:
+    """The index rule of the rectangular, hermitian and symplectic triple
+    tables against the canonical model it replaces."""
+
+    @pytest.mark.parametrize("g", [hermitian_grid(m) for m in range(2, 8)]
+                             + [symplectic_grid(m) for m in range(4, 8)]
+                             + [rectangular_grid(p, q) for p in range(1, 5) for q in range(1, 5)],
+                             ids=lambda g: g.describe())
+    def test_rule_matches_canonical_model(self, g):
+        xs, ys, zs = _upper_triples(len(g))
+        assert (_rule_coefficients(g, xs, ys, zs) == _model_coefficients(g, xs, ys, zs)).all()
+
+
+# grids that the canonical model read-off could not report: a broken element
+# changed the model the expected values were read from
+BROKEN_CONSTRUCTIONS = {
+    "hermitian-negated-u11": ("hermitian_grid", ["--m", "4"],
+                              lambda g: _scaled(g, (1, 1), -1)),
+    "hermitian-u12-plus-e34-e43": ("hermitian_grid", ["--m", "4"],
+                                   lambda g: _replace(g, (1, 2), g.matrix((1, 2)) + E(4, 4, 2, 3)
+                                                      + E(4, 4, 3, 2))),
+    "symplectic-negated-u12": ("symplectic_grid", ["--m", "5"],
+                               lambda g: _scaled(g, (1, 2), -1)),
+}
+
+
+class TestBrokenConstruction:
+    @pytest.mark.parametrize("case", list(BROKEN_CONSTRUCTIONS))
+    def test_broken_constructor_fails_triple_table(self, monkeypatch, capsys, case):
+        name, size, mutate = BROKEN_CONSTRUCTIONS[case]
+        build = getattr(grids, name)
+        monkeypatch.setattr(grids, name, lambda m: mutate(build(m)))
+        kind = name.split("_")[0]
+        assert cli.main(["verify", "grid", "--kind", kind, *size]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL   ] triple_products" in out and "overall: fail" in out
+
+
+class TestVerifyCap:
+    def test_at_cap_is_exhaustive(self, capsys):
+        assert len(hermitian_grid(12)) == GRID_VERIFY_CAP
+        assert cli.main(["verify", "grid", "--kind", "hermitian", "--m", "12"]) == 0
+        out = capsys.readouterr().out
+        assert "240318 triples (exhaustive)" in out and "overall: pass" in out
+
+    def test_above_cap_forms_no_product(self, monkeypatch):
+        g = rectangular_grid(1, GRID_VERIFY_CAP + 1)
+        products = []
+        for owner, method in ((ExactMatrix, "__mul__"), (ExactFamily, "__init__")):
+            orig = getattr(owner, method)
+            monkeypatch.setattr(owner, method,
+                                lambda *a, _orig=orig, **k: products.append(a) or _orig(*a, **k))
+        with pytest.raises(CapacityError):
+            verify_grid(g)
+        assert products == []
+
+    def test_above_cap_exits_3(self, capsys):
+        argv = ["verify", "grid", "--kind", "rectangular", "--p", "1",
+                "--q", str(GRID_VERIFY_CAP + 1)]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("capacity: ")

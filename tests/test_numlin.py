@@ -915,3 +915,21 @@ class TestFamilyOracle:
                 assert all((x is None and y is None) or (x == y).all() for x, y in zip(a, b))
             else:
                 assert (a == b).all()
+
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (2, 5), (5, 2)])
+    def test_wide_and_tall_families(self, shape):
+        # a wide family forms c b* per triple, a tall one b* c: both sides of
+        # each association rule against the per-product results
+        rows, cols = shape
+        rng = np.random.default_rng(rows * 10 + cols)
+        mats = [ExactMatrix(rows, cols, [ExactScalar(int(re), int(im)) for re, im in
+                                          rng.integers(-2, 3, size=(rows * cols, 2))])
+                for _ in range(4)]
+        fam = ExactFamily(mats)
+        ia, ib, ic = _all_triples(len(mats))
+        assert fam.matrices(ia, ib, ic) == [mats[a] * mats[b].adjoint() * mats[c]
+                                            for a, b, c in zip(ia, ib, ic)]
+        braces = [triple_product(mats[a], mats[b], mats[c]) for a, b, c in zip(ia, ib, ic)]
+        ext = ExactFamily(mats + braces)
+        assert ext.equal(ia, ib, ic, scaled_members(len(mats) + np.arange(len(braces))),
+                         sym=True).all()
