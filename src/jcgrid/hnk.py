@@ -242,9 +242,10 @@ class RankOneRealization:
         elements = tuple(elements)
         mats = [e.mat for e in elements]
         halves = [v.scale(EX_HALF) for v in mats]
-        # triple_product reads each element's two kept Gram products, so a
-        # pair costs two exact products; the trace of perfbench's hnk-build
-        # workload records triple.triple_product here
+        # triple_product reads each element's two kept Gram products and sums
+        # their two products into one matrix: one construction per pair; the
+        # trace of perfbench's hnk-build workload records
+        # triple.triple_product here
         for a, va in enumerate(mats):
             for b, vb in enumerate(mats):
                 if a != b and triple_product(va, va, vb) != halves[b]:

@@ -5,10 +5,11 @@ so all algebraic identities can be checked with zero residual.  ``ExactMatrix``
 is an immutable matrix of Gaussian rationals held as two integer numerator
 arrays over one common denominator, (re + i*im) / den; its algebra is numpy
 integer array arithmetic, on int64 while a bound on the result stays below
-2^62 and on Python ints otherwise.  Products climb a ladder of three rungs:
-float64 on BLAS when every partial sum is an integer below 2^53 and the
-product is large enough to pay for the casts, int64 below 2^62, Python ints
-above.  ``ApproxMatrix`` wraps a complex128 array
+2^62 and on Python ints otherwise.  One kernel forms every exact product, or
+sum of two products over one denominator, as one matrix, on one of three
+rungs: float64 on BLAS when every partial sum of a dot is an integer below
+2^53 and the products are large enough to pay for the casts, int64 below
+2^62, Python ints above.  ``ApproxMatrix`` wraps a complex128 array
 and carries the spectral computations (operator norm, trace norm) through
 LAPACK's Hermitian eigensolver on the smaller Gram matrix.
 """
@@ -236,14 +237,17 @@ class ExactMatrix:
     while all of them are below 2^62; every product, sum, scale and Kronecker
     product first bounds its result from the operands' largest numerators and
     runs on Python ints (``dtype=object``) when the bound could reach 2^62, so
-    no operation can overflow.  A product of int64 matrices whose real dots
-    have every partial sum below 2^53 (``cols * max|a| * max|b|``) and that
-    takes at least ``_BLAS_MIN_SIZE`` scalar multiplications runs each real
-    dot in float64 on BLAS and casts it back to int64, which is exact.
-    Canonical form makes ``==`` and ``hash`` exact comparisons of
-    (shape, den, re, im).  Real int64 matrices of one shape share one
-    read-only zero array as ``im``; a producer that knows its result is real
-    passes ``im`` as None.  ``adjoint`` and ``gram`` keep their results.
+    no operation can overflow.  Products go through one kernel,
+    ``_product_sum``, which forms a product or a sum of products (as in
+    ``triple.triple_product``) as one matrix on one of three rungs: Python
+    ints from that bound up; float64 on BLAS when every real dot has every
+    partial sum below 2^53 (``cols * max|a| * max|b|``) and a product takes
+    at least ``_BLAS_MIN_SIZE`` scalar multiplications, each dot cast back to
+    int64, which is exact; int64 otherwise.  Canonical form makes ``==`` and
+    ``hash`` exact comparisons of (shape, den, re, im).  Real int64 matrices
+    of one shape share one read-only zero array as ``im``; a producer that
+    knows its result is real passes ``im`` as None.  ``adjoint`` and ``gram``
+    keep their results.
     """
 
     __slots__ = ("rows", "cols", "re", "im", "den", "_adj", "_gram", "_mag")
@@ -262,12 +266,12 @@ class ExactMatrix:
             im = _as_numerators(ims, den, (rows, cols)) if any(ims) else None
         else:
             re, im, den = _arrays
-        real = im is None
-        if real:
-            im = _zero_im((rows, cols))
+        zero = None
+        if im is None:
+            im = zero = _zero_im((rows, cols))
         re, im, den = _canonical(re, im, den)
-        if real and im.dtype is not _OBJECT:
-            im = _zero_im((rows, cols))  # _canonical may have copied it
+        if im is not zero and zero is not None and im.dtype is not _OBJECT:
+            im = zero  # _canonical may have copied it
         re.flags.writeable = False
         im.flags.writeable = False
         self.rows = rows
@@ -389,34 +393,7 @@ class ExactMatrix:
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
-            if self.cols != other.rows:
-                raise DimensionError(
-                    f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            ar, ai, br, bi = self.re, self.im, other.re, other.im
-            (_, a_im), (_, b_im) = ma, mb = self._mags(), other._mags()
-            # bounds every partial sum of one real dot
-            inner = self.cols * max(ma) * max(mb)
-            dot = np.dot
-            if 2 * inner >= _INT64_LIMIT:
-                ar, ai, br, bi = (x.astype(object) for x in (ar, ai, br, bi))
-            elif inner < _FLOAT_EXACT and self.rows * self.cols * other.cols >= _BLAS_MIN_SIZE:
-                # each dot is cast back before the int64 sums that join them
-                dot = _float_dot
-                ar, br = ar.astype(np.float64), br.astype(np.float64)
-                ai = ai.astype(np.float64) if a_im else ai
-                bi = bi.astype(np.float64) if b_im else bi
-            # products with an all-zero imaginary part are skipped
-            re = dot(ar, br)
-            if a_im and b_im:
-                re = re - dot(ai, bi)
-                im = dot(ar, bi) + dot(ai, br)
-            elif a_im:
-                im = dot(ai, br)
-            elif b_im:
-                im = dot(ar, bi)
-            else:
-                im = None
-            return ExactMatrix(self.rows, other.cols, _arrays=(re, im, self.den * other.den))
+            return _product_sum(((self, other),))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -532,6 +509,92 @@ class ExactMatrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
+def _cast(a: np.ndarray, dtype, casts: dict) -> np.ndarray:
+    """``a`` as ``dtype``, cast once per kernel call (an operand of two
+    terms is read twice)."""
+    c = casts.get(id(a))
+    if c is None:
+        c = casts[id(a)] = a.astype(dtype)
+    return c
+
+
+def _product_sum(terms, q: int = 1) -> ExactMatrix:
+    """(x_1 y_1 + x_2 y_2 + ...) / q for ``terms``, a sequence of (x, y)
+    ``ExactMatrix`` pairs whose products share one shape, as one canonical
+    matrix: one bound, one dot per nonzero part of each term and one
+    construction.  ``ExactMatrix.__mul__`` is the one-term call.
+
+    The sum runs over den, the lcm of the terms' x.den * y.den; a term is
+    lifted by f = den / (x.den * y.den).  Every partial sum of one real dot
+    of a term is at most inner = x.cols * max|x| * max|y|, and every partial
+    sum of the whole at most the total of 2 * f * inner.  The rung:
+      - Python ints when that total reaches 2^62;
+      - float64 on BLAS when every inner is below 2^53 and some term takes
+        at least ``_BLAS_MIN_SIZE`` scalar multiplications; each dot is cast
+        back to int64 before the int64 sums that join it;
+      - int64 otherwise.
+    A term with a zero factor adds nothing: it forms no dot and lifts no den.
+    """
+    x, y = terms[0]
+    rows, cols = x.rows, y.cols
+    # total: the sum over the terms so far of inner * den / (x.den * y.den)
+    den, total, widest, size = 1, 0, 0, 0
+    live = []
+    for x, y in terms:
+        if x.cols != y.rows:
+            raise DimensionError(f"cannot multiply {x.rows}x{x.cols} by {y.rows}x{y.cols}")
+        if x.rows != rows or y.cols != cols:
+            raise DimensionError(f"cannot add a {x.rows}x{y.cols} product to {rows}x{cols}")
+        inner = x.cols * max(x._mags()) * max(y._mags())
+        if not inner:
+            continue  # den may not fit the int64 zeros a zero term would be lifted by
+        d = x.den * y.den
+        if d == den:
+            total += inner
+        else:
+            lift = math.lcm(den, d)
+            total = total * (lift // den) + inner * (lift // d)
+            den = lift
+        widest = inner if inner > widest else widest
+        mults = x.rows * x.cols * y.cols
+        size = mults if mults > size else size
+        live.append((x, y, d))
+    if not live:
+        return ExactMatrix.zeros(rows, cols)
+    dot, cast = np.dot, None
+    if 2 * total >= _INT64_LIMIT:
+        cast = _OBJECT
+    elif widest < _FLOAT_EXACT and size >= _BLAS_MIN_SIZE:
+        dot, cast = _float_dot, np.float64
+    casts = {}
+    re = im = None
+    for x, y, d in live:
+        xr, xi, yr, yi = x.re, x.im, y.re, y.im
+        x_im, y_im = x._mag[1], y._mag[1]
+        if cast is not None:
+            xr, yr = _cast(xr, cast, casts), _cast(yr, cast, casts)
+            xi = _cast(xi, cast, casts) if x_im else xi
+            yi = _cast(yi, cast, casts) if y_im else yi
+        # products with an all-zero imaginary part are skipped
+        r = dot(xr, yr)
+        if x_im and y_im:
+            r = r - dot(xi, yi)
+            i = dot(xr, yi) + dot(xi, yr)
+        elif x_im:
+            i = dot(xi, yr)
+        elif y_im:
+            i = dot(xr, yi)
+        else:
+            i = None
+        if d != den:
+            f = den // d
+            r, i = r * f, None if i is None else i * f
+        re = r if re is None else re + r
+        if i is not None:
+            im = i if im is None else im + i
+    return ExactMatrix(rows, cols, _arrays=(re, im, den * q))
+
+
 def _assemble(rows: int, cols: int, placed) -> ExactMatrix:
     """One matrix from blocks placed at (row offset, col offset), over the
     least common denominator of the blocks; uncovered entries are zero."""
@@ -644,24 +707,43 @@ def _cells_equal(x, y) -> np.ndarray:
 
 def combination(rows: Sequence[dict]) -> tuple:
     """The ``want`` argument of ``ExactFamily.equal`` for one
-    {member position: int or Fraction coefficient} dict per triple."""
+    {member position: int or Fraction coefficient} dict per triple; the
+    coefficients are int64 while all of them are below 2^62."""
     width = max(map(len, rows), default=0)
     q = math.lcm(*{v.denominator for row in rows for v in row.values()})
+    nums = [[v.numerator * (q // v.denominator) for v in row.values()] for row in rows]
+    big = max((abs(x) for row in nums for x in row), default=0) >= _INT64_LIMIT
     kidx = np.zeros((len(rows), width), dtype=np.intp)
-    kcoef = np.zeros((len(rows), width), dtype=object)
-    for t, row in enumerate(rows):
+    kcoef = np.zeros((len(rows), width), dtype=object if big else np.int64)
+    for t, (row, num) in enumerate(zip(rows, nums)):
         if row:
             kidx[t, :len(row)] = list(row)
-            kcoef[t, :len(row)] = [v.numerator * (q // v.denominator) for v in row.values()]
+            kcoef[t, :len(row)] = num
     return kidx, kcoef, q
 
 
 def scaled_members(kidx, coef=1, q: int = 1) -> tuple:
     """The ``want`` argument of ``ExactFamily.equal`` for coef[t] / q times
-    the single member kidx[t] per triple; ``coef`` may be one number."""
+    the single member kidx[t] per triple; ``coef`` may be one number.  The
+    coefficients are int64 while all of them are below 2^62."""
     kidx = np.asarray(kidx, dtype=np.intp)[:, None]
-    coef = np.asarray(coef, dtype=object).reshape(-1, 1)
+    coef = np.asarray(coef).reshape(-1, 1)
+    if coef.dtype.kind != "i" or (coef.size and
+                                  max(int(coef.max()), -int(coef.min())) >= _INT64_LIMIT):
+        coef = coef.astype(object)
     return kidx, np.broadcast_to(coef, kidx.shape), q
+
+
+def _scaled_coefficients(kcoef, factor: int) -> np.ndarray:
+    """kcoef * factor, on int64 while max|kcoef| * factor stays below 2^62
+    (times the width, so that every row's sum of absolute values fits too;
+    and factor itself, for all-zero coefficients), else on Python ints."""
+    kcoef = np.asarray(kcoef)
+    small = kcoef.dtype != _OBJECT
+    if small:
+        top = max(int(kcoef.max()), -int(kcoef.min())) if kcoef.size else 0
+        small = factor * max(1, top * kcoef.shape[1]) < _INT64_LIMIT
+    return kcoef.astype(np.int64 if small else object) * factor
 
 
 class ExactFamily:
@@ -691,7 +773,8 @@ class ExactFamily:
         if any(m.shape != self.shape for m in mats):
             raise DimensionError("family members must share one shape")
         self.den = math.lcm(*(m.den for m in mats))
-        factors = [self.den // m.den for m in mats]
+        # a zero member is not lifted: den may not fit the int64 zeros it would scale
+        factors = [self.den // m.den if m._bound() else 1 for m in mats]
         self.mag = max(m._bound() * f for m, f in zip(mats, factors))
         big = self.mag >= _INT64_LIMIT
 
@@ -757,14 +840,14 @@ class ExactFamily:
         """
         ia, ib, ic = (np.asarray(x, dtype=np.intp) for x in (ia, ib, ic))
         if want is None:
-            want = np.zeros((len(ia), 0), dtype=np.intp), np.zeros((len(ia), 0), dtype=object), 1
+            want = np.zeros((len(ia), 0), dtype=np.intp), np.zeros((len(ia), 0), np.int64), 1
         kidx, kcoef, q = want
         ok = np.empty(len(ia), dtype=bool)
         if not len(ia):
             return ok
         # P / den^3 (2 den^3 with sym) == W / (q den)  <=>  q P == factor W
         factor = self.den ** 2 * (2 if sym else 1)
-        kcoef = np.asarray(kcoef, dtype=object) * factor
+        kcoef = _scaled_coefficients(kcoef, factor)
         weight = int(np.abs(kcoef).sum(axis=1).max())
         fam = self._stack(max(q * self._ternary_bound(sym), weight * self.mag))
         kcoef = kcoef.astype(fam[0].dtype)

@@ -8,7 +8,8 @@ matrix one shared cell dict, so payloads are read-only: mutating a cell
 changes every entry of that value.  ``dumps`` writes the bytes of
 ``json.dumps(payload, indent=2, sort_keys=True)`` without the standard
 library's pure-Python indent encoder: each cell object is rendered once per
-indent depth and its text reused.  Payload keys must be ``str``.
+indent depth and its text reused, and a row of cells rendered before is
+written as one reference per cell.  Payload keys must be ``str``.
 """
 
 from __future__ import annotations
@@ -130,43 +131,54 @@ def dumps(payload: dict) -> str:
     matrix cell, a dict whose only keys are ``"re"`` and ``"im"``, each a
     ``{"num": str, "den": str}`` dict, is rendered once per object and indent
     depth, and that text is reused wherever the same object recurs at that
-    depth.  Keys must be ``str``: any other key raises ``TypeError``.
+    depth; a list whose items all are such cells is written from their texts,
+    kept with the separator and indent before them, without a call per cell.
+    Keys must be ``str``: any other key raises ``TypeError``.
     """
     out: List[str] = []
-    _write(payload, 0, out, {})
+    _write(payload, 0, out, {}, {})
     return "".join(out)
 
 
-def _write(obj, level: int, out: List[str], texts: dict) -> None:
+def _write(obj, level: int, out: List[str], texts: dict, items: dict) -> None:
+    # Both caches are keyed by (id, level): the payload holds every object it
+    # contains for the whole call, so no id is reused while they remember it.
+    # ``texts`` maps a dict to its cell text, or to None when it is not a
+    # cell; ``items`` maps a cell to its text after "," and its line's indent.
     if isinstance(obj, dict) and obj:
-        # Keyed by id: the payload holds every object it contains for the
-        # whole call, so no id is reused while ``texts`` remembers it.  The
-        # value is the cell's text, or None for a dict that is not a cell.
         key = (id(obj), level)
         if key not in texts:
             texts[key] = None
             if _is_cell(obj):
                 parts: List[str] = []
-                _write_dict(obj, level, parts, texts)
-                texts[key] = "".join(parts)
+                _write_dict(obj, level, parts, texts, items)
+                texts[key] = text = "".join(parts)
+                items[key] = ",\n" + "  " * level + text
         text = texts[key]
         if text is None:
-            _write_dict(obj, level, out, texts)
+            _write_dict(obj, level, out, texts, items)
         else:
             out.append(text)
     elif isinstance(obj, (list, tuple)) and obj:
-        inner = "\n" + "  " * (level + 1)
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            _write(item, level + 1, out, texts)
-            sep = "," + inner
+        try:
+            # a row of cells rendered before at this depth: one reference each
+            row = [items[id(item), level + 1] for item in obj]
+        except KeyError:
+            inner = "\n" + "  " * (level + 1)
+            sep = "[" + inner
+            for item in obj:
+                out.append(sep)
+                _write(item, level + 1, out, texts, items)
+                sep = "," + inner
+        else:
+            row[0] = "[" + row[0][1:]
+            out += row
         out.append("\n" + "  " * level + "]")
     else:
         out.append(json.dumps(obj))
 
 
-def _write_dict(d: dict, level: int, out: List[str], texts: dict) -> None:
+def _write_dict(d: dict, level: int, out: List[str], texts: dict, items: dict) -> None:
     for key in d:
         if not isinstance(key, str):
             raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
@@ -174,7 +186,7 @@ def _write_dict(d: dict, level: int, out: List[str], texts: dict) -> None:
     sep = "{" + inner
     for key in sorted(d):
         out.append(sep + encode_basestring_ascii(key) + ": ")
-        _write(d[key], level + 1, out, texts)
+        _write(d[key], level + 1, out, texts, items)
         sep = "," + inner
     out.append("\n" + "  " * level + "}")
 

@@ -11,7 +11,7 @@ import enum
 from typing import Sequence
 
 from .errors import CapacityError, DimensionError
-from .numlin import EX_HALF, ExactMatrix
+from .numlin import ExactMatrix, _product_sum
 
 RANK_FAMILY_CAP = 24
 
@@ -85,9 +85,17 @@ def ternary_product(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatr
 
 
 def triple_product(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatrix:
-    """{a,b,c} = (a b* c + c b* a)/2, exact."""
+    """{a,b,c} = (a b* c + c b* a)/2, exact, formed as one sum of two
+    products; a repeated operand reads its kept Gram products."""
     _check_triple_shapes(a, b, c)
-    return (ternary_product(a, b, c) + ternary_product(c, b, a)).scale(EX_HALF)
+    if a is b:
+        terms = ((a.gram(), c), (c, a.adjoint().gram()))
+    elif b is c:
+        terms = ((a, b.adjoint().gram()), (b.gram(), a))
+    else:
+        bstar = b.adjoint()
+        terms = ((a * bstar, c), (c * bstar, a))
+    return _product_sum(terms, 2)
 
 
 def peirce_project(v: PartialIsometry, x: ExactMatrix, k: int) -> ExactMatrix:
@@ -125,8 +133,8 @@ def classify_relation(v: PartialIsometry, w: PartialIsometry) -> GridRelation:
     if (v.mat.adjoint() * w.mat).is_zero() and (v.mat * w.mat.adjoint()).is_zero():
         return GridRelation.ORTHOGONAL
     # twice the triple products: 2{w,w,v} = w w* v + v w* w, read off the supports
-    wwv = w.left_support() * v.mat + v.mat * w.right_support()
-    vvw = v.left_support() * w.mat + w.mat * v.right_support()
+    wwv = _product_sum(((w.left_support(), v.mat), (v.mat, w.right_support())))
+    vvw = _product_sum(((v.left_support(), w.mat), (w.mat, v.right_support())))
     if wwv == v.mat:
         if vvw == w.mat:
             return GridRelation.COLINEAR

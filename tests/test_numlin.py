@@ -17,8 +17,9 @@ from jcgrid.numlin import (_BLAS_MIN_SIZE, EX_HALF, EX_I, EX_ZERO, ApproxMatrix,
                            block_row, combination, exact_linearly_independent,
                            exact_rank, operator_norm, scaled_members,
                            singular_values, span_contains, trace_norm)
+from jcgrid.numlin import _product_sum, _scaled_coefficients
 from jcgrid.serialize import matrix_to_csv_lines, matrix_to_json
-from jcgrid.triple import ternary_product, triple_product
+from jcgrid.triple import GridRelation, classify_relation, ternary_product, triple_product
 
 E = ExactMatrix.unit
 SIGMA1 = ExactMatrix.from_rows([[1, 0], [0, -1]])
@@ -839,6 +840,35 @@ class TestFamilyGuard:
         assert fam.equal([0], [0], [0], want).tolist() == [True]
         assert used == [np.dtype(object)] * 3
 
+    @pytest.mark.parametrize("sym", [False, True])
+    def test_coefficients_stay_int64_below_2_62(self, sym):
+        # factor = den^2, doubled for {a,b,c}: at den 1 the last int64
+        # coefficient is 2^62 / factor - 1
+        factor = 2 if sym else 1
+        edge = LIMIT // factor
+        for coef, dtype in ((edge - 1, np.int64), (edge, object)):
+            scaled = _scaled_coefficients(np.array([[coef]], dtype=np.int64), factor)
+            assert scaled.dtype == dtype and scaled.tolist() == [[coef * factor]]
+        # 1 / q times the member: equal only at coef == q
+        fam = ExactFamily([one(1)])
+        for coef in (edge - 1, edge):
+            got = fam.equal([0], [0], [0], scaled_members([0], coef, edge), sym=sym)
+            assert got.tolist() == [coef == edge]
+
+    def test_coefficient_width_and_storage(self):
+        # two columns: a row's sum of absolute values must fit as well
+        half = LIMIT // 2
+        assert _scaled_coefficients(np.array([[half - 1, 0]]), 1).dtype == np.int64
+        assert _scaled_coefficients(np.array([[half, 0]]), 1).dtype == object
+        # huge coefficients arrive as Python ints already
+        assert scaled_members([0], LIMIT)[1].dtype == object
+        assert scaled_members([0], LIMIT - 1)[1].dtype == np.int64
+        assert combination([{0: Fraction(LIMIT - 1)}])[1].dtype == np.int64
+        assert combination([{0: Fraction(LIMIT)}])[1].dtype == object
+        assert scaled_members([], np.array([], dtype=int))[1].shape == (0, 1)
+        # all-zero coefficients beside a factor past int64
+        assert _scaled_coefficients(np.zeros((1, 1), dtype=np.int64), 2 ** 70).dtype == object
+
     def test_members_must_share_a_shape(self):
         with pytest.raises(DimensionError):
             ExactFamily([E(2, 2, 0, 0), E(2, 3, 0, 0)])
@@ -854,6 +884,11 @@ class TestFamilyOracle:
                                             [0, Fraction(3, 20249), 0],
                                             [0, 0, ExactScalar(0, Fraction(-5, 74993))]]),
                      ExactMatrix.zeros(3, 3)]))
+    # a zero member beside a family den just above 2^63: it is not lifted by den
+    @example((2, 3, [ExactMatrix.zeros(2, 3), ExactMatrix.from_rows([
+        [0, 0, 0],
+        [ExactScalar(0, Fraction(1, 1289231)),
+         ExactScalar(Fraction(1, 694481), Fraction(1, 174601)), Fraction(1, 59)]])]))
     def test_against_exact_matrix(self, stack):
         rows, cols, mats = stack
         n = len(mats)
@@ -933,3 +968,214 @@ class TestFamilyOracle:
         ext = ExactFamily(mats + braces)
         assert ext.equal(ia, ib, ic, scaled_members(len(mats) + np.arange(len(braces))),
                          sym=True).all()
+
+
+# -- the exact product-sum kernel -------------------------------------------------
+
+
+def _real(m):
+    return ExactMatrix(m.rows, m.cols, [e.re for e in m.entries])
+
+
+def _kernel_operands(rows, cols):
+    """Complex and real entries with denominators up to 3, wide entries with
+    numerators up to 2^40 over denominators up to 2^24, and zero matrices."""
+    return st.one_of(exact_matrices(rows, cols), exact_matrices(rows, cols).map(_real),
+                     wide_matrices(rows, cols), st.just(ExactMatrix.zeros(rows, cols)))
+
+
+def _kernel_terms():
+    """(q, terms): one or two (x, y) pairs whose products are r x c."""
+    def terms(rows, cols, inners):
+        return st.tuples(*(st.tuples(_kernel_operands(rows, k), _kernel_operands(k, cols))
+                           for k in inners)).map(list)
+
+    return st.tuples(st.integers(1, 3), st.integers(1, 3),
+                     st.lists(st.integers(1, 3), min_size=1, max_size=2)).flatmap(
+        lambda s: st.tuples(st.sampled_from([1, 2, 3]), terms(*s)))
+
+
+def _separate_sum(terms, q):
+    """The sum of the terms' products, each formed alone, then scaled by 1/q."""
+    total = terms[0][0] * terms[0][1]
+    for x, y in terms[1:]:
+        total = total + x * y
+    return total.scale(Fraction(1, q))
+
+
+class TestProductSum:
+    """``_product_sum``: (sum of x y) / q as one canonical matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_kernel_terms())
+    # two terms over denominators 2 * 3 and 5 * 7: the sum runs over their lcm
+    @example((2, [(one(Fraction(1, 2)), one(Fraction(1, 3))),
+                  (one(ExactScalar(Fraction(2, 5), 1)), one(Fraction(3, 7)))]))
+    def test_equals_the_separate_products(self, qqi, case):
+        convert = qqi[0]
+        q, terms = case
+        got = _product_sum(terms, q)
+        assert got == _separate_sum(terms, q)
+        assert_canonical_storage(got)
+        rows = [[sum(col, ExactScalar(0)) / q for col in zip(*cells)]
+                for cells in zip(*(ref_product(x, y) for x, y in terms))]
+        assert as_rows(got) == rows
+        want = convert(terms[0][0]) * convert(terms[0][1])
+        for x, y in terms[1:]:
+            want = want + convert(x) * convert(y)
+        assert convert(got.scale(q)).to_list() == want.to_list()
+
+    def test_lcm_of_the_denominators(self):
+        # 2^61/2 + 2^61/3: lifted by 3 and 2, the numerators pass 2^62 over
+        # den 6; the result 5 * 2^60 / 3 is back on int64
+        terms = [(one(Fraction(1, 2)), one(2 ** 61)), (one(Fraction(1, 3)), one(2 ** 61))]
+        got = _product_sum(terms)
+        assert got.entry(0, 0) == ExactScalar(Fraction(5 * 2 ** 60, 3)) and got.den == 3
+        assert_canonical_storage(got)
+
+    def test_a_zero_term_lifts_no_denominator(self):
+        # a zero factor beside den 2^64 + 1: no int64 zero is scaled by it
+        wide = one(Fraction(1, 2 ** 64 + 1))
+        terms = [(ExactMatrix.zeros(1, 1), wide), (one(3), one(Fraction(1, 2)))]
+        assert _product_sum(terms) == one(Fraction(3, 2))
+        assert _product_sum(terms[:1], 2) == ExactMatrix.zeros(1, 1)
+
+    @pytest.mark.parametrize("second, rung", [
+        ((2 ** 30 - 1, 2 ** 30), np.int64),  # twice the total 2^62 - 2^31: int64
+        ((2 ** 30, 2 ** 30), object),        # twice the total 2^62: Python ints
+    ])
+    def test_int64_bound_covers_the_whole_sum(self, monkeypatch, second, rung):
+        used = _dot_dtypes(monkeypatch)
+        a, b = second
+        got = _product_sum([(one(2 ** 30), one(2 ** 30)), (one(a), one(b))])
+        assert got.entry(0, 0) == ExactScalar(2 ** 60 + a * b)
+        assert_canonical_storage(got)
+        assert used == [np.dtype(rung)] * 2
+
+    @pytest.mark.parametrize("value", [2 ** 31 - 1, 2 ** 31])
+    def test_object_storage_of_the_sum(self, value):
+        # each product fits int64 (below 2^62 at 2^31 - 1); their sum may not
+        terms = [(one(value), one(value))] * 2
+        got = _product_sum(terms)
+        assert got.entry(0, 0) == ExactScalar(2 * value * value)
+        assert_canonical_storage(got)
+        assert (got.re.dtype == object) == (2 * value * value >= LIMIT)
+        halved = _product_sum(terms, 2)
+        assert halved.entry(0, 0) == ExactScalar(value * value)
+        assert_canonical_storage(halved)
+        assert _product_sum([(one(value), one(value)), (one(-value), one(value))]).is_zero()
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_float_bound_just_below_and_above(self, monkeypatch, kind):
+        used = _dot_dtypes(monkeypatch)
+        b = TestFloatRung.B
+        top = _largest_odd_below(b)
+        for a, rung in ((top, np.float64), (top + 2, np.int64)):
+            x, y = ExactScalar(a), ExactScalar(b)
+            if kind == "complex":
+                x, y = ExactScalar(a, a), ExactScalar(b, -b)
+            left = _filled(RUNG_ROWS, INNER, x)
+            right = _filled(INNER, RUNG_ROWS, y)
+            # the second term's inner bound is the first's: the larger decides
+            small = _filled(RUNG_ROWS, INNER, ExactScalar(1))
+            want = _separate_sum([(small, right), (left, right)], 1)
+            del used[:]
+            got = _product_sum([(small, right), (left, right)])
+            assert got == want
+            assert_canonical_storage(got)
+            # the real first term forms one dot per part of the second factor
+            assert used == [np.dtype(rung)] * (2 if kind == "real" else 6)
+
+    def test_int64_below_the_blas_gate(self, monkeypatch, rng):
+        used = _dot_dtypes(monkeypatch)
+        x, y, z = (random_exact(rng, 6, 6) for _ in range(3))
+        assert x._mags()[1] and y._mags()[1] and z._mags()[1]
+        want = _separate_sum([(x, y), (z, x)], 2)
+        del used[:]
+        assert _product_sum([(x, y), (z, x)], 2) == want
+        assert used == [np.dtype(np.int64)] * 8
+        del used[:]
+        short = _filled(RUNG_ROWS - 1, INNER, ExactScalar(3))
+        tall = _filled(INNER, RUNG_ROWS - 1, ExactScalar(-1))
+        assert _product_sum([(short, tall), (short, tall)]) == \
+            _filled(RUNG_ROWS - 1, RUNG_ROWS - 1, ExactScalar(-6 * INNER))
+        assert used == [np.dtype(np.int64)] * 2
+
+    def test_a_shared_operand_is_cast_once(self, monkeypatch):
+        from jcgrid import numlin
+        from jcgrid.hnk import build_hnk
+        a, b = build_hnk(7, 4).basis[:2]  # 35 x 35, on the float64 rung
+        left, right = a.gram(), a.adjoint().gram()
+        want = (left * b + b * right).scale(EX_HALF)
+        used = _dot_dtypes(monkeypatch)
+        cast = []
+        orig = numlin._cast
+
+        def counted(arr, dtype, memo):
+            if id(arr) not in memo:
+                cast.append(id(arr))
+            return orig(arr, dtype, memo)
+
+        monkeypatch.setattr(numlin, "_cast", counted)
+        # {a,a,b} = (a a* b + b a* a)/2 reads b in both terms
+        assert triple_product(a, a, b) == want
+        assert sorted(cast) == sorted([id(left.re), id(b.re), id(right.re)])
+        assert used == [np.dtype(np.float64)] * 2
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(DimensionError, match="cannot multiply 2x3 by 2x3"):
+            ExactMatrix.zeros(2, 3) * ExactMatrix.zeros(2, 3)
+        with pytest.raises(DimensionError):
+            _product_sum([(ExactMatrix.zeros(2, 2), ExactMatrix.zeros(2, 2)),
+                          (ExactMatrix.zeros(1, 2), ExactMatrix.zeros(2, 2))])
+
+
+def _grids_with_pairs():
+    from test_grids import _corrupted_grids
+    from jcgrid import grids
+    from jcgrid.hnk import build_hnk
+    clean = [grids.rectangular_grid(2, 3), grids.hermitian_grid(4), grids.symplectic_grid(5),
+             grids.spin_grid(2, True), grids.spin_grid(3, False), build_hnk(4, 2).as_grid()]
+    return clean + list(_corrupted_grids().values())
+
+
+def _braces(a, b, c):
+    """{a,b,c} from its definition: two separate products each side, one sum, one halving."""
+    return (a * b.adjoint() * c + c * b.adjoint() * a).scale(EX_HALF)
+
+
+def _relation_by_definition(v, w):
+    """The grid relation with 2{w,w,v} and 2{v,v,w} formed as separate
+    products and one sum each."""
+    if v.mat == w.mat:
+        return GridRelation.EQUAL
+    if (v.mat.adjoint() * w.mat).is_zero() and (v.mat * w.mat.adjoint()).is_zero():
+        return GridRelation.ORTHOGONAL
+    wwv = w.mat * w.mat.adjoint() * v.mat + v.mat * w.mat.adjoint() * w.mat
+    vvw = v.mat * v.mat.adjoint() * w.mat + w.mat * v.mat.adjoint() * v.mat
+    two_v, two_w = v.mat.scale(2), w.mat.scale(2)
+    if wwv == v.mat and vvw == w.mat:
+        return GridRelation.COLINEAR
+    if wwv == v.mat and vvw == two_w:
+        return GridRelation.GOVERNS_FIRST_OVER_SECOND
+    if vvw == w.mat and wwv == two_v:
+        return GridRelation.GOVERNS_SECOND_OVER_FIRST
+    return GridRelation.UNCLASSIFIED
+
+
+def test_triple_products_and_relations_on_grid_pairs():
+    """Every ordered pair of the clean and corrupted grids of test_grids:
+    the kernel's triple products and Peirce sums against their definitions."""
+    seen = set()
+    for g in _grids_with_pairs():
+        for v in g.isometries():
+            for w in g.isometries():
+                a, b = v.mat, w.mat
+                # the a-is-b and b-is-c shortcuts, and the general a b* c + c b* a
+                assert triple_product(a, a, b) == _braces(a, a, b)
+                assert triple_product(a, b, b) == _braces(a, b, b)
+                assert triple_product(a, b, a) == _braces(a, b, a)
+                got = classify_relation(v, w)
+                assert got is _relation_by_definition(v, w)
+                seen.add(got)
+    assert seen == set(GridRelation)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jcgrid import serialize
 from jcgrid.grids import (hermitian_grid, labels_to_indices, rectangular_grid,
                           spin_grid, symplectic_grid, verify_grid)
 from jcgrid.hnk import build_hnk, diag_rect
@@ -154,6 +155,27 @@ def test_dumps_reuses_an_object_at_several_depths():
     payload = {"a": [cell, near, [cell, [near, cell]]], "b": {"c": cell, "d": near},
                "e": [[[[cell]]]], "re": cell["re"], "im": one}
     assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_rows_of_rendered_cells_take_no_call_per_cell(monkeypatch):
+    one = {"num": "0", "den": "1"}
+    cell = {"re": {"num": "1", "den": "2"}, "im": one}
+    other = {"re": one, "im": one}
+    row = [cell, other, cell]
+    payload = {"entries": [row, list(row), list(row), [cell, [cell]], [cell, 1]]}
+    calls = []
+    orig = serialize._write
+
+    def counted(obj, *args):
+        calls.append(obj)
+        return orig(obj, *args)
+
+    monkeypatch.setattr(serialize, "_write", counted)
+    assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    # the first row renders cell and other and reuses cell's text; the next
+    # two rows are written whole; a row holding a list or a scalar is not a
+    # row of cells, and [cell] one level deeper renders cell at that depth
+    assert sum(obj is cell or obj is other for obj in calls) == 3 + 0 + 0 + 2 + 1
 
 
 def test_dumps_does_not_use_the_pure_python_encoder(monkeypatch):
