@@ -15,7 +15,9 @@ timings go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
+import shutil
 import sys
 import time
 from typing import List, Optional
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import grids, hnk, opspace, serialize
 from .errors import CapacityError, DimensionError, TransformError
-from .numlin import ExactMatrix, operator_norm
+from .numlin import _INT64_LIMIT, ExactMatrix, operator_norm
 from .report import VerificationReport
 
 EXIT_PASS = 0
@@ -53,33 +55,44 @@ _EXIT_TABLE = (
 )
 
 
-def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="jcgrid", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+def _parser(argv: List[str]) -> argparse.ArgumentParser:
+    """The parser with all three subcommands registered and only the
+    invoked one's arguments added; the invoked subcommand is the first token
+    of ``argv`` that does not start with "-".  The help width is measured
+    once and passed to every formatter, where argparse would measure it for
+    each one."""
+    width = shutil.get_terminal_size().columns - 2
+    p = argparse.ArgumentParser(
+        prog="jcgrid", description=__doc__,
+        formatter_class=functools.partial(argparse.RawDescriptionHelpFormatter, width=width))
     sub = p.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("construct", help="build and print a space, grid or spin system")
-    c.add_argument("kind", choices=["hnk", "rectangular", "hermitian", "symplectic",
-                                    "spin", "spin-system", "diag-hnk", "diag-rect"])
-    _size_flags(c)
-    c.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
-
-    v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("target", choices=["grid", "hnk", "uij-grid", "projection",
-                                      "trace", "split", "matrix-units"])
-    v.add_argument("--kind", choices=["rectangular", "hermitian", "symplectic", "spin"],
-                   help="grid kind for the grid / matrix-units targets")
-    _size_flags(v)
-    v.add_argument("--samples", type=_positive_int, default=200,
-                   help="random samples for the projection contractivity check")
-    v.add_argument("--conjugations", type=_positive_int, default=20,
-                   help="seeded conjugation count for matrix-units naturality")
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--format", choices=["text", "json"], default="text")
-
-    w = sub.add_parser("witness", help="block witness norms and cb lower bounds")
-    w.add_argument("--n", type=int, required=True)
-    w.add_argument("--k", type=int, required=True)
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
+    c = sub.add_parser("construct", help="build and print a space, grid or spin system",
+                       formatter_class=formatter)
+    v = sub.add_parser("verify", help="run a verification suite", formatter_class=formatter)
+    w = sub.add_parser("witness", help="block witness norms and cb lower bounds",
+                       formatter_class=formatter)
+    command = next((a for a in argv if not a.startswith("-")), None)
+    if command == "construct":
+        c.add_argument("kind", choices=["hnk", "rectangular", "hermitian", "symplectic",
+                                        "spin", "spin-system", "diag-hnk", "diag-rect"])
+        _size_flags(c)
+        c.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
+    elif command == "verify":
+        v.add_argument("target", choices=["grid", "hnk", "uij-grid", "projection",
+                                          "trace", "split", "matrix-units"])
+        v.add_argument("--kind", choices=["rectangular", "hermitian", "symplectic", "spin"],
+                       help="grid kind for the grid / matrix-units targets")
+        _size_flags(v)
+        v.add_argument("--samples", type=_positive_int, default=200,
+                       help="random samples for the projection contractivity check")
+        v.add_argument("--conjugations", type=_positive_int, default=20,
+                       help="seeded conjugation count for matrix-units naturality")
+        v.add_argument("--seed", type=int, default=0)
+        v.add_argument("--format", choices=["text", "json"], default="text")
+    elif command == "witness":
+        w.add_argument("--n", type=int, required=True)
+        w.add_argument("--k", type=int, required=True)
     return p
 
 
@@ -266,6 +279,18 @@ def _verify_split(args) -> VerificationReport:
     return rep
 
 
+def _conjugated_unit(left: ExactMatrix, right: ExactMatrix, i: int, j: int) -> ExactMatrix:
+    """left * E_ij * right for the 0-based matrix unit E_ij: the outer product
+    of column i of left and row j of right, formed on the numerators."""
+    lr, li, rr, ri = left.re[:, i], left.im[:, i], right.re[j], right.im[j]
+    if 2 * left._bound() * right._bound() >= _INT64_LIMIT:
+        lr, li, rr, ri = (v.astype(object) for v in (lr, li, rr, ri))
+    re, im = np.outer(lr, rr), None
+    if left._mags()[1] or right._mags()[1]:
+        re, im = re - np.outer(li, ri), np.outer(lr, ri) + np.outer(li, rr)
+    return ExactMatrix(left.rows, right.cols, _arrays=(re, im, left.den * right.den))
+
+
 def _verify_matrix_units(args) -> VerificationReport:
     import random as _random
     kind = args.kind or "hermitian"
@@ -296,7 +321,7 @@ def _verify_matrix_units(args) -> VerificationReport:
         right = grids.random_signed_permutation(size, rng)
         cg = grids.conjugate_grid(g, left, right)
         fam2 = to_units(cg)
-        if any(fam2.unit(i, j) != left * ExactMatrix.unit(m, m, i - 1, j - 1) * right
+        if any(fam2.unit(i, j) != _conjugated_unit(left, right, i - 1, j - 1)
                for i in range(1, m + 1) for j in range(1, m + 1)):
             bad += 1
     rep.add_counted("conjugation_naturality", bad == 0, args.conjugations,
@@ -350,9 +375,9 @@ def _cmd_witness(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _parser(argv).parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     start = time.perf_counter()

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -34,10 +33,11 @@ from .triple import (GridRelation, PartialIsometry, classify_relation,
 
 SPIN_SYSTEM_CAP = 12
 # Most elements verify_grid accepts.  At 78 (hermitian m=12, symplectic
-# m=13, rectangular p*q=78) the exhaustive table holds 240,318 triples: one
-# `verify grid` took 0.9-1.8 s at a peak RSS of 57-72 MB, 31 MB of it the
-# interpreter and imports (Xeon, 2 vCPU, Python 3.11, numpy 2.4).  The time
-# grows as n^3, so doubling the cap would cost about 10 s.
+# m=13, rectangular 6x13) the exhaustive table holds 240,318 triples: one
+# `verify grid` took 0.9-1.4 s at a peak RSS of 50.5-51 MB, 31 MB of it the
+# interpreter and imports (Xeon, 2 vCPU, Python 3.11, numpy 2.4; three fresh
+# processes each).  The time grows as n^3, so doubling the cap would cost
+# about 10 s.
 GRID_VERIFY_CAP = 78
 # Smallest symplectic grid that symplectic_to_matrix_units accepts.
 SYMPLECTIC_TRANSFORM_MIN_SIZE = 5
@@ -409,21 +409,6 @@ def _matrix_unit_table(grid: Grid, xs, ys, zs) -> tuple:
     return kidx, kcoef, 2
 
 
-def _stacked_wants(wants: Sequence[tuple]) -> tuple:
-    """One ``want`` of ``ExactFamily.equal`` for the triples of several, in order."""
-    q = math.lcm(*(w[2] for w in wants))
-    width = max(w[0].shape[1] for w in wants)
-    size = sum(len(w[0]) for w in wants)
-    kidx = np.zeros((size, width), dtype=np.intp)
-    kcoef = np.zeros((size, width), dtype=np.int64)
-    at = 0
-    for ki, kc, wq in wants:
-        kidx[at:at + len(ki), :ki.shape[1]] = ki
-        kcoef[at:at + len(ki), :ki.shape[1]] = kc * (q // wq)
-        at += len(ki)
-    return kidx, kcoef, q
-
-
 def _expected_table(grid: Grid, xs, ys, zs) -> tuple:
     """The expected {u_x, u_y, u_z} at the positions xs, ys, zs, as the
     ``want`` of ``ExactFamily.equal``: the matrix-unit rule, or the index
@@ -464,7 +449,8 @@ def verify_grid(grid: Grid) -> VerificationReport:
     (``ExactFamily``).  The table covers every triple with the first index
     not after the third ({a,b,c} = {c,b,a}), at every size; its expected
     values come from the indices alone (``_expected_table``), never from a
-    model grid.  The named identities are evaluated in the same pass.
+    model grid.  The named identities are index arrays (``_named_table``)
+    whose verdicts are read off that table (``_named_verdicts``).
     Failures are reported, never raised, each check listing its first
     failures in loop order.
     """
@@ -507,136 +493,213 @@ def verify_grid(grid: Grid) -> VerificationReport:
     # x <= z covers every ordered triple, in loop order x, y, z
     upper = np.triu(np.ones((n, n), dtype=bool))[:, None, :]
     x, y, z = np.unravel_index(np.flatnonzero(np.broadcast_to(upper, (n, n, n))), (n, n, n))
-    named = list(_named_instances(grid))
-    named_want = combination([{pos[i]: v for i, v in w.items()} for _, _, w, _ in named])
-    ia, ib, ic = (np.concatenate([t, [pos[trio[s]] for _, trio, _, _ in named]]).astype(np.intp)
-                  for s, t in enumerate((x, y, z)))
-    ok = fam.equal(ia, ib, ic, _stacked_wants([_expected_table(grid, x, y, z), named_want]),
-                   sym=True)
-
-    badt = [(idxs[x[t]], idxs[y[t]], idxs[z[t]]) for t in np.flatnonzero(~ok[:len(x)])[:3]]
+    want = _expected_table(grid, x, y, z)
+    ok = fam.equal(x, y, z, want, sym=True)
+    badt = [(idxs[x[t]], idxs[y[t]], idxs[z[t]]) for t in np.flatnonzero(~ok)[:3]]
     rep.add_counted("triple_products", not badt, len(x), "triples (exhaustive)",
                     failure=f"failed {badt}")
-    counts, failed = Counter(), defaultdict(list)
-    for (check, _, _, label), good in zip(named, ok[len(x):]):
-        counts[check] += 1
-        if not good:
-            failed[check].append(label)
-    _report_named(grid, rep, fam, pos, counts, failed)
+    _report_named(grid, rep, fam, pos, _named_verdicts(grid, fam, want, ok))
     return rep
 
 
-def _named_instances(grid: Grid):
-    """The kind's named identities as (check, (a, b, c), want, label):
-    {u_a, u_b, u_c} must equal the sum of want[idx] u_idx, and a failure is
-    reported under ``check`` as ``label``, in this order."""
-    kind = grid.kind
-    half = Fraction(1, 2)
-    if kind == "rectangular":
-        p, q = grid.params["p"], grid.params["q"]
-        for j in range(1, p + 1):
-            for i in range(1, p + 1):
-                if i == j:
-                    continue
-                for k in range(1, q + 1):
-                    for l in range(1, q + 1):
-                        if k != l:
-                            yield ("rectangular_chain_identity", ((j, k), (j, l), (i, l)),
-                                   {(i, k): half}, (j, k, l, i))
-    elif kind == "hermitian":
-        m = grid.params["m"]
-        key = lambda i, j: (i, j) if i <= j else (j, i)
-        # index patterns naming fewer than two distinct elements lie outside
-        # the table's side conditions: they are flagged, not failed
-        skipped = "hermitian_table_skipped_patterns"
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                for k in range(1, m + 1):
-                    for l in range(1, m + 1):
-                        if i == l:
-                            continue
-                        trio = (key(i, j), key(j, k), key(k, l))
-                        if len(set(trio)) < 2:
-                            yield skipped, trio, {key(i, l): half}, ("chain", i, j, k, l)
-                        else:
-                            yield ("hermitian_chain_identity", trio, {key(i, l): half},
-                                   (i, j, k, l))
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                for k in range(1, m + 1):
-                    trio = (key(i, j), key(j, k), key(k, i))
-                    if len(set(trio)) < 2:
-                        yield skipped, trio, {key(i, i): 1}, ("cycle", i, j, k)
-                    else:
-                        yield "hermitian_cycle_identity", trio, {key(i, i): 1}, (i, j, k)
-    elif kind == "symplectic":
-        # u_ab = -u_ba: 2 {u_ij, u_il, u_kl} = u_kj in the elements with a < b
-        key = lambda a, b: (a, b) if a < b else (b, a)
-        sign = lambda a, b: 1 if a < b else -1
-        for quad in _distinct_quads(grid.params["m"]):
-            i, j, k, l = quad
-            s = sign(i, j) * sign(i, l) * sign(k, l) * sign(k, j)
-            yield ("symplectic_quad_identity", (key(i, j), key(i, l), key(k, l)),
-                   {key(k, j): Fraction(s, 2)}, quad)
-    elif kind == "spin":
-        r, odd = grid.params["r"], grid.params["odd"]
-        quads = "spin_quadrangle_identities"
-        for i in range(1, r + 1):
-            for j in range(1, r + 1):
-                if i == j:
-                    continue
-                yield quads, (("u", i), ("u", j), ("ut", i)), {("ut", j): -half}, ("quad1", i, j)
-                # the companion identity closes the quadrangle on u_i, not on
-                # its partner (the value the anticommutation proof expands to)
-                yield quads, (("u", j), ("ut", i), ("ut", j)), {("u", i): -half}, ("quad2", i, j)
-        if odd:
-            u0 = ("u0", 0)
-            for i in range(1, r + 1):
-                yield ("spin_governing_identities", (u0, ("u", i), u0), {("ut", i): -1},
-                       ("govern-u", i))
-                yield ("spin_governing_identities", (u0, ("ut", i), u0), {("u", i): -1},
-                       ("govern-ut", i))
-    elif kind == "rank1":
-        n = grid.params["n"]
-        check = "rank_one_identities"
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                if a != b:
-                    yield check, (a, a, b), {b: half}, ("colinear", a, b)
-                    yield check, (a, b, a), {}, ("jordan-minimal", a, b)
-                for c in range(1, n + 1):
-                    if len({a, b, c}) == 3:
-                        yield check, (a, b, c), {}, ("distinct-zero", a, b, c)
+def _same_want(want: tuple, row: np.ndarray, member: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Whether the table's want at each row is coef / 2 times the member."""
+    kidx, kcoef, q = want
+    kidx, kcoef = kidx[row], kcoef[row]
+    live = kcoef != 0
+    terms = live.sum(axis=1)
+    first = np.arange(len(row)), live.argmax(axis=1)
+    one = (terms == 1) & (kidx[first] == member) & (kcoef[first] * 2 == coef * q)
+    return np.where(terms == 0, coef == 0, one)
 
 
-def _add_named(rep: VerificationReport, name: str, counts: Counter, failed: dict,
-               unit: str) -> None:
-    bad = failed[name]
-    if not counts[name]:
+def _named_verdicts(grid: Grid, fam: ExactFamily, want: tuple, ok: np.ndarray) -> dict:
+    """check -> (instances, failures, labels of the first three failures).
+
+    A named identity {u_a, u_b, u_c} is the table's row (min(a, c), b,
+    max(a, c)), since {a,b,c} = {c,b,a}.  Where its want is the table's want
+    there, the table's verdict is its verdict; an instance whose want
+    differs, or whose row failed, is evaluated on its own.
+    """
+    n = len(grid)
+    forms, form, params, a, b, c, member, coef = _named_table(grid)
+    lo, hi = np.minimum(a, c), np.maximum(a, c)
+    # n (n - x) rows for each first index x before lo
+    row = n * (lo * n - lo * (lo - 1) // 2) + b * (n - lo) + hi - lo
+    good = ok[row] & _same_want(want, row, member, coef)
+    redo = np.flatnonzero(~good)
+    if redo.size:
+        good[redo] = fam.equal(a[redo], b[redo], c[redo],
+                               scaled_members(member[redo], coef[redo], 2), sym=True)
+    out = {}
+    for check in dict.fromkeys(f[0] for f in forms):
+        mine = np.isin(form, [x for x, f in enumerate(forms) if f[0] == check])
+        bad = np.flatnonzero(mine & ~good)
+        labels = []
+        for t in bad[:3]:
+            _, tag, width = forms[form[t]]
+            values = params[t, :width].tolist()
+            labels.append(tuple(values) if tag is None else (tag, *values))
+        out[check] = (int(mine.sum()), len(bad), labels)
+    return out
+
+
+def _pair_positions(grid: Grid, size: int) -> np.ndarray:
+    """at[i, j]: the position of the element indexed (i, j), -1 where none is."""
+    at = np.full((size + 1, size + 1), -1, dtype=np.intp)
+    i, j = np.array(grid.indices, dtype=np.intp).reshape(-1, 2).T
+    at[i, j] = np.arange(len(grid))
+    return at
+
+
+def _loops(sizes, keep=None) -> list:
+    """The 1-based counters of nested loops over ``sizes``, in loop order,
+    at the iterations where ``keep(*counters)`` holds."""
+    counters = [v.ravel() + 1 for v in np.indices(sizes)]
+    kept = slice(None) if keep is None else keep(*counters)
+    return [v[kept] for v in counters]
+
+
+def _pairs(*parts) -> np.ndarray:
+    """Equally long arrays merged entry by entry: x0, y0, ..., x1, y1, ..."""
+    return np.stack(parts, axis=1).reshape(-1, *np.shape(parts[0])[1:])
+
+
+def _named_rectangular(grid: Grid) -> tuple:
+    p, q = grid.params["p"], grid.params["q"]
+    at = _pair_positions(grid, max(p, q))
+    j, i, k, l = _loops((p, p, q, q), lambda j, i, k, l: (i != j) & (k != l))
+    forms = [("rectangular_chain_identity", None, 4)]
+    abc = at[j, k], at[j, l], at[i, l]
+    return forms, np.zeros_like(i), np.stack([j, k, l, i], axis=1), abc, at[i, k], np.ones_like(i)
+
+
+def _named_hermitian(grid: Grid) -> tuple:
+    m = grid.params["m"]
+    at = _pair_positions(grid, m)
+    key = lambda s, t: at[np.minimum(s, t), np.maximum(s, t)]
+    i, j, k, l = _loops((m,) * 4, lambda i, j, k, l: i != l)
+    ci, cj, ck = _loops((m,) * 3)
+    # the chains (i, j, k, l), then the cycles (i, j, k)
+    abc = [np.concatenate([key(*chain), key(*cycle)]) for chain, cycle in
+           [((i, j), (ci, cj)), ((j, k), (cj, ck)), ((k, l), (ck, ci))]]
+    params = np.concatenate([np.stack([i, j, k, l], axis=1),
+                             np.stack([ci, cj, ck, np.zeros_like(ci)], axis=1)])
+    # index patterns naming fewer than two distinct elements lie outside
+    # the table's side conditions: they are flagged, not failed
+    skipped = "hermitian_table_skipped_patterns"
+    forms = [("hermitian_chain_identity", None, 4), ("hermitian_cycle_identity", None, 3),
+             (skipped, "chain", 4), (skipped, "cycle", 3)]
+    form = (np.arange(len(params)) >= len(i)) + 2 * ((abc[0] == abc[1]) & (abc[1] == abc[2]))
+    return (forms, form, params, abc, np.concatenate([key(i, l), key(ci, ci)]),
+            1 + (form % 2))
+
+
+def _named_symplectic(grid: Grid) -> tuple:
+    # u_ab = -u_ba: 2 {u_ij, u_il, u_kl} = u_kj in the elements with a < b
+    m = grid.params["m"]
+    at = _pair_positions(grid, m)
+    key = lambda s, t: at[np.minimum(s, t), np.maximum(s, t)]
+    sign = lambda s, t: np.where(s < t, 1, -1)
+    i, j, k, l = _loops((m,) * 4, lambda i, j, k, l: (i != j) & (i != k) & (i != l)
+                        & (j != k) & (j != l) & (k != l))
+    forms = [("symplectic_quad_identity", None, 4)]
+    return (forms, np.zeros_like(i), np.stack([i, j, k, l], axis=1),
+            (key(i, j), key(i, l), key(k, l)), key(k, j),
+            sign(i, j) * sign(i, l) * sign(k, l) * sign(k, j))
+
+
+def _named_spin(grid: Grid) -> tuple:
+    r = grid.params["r"]
+    pos = {idx: x for x, idx in enumerate(grid.indices)}
+    u, ut = (np.array([pos[(tag, t)] for t in range(1, r + 1)]) for tag in ("u", "ut"))
+    i, j = _loops((r, r), lambda i, j: i != j)
+    ui, uj, ti, tj = u[i - 1], u[j - 1], ut[i - 1], ut[j - 1]
+    # per pair, {u_i, u_j, u~_i} = -u~_j / 2 and its companion, which closes
+    # the quadrangle on u_i, not on its partner (the value the
+    # anticommutation proof expands to); then, in the odd case,
+    # {u_0, u_i, u_0} = -u~_i and {u_0, u~_i, u_0} = -u_i per i
+    abc = [_pairs(ui, uj), _pairs(uj, ti), _pairs(ti, tj)]
+    member, form = _pairs(tj, ui), np.tile([0, 1], len(i))
+    params = _pairs(*[np.stack([i, j], axis=1)] * 2)
+    quads, governs = "spin_quadrangle_identities", "spin_governing_identities"
+    forms = [(quads, "quad1", 2), (quads, "quad2", 2),
+             (governs, "govern-u", 1), (governs, "govern-ut", 1)]
+    if grid.params["odd"]:
+        u0 = np.full(2 * r, pos[("u0", 0)])
+        abc = [np.concatenate(pair) for pair in zip(abc, [u0, _pairs(u, ut), u0])]
+        member = np.concatenate([member, _pairs(ut, u)])
+        form = np.concatenate([form, np.tile([2, 3], r)])
+        params = np.concatenate([params, np.repeat(np.arange(1, r + 1), 2)[:, None] * [1, 0]])
+    return forms, form, params, abc, member, np.where(form < 2, -1, -2)
+
+
+def _named_rank1(grid: Grid) -> tuple:
+    n = grid.params["n"]
+    pos = {idx: x for x, idx in enumerate(grid.indices)}
+    at = np.array([0] + [pos[t] for t in range(1, n + 1)])
+    a, b = _loops((n, n), lambda a, b: a != b)
+    # per ordered pair: {u_a, u_a, u_b} = u_b / 2 and {u_a, u_b, u_a} = 0,
+    # then {u_a, u_b, u_c} = 0 for every other c, in increasing order
+    w, v = max(n - 2, 0), np.arange(1, n + 1)
+    rest = np.broadcast_to(v, (len(a), n))[(v != a[:, None]) & (v != b[:, None])]
+    rest = rest.reshape(len(a), w)
+    row = lambda *parts: np.column_stack(parts).ravel()
+    x, y, z = np.repeat(a, 2 + w), row(a, b, np.repeat(b[:, None], w, axis=1)), row(b, a, rest)
+    form = np.tile([0, 1] + [2] * w, len(a))
+    check = "rank_one_identities"
+    forms = [(check, "colinear", 2), (check, "jordan-minimal", 2), (check, "distinct-zero", 3)]
+    zero = np.zeros_like(a)
+    params = np.stack([x, np.repeat(b, 2 + w), row(zero, zero, rest)], axis=1)
+    return forms, form, params, (at[x], at[y], at[z]), at[z], (form == 0) * 1
+
+
+def _named_table(grid: Grid) -> tuple:
+    """The kind's named identities as index arrays, in the order their
+    failures are listed: (forms, form, params, a, b, c, member, coef).
+
+    Instance t states 2 {u_a, u_b, u_c} = coef u_member at the positions
+    a[t], b[t], c[t] and member[t] (coef[t] = 0: the zero matrix).  Its form
+    forms[form[t]] = (check, tag, width) names the check that reports it and
+    its label: (tag, *params[t, :width]), or the bare numbers if tag is None.
+    """
+    build = {"rectangular": _named_rectangular, "hermitian": _named_hermitian,
+             "symplectic": _named_symplectic, "spin": _named_spin, "rank1": _named_rank1}
+    if grid.kind not in build:
+        raise ValueError(f"unknown grid kind {grid.kind!r}")
+    forms, form, params, abc, member, coef = build[grid.kind](grid)
+    if min(int(v.min(initial=0)) for v in (*abc, member)) < 0:
+        raise KeyError(f"{grid.describe()} lacks an element its named identities use")
+    return forms, form, params, *abc, member, coef
+
+
+def _add_named(rep: VerificationReport, name: str, named: dict, unit: str) -> None:
+    count, bad, labels = named[name]
+    if not count:
         rep.flag(name, f"0 {unit}: nothing to check")
     else:
-        rep.add(name, not bad, detail="" if not bad else f"failed {bad[:3]}")
+        rep.add(name, not bad, detail="" if not bad else f"failed {labels}")
 
 
 def _report_named(grid: Grid, rep: VerificationReport, fam: ExactFamily, pos: dict,
-                  counts: Counter, failed: dict) -> None:
+                  named: dict) -> None:
     """Report the named identities in the kind's order."""
     kind = grid.kind
     if kind == "rectangular":
-        _add_named(rep, "rectangular_chain_identity", counts, failed, "chains")
+        _add_named(rep, "rectangular_chain_identity", named, "chains")
     elif kind == "hermitian":
-        _add_named(rep, "hermitian_chain_identity", counts, failed, "chains")
-        _add_named(rep, "hermitian_cycle_identity", counts, failed, "cycles")
-        skipped = failed["hermitian_table_skipped_patterns"]
+        _add_named(rep, "hermitian_chain_identity", named, "chains")
+        _add_named(rep, "hermitian_cycle_identity", named, "cycles")
+        _, skipped, labels = named["hermitian_table_skipped_patterns"]
         if skipped:
             rep.flag("hermitian_table_skipped_patterns",
-                     f"{len(skipped)} index patterns outside the table's side "
-                     f"conditions, e.g. {skipped[:3]}")
+                     f"{skipped} index patterns outside the table's side "
+                     f"conditions, e.g. {labels}")
     elif kind == "symplectic":
-        _add_named(rep, "symplectic_quad_identity", counts, failed, "quadruples")
+        _add_named(rep, "symplectic_quad_identity", named, "quadruples")
     elif kind == "spin":
         r = grid.params["r"]
-        _add_named(rep, "spin_quadrangle_identities", counts, failed, "quadrangles")
+        _add_named(rep, "spin_quadrangle_identities", named, "quadrangles")
         us = [pos[("u", i)] for i in range(1, r + 1)]
         uts = [pos[("ut", i)] for i in range(1, r + 1)]
         apart = fam.vanish(us, uts, star_first=True) & fam.vanish(us, uts)
@@ -644,18 +707,9 @@ def _report_named(grid: Grid, rep: VerificationReport, fam: ExactFamily, pos: di
         rep.add("spin_partner_orthogonality", not orth,
                 detail="" if not orth else f"failed {orth}")
         if grid.params["odd"]:
-            _add_named(rep, "spin_governing_identities", counts, failed, "elements")
+            _add_named(rep, "spin_governing_identities", named, "elements")
     elif kind == "rank1":
-        _add_named(rep, "rank_one_identities", counts, failed, "instances")
-
-
-def _distinct_quads(m: int):
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            for k in range(1, m + 1):
-                for l in range(1, m + 1):
-                    if len({i, j, k, l}) == 4:
-                        yield (i, j, k, l)
+        _add_named(rep, "rank_one_identities", named, "instances")
 
 
 def _sympl_mat(mats: dict, a: int, b: int) -> ExactMatrix:
@@ -719,18 +773,17 @@ def spin_to_spin_system(g: Grid):
 def _unit_table(units: dict, vmat: ExactMatrix):
     """Per unit e_ij, in the order of ``units``: whether v e_ij* v = e_ji,
     and the row of e_ij v* e_kl = delta_jk e_il over the units (k, l)."""
-    keys = list(units)
-    at = {key: x for x, key in enumerate(keys)}
+    i, j = np.array(list(units), dtype=np.intp).T
+    at = np.zeros((i.max() + 1,) * 2, dtype=np.intp)
+    at[i, j] = np.arange(len(i))
     fam = ExactFamily(list(units.values()) + [vmat])
-    v = size = len(keys)
-    involution = fam.equal([v] * size, range(size), [v] * size,
-                           scaled_members([at[(j, i)] for i, j in keys]))
-    a = np.repeat(np.arange(size), size)
-    c = np.tile(np.arange(size), size)
-    hit = [(i, l) if j == k else None for i, j in keys for k, l in keys]
-    product = fam.equal(a, [v] * len(a), c, scaled_members([at[h] if h else 0 for h in hit],
-                                                         [int(h is not None) for h in hit]))
-    return involution, product.reshape(size, size)
+    v = np.full(len(i), len(i))
+    involution = fam.equal(v, range(len(i)), v, scaled_members(at[j, i]))
+    a, c = np.repeat(np.arange(len(i)), len(i)), np.tile(np.arange(len(i)), len(i))
+    hit = j[a] == i[c]
+    product = fam.equal(a, np.full(len(a), len(i)), c,
+                        scaled_members(np.where(hit, at[i[a], j[c]], 0), hit.astype(np.int64)))
+    return involution, product.reshape(len(i), len(i))
 
 
 def hermitian_to_matrix_units(g: Grid) -> MatrixUnitFamily:

@@ -1,6 +1,7 @@
 """Shared strategies and independent numerical oracles."""
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,16 @@ import pytest
 from hypothesis import strategies as st
 
 from jcgrid.numlin import ExactMatrix, ExactScalar
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def cli_env() -> dict:
+    """The environment of a child ``python -m jcgrid``: this tree's ``src``
+    first on PYTHONPATH, so that the child runs the package the tests import
+    whether or not the caller set PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC + os.pathsep + path if path else SRC}
 
 _parts = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=3)

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from conftest import cli_env
 from jcgrid import opspace
 from jcgrid.grids import (conjugate_grid, hermitian_grid,
                           hermitian_to_matrix_units, random_signed_permutation,
@@ -32,7 +33,7 @@ from test_hnk import EXAMPLE_N3K2, EXAMPLE_N4K3
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "jcgrid", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=cli_env())
 
 
 def report(num, ok, elapsed, desc):

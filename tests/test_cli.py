@@ -8,20 +8,23 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import cli_env, random_exact
 from jcgrid import cli, grids, hnk, numlin, opspace, triple
 from jcgrid.errors import (CapacityError, DecompositionError, DimensionError,
                            NumericError, TransformError)
 from jcgrid.hnk import build_hnk
+from jcgrid.numlin import ExactMatrix, ExactScalar
 from jcgrid.serialize import hnk_basis_from_json, matrix_from_json
 
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "jcgrid", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=cli_env())
 
 
 class TestConstruct:
@@ -439,8 +442,9 @@ class TestSharedWork:
         assert cli.main(["verify", "hnk", "--n", "6", "--k", "3"]) == 0
         assert "overall: pass" in capsys.readouterr().out
         # one batched evaluation: the exhaustive table, 6 * 6 * 21 triples
-        # with x <= z, and the 6 * 5 * (1 + 1 + 4) named rank-one instances
-        assert sizes == [126 + 180]
+        # with x <= z.  The 6 * 5 * (1 + 1 + 4) named rank-one instances are
+        # read off it; they were evaluated with it, as [126 + 180], before
+        assert sizes == [126]
 
     # (exact-product kernel calls, product terms); ExactMatrix.__mul__ is a
     # one-term call.  Before triple_product and classify_relation summed
@@ -454,7 +458,14 @@ class TestSharedWork:
         # 8 validations of 2 products, 56 ordered pairs of 2, 8 right
         # supports, and 3 + 6 support products to find the indices (3, 6)
         (("construct", "hnk", "--n", "8", "--k", "3"), (89, 145)),
-    ], ids=["uij-grid", "split", "construct-hnk"])
+        # 834 while naturality formed left * E_ij * right for the 36 units of
+        # each of the 5 conjugations; 210 are conjugate_grid's left * u * right
+        (("verify", "matrix-units", "--kind", "hermitian", "--m", "6", "--conjugations", "5"),
+         (474, 474)),
+        # 91 while the exact projection formed x U* for each of the 6 basis
+        # elements of each of the 6 basis elements it fixes
+        (("verify", "projection", "--n", "6", "--k", "3", "--samples", "10"), (55, 85)),
+    ], ids=["uij-grid", "split", "construct-hnk", "matrix-units", "projection"])
     def test_exact_products(self, monkeypatch, capsys, args, products):
         terms = _count_product_terms(monkeypatch)
         assert cli.main(list(args)) == 0
@@ -566,7 +577,8 @@ class TestBrokenPipe:
         # 2.4 MB of JSON: far more than a pipe holds, so the writer meets the close
         proc = subprocess.Popen(
             [sys.executable, "-m", "jcgrid", "construct", "hnk", "--n", "8", "--k", "3",
-             "--format", "json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             "--format", "json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=cli_env())
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
@@ -574,3 +586,64 @@ class TestBrokenPipe:
         assert proc.wait(timeout=120) == 141
         assert first == b"{\n"
         assert err == b""
+
+
+E = ExactMatrix.unit
+
+
+def _embedded(m, block):
+    """The m x m identity with ``block`` on its leading rows and columns."""
+    rows = [[block[r][c] if r < len(block) and c < len(block) else int(r == c)
+             for c in range(m)] for r in range(m)]
+    return ExactMatrix.from_rows(rows)
+
+
+# exact unitaries with every entry of the leading 2 x 2 block nonzero
+ROTATION = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
+COMPLEX_ROTATION = [[ExactScalar(Fraction(3, 5)), ExactScalar(0, Fraction(4, 5))],
+                    [ExactScalar(0, Fraction(4, 5)), ExactScalar(Fraction(3, 5))]]
+
+
+class TestConjugatedUnit:
+    """The naturality check's left * E_ij * right, the outer product of a
+    column and a row, against the dense product."""
+
+    def _check(self, left, right):
+        m = left.rows
+        for i in range(m):
+            for j in range(m):
+                assert cli._conjugated_unit(left, right, i, j) == left * E(m, m, i, j) * right
+
+    def test_signed_permutations(self):
+        rng = random.Random(4)
+        for m in (2, 5, 6):
+            for _ in range(4):
+                self._check(grids.random_signed_permutation(m, rng), grids.random_signed_permutation(m, rng))
+
+    @pytest.mark.parametrize("block", [ROTATION, COMPLEX_ROTATION], ids=["real", "complex"])
+    def test_non_monomial_unitary(self, block):
+        rng = random.Random(9)
+        m = 4
+        u = _embedded(m, block)
+        assert u * u.adjoint() == ExactMatrix.identity(m)
+        perm = grids.random_signed_permutation(m, rng)
+        self._check(u * perm, perm * u.adjoint())
+        self._check(u, u)
+
+    def test_any_exact_matrices(self):
+        rng = np.random.default_rng(2)
+        for rows, inner, cols in [(3, 3, 3), (2, 4, 5)]:
+            left, right = random_exact(rng, rows, inner), random_exact(rng, inner, cols)
+            for i in range(inner):
+                for j in range(inner):
+                    assert cli._conjugated_unit(left, right, i, j) == \
+                        left * E(inner, inner, i, j) * right
+
+    def test_wide_numerators_run_on_python_ints(self):
+        big = 1 << 40
+        left = ExactMatrix.from_rows([[big, 1], [3, ExactScalar(0, big)]])
+        right = ExactMatrix.from_rows([[ExactScalar(big, 1), 2], [5, -big]])
+        for i in range(2):
+            for j in range(2):
+                got = cli._conjugated_unit(left, right, i, j)
+                assert got == left * E(2, 2, i, j) * right

@@ -1,6 +1,7 @@
 """Grid constructors, the verifier, and the grid-to-matrix-unit transforms."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -574,3 +575,207 @@ class TestVerifyCap:
         assert cli.main(argv) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("capacity: ")
+
+
+def _distinct_quads(m):
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            for k in range(1, m + 1):
+                for l in range(1, m + 1):
+                    if len({i, j, k, l}) == 4:
+                        yield (i, j, k, l)
+
+
+def _named_instances(grid):
+    """The generator the verifier evaluated the named identities from, one
+    (check, (a, b, c), want, label) tuple per instance: {u_a, u_b, u_c}
+    must equal the sum of want[idx] u_idx, and a failure is reported under
+    ``check`` as ``label``, in this order.  The oracle for the index arrays
+    of ``grids._named_table``."""
+    kind = grid.kind
+    half = Fraction(1, 2)
+    if kind == "rectangular":
+        p, q = grid.params["p"], grid.params["q"]
+        for j in range(1, p + 1):
+            for i in range(1, p + 1):
+                if i == j:
+                    continue
+                for k in range(1, q + 1):
+                    for l in range(1, q + 1):
+                        if k != l:
+                            yield ("rectangular_chain_identity", ((j, k), (j, l), (i, l)),
+                                   {(i, k): half}, (j, k, l, i))
+    elif kind == "hermitian":
+        m = grid.params["m"]
+        key = lambda i, j: (i, j) if i <= j else (j, i)
+        skipped = "hermitian_table_skipped_patterns"
+        for i in range(1, m + 1):
+            for j in range(1, m + 1):
+                for k in range(1, m + 1):
+                    for l in range(1, m + 1):
+                        if i == l:
+                            continue
+                        trio = (key(i, j), key(j, k), key(k, l))
+                        if len(set(trio)) < 2:
+                            yield skipped, trio, {key(i, l): half}, ("chain", i, j, k, l)
+                        else:
+                            yield ("hermitian_chain_identity", trio, {key(i, l): half},
+                                   (i, j, k, l))
+        for i in range(1, m + 1):
+            for j in range(1, m + 1):
+                for k in range(1, m + 1):
+                    trio = (key(i, j), key(j, k), key(k, i))
+                    if len(set(trio)) < 2:
+                        yield skipped, trio, {key(i, i): 1}, ("cycle", i, j, k)
+                    else:
+                        yield "hermitian_cycle_identity", trio, {key(i, i): 1}, (i, j, k)
+    elif kind == "symplectic":
+        key = lambda a, b: (a, b) if a < b else (b, a)
+        sign = lambda a, b: 1 if a < b else -1
+        for quad in _distinct_quads(grid.params["m"]):
+            i, j, k, l = quad
+            s = sign(i, j) * sign(i, l) * sign(k, l) * sign(k, j)
+            yield ("symplectic_quad_identity", (key(i, j), key(i, l), key(k, l)),
+                   {key(k, j): Fraction(s, 2)}, quad)
+    elif kind == "spin":
+        r, odd = grid.params["r"], grid.params["odd"]
+        quads = "spin_quadrangle_identities"
+        for i in range(1, r + 1):
+            for j in range(1, r + 1):
+                if i == j:
+                    continue
+                yield quads, (("u", i), ("u", j), ("ut", i)), {("ut", j): -half}, ("quad1", i, j)
+                yield quads, (("u", j), ("ut", i), ("ut", j)), {("u", i): -half}, ("quad2", i, j)
+        if odd:
+            u0 = ("u0", 0)
+            for i in range(1, r + 1):
+                yield ("spin_governing_identities", (u0, ("u", i), u0), {("ut", i): -1},
+                       ("govern-u", i))
+                yield ("spin_governing_identities", (u0, ("ut", i), u0), {("u", i): -1},
+                       ("govern-ut", i))
+    elif kind == "rank1":
+        n = grid.params["n"]
+        check = "rank_one_identities"
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                if a != b:
+                    yield check, (a, a, b), {b: half}, ("colinear", a, b)
+                    yield check, (a, b, a), {}, ("jordan-minimal", a, b)
+                for c in range(1, n + 1):
+                    if len({a, b, c}) == 3:
+                        yield check, (a, b, c), {}, ("distinct-zero", a, b, c)
+
+
+def _named_from_arrays(grid):
+    """The instances of ``grids._named_table`` as generator tuples."""
+    forms, form, params, a, b, c, member, coef = grids._named_table(grid)
+    idxs = grid.indices
+    out = []
+    for t in range(len(form)):
+        check, tag, width = forms[form[t]]
+        values = params[t, :width].tolist()
+        want = {idxs[member[t]]: Fraction(int(coef[t]), 2)} if coef[t] else {}
+        out.append((check, (idxs[a[t]], idxs[b[t]], idxs[c[t]]), want,
+                    tuple(values) if tag is None else (tag, *values)))
+    return out
+
+
+NAMED_GRIDS = ([rectangular_grid(p, q) for p, q in [(1, 1), (1, 4), (2, 2), (2, 3), (3, 2),
+                                                    (4, 4), (6, 13), (13, 6)]]
+               + [hermitian_grid(m) for m in (2, 3, 4, 6, 12)]
+               + [symplectic_grid(m) for m in (4, 5, 7, 13)]
+               + [spin_grid(r, odd) for r in (2, 3, 6) for odd in (False, True)]
+               + [build_hnk(n, k).as_grid() for n, k in [(1, 1), (2, 1), (3, 2), (6, 3), (8, 4)]])
+
+
+class TestNamedTable:
+    """The named identities as index arrays, read off the triple table."""
+
+    @pytest.mark.parametrize("g", NAMED_GRIDS, ids=lambda g: g.describe())
+    def test_arrays_match_the_generator(self, g):
+        assert _named_from_arrays(g) == list(_named_instances(g))
+
+    def test_grid_without_a_named_element_raises(self):
+        g = rectangular_grid(2, 2)
+        short = Grid("rectangular", g.params, [(i, g.matrix(i)) for i in g.indices[:3]])
+        with pytest.raises(KeyError):
+            grids._named_table(short)
+
+    @pytest.mark.parametrize("every", [False, True], ids=["one-row", "every-row"])
+    @pytest.mark.parametrize("case", ["clean-hermitian", "clean-spin", "clean-rank1"]
+                             + list(FAILURE_REPORTS))
+    def test_wrong_table_want_keeps_named_verdicts(self, monkeypatch, case, every):
+        clean = {"clean-hermitian": hermitian_grid(4), "clean-spin": spin_grid(3, True),
+                 "clean-rank1": build_hnk(5, 2).as_grid()}
+        g = clean[case] if case in clean else _corrupted_grids()[case]
+        named = {c["name"]: c for c in verify_grid(g).to_json_dict()["checks"]}
+        _, _, _, a, b, c, _, _ = grids._named_table(g)
+        n = len(g)
+        lo, hi = min(a[0], c[0]), max(a[0], c[0])
+        first = n * (lo * n - lo * (lo - 1) // 2) + b[0] * (n - lo) + hi - lo
+        orig = grids._expected_table
+
+        def wrong(grid, xs, ys, zs):
+            kidx, kcoef, q = orig(grid, xs, ys, zs)
+            kcoef = np.array(kcoef)
+            kcoef[slice(None) if every else first] += 1
+            return kidx, kcoef, q
+
+        monkeypatch.setattr(grids, "_expected_table", wrong)
+        calls = []
+        orig_equal = ExactFamily.equal
+        monkeypatch.setattr(ExactFamily, "equal", lambda self, *a, **k: calls.append(k) or
+                            orig_equal(self, *a, **k))
+        got = verify_grid(g).to_json_dict()["checks"]
+        assert [c["name"] for c in got] == list(named)
+        for check in got:
+            if check["name"] == "triple_products":
+                assert check["status"] == "fail"
+            else:
+                assert check == named[check["name"]]
+        # the table, then the instances whose want differs, on their own
+        assert [k.get("sym") for k in calls].count(True) == 2
+
+
+def _unit_table_oracle(units, vmat):
+    """``grids._unit_table`` one ExactMatrix product at a time."""
+    keys = list(units)
+    zero = ExactMatrix.zeros(*vmat.shape)
+    involution = np.array([vmat * units[(i, j)].adjoint() * vmat == units[(j, i)]
+                           for i, j in keys])
+    product = np.array([[units[(i, j)] * vmat.adjoint() * units[(k, l)]
+                         == (units[(i, l)] if j == k else zero)
+                         for k, l in keys] for i, j in keys])
+    return involution, product
+
+
+def _unit_cases():
+    herm = hermitian_to_matrix_units(hermitian_grid(3))
+    sympl = symplectic_to_matrix_units(symplectic_grid(5))
+    out = {"hermitian-3": (herm.units, herm.v), "symplectic-5": (sympl.units, sympl.v)}
+    units = dict(herm.units)
+    units[(1, 2)] = units[(1, 2)].scale(EX_I)
+    out["hermitian-3-e12-times-i"] = (units, herm.v)
+    units = dict(sympl.units)
+    units[(2, 3)], units[(3, 2)] = units[(3, 2)], units[(2, 3)]
+    out["symplectic-5-e23-e32-swapped"] = (units, sympl.v)
+    out["hermitian-3-v-halved"] = (herm.units, herm.v.scale(EX_HALF))
+    units = dict(herm.units)
+    units[(3, 3)] = units[(3, 3)] + units[(1, 3)]
+    out["hermitian-3-e33-plus-e13"] = (units, herm.v)
+    return out
+
+
+UNIT_CASES = _unit_cases()
+
+
+@pytest.mark.parametrize("case", list(UNIT_CASES))
+def test_unit_table_matches_loop_oracle(case):
+    units, vmat = UNIT_CASES[case]
+    involution, product = grids._unit_table(units, vmat)
+    want_inv, want_prod = _unit_table_oracle(units, vmat)
+    assert involution.tolist() == want_inv.tolist()
+    assert product.tolist() == want_prod.tolist()
+    clean = case in ("hermitian-3", "symplectic-5")
+    assert (involution.all() and product.all()) == clean
+

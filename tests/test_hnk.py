@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import random_exact
 from jcgrid import hnk
 from jcgrid.errors import CapacityError, DecompositionError, DimensionError
 from jcgrid.grids import Grid, verify_grid
@@ -678,6 +679,54 @@ class TestProjection:
         sp = build_hnk(3, 2)  # 3 x 3
         with pytest.raises(DimensionError):
             hnk_projection(sp, np.zeros(shape))
+
+
+def _projection_by_products(space, x):
+    """``hnk_projection_exact`` one basis element at a time, as it ran before
+    its traces became inner products: the product x U*, its trace, a scale
+    and a sum per element."""
+    minv = ExactScalar(Fraction(1, space.multiplicity))
+    out = ExactMatrix.zeros(*space.shape)
+    for u in space.basis:
+        coeff = (x * u.adjoint()).trace() * minv
+        out = out + u.scale(coeff)
+    return out
+
+
+class TestExactProjection:
+    """The inner-product projection against the one-product-per-element loop."""
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 2), (5, 3), (6, 1), (6, 4)])
+    def test_matches_products(self, n, k):
+        rng = np.random.default_rng(10 * n + k)
+        sp = build_hnk(n, k)
+        x = random_exact(rng, *sp.shape, density=0.7)
+        x = (x + sp.basis[0]).scale(ExactScalar(Fraction(1, 3), Fraction(2, 5)))
+        assert x.den > 1 and x.im.any()  # complex, with a denominator
+        assert hnk_projection_exact(sp, x) == _projection_by_products(sp, x)
+        real = random_exact(rng, *sp.shape, halves=False)
+        real = ExactMatrix(*sp.shape, [e.re for e in real.entries])
+        assert hnk_projection_exact(sp, real) == _projection_by_products(sp, real)
+        for u in sp.basis:
+            assert hnk_projection_exact(sp, u.scale(EX_I)) == u.scale(EX_I)
+
+    @pytest.mark.parametrize("above", [False, True], ids=["below", "at"])
+    def test_python_ints_from_the_guard(self, monkeypatch, above):
+        sp = build_hnk(3, 2)
+        rows, cols = sp.shape
+        # the basis numerators are +-1: the bound is 4 n rows cols max|x|
+        edge = -(-(1 << 62) // (4 * sp.n * rows * cols))
+        top = edge if above else edge - 1
+        re = np.full(sp.shape, top, dtype=np.int64)
+        re[0, 0] = 1
+        im = np.full(sp.shape, -top, dtype=np.int64)
+        x = ExactMatrix(rows, cols, _arrays=(re, im, 3))
+        assert x._bound() == top and x.den == 3
+        dtypes = []
+        orig = hnk._cmatmul
+        monkeypatch.setattr(hnk, "_cmatmul", lambda a, b: dtypes.append(a[0].dtype) or orig(a, b))
+        assert hnk_projection_exact(sp, x) == _projection_by_products(sp, x)
+        assert dtypes == [np.dtype(object) if above else np.dtype(np.int64)] * 2
 
 
 class TestTraceFormula:
