@@ -3,14 +3,15 @@
 Constructors build concrete matrix families (rectangular / hermitian /
 symplectic / spin / rank-1); ``verify_grid`` checks every pairwise relation
 and the whole triple-product table against the kind's expected values,
-exactly, for grids of up to ``GRID_VERIFY_CAP`` elements.  The expected
-values come from the indices alone: one matrix-unit rule for the
-rectangular, hermitian and symplectic grids, an index rule each for spin
-and rank-1 grids.  The transforms turn hermitian and symplectic grids into
-associative matrix units and a spin grid into a spin system inside the
-isotope algebra.  The verifier and the matrix-unit transforms evaluate their
-triple, minimality and unit-product relations on batched family tables
-(``numlin.ExactFamily``).
+exactly, for grids of up to ``GRID_VERIFY_CAP`` elements.  Every expected
+value comes from one triple rule on the indices alone: the matrix-unit rule
+for the rectangular, hermitian and symplectic grids and for rank-1 grids
+(read as one row of matrix units), an index rule for spin grids.  The
+expected pair relations and minimal elements are read off that rule.  The
+transforms turn hermitian and symplectic grids into associative matrix
+units and a spin grid into a spin system inside the isotope algebra.  The
+verifier and the matrix-unit transforms evaluate their triple, minimality
+and unit-product relations on batched family tables (``numlin.ExactFamily``).
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from .triple import (GridRelation, PartialIsometry, classify_relation,
 SPIN_SYSTEM_CAP = 12
 # Most elements verify_grid accepts.  At 78 (hermitian m=12, symplectic
 # m=13, rectangular 6x13) the exhaustive table holds 240,318 triples: one
-# `verify grid` took 0.9-1.4 s at a peak RSS of 50.5-51 MB, 31 MB of it the
+# `verify grid` took 0.6-1.1 s at a peak RSS of 50.0-50.4 MB, 31 MB of it the
 # interpreter and imports (Xeon, 2 vCPU, Python 3.11, numpy 2.4; three fresh
 # processes each).  The time grows as n^3, so doubling the cap would cost
-# about 10 s.
+# about 7 s.
 GRID_VERIFY_CAP = 78
 # Smallest symplectic grid that symplectic_to_matrix_units accepts.
 SYMPLECTIC_TRANSFORM_MIN_SIZE = 5
@@ -246,47 +247,6 @@ def random_signed_permutation(n: int, rng: random.Random) -> ExactMatrix:
 # -- expected relation/product tables ----------------------------------------
 
 
-def _rect_pair(a, b) -> GridRelation:
-    if a == b:
-        return GridRelation.EQUAL
-    if a[0] == b[0] or a[1] == b[1]:
-        return GridRelation.COLINEAR
-    return GridRelation.ORTHOGONAL
-
-
-def _rank1_pair(a, b) -> GridRelation:
-    return GridRelation.EQUAL if a == b else GridRelation.COLINEAR
-
-
-def _rank1_triple(a, b, c) -> Dict:
-    out: Dict = {}
-    if a == b:
-        _acc(out, c, Fraction(1, 2))
-    if b == c:
-        _acc(out, a, Fraction(1, 2))
-    return out
-
-
-def _herm_pair(a, b) -> GridRelation:
-    if a == b:
-        return GridRelation.EQUAL
-    sa, sb = set(a), set(b)
-    if not (sa & sb):
-        return GridRelation.ORTHOGONAL
-    adiag, bdiag = a[0] == a[1], b[0] == b[1]
-    if adiag and not bdiag:
-        return GridRelation.GOVERNS_SECOND_OVER_FIRST
-    if bdiag and not adiag:
-        return GridRelation.GOVERNS_FIRST_OVER_SECOND
-    return GridRelation.COLINEAR
-
-
-def _sympl_pair(a, b) -> GridRelation:
-    if a == b:
-        return GridRelation.EQUAL
-    return GridRelation.COLINEAR if set(a) & set(b) else GridRelation.ORTHOGONAL
-
-
 def _spin_partner(key):
     return ("ut" if key[0] == "u" else "u", key[1])
 
@@ -325,115 +285,117 @@ def _spin_triple(a, b, c) -> Dict:
     return {}
 
 
-def _spin_pair(a, b) -> GridRelation:
-    if a == b:
-        return GridRelation.EQUAL
-    if a[0] == "u0":
-        return GridRelation.GOVERNS_FIRST_OVER_SECOND
-    if b[0] == "u0":
-        return GridRelation.GOVERNS_SECOND_OVER_FIRST
-    if a[1] == b[1]:
-        return GridRelation.ORTHOGONAL
-    return GridRelation.COLINEAR
-
-
-def _acc(out: Dict, idx, coeff: Fraction) -> None:
-    total = out.get(idx, 0) + coeff
-    if total:
-        out[idx] = total
-    else:
-        out.pop(idx, None)
-
-
-def expected_pair_relation(kind: str, a, b) -> GridRelation:
-    if kind == "rectangular":
-        return _rect_pair(a, b)
-    if kind == "hermitian":
-        return _herm_pair(a, b)
-    if kind == "symplectic":
-        return _sympl_pair(a, b)
-    if kind == "spin":
-        return _spin_pair(a, b)
-    if kind == "rank1":
-        return _rank1_pair(a, b)
-    raise ValueError(f"unknown grid kind {kind!r}")
-
-
 def _unit_parts(grid: Grid) -> tuple:
     """Each element as the sum of two signed matrix units: (rows, cols,
-    signs), each of shape (n, 2).  u_ij is e_ij (rectangular; the second
-    part has sign 0), e_ij + e_ji with u_ii = e_ii (hermitian) or
-    e_ij - e_ji (symplectic)."""
-    i, j = np.array(grid.indices, dtype=np.intp).reshape(-1, 2).T
-    second = {"rectangular": 0, "hermitian": i != j, "symplectic": -1}[grid.kind]
-    signs = np.stack(np.broadcast_arrays(np.ones_like(i), second), axis=1).astype(np.int8)
-    return np.stack([i, j], axis=1), np.stack([j, i], axis=1), signs
+    signs), each of shape (2, n), part by part.  u_ij is e_ij (rectangular;
+    the second part has sign 0), e_ij + e_ji with u_ii = e_ii (hermitian) or
+    e_ij - e_ji (symplectic).  A rank-1 grid is the rectangular grid of one
+    row: u_a is e_1a."""
+    idx = np.array(grid.indices, dtype=np.intp)
+    if grid.kind == "rank1":
+        idx = np.stack([np.ones_like(idx), idx], axis=1)
+    i, j = idx.reshape(-1, 2).T
+    second = {"rectangular": 0, "rank1": 0, "hermitian": i != j, "symplectic": -1}[grid.kind]
+    signs = np.stack(np.broadcast_arrays(np.ones_like(i), second)).astype(np.int8)
+    return np.stack([i, j]), np.stack([j, i]), signs
 
 
 def _matrix_unit_table(grid: Grid, xs, ys, zs) -> tuple:
-    """The expected {u_x, u_y, u_z} of a rectangular, hermitian or symplectic
-    grid at the positions xs, ys, zs, as the ``want`` of ``ExactFamily.equal``.
+    """The expected {u_x, u_y, u_z} of a rectangular, hermitian, symplectic
+    or rank-1 grid at the positions xs, ys, zs, as the ``want`` of
+    ``ExactFamily.equal``.
 
     The rule works on the indices alone: e_pq e_rs* e_tu = delta_qs delta_rt
     e_pu on the parts (``_unit_parts``) of u_x u_y* u_z + u_z u_y* u_x, and
     the sum of the e_pu is read as u-coefficients at the entries (p, u) that
-    name an element: every entry (rectangular), p <= u (hermitian), p < u
-    (symplectic).  The coefficients are those of 2 {u_x, u_y, u_z}, so q = 2.
+    name an element: every entry (rectangular, rank-1), p <= u (hermitian),
+    p < u (symplectic).  The coefficients are those of 2 {u_x, u_y, u_z}, so q = 2.
     In a grid every such product is a multiple of one element, so all the
     terms a triple keeps name the same member: the result has one column.
     The rule sees only which indices of a triple are equal and how they are
     ordered, and the grids of ``test_grids.TestMatrixUnitRule`` realize every
     such pattern (at most six distinct indices), so that test proves this
-    for every size.
+    for every size; its 1 x q grids do so for the rank-1 reading.
     """
-    rows, cols, signs = _unit_parts(grid)
+    parts = rows, cols, signs = _unit_parts(grid)
     at = np.full((rows.max() + 1,) * 2, -1, dtype=np.intp)
-    at[rows[:, 0], cols[:, 0]] = np.arange(len(grid))
+    at[rows[0], cols[0]] = np.arange(len(grid))
     kidx = np.zeros((len(xs), 1), dtype=np.intp)
     kcoef = np.zeros((len(xs), 1), dtype=np.int64)
     # 16 terms per triple: a chunk's term arrays hold at most _CHUNK_CELLS
     per = _CHUNK_CELLS // 16
     for start in range(0, len(xs), per):
         chunk = slice(start, start + per)
-        first = np.stack([xs[chunk], zs[chunk]], axis=1)
-        # axes: triple, product (u_x u_y* u_z, then u_z u_y* u_x), part of
-        # the first, middle and last factor
-        p, q, sign_a = (v[first][:, :, :, None, None] for v in (rows, cols, signs))
-        r, s, sign_b = (v[ys[chunk]][:, None, None, :, None] for v in (rows, cols, signs))
-        t, u, sign_c = (v[first[:, ::-1]][:, :, None, None, :] for v in (rows, cols, signs))
+        first = np.stack([xs[chunk], zs[chunk]])
+        # axes: product (u_x u_y* u_z, then u_z u_y* u_x), part of the first,
+        # middle and last factor, then triple.  The triples are the last and
+        # contiguous axis (np.take), so every operation runs along them: with
+        # an axis of length 2 innermost, numpy took 4-7 times as long.
+        p, q, sign_a = (np.take(v, first, axis=1).swapaxes(0, 1)[:, :, None, None] for v in parts)
+        r, s, sign_b = (np.take(v, ys[chunk], axis=1)[None, None, :, None] for v in parts)
+        t, u, sign_c = (np.take(v, first[::-1], axis=1).swapaxes(0, 1)[:, None, None, :]
+                        for v in parts)
         coef = sign_a * sign_b * sign_c * ((q == s) & (r == t))
         member = at[p, u]
         live = (coef != 0) & (member >= 0)
-        kidx[chunk, 0] = np.where(live, member, 0).max(axis=(1, 2, 3, 4))
-        kcoef[chunk, 0] = np.where(live, coef, 0).sum(axis=(1, 2, 3, 4))
+        kidx[chunk, 0] = np.where(live, member, 0).max(axis=(0, 1, 2, 3))
+        kcoef[chunk, 0] = np.where(live, coef, 0).sum(axis=(0, 1, 2, 3))
     return kidx, kcoef, 2
 
 
+def _triple_rule(grid: Grid, xs, ys, zs) -> tuple:
+    """The expected {u_x, u_y, u_z} at the positions xs, ys, zs, from the
+    indices alone, as the ``want`` of ``ExactFamily.equal``: the matrix-unit
+    rule, or the index rule of a spin grid."""
+    if grid.kind == "spin":
+        idxs = grid.indices
+        pos = {idx: x for x, idx in enumerate(idxs)}
+        wants = (_spin_triple(idxs[x], idxs[y], idxs[z]) for x, y, z in zip(xs, ys, zs))
+        return combination([{pos[i]: v for i, v in w.items()} for w in wants])
+    if grid.kind not in ("rectangular", "hermitian", "symplectic", "rank1"):
+        raise ValueError(f"unknown grid kind {grid.kind!r}")
+    return _matrix_unit_table(grid, xs, ys, zs)
+
+
 def _expected_table(grid: Grid, xs, ys, zs) -> tuple:
-    """The expected {u_x, u_y, u_z} at the positions xs, ys, zs, as the
-    ``want`` of ``ExactFamily.equal``: the matrix-unit rule, or the index
-    rule of a spin or rank-1 grid."""
-    kind = grid.kind
-    if kind in ("rectangular", "hermitian", "symplectic"):
-        return _matrix_unit_table(grid, xs, ys, zs)
-    rules = {"rank1": _rank1_triple, "spin": _spin_triple}
-    if kind not in rules:
-        raise ValueError(f"unknown grid kind {kind!r}")
-    idxs = grid.indices
-    pos = {idx: x for x, idx in enumerate(idxs)}
-    wants = (rules[kind](idxs[x], idxs[y], idxs[z]) for x, y, z in zip(xs, ys, zs))
-    return combination([{pos[i]: v for i, v in w.items()} for w in wants])
+    """The want of ``verify_grid``'s exhaustive triple table: the triple rule
+    at every row.  The pair relations and the minimal elements evaluate the
+    rule at their own rows (``_expected_pairs``), so a fault in this array
+    shows in ``triple_products`` alone."""
+    return _triple_rule(grid, xs, ys, zs)
+
+
+_RELATION_OF_HALVES = {(0, 0): GridRelation.ORTHOGONAL, (1, 1): GridRelation.COLINEAR,
+                       (2, 1): GridRelation.GOVERNS_FIRST_OVER_SECOND,
+                       (1, 2): GridRelation.GOVERNS_SECOND_OVER_FIRST}
+
+
+def _expected_pairs(grid: Grid) -> tuple:
+    """The expected relation of each pair of positions x < z, in loop order,
+    and the minimal positions, from the triple rule alone.
+
+    With {u_x, u_x, u_z} = c u_z / 2 and {u_x, u_z, u_z} = c' u_x / 2 (rows
+    (x, x, z) and (x, z, z)), the relation is ``classify_relation``'s rule on
+    (c, c'): (0, 0) orthogonal, since for partial isometries {v,v,w} = 0 iff
+    v*w = v w* = 0; (1, 1) colinear; (2, 1) the first governs the second,
+    (1, 2) the second the first; anything else unclassified.  v is minimal
+    where {u_v, u_w, u_v} = 0 for every w != v (rows (v, w, v)).
+    """
+    n = len(grid)
+    x, z = np.triu_indices(n, 1)
+    v, w = np.nonzero(~np.eye(n, dtype=bool))
+    want = _triple_rule(grid, np.concatenate([x, x, v]), np.concatenate([x, z, w]),
+                        np.concatenate([z, z, v]))
+    rows = np.arange(len(x))
+    halves = [np.select([_same_want(want, row, member, c) for c in (0, 1, 2)], [0, 1, 2], -1)
+              for row, member in ((rows, z), (rows + len(x), x))]
+    relations = [_RELATION_OF_HALVES.get(pair, GridRelation.UNCLASSIFIED)
+                 for pair in zip(*(c.tolist() for c in halves))]
+    zero = _same_want(want, 2 * len(x) + np.arange(len(v)), 0, 0).reshape(n, n - 1)
+    return relations, np.flatnonzero(zero.all(axis=1))
 
 
 # -- verification -------------------------------------------------------------
-
-
-def _minimal_indices(grid: Grid) -> list:
-    if grid.kind == "hermitian":
-        return [idx for idx in grid.indices if idx[0] == idx[1]]
-    if grid.kind == "spin":
-        return [idx for idx in grid.indices if idx[0] != "u0"]
-    return list(grid.indices)
 
 
 def verify_grid(grid: Grid) -> VerificationReport:
@@ -443,16 +405,18 @@ def verify_grid(grid: Grid) -> VerificationReport:
     A grid of more than ``GRID_VERIFY_CAP`` elements raises
     ``CapacityError`` before any product is formed.  The
     ``partial_isometry`` line counts the elements that the ``Grid`` checked
-    when it was made; they are not evaluated again.  Relations are
-    classified pair by pair.  Minimality (u_v u_w* u_v = 0), the triple table
-    and the kind's named identities are read off one batched family table
-    (``ExactFamily``).  The table covers every triple with the first index
-    not after the third ({a,b,c} = {c,b,a}), at every size; its expected
-    values come from the indices alone (``_expected_table``), never from a
-    model grid.  The named identities are index arrays (``_named_table``)
-    whose verdicts are read off that table (``_named_verdicts``).
-    Failures are reported, never raised, each check listing its first
-    failures in loop order.
+    when it was made; they are not evaluated again.  Every expected value
+    comes from the kind's triple rule on the indices alone, never from a
+    model grid: the triple table (``_expected_table``), the pair relations
+    and the minimal elements (``_expected_pairs``).  Relations are
+    classified pair by pair.  The triple table covers every triple with the
+    first index not after the third ({a,b,c} = {c,b,a}), at every size, in
+    one batched family table (``ExactFamily``).  Every other verdict is read
+    off it (``_table_verdicts``): minimality, since {v,w,v} = v w* v; the
+    orthogonality of the spin partners, since {u,u,u~} = 0 iff
+    u* u~ = u u~* = 0 for a partial isometry u; and the kind's named
+    identities (``_named_table``).  Failures are reported, never raised,
+    each check listing its first failures in loop order.
     """
     n = len(grid)
     if n > GRID_VERIFY_CAP:
@@ -462,48 +426,55 @@ def verify_grid(grid: Grid) -> VerificationReport:
     if n == 0:
         rep.flag("empty_grid", "vacuously true")
         return rep
-    idxs = list(grid.indices)
+    idxs = grid.indices
 
     # the Grid holds only PartialIsometry values, each checked when it was made
     rep.add_counted("partial_isometry", True, n, "elements")
 
+    relations, minimal = _expected_pairs(grid)
     mism = []
-    for x in range(n):
-        for y in range(x + 1, n):
-            want = expected_pair_relation(grid.kind, idxs[x], idxs[y])
-            got = classify_relation(grid.element(idxs[x]), grid.element(idxs[y]))
-            if got is not want:
-                mism.append((idxs[x], idxs[y], want.value, got.value))
+    for x, z, want in zip(*np.triu_indices(n, 1), relations):
+        got = classify_relation(grid.element(idxs[x]), grid.element(idxs[z]))
+        if got is not want:
+            mism.append((idxs[x], idxs[z], want.value, got.value))
     rep.add_counted("pairwise_relations", not mism, n * (n - 1) // 2, "pairs",
                     failure=f"mismatch {mism[:3]}")
 
     fam = ExactFamily(grid.matrices())
-    pos = {idx: x for x, idx in enumerate(idxs)}
-    minimal = [pos[i] for i in _minimal_indices(grid)]
-    vs, ws = np.repeat(minimal, n), np.tile(np.arange(n), len(minimal))
-    vs, ws = vs[vs != ws], ws[vs != ws]
-    vanishing = fam.equal(vs, ws, vs)
-    notmin = [(idxs[v], idxs[w]) for v, w in zip(vs[~vanishing], ws[~vanishing])]
-    if not len(vs):
-        rep.flag("minimality", "0 pairs: nothing to check")
-    else:
-        rep.add_counted("minimality", not notmin, len(minimal), "elements",
-                        failure=f"failed {notmin[:3]}")
-
     # x <= z covers every ordered triple, in loop order x, y, z
     upper = np.triu(np.ones((n, n), dtype=bool))[:, None, :]
     x, y, z = np.unravel_index(np.flatnonzero(np.broadcast_to(upper, (n, n, n))), (n, n, n))
     want = _expected_table(grid, x, y, z)
     ok = fam.equal(x, y, z, want, sym=True)
+
+    # {v, w, v} = 0 for a minimal v and every w != v, {u_i, u_i, u~_i} = 0
+    # for the spin partners, then the named identities
+    vs, ws = np.repeat(minimal, n), np.tile(np.arange(n), len(minimal))
+    vs, ws = vs[vs != ws], ws[vs != ws]
+    pos = {idx: t for t, idx in enumerate(idxs)}
+    r = grid.params["r"] if grid.kind == "spin" else 0
+    us, uts = (np.array([pos[(tag, i)] for i in range(1, r + 1)], dtype=np.intp)
+               for tag in ("u", "ut"))
+    forms, form, params, *named = _named_table(grid)
+    good = _table_verdicts(fam, want, ok, *(np.concatenate(p) for p in zip(
+        (vs, ws, vs, 0 * vs, 0 * vs), (us, us, uts, 0 * us, 0 * us), named)))
+    minimal_ok, apart, named_ok = np.split(good, [len(vs), len(vs) + r])
+
+    notmin = [(idxs[v], idxs[w]) for v, w in zip(vs[~minimal_ok], ws[~minimal_ok])]
+    if not len(vs):
+        rep.flag("minimality", "0 pairs: nothing to check")
+    else:
+        rep.add_counted("minimality", not notmin, len(minimal), "elements",
+                        failure=f"failed {notmin[:3]}")
     badt = [(idxs[x[t]], idxs[y[t]], idxs[z[t]]) for t in np.flatnonzero(~ok)[:3]]
     rep.add_counted("triple_products", not badt, len(x), "triples (exhaustive)",
                     failure=f"failed {badt}")
-    _report_named(grid, rep, fam, pos, _named_verdicts(grid, fam, want, ok))
+    _report_named(grid, rep, _named_summary(forms, form, params, named_ok), apart)
     return rep
 
 
 def _same_want(want: tuple, row: np.ndarray, member: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Whether the table's want at each row is coef / 2 times the member."""
+    """Whether the want at each row is coef / 2 times the member."""
     kidx, kcoef, q = want
     kidx, kcoef = kidx[row], kcoef[row]
     live = kcoef != 0
@@ -513,16 +484,16 @@ def _same_want(want: tuple, row: np.ndarray, member: np.ndarray, coef: np.ndarra
     return np.where(terms == 0, coef == 0, one)
 
 
-def _named_verdicts(grid: Grid, fam: ExactFamily, want: tuple, ok: np.ndarray) -> dict:
-    """check -> (instances, failures, labels of the first three failures).
+def _table_verdicts(fam: ExactFamily, want: tuple, ok: np.ndarray, a, b, c, member,
+                    coef) -> np.ndarray:
+    """Whether 2 {u_a, u_b, u_c} = coef u_member at each instance.
 
-    A named identity {u_a, u_b, u_c} is the table's row (min(a, c), b,
-    max(a, c)), since {a,b,c} = {c,b,a}.  Where its want is the table's want
-    there, the table's verdict is its verdict; an instance whose want
-    differs, or whose row failed, is evaluated on its own.
+    The instance is the table's row (min(a, c), b, max(a, c)), since
+    {a,b,c} = {c,b,a}.  Where its want is the table's want there, the
+    table's verdict is its verdict; an instance whose want differs, or whose
+    row failed, is evaluated on its own.
     """
-    n = len(grid)
-    forms, form, params, a, b, c, member, coef = _named_table(grid)
+    n = len(fam)
     lo, hi = np.minimum(a, c), np.maximum(a, c)
     # n (n - x) rows for each first index x before lo
     row = n * (lo * n - lo * (lo - 1) // 2) + b * (n - lo) + hi - lo
@@ -531,6 +502,11 @@ def _named_verdicts(grid: Grid, fam: ExactFamily, want: tuple, ok: np.ndarray) -
     if redo.size:
         good[redo] = fam.equal(a[redo], b[redo], c[redo],
                                scaled_members(member[redo], coef[redo], 2), sym=True)
+    return good
+
+
+def _named_summary(forms: list, form: np.ndarray, params: np.ndarray, good: np.ndarray) -> dict:
+    """check -> (instances, failures, labels of the first three failures)."""
     out = {}
     for check in dict.fromkeys(f[0] for f in forms):
         mine = np.isin(form, [x for x, f in enumerate(forms) if f[0] == check])
@@ -681,9 +657,9 @@ def _add_named(rep: VerificationReport, name: str, named: dict, unit: str) -> No
         rep.add(name, not bad, detail="" if not bad else f"failed {labels}")
 
 
-def _report_named(grid: Grid, rep: VerificationReport, fam: ExactFamily, pos: dict,
-                  named: dict) -> None:
-    """Report the named identities in the kind's order."""
+def _report_named(grid: Grid, rep: VerificationReport, named: dict, apart: np.ndarray) -> None:
+    """Report the named identities in the kind's order, with the spin
+    partners' orthogonality (``apart``, one verdict per pair) among them."""
     kind = grid.kind
     if kind == "rectangular":
         _add_named(rep, "rectangular_chain_identity", named, "chains")
@@ -698,12 +674,8 @@ def _report_named(grid: Grid, rep: VerificationReport, fam: ExactFamily, pos: di
     elif kind == "symplectic":
         _add_named(rep, "symplectic_quad_identity", named, "quadruples")
     elif kind == "spin":
-        r = grid.params["r"]
         _add_named(rep, "spin_quadrangle_identities", named, "quadrangles")
-        us = [pos[("u", i)] for i in range(1, r + 1)]
-        uts = [pos[("ut", i)] for i in range(1, r + 1)]
-        apart = fam.vanish(us, uts, star_first=True) & fam.vanish(us, uts)
-        orth = [i for i, good in enumerate(apart, start=1) if not good]
+        orth = [i for i, good in enumerate(apart.tolist(), start=1) if not good]
         rep.add("spin_partner_orthogonality", not orth,
                 detail="" if not orth else f"failed {orth}")
         if grid.params["odd"]:

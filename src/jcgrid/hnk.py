@@ -175,6 +175,11 @@ class HnkSpace:
         """The basis as one (n, rows, cols) complex array, converted once."""
         return np.stack([b.to_approx().array for b in self.basis])
 
+    @cached_property
+    def basis_family(self) -> ExactFamily:
+        """The basis as one ``ExactFamily``, stacked once."""
+        return ExactFamily(self.basis)
+
     def row_index(self, J: Combination) -> int:
         return J.rank()
 
@@ -753,12 +758,15 @@ def grid_support_split(grid: Grid):
 def ternary_matrix_unit_image(grid: Grid) -> bool:
     """True iff the grid's ternary products follow the matrix-unit calculus
     u_ij u_kl* u_mn = delta_jl delta_km u_in exactly."""
-    idxs = list(grid.indices)
-    pos = {idx: x for x, idx in enumerate(idxs)}
-    a, b, c = np.indices((len(idxs),) * 3).reshape(3, -1)
-    unit = [idxs[x][1] == idxs[y][1] and idxs[y][0] == idxs[z][0] for x, y, z in zip(a, b, c)]
-    target = [pos[(idxs[x][0], idxs[z][1])] if u else 0 for x, z, u in zip(a, c, unit)]
-    want = scaled_members(target, np.array(unit, dtype=int))
+    i, j = np.array(grid.indices, dtype=np.intp).T
+    at = np.full((i.max() + 1, j.max() + 1), -1, dtype=np.intp)
+    at[i, j] = np.arange(len(i))
+    a, b, c = np.indices((len(i),) * 3).reshape(3, -1)
+    unit = (j[a] == j[b]) & (i[b] == i[c])
+    target = np.where(unit, at[i[a], j[c]], 0)
+    if (target < 0).any():
+        raise KeyError(f"{grid.describe()} lacks an element of its matrix-unit image")
+    want = scaled_members(target, unit.astype(np.int64))
     return bool(ExactFamily(grid.matrices()).equal(a, b, c, want).all())
 
 
@@ -795,7 +803,7 @@ def hnk_projection_exact(space: HnkSpace, x: ExactMatrix) -> ExactMatrix:
     """
     if x.shape != space.shape:
         raise DimensionError(f"expected shape {space.shape}, got {x.shape}")
-    fam = ExactFamily(space.basis)
+    fam = space.basis_family
     n, (rows, cols) = len(fam), space.shape
     parts = fam.re, fam.im, x.re, x.im if x._mags()[1] else None
     if 4 * n * rows * cols * x._bound() * fam.mag ** 2 >= _INT64_LIMIT:

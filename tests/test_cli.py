@@ -331,6 +331,22 @@ GOLDEN_STDOUT = {
     ("verify", "matrix-units", "--kind", "symplectic", "--m", "6", "--conjugations", "5",
      "--seed", "7", "--format", "json"):
         "9a019fa113ad295ea62a99adb1345ff7942daa3e13e91e2db33242db05b819dc",
+    # recorded while the expected pair relations and minimal elements were
+    # per-kind index rules beside the triple rule
+    ("verify", "grid", "--kind", "hermitian", "--m", "6"):
+        "2c4066dbd98cd66f043765f10e662d640daff74b81d039c30ae03c808913b85c",
+    ("verify", "grid", "--kind", "symplectic", "--m", "5"):
+        "0e3749f9abce5c0f572acb5260158b4b96c95567d78ff54c6e508ae699110d05",
+    ("verify", "grid", "--kind", "spin", "--r", "2"):
+        "67ea02a865e1a9a3b442f12fc580572f4785e432468b96b98f1f95406a3f6e7c",
+    ("verify", "grid", "--kind", "spin", "--r", "2", "--odd"):
+        "ceab7081df65f6d5c64a361aa051fdf8f6eb4866c2178a0a2f97898986dd69e0",
+    ("verify", "grid", "--kind", "rectangular", "--p", "4", "--q", "4"):
+        "558d95868def6c186b7f78ecf64440b820f3dc59d0e79408aed165cd701b539f",
+    ("verify", "split", "--p", "3", "--q", "3"):
+        "2143bf82213dea6203e922ac03c1fcfbf636c35bada5f07dc53b36ca686eecbc",
+    ("verify", "split", "--n", "4", "--ks", "3,1"):
+        "95a6a506df3669a7ff506ebd8f0f2b8d09ca1554c623d7ebeb6aa5b8b670892e",
 }
 
 
@@ -406,6 +422,13 @@ class TestValidateOnce:
         assert "overall: pass" in capsys.readouterr().out
         # C(4, 1) * C(4, 2) = 24 words
         assert len(calls) == 24
+
+    def test_verify_projection_stacks_the_basis_once(self, monkeypatch, capsys):
+        calls = _count_calls(monkeypatch, numlin.ExactFamily, "__init__")
+        assert cli.main(["verify", "projection", "--n", "6", "--k", "3"]) == 0
+        assert "overall: pass" in capsys.readouterr().out
+        # 6 while each exact projection of a basis element stacked the basis
+        assert len(calls) == 1
 
 
 def _count_product_terms(monkeypatch):

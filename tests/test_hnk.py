@@ -21,7 +21,8 @@ from jcgrid.hnk import (Combination, build_hnk, build_uIJ, combinations,
                         support_product, ternary_matrix_unit_image,
                         trace_formula_check, uij_family,
                         verify_uIJ_grid)
-from jcgrid.numlin import EX_I, ExactMatrix, ExactScalar, operator_norm
+from jcgrid.numlin import (EX_I, ExactFamily, ExactMatrix, ExactScalar, operator_norm,
+                           scaled_members)
 from jcgrid.triple import PartialIsometry, ternary_product
 
 E = ExactMatrix.unit
@@ -630,6 +631,46 @@ class TestDiagRect:
                        [(i, -p_grid.matrix(i) if i == idx else p_grid.matrix(i))
                         for i in p_grid.indices])
             assert not ternary_matrix_unit_image(bad)
+
+    @pytest.mark.parametrize("corrupt", [None, (1, 1), (3, 2)], ids=["clean", "u11", "u32"])
+    def test_unit_image_matches_the_comprehension(self, monkeypatch, corrupt):
+        p_grid, _, _ = grid_support_split(diag_rect(3, 2))
+        if corrupt is not None:
+            p_grid = Grid(p_grid.kind, p_grid.params,
+                          [(i, -p_grid.matrix(i) if i == corrupt else p_grid.matrix(i))
+                           for i in p_grid.indices])
+        calls = []
+        orig = ExactFamily.equal
+        monkeypatch.setattr(ExactFamily, "equal",
+                            lambda self, *a: calls.append(a) or orig(self, *a))
+        got = ternary_matrix_unit_image(p_grid)
+        monkeypatch.setattr(ExactFamily, "equal", orig)
+        a, b, c, want = _unit_image_by_comprehension(p_grid)
+        (ga, gb, gc, (kidx, kcoef, q)), = calls
+        assert all((x == y).all() for x, y in [(ga, a), (gb, b), (gc, c), (kidx, want[0]),
+                                               (kcoef, want[1])])
+        assert q == want[2]
+        assert got is bool(ExactFamily(p_grid.matrices()).equal(a, b, c, want).all())
+        assert got is (corrupt is None)
+
+    def test_unit_image_of_a_grid_without_a_target_raises(self):
+        p_grid, _, _ = grid_support_split(diag_rect(3, 2))
+        short = Grid(p_grid.kind, p_grid.params,
+                     [(i, p_grid.matrix(i)) for i in p_grid.indices if i != (2, 1)])
+        for image in (ternary_matrix_unit_image, _unit_image_by_comprehension):
+            with pytest.raises(KeyError):
+                image(short)
+
+
+def _unit_image_by_comprehension(grid):
+    """``ternary_matrix_unit_image``'s triples and want, one Python
+    comprehension per triple, as they were built before the index arrays."""
+    idxs = list(grid.indices)
+    pos = {idx: x for x, idx in enumerate(idxs)}
+    a, b, c = np.indices((len(idxs),) * 3).reshape(3, -1)
+    unit = [idxs[x][1] == idxs[y][1] and idxs[y][0] == idxs[z][0] for x, y, z in zip(a, b, c)]
+    target = [pos[(idxs[x][0], idxs[z][1])] if u else 0 for x, z, u in zip(a, c, unit)]
+    return a, b, c, scaled_members(target, np.array(unit, dtype=int))
 
 
 class TestProjection:
