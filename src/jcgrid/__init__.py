@@ -5,8 +5,8 @@ The exact layer works over Gaussian rationals (zero-residual checks); the
 floating layer computes operator and trace norms for the block witnesses.
 """
 
-from .errors import (CapacityError, DecompositionError, DegenerateInputError,
-                     DimensionError, NumericError, TransformError)
+from .errors import (CapacityError, DecompositionError, DimensionError,
+                     NumericError, TransformError)
 from .grids import (Grid, MatrixUnitFamily, hermitian_grid,
                     hermitian_to_matrix_units, rectangular_grid, spin_grid,
                     spin_system, spin_to_spin_system, symplectic_grid,
@@ -18,13 +18,11 @@ from .hnk import (Combination, HnkSpace, RankOneRealization, SignedUnit,
                   support_product, trace_formula_check, verify_uIJ_grid)
 from .numlin import (ApproxMatrix, ExactMatrix, ExactScalar, block_diag,
                      block_grid, block_row, operator_norm, trace_norm)
-from .opspace import (AmplifiedElement, BasisMap, amplified_ratio,
-                      cb_separation_report, col_witness, level_norm,
-                      row_witness)
+from .opspace import (AmplifiedElement, BasisMap, cb_separation_report,
+                      col_witness, level_norm, row_witness)
 from .report import VerificationReport
 from .triple import (GridRelation, PartialIsometry, classify_relation,
-                     family_rank, is_minimal_in_family, isotope_involution,
-                     isotope_product, peirce_project, ternary_product,
+                     isotope_involution, isotope_product, ternary_product,
                      triple_product)
 
 __version__ = "0.1.0"

@@ -19,7 +19,3 @@ class TransformError(RuntimeError):
 
 class DecompositionError(RuntimeError):
     """A factor in a word decomposition vanished or violated uniqueness."""
-
-
-class DegenerateInputError(ValueError):
-    """An input is numerically zero where a nonzero value is required."""

@@ -16,18 +16,16 @@ and unit-product relations on batched family tables (``numlin.ExactFamily``).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import CapacityError, TransformError
 from .numlin import (_CHUNK_CELLS, EX_HALF, EX_I, EX_MINUS_ONE, EX_ZERO,
-                     ExactFamily, ExactMatrix, ExactScalar, combination,
-                     exact_rank, scaled_members)
+                     ExactFamily, ExactMatrix, ExactScalar, exact_rank,
+                     scaled_members)
 from .report import VerificationReport
 from .triple import (GridRelation, PartialIsometry, classify_relation,
                      isotope_involution, isotope_product)
@@ -247,44 +245,6 @@ def random_signed_permutation(n: int, rng: random.Random) -> ExactMatrix:
 # -- expected relation/product tables ----------------------------------------
 
 
-def _spin_partner(key):
-    return ("ut" if key[0] == "u" else "u", key[1])
-
-
-def _spin_triple(a, b, c) -> Dict:
-    """Complete triple-product table of the spin grid (derived in the Pauli
-    model; symmetric in the outer arguments)."""
-    def is0(k):
-        return k[0] == "u0"
-
-    if a == b == c:
-        return {a: Fraction(1)}
-    if not is0(b) and (_spin_partner(b) == a or _spin_partner(b) == c):
-        return {}
-    if a == b:
-        if is0(a):
-            return {c: Fraction(1)}
-        if is0(c) or c[1] != a[1]:
-            return {c: Fraction(1, 2)}
-        return {}
-    if b == c:
-        if is0(b):
-            return {a: Fraction(1)}
-        if is0(a) or a[1] != b[1]:
-            return {a: Fraction(1, 2)}
-        return {}
-    if a == c:
-        if is0(a) and not is0(b):
-            return {_spin_partner(b): Fraction(-1)}
-        return {}
-    if not is0(a) and not is0(c) and _spin_partner(a) == c:
-        if is0(b):
-            return {b: Fraction(-1, 2)}
-        if b[1] != a[1]:
-            return {_spin_partner(b): Fraction(-1, 2)}
-    return {}
-
-
 def _unit_parts(grid: Grid) -> tuple:
     """Each element as the sum of two signed matrix units: (rows, cols,
     signs), each of shape (2, n), part by part.  u_ij is e_ij (rectangular;
@@ -343,15 +303,54 @@ def _matrix_unit_table(grid: Grid, xs, ys, zs) -> tuple:
     return kidx, kcoef, 2
 
 
+def _spin_table(grid: Grid, xs, ys, zs) -> tuple:
+    """The expected {u_x, u_y, u_z} of a spin grid at the positions xs, ys,
+    zs, as the ``want`` of ``ExactFamily.equal``: one member per triple, its
+    coefficient that of 2 {u_x, u_y, u_z}, so q = 2.
+
+    The rule was derived in the Pauli model and is symmetric in the outer
+    arguments.  It sees only each index's kind (u_j, u~_j or u_0), its pair
+    number j and its partner (u_j and u~_j are partners; u_0 has none), and
+    the first branch that holds gives the value.
+    ``test_grids.TestSpinRule`` compares it with the branch-by-branch dict
+    rule on every ordered triple for r = 2..6 in both parities.
+    """
+    pos = {idx: x for x, idx in enumerate(grid.indices)}
+    governing = np.array([tag == "u0" for tag, _ in grid.indices])
+    pair = np.array([j for _, j in grid.indices])
+    partner = np.array([-1 if tag == "u0" else pos[("ut" if tag == "u" else "u", j)]
+                        for tag, j in grid.indices])
+    a, b, c = (np.asarray(v, dtype=np.intp) for v in (xs, ys, zs))
+    a0, b0, c0, pb = governing[a], governing[b], governing[c], partner[b]
+    # no position is -1, so a branch that compares a partner holds only
+    # where that partner's owner is a pair element, as the rule requires
+    branches = [  # (condition, member, coefficient of 2 {u_a, u_b, u_c})
+        ((a == b) & (b == c), a, 2),
+        ((pb == a) | (pb == c), 0, 0),
+        ((a == b) & a0, c, 2),
+        ((a == b) & (c0 | (pair[c] != pair[a])), c, 1),
+        (a == b, 0, 0),
+        ((b == c) & b0, a, 2),
+        ((b == c) & (a0 | (pair[a] != pair[b])), a, 1),
+        (b == c, 0, 0),
+        ((a == c) & a0 & ~b0, pb, -2),
+        (a == c, 0, 0),
+        ((partner[a] == c) & b0, b, -1),
+        ((partner[a] == c) & (pair[b] != pair[a]), pb, -1),
+    ]
+    conds, members, coefs = zip(*branches)
+    kidx = np.select(conds, members, 0).astype(np.intp)
+    kcoef = np.select(conds, coefs, 0).astype(np.int64)
+    return kidx[:, None], kcoef[:, None], 2
+
+
 def _triple_rule(grid: Grid, xs, ys, zs) -> tuple:
     """The expected {u_x, u_y, u_z} at the positions xs, ys, zs, from the
-    indices alone, as the ``want`` of ``ExactFamily.equal``: the matrix-unit
-    rule, or the index rule of a spin grid."""
+    indices alone, as the ``want`` of ``ExactFamily.equal``: one member per
+    triple with its coefficient over q = 2, from the matrix-unit rule or the
+    spin grid's index rule."""
     if grid.kind == "spin":
-        idxs = grid.indices
-        pos = {idx: x for x, idx in enumerate(idxs)}
-        wants = (_spin_triple(idxs[x], idxs[y], idxs[z]) for x, y, z in zip(xs, ys, zs))
-        return combination([{pos[i]: v for i, v in w.items()} for w in wants])
+        return _spin_table(grid, xs, ys, zs)
     if grid.kind not in ("rectangular", "hermitian", "symplectic", "rank1"):
         raise ValueError(f"unknown grid kind {grid.kind!r}")
     return _matrix_unit_table(grid, xs, ys, zs)
@@ -379,7 +378,9 @@ def _expected_pairs(grid: Grid) -> tuple:
     (c, c'): (0, 0) orthogonal, since for partial isometries {v,v,w} = 0 iff
     v*w = v w* = 0; (1, 1) colinear; (2, 1) the first governs the second,
     (1, 2) the second the first; anything else unclassified.  v is minimal
-    where {u_v, u_w, u_v} = 0 for every w != v (rows (v, w, v)).
+    where {u_v, u_w, u_v} = 0 for every w != v (rows (v, w, v)).  The rule
+    gives one member per row, so ``_same_want`` reads c and c' off one
+    column.
     """
     n = len(grid)
     x, z = np.triu_indices(n, 1)
@@ -406,9 +407,10 @@ def verify_grid(grid: Grid) -> VerificationReport:
     ``CapacityError`` before any product is formed.  The
     ``partial_isometry`` line counts the elements that the ``Grid`` checked
     when it was made; they are not evaluated again.  Every expected value
-    comes from the kind's triple rule on the indices alone, never from a
-    model grid: the triple table (``_expected_table``), the pair relations
-    and the minimal elements (``_expected_pairs``).  Relations are
+    comes from the kind's triple rule (``_triple_rule``: the matrix-unit
+    rule, or the spin rule) on index arrays alone, never from a model grid:
+    the triple table (``_expected_table``), the pair relations and the
+    minimal elements (``_expected_pairs``).  Relations are
     classified pair by pair.  The triple table covers every triple with the
     first index not after the third ({a,b,c} = {c,b,a}), at every size, in
     one batched family table (``ExactFamily``).  Every other verdict is read
@@ -474,14 +476,11 @@ def verify_grid(grid: Grid) -> VerificationReport:
 
 
 def _same_want(want: tuple, row: np.ndarray, member: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Whether the want at each row is coef / 2 times the member."""
+    """Whether the want at each row is coef / 2 times the member; the triple
+    rule's want has one column."""
     kidx, kcoef, q = want
-    kidx, kcoef = kidx[row], kcoef[row]
-    live = kcoef != 0
-    terms = live.sum(axis=1)
-    first = np.arange(len(row)), live.argmax(axis=1)
-    one = (terms == 1) & (kidx[first] == member) & (kcoef[first] * 2 == coef * q)
-    return np.where(terms == 0, coef == 0, one)
+    kidx, kcoef = kidx[row, 0], kcoef[row, 0]
+    return (kcoef * 2 == coef * q) & ((kidx == member) | (kcoef == 0))
 
 
 def _table_verdicts(fam: ExactFamily, want: tuple, ok: np.ndarray, a, b, c, member,

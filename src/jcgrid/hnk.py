@@ -82,23 +82,6 @@ class Combination:
             prev = m
         return rank
 
-    @classmethod
-    def unrank(cls, n: int, r: int, rank: int) -> "Combination":
-        if rank < 0 or rank >= math.comb(n, r):
-            raise ValueError("rank out of range")
-        members = []
-        x = 1
-        for pos in range(r):
-            while True:
-                block = math.comb(n - x, r - pos - 1)
-                if rank < block:
-                    members.append(x)
-                    x += 1
-                    break
-                rank -= block
-                x += 1
-        return cls(n, tuple(members))
-
     def __str__(self):
         return "{" + ",".join(str(m) for m in self.members) + "}"
 

@@ -705,23 +705,6 @@ def _cells_equal(x, y) -> np.ndarray:
     return same
 
 
-def combination(rows: Sequence[dict]) -> tuple:
-    """The ``want`` argument of ``ExactFamily.equal`` for one
-    {member position: int or Fraction coefficient} dict per triple; the
-    coefficients are int64 while all of them are below 2^62."""
-    width = max(map(len, rows), default=0)
-    q = math.lcm(*{v.denominator for row in rows for v in row.values()})
-    nums = [[v.numerator * (q // v.denominator) for v in row.values()] for row in rows]
-    big = max((abs(x) for row in nums for x in row), default=0) >= _INT64_LIMIT
-    kidx = np.zeros((len(rows), width), dtype=np.intp)
-    kcoef = np.zeros((len(rows), width), dtype=object if big else np.int64)
-    for t, (row, num) in enumerate(zip(rows, nums)):
-        if row:
-            kidx[t, :len(row)] = list(row)
-            kcoef[t, :len(row)] = num
-    return kidx, kcoef, q
-
-
 def scaled_members(kidx, coef=1, q: int = 1) -> tuple:
     """The ``want`` argument of ``ExactFamily.equal`` for coef[t] / q times
     the single member kidx[t] per triple; ``coef`` may be one number.  The
@@ -835,8 +818,9 @@ class ExactFamily:
         a, b, c = ia[t], ib[t], ic[t] equals the combination ``want``.
 
         ``want`` is (kidx, kcoef, q): (T, K) integer arrays and a positive
-        int, standing for sum_k kcoef[t, k] / q * member kidx[t, k] (see
-        ``combination``); None is the zero matrix.
+        int, standing for sum_k kcoef[t, k] / q * member kidx[t, k]
+        (``scaled_members`` and the grids' triple rules give K = 1); None is
+        the zero matrix.
         """
         ia, ib, ic = (np.asarray(x, dtype=np.intp) for x in (ia, ib, ic))
         if want is None:
@@ -916,10 +900,6 @@ class ApproxMatrix:
             raise DimensionError("ApproxMatrix requires an array of at least 2 dimensions")
         arr.setflags(write=False)
         self.array = arr
-
-    @classmethod
-    def from_exact(cls, m: ExactMatrix) -> "ApproxMatrix":
-        return m.to_approx()
 
     @property
     def rows(self) -> int:
@@ -1017,13 +997,6 @@ def exact_rank(vectors: Iterable[Sequence[ExactScalar]]) -> int:
         rank += 1
         col += 1
     return rank
-
-
-def span_contains(basis: Sequence[ExactMatrix], target: ExactMatrix) -> bool:
-    """Exact membership of ``target`` in the complex span of ``basis``."""
-    vecs = [b.entries for b in basis]
-    r0 = exact_rank(vecs)
-    return exact_rank(vecs + [target.entries]) == r0
 
 
 def exact_linearly_independent(mats: Sequence[ExactMatrix]) -> bool:

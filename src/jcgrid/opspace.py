@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError
+from .errors import DimensionError
 from .hnk import HnkSpace, build_hnk
 from .numlin import (ExactMatrix, ExactScalar, exact_linearly_independent,
                      operator_norm)
@@ -90,14 +90,6 @@ class AmplifiedElement:
 def level_norm(basis: Sequence[ExactMatrix], elem: AmplifiedElement) -> float:
     """Operator norm of the materialized block matrix."""
     return operator_norm(elem.materialize(basis))
-
-
-def amplified_ratio(bmap: BasisMap, elem: AmplifiedElement) -> float:
-    """norm(transported) / norm(original): a certified cb-norm lower bound."""
-    dnorm = level_norm(list(bmap.domain), elem)
-    if dnorm < 1e-12:
-        raise DegenerateInputError("domain element is numerically zero")
-    return level_norm(list(bmap.codomain), elem) / dnorm
 
 
 def _unit_vector(n: int, i: int) -> Tuple:

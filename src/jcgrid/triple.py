@@ -8,12 +8,9 @@ is identically zero.
 from __future__ import annotations
 
 import enum
-from typing import Sequence
 
-from .errors import CapacityError, DimensionError
+from .errors import DimensionError
 from .numlin import ExactMatrix, _product_sum
-
-RANK_FAMILY_CAP = 24
 
 
 class GridRelation(enum.Enum):
@@ -98,27 +95,6 @@ def triple_product(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatri
     return _product_sum(terms, 2)
 
 
-def peirce_project(v: PartialIsometry, x: ExactMatrix, k: int) -> ExactMatrix:
-    """Peirce projection P_k(v) x for k in {0, 1, 2}.
-
-    With l = v v* and r = v* v these are l x r, l x (1-r) + (1-l) x r and
-    (1-l) x (1-r); the three sum to x exactly.
-    """
-    if k not in (0, 1, 2):
-        raise ValueError(f"Peirce index must be 0, 1 or 2, got {k}")
-    if x.shape != v.shape:
-        raise DimensionError("x must have the shape of v")
-    l = v.left_support()
-    r = v.right_support()
-    il = ExactMatrix.identity(l.rows) - l
-    ir = ExactMatrix.identity(r.rows) - r
-    if k == 2:
-        return l * x * r
-    if k == 1:
-        return l * x * ir + il * x * r
-    return il * x * ir
-
-
 def classify_relation(v: PartialIsometry, w: PartialIsometry) -> GridRelation:
     """Classify the grid relation between two partial isometries, exactly.
 
@@ -145,18 +121,6 @@ def classify_relation(v: PartialIsometry, w: PartialIsometry) -> GridRelation:
     return GridRelation.UNCLASSIFIED
 
 
-def is_minimal_in_family(v: PartialIsometry, family: Sequence[PartialIsometry]) -> bool:
-    """Minimality relative to a family: v w* v = 0 for every other member."""
-    if all(v.mat != w.mat for w in family):
-        raise ValueError("v must belong to the family")
-    for w in family:
-        if w.mat == v.mat:
-            continue
-        if not ternary_product(v.mat, w.mat, v.mat).is_zero():
-            return False
-    return True
-
-
 def isotope_product(v: PartialIsometry, a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """a v* b: the associative product of the isotope algebra at v."""
     if a.shape != v.shape or b.shape != v.shape:
@@ -169,46 +133,3 @@ def isotope_involution(v: PartialIsometry, a: ExactMatrix) -> ExactMatrix:
     if a.shape != v.shape:
         raise DimensionError("isotope involution requires an operand shaped like v")
     return v.mat * a.adjoint() * v.mat
-
-
-def family_rank(family: Sequence[PartialIsometry]) -> int:
-    """Largest pairwise-orthogonal subset of a family of minimal isometries.
-
-    Exhaustive search (max clique on the orthogonality graph); the family is
-    capped at 24 members.
-    """
-    n = len(family)
-    if n == 0:
-        return 0
-    if n > RANK_FAMILY_CAP:
-        raise CapacityError(f"family of {n} exceeds the cap of {RANK_FAMILY_CAP}")
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if classify_relation(family[i], family[j]) is GridRelation.ORTHOGONAL:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    best = 0
-
-    def extend(cand: int, size: int) -> None:
-        nonlocal best
-        if size + cand.bit_count() <= best:
-            return
-        if cand == 0:
-            best = size
-            return
-        # pivot on the candidate with the most candidate-neighbours
-        pivot = max(_bits(cand), key=lambda v: (adj[v] & cand).bit_count())
-        for v in _bits(cand & ~adj[pivot]):
-            extend(cand & adj[v], size + 1)
-            cand &= ~(1 << v)
-
-    extend((1 << n) - 1, 0)
-    return best
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -526,6 +526,63 @@ class TestMatrixUnitRule:
         assert (_rule_coefficients(g, xs, ys, zs) == _model_coefficients(g, xs, ys, zs)).all()
 
 
+def _spin_partner(key):
+    return ("ut" if key[0] == "u" else "u", key[1])
+
+
+def _spin_triple(a, b, c):
+    """Complete triple-product table of the spin grid (derived in the Pauli
+    model; symmetric in the outer arguments)."""
+    def is0(k):
+        return k[0] == "u0"
+
+    if a == b == c:
+        return {a: Fraction(1)}
+    if not is0(b) and (_spin_partner(b) == a or _spin_partner(b) == c):
+        return {}
+    if a == b:
+        if is0(a):
+            return {c: Fraction(1)}
+        if is0(c) or c[1] != a[1]:
+            return {c: Fraction(1, 2)}
+        return {}
+    if b == c:
+        if is0(b):
+            return {a: Fraction(1)}
+        if is0(a) or a[1] != b[1]:
+            return {a: Fraction(1, 2)}
+        return {}
+    if a == c:
+        if is0(a) and not is0(b):
+            return {_spin_partner(b): Fraction(-1)}
+        return {}
+    if not is0(a) and not is0(c) and _spin_partner(a) == c:
+        if is0(b):
+            return {b: Fraction(-1, 2)}
+        if b[1] != a[1]:
+            return {_spin_partner(b): Fraction(-1, 2)}
+    return {}
+
+
+class TestSpinRule:
+    """The spin grid's index rule against the dict rule it replaces."""
+
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_rule_matches_dict_rule_on_every_triple(self, r, odd):
+        g = spin_grid(r, odd)
+        n, idxs = len(g), g.indices
+        xs, ys, zs = (v.ravel() for v in np.indices((n, n, n)))
+        want = np.zeros((len(xs), 2), dtype=np.int64)
+        for t, (x, y, z) in enumerate(zip(xs, ys, zs)):
+            for idx, v in _spin_triple(idxs[x], idxs[y], idxs[z]).items():
+                want[t] = idxs.index(idx), 2 * v
+        kidx, kcoef, q = grids._triple_rule(g, xs, ys, zs)
+        assert q == 2 and kidx.shape == kcoef.shape == (len(xs), 1)
+        assert kidx.dtype == np.intp and kcoef.dtype == np.int64
+        assert (np.hstack([kidx, kcoef]) == want).all()
+
+
 # grids that the canonical model read-off could not report: a broken element
 # changed the model the expected values were read from
 BROKEN_CONSTRUCTIONS = {

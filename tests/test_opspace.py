@@ -4,13 +4,11 @@ import math
 
 import pytest
 
-from jcgrid.errors import DegenerateInputError
 from jcgrid.hnk import build_hnk
 from jcgrid.numlin import ExactMatrix, ExactScalar
-from jcgrid.opspace import (AmplifiedElement, BasisMap, amplified_ratio,
-                            cb_separation_report, col_witness, level_norm,
-                            row_space_basis, row_witness,
-                            support_sum_identities)
+from jcgrid.opspace import (AmplifiedElement, BasisMap, cb_separation_report,
+                            col_witness, level_norm, row_space_basis,
+                            row_witness, support_sum_identities)
 
 E = ExactMatrix.unit
 
@@ -71,30 +69,14 @@ class TestLevelNorm:
         assert row_norm ** 2 == pytest.approx(operator_norm(gram), abs=1e-9)
 
 
-class TestAmplifiedRatio:
-    def test_identity_map(self):
-        sp = build_hnk(3, 2)
-        m = BasisMap.identity(list(sp.basis))
-        assert amplified_ratio(m, row_witness(sp)) == pytest.approx(1.0, abs=1e-12)
-
+class TestBasisMap:
     def test_transport_to_row_space(self):
         sp = build_hnk(3, 2)
         m = BasisMap(tuple(sp.basis), tuple(row_space_basis(3)))
-        assert amplified_ratio(m, row_witness(sp)) \
-            == pytest.approx(math.sqrt(3.0 / 2.0), abs=1e-10)
-
-    def test_reverse_transport(self):
-        sp = build_hnk(3, 2)
-        m = BasisMap(tuple(row_space_basis(3)), tuple(sp.basis))
-        assert amplified_ratio(m, row_witness(sp)) \
-            == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-10)
-
-    def test_degenerate_input(self):
-        sp = build_hnk(3, 2)
-        m = BasisMap.identity(list(sp.basis))
-        zero = tuple(ExactScalar(0) for _ in range(3))
-        with pytest.raises(DegenerateInputError):
-            amplified_ratio(m, AmplifiedElement(1, 1, ((zero,),)))
+        assert level_norm(list(m.domain), row_witness(sp)) \
+            == pytest.approx(math.sqrt(2.0), abs=1e-10)
+        assert level_norm(list(m.codomain), row_witness(sp)) \
+            == pytest.approx(math.sqrt(3.0), abs=1e-10)
 
     def test_dependent_basis_rejected(self):
         with pytest.raises(ValueError):

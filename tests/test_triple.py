@@ -1,4 +1,4 @@
-"""Triple/ternary operations, Peirce projections, relations, rank."""
+"""Triple/ternary operations, Peirce projections, relations, isotopes."""
 
 from fractions import Fraction
 
@@ -6,20 +6,39 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import exact_matrices, random_exact
-from jcgrid.errors import CapacityError, DimensionError
-from jcgrid.grids import hermitian_grid, rectangular_grid, spin_grid
+from jcgrid.errors import DimensionError
+from jcgrid.grids import hermitian_grid, rectangular_grid
 from jcgrid.hnk import build_hnk
-from jcgrid.numlin import EX_HALF, ExactMatrix, span_contains
+from jcgrid.numlin import EX_HALF, EX_I, ExactMatrix, exact_rank
 from jcgrid.triple import (GridRelation, PartialIsometry, classify_relation,
-                           family_rank, is_minimal_in_family,
                            isotope_involution, isotope_product,
-                           peirce_project, ternary_product, triple_product)
+                           ternary_product, triple_product)
 
 E = ExactMatrix.unit
 
 
 def iso(m):
     return PartialIsometry(m)
+
+
+def peirce_project(v, x, k):
+    """Peirce projection P_k(v) x for k in {0, 1, 2}: with l = v v* and
+    r = v* v these are (1-l) x (1-r), l x (1-r) + (1-l) x r and l x r."""
+    l, r = v.left_support(), v.right_support()
+    il, ir = ExactMatrix.identity(l.rows) - l, ExactMatrix.identity(r.rows) - r
+    return (il * x * ir, l * x * ir + il * x * r, l * x * r)[k]
+
+
+def span_contains(basis, target):
+    """Exact membership of ``target`` in the complex span of ``basis``."""
+    vecs = [b.entries for b in basis]
+    return exact_rank(vecs + [target.entries]) == exact_rank(vecs)
+
+
+def test_span_contains():
+    basis = [E(2, 2, 0, 0), E(2, 2, 1, 1)]
+    assert span_contains(basis, E(2, 2, 0, 0) + E(2, 2, 1, 1).scale(EX_I))
+    assert not span_contains(basis, E(2, 2, 0, 1))
 
 
 class TestPartialIsometry:
@@ -122,10 +141,6 @@ class TestPeirce:
                 continue
             assert triple_product(a, b, c).is_zero()
 
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            peirce_project(iso(E(2, 2, 0, 0)), ExactMatrix.zeros(2, 2), 3)
-
 
 class TestClassify:
     def test_orthogonal(self):
@@ -151,28 +166,10 @@ class TestClassify:
             [Fraction(3, 5), Fraction(4, 5)], [0, 0]]))
         assert classify_relation(v, w) is GridRelation.UNCLASSIFIED
 
-
-class TestMinimality:
-    def test_unit_in_diagonal_family(self):
-        fam = [iso(E(2, 2, 0, 0)), iso(E(2, 2, 1, 1))]
-        assert is_minimal_in_family(fam[0], fam)
-
-    def test_rectangular_all_minimal(self):
-        g = rectangular_grid(2, 3)
-        fam = g.isometries()
-        assert all(is_minimal_in_family(v, fam) for v in fam)
-
-    def test_hermitian_diagonal_minimal_offdiagonal_governs(self):
+    def test_hermitian_offdiagonal_governs_diagonal(self):
         g = hermitian_grid(3)
-        fam = g.isometries()
-        assert is_minimal_in_family(g.element((1, 1)), fam)
-        assert not is_minimal_in_family(g.element((1, 2)), fam)
         assert classify_relation(g.element((1, 2)), g.element((1, 1))) \
             is GridRelation.GOVERNS_FIRST_OVER_SECOND
-
-    def test_membership_required(self):
-        with pytest.raises(ValueError):
-            is_minimal_in_family(iso(E(2, 2, 0, 1)), [iso(E(2, 2, 0, 0))])
 
 
 class TestIsotope:
@@ -197,23 +194,3 @@ class TestIsotope:
             == isotope_product(v, a, isotope_product(v, b, c))
         assert isotope_involution(v, isotope_product(v, a, b)) \
             == isotope_product(v, isotope_involution(v, b), isotope_involution(v, a))
-
-
-class TestFamilyRank:
-    def test_full_rectangular(self):
-        assert family_rank(rectangular_grid(2, 2).isometries()) == 2
-        assert family_rank(rectangular_grid(2, 3).isometries()) == 2
-
-    def test_hilbertian_rank_one(self):
-        for n, k in [(3, 2), (4, 2), (5, 3), (6, 4)]:
-            sp = build_hnk(n, k)
-            assert family_rank(sp.realization().elements) == 1
-
-    def test_spin_rank_two(self):
-        g = spin_grid(2, False)
-        assert family_rank(g.isometries()) == 2
-
-    def test_capacity(self):
-        fam = rectangular_grid(5, 5).isometries()
-        with pytest.raises(CapacityError):
-            family_rank(fam)
