@@ -12,6 +12,10 @@ transforms turn hermitian and symplectic grids into associative matrix
 units and a spin grid into a spin system inside the isotope algebra.  The
 verifier and the matrix-unit transforms evaluate their triple, minimality
 and unit-product relations on batched family tables (``numlin.ExactFamily``).
+The elements of a grid are one such stack, and every exact step of the
+matrix-unit transforms works on stacks: a ``Grid`` checks its matrices in
+one table, ``conjugate_grid`` conjugates the whole stack at once, and the
+transforms keep the units as one stack until they return them.
 """
 
 from __future__ import annotations
@@ -22,12 +26,12 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CapacityError, TransformError
-from .numlin import (_CHUNK_CELLS, EX_HALF, EX_I, EX_MINUS_ONE, EX_ZERO,
-                     ExactFamily, ExactMatrix, ExactScalar, exact_rank,
+from .errors import CapacityError, DimensionError, TransformError
+from .numlin import (_CHUNK_CELLS, _INT64_LIMIT, EX_HALF, EX_I, EX_MINUS_ONE, EX_ZERO,
+                     ExactFamily, ExactMatrix, ExactScalar, _cmatmul, exact_rank,
                      scaled_members)
 from .report import VerificationReport
-from .triple import (GridRelation, PartialIsometry, classify_relation,
+from .triple import (GridRelation, PartialIsometry, _unit_table, classify_relation,
                      isotope_involution, isotope_product)
 
 SPIN_SYSTEM_CAP = 12
@@ -54,18 +58,32 @@ class Grid:
 
     ``kind`` is one of ``rectangular, hermitian, symplectic, spin, rank1``;
     ``params`` carries the kind parameters; ``indices`` fixes a deterministic
-    element order.  Every element is stored as a ``PartialIsometry``: a
-    matrix is checked (v v* v = v) when the grid is made, and an element
-    that already is one is kept as it is, without a second check.
+    element order.  Every element is stored as a ``PartialIsometry``.  The
+    matrices among them are checked when the grid is made, all at once on
+    the elements' ``ExactFamily`` (``PartialIsometry.check_family``; elements
+    of different shapes raise ``DimensionError``), and an element that
+    already is a ``PartialIsometry`` is kept as it is, without a second
+    check.  ``family()`` is that stack: the one the check used, the one the
+    caller formed (``_family``), or one stacked on first use.
     """
 
-    def __init__(self, kind: str, params: dict, elements: Sequence[Tuple]):
+    def __init__(self, kind: str, params: dict, elements: Sequence[Tuple], *, _family=None):
         self.kind = kind
         self.params = dict(params)
         self.indices = tuple(idx for idx, _ in elements)
-        self._by_index = {}
-        for idx, mat in elements:
-            self._by_index[idx] = mat if isinstance(mat, PartialIsometry) else PartialIsometry(mat)
+        mats = [m.mat if isinstance(m, PartialIsometry) else m for _, m in elements]
+        raw = np.flatnonzero([not isinstance(m, PartialIsometry) for _, m in elements])
+        self._family = ExactFamily(mats) if raw.size and _family is None else _family
+        if raw.size:
+            PartialIsometry.check_family(self._family, raw)
+        self._by_index = {idx: m if isinstance(m, PartialIsometry) else PartialIsometry._checked(m)
+                          for idx, m in elements}
+
+    def family(self) -> ExactFamily:
+        """The elements as one ``ExactFamily``, stacked once."""
+        if self._family is None:
+            self._family = ExactFamily(self.matrices())
+        return self._family
 
     def element(self, idx) -> PartialIsometry:
         return self._by_index[idx]
@@ -222,9 +240,24 @@ def spin_grid(r: int, odd: bool) -> Grid:
 
 
 def conjugate_grid(g: Grid, left: ExactMatrix, right: ExactMatrix) -> Grid:
-    """The grid {left * u * right}; for exact unitaries this is again a grid."""
-    return Grid(g.kind, g.params,
-                [(idx, left * g.matrix(idx) * right) for idx in g.indices])
+    """The grid {left * u * right}; for exact unitaries this is again a grid.
+
+    The products are formed for the whole stack of elements at once, and on
+    Python ints where ``_product_sum``'s bound for either product could
+    reach 2^62: 4 rows cols max|left| max|u| max|right| for the pair.
+    """
+    if not len(g):
+        return Grid(g.kind, g.params, [])
+    fam = g.family()
+    if (left.cols, right.rows) != fam.shape:
+        raise DimensionError("conjugate_grid needs left.cols x right.rows elements")
+    big = 4 * left.cols * right.rows * left._bound() * fam.mag * right._bound() >= _INT64_LIMIT
+    lr, li, rr, ri = (None if p is None else p.astype(object) if big else p for p in (
+        left.re, left.im if left._mags()[1] else None,
+        right.re, right.im if right._mags()[1] else None))
+    out = _cmatmul(_cmatmul((lr, li), fam.part()[:2]), (rr, ri))
+    out = ExactFamily(_stacks=[(*out, left.den * fam.den * right.den)])
+    return Grid(g.kind, g.params, list(zip(g.indices, out.members())), _family=out)
 
 
 def signed_permutation(n: int, perm: Sequence[int], signs: Sequence[int]) -> ExactMatrix:
@@ -442,7 +475,7 @@ def verify_grid(grid: Grid) -> VerificationReport:
     rep.add_counted("pairwise_relations", not mism, n * (n - 1) // 2, "pairs",
                     failure=f"mismatch {mism[:3]}")
 
-    fam = ExactFamily(grid.matrices())
+    fam = grid.family()
     # x <= z covers every ordered triple, in loop order x, y, z
     upper = np.triu(np.ones((n, n), dtype=bool))[:, None, :]
     x, y, z = np.unravel_index(np.flatnonzero(np.broadcast_to(upper, (n, n, n))), (n, n, n))
@@ -683,16 +716,15 @@ def _report_named(grid: Grid, rep: VerificationReport, named: dict, apart: np.nd
         _add_named(rep, "rank_one_identities", named, "instances")
 
 
-def _sympl_mat(mats: dict, a: int, b: int) -> ExactMatrix:
-    return mats[(a, b)] if a < b else -mats[(b, a)]
-
-
 # -- transforms ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MatrixUnitFamily:
-    """Associative matrix units e_ij recovered from a grid, with their unit."""
+    """Associative matrix units e_ij recovered from a grid, with their unit
+    v.  The transforms keep the units as one stack while they check them,
+    and build ``units``, a dict of ``ExactMatrix`` keyed by (i, j), once, on
+    return."""
     size: int
     units: dict
     v: ExactMatrix
@@ -741,73 +773,87 @@ def spin_to_spin_system(g: Grid):
     return v, [x for _, x in system]
 
 
-def _unit_table(units: dict, vmat: ExactMatrix):
-    """Per unit e_ij, in the order of ``units``: whether v e_ij* v = e_ji,
-    and the row of e_ij v* e_kl = delta_jk e_il over the units (k, l)."""
-    i, j = np.array(list(units), dtype=np.intp).T
-    at = np.zeros((i.max() + 1,) * 2, dtype=np.intp)
-    at[i, j] = np.arange(len(i))
-    fam = ExactFamily(list(units.values()) + [vmat])
-    v = np.full(len(i), len(i))
-    involution = fam.equal(v, range(len(i)), v, scaled_members(at[j, i]))
-    a, c = np.repeat(np.arange(len(i)), len(i)), np.tile(np.arange(len(i)), len(i))
-    hit = j[a] == i[c]
-    product = fam.equal(a, np.full(len(a), len(i)), c,
-                        scaled_members(np.where(hit, at[i[a], j[c]], 0), hit.astype(np.int64)))
-    return involution, product.reshape(len(i), len(i))
+def _sums(fam: ExactFamily, kidx, kcoef) -> tuple:
+    """(re, im): the numerators over ``fam.den`` of sum_k kcoef[t, k] times
+    member kidx[t, k], per row t (im None for a real family), on Python
+    ints where a sum could reach 2^62."""
+    kidx, kcoef = np.asarray(kidx, dtype=np.intp), np.asarray(kcoef, dtype=np.int64)
+    big = int(np.abs(kcoef).sum(axis=1).max()) * fam.mag >= _INT64_LIMIT
+
+    def total(part):
+        return (kcoef[:, :, None, None] * (part.astype(object) if big else part)[kidx]).sum(axis=1)
+
+    return total(fam.re), None if fam.im is None else total(fam.im)
+
+
+def _sum_is_member(fam: ExactFamily, kidx, kcoef, target) -> np.ndarray:
+    """Per row t, whether sum_k kcoef[t, k] member kidx[t, k] is member target[t]."""
+    re, im = _sums(fam, kidx, kcoef)
+    same = (re == fam.re[target]).all(axis=(1, 2))
+    return same if im is None else same & (im == fam.im[target]).all(axis=(1, 2))
+
+
+def _pair_keys(g: Grid, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The position of u_ij for i <= j, and of u_ji for i > j, in a grid
+    indexed by pairs."""
+    key = _pair_positions(g, g.params["m"])[np.minimum(i, j), np.maximum(i, j)]
+    if (key < 0).any():
+        raise KeyError(f"{g.describe()} lacks an element its transform uses")
+    return key
 
 
 def hermitian_to_matrix_units(g: Grid) -> MatrixUnitFamily:
     """Matrix units e_ij = u_ii . u_ij (isotope product at v = sum u_ii).
 
-    Verifies the matrix-unit relations, the involution, and the recovery
-    u_ij = e_ij + e_ji, all exactly, on batched family tables; failures
-    raise ``TransformError`` naming the first failing relation in the order
-    of the relations above.
+    Verifies the matrix-unit relations, the involution, the sum of the
+    diagonal units and the recovery u_ij = e_ij + e_ji, all exactly, on
+    one stack of the units from the first product to the return; failures
+    raise ``TransformError`` naming the first failing relation in the
+    order of the relations above.
     """
     if g.kind != "hermitian":
         raise TransformError("hermitian_to_matrix_units requires a hermitian grid")
-    m = g.params["m"]
-    key = lambda i, j: (i, j) if i <= j else (j, i)
-    vmat = None
-    for i in range(1, m + 1):
-        vmat = g.matrix((i, i)) if vmat is None else vmat + g.matrix((i, i))
+    m, n = g.params["m"], len(g)
+    i, j = _loops((m, m))  # the pairs (i, j), in loop order
+    key = _pair_keys(g, i, j)
+    diag, ends = key[(i - 1) * (m + 1)], key[(j - 1) * (m + 1)]  # u_ii and u_jj
+    grid = g.family()
+    vsum = _sums(grid, [key[::m + 1]], [np.ones(m)])
+    vmat = ExactFamily(_stacks=[(*vsum, grid.den)]).members()[0]
     PartialIsometry(vmat)  # the isotope unit must be a partial isometry
-    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
-    # one family: the grid elements, then v
-    at = {idx: x for x, idx in enumerate(g.indices)}
-    fam = ExactFamily(g.matrices() + [vmat])
-    v = len(g)
-    units = dict(zip(pairs, fam.matrices([at[(i, i)] for i, _ in pairs], [v] * len(pairs),
-                                         [at[key(i, j)] for i, j in pairs])))
-    involution, product = _unit_table(units, vmat)
+    # the grid elements, then v
+    fam = ExactFamily(_stacks=[grid.part(), (*vsum, grid.den)])
+    units = ExactFamily(_stacks=[(*fam.ternary(diag, np.full(m * m, n), key), fam.den ** 3)])
+    # one family: the units in pair order, v, then the grid elements
+    fam = ExactFamily(_stacks=[units.part(), fam.part(np.r_[n, :n])])
+    t, v = np.arange(m * m), m * m
+    keys = list(zip(i.tolist(), j.tolist()))
+    involution, product = _unit_table(fam, keys)
     bad = np.flatnonzero(~involution | ~product.all(axis=1))
     if bad.size:
-        i, j = pairs[bad[0]]
+        i0, j0 = keys[bad[0]]
         if not involution[bad[0]]:
-            raise TransformError(f"involution fails: e_{i}{j}^# != e_{j}{i}")
-        k, l = pairs[int(np.argmin(product[bad[0]]))]
-        raise TransformError(f"product fails: e_{i}{j} . e_{k}{l} != delta e_{i}{l}")
-    total = None
-    for i in range(1, m + 1):
-        total = units[(i, i)] if total is None else total + units[(i, i)]
-    if total != vmat:
+            raise TransformError(f"involution fails: e_{i0}{j0}^# != e_{j0}{i0}")
+        k, l = keys[int(np.argmin(product[bad[0]]))]
+        raise TransformError(f"product fails: e_{i0}{j0} . e_{k}{l} != delta e_{i0}{l}")
+    if not _sum_is_member(fam, [t[i == j]], [np.ones(m)], [v])[0]:
         raise TransformError("sum of diagonal units is not the isotope unit")
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            want = units[(i, j)] + units[(j, i)] if i != j else units[(i, i)]
-            if want != g.matrix(key(i, j)):
-                raise TransformError(f"recovery fails: u_{i}{j} != e_{i}{j} + e_{j}{i}")
+    # e_ij + e_ji, and e_ii alone
+    recovered = _sum_is_member(fam, np.column_stack([t, (j - 1) * m + i - 1]),
+                               np.column_stack([np.ones(m * m), i != j]), v + 1 + key)
+    bad = np.flatnonzero(~recovered)
+    if bad.size:
+        i0, j0 = keys[bad[0]]
+        raise TransformError(f"recovery fails: u_{i0}{j0} != e_{i0}{j0} + e_{j0}{i0}")
     # u_ii . u_ij is e_ij itself; compare u_ij . u_jj with it
-    off = [(i, j) for i, j in pairs if i != j]
-    fam = ExactFamily(g.matrices() + [vmat] + [units[p] for p in off])
-    same = fam.equal([at[key(i, j)] for i, j in off], [v] * len(off), [at[(j, j)] for _, j in off],
-                     scaled_members(range(v + 1, v + 1 + len(off))))
+    off = t[i != j]
+    same = fam.equal(v + 1 + key[off], np.full(len(off), v), v + 1 + ends[off],
+                     scaled_members(off))
     bad = np.flatnonzero(~same)
     if bad.size:
-        i, j = off[bad[0]]
-        raise TransformError(f"u_{i}{i}.u_{i}{j} != u_{i}{j}.u_{j}{j}")
-    return MatrixUnitFamily(m, units, vmat)
+        i0, j0 = keys[off[bad[0]]]
+        raise TransformError(f"u_{i0}{i0}.u_{i0}{j0} != u_{i0}{j0}.u_{j0}{j0}")
+    return MatrixUnitFamily(m, dict(zip(keys, units.members())), vmat)
 
 
 def symplectic_to_matrix_units(g: Grid) -> MatrixUnitFamily:
@@ -816,8 +862,9 @@ def symplectic_to_matrix_units(g: Grid) -> MatrixUnitFamily:
     The diagonal units e_ii = u_ij u_jm* u_im must be independent of the
     admissible index pair (j, m); the off-diagonal ones are
     e_ij = e_ii e_ii* u_ij e_jj* e_jj.  All defining relations are verified
-    exactly on batched family tables; failures raise ``TransformError``
-    naming the first failing relation in the order above.
+    exactly, on one stack of the units from the first product to the
+    return; failures raise ``TransformError`` naming the first failing
+    relation in the order above.
     """
     if g.kind != "symplectic":
         raise TransformError("symplectic_to_matrix_units requires a symplectic grid")
@@ -825,79 +872,81 @@ def symplectic_to_matrix_units(g: Grid) -> MatrixUnitFamily:
     if m < SYMPLECTIC_TRANSFORM_MIN_SIZE:
         raise TransformError(
             f"symplectic transform requires size >= {SYMPLECTIC_TRANSFORM_MIN_SIZE}")
-    mats = {idx: g.matrix(idx) for idx in g.indices}
-    u = lambda a, b: _sympl_mat(mats, a, b)
-    off = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i != j]
-    at = {p: x for x, p in enumerate(off)}
-    signed = [u(i, j) for i, j in off]
+    i, j = _loops((m, m), lambda i, j: i != j)  # the pairs i != j, in loop order
+    t = np.arange(len(i))
+    at = np.zeros((m + 1, m + 1), dtype=np.intp)
+    at[i, j] = t
+    # u_ij = -u_ji for i > j
+    grid = g.family()
+    signed = ExactFamily(_stacks=[(*_sums(grid, _pair_keys(g, i, j)[:, None],
+                                          np.where(i < j, 1, -1)[:, None]), grid.den)])
     # the first admissible pair (j, m) defines e_ii; every other must agree
-    admissible = [(i, j, mm) for i in range(1, m + 1) for j in range(1, m + 1)
-                  for mm in range(1, m + 1) if len({i, j, mm}) == 3]
-    first = {}
-    for i, j, mm in admissible:
-        first.setdefault(i, (j, mm))
-    diag = ExactFamily(signed).matrices([at[(i, j)] for i, (j, _) in first.items()],
-                                        [at[jm] for jm in first.values()],
-                                        [at[(i, mm)] for i, (_, mm) in first.items()])
+    a, b, c = _loops((m, m, m), lambda a, b, c: (a != b) & (a != c) & (b != c))
+    first = np.unique(a, return_index=True)[1]
+    diag = signed.ternary(at[a, b][first], at[b, c][first], at[a, c][first])
     # one family: u_ab for a != b, then e_11 .. e_mm
-    fam = ExactFamily(signed + diag)
-    e = len(signed) - 1  # e + i is the position of e_ii
-    agree = fam.equal([at[(i, j)] for i, j, _ in admissible],
-                      [at[(j, mm)] for _, j, mm in admissible],
-                      [at[(i, mm)] for i, _, mm in admissible],
-                      scaled_members([e + i for i, _, _ in admissible]))
-    fail = next((t for t, good in zip(admissible, agree) if not good), None)
-    for i in range(1, m + 1):
-        if fail is not None and fail[0] == i:
-            raise TransformError(
-                f"diagonal unit e_{i}{i} is ambiguous at pair ({fail[1]},{fail[2]})")
-        if diag[i - 1].is_zero():
-            raise TransformError(f"diagonal unit e_{i}{i} vanished")
-    idx = [e + i for i in range(1, m + 1)]
-    isometry = fam.equal(idx, idx, idx, scaled_members(idx))
-    ei, ej = [e + i for i, _ in off], [e + j for _, j in off]
-    apart = (fam.vanish(ei, ej, star_first=True) & fam.vanish(ei, ej)).tolist()
-    for i in range(1, m + 1):
-        if not isometry[i - 1]:
-            raise TransformError(f"e_{i}{i} is not a partial isometry")
-        for j in range(1, m + 1):
-            if i != j and not apart[at[(i, j)]]:
-                raise TransformError(f"e_{i}{i} not orthogonal to e_{j}{j}")
-    units = {(i, i): d for i, d in enumerate(diag, start=1)}
-    left = fam.matrices(ei, ei, range(len(off)))  # e_ii e_ii* u_ij
-    right = ExactFamily(left + diag).matrices(range(len(off)), [len(off) + j - 1 for _, j in off],
-                                              [len(off) + j - 1 for _, j in off])
-    units.update(zip(off, right))
-    vmat = None
-    for i in range(1, m + 1):
-        vmat = units[(i, i)] if vmat is None else vmat + units[(i, i)]
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i != j and units[(i, j)] - units[(j, i)] != u(i, j):
-                raise TransformError(f"recovery fails: u_{i}{j} != e_{i}{j} - e_{j}{i}")
-    involution, product = _unit_table(units, vmat)
-    keys = list(units)
+    fam = ExactFamily(_stacks=[signed.part(), (*diag, signed.den ** 3)])
+    e = len(t) - 1  # e + i is the position of e_ii
+    d = e + np.arange(1, m + 1)
+    fail = np.flatnonzero(~fam.equal(at[a, b], at[b, c], at[a, c], scaled_members(e + a)))
+    gone = np.flatnonzero(fam.vanish(d, d))  # e e* = 0 iff e = 0
+    ambiguous = a[fail[0]] if fail.size else m + 1
+    vanished = gone[0] + 1 if gone.size else m + 1
+    if ambiguous <= min(vanished, m):
+        raise TransformError(f"diagonal unit e_{ambiguous}{ambiguous} is ambiguous at pair "
+                             f"({b[fail[0]]},{c[fail[0]]})")
+    if vanished <= m:
+        raise TransformError(f"diagonal unit e_{vanished}{vanished} vanished")
+    # per i: e_ii is a partial isometry, then orthogonal to each e_jj
+    ei, ej = e + i, e + j
+    apart = fam.vanish(ei, ej, star_first=True) & fam.vanish(ei, ej)
+    bad = np.flatnonzero(~np.column_stack([fam.equal(d, d, d, scaled_members(d)),
+                                           apart.reshape(m, m - 1)]))
+    if bad.size:
+        row, col = divmod(int(bad[0]), m)
+        if not col:
+            raise TransformError(f"e_{row + 1}{row + 1} is not a partial isometry")
+        k = j[row * (m - 1) + col - 1]
+        raise TransformError(f"e_{row + 1}{row + 1} not orthogonal to e_{k}{k}")
+    # e_ii e_ii* u_ij, then e_11 .. e_mm; e_ij is the first times e_jj* e_jj
+    left = ExactFamily(_stacks=[(*fam.ternary(ei, ei, t), fam.den ** 3), fam.part(d)])
+    jj = len(t) + j - 1
+    units = ExactFamily(_stacks=[fam.part(d), (*left.ternary(t, jj, jj), left.den ** 3)])
+    keys = [(k, k) for k in range(1, m + 1)] + list(zip(i.tolist(), j.tolist()))
+    vsum = _sums(units, [np.arange(m)], [np.ones(m)])
+    # one family: the units in key order, v, then u_ij for i != j
+    joined = ExactFamily(_stacks=[units.part(), (*vsum, units.den), signed.part()])
+    v = len(keys)
+    recovered = _sum_is_member(joined, np.column_stack([m + t, m + at[j, i]]),
+                               np.tile([1, -1], (len(t), 1)), v + 1 + t)
+    bad = np.flatnonzero(~recovered)
+    if bad.size:
+        i0, j0 = i[bad[0]], j[bad[0]]
+        raise TransformError(f"recovery fails: u_{i0}{j0} != e_{i0}{j0} - e_{j0}{i0}")
+    involution, product = _unit_table(joined, keys)
     bad = np.flatnonzero(~involution | ~product.all(axis=1))
     if bad.size:
-        i, j = keys[bad[0]]
+        i0, j0 = keys[bad[0]]
         if not involution[bad[0]]:
-            raise TransformError(f"involution fails on e_{i}{j}")
+            raise TransformError(f"involution fails on e_{i0}{j0}")
         l, k = keys[int(np.argmin(product[bad[0]]))]
-        raise TransformError(f"unit product fails: e_{i}{j} v* e_{l}{k}")
-    # e_ii u_ij* e_ii = 0 and {e_ii, e_ii, u_ij} = u_ij / 2 for i != j
-    pos = range(len(off))
-    minimal = fam.equal(ei, pos, ei).tolist()
-    peirce = fam.equal(ei, ei, pos, scaled_members(pos, 1, 2), sym=True).tolist()
-    # u_ij e_kk* = 0 = e_kk* u_ij for k outside {i, j}
-    third = [(t, k) for t, (i, j) in enumerate(off) for k in range(1, m + 1) if k not in (i, j)]
-    ts, ks = [t for t, _ in third], [e + k for _, k in third]
-    outside = dict(zip(third, (fam.vanish(ts, ks) & fam.vanish(ks, ts, star_first=True)).tolist()))
-    for t, (i, j) in enumerate(off):
-        if not minimal[t]:
-            raise TransformError(f"e_{i}{i} u_{i}{j}* e_{i}{i} != 0")
-        if not peirce[t]:
-            raise TransformError(f"u_{i}{j} is not Peirce-1 for e_{i}{i}")
-        for k in range(1, m + 1):
-            if k not in (i, j) and not outside[(t, k)]:
-                raise TransformError(f"u_{i}{j} not orthogonal to e_{k}{k}")
-    return MatrixUnitFamily(m, units, vmat)
+        raise TransformError(f"unit product fails: e_{i0}{j0} v* e_{l}{k}")
+    # e_ii u_ij* e_ii = 0 and {e_ii, e_ii, u_ij} = u_ij / 2 for i != j, then
+    # u_ij e_kk* = 0 = e_kk* u_ij for each k outside {i, j}
+    ts, ks = _loops((len(t), m), lambda s, k: (k != i[s - 1]) & (k != j[s - 1]))
+    ts -= 1
+    outside = fam.vanish(ts, e + ks) & fam.vanish(e + ks, ts, star_first=True)
+    bad = np.flatnonzero(~np.column_stack([
+        fam.equal(ei, t, ei), fam.equal(ei, ei, t, scaled_members(t, 1, 2), sym=True),
+        outside.reshape(len(t), m - 2)]))
+    if bad.size:
+        row, col = divmod(int(bad[0]), m)
+        i0, j0 = i[row], j[row]
+        if col == 0:
+            raise TransformError(f"e_{i0}{i0} u_{i0}{j0}* e_{i0}{i0} != 0")
+        if col == 1:
+            raise TransformError(f"u_{i0}{j0} is not Peirce-1 for e_{i0}{i0}")
+        k = ks[row * (m - 2) + col - 2]
+        raise TransformError(f"u_{i0}{j0} not orthogonal to e_{k}{k}")
+    vmat = ExactFamily(_stacks=[(*vsum, units.den)]).members()[0]
+    return MatrixUnitFamily(m, dict(zip(keys, units.members())), vmat)

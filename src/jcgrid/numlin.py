@@ -178,30 +178,28 @@ def _scalar_parts(s: ExactScalar):
     return re.numerator * (q // re.denominator), im.numerator * (q // im.denominator), q
 
 
-def _abs_max(a: np.ndarray) -> int:
-    return int(np.abs(a).max())
+def _abs_max(a) -> int:
+    return 0 if a is None else int(np.abs(a).max())
 
 
 def _gcd_all(a: np.ndarray) -> int:
     return int(np.gcd.reduce(a.ravel()))
 
 
-def _canonical(re: np.ndarray, im: np.ndarray, den: int):
+def _canonical(re: np.ndarray, im, den: int):
     """Lowest terms (gcd(den, numerators) == 1, den == 1 for zero) and int64
-    storage whenever every numerator is below ``_INT64_LIMIT``."""
+    storage whenever every numerator is below ``_INT64_LIMIT``, for numerator
+    arrays of any shape; ``im`` None is an all-zero part."""
     if den != 1:
         g = math.gcd(den, _gcd_all(re))
-        if g != 1:
+        if g != 1 and im is not None:
             g = math.gcd(g, _gcd_all(im))
-        if g == den and not (re.any() or im.any()):
-            den = 1  # zero: den may not fit the int64 numerators it would divide
-        elif g != 1:
-            re, im, den = re // g, im // g, den // g
-    if re.dtype is _OBJECT or im.dtype is _OBJECT:
-        if max(_abs_max(re), _abs_max(im)) < _INT64_LIMIT:
-            re, im = re.astype(np.int64), im.astype(np.int64)
-        else:
-            re, im = re.astype(object), im.astype(object)
+        if g != 1:  # an all-zero int64 part may not hold g: it is not divided
+            re, im = (x if x is None or not x.any() else x // g for x in (re, im))
+            den //= g
+    if re.dtype is _OBJECT or im is not None and im.dtype is _OBJECT:
+        dtype = np.int64 if max(_abs_max(re), _abs_max(im)) < _INT64_LIMIT else object
+        re, im = re.astype(dtype), None if im is None else im.astype(dtype)
     return re, im, den
 
 
@@ -266,12 +264,9 @@ class ExactMatrix:
             im = _as_numerators(ims, den, (rows, cols)) if any(ims) else None
         else:
             re, im, den = _arrays
-        zero = None
-        if im is None:
-            im = zero = _zero_im((rows, cols))
         re, im, den = _canonical(re, im, den)
-        if im is not zero and zero is not None and im.dtype is not _OBJECT:
-            im = zero  # _canonical may have copied it
+        if im is None:
+            im = _zero_im((rows, cols)) if re.dtype is not _OBJECT else np.zeros_like(re)
         re.flags.writeable = False
         im.flags.writeable = False
         self.rows = rows
@@ -696,15 +691,6 @@ def _cmatmul(x, y):
     return re - np.matmul(xi, yi), np.matmul(xr, yi) + np.matmul(xi, yr)
 
 
-def _cells_equal(x, y) -> np.ndarray:
-    """Per leading index: two (re, im) stacks with the same parts agree
-    everywhere; a scalar part broadcasts."""
-    same = (x[0] == y[0]).all(axis=(1, 2))
-    if x[1] is not None:
-        same &= (x[1] == y[1]).all(axis=(1, 2))
-    return same
-
-
 def scaled_members(kidx, coef=1, q: int = 1) -> tuple:
     """The ``want`` argument of ``ExactFamily.equal`` for coef[t] / q times
     the single member kidx[t] per triple; ``coef`` may be one number.  The
@@ -734,9 +720,13 @@ class ExactFamily:
 
     The members' numerators over one common denominator ``den`` are the
     (N, rows, cols) integer arrays ``re`` and ``im`` (``im`` is None when
-    every member is real).  ``equal`` compares a b* c, or the triple product
-    {a,b,c} = (a b* c + c b* a)/2, with a rational combination of members for
-    arrays of index triples; ``vanish`` tests a b* or a* b for zero;
+    every member is real), in lowest terms over the whole stack.
+    ``ExactFamily(_stacks=parts)`` joins (re, im, den) numerator stacks in
+    order over the lcm of their denominators, such as a ``ternary`` result
+    over den^3 or a ``part`` of a family; ``ExactFamily(mats)`` joins the
+    matrices as one-member stacks.  ``equal`` compares a b* c, or the triple
+    product {a,b,c} = (a b* c + c b* a)/2, with a rational combination of
+    members for arrays of index triples; ``vanish`` tests a b* or a* b for zero;
     ``ternary`` and ``matrices`` return a b* c.  Triples are sorted by their
     first, then middle index and evaluated in chunks of at most
     ``_CHUNK_CELLS`` cells per operand; a chunk forms each of its distinct
@@ -750,27 +740,40 @@ class ExactFamily:
     ints (dtype=object).
     """
 
-    def __init__(self, mats: Sequence[ExactMatrix]):
-        mats = list(mats)
-        self.shape = mats[0].shape
-        if any(m.shape != self.shape for m in mats):
-            raise DimensionError("family members must share one shape")
-        self.den = math.lcm(*(m.den for m in mats))
-        # a zero member is not lifted: den may not fit the int64 zeros it would scale
-        factors = [self.den // m.den if m._bound() else 1 for m in mats]
-        self.mag = max(m._bound() * f for m, f in zip(mats, factors))
-        big = self.mag >= _INT64_LIMIT
+    def __init__(self, mats: Sequence[ExactMatrix] = (), *, _stacks=None):
+        if _stacks is None:
+            mats = list(mats)
+            if any(m.shape != mats[0].shape for m in mats):
+                raise DimensionError("family members must share one shape")
+            _stacks = [(m.re[None], None if _is_zero_im(m.im) else m.im[None], m.den)
+                       for m in mats]
+        den = math.lcm(*(d for _, _, d in _stacks))
 
-        def stack(parts):
-            return np.stack([_times(p.astype(object) if big else p, f)
-                             for p, f in zip(parts, factors)])
+        def lift(x, f):  # zeros are not lifted: den may not fit the int64 zeros it would scale
+            top = 0 if f == 1 else _abs_max(x)
+            return x if not top else (x.astype(object) if top * f >= _INT64_LIMIT else x) * f
 
-        self.re = stack([m.re for m in mats])
-        self.im = stack([m.im for m in mats]) if any(m._mags()[1] for m in mats) else None
+        re, im = np.concatenate([lift(r, den // d) for r, _, d in _stacks]), None
+        if any(i is not None for _, i, _ in _stacks):
+            im = np.concatenate([np.zeros_like(r) if i is None else lift(i, den // d)
+                                 for r, i, d in _stacks])
+        re, im, self.den = _canonical(re, im, den)
+        tops = _abs_max(re), _abs_max(im)
+        self.re, self.im, self.mag, self.shape = re, im if tops[1] else None, max(tops), re.shape[1:]
         self._rungs = {}
 
     def __len__(self):
         return len(self.re)
+
+    def part(self, idx=slice(None)) -> tuple:
+        """The members at ``idx`` as a (re, im, den) stack, to join."""
+        return self.re[idx], None if self.im is None else self.im[idx], self.den
+
+    def members(self) -> list:
+        """Every member as an ``ExactMatrix``."""
+        rows, cols = self.shape
+        ims = [None] * len(self) if self.im is None else self.im
+        return [ExactMatrix(rows, cols, _arrays=(r, i, self.den)) for r, i in zip(self.re, ims)]
 
     def _stack(self, bound: int):
         """The numerators as float64 when ``bound`` < 2^53, else as Python ints."""
@@ -844,7 +847,8 @@ class ExactFamily:
                     wi = wi + w * fam[1][idx]
             if q != 1:
                 re, im = re * q, None if im is None else im * q
-            ok[rows] = _cells_equal((re, im), (wr, wi))
+            same = (re == wr).all(axis=(1, 2))  # wr, wi are 0 for the zero matrix
+            ok[rows] = same if im is None else same & (im == wi).all(axis=(1, 2))
         return ok
 
     def vanish(self, ia, ib, star_first: bool = False) -> np.ndarray:
@@ -881,11 +885,7 @@ class ExactFamily:
 
     def matrices(self, ia, ib, ic) -> list:
         """a b* c for every triple, as ``ExactMatrix`` values."""
-        re, im = self.ternary(ia, ib, ic)
-        rows, cols = self.shape
-        den = self.den ** 3
-        ims = [None] * len(re) if im is None else im
-        return [ExactMatrix(rows, cols, _arrays=(r, i, den)) for r, i in zip(re, ims)]
+        return ExactFamily(_stacks=[(*self.ternary(ia, ib, ic), self.den ** 3)]).members()
 
 
 class ApproxMatrix:

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import enum
 
+import numpy as np
+
 from .errors import DimensionError
-from .numlin import ExactMatrix, _product_sum
+from .numlin import ExactFamily, ExactMatrix, _product_sum, scaled_members
 
 
 class GridRelation(enum.Enum):
@@ -29,16 +31,40 @@ class PartialIsometry:
     v v* = ``v.gram()`` is formed by the validation and v* v =
     ``v.adjoint().gram()`` on first use, so every caller, and every
     ``ternary_product`` with a repeated operand, reads the same two objects.
+    A ``Grid`` checks its matrices with ``check_family`` instead and wraps
+    each with ``_checked``; their v v* is formed on first use too.
     """
 
     __slots__ = ("mat",)
+    # the ValueError messages, also of a grid's check of its matrices
+    ZERO = "partial isometry must be nonzero"
+    FAILS = "matrix fails the partial isometry identity v v* v = v"
 
     def __init__(self, mat: ExactMatrix):
         if mat.is_zero():
-            raise ValueError("partial isometry must be nonzero")
+            raise ValueError(self.ZERO)
         if mat.gram() * mat != mat:
-            raise ValueError("matrix fails the partial isometry identity v v* v = v")
+            raise ValueError(self.FAILS)
         self.mat = mat
+
+    @classmethod
+    def check_family(cls, fam: ExactFamily, idx: np.ndarray) -> None:
+        """Check the members ``idx`` of ``fam`` in one family table: v != 0,
+        read off the numerators, and v v* v = v.  The first failure in order
+        raises the ``ValueError`` that ``PartialIsometry`` raises for it."""
+        nonzero = fam.re[idx].any(axis=(1, 2))
+        if fam.im is not None:
+            nonzero |= fam.im[idx].any(axis=(1, 2))
+        bad = np.flatnonzero(~nonzero | ~fam.equal(idx, idx, idx, scaled_members(idx)))
+        if bad.size:
+            raise ValueError(cls.FAILS if nonzero[bad[0]] else cls.ZERO)
+
+    @classmethod
+    def _checked(cls, mat: ExactMatrix) -> "PartialIsometry":
+        """The partial isometry ``mat``, which its caller has already checked."""
+        v = cls.__new__(cls)
+        v.mat = mat
+        return v
 
     def left_support(self) -> ExactMatrix:
         """v v*, the same object on every call."""
@@ -133,3 +159,20 @@ def isotope_involution(v: PartialIsometry, a: ExactMatrix) -> ExactMatrix:
     if a.shape != v.shape:
         raise DimensionError("isotope involution requires an operand shaped like v")
     return v.mat * a.adjoint() * v.mat
+
+
+def _unit_table(fam: ExactFamily, keys: list):
+    """The matrix-unit table of the isotope algebra at v, on a family that
+    holds units e_ij in the order of ``keys``, then v: per unit, whether
+    v e_ij* v = e_ji (the involution), and the row of e_ij v* e_kl =
+    delta_jk e_il over the units (k, l) (the product)."""
+    i, j = np.array(keys, dtype=np.intp).T
+    at = np.zeros((i.max() + 1,) * 2, dtype=np.intp)
+    at[i, j] = np.arange(len(i))
+    v = np.full(len(i), len(i))
+    involution = fam.equal(v, range(len(i)), v, scaled_members(at[j, i]))
+    a, c = np.repeat(np.arange(len(i)), len(i)), np.tile(np.arange(len(i)), len(i))
+    hit = j[a] == i[c]
+    product = fam.equal(a, np.full(len(a), len(i)), c,
+                        scaled_members(np.where(hit, at[i[a], j[c]], 0), hit.astype(np.int64)))
+    return involution, product.reshape(len(i), len(i))

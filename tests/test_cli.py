@@ -111,6 +111,30 @@ class TestVerify:
                       "--conjugations", "2")
         assert res.returncode == 0
 
+    @pytest.mark.parametrize("kind", ["hermitian", "symplectic"])
+    def test_matrix_units_transform_error_on_a_conjugation_fails(self, monkeypatch, capsys,
+                                                                   kind):
+        # the second and third conjugations break the transform: a failed
+        # check naming the first error, as on the canonical grid, not exit 4
+        name = f"{kind}_to_matrix_units"
+        orig, calls = getattr(grids, name), []
+
+        def broken(g):
+            calls.append(g)
+            if len(calls) in (3, 4):  # the canonical grid is call 1
+                raise TransformError(f"broken at call {len(calls)}")
+            return orig(g)
+
+        monkeypatch.setattr(grids, name, broken)
+        argv = ["verify", "matrix-units", "--kind", kind, "--m", "5", "--conjugations", "4",
+                "--format", "json"]
+        assert cli.main(argv) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["status"] for c in checks] == ["pass", "fail"]
+        assert checks[1]["detail"] == ("2 of 4 conjugations break naturality; "
+                                       "first error: broken at call 3")
+        assert len(calls) == 5
+
     @pytest.mark.parametrize("kind", ["spin", "rectangular"])
     def test_matrix_units_rejects_kind_without_transform(self, kind):
         res = run_cli("verify", "matrix-units", "--kind", kind, "--m", "5")
@@ -477,14 +501,20 @@ class TestSharedWork:
     # construct hnk 368 while the realization formed six products per pair.
     @pytest.mark.parametrize("args,products", [
         (("verify", "uij-grid", "--n", "4", "--k", "2"), (125, 137)),
-        (("verify", "split", "--p", "4", "--q", "4"), (1100, 1388)),
+        # 1100 and 1388 while each Grid checked its matrices one at a time, two
+        # products each (96 for the three grids); 48 of them were the Gram
+        # products that the relation checks and the support split now form
+        (("verify", "split", "--p", "4", "--q", "4"), (1052, 1340)),
         # 8 validations of 2 products, 56 ordered pairs of 2, 8 right
         # supports, and 3 + 6 support products to find the indices (3, 6)
         (("construct", "hnk", "--n", "8", "--k", "3"), (89, 145)),
         # 834 while naturality formed left * E_ij * right for the 36 units of
-        # each of the 5 conjugations; 210 are conjugate_grid's left * u * right
+        # each of the 5 conjugations.  474 while conjugate_grid formed left * u
+        # * right per element (210) and each Grid checked its 21 elements one
+        # at a time (252); the 12 left are the check of the isotope unit v of
+        # each of the 6 transforms, v v* and then v v* v
         (("verify", "matrix-units", "--kind", "hermitian", "--m", "6", "--conjugations", "5"),
-         (474, 474)),
+         (12, 12)),
         # 91 while the exact projection formed x U* for each of the 6 basis
         # elements of each of the 6 basis elements it fixes
         (("verify", "projection", "--n", "6", "--k", "3", "--samples", "10"), (55, 85)),
@@ -495,6 +525,16 @@ class TestSharedWork:
         out = capsys.readouterr().out
         assert args[0] == "construct" or "overall: pass" in out
         assert (len(terms), sum(terms)) == products
+
+    def test_transforms_form_no_product_per_unit(self, monkeypatch):
+        sizes = (5, 6, 8)
+        made = [(grids.hermitian_grid(m), grids.symplectic_grid(m)) for m in sizes]
+        terms = _count_product_terms(monkeypatch)
+        for herm, sympl in made:
+            grids.hermitian_to_matrix_units(herm)
+            grids.symplectic_to_matrix_units(sympl)
+        # at every size only the check of the hermitian isotope unit v: v v*, v v* v
+        assert terms == [1, 1] * len(sizes)
 
     def test_uij_family_builds_each_word_once(self, monkeypatch, capsys):
         calls = _count_calls(monkeypatch, hnk, "_word_matrix")
@@ -628,14 +668,21 @@ COMPLEX_ROTATION = [[ExactScalar(Fraction(3, 5)), ExactScalar(0, Fraction(4, 5))
 
 
 class TestConjugatedUnit:
-    """The naturality check's left * E_ij * right, the outer product of a
-    column and a row, against the dense product."""
+    """The naturality check's left * E_ij * right for every unit E_ij, the
+    stack of the outer products of the columns and rows, slice by slice
+    against the dense product."""
 
     def _check(self, left, right):
-        m = left.rows
+        m = left.cols
+        re, im, den = cli._conjugated_unit(left, right)
+        assert re.shape == (m * m, left.rows, right.cols)
         for i in range(m):
             for j in range(m):
-                assert cli._conjugated_unit(left, right, i, j) == left * E(m, m, i, j) * right
+                k = i * m + j
+                got = ExactMatrix(left.rows, right.cols,
+                                  _arrays=(re[k], None if im is None else im[k], den))
+                assert got == left * E(m, m, i, j) * right
+        return re
 
     def test_signed_permutations(self):
         rng = random.Random(4)
@@ -656,17 +703,25 @@ class TestConjugatedUnit:
     def test_any_exact_matrices(self):
         rng = np.random.default_rng(2)
         for rows, inner, cols in [(3, 3, 3), (2, 4, 5)]:
-            left, right = random_exact(rng, rows, inner), random_exact(rng, inner, cols)
-            for i in range(inner):
-                for j in range(inner):
-                    assert cli._conjugated_unit(left, right, i, j) == \
-                        left * E(inner, inner, i, j) * right
+            self._check(random_exact(rng, rows, inner), random_exact(rng, inner, cols))
+
+    def test_units_are_compares_every_part(self):
+        # conjugating the complex factors keeps every real part and negates
+        # every imaginary part of left * E_ij * right
+        u = _embedded(5, COMPLEX_ROTATION)
+        conj = ExactMatrix(5, 5, [e.conjugate() for e in u.entries])
+        for kind in ("hermitian", "symplectic"):
+            g = getattr(grids, f"{kind}_grid")(5)
+            fam = getattr(grids, f"{kind}_to_matrix_units")(grids.conjugate_grid(g, u, u))
+            assert cli._units_are(fam, u, u)
+            assert not cli._units_are(fam, conj, conj)
+            assert not cli._units_are(fam, u, ExactMatrix.identity(5))
 
     def test_wide_numerators_run_on_python_ints(self):
         big = 1 << 40
         left = ExactMatrix.from_rows([[big, 1], [3, ExactScalar(0, big)]])
         right = ExactMatrix.from_rows([[ExactScalar(big, 1), 2], [5, -big]])
-        for i in range(2):
-            for j in range(2):
-                got = cli._conjugated_unit(left, right, i, j)
-                assert got == left * E(2, 2, i, j) * right
+        assert self._check(left, right).dtype == object
+        # 2^62 and up: the products themselves leave int64
+        wide = ExactMatrix.from_rows([[1 << 62, 1], [0, 1]])
+        assert self._check(wide, wide).dtype == object

@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 from jcgrid import cli, grids
-from jcgrid.errors import CapacityError, TransformError
+from jcgrid.errors import CapacityError, DimensionError, TransformError
 from jcgrid.grids import (GRID_VERIFY_CAP, Grid, conjugate_grid, hermitian_grid,
                           hermitian_to_matrix_units, random_signed_permutation,
                           rectangular_grid, spin_grid, spin_system,
                           spin_to_spin_system, symplectic_grid,
                           symplectic_to_matrix_units, verify_grid)
 from jcgrid.hnk import build_hnk
-from jcgrid.numlin import EX_HALF, EX_I, ExactFamily, ExactMatrix, exact_rank
-from jcgrid.triple import (GridRelation, classify_relation, isotope_product,
-                           ternary_product, triple_product)
+from jcgrid.numlin import (EX_HALF, EX_I, ExactFamily, ExactMatrix, block_diag, exact_rank,
+                           scaled_members)
+from jcgrid.triple import (GridRelation, PartialIsometry, classify_relation,
+                           isotope_product, ternary_product, triple_product)
+from test_cli import COMPLEX_ROTATION, ROTATION, _embedded
 
 E = ExactMatrix.unit
 
@@ -72,6 +74,111 @@ class TestRectangular:
 
     def test_empty_grid_vacuous(self):
         assert verify_grid(Grid("rectangular", {"p": 1, "q": 1}, [])).passed
+
+
+def _first_isometry_error(mats):
+    """The oracle of the grid's check: ``PartialIsometry`` on each matrix in
+    order, and the message of the first that fails."""
+    for mat in mats:
+        try:
+            PartialIsometry(mat)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+def _rotation(bits):
+    """An exact 2 x 2 rotation over c = a^2 + b^2 with a = 2^bits + 1 and
+    b = 2^(bits - 1): numerators of about 2^(2 bits)."""
+    a, b = (1 << bits) + 1, 1 << (bits - 1)
+    p, q, c = a * a - b * b, 2 * a * b, a * a + b * b
+    return [[Fraction(p, c), Fraction(-q, c)], [Fraction(q, c), Fraction(p, c)]]
+
+
+def _isometry_pool():
+    """3 x 3 matrices: partial isometries with denominators, imaginary parts
+    and numerators from 2^62 up, the zero matrix, and matrices that fail
+    v v* v = v."""
+    wide = ExactMatrix.from_rows([row + [0] for row in _rotation(31)] + [[0, 0, 0]])
+    assert wide * wide.adjoint() * wide == wide and wide.re.dtype == object
+    return [E(3, 3, 0, 0), E(3, 3, 1, 2).scale(EX_I), E(3, 3, 2, 1).scale(-1),
+            _embedded(3, ROTATION), _embedded(3, COMPLEX_ROTATION), wide,
+            ExactMatrix.zeros(3, 3), E(3, 3, 0, 0).scale(2), E(3, 3, 0, 0) + E(3, 3, 0, 1),
+            E(3, 3, 1, 1).scale(EX_HALF), wide.scale(3)]
+
+
+class TestGridValidation:
+    """A grid checks its matrices in one family table, with the messages and
+    the order of ``PartialIsometry`` on each."""
+
+    def test_matches_the_per_element_check(self):
+        pool = _isometry_pool()
+        rng = random.Random(3)
+        outcomes = set()
+        for _ in range(120):
+            mats = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+            want = _first_isometry_error(mats)
+            elements = list(enumerate(mats, start=1))
+            if want is None:
+                assert Grid("rank1", {"n": len(mats)}, elements).matrices() == mats
+            else:
+                with pytest.raises(ValueError) as exc:
+                    Grid("rank1", {"n": len(mats)}, elements)
+                assert str(exc.value) == want
+            outcomes.add(want)
+        assert outcomes == {None, "partial isometry must be nonzero",
+                            "matrix fails the partial isometry identity v v* v = v"}
+
+    def test_one_table_and_no_per_element_check(self, monkeypatch):
+        calls = []
+        for owner, method in ((ExactFamily, "equal"), (PartialIsometry, "__init__")):
+            orig = getattr(owner, method)
+            monkeypatch.setattr(owner, method, lambda *a, _orig=orig, _m=method, **k:
+                                calls.append(_m) or _orig(*a, **k))
+        g = hermitian_grid(5)
+        assert calls == ["equal"]
+        assert all(isinstance(x, PartialIsometry) for x in g.isometries())
+        # elements that already are partial isometries are kept, not checked
+        calls.clear()
+        kept = Grid(g.kind, g.params, [(i, g.element(i)) for i in g.indices])
+        assert calls == [] and kept.isometries() == g.isometries()
+
+    def test_zero_and_failing_elements(self):
+        good = E(2, 2, 0, 0)
+        for bad, message in ((ExactMatrix.zeros(2, 2), "partial isometry must be nonzero"),
+                             (good.scale(2), "matrix fails the partial isometry identity "
+                                             "v v* v = v")):
+            with pytest.raises(ValueError) as exc:
+                Grid("rectangular", {"p": 1, "q": 2}, [((1, 1), good), ((1, 2), bad)])
+            assert str(exc.value) == message
+
+    def test_empty_grid_stacks_nothing(self, monkeypatch):
+        monkeypatch.setattr(ExactFamily, "__init__", lambda *a, **k: pytest.fail("stacked"))
+        g = Grid("rectangular", {"p": 1, "q": 1}, [])
+        assert len(g) == 0 and g.matrices() == []
+
+    @pytest.mark.parametrize("unitary", ["rotation", "complex-rotation", "den-2^40", "den-2^62"])
+    def test_conjugate_grid_is_the_products(self, unitary):
+        # the stacked left * u * right against one product per element: over
+        # den 5, with imaginary parts, with int64 numerators whose products
+        # pass 2^63, and with numerators from 2^62 up
+        block = {"rotation": ROTATION, "complex-rotation": COMPLEX_ROTATION,
+                 "den-2^40": _rotation(20), "den-2^62": _rotation(31)}[unitary]
+        u = _embedded(4, block)
+        assert u * u.adjoint() == ExactMatrix.identity(4)
+        left = u * random_signed_permutation(4, random.Random(2))
+        for g, right in ((hermitian_grid(4), left.adjoint()), (symplectic_grid(4), u),
+                         (rectangular_grid(4, 1), ExactMatrix.identity(1))):
+            got = conjugate_grid(g, left, right)
+            assert got.matrices() == [left * x * right for x in g.matrices()]
+            assert got.family().members() == got.matrices()
+
+    @pytest.mark.parametrize("checked", [False, True], ids=["matrices", "isometries"])
+    def test_elements_of_different_shapes(self, checked):
+        square, wide = E(2, 2, 0, 0), E(2, 3, 0, 0)
+        first = PartialIsometry(square) if checked else square
+        with pytest.raises(DimensionError):
+            Grid("rank1", {"n": 2}, [(1, first), (2, wide)])
 
 
 class TestHermitian:
@@ -829,12 +936,339 @@ UNIT_CASES = _unit_cases()
 @pytest.mark.parametrize("case", list(UNIT_CASES))
 def test_unit_table_matches_loop_oracle(case):
     units, vmat = UNIT_CASES[case]
-    involution, product = grids._unit_table(units, vmat)
+    involution, product = grids._unit_table(ExactFamily(list(units.values()) + [vmat]),
+                                            list(units))
     want_inv, want_prod = _unit_table_oracle(units, vmat)
     assert involution.tolist() == want_inv.tolist()
     assert product.tolist() == want_prod.tolist()
     clean = case in ("hermitian-3", "symplectic-5")
     assert (involution.all() and product.all()) == clean
+
+
+# The transforms as they were while every unit was its own ExactMatrix:
+# the oracles for the stacked transforms.
+
+
+def _unit_table_of(units, vmat):
+    """``grids._unit_table`` on the family the per-unit transforms stacked."""
+    return grids._unit_table(ExactFamily(list(units.values()) + [vmat]), list(units))
+
+def _hermitian_units_oracle(g):
+    """Matrix units e_ij = u_ii . u_ij (isotope product at v = sum u_ii).
+
+    Verifies the matrix-unit relations, the involution, and the recovery
+    u_ij = e_ij + e_ji, all exactly, on batched family tables; failures
+    raise ``TransformError`` naming the first failing relation in the order
+    of the relations above.
+    """
+    if g.kind != "hermitian":
+        raise TransformError("hermitian_to_matrix_units requires a hermitian grid")
+    m = g.params["m"]
+    key = lambda i, j: (i, j) if i <= j else (j, i)
+    vmat = None
+    for i in range(1, m + 1):
+        vmat = g.matrix((i, i)) if vmat is None else vmat + g.matrix((i, i))
+    PartialIsometry(vmat)  # the isotope unit must be a partial isometry
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+    # one family: the grid elements, then v
+    at = {idx: x for x, idx in enumerate(g.indices)}
+    fam = ExactFamily(g.matrices() + [vmat])
+    v = len(g)
+    units = dict(zip(pairs, fam.matrices([at[(i, i)] for i, _ in pairs], [v] * len(pairs),
+                                         [at[key(i, j)] for i, j in pairs])))
+    involution, product = _unit_table_of(units, vmat)
+    bad = np.flatnonzero(~involution | ~product.all(axis=1))
+    if bad.size:
+        i, j = pairs[bad[0]]
+        if not involution[bad[0]]:
+            raise TransformError(f"involution fails: e_{i}{j}^# != e_{j}{i}")
+        k, l = pairs[int(np.argmin(product[bad[0]]))]
+        raise TransformError(f"product fails: e_{i}{j} . e_{k}{l} != delta e_{i}{l}")
+    total = None
+    for i in range(1, m + 1):
+        total = units[(i, i)] if total is None else total + units[(i, i)]
+    if total != vmat:
+        raise TransformError("sum of diagonal units is not the isotope unit")
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            want = units[(i, j)] + units[(j, i)] if i != j else units[(i, i)]
+            if want != g.matrix(key(i, j)):
+                raise TransformError(f"recovery fails: u_{i}{j} != e_{i}{j} + e_{j}{i}")
+    # u_ii . u_ij is e_ij itself; compare u_ij . u_jj with it
+    off = [(i, j) for i, j in pairs if i != j]
+    fam = ExactFamily(g.matrices() + [vmat] + [units[p] for p in off])
+    same = fam.equal([at[key(i, j)] for i, j in off], [v] * len(off), [at[(j, j)] for _, j in off],
+                     scaled_members(range(v + 1, v + 1 + len(off))))
+    bad = np.flatnonzero(~same)
+    if bad.size:
+        i, j = off[bad[0]]
+        raise TransformError(f"u_{i}{i}.u_{i}{j} != u_{i}{j}.u_{j}{j}")
+    return grids.MatrixUnitFamily(m, units, vmat)
+
+
+def _symplectic_units_oracle(g):
+    """Matrix units from a symplectic grid of size at least 5.
+
+    The diagonal units e_ii = u_ij u_jm* u_im must be independent of the
+    admissible index pair (j, m); the off-diagonal ones are
+    e_ij = e_ii e_ii* u_ij e_jj* e_jj.  All defining relations are verified
+    exactly on batched family tables; failures raise ``TransformError``
+    naming the first failing relation in the order above.
+    """
+    if g.kind != "symplectic":
+        raise TransformError("symplectic_to_matrix_units requires a symplectic grid")
+    m = g.params["m"]
+    if m < grids.SYMPLECTIC_TRANSFORM_MIN_SIZE:
+        raise TransformError(
+            f"symplectic transform requires size >= {grids.SYMPLECTIC_TRANSFORM_MIN_SIZE}")
+    mats = {idx: g.matrix(idx) for idx in g.indices}
+    u = lambda a, b: mats[(a, b)] if a < b else -mats[(b, a)]
+    off = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i != j]
+    at = {p: x for x, p in enumerate(off)}
+    signed = [u(i, j) for i, j in off]
+    # the first admissible pair (j, m) defines e_ii; every other must agree
+    admissible = [(i, j, mm) for i in range(1, m + 1) for j in range(1, m + 1)
+                  for mm in range(1, m + 1) if len({i, j, mm}) == 3]
+    first = {}
+    for i, j, mm in admissible:
+        first.setdefault(i, (j, mm))
+    diag = ExactFamily(signed).matrices([at[(i, j)] for i, (j, _) in first.items()],
+                                        [at[jm] for jm in first.values()],
+                                        [at[(i, mm)] for i, (_, mm) in first.items()])
+    # one family: u_ab for a != b, then e_11 .. e_mm
+    fam = ExactFamily(signed + diag)
+    e = len(signed) - 1  # e + i is the position of e_ii
+    agree = fam.equal([at[(i, j)] for i, j, _ in admissible],
+                      [at[(j, mm)] for _, j, mm in admissible],
+                      [at[(i, mm)] for i, _, mm in admissible],
+                      scaled_members([e + i for i, _, _ in admissible]))
+    fail = next((t for t, good in zip(admissible, agree) if not good), None)
+    for i in range(1, m + 1):
+        if fail is not None and fail[0] == i:
+            raise TransformError(
+                f"diagonal unit e_{i}{i} is ambiguous at pair ({fail[1]},{fail[2]})")
+        if diag[i - 1].is_zero():
+            raise TransformError(f"diagonal unit e_{i}{i} vanished")
+    idx = [e + i for i in range(1, m + 1)]
+    isometry = fam.equal(idx, idx, idx, scaled_members(idx))
+    ei, ej = [e + i for i, _ in off], [e + j for _, j in off]
+    apart = (fam.vanish(ei, ej, star_first=True) & fam.vanish(ei, ej)).tolist()
+    for i in range(1, m + 1):
+        if not isometry[i - 1]:
+            raise TransformError(f"e_{i}{i} is not a partial isometry")
+        for j in range(1, m + 1):
+            if i != j and not apart[at[(i, j)]]:
+                raise TransformError(f"e_{i}{i} not orthogonal to e_{j}{j}")
+    units = {(i, i): d for i, d in enumerate(diag, start=1)}
+    left = fam.matrices(ei, ei, range(len(off)))  # e_ii e_ii* u_ij
+    right = ExactFamily(left + diag).matrices(range(len(off)), [len(off) + j - 1 for _, j in off],
+                                              [len(off) + j - 1 for _, j in off])
+    units.update(zip(off, right))
+    vmat = None
+    for i in range(1, m + 1):
+        vmat = units[(i, i)] if vmat is None else vmat + units[(i, i)]
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            if i != j and units[(i, j)] - units[(j, i)] != u(i, j):
+                raise TransformError(f"recovery fails: u_{i}{j} != e_{i}{j} - e_{j}{i}")
+    involution, product = _unit_table_of(units, vmat)
+    keys = list(units)
+    bad = np.flatnonzero(~involution | ~product.all(axis=1))
+    if bad.size:
+        i, j = keys[bad[0]]
+        if not involution[bad[0]]:
+            raise TransformError(f"involution fails on e_{i}{j}")
+        l, k = keys[int(np.argmin(product[bad[0]]))]
+        raise TransformError(f"unit product fails: e_{i}{j} v* e_{l}{k}")
+    # e_ii u_ij* e_ii = 0 and {e_ii, e_ii, u_ij} = u_ij / 2 for i != j
+    pos = range(len(off))
+    minimal = fam.equal(ei, pos, ei).tolist()
+    peirce = fam.equal(ei, ei, pos, scaled_members(pos, 1, 2), sym=True).tolist()
+    # u_ij e_kk* = 0 = e_kk* u_ij for k outside {i, j}
+    third = [(t, k) for t, (i, j) in enumerate(off) for k in range(1, m + 1) if k not in (i, j)]
+    ts, ks = [t for t, _ in third], [e + k for _, k in third]
+    outside = dict(zip(third, (fam.vanish(ts, ks) & fam.vanish(ks, ts, star_first=True)).tolist()))
+    for t, (i, j) in enumerate(off):
+        if not minimal[t]:
+            raise TransformError(f"e_{i}{i} u_{i}{j}* e_{i}{i} != 0")
+        if not peirce[t]:
+            raise TransformError(f"u_{i}{j} is not Peirce-1 for e_{i}{i}")
+        for k in range(1, m + 1):
+            if k not in (i, j) and not outside[(t, k)]:
+                raise TransformError(f"u_{i}{j} not orthogonal to e_{k}{k}")
+    return grids.MatrixUnitFamily(m, units, vmat)
+
+
+def _transform_outcome(transform, g):
+    """The units in key order and v, or the message of the first error: a
+    TransformError, or the ValueError of an isotope unit v that is not a
+    partial isometry."""
+    try:
+        fam = transform(g)
+    except (TransformError, ValueError) as exc:
+        return str(exc)
+    return fam.size, list(fam.units.items()), fam.v
+
+
+TRANSFORMS = {"hermitian": (hermitian_grid, hermitian_to_matrix_units, _hermitian_units_oracle),
+              "symplectic": (symplectic_grid, symplectic_to_matrix_units,
+                             _symplectic_units_oracle)}
+
+
+def _corrupted_transform_grids(kind, m, count, seed):
+    """Seeded grids with one element negated, multiplied by i, swapped with
+    another element or replaced by a signed matrix unit."""
+    rng = random.Random(seed)
+    g = TRANSFORMS[kind][0](m)
+    out = []
+    for _ in range(count):
+        idx = rng.choice(g.indices)
+        change = rng.randrange(4)
+        if change == 0:
+            out.append(_scaled(g, idx, -1))
+        elif change == 1:
+            out.append(_scaled(g, idx, EX_I))
+        elif change == 2:
+            other = rng.choice(g.indices)
+            out.append(Grid(g.kind, g.params, [(i, g.matrix(other if i == idx else
+                                                            idx if i == other else i))
+                                               for i in g.indices]))
+        else:
+            unit = E(m, m, rng.randrange(m), rng.randrange(m)).scale(rng.choice((1, -1)))
+            out.append(_replace(g, idx, unit))
+    return out
+
+
+def _flip(monkeypatch, method, operands, flag):
+    """Make ``ExactFamily.<method>`` report False at every row whose operands
+    are the matrices ``operands``, when its sym (equal) or star_first
+    (vanish) flag is ``flag``."""
+    orig = getattr(ExactFamily, method)
+
+    def flipped(self, *args, **kwargs):
+        got = orig(self, *args, **kwargs)
+        if kwargs.get("sym" if method == "equal" else "star_first", False) != flag:
+            return got
+        ims = [None] * len(self) if self.im is None else self.im
+        values = [ExactMatrix(*self.shape, _arrays=(r.copy(), None if i is None else i.copy(),
+                                                     self.den)) for r, i in zip(self.re, ims)]
+        rows = zip(*(np.asarray(a, dtype=np.intp) for a in args[:len(operands)]))
+        for t, row in enumerate(rows):
+            if all(values[x] == o for x, o in zip(row, operands)):
+                got[t] = False
+        return got
+
+    monkeypatch.setattr(ExactFamily, method, flipped)
+
+
+_V5 = ExactMatrix.identity(5)
+_U23 = E(5, 5, 1, 2) - E(5, 5, 2, 1)
+# name -> (kind, method, operands, flag, first error): m = 5, v = 1
+INJECTED_FAULTS = {
+    "hermitian-involution": ("hermitian", "equal", (_V5, E(5, 5, 2, 0), _V5), False,
+                             "involution fails: e_31^# != e_13"),
+    "hermitian-product": ("hermitian", "equal", (E(5, 5, 1, 2), _V5, E(5, 5, 2, 3)), False,
+                          "product fails: e_23 . e_34 != delta e_24"),
+    "hermitian-same": ("hermitian", "equal", (E(5, 5, 1, 3) + E(5, 5, 3, 1), _V5,
+                                              E(5, 5, 3, 3)), False,
+                       "u_22.u_24 != u_24.u_44"),
+    "symplectic-isometry": ("symplectic", "equal", (E(5, 5, 2, 2),) * 3, False,
+                            "e_33 is not a partial isometry"),
+    "symplectic-apart": ("symplectic", "vanish", (E(5, 5, 1, 1), E(5, 5, 3, 3)), True,
+                         "e_22 not orthogonal to e_44"),
+    "symplectic-involution": ("symplectic", "equal", (_V5, E(5, 5, 3, 1), _V5), False,
+                              "involution fails on e_42"),
+    "symplectic-product": ("symplectic", "equal", (E(5, 5, 0, 1), _V5, E(5, 5, 1, 2)), False,
+                           "unit product fails: e_12 v* e_23"),
+    "symplectic-minimal": ("symplectic", "equal", (E(5, 5, 1, 1), _U23, E(5, 5, 1, 1)), False,
+                           "e_22 u_23* e_22 != 0"),
+    "symplectic-peirce": ("symplectic", "equal", (E(5, 5, 1, 1), E(5, 5, 1, 1), _U23), True,
+                          "u_23 is not Peirce-1 for e_22"),
+    "symplectic-outside": ("symplectic", "vanish", (_U23, E(5, 5, 4, 4)), False,
+                           "u_23 not orthogonal to e_55"),
+    "symplectic-outside-star": ("symplectic", "vanish", (E(5, 5, 0, 0), -_U23), True,
+                                "u_32 not orthogonal to e_11"),
+}
+
+
+class TestTransformOracle:
+    """The stacked transforms against the per-unit ones: the same units in
+    the same order and the same v, or the same first error."""
+
+    def _same(self, kind, g):
+        _, transform, oracle = TRANSFORMS[kind]
+        got = _transform_outcome(transform, g)
+        assert got == _transform_outcome(oracle, g)
+        return got
+
+    @pytest.mark.parametrize("kind", list(TRANSFORMS))
+    @pytest.mark.parametrize("m", [5, 6, 7, 8])
+    def test_canonical(self, kind, m):
+        size, units, v = self._same(kind, TRANSFORMS[kind][0](m))
+        assert size == m and v == ExactMatrix.identity(m)
+
+    @pytest.mark.parametrize("kind", list(TRANSFORMS))
+    def test_signed_permutation_conjugations(self, kind):
+        rng = random.Random(17)
+        for m in (5, 6):
+            g = TRANSFORMS[kind][0](m)
+            for _ in range(4):
+                left, right = random_signed_permutation(m, rng), random_signed_permutation(m, rng)
+                assert not isinstance(self._same(kind, conjugate_grid(g, left, right)), str)
+
+    @pytest.mark.parametrize("kind", list(TRANSFORMS))
+    @pytest.mark.parametrize("block", [ROTATION, COMPLEX_ROTATION], ids=["real", "complex"])
+    def test_non_monomial_unitaries(self, kind, block):
+        # denominators 5 and 25, and imaginary parts for the complex block
+        rng = random.Random(23)
+        m = 5
+        u = _embedded(m, block)
+        perm = random_signed_permutation(m, rng)
+        for left, right in ((u * perm, perm * u.adjoint()), (u, u)):
+            g = conjugate_grid(TRANSFORMS[kind][0](m), left, right)
+            assert g.family().den > 1 and (g.family().im is not None) == (block is COMPLEX_ROTATION)
+            _, units, _ = self._same(kind, g)
+            assert all(e == left * E(m, m, i - 1, j - 1) * right for (i, j), e in units)
+
+    @pytest.mark.parametrize("kind", list(TRANSFORMS))
+    def test_corrupted_grids(self, kind):
+        outcomes = [self._same(kind, g) for m in (5, 6)
+                    for g in _corrupted_transform_grids(kind, m, 24, seed=m)]
+        errors = {o for o in outcomes if isinstance(o, str)}
+        assert len(errors) >= 5, errors
+
+    @pytest.mark.parametrize("transform,grid,message", TRANSFORM_ERRORS,
+                             ids=[m for _, _, m in TRANSFORM_ERRORS])
+    def test_transform_errors(self, transform, grid, message):
+        kind = "hermitian" if transform is hermitian_to_matrix_units else "symplectic"
+        assert self._same(kind, grid()) == message
+
+    @pytest.mark.parametrize("case", list(INJECTED_FAULTS))
+    def test_injected_faults(self, monkeypatch, case):
+        # one relation made to fail by its operands' values, in both transforms
+        kind, method, operands, flag, message = INJECTED_FAULTS[case]
+        g = TRANSFORMS[kind][0](5)
+        _flip(monkeypatch, method, operands, flag)
+        assert self._same(kind, g) == message
+
+    @pytest.mark.parametrize("kind", list(TRANSFORMS))
+    def test_recovery_sees_a_part_outside_the_units(self, kind):
+        # u_12 + e_66 keeps every product of distinct elements, so only the
+        # recovery of u_12 from its units fails
+        g = TRANSFORMS[kind][0](5)
+        wide = [(i, block_diag([g.matrix(i), E(1, 1, 0, 0) if i == (1, 2) else
+                                ExactMatrix.zeros(1, 1)])) for i in g.indices]
+        sign = "+" if kind == "hermitian" else "-"
+        assert self._same(kind, Grid(kind, g.params, wide)) == \
+            f"recovery fails: u_12 != e_12 {sign} e_21"
+
+    def test_vanished_diagonal_unit(self):
+        # mutually orthogonal elements: every e_ii is zero, and all agree
+        m = 5
+        elements = [((i, j), E(10, 10, t, t)) for t, (i, j) in
+                    enumerate((i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1))]
+        g = Grid("symplectic", {"m": m}, elements)
+        assert self._same("symplectic", g) == "diagonal unit e_11 vanished"
 
 
 # The per-kind index rules that verify_grid used before every expected value

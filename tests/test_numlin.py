@@ -435,6 +435,15 @@ class TestPromotionBoundary:
         assert got.entry(0, 0) == ExactScalar(a * b)
         assert_canonical_storage(got)
 
+    def test_lowest_terms_past_int64(self):
+        # w w* = 1 for a rotation over c ~ 2^62: the gcd c^2 fits no int64, and
+        # the real product's zero imaginary part is int64
+        a, b = (1 << 31) + 1, 1 << 30
+        p, q, c = a * a - b * b, 2 * a * b, a * a + b * b
+        w = ExactMatrix.from_rows([[Fraction(p, c), Fraction(-q, c)], [Fraction(q, c), Fraction(p, c)]])
+        assert w * w.adjoint() == ExactMatrix.identity(2)
+        assert (w * w.scale(EX_I).adjoint()).scale(EX_I) == ExactMatrix.identity(2)
+
     def test_complex_product_near_limit(self):
         # (M + Mi)^2 = 2 M^2 i: 2^63 does not fit int64 at all
         for m in (2 ** 31 - 1, 2 ** 31):
@@ -974,6 +983,71 @@ class TestFamilyOracle:
         ext = ExactFamily(mats + braces)
         assert ext.equal(ia, ib, ic, scaled_members(len(mats) + np.arange(len(braces))),
                          sym=True).all()
+
+
+def _state(fam):
+    """Everything an ExactFamily holds, as plain data."""
+    return (fam.shape, fam.den, fam.mag, fam.re.dtype, fam.re.tolist(),
+            None if fam.im is None else (fam.im.dtype, fam.im.tolist()))
+
+
+# one member each: zero, den 1, den 2 and 3, complex, numerators from 2^62 up
+STACK_MEMBERS = {
+    "zero": ExactMatrix.zeros(2, 2),
+    "integer": ExactMatrix.from_rows([[1, -2], [0, 3]]),
+    "halves": ExactMatrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(-3, 2)]]),
+    "thirds-complex": ExactMatrix.from_rows([[ExactScalar(Fraction(1, 3), 1), 0],
+                                             [0, ExactScalar(0, Fraction(-2, 3))]]),
+    "wide": ExactMatrix.from_rows([[LIMIT + 1, 0], [1, -LIMIT]]),
+    "wide-over-5": ExactMatrix.from_rows([[Fraction(LIMIT, 5), 1], [0, 0]]),
+}
+
+
+class TestFamilyStacks:
+    """``ExactFamily(_stacks=...)``: numerator stacks joined over the lcm of
+    their denominators, against ``ExactFamily(mats)`` of the same members."""
+
+    @pytest.mark.parametrize("names", [
+        ("zero", "integer"), ("zero", "halves"), ("halves", "thirds-complex", "zero"),
+        ("thirds-complex",), ("zero", "zero"), ("wide", "integer"), ("zero", "wide-over-5"),
+        ("halves", "wide", "thirds-complex"), tuple(STACK_MEMBERS)], ids="+".join)
+    def test_parts_join_as_the_members(self, names):
+        mats = [STACK_MEMBERS[n] for n in names]
+        whole = ExactFamily(mats)
+        assert whole.members() == mats
+        for cut in range(len(mats) + 1):
+            parts = [ExactFamily(half).part() for half in (mats[:cut], mats[cut:]) if half]
+            assert _state(ExactFamily(_stacks=parts)) == _state(whole)
+        # a part of a family, in any order, is the family of those members
+        order = list(range(len(mats)))[::-1]
+        assert _state(ExactFamily(_stacks=[whole.part(order)])) == \
+            _state(ExactFamily([mats[k] for k in order]))
+
+    def test_storage(self):
+        fam = ExactFamily([STACK_MEMBERS["halves"], STACK_MEMBERS["thirds-complex"]])
+        assert (fam.den, fam.mag, fam.re.dtype, fam.im.dtype) == (6, 9, np.int64, np.int64)
+        real = ExactFamily([STACK_MEMBERS["zero"], STACK_MEMBERS["halves"]])
+        assert real.im is None and real.den == 2
+        wide = ExactFamily([STACK_MEMBERS["wide"], STACK_MEMBERS["halves"]])
+        assert wide.re.dtype == object and wide.mag == 2 * (LIMIT + 1) and wide.im is None
+        # Python-int numerators that fit come back to int64; an all-zero
+        # stack over any denominator is zero over 1
+        small = ExactFamily(_stacks=[(np.array([[[4, 6]]], dtype=object), None, 10)])
+        assert small.re.dtype == np.int64 and (small.den, small.re.tolist()) == (5, [[[2, 3]]])
+        zero = ExactFamily(_stacks=[(np.zeros((2, 1, 1), dtype=np.int64),
+                                     np.zeros((2, 1, 1), dtype=np.int64), 7 ** 30)])
+        assert (zero.den, zero.mag, zero.im) == (1, 0, None)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_stacks())
+    def test_ternary_stack_is_the_products(self, stack):
+        rows, cols, mats = stack
+        fam = ExactFamily(mats)
+        ia, ib, ic = _all_triples(len(mats))
+        products = [mats[a] * mats[b].adjoint() * mats[c] for a, b, c in zip(ia, ib, ic)]
+        got = ExactFamily(_stacks=[(*fam.ternary(ia, ib, ic), fam.den ** 3), fam.part()])
+        assert _state(got) == _state(ExactFamily(products + mats))
+        assert got.members() == products + mats
 
 
 # -- the exact product-sum kernel -------------------------------------------------
