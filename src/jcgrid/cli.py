@@ -300,8 +300,7 @@ def _conjugated_unit(left: ExactMatrix, right: ExactMatrix) -> tuple:
 def _units_are(fam: grids.MatrixUnitFamily, left: ExactMatrix, right: ExactMatrix) -> bool:
     """Whether each unit e_ij is left * E_ij * right: one stacked comparison."""
     m = fam.size
-    units = numlin.ExactFamily([fam.unit(i, j) for i in range(1, m + 1) for j in range(1, m + 1)])
-    both = numlin.ExactFamily(_stacks=[units.part(), _conjugated_unit(left, right)])
+    both = numlin.ExactFamily(_stacks=[fam.family.part(), _conjugated_unit(left, right)])
     return all(p is None or np.array_equal(p[:m * m], p[m * m:]) for p in (both.re, both.im))
 
 

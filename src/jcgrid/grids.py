@@ -10,12 +10,13 @@ for the rectangular, hermitian and symplectic grids and for rank-1 grids
 expected pair relations and minimal elements are read off that rule.  The
 transforms turn hermitian and symplectic grids into associative matrix
 units and a spin grid into a spin system inside the isotope algebra.  The
-verifier and the matrix-unit transforms evaluate their triple, minimality
-and unit-product relations on batched family tables (``numlin.ExactFamily``).
-The elements of a grid are one such stack, and every exact step of the
-matrix-unit transforms works on stacks: a ``Grid`` checks its matrices in
-one table, ``conjugate_grid`` conjugates the whole stack at once, and the
-transforms keep the units as one stack until they return them.
+verifier and the matrix-unit transforms evaluate their pair relations,
+triple, minimality and unit-product relations on batched family tables
+(``numlin.ExactFamily``); no check loops over pairs.  The elements of a
+grid are one such stack, and every exact step of the matrix-unit
+transforms works on stacks: a ``Grid`` checks its matrices in one table,
+``conjugate_grid`` conjugates the whole stack at once, and the transforms
+return the units as the one stack they checked.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .numlin import (_CHUNK_CELLS, _INT64_LIMIT, EX_HALF, EX_I, EX_MINUS_ONE, EX
                      ExactFamily, ExactMatrix, ExactScalar, _cmatmul, exact_rank,
                      scaled_members)
 from .report import VerificationReport
-from .triple import (GridRelation, PartialIsometry, _unit_table, classify_relation,
+from .triple import (PartialIsometry, _relations_of_halves, _unit_table, classify_relation,
                      isotope_involution, isotope_product)
 
 SPIN_SYSTEM_CAP = 12
@@ -58,13 +59,13 @@ class Grid:
 
     ``kind`` is one of ``rectangular, hermitian, symplectic, spin, rank1``;
     ``params`` carries the kind parameters; ``indices`` fixes a deterministic
-    element order.  Every element is stored as a ``PartialIsometry``.  The
-    matrices among them are checked when the grid is made, all at once on
-    the elements' ``ExactFamily`` (``PartialIsometry.check_family``; elements
-    of different shapes raise ``DimensionError``), and an element that
-    already is a ``PartialIsometry`` is kept as it is, without a second
-    check.  ``family()`` is that stack: the one the check used, the one the
-    caller formed (``_family``), or one stacked on first use.
+    element order.  The grid keeps the indices, the matrices and one
+    ``ExactFamily`` of them, which every check reads.  The matrices are
+    checked when the grid is made, all at once on that family
+    (``PartialIsometry.check_family``; elements of different shapes raise
+    ``DimensionError``); an element passed as a ``PartialIsometry`` is kept
+    as its matrix, without a second check.  The family is the one the caller
+    formed (``_family``) or one stacked here; an empty grid has none.
     """
 
     def __init__(self, kind: str, params: dict, elements: Sequence[Tuple], *, _family=None):
@@ -72,29 +73,20 @@ class Grid:
         self.params = dict(params)
         self.indices = tuple(idx for idx, _ in elements)
         mats = [m.mat if isinstance(m, PartialIsometry) else m for _, m in elements]
+        self._by_index = dict(zip(self.indices, mats))
+        self._family = ExactFamily(mats) if mats and _family is None else _family
         raw = np.flatnonzero([not isinstance(m, PartialIsometry) for _, m in elements])
-        self._family = ExactFamily(mats) if raw.size and _family is None else _family
         if raw.size:
             PartialIsometry.check_family(self._family, raw)
-        self._by_index = {idx: m if isinstance(m, PartialIsometry) else PartialIsometry._checked(m)
-                          for idx, m in elements}
 
     def family(self) -> ExactFamily:
-        """The elements as one ``ExactFamily``, stacked once."""
-        if self._family is None:
-            self._family = ExactFamily(self.matrices())
+        """The elements as one ``ExactFamily``."""
         return self._family
 
-    def element(self, idx) -> PartialIsometry:
+    def matrix(self, idx) -> ExactMatrix:
         return self._by_index[idx]
 
-    def matrix(self, idx) -> ExactMatrix:
-        return self._by_index[idx].mat
-
     def matrices(self) -> List[ExactMatrix]:
-        return [self._by_index[i].mat for i in self.indices]
-
-    def isometries(self) -> List[PartialIsometry]:
         return [self._by_index[i] for i in self.indices]
 
     def __len__(self):
@@ -397,20 +389,13 @@ def _expected_table(grid: Grid, xs, ys, zs) -> tuple:
     return _triple_rule(grid, xs, ys, zs)
 
 
-_RELATION_OF_HALVES = {(0, 0): GridRelation.ORTHOGONAL, (1, 1): GridRelation.COLINEAR,
-                       (2, 1): GridRelation.GOVERNS_FIRST_OVER_SECOND,
-                       (1, 2): GridRelation.GOVERNS_SECOND_OVER_FIRST}
-
-
 def _expected_pairs(grid: Grid) -> tuple:
     """The expected relation of each pair of positions x < z, in loop order,
     and the minimal positions, from the triple rule alone.
 
     With {u_x, u_x, u_z} = c u_z / 2 and {u_x, u_z, u_z} = c' u_x / 2 (rows
-    (x, x, z) and (x, z, z)), the relation is ``classify_relation``'s rule on
-    (c, c'): (0, 0) orthogonal, since for partial isometries {v,v,w} = 0 iff
-    v*w = v w* = 0; (1, 1) colinear; (2, 1) the first governs the second,
-    (1, 2) the second the first; anything else unclassified.  v is minimal
+    (x, x, z) and (x, z, z)), the relation is ``classify_relation``'s table
+    ``triple._RELATION_OF_HALVES`` at (c, c').  v is minimal
     where {u_v, u_w, u_v} = 0 for every w != v (rows (v, w, v)).  The rule
     gives one member per row, so ``_same_want`` reads c and c' off one
     column.
@@ -423,8 +408,7 @@ def _expected_pairs(grid: Grid) -> tuple:
     rows = np.arange(len(x))
     halves = [np.select([_same_want(want, row, member, c) for c in (0, 1, 2)], [0, 1, 2], -1)
               for row, member in ((rows, z), (rows + len(x), x))]
-    relations = [_RELATION_OF_HALVES.get(pair, GridRelation.UNCLASSIFIED)
-                 for pair in zip(*(c.tolist() for c in halves))]
+    relations = _relations_of_halves(*halves)
     zero = _same_want(want, 2 * len(x) + np.arange(len(v)), 0, 0).reshape(n, n - 1)
     return relations, np.flatnonzero(zero.all(axis=1))
 
@@ -443,8 +427,9 @@ def verify_grid(grid: Grid) -> VerificationReport:
     comes from the kind's triple rule (``_triple_rule``: the matrix-unit
     rule, or the spin rule) on index arrays alone, never from a model grid:
     the triple table (``_expected_table``), the pair relations and the
-    minimal elements (``_expected_pairs``).  Relations are
-    classified pair by pair.  The triple table covers every triple with the
+    minimal elements (``_expected_pairs``).  The observed relations of all
+    pairs come from one ``classify_relation`` call on the grid's family.
+    The triple table covers every triple with the
     first index not after the third ({a,b,c} = {c,b,a}), at every size, in
     one batched family table (``ExactFamily``).  Every other verdict is read
     off it (``_table_verdicts``): minimality, since {v,w,v} = v w* v; the
@@ -463,19 +448,18 @@ def verify_grid(grid: Grid) -> VerificationReport:
         return rep
     idxs = grid.indices
 
-    # the Grid holds only PartialIsometry values, each checked when it was made
+    # every element was checked when the Grid was made
     rep.add_counted("partial_isometry", True, n, "elements")
 
     relations, minimal = _expected_pairs(grid)
-    mism = []
-    for x, z, want in zip(*np.triu_indices(n, 1), relations):
-        got = classify_relation(grid.element(idxs[x]), grid.element(idxs[z]))
-        if got is not want:
-            mism.append((idxs[x], idxs[z], want.value, got.value))
-    rep.add_counted("pairwise_relations", not mism, n * (n - 1) // 2, "pairs",
-                    failure=f"mismatch {mism[:3]}")
-
     fam = grid.family()
+    px, pz = np.triu_indices(n, 1)
+    got = classify_relation(fam, px, pz)
+    mism = [(idxs[px[t]], idxs[pz[t]], relations[t].value, got[t].value)
+            for t in np.flatnonzero(np.asarray(got) != np.asarray(relations))[:3]]
+    rep.add_counted("pairwise_relations", not mism, len(px), "pairs",
+                    failure=f"mismatch {mism}")
+
     # x <= z covers every ordered triple, in loop order x, y, z
     upper = np.triu(np.ones((n, n), dtype=bool))[:, None, :]
     x, y, z = np.unravel_index(np.flatnonzero(np.broadcast_to(upper, (n, n, n))), (n, n, n))
@@ -722,15 +706,14 @@ def _report_named(grid: Grid, rep: VerificationReport, named: dict, apart: np.nd
 @dataclass(frozen=True)
 class MatrixUnitFamily:
     """Associative matrix units e_ij recovered from a grid, with their unit
-    v.  The transforms keep the units as one stack while they check them,
-    and build ``units``, a dict of ``ExactMatrix`` keyed by (i, j), once, on
-    return."""
+    v: the stack the transform checked, ``family``, holds e_ij as member
+    (i - 1) size + j - 1, in the loop order of (i, j)."""
     size: int
-    units: dict
+    family: ExactFamily
     v: ExactMatrix
 
     def unit(self, i: int, j: int) -> ExactMatrix:
-        return self.units[(i, j)]
+        return self.family.member((i - 1) * self.size + j - 1)
 
 
 def spin_to_spin_system(g: Grid):
@@ -819,10 +802,12 @@ def hermitian_to_matrix_units(g: Grid) -> MatrixUnitFamily:
     diag, ends = key[(i - 1) * (m + 1)], key[(j - 1) * (m + 1)]  # u_ii and u_jj
     grid = g.family()
     vsum = _sums(grid, [key[::m + 1]], [np.ones(m)])
-    vmat = ExactFamily(_stacks=[(*vsum, grid.den)]).members()[0]
-    PartialIsometry(vmat)  # the isotope unit must be a partial isometry
-    # the grid elements, then v
+    # the grid elements, then v; the isotope unit v must be a partial isometry
     fam = ExactFamily(_stacks=[grid.part(), (*vsum, grid.den)])
+    try:
+        PartialIsometry.check_family(fam, np.array([n]))
+    except ValueError as exc:
+        raise TransformError(f"isotope unit v = sum u_ii: {exc}") from exc
     units = ExactFamily(_stacks=[(*fam.ternary(diag, np.full(m * m, n), key), fam.den ** 3)])
     # one family: the units in pair order, v, then the grid elements
     fam = ExactFamily(_stacks=[units.part(), fam.part(np.r_[n, :n])])
@@ -853,7 +838,7 @@ def hermitian_to_matrix_units(g: Grid) -> MatrixUnitFamily:
     if bad.size:
         i0, j0 = keys[off[bad[0]]]
         raise TransformError(f"u_{i0}{i0}.u_{i0}{j0} != u_{i0}{j0}.u_{j0}{j0}")
-    return MatrixUnitFamily(m, dict(zip(keys, units.members())), vmat)
+    return MatrixUnitFamily(m, units, fam.member(v))
 
 
 def symplectic_to_matrix_units(g: Grid) -> MatrixUnitFamily:
@@ -948,5 +933,7 @@ def symplectic_to_matrix_units(g: Grid) -> MatrixUnitFamily:
             raise TransformError(f"u_{i0}{j0} is not Peirce-1 for e_{i0}{i0}")
         k = ks[row * (m - 2) + col - 2]
         raise TransformError(f"u_{i0}{j0} not orthogonal to e_{k}{k}")
-    vmat = ExactFamily(_stacks=[(*vsum, units.den)]).members()[0]
-    return MatrixUnitFamily(m, dict(zip(keys, units.members())), vmat)
+    # the units in the loop order of (p, q): e_pp at p - 1, e_pq at m + at[p, q]
+    p, q = _loops((m, m))
+    order = np.where(p == q, p - 1, m + at[p, q])
+    return MatrixUnitFamily(m, ExactFamily(_stacks=[units.part(order)]), joined.member(v))

@@ -719,7 +719,7 @@ def grid_support_split(grid: Grid):
     for i in range(1, p_ + 1):
         row = None
         for k in range(1, q_ + 1):
-            t = grid.element((i, k)).left_support()
+            t = grid.matrix((i, k)).gram()
             row = t if row is None else row * t
         proj = row if proj is None else proj + row
     one = ExactMatrix.identity(proj.rows)
@@ -750,7 +750,7 @@ def ternary_matrix_unit_image(grid: Grid) -> bool:
     if (target < 0).any():
         raise KeyError(f"{grid.describe()} lacks an element of its matrix-unit image")
     want = scaled_members(target, unit.astype(np.int64))
-    return bool(ExactFamily(grid.matrices()).equal(a, b, c, want).all())
+    return bool(grid.family().equal(a, b, c, want).all())
 
 
 # -- projection and trace formula ---------------------------------------------

@@ -769,11 +769,13 @@ class ExactFamily:
         """The members at ``idx`` as a (re, im, den) stack, to join."""
         return self.re[idx], None if self.im is None else self.im[idx], self.den
 
+    def member(self, k: int) -> ExactMatrix:
+        """Member ``k`` as an ``ExactMatrix``."""
+        return ExactMatrix(*self.shape, _arrays=self.part(k))
+
     def members(self) -> list:
         """Every member as an ``ExactMatrix``."""
-        rows, cols = self.shape
-        ims = [None] * len(self) if self.im is None else self.im
-        return [ExactMatrix(rows, cols, _arrays=(r, i, self.den)) for r, i in zip(self.re, ims)]
+        return [self.member(k) for k in range(len(self))]
 
     def _stack(self, bound: int):
         """The numerators as float64 when ``bound`` < 2^53, else as Python ints."""

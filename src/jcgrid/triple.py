@@ -31,8 +31,8 @@ class PartialIsometry:
     v v* = ``v.gram()`` is formed by the validation and v* v =
     ``v.adjoint().gram()`` on first use, so every caller, and every
     ``ternary_product`` with a repeated operand, reads the same two objects.
-    A ``Grid`` checks its matrices with ``check_family`` instead and wraps
-    each with ``_checked``; their v v* is formed on first use too.
+    A ``Grid`` keeps matrices, not this wrapper: it checks them all at once
+    with ``check_family``.
     """
 
     __slots__ = ("mat",)
@@ -58,13 +58,6 @@ class PartialIsometry:
         bad = np.flatnonzero(~nonzero | ~fam.equal(idx, idx, idx, scaled_members(idx)))
         if bad.size:
             raise ValueError(cls.FAILS if nonzero[bad[0]] else cls.ZERO)
-
-    @classmethod
-    def _checked(cls, mat: ExactMatrix) -> "PartialIsometry":
-        """The partial isometry ``mat``, which its caller has already checked."""
-        v = cls.__new__(cls)
-        v.mat = mat
-        return v
 
     def left_support(self) -> ExactMatrix:
         """v v*, the same object on every call."""
@@ -121,30 +114,46 @@ def triple_product(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatri
     return _product_sum(terms, 2)
 
 
-def classify_relation(v: PartialIsometry, w: PartialIsometry) -> GridRelation:
-    """Classify the grid relation between two partial isometries, exactly.
+# (c, c') -> the relation of a pair with {u_x, u_x, u_z} = c u_z / 2 and
+# {u_z, u_z, u_x} = c' u_x / 2; any other pair is unclassified.  (0, 0) is
+# orthogonal: for a partial isometry v, {v,v,w} = 0 iff v* w = v w* = 0.
+_RELATION_OF_HALVES = {(0, 0): GridRelation.ORTHOGONAL, (1, 1): GridRelation.COLINEAR,
+                       (2, 1): GridRelation.GOVERNS_FIRST_OVER_SECOND,
+                       (1, 2): GridRelation.GOVERNS_SECOND_OVER_FIRST}
 
-    Orthogonal iff v*w = v w* = 0; colinear iff each lies in the other's
-    Peirce-1 space; governs iff one lies in the other's Peirce-2 space while
-    that one sits in its Peirce-1 space.  Anything else is unclassified.
+
+def _relations_of_halves(c: np.ndarray, c2: np.ndarray) -> list:
+    """The relation of each pair of halves (c[t], c2[t])."""
+    return [_RELATION_OF_HALVES.get(pair, GridRelation.UNCLASSIFIED)
+            for pair in zip(c.tolist(), c2.tolist())]
+
+
+def classify_relation(fam: ExactFamily, xs, zs) -> list:
+    """The grid relation of members xs[t] and zs[t] of ``fam``, exactly, one
+    per pair in order: equal, read off the numerators; orthogonal iff
+    u_x* u_z = u_x u_z* = 0; else colinear (each in the other's Peirce-1
+    space), governing (one in the other's Peirce-2 space, which sits in its
+    Peirce-1 space) or unclassified, by the halves (c, c').  Both directions
+    run in one batched family table, c = 2 only where c = 1 failed.
     """
-    if v.shape != w.shape:
-        raise DimensionError("relation requires equal shapes")
-    if v.mat == w.mat:
-        return GridRelation.EQUAL
-    if (v.mat.adjoint() * w.mat).is_zero() and (v.mat * w.mat.adjoint()).is_zero():
-        return GridRelation.ORTHOGONAL
-    # twice the triple products: 2{w,w,v} = w w* v + v w* w, read off the supports
-    wwv = _product_sum(((w.left_support(), v.mat), (v.mat, w.right_support())))
-    vvw = _product_sum(((v.left_support(), w.mat), (w.mat, v.right_support())))
-    if wwv == v.mat:
-        if vvw == w.mat:
-            return GridRelation.COLINEAR
-        if vvw == w.mat.scale(2):
-            return GridRelation.GOVERNS_FIRST_OVER_SECOND
-    elif vvw == w.mat and wwv == v.mat.scale(2):
-        return GridRelation.GOVERNS_SECOND_OVER_FIRST
-    return GridRelation.UNCLASSIFIED
+    xs, zs = (np.asarray(v, dtype=np.intp) for v in (xs, zs))
+    same = (fam.re[xs] == fam.re[zs]).all(axis=(1, 2))
+    if fam.im is not None:
+        same &= (fam.im[xs] == fam.im[zs]).all(axis=(1, 2))
+    apart = fam.vanish(xs, zs, star_first=True)
+    apart[apart] = fam.vanish(xs[apart], zs[apart])
+    rest = np.flatnonzero(~same & ~apart)
+    # c at the rows (x, x, z), then c' at the rows (z, z, x); -1: neither 1 nor 2
+    a, b = np.concatenate([xs[rest], zs[rest]]), np.concatenate([zs[rest], xs[rest]])
+    halves = np.where(fam.equal(a, a, b, scaled_members(b, 1, 2), sym=True), 1, -1)
+    redo = np.flatnonzero(halves < 0)
+    if redo.size:
+        two = fam.equal(a[redo], a[redo], b[redo], scaled_members(b[redo], 2, 2), sym=True)
+        halves[redo[two]] = 2
+    c = np.zeros((2, len(xs)), dtype=np.intp)  # (0, 0) on the orthogonal pairs
+    c[:, rest] = halves.reshape(2, -1)
+    return [GridRelation.EQUAL if equal else rel
+            for equal, rel in zip(same.tolist(), _relations_of_halves(*c))]
 
 
 def isotope_product(v: PartialIsometry, a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -135,6 +135,24 @@ class TestVerify:
                                        "first error: broken at call 3")
         assert len(calls) == 5
 
+    def test_matrix_units_isotope_unit_not_a_partial_isometry_fails(self, monkeypatch, capsys):
+        # e_11 in place of u_22 makes v = sum u_ii = 2 e_11 + e_33 + e_44 + e_55:
+        # a failed transform check, not a usage error (exit 2)
+        orig = grids.hermitian_grid
+
+        def broken(m):
+            g = orig(m)
+            return grids.Grid(g.kind, g.params, [(i, ExactMatrix.unit(m, m, 0, 0) if i == (2, 2)
+                                                  else g.matrix(i)) for i in g.indices])
+
+        monkeypatch.setattr(grids, "hermitian_grid", broken)
+        argv = ["verify", "matrix-units", "--kind", "hermitian", "--m", "5", "--format", "json"]
+        assert cli.main(argv) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [(c["name"], c["status"], c["detail"]) for c in checks] == [
+            ("transform", "fail", "isotope unit v = sum u_ii: matrix fails the partial "
+                                  "isometry identity v v* v = v")]
+
     @pytest.mark.parametrize("kind", ["spin", "rectangular"])
     def test_matrix_units_rejects_kind_without_transform(self, kind):
         res = run_cli("verify", "matrix-units", "--kind", kind, "--m", "5")
@@ -488,10 +506,13 @@ class TestSharedWork:
         monkeypatch.setattr(numlin.ExactFamily, "equal", counted)
         assert cli.main(["verify", "hnk", "--n", "6", "--k", "3"]) == 0
         assert "overall: pass" in capsys.readouterr().out
-        # one batched evaluation: the exhaustive table, 6 * 6 * 21 triples
-        # with x <= z.  The 6 * 5 * (1 + 1 + 4) named rank-one instances are
-        # read off it; they were evaluated with it, as [126 + 180], before
-        assert sizes == [126]
+        # the relations' halves c = 1 at (x, x, z) and (z, z, x) for the 15
+        # pairs, all colinear, so no c = 2 pass; [126] while the relations
+        # were classified pair by pair.  Then one batched evaluation: the
+        # exhaustive table, 6 * 6 * 21 triples with x <= z.  The 6 * 5 *
+        # (1 + 1 + 4) named rank-one instances are read off it; they were
+        # evaluated with it, as [126 + 180], before
+        assert sizes == [30, 126]
 
     # (exact-product kernel calls, product terms); ExactMatrix.__mul__ is a
     # one-term call.  Before triple_product and classify_relation summed
@@ -502,19 +523,20 @@ class TestSharedWork:
     @pytest.mark.parametrize("args,products", [
         (("verify", "uij-grid", "--n", "4", "--k", "2"), (125, 137)),
         # 1100 and 1388 while each Grid checked its matrices one at a time, two
-        # products each (96 for the three grids); 48 of them were the Gram
-        # products that the relation checks and the support split now form
-        (("verify", "split", "--p", "4", "--q", "4"), (1052, 1340)),
+        # products each (96 for the three grids); 1052 and 1340 while the
+        # relations were classified pair by pair, 4 products per pair that
+        # is not orthogonal.  The 60 left are the support split's own
+        (("verify", "split", "--p", "4", "--q", "4"), (60, 60)),
         # 8 validations of 2 products, 56 ordered pairs of 2, 8 right
         # supports, and 3 + 6 support products to find the indices (3, 6)
         (("construct", "hnk", "--n", "8", "--k", "3"), (89, 145)),
         # 834 while naturality formed left * E_ij * right for the 36 units of
         # each of the 5 conjugations.  474 while conjugate_grid formed left * u
         # * right per element (210) and each Grid checked its 21 elements one
-        # at a time (252); the 12 left are the check of the isotope unit v of
-        # each of the 6 transforms, v v* and then v v* v
+        # at a time (252); 12 while the isotope unit v of each of the 6
+        # transforms was checked as its own matrix, v v* and then v v* v
         (("verify", "matrix-units", "--kind", "hermitian", "--m", "6", "--conjugations", "5"),
-         (12, 12)),
+         (0, 0)),
         # 91 while the exact projection formed x U* for each of the 6 basis
         # elements of each of the 6 basis elements it fixes
         (("verify", "projection", "--n", "6", "--k", "3", "--samples", "10"), (55, 85)),
@@ -533,8 +555,9 @@ class TestSharedWork:
         for herm, sympl in made:
             grids.hermitian_to_matrix_units(herm)
             grids.symplectic_to_matrix_units(sympl)
-        # at every size only the check of the hermitian isotope unit v: v v*, v v* v
-        assert terms == [1, 1] * len(sizes)
+        # [1, 1] per size while the hermitian isotope unit v was checked as
+        # its own matrix (v v*, v v* v); now it is a member of the family
+        assert terms == []
 
     def test_uij_family_builds_each_word_once(self, monkeypatch, capsys):
         calls = _count_calls(monkeypatch, hnk, "_word_matrix")

@@ -19,8 +19,14 @@ from jcgrid.numlin import (EX_HALF, EX_I, ExactFamily, ExactMatrix, block_diag, 
 from jcgrid.triple import (GridRelation, PartialIsometry, classify_relation,
                            isotope_product, ternary_product, triple_product)
 from test_cli import COMPLEX_ROTATION, ROTATION, _embedded
+from test_numlin import _relation_by_definition
 
 E = ExactMatrix.unit
+
+
+def _relation(g, x, z):
+    """The relation of the elements indexed x and z, from ``classify_relation``."""
+    return classify_relation(g.family(), [g.indices.index(x)], [g.indices.index(z)])[0]
 
 
 class TestRectangular:
@@ -30,13 +36,11 @@ class TestRectangular:
         assert ms == [E(1, 3, 0, 0), E(1, 3, 0, 1), E(1, 3, 0, 2)]
         for i in range(3):
             for j in range(i + 1, 3):
-                assert classify_relation(g.element(g.indices[i]), g.element(g.indices[j])) \
-                    is GridRelation.COLINEAR
+                assert _relation(g, g.indices[i], g.indices[j]) is GridRelation.COLINEAR
 
     def test_diagonal_orthogonal(self):
         g = rectangular_grid(2, 2)
-        assert classify_relation(g.element((1, 1)), g.element((2, 2))) \
-            is GridRelation.ORTHOGONAL
+        assert _relation(g, (1, 1), (2, 2)) is GridRelation.ORTHOGONAL
 
     def test_chain_product(self):
         g = rectangular_grid(2, 2)
@@ -137,11 +141,12 @@ class TestGridValidation:
                                 calls.append(_m) or _orig(*a, **k))
         g = hermitian_grid(5)
         assert calls == ["equal"]
-        assert all(isinstance(x, PartialIsometry) for x in g.isometries())
         # elements that already are partial isometries are kept, not checked
+        checked = [(i, PartialIsometry(g.matrix(i))) for i in g.indices]
         calls.clear()
-        kept = Grid(g.kind, g.params, [(i, g.element(i)) for i in g.indices])
-        assert calls == [] and kept.isometries() == g.isometries()
+        kept = Grid(g.kind, g.params, checked)
+        assert calls == [] and kept.matrices() == g.matrices()
+        assert all(kept.matrix(i) is v.mat for i, v in checked)
 
     def test_zero_and_failing_elements(self):
         good = E(2, 2, 0, 0)
@@ -185,8 +190,7 @@ class TestHermitian:
     def test_m2_structure(self):
         g = hermitian_grid(2)
         assert len(g) == 3
-        assert classify_relation(g.element((1, 2)), g.element((1, 1))) \
-            is GridRelation.GOVERNS_FIRST_OVER_SECOND
+        assert _relation(g, (1, 2), (1, 1)) is GridRelation.GOVERNS_FIRST_OVER_SECOND
 
     def test_chain_to_outer_index(self):
         g = hermitian_grid(4)
@@ -214,8 +218,7 @@ class TestHermitian:
 class TestSymplectic:
     def test_disjoint_orthogonal(self):
         g = symplectic_grid(4)
-        assert classify_relation(g.element((1, 2)), g.element((3, 4))) \
-            is GridRelation.ORTHOGONAL
+        assert _relation(g, (1, 2), (3, 4)) is GridRelation.ORTHOGONAL
 
     def test_quadrangle(self):
         g = symplectic_grid(4)
@@ -520,35 +523,73 @@ FAILURE_REPORTS = {
 
 
 def _classify_by_triple_products(v, w):
-    """The relation read off the triple products {w,w,v} and {v,v,w}: the
-    reference for ``classify_relation``."""
-    if v.mat == w.mat:
+    """The relation of the matrices v and w read off the triple products
+    {w,w,v} and {v,v,w}, one pair at a time: a reference for
+    ``classify_relation``."""
+    if v == w:
         return GridRelation.EQUAL
-    if (v.mat.adjoint() * w.mat).is_zero() and (v.mat * w.mat.adjoint()).is_zero():
+    if (v.adjoint() * w).is_zero() and (v * w.adjoint()).is_zero():
         return GridRelation.ORTHOGONAL
-    wwv = triple_product(w.mat, w.mat, v.mat)
-    vvw = triple_product(v.mat, v.mat, w.mat)
-    half_v, half_w = v.mat.scale(EX_HALF), w.mat.scale(EX_HALF)
+    wwv = triple_product(w, w, v)
+    vvw = triple_product(v, v, w)
+    half_v, half_w = v.scale(EX_HALF), w.scale(EX_HALF)
     if wwv == half_v and vvw == half_w:
         return GridRelation.COLINEAR
-    if vvw == w.mat and wwv == half_v:
+    if vvw == w and wwv == half_v:
         return GridRelation.GOVERNS_FIRST_OVER_SECOND
-    if wwv == v.mat and vvw == half_w:
+    if wwv == v and vvw == half_w:
         return GridRelation.GOVERNS_SECOND_OVER_FIRST
     return GridRelation.UNCLASSIFIED
 
 
-def test_classify_relation_matches_triple_products():
+def _classifier_grids():
+    """The clean and corrupted grids, conjugates over den 5 and 25 (real and
+    complex), and a conjugate with numerators from 2^62 up."""
     clean = [rectangular_grid(2, 3), hermitian_grid(4), symplectic_grid(5),
              spin_grid(2, True), spin_grid(3, False), build_hnk(4, 2).as_grid()]
-    seen = set()
-    for g in clean + list(_corrupted_grids().values()):
-        for v in g.isometries():
-            for w in g.isometries():
-                got = classify_relation(v, w)
-                assert got is _classify_by_triple_products(v, w)
-                seen.add(got)
+    rng = random.Random(29)
+    conjugated = []
+    for block in (ROTATION, COMPLEX_ROTATION):
+        u = _embedded(4, block) * random_signed_permutation(4, rng)
+        conjugated += [conjugate_grid(hermitian_grid(4), u, u.adjoint()),
+                       conjugate_grid(_corrupted_grids()["symplectic"], u, u)]
+    wide = _embedded(3, _rotation(31))
+    conjugated.append(conjugate_grid(_corrupted_grids()["hermitian"], wide, wide.adjoint()))
+    return clean + list(_corrupted_grids().values()) + conjugated
+
+
+def test_classify_relation_matches_triple_products():
+    # every ordered pair, x == z too, against both one-pair-at-a-time oracles
+    seen, dtypes = set(), set()
+    for g in _classifier_grids():
+        n, fam = len(g), g.family()
+        x, z = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)  # every ordered pair
+        got = classify_relation(fam, x, z)
+        mats = g.matrices()
+        for t, (a, b) in enumerate(zip(x.tolist(), z.tolist())):
+            assert got[t] is _classify_by_triple_products(mats[a], mats[b])
+            assert got[t] is _relation_by_definition(mats[a], mats[b])
+        seen.update(got)
+        dtypes.add((fam.den > 1, fam.im is not None, fam.re.dtype == object))
     assert seen == set(GridRelation)
+    assert {(True, False, False), (True, True, False), (True, False, True)} <= dtypes
+
+
+def test_classify_relation_of_no_pairs():
+    fam = hermitian_grid(3).family()
+    assert classify_relation(fam, [], []) == []
+    assert classify_relation(fam, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)) == []
+
+
+@pytest.mark.parametrize("g", [rectangular_grid(2, 3), hermitian_grid(4), spin_grid(3, True),
+                               build_hnk(4, 2).as_grid(), _corrupted_grids()["hermitian"]],
+                         ids=lambda g: g.describe())
+def test_one_classify_relation_call_per_verify_grid(monkeypatch, g):
+    calls = []
+    monkeypatch.setattr(grids, "classify_relation", lambda fam, xs, zs: calls.append(len(xs)) or
+                        classify_relation(fam, xs, zs))
+    verify_grid(g)
+    assert calls == [len(g) * (len(g) - 1) // 2]
 
 
 class TestFailureReports:
@@ -571,6 +612,9 @@ TRANSFORM_ERRORS = [
      "product fails: e_12 . e_21 != delta e_11"),
     (hermitian_to_matrix_units, lambda: _scaled(hermitian_grid(4), (1, 3), EX_I),
      "product fails: e_12 . e_23 != delta e_13"),
+    # v = 2 e_11 + e_33 + e_44 + e_55 is not a partial isometry
+    (hermitian_to_matrix_units, lambda: _replace(hermitian_grid(5), (2, 2), E(5, 5, 0, 0)),
+     "isotope unit v = sum u_ii: matrix fails the partial isometry identity v v* v = v"),
     (symplectic_to_matrix_units, lambda: _replace(symplectic_grid(5), (1, 2), E(5, 5, 0, 0)),
      "diagonal unit e_11 is ambiguous at pair (3,4)"),
     (symplectic_to_matrix_units, lambda: _replace(symplectic_grid(5), (1, 2), E(5, 5, 0, 1)),
@@ -897,8 +941,12 @@ class TestNamedTable:
                 assert check["status"] == "fail"
             else:
                 assert check == named[check["name"]]
-        # the table, then the instances whose want differs, on their own
-        assert [k.get("sym") for k in calls].count(True) == 2
+        # the relations' c = 1 pass, and a c = 2 pass where some pair fails
+        # c = 1; the table; then the instances whose want differs, on their
+        # own.  2 while the relations were classified pair by pair
+        second = case in ("clean-hermitian", "clean-spin", "hermitian", "spin", "hermitian-m6",
+                          "rank1")
+        assert [k.get("sym") for k in calls].count(True) == (4 if second else 3)
 
 
 def _unit_table_oracle(units, vmat):
@@ -913,18 +961,25 @@ def _unit_table_oracle(units, vmat):
     return involution, product
 
 
+def _unit_dict(fam):
+    """The units of a ``MatrixUnitFamily`` keyed by (i, j), in loop order."""
+    m = fam.size
+    return {(i, j): fam.unit(i, j) for i in range(1, m + 1) for j in range(1, m + 1)}
+
+
 def _unit_cases():
     herm = hermitian_to_matrix_units(hermitian_grid(3))
     sympl = symplectic_to_matrix_units(symplectic_grid(5))
-    out = {"hermitian-3": (herm.units, herm.v), "symplectic-5": (sympl.units, sympl.v)}
-    units = dict(herm.units)
+    herm_units, sympl_units = _unit_dict(herm), _unit_dict(sympl)
+    out = {"hermitian-3": (herm_units, herm.v), "symplectic-5": (sympl_units, sympl.v)}
+    units = dict(herm_units)
     units[(1, 2)] = units[(1, 2)].scale(EX_I)
     out["hermitian-3-e12-times-i"] = (units, herm.v)
-    units = dict(sympl.units)
+    units = dict(sympl_units)
     units[(2, 3)], units[(3, 2)] = units[(3, 2)], units[(2, 3)]
     out["symplectic-5-e23-e32-swapped"] = (units, sympl.v)
-    out["hermitian-3-v-halved"] = (herm.units, herm.v.scale(EX_HALF))
-    units = dict(herm.units)
+    out["hermitian-3-v-halved"] = (herm_units, herm.v.scale(EX_HALF))
+    units = dict(herm_units)
     units[(3, 3)] = units[(3, 3)] + units[(1, 3)]
     out["hermitian-3-e33-plus-e13"] = (units, herm.v)
     return out
@@ -968,7 +1023,10 @@ def _hermitian_units_oracle(g):
     vmat = None
     for i in range(1, m + 1):
         vmat = g.matrix((i, i)) if vmat is None else vmat + g.matrix((i, i))
-    PartialIsometry(vmat)  # the isotope unit must be a partial isometry
+    try:  # the isotope unit must be a partial isometry
+        PartialIsometry(vmat)
+    except ValueError as exc:
+        raise TransformError(f"isotope unit v = sum u_ii: {exc}") from exc
     pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
     # one family: the grid elements, then v
     at = {idx: x for x, idx in enumerate(g.indices)}
@@ -1003,7 +1061,7 @@ def _hermitian_units_oracle(g):
     if bad.size:
         i, j = off[bad[0]]
         raise TransformError(f"u_{i}{i}.u_{i}{j} != u_{i}{j}.u_{j}{j}")
-    return grids.MatrixUnitFamily(m, units, vmat)
+    return grids.MatrixUnitFamily(m, ExactFamily([units[p] for p in sorted(units)]), vmat)
 
 
 def _symplectic_units_oracle(g):
@@ -1096,18 +1154,17 @@ def _symplectic_units_oracle(g):
         for k in range(1, m + 1):
             if k not in (i, j) and not outside[(t, k)]:
                 raise TransformError(f"u_{i}{j} not orthogonal to e_{k}{k}")
-    return grids.MatrixUnitFamily(m, units, vmat)
+    return grids.MatrixUnitFamily(m, ExactFamily([units[p] for p in sorted(units)]), vmat)
 
 
 def _transform_outcome(transform, g):
-    """The units in key order and v, or the message of the first error: a
-    TransformError, or the ValueError of an isotope unit v that is not a
-    partial isometry."""
+    """The units in loop order and v, or the message of the first
+    TransformError."""
     try:
         fam = transform(g)
-    except (TransformError, ValueError) as exc:
+    except TransformError as exc:
         return str(exc)
-    return fam.size, list(fam.units.items()), fam.v
+    return fam.size, list(_unit_dict(fam).items()), fam.v
 
 
 TRANSFORMS = {"hermitian": (hermitian_grid, hermitian_to_matrix_units, _hermitian_units_oracle),
@@ -1391,7 +1448,11 @@ class TestExpectedPairs:
             monkeypatch.setattr(ExactFamily, method, lambda self, *a, _m=method, _o=orig, **k:
                                 calls.append(_m) or _o(self, *a, **k))
         assert verify_grid(g).passed
+        # the relations: orthogonality, then c = 1, and c = 2 on the pairs
+        # where one governs the other (hermitian and odd spin grids); then
         # the table; a hermitian grid's skipped chain and cycle patterns
         # have a want that is not the table's, so they are evaluated on
-        # their own
-        assert calls == ["equal"] * (2 if g.kind == "hermitian" else 1)
+        # their own.  ["equal"] (two for hermitian) while the relations were
+        # classified pair by pair
+        governing = g.kind == "hermitian" or g.kind == "spin" and g.params["odd"]
+        assert calls == ["vanish"] * 2 + ["equal"] * (2 + governing + (g.kind == "hermitian"))

@@ -243,7 +243,7 @@ class TestBuildHnk:
         assert sp.realization() is real
         grid = sp.as_grid()
         for i in range(1, sp.n + 1):
-            assert grid.element(i) is real.elements[i - 1]
+            assert grid.matrix(i) is real.elements[i - 1].mat
             assert real.matrix(i) is sp.basis[i - 1]
 
     def test_realization_keeps_indices_and_words(self):

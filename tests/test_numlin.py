@@ -1225,37 +1225,40 @@ def _braces(a, b, c):
 
 
 def _relation_by_definition(v, w):
-    """The grid relation with 2{w,w,v} and 2{v,v,w} formed as separate
-    products and one sum each."""
-    if v.mat == w.mat:
+    """The grid relation of the matrices v and w with 2{w,w,v} and 2{v,v,w}
+    formed as separate products and one sum each."""
+    if v == w:
         return GridRelation.EQUAL
-    if (v.mat.adjoint() * w.mat).is_zero() and (v.mat * w.mat.adjoint()).is_zero():
+    if (v.adjoint() * w).is_zero() and (v * w.adjoint()).is_zero():
         return GridRelation.ORTHOGONAL
-    wwv = w.mat * w.mat.adjoint() * v.mat + v.mat * w.mat.adjoint() * w.mat
-    vvw = v.mat * v.mat.adjoint() * w.mat + w.mat * v.mat.adjoint() * v.mat
-    two_v, two_w = v.mat.scale(2), w.mat.scale(2)
-    if wwv == v.mat and vvw == w.mat:
+    wwv = w * w.adjoint() * v + v * w.adjoint() * w
+    vvw = v * v.adjoint() * w + w * v.adjoint() * v
+    two_v, two_w = v.scale(2), w.scale(2)
+    if wwv == v and vvw == w:
         return GridRelation.COLINEAR
-    if wwv == v.mat and vvw == two_w:
+    if wwv == v and vvw == two_w:
         return GridRelation.GOVERNS_FIRST_OVER_SECOND
-    if vvw == w.mat and wwv == two_v:
+    if vvw == w and wwv == two_v:
         return GridRelation.GOVERNS_SECOND_OVER_FIRST
     return GridRelation.UNCLASSIFIED
 
 
 def test_triple_products_and_relations_on_grid_pairs():
     """Every ordered pair of the clean and corrupted grids of test_grids:
-    the kernel's triple products and Peirce sums against their definitions."""
+    the kernel's triple products and the batched relations against their
+    definitions."""
     seen = set()
     for g in _grids_with_pairs():
-        for v in g.isometries():
-            for w in g.isometries():
-                a, b = v.mat, w.mat
+        mats, n = g.matrices(), len(g)
+        got = iter(classify_relation(g.family(), np.repeat(np.arange(n), n),
+                                     np.tile(np.arange(n), n)))
+        for a in mats:
+            for b in mats:
                 # the a-is-b and b-is-c shortcuts, and the general a b* c + c b* a
                 assert triple_product(a, a, b) == _braces(a, a, b)
                 assert triple_product(a, b, b) == _braces(a, b, b)
                 assert triple_product(a, b, a) == _braces(a, b, a)
-                got = classify_relation(v, w)
-                assert got is _relation_by_definition(v, w)
-                seen.add(got)
+                rel = next(got)
+                assert rel is _relation_by_definition(a, b)
+                seen.add(rel)
     assert seen == set(GridRelation)

@@ -9,7 +9,7 @@ from conftest import exact_matrices, random_exact
 from jcgrid.errors import DimensionError
 from jcgrid.grids import hermitian_grid, rectangular_grid
 from jcgrid.hnk import build_hnk
-from jcgrid.numlin import EX_HALF, EX_I, ExactMatrix, exact_rank
+from jcgrid.numlin import EX_HALF, EX_I, ExactFamily, ExactMatrix, exact_rank
 from jcgrid.triple import (GridRelation, PartialIsometry, classify_relation,
                            isotope_involution, isotope_product,
                            ternary_product, triple_product)
@@ -142,33 +142,41 @@ class TestPeirce:
             assert triple_product(a, b, c).is_zero()
 
 
+def relation(v, w):
+    """The relation of the matrices v and w, from a family of the two."""
+    return classify_relation(ExactFamily([v, w]), [0], [1])[0]
+
+
 class TestClassify:
     def test_orthogonal(self):
-        assert classify_relation(iso(E(2, 2, 0, 0)), iso(E(2, 2, 1, 1))) \
-            is GridRelation.ORTHOGONAL
+        assert relation(E(2, 2, 0, 0), E(2, 2, 1, 1)) is GridRelation.ORTHOGONAL
 
     def test_colinear(self):
-        assert classify_relation(iso(E(2, 2, 0, 0)), iso(E(2, 2, 0, 1))) \
-            is GridRelation.COLINEAR
+        assert relation(E(2, 2, 0, 0), E(2, 2, 0, 1)) is GridRelation.COLINEAR
 
     def test_governing_direction(self):
         g = hermitian_grid(2)
-        rel = classify_relation(g.element((1, 2)), g.element((1, 1)))
+        rel = relation(g.matrix((1, 2)), g.matrix((1, 1)))
         assert rel is GridRelation.GOVERNS_FIRST_OVER_SECOND
-        rel = classify_relation(g.element((1, 1)), g.element((1, 2)))
+        rel = relation(g.matrix((1, 1)), g.matrix((1, 2)))
         assert rel is GridRelation.GOVERNS_SECOND_OVER_FIRST
 
     def test_equal_and_unclassified(self):
-        assert classify_relation(iso(E(2, 2, 0, 0)), iso(E(2, 2, 0, 0))) \
-            is GridRelation.EQUAL
-        v = iso(E(2, 2, 0, 0))
-        w = iso(ExactMatrix.from_rows([
-            [Fraction(3, 5), Fraction(4, 5)], [0, 0]]))
-        assert classify_relation(v, w) is GridRelation.UNCLASSIFIED
+        assert relation(E(2, 2, 0, 0), E(2, 2, 0, 0)) is GridRelation.EQUAL
+        w = ExactMatrix.from_rows([[Fraction(3, 5), Fraction(4, 5)], [0, 0]])
+        assert relation(E(2, 2, 0, 0), w) is GridRelation.UNCLASSIFIED
+
+    def test_pairs_in_order(self):
+        # both directions of one pair, each member with itself, and no pair
+        fam = hermitian_grid(2).family()  # u_11, u_12, u_22
+        assert classify_relation(fam, [1, 0, 2, 1], [0, 1, 2, 2]) == [
+            GridRelation.GOVERNS_FIRST_OVER_SECOND, GridRelation.GOVERNS_SECOND_OVER_FIRST,
+            GridRelation.EQUAL, GridRelation.GOVERNS_FIRST_OVER_SECOND]
+        assert classify_relation(fam, [], []) == []
 
     def test_hermitian_offdiagonal_governs_diagonal(self):
         g = hermitian_grid(3)
-        assert classify_relation(g.element((1, 2)), g.element((1, 1))) \
+        assert relation(g.matrix((1, 2)), g.matrix((1, 1))) \
             is GridRelation.GOVERNS_FIRST_OVER_SECOND
 
 
