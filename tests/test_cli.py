@@ -389,6 +389,11 @@ GOLDEN_STDOUT = {
         "2143bf82213dea6203e922ac03c1fcfbf636c35bada5f07dc53b36ca686eecbc",
     ("verify", "split", "--n", "4", "--ks", "3,1"):
         "95a6a506df3669a7ff506ebd8f0f2b8d09ca1554c623d7ebeb6aa5b8b670892e",
+    # recorded while dumps laid out every row of cells, equal or not
+    ("construct", "hnk", "--n", "7", "--k", "4", "--format", "json"):
+        "434fcbe3d16d824c17fb44212f6ba40cfa644ffa8ff39e493e53f061aaf71be4",
+    ("construct", "spin-system", "--k", "8", "--format", "json"):
+        "cd561b05e49f40d22e4a936e422d25a5fe00b1ce9d8b5e4727bcec18424f6036",
 }
 
 
