@@ -153,7 +153,7 @@ def _cmd_construct(args) -> int:
         mats = [real.matrix(i) for i in range(1, real.n + 1)]
         if fmt == "json":
             payload = {"kind": "diag-hnk", "n": n, "ks": [int(t) for t in ks.split(",")],
-                       "elements": [serialize.matrix_to_json(m) for m in mats]}
+                       "elements": serialize.matrices_to_json(mats)}
             print(serialize.dumps(payload))
         else:
             _print_matrices([f"u_{i}" for i in range(1, real.n + 1)], mats, fmt)

@@ -3,13 +3,14 @@
 JSON carries Gaussian rationals as integer strings
 ``{"re": {"num": "...", "den": "..."}, "im": {...}}`` so construct/parse
 round-trips are exact; CSV emits floats only (17 significant digits, each
-complex entry as a re,im pair).  ``matrix_to_json`` gives equal entries of a
-matrix one shared cell dict, so payloads are read-only: mutating a cell
-changes every entry of that value.  ``dumps`` writes the bytes of
+complex entry as a re,im pair).  ``matrices_to_json`` gives equal entries
+over one denominator one shared cell dict and equal rows of all its matrices
+one shared list, so payloads are read-only: mutating a cell or a row changes
+every entry or row of that value.  ``dumps`` writes the bytes of
 ``json.dumps(payload, indent=2, sort_keys=True)`` without the standard
-library's pure-Python indent encoder: each cell object is rendered once per
-indent depth and its text reused, and a row of cells rendered before is
-written as one reference per cell.  Payload keys must be ``str``.
+library's pure-Python indent encoder: each cell object and each row of cells
+is laid out once per indent depth and its text reused.  Payload keys must be
+``str``.
 """
 
 from __future__ import annotations
@@ -60,14 +61,33 @@ class _Cells(dict):
         return cell
 
 
+def matrices_to_json(mats: List[ExactMatrix]) -> List[dict]:
+    """The matrices as JSON data.  Equal entries over one denominator are one
+    shared cell dict, and equal rows of all the matrices are one shared list,
+    keyed on the denominator and the numerator values of the row."""
+    cells: dict = {}
+    rows: dict = {}
+    out = []
+    for m in mats:
+        den = m.den
+        cell = cells.get(den)
+        if cell is None:
+            cell = cells[den] = _Cells(den)
+        entries = []
+        for r, i in zip(m.re.tolist(), m.im.tolist()):
+            key = (den, tuple(r), tuple(i))
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = list(map(cell.__getitem__, zip(r, i)))
+            entries.append(row)
+        out.append({"rows": m.rows, "cols": m.cols, "entries": entries})
+    return out
+
+
 def matrix_to_json(m: ExactMatrix) -> dict:
-    """The matrix as JSON data; equal entries are one shared cell dict."""
-    cell = _Cells(m.den).__getitem__
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [list(map(cell, zip(r, i))) for r, i in zip(m.re.tolist(), m.im.tolist())],
-    }
+    """The matrix as JSON data; equal entries are one shared cell dict and
+    equal rows one shared list, so the result is read-only."""
+    return matrices_to_json([m])[0]
 
 
 def matrix_from_json(d: dict) -> ExactMatrix:
@@ -76,9 +96,17 @@ def matrix_from_json(d: dict) -> ExactMatrix:
 
 
 def matrix_to_csv_lines(m: ExactMatrix) -> List[str]:
-    # a complex128 row viewed as float64 is its re,im pairs in order
-    pairs = m.to_approx().array.view(np.float64).tolist()
-    return [",".join(f"{x:.17g}" for x in row) for row in pairs]
+    # a complex128 row viewed as float64 is its re,im pairs in order; rows of
+    # equal bits are formatted once
+    lines: dict = {}
+    out = []
+    for row in m.to_approx().array.view(np.float64):
+        key = row.tobytes()
+        line = lines.get(key)
+        if line is None:
+            line = lines[key] = ",".join(f"{x:.17g}" for x in row.tolist())
+        out.append(line)
+    return out
 
 
 def matrix_pretty(m: ExactMatrix) -> str:
@@ -90,7 +118,7 @@ def grid_to_json(g: Grid) -> dict:
         "kind": g.kind,
         "params": g.params,
         "labels": [g.label(i) for i in g.indices],
-        "elements": [matrix_to_json(g.matrix(i)) for i in g.indices],
+        "elements": matrices_to_json([g.matrix(i) for i in g.indices]),
     }
 
 
@@ -108,7 +136,7 @@ def hnk_to_json(space: HnkSpace) -> dict:
         "multiplicity": space.multiplicity,
         "rows_indexed_by": [list(c.members) for c in space.row_combs],
         "cols_indexed_by": [list(c.members) for c in space.col_combs],
-        "basis": [matrix_to_json(b) for b in space.basis],
+        "basis": matrices_to_json(space.basis),
     }
 
 
@@ -118,22 +146,25 @@ def hnk_basis_from_json(d: dict) -> List[ExactMatrix]:
 
 def spin_system_to_json(k: int, mats: List[ExactMatrix]) -> dict:
     return {"kind": "spin-system", "k": k,
-            "elements": [matrix_to_json(m) for m in mats]}
+            "elements": matrices_to_json(mats)}
 
 
 def dumps(payload: dict) -> str:
     """The text of ``json.dumps(payload, indent=2, sort_keys=True)``, byte for
     byte, written without the standard library's pure-Python indent encoder.
 
-    Dicts (keys sorted) and lists are laid out here; keys and every scalar or
-    empty container go through ``json``'s own encoders, so strings, floats
+    Dicts (keys sorted) and lists are laid out here; a plain ``int`` or
+    ``str`` is written as ``json`` writes it, and keys, every other scalar and
+    every empty container go through ``json``'s own encoders, so floats
     (``NaN``, ``Infinity``), bools and ``None`` read as they always have.  A
     matrix cell, a dict whose only keys are ``"re"`` and ``"im"``, each a
     ``{"num": str, "den": str}`` dict, is rendered once per object and indent
-    depth, and that text is reused wherever the same object recurs at that
-    depth; a list whose items all are such cells is written from their texts,
-    kept with the separator and indent before them, without a call per cell.
-    Keys must be ``str``: any other key raises ``TypeError``.
+    depth, and a row, a list whose items all are cells, is laid out once per
+    object and depth; that text is reused wherever the same object recurs at
+    that depth.  A new row of cells rendered before is written from their
+    texts, kept with the separator and indent before them, without a call per
+    cell.  The payload must not change while it is written, and keys must be
+    ``str``: any other key raises ``TypeError``.
     """
     out: List[str] = []
     _write(payload, 0, out, {}, {})
@@ -144,8 +175,13 @@ def _write(obj, level: int, out: List[str], texts: dict, items: dict) -> None:
     # Both caches are keyed by (id, level): the payload holds every object it
     # contains for the whole call, so no id is reused while they remember it.
     # ``texts`` maps a dict to its cell text, or to None when it is not a
-    # cell; ``items`` maps a cell to its text after "," and its line's indent.
-    if isinstance(obj, dict) and obj:
+    # cell, and a row of cells to its text; ``items`` maps a cell to its text
+    # after "," and its line's indent.
+    if type(obj) is str:
+        out.append(encode_basestring_ascii(obj))
+    elif type(obj) is int:
+        out.append(repr(obj))
+    elif isinstance(obj, dict) and obj:
         key = (id(obj), level)
         if key not in texts:
             texts[key] = None
@@ -160,20 +196,31 @@ def _write(obj, level: int, out: List[str], texts: dict, items: dict) -> None:
         else:
             out.append(text)
     elif isinstance(obj, (list, tuple)) and obj:
-        try:
-            # a row of cells rendered before at this depth: one reference each
-            row = [items[id(item), level + 1] for item in obj]
-        except KeyError:
+        key = (id(obj), level)
+        text = texts.get(key)
+        if text is not None:
+            # a row of cells laid out before at this depth: written whole
+            out.append(text)
+            return
+        close = "\n" + "  " * level + "]"
+        row = [items.get((id(item), level + 1)) for item in obj]
+        if None in row:
+            start = len(out)
             inner = "\n" + "  " * (level + 1)
             sep = "[" + inner
             for item in obj:
                 out.append(sep)
                 _write(item, level + 1, out, texts, items)
                 sep = "," + inner
+            out.append(close)
+            if all((id(item), level + 1) in items for item in obj):
+                texts[key] = "".join(out[start:])
         else:
+            # cells rendered before at this depth: no call per cell
             row[0] = "[" + row[0][1:]
-            out += row
-        out.append("\n" + "  " * level + "]")
+            row.append(close)
+            texts[key] = text = "".join(row)
+            out.append(text)
     else:
         out.append(json.dumps(obj))
 

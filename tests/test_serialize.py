@@ -1,6 +1,7 @@
 """Lossless JSON round-trips and rendering formats."""
 
 import json
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,9 @@ from jcgrid.hnk import build_hnk, diag_rect
 from jcgrid.numlin import ExactMatrix, ExactScalar
 from jcgrid.serialize import (dumps, grid_from_json, grid_to_json,
                               hnk_basis_from_json, hnk_to_json,
-                              matrix_from_json, matrix_to_csv_lines,
-                              matrix_to_json, scalar_from_json, scalar_to_json)
+                              matrices_to_json, matrix_from_json,
+                              matrix_to_csv_lines, matrix_to_json,
+                              scalar_from_json, scalar_to_json)
 
 
 def test_scalar_roundtrip():
@@ -44,6 +46,43 @@ def test_matrix_equal_cells_are_one_object():
     assert a == {"re": {"num": "1", "den": "2"}, "im": {"num": "-1", "den": "1"}}
     assert matrix_from_json(d) == m
     assert matrix_from_json(json.loads(dumps(d))) == m
+
+
+def test_equal_rows_of_all_matrices_are_one_list():
+    half = ExactScalar(Fraction(1, 2))
+    a = ExactMatrix.from_rows([[half, 0], [0, 1], [half, 0]])
+    b = ExactMatrix.from_rows([[0, 1], [half, 0]])
+    da, db = matrices_to_json([a, b])
+    assert da["entries"][0] is da["entries"][2] is db["entries"][1]
+    assert da["entries"][1] is db["entries"][0]
+    assert da["entries"][0] is not da["entries"][1]
+    assert [matrix_from_json(json.loads(dumps(d))) for d in (da, db)] == [a, b]
+
+
+def test_big_numerator_rows_are_shared_by_value():
+    # numerators beyond 2^62 live in object arrays, whose bytes are pointers:
+    # equal rows of distinct int objects must still be one list
+    big = 2 ** 70 + 1
+    m = ExactMatrix.from_rows([[big, 0], [int(str(big)), 0], [0, ExactScalar(0, big)]])
+    assert m.re.dtype == object
+    d = matrix_to_json(m)
+    assert d["entries"][0] is d["entries"][1]
+    assert d["entries"][2] is not d["entries"][0]
+    assert dumps(d) == json.dumps(d, indent=2, sort_keys=True)
+    assert matrix_from_json(json.loads(dumps(d))) == m
+
+
+def test_equal_numerators_over_other_denominators_keep_their_cells():
+    a = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(-1, 2)]])
+    b = ExactMatrix.from_rows([[Fraction(1, 3), Fraction(-1, 3)]])
+    assert a.re.tolist() == b.re.tolist() and a.den != b.den
+    payload = {"elements": matrices_to_json([a, b])}
+    (ra,), (rb,) = (e["entries"] for e in payload["elements"])
+    assert ra is not rb
+    assert [c["re"]["den"] for c in ra + rb] == ["2", "2", "3", "3"]
+    text = dumps(payload)
+    assert text == json.dumps(payload, indent=2, sort_keys=True)
+    assert [matrix_from_json(e) for e in json.loads(text)["elements"]] == [a, b]
 
 
 def test_grid_roundtrip_reverifies_identically():
@@ -81,6 +120,13 @@ def test_csv_floats_only():
     assert lines == ["0.5,-1,0,0"]
 
 
+def test_csv_formats_equal_rows_once():
+    m = ExactMatrix.from_rows([[Fraction(1, 3), 0], [0, 1], [Fraction(1, 3), 0]])
+    lines = matrix_to_csv_lines(m)
+    assert lines == ["0.33333333333333331,0,0,0", "0,0,1,0", "0.33333333333333331,0,0,0"]
+    assert lines[0] is lines[2]
+
+
 # -- the JSON writer: the bytes of json.dumps(indent=2, sort_keys=True) -------
 
 _scalars = (st.none() | st.booleans() | st.integers()
@@ -113,8 +159,8 @@ _trees = st.recursive(
 
 
 def _with_shared(objs):
-    """Trees whose leaves may be the given dict objects themselves, so that
-    one object recurs at several depths."""
+    """Trees whose leaves may be the given objects themselves, so that one
+    object recurs at several depths."""
     return st.recursive(
         _scalars | st.sampled_from(objs),
         lambda children: (st.lists(children, max_size=5)
@@ -122,8 +168,16 @@ def _with_shared(objs):
         max_leaves=30)
 
 
-# one cell object and one near-miss object, each placed anywhere in the tree
-_shared_trees = st.tuples(_cell, _near_miss_cells).flatmap(_with_shared)
+def _shared_objects(cell, near, cells, ints):
+    # a row of cells holding the shared cell, a list of ints, and a list of
+    # the cell and the near miss, which is not a row of cells
+    return [cell, near, [cell, *cells], ints, [cell, near]]
+
+
+# each shared object placed anywhere in the tree
+_shared_trees = st.builds(
+    _shared_objects, _cell, _near_miss_cells, st.lists(_cell, max_size=3),
+    st.lists(st.integers(), min_size=1, max_size=3)).flatmap(_with_shared)
 
 
 @settings(max_examples=300, deadline=None)
@@ -176,6 +230,60 @@ def test_rows_of_rendered_cells_take_no_call_per_cell(monkeypatch):
     # two rows are written whole; a row holding a list or a scalar is not a
     # row of cells, and [cell] one level deeper renders cell at that depth
     assert sum(obj is cell or obj is other for obj in calls) == 3 + 0 + 0 + 2 + 1
+
+
+def test_a_shared_row_is_laid_out_once_per_depth(monkeypatch):
+    class Row(list):
+        iterations = 0
+
+        def __iter__(self):
+            Row.iterations += 1
+            return super().__iter__()
+
+    one = {"num": "0", "den": "1"}
+    cell = {"re": {"num": "1", "den": "2"}, "im": one}
+    other = {"re": one, "im": one}
+    row = Row([cell, other, cell])
+    # laid out from the texts of cells that row rendered before it
+    twin = Row([other, cell])
+    calls = []
+    orig = serialize._write
+
+    def counted(obj, *args):
+        calls.append(obj)
+        return orig(obj, *args)
+
+    monkeypatch.setattr(serialize, "_write", counted)
+
+    def layouts(payload):
+        want = json.dumps(payload, indent=2, sort_keys=True)
+        calls.clear()
+        Row.iterations = 0
+        assert dumps(payload) == want
+        return (Row.iterations, sum(obj is cell or obj is other for obj in calls),
+                sum(obj is row or obj is twin for obj in calls))
+
+    # the rows at depths 2 and 3, first once each, then recurring at both
+    once = layouts({"a": [row, twin], "b": [[row, twin]]})
+    again = layouts({"a": [row, twin, row, twin, row], "b": [[row, twin, twin], [row]],
+                     "c": [[twin, row]], "d": [twin]})
+    # recurrences neither iterate a row nor write its cells: one call each
+    assert again[:2] == once[:2] and once[0] > 0
+    assert (once[2], again[2]) == (4, 12)
+
+
+class _Small(IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("value", [
+    True, False, _Small.ONE, 2 ** 64, -(2 ** 64) - 1, 3 ** 200, 0, -1,
+    "\u00e9t\u00e9 \u2200x \U0001d400", "tab\tnew\nline\x00\x1f\x7f", "\"\\/", "",
+], ids=repr)
+def test_scalar_fast_path_writes_the_stdlib_bytes(value):
+    payload = {"v": value, "list": [value, [value]], "row": [1, value, "x"]}
+    assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    assert dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_dumps_does_not_use_the_pure_python_encoder(monkeypatch):
