@@ -160,10 +160,11 @@ def dumps(payload: dict) -> str:
     matrix cell, a dict whose only keys are ``"re"`` and ``"im"``, each a
     ``{"num": str, "den": str}`` dict, is rendered once per object and indent
     depth, and a row, a list whose items all are cells, is laid out once per
-    object and depth; that text is reused wherever the same object recurs at
-    that depth.  A new row of cells rendered before is written from their
-    texts, kept with the separator and indent before them, without a call per
-    cell.  The payload must not change while it is written, and keys must be
+    object and depth; wherever the same object recurs at that depth, its
+    text is written whole.  A new row of cells rendered before is written
+    from their texts, kept with the separator and indent before them,
+    without a call per cell.  Like the payload builders' shared cells and
+    rows, the payload is read-only while it is written, and keys must be
     ``str``: any other key raises ``TypeError``.
     """
     out: List[str] = []
@@ -175,8 +176,8 @@ def _write(obj, level: int, out: List[str], texts: dict, items: dict) -> None:
     # Both caches are keyed by (id, level): the payload holds every object it
     # contains for the whole call, so no id is reused while they remember it.
     # ``texts`` maps a dict to its cell text, or to None when it is not a
-    # cell, and a row of cells to its text; ``items`` maps a cell to its text
-    # after "," and its line's indent.
+    # cell, and a row of cells to the pieces of its text; ``items`` maps a
+    # cell to its text after "," and its line's indent.
     if type(obj) is str:
         out.append(encode_basestring_ascii(obj))
     elif type(obj) is int:
@@ -197,10 +198,10 @@ def _write(obj, level: int, out: List[str], texts: dict, items: dict) -> None:
             out.append(text)
     elif isinstance(obj, (list, tuple)) and obj:
         key = (id(obj), level)
-        text = texts.get(key)
-        if text is not None:
+        pieces = texts.get(key)
+        if pieces is not None:
             # a row of cells laid out before at this depth: written whole
-            out.append(text)
+            out += pieces
             return
         close = "\n" + "  " * level + "]"
         row = [items.get((id(item), level + 1)) for item in obj]
@@ -214,13 +215,13 @@ def _write(obj, level: int, out: List[str], texts: dict, items: dict) -> None:
                 sep = "," + inner
             out.append(close)
             if all((id(item), level + 1) in items for item in obj):
-                texts[key] = "".join(out[start:])
+                texts[key] = out[start:]
         else:
             # cells rendered before at this depth: no call per cell
             row[0] = "[" + row[0][1:]
             row.append(close)
-            texts[key] = text = "".join(row)
-            out.append(text)
+            texts[key] = row
+            out += row
     else:
         out.append(json.dumps(obj))
 
