@@ -64,7 +64,8 @@ class _Cells(dict):
 def matrices_to_json(mats: List[ExactMatrix]) -> List[dict]:
     """The matrices as JSON data.  Equal entries over one denominator are one
     shared cell dict, and equal rows of all the matrices are one shared list,
-    keyed on the denominator and the numerator values of the row."""
+    keyed on the denominator and the numerator values of the row, so the
+    result is read-only."""
     cells: dict = {}
     rows: dict = {}
     out = []
@@ -84,29 +85,15 @@ def matrices_to_json(mats: List[ExactMatrix]) -> List[dict]:
     return out
 
 
-def matrix_to_json(m: ExactMatrix) -> dict:
-    """The matrix as JSON data; equal entries are one shared cell dict and
-    equal rows one shared list, so the result is read-only."""
-    return matrices_to_json([m])[0]
-
-
 def matrix_from_json(d: dict) -> ExactMatrix:
     entries = [scalar_from_json(e) for row in d["entries"] for e in row]
     return ExactMatrix(d["rows"], d["cols"], entries)
 
 
 def matrix_to_csv_lines(m: ExactMatrix) -> List[str]:
-    # a complex128 row viewed as float64 is its re,im pairs in order; rows of
-    # equal bits are formatted once
-    lines: dict = {}
-    out = []
-    for row in m.to_approx().array.view(np.float64):
-        key = row.tobytes()
-        line = lines.get(key)
-        if line is None:
-            line = lines[key] = ",".join(f"{x:.17g}" for x in row.tolist())
-        out.append(line)
-    return out
+    # a complex128 row viewed as float64 is its re,im pairs in order
+    pairs = m.to_approx().array.view(np.float64).tolist()
+    return [",".join(f"{x:.17g}" for x in row) for row in pairs]
 
 
 def matrix_pretty(m: ExactMatrix) -> str:
@@ -204,24 +191,33 @@ def _write(obj, level: int, out: List[str], texts: dict, items: dict) -> None:
             out += pieces
             return
         close = "\n" + "  " * level + "]"
-        row = [items.get((id(item), level + 1)) for item in obj]
-        if None in row:
-            start = len(out)
-            inner = "\n" + "  " * (level + 1)
-            sep = "[" + inner
-            for item in obj:
-                out.append(sep)
-                _write(item, level + 1, out, texts, items)
-                sep = "," + inner
-            out.append(close)
-            if all((id(item), level + 1) in items for item in obj):
-                texts[key] = out[start:]
+        sub = level + 1
+        row = []
+        for item in obj:
+            text = items.get((id(item), sub))
+            if text is None:
+                break
+            row.append(text)
         else:
             # cells rendered before at this depth: no call per cell
             row[0] = "[" + row[0][1:]
             row.append(close)
             texts[key] = row
             out += row
+            return
+        start = len(out)
+        inner = "\n" + "  " * sub
+        sep = "[" + inner
+        cells = True
+        for item in obj:
+            out.append(sep)
+            _write(item, sub, out, texts, items)
+            if cells:
+                cells = (id(item), sub) in items
+            sep = "," + inner
+        out.append(close)
+        if cells:
+            texts[key] = out[start:]
     else:
         out.append(json.dumps(obj))
 

@@ -18,7 +18,7 @@ from jcgrid.numlin import (_BLAS_MIN_SIZE, EX_HALF, EX_I, EX_ZERO, ApproxMatrix,
                            operator_norm, scaled_members, singular_values,
                            trace_norm)
 from jcgrid.numlin import _product_sum, _scaled_coefficients
-from jcgrid.serialize import matrix_to_csv_lines, matrix_to_json
+from jcgrid.serialize import matrices_to_json, matrix_to_csv_lines
 from jcgrid.triple import GridRelation, classify_relation, ternary_product, triple_product
 
 E = ExactMatrix.unit
@@ -417,7 +417,7 @@ class TestRepresentation:
             assert own == m and hash(own) == hash(m) and own.entries == m.entries
             assert (own.den, own.re.tolist(), own.im.tolist()) == \
                 (m.den, m.re.tolist(), m.im.tolist())
-            assert matrix_to_json(own) == matrix_to_json(m)
+            assert matrices_to_json([own]) == matrices_to_json([m])
             assert matrix_to_csv_lines(own) == matrix_to_csv_lines(m)
 
 
