@@ -26,7 +26,7 @@ import numpy as np
 
 from . import grids, hnk, numlin, opspace, serialize
 from .errors import CapacityError, DimensionError, TransformError
-from .numlin import _INT64_LIMIT, ExactMatrix, operator_norm
+from .numlin import operator_norm
 from .report import VerificationReport
 
 EXIT_PASS = 0
@@ -279,29 +279,12 @@ def _verify_split(args) -> VerificationReport:
     return rep
 
 
-def _conjugated_unit(left: ExactMatrix, right: ExactMatrix) -> tuple:
-    """left * E_ij * right for every 0-based matrix unit E_ij of the inner
-    size m, in loop order of (i, j), as an (m^2, rows, cols) (re, im, den)
-    stack (im None when both are real): the outer products of the columns
-    of left and the rows of right, formed on the numerators."""
-    lr, li, rr, ri = left.re.T, left.im.T, right.re, right.im
-    if 2 * left._bound() * right._bound() >= _INT64_LIMIT:
-        lr, li, rr, ri = (v.astype(object) for v in (lr, li, rr, ri))
-
-    def outer(a, b):
-        return (a[:, None, :, None] * b[None, :, None, :]).reshape(-1, left.rows, right.cols)
-
-    re, im = outer(lr, rr), None
-    if left._mags()[1] or right._mags()[1]:
-        re, im = re - outer(li, ri), outer(lr, ri) + outer(li, rr)
-    return re, im, left.den * right.den
-
-
-def _units_are(fam: grids.MatrixUnitFamily, left: ExactMatrix, right: ExactMatrix) -> bool:
-    """Whether each unit e_ij is left * E_ij * right: one stacked comparison."""
-    m = fam.size
-    both = numlin.ExactFamily(_stacks=[fam.family.part(), _conjugated_unit(left, right)])
-    return all(p is None or np.array_equal(p[:m * m], p[m * m:]) for p in (both.re, both.im))
+def _units_are(fam: grids.MatrixUnitFamily, units: tuple) -> bool:
+    """Whether the units e_ij are, in order, the members of the (re, im, den)
+    stack ``units``: one stacked comparison."""
+    n = fam.size ** 2
+    both = numlin.ExactFamily(_stacks=[fam.family.part(), units])
+    return bool(both.same(slice(n), slice(n, None)).all())
 
 
 def _verify_matrix_units(args) -> VerificationReport:
@@ -318,9 +301,11 @@ def _verify_matrix_units(args) -> VerificationReport:
     to_units = (grids.hermitian_to_matrix_units if kind == "hermitian"
                 else grids.symplectic_to_matrix_units)
     g = build(m)
-    one = ExactMatrix.identity(m)
+    # E_ij at member (i - 1) m + j - 1; naturality conjugates this stack
+    canonical = numlin.ExactFamily(_stacks=[(np.eye(m * m, dtype=np.int64).reshape(-1, m, m),
+                                             None, 1)])
     try:
-        rep.add("canonical_units_recovered", _units_are(to_units(g), one, one))
+        rep.add("canonical_units_recovered", _units_are(to_units(g), canonical.part()))
     except (TransformError, DimensionError) as exc:  # failures carry the identity name
         rep.add("transform", False, detail=str(exc))
         return rep
@@ -331,7 +316,8 @@ def _verify_matrix_units(args) -> VerificationReport:
         left = grids.random_signed_permutation(size, rng)
         right = grids.random_signed_permutation(size, rng)
         try:
-            natural = _units_are(to_units(grids.conjugate_grid(g, left, right)), left, right)
+            natural = _units_are(to_units(grids.conjugate_grid(g, left, right)),
+                                 canonical.conjugate(left, right))
         except (TransformError, DimensionError) as exc:  # a broken conjugation
             natural, error = False, error or str(exc)
         bad += not natural

@@ -27,10 +27,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, TransformError
-from .numlin import (_CHUNK_CELLS, _INT64_LIMIT, EX_HALF, EX_I, EX_MINUS_ONE, EX_ZERO,
-                     ExactFamily, ExactMatrix, ExactScalar, _cmatmul, exact_rank,
-                     scaled_members)
+from .errors import CapacityError, TransformError
+from .numlin import (_CHUNK_CELLS, EX_HALF, EX_I, EX_MINUS_ONE, EX_ZERO, ExactFamily,
+                     ExactMatrix, ExactScalar, exact_rank, scaled_members)
 from .report import VerificationReport
 from .triple import (PartialIsometry, _relations_of_halves, _unit_table, classify_relation,
                      isotope_involution, isotope_product)
@@ -234,21 +233,12 @@ def spin_grid(r: int, odd: bool) -> Grid:
 def conjugate_grid(g: Grid, left: ExactMatrix, right: ExactMatrix) -> Grid:
     """The grid {left * u * right}; for exact unitaries this is again a grid.
 
-    The products are formed for the whole stack of elements at once, and on
-    Python ints where ``_product_sum``'s bound for either product could
-    reach 2^62: 4 rows cols max|left| max|u| max|right| for the pair.
+    The products are formed for the whole stack of elements at once
+    (``ExactFamily.conjugate``).
     """
     if not len(g):
         return Grid(g.kind, g.params, [])
-    fam = g.family()
-    if (left.cols, right.rows) != fam.shape:
-        raise DimensionError("conjugate_grid needs left.cols x right.rows elements")
-    big = 4 * left.cols * right.rows * left._bound() * fam.mag * right._bound() >= _INT64_LIMIT
-    lr, li, rr, ri = (None if p is None else p.astype(object) if big else p for p in (
-        left.re, left.im if left._mags()[1] else None,
-        right.re, right.im if right._mags()[1] else None))
-    out = _cmatmul(_cmatmul((lr, li), fam.part()[:2]), (rr, ri))
-    out = ExactFamily(_stacks=[(*out, left.den * fam.den * right.den)])
+    out = ExactFamily(_stacks=[g.family().conjugate(left, right)])
     return Grid(g.kind, g.params, list(zip(g.indices, out.members())), _family=out)
 
 
@@ -756,26 +746,6 @@ def spin_to_spin_system(g: Grid):
     return v, [x for _, x in system]
 
 
-def _sums(fam: ExactFamily, kidx, kcoef) -> tuple:
-    """(re, im): the numerators over ``fam.den`` of sum_k kcoef[t, k] times
-    member kidx[t, k], per row t (im None for a real family), on Python
-    ints where a sum could reach 2^62."""
-    kidx, kcoef = np.asarray(kidx, dtype=np.intp), np.asarray(kcoef, dtype=np.int64)
-    big = int(np.abs(kcoef).sum(axis=1).max()) * fam.mag >= _INT64_LIMIT
-
-    def total(part):
-        return (kcoef[:, :, None, None] * (part.astype(object) if big else part)[kidx]).sum(axis=1)
-
-    return total(fam.re), None if fam.im is None else total(fam.im)
-
-
-def _sum_is_member(fam: ExactFamily, kidx, kcoef, target) -> np.ndarray:
-    """Per row t, whether sum_k kcoef[t, k] member kidx[t, k] is member target[t]."""
-    re, im = _sums(fam, kidx, kcoef)
-    same = (re == fam.re[target]).all(axis=(1, 2))
-    return same if im is None else same & (im == fam.im[target]).all(axis=(1, 2))
-
-
 def _pair_keys(g: Grid, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The position of u_ij for i <= j, and of u_ji for i > j, in a grid
     indexed by pairs."""
@@ -801,17 +771,21 @@ def hermitian_to_matrix_units(g: Grid) -> MatrixUnitFamily:
     key = _pair_keys(g, i, j)
     diag, ends = key[(i - 1) * (m + 1)], key[(j - 1) * (m + 1)]  # u_ii and u_jj
     grid = g.family()
-    vsum = _sums(grid, [key[::m + 1]], [np.ones(m)])
     # the grid elements, then v; the isotope unit v must be a partial isometry
-    fam = ExactFamily(_stacks=[grid.part(), (*vsum, grid.den)])
+    fam = ExactFamily(_stacks=[grid.part(), grid.sums([key[::m + 1]], [np.ones(m)])])
     try:
         PartialIsometry.check_family(fam, np.array([n]))
     except ValueError as exc:
         raise TransformError(f"isotope unit v = sum u_ii: {exc}") from exc
     units = ExactFamily(_stacks=[(*fam.ternary(diag, np.full(m * m, n), key), fam.den ** 3)])
-    # one family: the units in pair order, v, then the grid elements
-    fam = ExactFamily(_stacks=[units.part(), fam.part(np.r_[n, :n])])
     t, v = np.arange(m * m), m * m
+    # one family: the units in pair order, v, the grid elements, the sum of
+    # the diagonal units at s, then e_ij + e_ji (e_ii alone) per unit
+    fam = ExactFamily(_stacks=[units.part(), fam.part(np.r_[n, :n]),
+                               units.sums([t[i == j]], [np.ones(m)]),
+                               units.sums(np.column_stack([t, (j - 1) * m + i - 1]),
+                                          np.column_stack([np.ones(m * m), i != j]))])
+    s = v + 1 + n
     keys = list(zip(i.tolist(), j.tolist()))
     involution, product = _unit_table(fam, keys)
     bad = np.flatnonzero(~involution | ~product.all(axis=1))
@@ -821,12 +795,9 @@ def hermitian_to_matrix_units(g: Grid) -> MatrixUnitFamily:
             raise TransformError(f"involution fails: e_{i0}{j0}^# != e_{j0}{i0}")
         k, l = keys[int(np.argmin(product[bad[0]]))]
         raise TransformError(f"product fails: e_{i0}{j0} . e_{k}{l} != delta e_{i0}{l}")
-    if not _sum_is_member(fam, [t[i == j]], [np.ones(m)], [v])[0]:
+    if not fam.same([v], [s])[0]:
         raise TransformError("sum of diagonal units is not the isotope unit")
-    # e_ij + e_ji, and e_ii alone
-    recovered = _sum_is_member(fam, np.column_stack([t, (j - 1) * m + i - 1]),
-                               np.column_stack([np.ones(m * m), i != j]), v + 1 + key)
-    bad = np.flatnonzero(~recovered)
+    bad = np.flatnonzero(~fam.same(v + 1 + key, s + 1 + t))
     if bad.size:
         i0, j0 = keys[bad[0]]
         raise TransformError(f"recovery fails: u_{i0}{j0} != e_{i0}{j0} + e_{j0}{i0}")
@@ -863,8 +834,8 @@ def symplectic_to_matrix_units(g: Grid) -> MatrixUnitFamily:
     at[i, j] = t
     # u_ij = -u_ji for i > j
     grid = g.family()
-    signed = ExactFamily(_stacks=[(*_sums(grid, _pair_keys(g, i, j)[:, None],
-                                          np.where(i < j, 1, -1)[:, None]), grid.den)])
+    signed = ExactFamily(_stacks=[grid.sums(_pair_keys(g, i, j)[:, None],
+                                            np.where(i < j, 1, -1)[:, None])])
     # the first admissible pair (j, m) defines e_ii; every other must agree
     a, b, c = _loops((m, m, m), lambda a, b, c: (a != b) & (a != c) & (b != c))
     first = np.unique(a, return_index=True)[1]
@@ -898,13 +869,14 @@ def symplectic_to_matrix_units(g: Grid) -> MatrixUnitFamily:
     jj = len(t) + j - 1
     units = ExactFamily(_stacks=[fam.part(d), (*left.ternary(t, jj, jj), left.den ** 3)])
     keys = [(k, k) for k in range(1, m + 1)] + list(zip(i.tolist(), j.tolist()))
-    vsum = _sums(units, [np.arange(m)], [np.ones(m)])
-    # one family: the units in key order, v, then u_ij for i != j
-    joined = ExactFamily(_stacks=[units.part(), (*vsum, units.den), signed.part()])
+    # one family: the units in key order, v, u_ij for i != j, then
+    # e_ij - e_ji in the order of the u_ij
+    joined = ExactFamily(_stacks=[units.part(), units.sums([np.arange(m)], [np.ones(m)]),
+                                  signed.part(),
+                                  units.sums(np.column_stack([m + t, m + at[j, i]]),
+                                             np.tile([1, -1], (len(t), 1)))])
     v = len(keys)
-    recovered = _sum_is_member(joined, np.column_stack([m + t, m + at[j, i]]),
-                               np.tile([1, -1], (len(t), 1)), v + 1 + t)
-    bad = np.flatnonzero(~recovered)
+    bad = np.flatnonzero(~joined.same(v + 1 + t, v + 1 + len(t) + t))
     if bad.size:
         i0, j0 = i[bad[0]], j[bad[0]]
         raise TransformError(f"recovery fails: u_{i0}{j0} != e_{i0}{j0} - e_{j0}{i0}")

@@ -22,9 +22,8 @@ import numpy as np
 
 from .errors import CapacityError, DecompositionError, DimensionError
 from .grids import Grid
-from .numlin import (_INT64_LIMIT, EX_HALF, ApproxMatrix, ExactFamily,
-                     ExactMatrix, ExactScalar, _cmatmul, block_diag, scaled_members,
-                     trace_norm)
+from .numlin import (EX_HALF, ApproxMatrix, ExactFamily, ExactMatrix, ExactScalar,
+                     block_diag, scaled_members, trace_norm)
 from .report import VerificationReport
 from .triple import PartialIsometry, triple_product
 
@@ -776,28 +775,10 @@ def hnk_projection(space: HnkSpace, x) -> ApproxMatrix:
 
 
 def hnk_projection_exact(space: HnkSpace, x: ExactMatrix) -> ExactMatrix:
-    """Exact-arithmetic version of the projection, for zero-residual checks.
-
-    On the basis numerators B (n rows of rows * cols entries over one
-    denominator), the traces trace(x U_i*) are the Frobenius inner products
-    conj(B) x, and sum_i c_i U_i is c B: two contractions and one
-    construction.  They run on int64 while their bound
-    4 n rows cols max|x| max|B|^2 stays below 2^62, else on Python ints.
-    """
-    if x.shape != space.shape:
-        raise DimensionError(f"expected shape {space.shape}, got {x.shape}")
-    fam = space.basis_family
-    n, (rows, cols) = len(fam), space.shape
-    parts = fam.re, fam.im, x.re, x.im if x._mags()[1] else None
-    if 4 * n * rows * cols * x._bound() * fam.mag ** 2 >= _INT64_LIMIT:
-        parts = tuple(None if p is None else p.astype(object) for p in parts)
-    br, bi, xr, xi = (None if p is None else p.reshape(shape) for p, shape in
-                      zip(parts, [(n, -1)] * 2 + [(-1, 1)] * 2))
-    cr, ci = _cmatmul((br, None if bi is None else -bi), (xr, xi))
-    re, im = _cmatmul((cr.T, None if ci is None else ci.T), (br, bi))
-    return ExactMatrix(rows, cols, _arrays=(re.reshape(rows, cols),
-                                            None if im is None else im.reshape(rows, cols),
-                                            x.den * fam.den ** 2 * space.multiplicity))
+    """Exact-arithmetic version of the projection, for zero-residual checks:
+    the span sum of the basis over the multiplicity (``ExactFamily.span_sum``),
+    two contractions and one construction."""
+    return space.basis_family.span_sum(x, space.multiplicity)
 
 
 @dataclass(frozen=True)

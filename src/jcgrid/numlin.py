@@ -9,9 +9,12 @@ integer array arithmetic, on int64 while a bound on the result stays below
 sum of two products over one denominator, as one matrix, on one of three
 rungs: float64 on BLAS when every partial sum of a dot is an integer below
 2^53 and the products are large enough to pay for the casts, int64 below
-2^62, Python ints above.  ``ApproxMatrix`` wraps a complex128 array
-and carries the spectral computations (operator norm, trace norm) through
-LAPACK's Hermitian eigensolver on the smaller Gram matrix.
+2^62, Python ints above.  ``ExactFamily`` stacks equally shaped exact
+matrices, and every operation on its numerator stacks is one of its
+methods.  Every overflow bound of the package is taken in this module.
+``ApproxMatrix`` wraps a complex128 array and carries the spectral
+computations (operator norm, trace norm) through LAPACK's Hermitian
+eigensolver on the smaller Gram matrix.
 """
 
 from __future__ import annotations
@@ -237,11 +240,8 @@ class ExactMatrix:
     runs on Python ints (``dtype=object``) when the bound could reach 2^62, so
     no operation can overflow.  Products go through one kernel,
     ``_product_sum``, which forms a product or a sum of products (as in
-    ``triple.triple_product``) as one matrix on one of three rungs: Python
-    ints from that bound up; float64 on BLAS when every real dot has every
-    partial sum below 2^53 (``cols * max|a| * max|b|``) and a product takes
-    at least ``_BLAS_MIN_SIZE`` scalar multiplications, each dot cast back to
-    int64, which is exact; int64 otherwise.  Canonical form makes ``==`` and
+    ``triple.triple_product``) as one matrix on the rung its bound allows:
+    float64 on BLAS, int64 or Python ints.  Canonical form makes ``==`` and
     ``hash`` exact comparisons of (shape, den, re, im).  Real int64 matrices
     of one shape share one read-only zero array as ``im``; a producer that
     knows its result is real passes ``im`` as None.  ``adjoint`` and ``gram``
@@ -621,18 +621,6 @@ def block_row(parts: Sequence[ExactMatrix]) -> ExactMatrix:
     return _assemble(rows, offsets[-1], [(0, c0, p) for c0, p in zip(offsets, parts)])
 
 
-def block_col(parts: Sequence[ExactMatrix]) -> ExactMatrix:
-    """Vertical concatenation."""
-    parts = list(parts)
-    if not parts:
-        raise DimensionError("block_col of no blocks")
-    cols = parts[0].cols
-    if any(p.cols != cols for p in parts):
-        raise DimensionError("block_col requires equal column counts")
-    offsets = np.cumsum([0] + [p.rows for p in parts]).tolist()
-    return _assemble(offsets[-1], cols, [(r0, 0, p) for r0, p in zip(offsets, parts)])
-
-
 def block_diag(parts: Sequence[ExactMatrix]) -> ExactMatrix:
     parts = list(parts)
     if not parts:
@@ -727,17 +715,21 @@ class ExactFamily:
     matrices as one-member stacks.  ``equal`` compares a b* c, or the triple
     product {a,b,c} = (a b* c + c b* a)/2, with a rational combination of
     members for arrays of index triples; ``vanish`` tests a b* or a* b for zero;
-    ``ternary`` and ``matrices`` return a b* c.  Triples are sorted by their
-    first, then middle index and evaluated in chunks of at most
-    ``_CHUNK_CELLS`` cells per operand; a chunk forms each of its distinct
-    products a b* (and b* a) once where that is the smaller square.
+    ``ternary`` and ``matrices`` return a b* c.  ``same`` and ``nonzero``
+    test members; ``sums`` and ``conjugate`` form sums of members and
+    left u right as stacks to join, ``span_sum`` the matrix
+    sum_i trace(x U_i*) U_i / q.  Triples are sorted by their first, then
+    middle index and evaluated in chunks of at most ``_CHUNK_CELLS`` cells
+    per operand; a chunk forms each of its distinct products a b* (and
+    b* a) once where that is the smaller square.
 
     Every evaluation first bounds each product and partial sum it can form
     from the largest numerator ``mag``: a b* c sums 2·rows·cols terms of at
     most 2·mag^3, so |a b* c| <= 4·rows·cols·mag^3 and the triple product
     doubles that.  Below 2^53 the evaluation runs in float64 on BLAS, where
     every such integer is exact in any summation order; otherwise on Python
-    ints (dtype=object).
+    ints (dtype=object).  ``sums``, ``conjugate`` and ``span_sum`` bound
+    their results likewise, on int64 below 2^62.
     """
 
     def __init__(self, mats: Sequence[ExactMatrix] = (), *, _stacks=None):
@@ -776,6 +768,66 @@ class ExactFamily:
     def members(self) -> list:
         """Every member as an ``ExactMatrix``."""
         return [self.member(k) for k in range(len(self))]
+
+    def same(self, xs, zs) -> np.ndarray:
+        """For each t, whether members xs[t] and zs[t] are equal."""
+        same = (self.re[xs] == self.re[zs]).all(axis=(1, 2))
+        if self.im is not None:
+            same &= (self.im[xs] == self.im[zs]).all(axis=(1, 2))
+        return same
+
+    def nonzero(self, idx) -> np.ndarray:
+        """For each t, whether member idx[t] is nonzero."""
+        nonzero = self.re[idx].any(axis=(1, 2))
+        if self.im is not None:
+            nonzero |= self.im[idx].any(axis=(1, 2))
+        return nonzero
+
+    def sums(self, kidx, kcoef) -> tuple:
+        """sum_k kcoef[t, k] member kidx[t, k] per row t, as a (re, im, den)
+        stack to join; on Python ints where sum_k |kcoef[t, k]| mag could
+        reach 2^62."""
+        kidx, kcoef = np.asarray(kidx, dtype=np.intp), np.asarray(kcoef, dtype=np.int64)
+        big = int(np.abs(kcoef).sum(axis=1).max()) * self.mag >= _INT64_LIMIT
+
+        def total(part):
+            part = part.astype(object) if big else part
+            return (kcoef[:, :, None, None] * part[kidx]).sum(axis=1)
+
+        return total(self.re), None if self.im is None else total(self.im), self.den
+
+    def conjugate(self, left: ExactMatrix, right: ExactMatrix) -> tuple:
+        """left u right for every member u, as a (re, im, den) stack to join:
+        two batched products, on Python ints where their bound 4 rows cols
+        max|left| mag max|right| could reach 2^62."""
+        rows, cols = self.shape
+        if (left.cols, right.rows) != self.shape:
+            raise DimensionError("conjugation needs left.cols x right.rows members")
+        big = 4 * rows * cols * left._bound() * self.mag * right._bound() >= _INT64_LIMIT
+        lr, li, rr, ri = (None if p is None else p.astype(object) if big else p for p in (
+            left.re, left.im if left._mags()[1] else None,
+            right.re, right.im if right._mags()[1] else None))
+        out = _cmatmul(_cmatmul((lr, li), (self.re, self.im)), (rr, ri))
+        return (*out, left.den * self.den * right.den)
+
+    def span_sum(self, x: ExactMatrix, q: int) -> ExactMatrix:
+        """sum_i trace(x U_i*) U_i / q over the members U_i.  On the
+        numerators B (a row per member), the traces are conj(B) x and the
+        sum c B: two contractions and one construction, on Python ints where
+        their bound 4 N rows cols max|x| mag^2 could reach 2^62."""
+        if x.shape != self.shape:
+            raise DimensionError(f"expected shape {self.shape}, got {x.shape}")
+        n, (rows, cols) = len(self), self.shape
+        parts = self.re, self.im, x.re, x.im if x._mags()[1] else None
+        if 4 * n * rows * cols * x._bound() * self.mag ** 2 >= _INT64_LIMIT:
+            parts = tuple(None if p is None else p.astype(object) for p in parts)
+        br, bi, xr, xi = (None if p is None else p.reshape(shape) for p, shape in
+                          zip(parts, [(n, -1)] * 2 + [(-1, 1)] * 2))
+        cr, ci = _cmatmul((br, None if bi is None else -bi), (xr, xi))
+        re, im = _cmatmul((cr.T, None if ci is None else ci.T), (br, bi))
+        return ExactMatrix(rows, cols, _arrays=(re.reshape(rows, cols),
+                                                None if im is None else im.reshape(rows, cols),
+                                                x.den * self.den ** 2 * q))
 
     def _stack(self, bound: int):
         """The numerators as float64 when ``bound`` < 2^53, else as Python ints."""

@@ -44,11 +44,7 @@ class BasisMap:
 
 @dataclass(frozen=True)
 class AmplifiedElement:
-    """A block_rows x block_cols array of coefficient vectors over a basis.
-
-    ``level`` reports max(block_rows, block_cols); square amplifications have
-    block_rows == block_cols, block rows/columns cover the witnesses.
-    """
+    """A block_rows x block_cols array of coefficient vectors over a basis."""
 
     block_rows: int
     block_cols: int
@@ -59,14 +55,6 @@ class AmplifiedElement:
             raise DimensionError("coefficient grid has wrong number of block rows")
         if any(len(r) != self.block_cols for r in self.coeffs):
             raise DimensionError("coefficient grid has ragged block rows")
-
-    @property
-    def level(self) -> int:
-        return max(self.block_rows, self.block_cols)
-
-    @classmethod
-    def square(cls, m: int, coeffs) -> "AmplifiedElement":
-        return cls(m, m, tuple(tuple(tuple(v) for v in row) for row in coeffs))
 
     def materialize(self, basis: Sequence[ExactMatrix]) -> np.ndarray:
         dim = len(basis)

@@ -52,9 +52,7 @@ class PartialIsometry:
         """Check the members ``idx`` of ``fam`` in one family table: v != 0,
         read off the numerators, and v v* v = v.  The first failure in order
         raises the ``ValueError`` that ``PartialIsometry`` raises for it."""
-        nonzero = fam.re[idx].any(axis=(1, 2))
-        if fam.im is not None:
-            nonzero |= fam.im[idx].any(axis=(1, 2))
+        nonzero = fam.nonzero(idx)
         bad = np.flatnonzero(~nonzero | ~fam.equal(idx, idx, idx, scaled_members(idx)))
         if bad.size:
             raise ValueError(cls.FAILS if nonzero[bad[0]] else cls.ZERO)
@@ -137,9 +135,7 @@ def classify_relation(fam: ExactFamily, xs, zs) -> list:
     run in one batched family table, c = 2 only where c = 1 failed.
     """
     xs, zs = (np.asarray(v, dtype=np.intp) for v in (xs, zs))
-    same = (fam.re[xs] == fam.re[zs]).all(axis=(1, 2))
-    if fam.im is not None:
-        same &= (fam.im[xs] == fam.im[zs]).all(axis=(1, 2))
+    same = fam.same(xs, zs)
     apart = fam.vanish(xs, zs, star_first=True)
     apart[apart] = fam.vanish(xs[apart], zs[apart])
     rest = np.flatnonzero(~same & ~apart)

@@ -695,22 +695,24 @@ COMPLEX_ROTATION = [[ExactScalar(Fraction(3, 5)), ExactScalar(0, Fraction(4, 5))
                     [ExactScalar(0, Fraction(4, 5)), ExactScalar(Fraction(3, 5))]]
 
 
+def _canonical_units(m):
+    """The m x m matrix units E_ij as one family, E_ij at member i m + j."""
+    return numlin.ExactFamily(_stacks=[(np.eye(m * m, dtype=np.int64).reshape(-1, m, m), None, 1)])
+
+
 class TestConjugatedUnit:
     """The naturality check's left * E_ij * right for every unit E_ij, the
-    stack of the outer products of the columns and rows, slice by slice
-    against the dense product."""
+    canonical unit stack conjugated by ``ExactFamily.conjugate``, member by
+    member against the dense product."""
 
     def _check(self, left, right):
         m = left.cols
-        re, im, den = cli._conjugated_unit(left, right)
-        assert re.shape == (m * m, left.rows, right.cols)
+        got = numlin.ExactFamily(_stacks=[_canonical_units(m).conjugate(left, right)])
+        assert (len(got), got.shape) == (m * m, (left.rows, right.cols))
         for i in range(m):
             for j in range(m):
-                k = i * m + j
-                got = ExactMatrix(left.rows, right.cols,
-                                  _arrays=(re[k], None if im is None else im[k], den))
-                assert got == left * E(m, m, i, j) * right
-        return re
+                assert got.member(i * m + j) == left * E(m, m, i, j) * right
+        return got.re
 
     def test_signed_permutations(self):
         rng = random.Random(4)
@@ -738,12 +740,13 @@ class TestConjugatedUnit:
         # every imaginary part of left * E_ij * right
         u = _embedded(5, COMPLEX_ROTATION)
         conj = ExactMatrix(5, 5, [e.conjugate() for e in u.entries])
+        units = _canonical_units(5)
         for kind in ("hermitian", "symplectic"):
             g = getattr(grids, f"{kind}_grid")(5)
             fam = getattr(grids, f"{kind}_to_matrix_units")(grids.conjugate_grid(g, u, u))
-            assert cli._units_are(fam, u, u)
-            assert not cli._units_are(fam, conj, conj)
-            assert not cli._units_are(fam, u, ExactMatrix.identity(5))
+            assert cli._units_are(fam, units.conjugate(u, u))
+            assert not cli._units_are(fam, units.conjugate(conj, conj))
+            assert not cli._units_are(fam, units.conjugate(u, ExactMatrix.identity(5)))
 
     def test_wide_numerators_run_on_python_ints(self):
         big = 1 << 40

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_exact
-from jcgrid import hnk
+from jcgrid import hnk, numlin
 from jcgrid.errors import CapacityError, DecompositionError, DimensionError
 from jcgrid.grids import Grid, verify_grid
 from jcgrid.hnk import (Combination, build_hnk, build_uIJ, combinations,
@@ -763,8 +763,9 @@ class TestExactProjection:
         x = ExactMatrix(rows, cols, _arrays=(re, im, 3))
         assert x._bound() == top and x.den == 3
         dtypes = []
-        orig = hnk._cmatmul
-        monkeypatch.setattr(hnk, "_cmatmul", lambda a, b: dtypes.append(a[0].dtype) or orig(a, b))
+        orig = numlin._cmatmul
+        monkeypatch.setattr(numlin, "_cmatmul",
+                            lambda a, b: dtypes.append(a[0].dtype) or orig(a, b))
         assert hnk_projection_exact(sp, x) == _projection_by_products(sp, x)
         assert dtypes == [np.dtype(object) if above else np.dtype(np.int64)] * 2
 

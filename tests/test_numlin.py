@@ -875,6 +875,24 @@ class TestFamilyGuard:
         with pytest.raises(DimensionError):
             ExactFamily([E(2, 2, 0, 0), E(2, 3, 0, 0)])
 
+    @pytest.mark.parametrize("mag,kcoef,top,dtype", [
+        # sum_k |kcoef| mag = (2^31 + 1)(2^31 - 1), then 2^31 2^31, and an
+        # entry of the sum reaches it
+        (2 ** 31 - 1, [2 ** 31, -1], LIMIT - 1, np.int64),
+        (2 ** 31, [2 ** 30, -2 ** 30], LIMIT, object)], ids=["below", "at"])
+    def test_sums_bound(self, mag, kcoef, top, dtype):
+        re = np.array([[[mag, 1], [-mag, 0]], [[-mag, mag], [1, 2]]], dtype=np.int64)
+        im = np.array([[[0, -mag], [1, 0]], [[mag, 0], [0, -mag]]], dtype=np.int64)
+        fam = ExactFamily(_stacks=[(re, im, 3)])
+        assert (fam.mag, fam.den) == (mag, 3)
+        sr, si, den = fam.sums([[0, 1]], [kcoef])
+        assert sr.dtype == si.dtype == dtype and den == 3
+        assert max(abs(int(x)) for x in sr.ravel()) == top
+        for part, got in ((re, sr), (im, si)):
+            for r, c in itertools.product(range(2), repeat=2):
+                want = sum(Fraction(k * int(x[r, c]), 3) for k, x in zip(kcoef, part))
+                assert Fraction(int(got[0, r, c]), den) == want
+
 
 def combination(rows):
     """The ``want`` of ``ExactFamily.equal`` for one {member position:
@@ -1037,6 +1055,20 @@ class TestFamilyStacks:
         zero = ExactFamily(_stacks=[(np.zeros((2, 1, 1), dtype=np.int64),
                                      np.zeros((2, 1, 1), dtype=np.int64), 7 ** 30)])
         assert (zero.den, zero.mag, zero.im) == (1, 0, None)
+
+    def test_member_tests_and_sums(self):
+        mats = list(STACK_MEMBERS.values()) + [STACK_MEMBERS["halves"]]
+        fam, n = ExactFamily(mats), len(mats)
+        xs, zs = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        assert fam.same(xs, zs).tolist() == [mats[x] == mats[z] for x, z in zip(xs, zs)]
+        assert fam.nonzero(np.arange(n)).tolist() == [not m.is_zero() for m in mats]
+        real = ExactFamily(mats[:3])
+        assert real.im is None and real.same([0, 1], [1, 1]).tolist() == [False, True]
+        kidx = [[0, 1, 2], [3, 3, 3], [4, 5, 1]]
+        kcoef = [[2, -1, 0], [1, 1, -3], [-1, 7, 2]]
+        got = ExactFamily(_stacks=[fam.sums(kidx, kcoef)]).members()
+        assert got == [sum((mats[k].scale(c) for k, c in zip(ks, cs)), ExactMatrix.zeros(2, 2))
+                       for ks, cs in zip(kidx, kcoef)]
 
     @settings(max_examples=25, deadline=None)
     @given(_stacks())
