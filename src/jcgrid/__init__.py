@@ -17,13 +17,12 @@ from .hnk import (Combination, HnkSpace, RankOneRealization, SignedUnit,
                   indices, peirce_split, signature_general, signature_one,
                   support_product, trace_formula_check, verify_uIJ_grid)
 from .numlin import (ApproxMatrix, ExactMatrix, ExactScalar, block_diag,
-                     block_grid, block_row, operator_norm, trace_norm)
-from .opspace import (AmplifiedElement, BasisMap, cb_separation_report,
-                      col_witness, level_norm, row_witness)
+                     operator_norm, trace_norm)
+from .opspace import (AmplifiedElement, cb_separation_report, col_witness,
+                      level_norm, row_witness)
 from .report import VerificationReport
 from .triple import (GridRelation, PartialIsometry, classify_relation,
-                     isotope_involution, isotope_product, ternary_product,
-                     triple_product)
+                     isotope_involution, isotope_product, triple_product)
 
 __version__ = "0.1.0"
 

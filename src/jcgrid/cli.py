@@ -174,23 +174,24 @@ def _cmd_construct(args) -> int:
     return EXIT_PASS
 
 
+# the size flags of each grid kind, in the order of its constructor's arguments
+_GRID_FLAGS = {"rectangular": ("p", "q"), "hermitian": ("m",), "symplectic": ("m",),
+               "spin": ("r",), "diag-rect": ("p", "q")}
+
+
+def _grid_sizes(args) -> dict:
+    """The grid kind's size flags by name; a missing one is a usage error."""
+    flags = _GRID_FLAGS[args.kind]
+    return dict(zip(flags, _need(args, *flags)))
+
+
 def _construct_grid_for(args) -> grids.Grid:
-    if args.kind == "rectangular":
-        p, q = _need(args, "p", "q")
-        return grids.rectangular_grid(p, q)
-    if args.kind == "hermitian":
-        (m,) = _need(args, "m")
-        return grids.hermitian_grid(m)
-    if args.kind == "symplectic":
-        (m,) = _need(args, "m")
-        return grids.symplectic_grid(m)
+    sizes = _grid_sizes(args)
     if args.kind == "spin":
-        (r,) = _need(args, "r")
-        return grids.spin_grid(r, args.odd)
-    if args.kind == "diag-rect":
-        p, q = _need(args, "p", "q")
-        return hnk.diag_rect(p, q)
-    raise _UsageError(f"unknown kind {args.kind}")
+        return grids.spin_grid(sizes["r"], args.odd)
+    build = {"rectangular": grids.rectangular_grid, "hermitian": grids.hermitian_grid,
+             "symplectic": grids.symplectic_grid, "diag-rect": hnk.diag_rect}[args.kind]
+    return build(*sizes.values())
 
 
 def _verify_projection(args) -> VerificationReport:
@@ -332,6 +333,8 @@ def _cmd_verify(args) -> int:
     if args.target == "grid":
         if args.kind is None:
             raise _UsageError("--kind is required for the grid target")
+        # an over-cap grid is refused from its size flags, before it is built
+        grids.check_verify_size(grids.grid_size(args.kind, odd=args.odd, **_grid_sizes(args)))
         rep = grids.verify_grid(_construct_grid_for(args))
     elif args.target == "hnk":
         n, k = _need(args, "n", "k")

@@ -138,10 +138,36 @@ def labels_to_indices(kind: str, labels: Sequence[str]) -> list:
 # -- constructors ------------------------------------------------------------
 
 
+def grid_size(kind: str, p: int = 0, q: int = 0, m: int = 0, r: int = 0,
+              odd: bool = False) -> int:
+    """The element count of the canonical ``kind`` grid of these sizes, read
+    off the sizes before any matrix is made: p q (rectangular), m (m + 1) / 2
+    (hermitian), m (m - 1) / 2 (symplectic) or 2 r, plus one when ``odd``
+    (spin).  Sizes the kind's constructor rejects raise its error here."""
+    if kind == "rectangular":
+        if p < 1 or q < 1:
+            raise ValueError("rectangular grid requires p, q >= 1")
+        return p * q
+    if kind == "hermitian":
+        if m < 2:
+            raise ValueError("hermitian grid requires m >= 2")
+        return m * (m + 1) // 2
+    if kind == "symplectic":
+        if m < 4:
+            raise ValueError("symplectic grid requires m >= 4")
+        return m * (m - 1) // 2
+    if kind == "spin":
+        if r < 2:
+            raise ValueError("spin grid requires at least 2 pairs")
+        if 2 * r > SPIN_SYSTEM_CAP:
+            raise CapacityError(f"spin grid supports r <= {SPIN_SYSTEM_CAP // 2}")
+        return 2 * r + odd
+    raise ValueError(f"unknown grid kind {kind!r}")
+
+
 def rectangular_grid(p: int, q: int) -> Grid:
     """The canonical rectangular grid: matrix units E_ij of shape p x q."""
-    if p < 1 or q < 1:
-        raise ValueError("rectangular grid requires p, q >= 1")
+    grid_size("rectangular", p=p, q=q)
     elems = [((i, j), ExactMatrix.unit(p, q, i - 1, j - 1))
              for i in range(1, p + 1) for j in range(1, q + 1)]
     return Grid("rectangular", {"p": p, "q": q}, elems)
@@ -149,8 +175,7 @@ def rectangular_grid(p: int, q: int) -> Grid:
 
 def hermitian_grid(m: int) -> Grid:
     """The canonical hermitian grid in m x m symmetric matrices."""
-    if m < 2:
-        raise ValueError("hermitian grid requires m >= 2")
+    grid_size("hermitian", m=m)
     elems = []
     for i in range(1, m + 1):
         for j in range(i, m + 1):
@@ -164,8 +189,7 @@ def hermitian_grid(m: int) -> Grid:
 
 def symplectic_grid(m: int) -> Grid:
     """The canonical antisymmetric grid, indexed by pairs i < j."""
-    if m < 4:
-        raise ValueError("symplectic grid requires m >= 4")
+    grid_size("symplectic", m=m)
     elems = []
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
@@ -212,10 +236,7 @@ def spin_grid(r: int, odd: bool) -> Grid:
     governing element is i times the r-fold sigma3-chain.  The constructor
     only builds; ``verify_grid`` checks the result.
     """
-    if r < 2:
-        raise ValueError("spin grid requires at least 2 pairs")
-    if 2 * r > SPIN_SYSTEM_CAP:
-        raise CapacityError(f"spin grid supports r <= {SPIN_SYSTEM_CAP // 2}")
+    grid_size("spin", r=r)
     s = spin_system(2 * r)
     elems = []
     for j in range(1, r + 1):
@@ -406,6 +427,14 @@ def _expected_pairs(grid: Grid) -> tuple:
 # -- verification -------------------------------------------------------------
 
 
+def check_verify_size(n: int) -> None:
+    """Refuse a grid of n elements, more than ``GRID_VERIFY_CAP``, with
+    ``CapacityError``."""
+    if n > GRID_VERIFY_CAP:
+        raise CapacityError(f"grid verification is capped at {GRID_VERIFY_CAP} elements, "
+                            f"got {n}")
+
+
 def verify_grid(grid: Grid) -> VerificationReport:
     """Check pairwise-relation, minimality and triple-product identities of
     a grid, exactly.
@@ -429,9 +458,7 @@ def verify_grid(grid: Grid) -> VerificationReport:
     each check listing its first failures in loop order.
     """
     n = len(grid)
-    if n > GRID_VERIFY_CAP:
-        raise CapacityError(f"grid verification is capped at {GRID_VERIFY_CAP} elements, "
-                            f"got {n}")
+    check_verify_size(n)
     rep = VerificationReport(subject=grid.describe())
     if n == 0:
         rep.flag("empty_grid", "vacuously true")
@@ -777,7 +804,7 @@ def hermitian_to_matrix_units(g: Grid) -> MatrixUnitFamily:
         PartialIsometry.check_family(fam, np.array([n]))
     except ValueError as exc:
         raise TransformError(f"isotope unit v = sum u_ii: {exc}") from exc
-    units = ExactFamily(_stacks=[(*fam.ternary(diag, np.full(m * m, n), key), fam.den ** 3)])
+    units = ExactFamily(_stacks=[fam.ternary(diag, np.full(m * m, n), key)])
     t, v = np.arange(m * m), m * m
     # one family: the units in pair order, v, the grid elements, the sum of
     # the diagonal units at s, then e_ij + e_ji (e_ii alone) per unit
@@ -841,7 +868,7 @@ def symplectic_to_matrix_units(g: Grid) -> MatrixUnitFamily:
     first = np.unique(a, return_index=True)[1]
     diag = signed.ternary(at[a, b][first], at[b, c][first], at[a, c][first])
     # one family: u_ab for a != b, then e_11 .. e_mm
-    fam = ExactFamily(_stacks=[signed.part(), (*diag, signed.den ** 3)])
+    fam = ExactFamily(_stacks=[signed.part(), diag])
     e = len(t) - 1  # e + i is the position of e_ii
     d = e + np.arange(1, m + 1)
     fail = np.flatnonzero(~fam.equal(at[a, b], at[b, c], at[a, c], scaled_members(e + a)))
@@ -865,9 +892,9 @@ def symplectic_to_matrix_units(g: Grid) -> MatrixUnitFamily:
         k = j[row * (m - 1) + col - 1]
         raise TransformError(f"e_{row + 1}{row + 1} not orthogonal to e_{k}{k}")
     # e_ii e_ii* u_ij, then e_11 .. e_mm; e_ij is the first times e_jj* e_jj
-    left = ExactFamily(_stacks=[(*fam.ternary(ei, ei, t), fam.den ** 3), fam.part(d)])
+    left = ExactFamily(_stacks=[fam.ternary(ei, ei, t), fam.part(d)])
     jj = len(t) + j - 1
-    units = ExactFamily(_stacks=[fam.part(d), (*left.ternary(t, jj, jj), left.den ** 3)])
+    units = ExactFamily(_stacks=[fam.part(d), left.ternary(t, jj, jj)])
     keys = [(k, k) for k in range(1, m + 1)] + list(zip(i.tolist(), j.tolist()))
     # one family: the units in key order, v, u_ij for i != j, then
     # e_ij - e_ji in the order of the u_ij

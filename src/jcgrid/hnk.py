@@ -358,9 +358,6 @@ class OnesFactor:
     def c(self) -> int:
         return self.unit.c
 
-    def sets(self) -> Tuple[Combination, int, Combination]:
-        return (self.unit.colI, self.unit.c, self.unit.rowJ)
-
     def matrix(self, real: RankOneRealization) -> ExactMatrix:
         """(uu*)_I u_c (u*u)_J, starred if marked: the (I, J) word of the
         realization, since I and J are disjoint with complement {c}."""
@@ -626,7 +623,7 @@ def ones_triple_coherence(real: RankOneRealization) -> Tuple[int, int]:
         return 0, 0
     # with lhs = -rhs and sl = -sr, lhs sl = rhs sr follows
     words = ExactFamily([fam[key][0] for key in keys])
-    (lr, li), (rr, ri) = (words.ternary(*np.array(side).T) for side in (lhs, rhs))
+    (lr, li, _), (rr, ri, _) = (words.ternary(*np.array(side).T) for side in (lhs, rhs))
     coherent = (lr == -rr).all(axis=(1, 2)) & np.array(signs_ok)
     if li is not None:
         coherent &= (li == -ri).all(axis=(1, 2))

@@ -11,10 +11,11 @@ rungs: float64 on BLAS when every partial sum of a dot is an integer below
 2^53 and the products are large enough to pay for the casts, int64 below
 2^62, Python ints above.  ``ExactFamily`` stacks equally shaped exact
 matrices, and every operation on its numerator stacks is one of its
-methods.  Every overflow bound of the package is taken in this module.
-``ApproxMatrix`` wraps a complex128 array and carries the spectral
-computations (operator norm, trace norm) through LAPACK's Hermitian
-eigensolver on the smaller Gram matrix.
+methods; ``part``, ``ternary``, ``sums`` and ``conjugate`` return
+(re, im, den) stacks to join.  Every overflow bound of the package is taken
+in this module.  ``ApproxMatrix`` wraps a complex128 array and carries the
+spectral computations (operator norm, trace norm) through LAPACK's
+Hermitian eigensolver on the smaller Gram matrix.
 """
 
 from __future__ import annotations
@@ -394,9 +395,6 @@ class ExactMatrix:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def __matmul__(self, other):
-        return self.__mul__(other)
-
     def scale(self, c) -> "ExactMatrix":
         """c * self for a Gaussian rational c = (cr + i ci) / q."""
         cr, ci, q = _scalar_parts(ExactScalar.coerce(c))
@@ -609,18 +607,6 @@ def _assemble(rows: int, cols: int, placed) -> ExactMatrix:
     return ExactMatrix(rows, cols, _arrays=(re, im, den))
 
 
-def block_row(parts: Sequence[ExactMatrix]) -> ExactMatrix:
-    """Horizontal concatenation [p_1 p_2 ... p_m]."""
-    parts = list(parts)
-    if not parts:
-        raise DimensionError("block_row of no blocks")
-    rows = parts[0].rows
-    if any(p.rows != rows for p in parts):
-        raise DimensionError("block_row requires equal row counts")
-    offsets = np.cumsum([0] + [p.cols for p in parts]).tolist()
-    return _assemble(rows, offsets[-1], [(0, c0, p) for c0, p in zip(offsets, parts)])
-
-
 def block_diag(parts: Sequence[ExactMatrix]) -> ExactMatrix:
     parts = list(parts)
     if not parts:
@@ -628,23 +614,6 @@ def block_diag(parts: Sequence[ExactMatrix]) -> ExactMatrix:
     roffs = np.cumsum([0] + [p.rows for p in parts]).tolist()
     coffs = np.cumsum([0] + [p.cols for p in parts]).tolist()
     return _assemble(roffs[-1], coffs[-1], list(zip(roffs, coffs, parts)))
-
-
-def block_grid(blocks: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
-    """Assemble an array of equally shaped blocks into one matrix."""
-    if not blocks or not blocks[0]:
-        raise DimensionError("block_grid of no blocks")
-    br, bc = blocks[0][0].rows, blocks[0][0].cols
-    ncols = len(blocks[0])
-    for row in blocks:
-        if len(row) != ncols:
-            raise DimensionError("ragged block grid")
-        for blk in row:
-            if blk.rows != br or blk.cols != bc:
-                raise DimensionError("block_grid requires equally shaped blocks")
-    return _assemble(len(blocks) * br, ncols * bc,
-                     [(i * br, j * bc, blk) for i, row in enumerate(blocks)
-                      for j, blk in enumerate(row)])
 
 
 # -- batched family tables ------------------------------------------------------
@@ -714,14 +683,13 @@ class ExactFamily:
     over den^3 or a ``part`` of a family; ``ExactFamily(mats)`` joins the
     matrices as one-member stacks.  ``equal`` compares a b* c, or the triple
     product {a,b,c} = (a b* c + c b* a)/2, with a rational combination of
-    members for arrays of index triples; ``vanish`` tests a b* or a* b for zero;
-    ``ternary`` and ``matrices`` return a b* c.  ``same`` and ``nonzero``
-    test members; ``sums`` and ``conjugate`` form sums of members and
-    left u right as stacks to join, ``span_sum`` the matrix
-    sum_i trace(x U_i*) U_i / q.  Triples are sorted by their first, then
-    middle index and evaluated in chunks of at most ``_CHUNK_CELLS`` cells
-    per operand; a chunk forms each of its distinct products a b* (and
-    b* a) once where that is the smaller square.
+    members for arrays of index triples; ``vanish`` tests a b* or a* b for
+    zero.  ``same`` and ``nonzero`` test members; ``ternary``, ``sums`` and
+    ``conjugate`` form a b* c, sums of members and left u right as stacks to
+    join, ``span_sum`` the matrix sum_i trace(x U_i*) U_i / q.  Triples are
+    sorted by their first, then middle index and evaluated in chunks of at
+    most ``_CHUNK_CELLS`` cells per operand; a chunk forms each of its
+    distinct products a b* (and b* a) once where that is the smaller square.
 
     Every evaluation first bounds each product and partial sum it can form
     from the largest numerator ``mag``: a b* c sums 2·rows·cols terms of at
@@ -923,9 +891,9 @@ class ExactFamily:
         return out
 
     def ternary(self, ia, ib, ic, sym: bool = False) -> tuple:
-        """(re, im): the integer numerators over den^3 of a b* c (with
-        ``sym``, of a b* c + c b* a) for every triple, as (T, rows, cols)
-        arrays held whole; im is None for a real family."""
+        """a b* c (with ``sym``, a b* c + c b* a) for every triple, as a
+        (re, im, den^3) stack to join: (T, rows, cols) numerator arrays held
+        whole; im is None for a real family."""
         ia, ib, ic = (np.asarray(x, dtype=np.intp) for x in (ia, ib, ic))
         fam = self._stack(self._ternary_bound(sym))
         exact = np.int64 if fam[0].dtype == np.float64 else _OBJECT
@@ -935,11 +903,7 @@ class ExactFamily:
             re[rows] = pr
             if im is not None:
                 im[rows] = pi
-        return re, im
-
-    def matrices(self, ia, ib, ic) -> list:
-        """a b* c for every triple, as ``ExactMatrix`` values."""
-        return ExactFamily(_stacks=[(*self.ternary(ia, ib, ic), self.den ** 3)]).members()
+        return re, im, self.den ** 3
 
 
 class ApproxMatrix:
@@ -955,16 +919,9 @@ class ApproxMatrix:
         arr.setflags(write=False)
         self.array = arr
 
-    @property
-    def rows(self) -> int:
-        return self.array.shape[-2]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[-1]
-
     def __repr__(self):
-        return f"ApproxMatrix({self.rows}x{self.cols})"
+        rows, cols = self.array.shape[-2:]
+        return f"ApproxMatrix({rows}x{cols})"
 
 
 def _as_array(a) -> np.ndarray:
@@ -1051,15 +1008,3 @@ def exact_rank(vectors: Iterable[Sequence[ExactScalar]]) -> int:
         rank += 1
         col += 1
     return rank
-
-
-def exact_linearly_independent(mats: Sequence[ExactMatrix]) -> bool:
-    """Independence via the exact Gram matrix of the trace inner product."""
-    n = len(mats)
-    if n == 0:
-        return True
-    gram = []
-    adj = [m.adjoint() for m in mats]
-    for i in range(n):
-        gram.append([(mats[i] * adj[j]).trace() for j in range(n)])
-    return exact_rank(gram) == n

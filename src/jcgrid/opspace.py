@@ -1,11 +1,10 @@
-"""Level-m norms, coefficient-transport maps, and the witnesses separating
-the signed-combination spaces from the row and column spaces.
+"""Level-m norms and the witnesses separating the signed-combination spaces
+from the row and column spaces.
 
-A ``BasisMap`` transports coefficients between two exact bases; an
-``AmplifiedElement`` is a block array of coefficient vectors.  The ratio of
-the materialized norms before and after transport is a certified lower bound
-on the cb-norm of the transport map (witness direction only; no upper bounds
-are ever claimed).
+An ``AmplifiedElement`` is a block array of coefficient vectors over a basis.
+The ratio of its materialized norms over two bases is a certified lower bound
+on the cb-norm of the coefficient transport between them (witness direction
+only; no upper bounds are ever claimed).
 """
 
 from __future__ import annotations
@@ -18,28 +17,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .hnk import HnkSpace, build_hnk
-from .numlin import (ExactMatrix, ExactScalar, exact_linearly_independent,
-                     operator_norm)
-
-
-@dataclass(frozen=True)
-class BasisMap:
-    """Coefficient transport between two equally sized exact bases."""
-
-    domain: Tuple[ExactMatrix, ...]
-    codomain: Tuple[ExactMatrix, ...]
-
-    def __post_init__(self):
-        if len(self.domain) != len(self.codomain):
-            raise DimensionError("domain and codomain bases must have equal length")
-        if not exact_linearly_independent(list(self.domain)):
-            raise ValueError("domain basis is linearly dependent")
-        if not exact_linearly_independent(list(self.codomain)):
-            raise ValueError("codomain basis is linearly dependent")
-
-    @classmethod
-    def identity(cls, basis: Sequence[ExactMatrix]) -> "BasisMap":
-        return cls(tuple(basis), tuple(basis))
+from .numlin import ExactMatrix, ExactScalar, operator_norm
 
 
 @dataclass(frozen=True)

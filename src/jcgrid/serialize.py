@@ -28,14 +28,6 @@ from .hnk import HnkSpace
 from .numlin import ExactMatrix, ExactScalar
 
 
-def scalar_to_json(s: ExactScalar) -> dict:
-    re, im = Fraction(s.re), Fraction(s.im)
-    return {
-        "re": {"num": str(re.numerator), "den": str(re.denominator)},
-        "im": {"num": str(im.numerator), "den": str(im.denominator)},
-    }
-
-
 def scalar_from_json(d: dict) -> ExactScalar:
     return ExactScalar(
         Fraction(int(d["re"]["num"]), int(d["re"]["den"])),

@@ -30,7 +30,7 @@ class PartialIsometry:
     Its support projections are the Gram products kept on the matrix:
     v v* = ``v.gram()`` is formed by the validation and v* v =
     ``v.adjoint().gram()`` on first use, so every caller, and every
-    ``ternary_product`` with a repeated operand, reads the same two objects.
+    ``triple_product`` with a repeated operand, reads the same two objects.
     A ``Grid`` keeps matrices, not this wrapper: it checks them all at once
     with ``check_family``.
     """
@@ -85,17 +85,6 @@ def _check_triple_shapes(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> None
     # a b* c and c b* a both exist exactly when the three shapes agree
     if not a.shape == b.shape == c.shape:
         raise DimensionError("triple product needs a, b and c of one shape")
-
-
-def ternary_product(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatrix:
-    """a b* c, exact; a repeated operand reads its kept Gram product."""
-    if a.cols != b.cols or b.rows != c.rows:
-        raise DimensionError("a b* c is not defined for these shapes")
-    if a is b:
-        return a.gram() * c
-    if b is c:
-        return a * c.adjoint().gram()
-    return a * b.adjoint() * c
 
 
 def triple_product(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatrix:

@@ -394,6 +394,14 @@ GOLDEN_STDOUT = {
         "434fcbe3d16d824c17fb44212f6ba40cfa644ffa8ff39e493e53f061aaf71be4",
     ("construct", "spin-system", "--k", "8", "--format", "json"):
         "cd561b05e49f40d22e4a936e422d25a5fe00b1ce9d8b5e4727bcec18424f6036",
+    # recorded while ExactFamily.ternary returned its numerators without
+    # their denominator, joined by hand in the transforms
+    ("verify", "matrix-units", "--kind", "hermitian", "--m", "5", "--conjugations", "3",
+     "--seed", "7", "--format", "json"):
+        "95327031a772a9f7e54ab59f52b44bfc28d1ff03fc7c6ed33e5791a1c6bdefe1",
+    ("verify", "matrix-units", "--kind", "symplectic", "--m", "5", "--conjugations", "3",
+     "--seed", "7", "--format", "json"):
+        "71883aab7760a9d37f5d971f6462f3aec8049a73f2cfe16f126df862c495809a",
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from jcgrid import cli, grids
 from jcgrid.errors import CapacityError, DimensionError, TransformError
-from jcgrid.grids import (GRID_VERIFY_CAP, Grid, conjugate_grid, hermitian_grid,
+from jcgrid.grids import (GRID_VERIFY_CAP, Grid, conjugate_grid, grid_size, hermitian_grid,
                           hermitian_to_matrix_units, random_signed_permutation,
                           rectangular_grid, spin_grid, spin_system,
                           spin_to_spin_system, symplectic_grid,
@@ -17,9 +17,9 @@ from jcgrid.hnk import build_hnk
 from jcgrid.numlin import (EX_HALF, EX_I, ExactFamily, ExactMatrix, block_diag, exact_rank,
                            scaled_members)
 from jcgrid.triple import (GridRelation, PartialIsometry, classify_relation,
-                           isotope_product, ternary_product, triple_product)
+                           isotope_product, triple_product)
 from test_cli import COMPLEX_ROTATION, ROTATION, _embedded
-from test_numlin import _relation_by_definition
+from test_numlin import _relation_by_definition, as_rows, ref_ternary
 
 E = ExactMatrix.unit
 
@@ -230,8 +230,8 @@ class TestSymplectic:
         mats = g.matrices()
         for a in mats:
             for b in mats:
-                got = ternary_product(a, b, a)
-                assert got == (a if a == b else ExactMatrix.zeros(5, 5))
+                want = a if a == b else ExactMatrix.zeros(5, 5)
+                assert ref_ternary(a, b, a) == as_rows(want)
 
     def test_verify_canonical(self):
         for m in (4, 5, 6):
@@ -648,7 +648,7 @@ def _model_coefficients(g, xs, ys, zs):
     entry (i, j) of a product is the coefficient of u_ij; the read-off is
     checked by rebuilding every product from it."""
     fam = ExactFamily(g.matrices())
-    twice, _ = fam.ternary(xs, ys, zs, sym=True)
+    twice, _, _ = fam.ternary(xs, ys, zs, sym=True)
     rows, cols = (np.array(g.indices) - 1).T
     coeffs = twice[:, rows, cols]
     assert (np.tensordot(coeffs, fam.re, axes=(1, 0)) == twice).all()
@@ -783,6 +783,39 @@ class TestVerifyCap:
         assert cli.main(argv) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("capacity: ")
+
+    @pytest.mark.parametrize("kind,size,count", [
+        ("hermitian", ["--m", "13"], 91), ("hermitian", ["--m", "999"], 499500),
+        ("symplectic", ["--m", "400"], 79800),
+        ("rectangular", ["--p", "300", "--q", "300"], 90000)])
+    def test_above_cap_is_refused_before_building(self, monkeypatch, capsys, kind, size, count):
+        def build(*args):
+            raise AssertionError(f"the {kind} grid was built")
+
+        monkeypatch.setattr(grids, f"{kind}_grid", build)
+        assert cli.main(["verify", "grid", "--kind", kind, *size]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"capacity: grid verification is capped at "
+                                     f"{GRID_VERIFY_CAP} elements, got {count}\n")
+
+    def test_grid_size_counts_the_elements(self):
+        for kind, sizes, build in [
+                ("rectangular", {"p": 2, "q": 5}, lambda: rectangular_grid(2, 5)),
+                ("hermitian", {"m": 4}, lambda: hermitian_grid(4)),
+                ("symplectic", {"m": 5}, lambda: symplectic_grid(5)),
+                ("spin", {"r": 3}, lambda: spin_grid(3, False)),
+                ("spin", {"r": 3, "odd": True}, lambda: spin_grid(3, True))]:
+            assert grid_size(kind, **sizes) == len(build())
+
+    @pytest.mark.parametrize("kind,size,code,err", [
+        ("hermitian", ["--m", "1"], 2, "usage error: hermitian grid requires m >= 2"),
+        ("symplectic", ["--m", "-40"], 2, "usage error: symplectic grid requires m >= 4"),
+        ("rectangular", ["--p", "-300", "--q", "-300"], 2,
+         "usage error: rectangular grid requires p, q >= 1"),
+        ("spin", ["--r", "40", "--odd"], 3, "capacity: spin grid supports r <= 6")])
+    def test_constructor_errors_come_first(self, capsys, kind, size, code, err):
+        assert cli.main(["verify", "grid", "--kind", kind, *size]) == code
+        assert capsys.readouterr().err.splitlines()[0] == err
 
 
 def _distinct_quads(m):
@@ -1032,8 +1065,9 @@ def _hermitian_units_oracle(g):
     at = {idx: x for x, idx in enumerate(g.indices)}
     fam = ExactFamily(g.matrices() + [vmat])
     v = len(g)
-    units = dict(zip(pairs, fam.matrices([at[(i, i)] for i, _ in pairs], [v] * len(pairs),
-                                         [at[key(i, j)] for i, j in pairs])))
+    units = ExactFamily(_stacks=[fam.ternary([at[(i, i)] for i, _ in pairs], [v] * len(pairs),
+                                             [at[key(i, j)] for i, j in pairs])])
+    units = dict(zip(pairs, units.members()))
     involution, product = _unit_table_of(units, vmat)
     bad = np.flatnonzero(~involution | ~product.all(axis=1))
     if bad.size:
@@ -1090,9 +1124,9 @@ def _symplectic_units_oracle(g):
     first = {}
     for i, j, mm in admissible:
         first.setdefault(i, (j, mm))
-    diag = ExactFamily(signed).matrices([at[(i, j)] for i, (j, _) in first.items()],
-                                        [at[jm] for jm in first.values()],
-                                        [at[(i, mm)] for i, (_, mm) in first.items()])
+    diag = ExactFamily(_stacks=[ExactFamily(signed).ternary(
+        [at[(i, j)] for i, (j, _) in first.items()], [at[jm] for jm in first.values()],
+        [at[(i, mm)] for i, (_, mm) in first.items()])]).members()
     # one family: u_ab for a != b, then e_11 .. e_mm
     fam = ExactFamily(signed + diag)
     e = len(signed) - 1  # e + i is the position of e_ii
@@ -1118,9 +1152,10 @@ def _symplectic_units_oracle(g):
             if i != j and not apart[at[(i, j)]]:
                 raise TransformError(f"e_{i}{i} not orthogonal to e_{j}{j}")
     units = {(i, i): d for i, d in enumerate(diag, start=1)}
-    left = fam.matrices(ei, ei, range(len(off)))  # e_ii e_ii* u_ij
-    right = ExactFamily(left + diag).matrices(range(len(off)), [len(off) + j - 1 for _, j in off],
-                                              [len(off) + j - 1 for _, j in off])
+    left = ExactFamily(_stacks=[fam.ternary(ei, ei, range(len(off)))])  # e_ii e_ii* u_ij
+    jj = [len(off) + j - 1 for _, j in off]
+    right = ExactFamily(_stacks=[ExactFamily(left.members() + diag).ternary(
+        range(len(off)), jj, jj)]).members()
     units.update(zip(off, right))
     vmat = None
     for i in range(1, m + 1):

@@ -1,16 +1,14 @@
-"""Level norms, coefficient transport, and the separation witnesses."""
+"""Level norms and the separation witnesses."""
 
 import math
 
+import numpy as np
 import pytest
 
 from jcgrid.hnk import build_hnk
 from jcgrid.numlin import ExactMatrix, ExactScalar
-from jcgrid.opspace import (AmplifiedElement, BasisMap, cb_separation_report,
-                            col_witness, level_norm, row_space_basis,
-                            row_witness, support_sum_identities)
-
-E = ExactMatrix.unit
+from jcgrid.opspace import (AmplifiedElement, cb_separation_report, col_witness,
+                            level_norm, row_witness, support_sum_identities)
 
 
 def _one_hot(n, i):
@@ -31,6 +29,18 @@ class TestLevelNorm:
                              for c in range(2)) for r in range(2))
         elem = AmplifiedElement(2, 2, coeffs)
         assert level_norm(list(sp.basis), elem) == pytest.approx(1.0, abs=1e-12)
+
+    def test_materialized_witness_matches_published(self):
+        # the published 3x9 witness block row composes (-u_3, u_2, u_1); its
+        # entries are 0 and +-1, so the float block is exact
+        sp = build_hnk(3, 2)
+        minus_u3 = tuple(ExactScalar(-1 if j == 2 else 0) for j in range(3))
+        elem = AmplifiedElement(1, 3, ((minus_u3, _one_hot(3, 1), _one_hot(3, 0)),))
+        want = ExactMatrix.from_rows([
+            [0, -1, 0, 0, 0, -1, 0, 0, 0],
+            [1, 0, 0, 0, 0, 0, 0, 0, 1],
+            [0, 0, 0, 1, 0, 0, 0, -1, 0]])
+        assert np.array_equal(elem.materialize(list(sp.basis)), want.to_approx().array)
 
     def test_block_row_value(self):
         sp = build_hnk(3, 2)
@@ -67,21 +77,6 @@ class TestLevelNorm:
             t = x * x.adjoint()
             gram = t if gram is None else gram + t
         assert row_norm ** 2 == pytest.approx(operator_norm(gram), abs=1e-9)
-
-
-class TestBasisMap:
-    def test_transport_to_row_space(self):
-        sp = build_hnk(3, 2)
-        m = BasisMap(tuple(sp.basis), tuple(row_space_basis(3)))
-        assert level_norm(list(m.domain), row_witness(sp)) \
-            == pytest.approx(math.sqrt(2.0), abs=1e-10)
-        assert level_norm(list(m.codomain), row_witness(sp)) \
-            == pytest.approx(math.sqrt(3.0), abs=1e-10)
-
-    def test_dependent_basis_rejected(self):
-        with pytest.raises(ValueError):
-            BasisMap((E(1, 2, 0, 0), E(1, 2, 0, 0)),
-                     (E(1, 2, 0, 0), E(1, 2, 0, 1)))
 
 
 class TestWitnesses:

@@ -1,9 +1,16 @@
 """Static checks on the package source."""
 
 import ast
+import inspect
+import json
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
+
+from conftest import cli_env
 
 SOURCES = sorted(p for p in (Path(__file__).resolve().parents[1] / "src" / "jcgrid").glob("*.py")
                  if p.name != "__init__.py")
@@ -69,3 +76,154 @@ def test_guard_read_is_found():
     assert _guard_reads(source) == [(1, "_INT64_LIMIT"), (1, "_cmatmul"), (3, "_INT64_LIMIT"),
                                     (3, "_bound"), (3, "mag"), (4, "_FLOAT_EXACT"),
                                     (4, "_mags"), (5, "_mag")]
+
+
+# -- every function reached by a command or a criterion ------------------------------
+
+_CONSTRUCT_SIZES = {"hnk": "--n 3 --k 2", "rectangular": "--p 2 --q 3", "hermitian": "--m 3",
+                    "symplectic": "--m 4", "spin": "--r 2 --odd", "spin-system": "--k 3",
+                    "diag-hnk": "--n 3 --ks 2,1", "diag-rect": "--p 2 --q 2"}
+_VERIFY_SIZES = ["grid --kind rectangular --p 2 --q 3", "grid --kind hermitian --m 3",
+                 "grid --kind symplectic --m 4", "grid --kind spin --r 2 --odd",
+                 # the smallest H(n,k) whose products run on the float64 rung
+                 "hnk --n 6 --k 3", "uij-grid --n 3 --k 2",
+                 "projection --n 3 --k 2 --samples 5", "trace --n 3 --k 2",
+                 "split --n 3 --ks 2,1", "split --p 2 --q 2",
+                 "matrix-units --kind hermitian --m 3 --conjugations 2",
+                 "matrix-units --kind symplectic --m 5 --conjugations 2"]
+# (argv, exit code): every subcommand, --format and grid or construct kind at
+# small sizes, then a usage error and a capacity error
+REACH_COMMANDS = (
+    [(f"construct {kind} {sizes} --format {fmt}".split(), 0)
+     for kind, sizes in _CONSTRUCT_SIZES.items() for fmt in ("json", "csv", "pretty")]
+    + [(f"verify {target} --format {fmt}".split(), 0)
+       for target in _VERIFY_SIZES for fmt in ("text", "json")]
+    + [("witness --n 3 --k 2".split(), 0), ("verify grid --m 3".split(), 2),
+       ("verify grid --kind hermitian --m 13".split(), 3)])
+
+# Run in a fresh interpreter, so that what the package calls while it is
+# imported counts: the commands in-process, then the acceptance criteria's
+# library entry points that no command reaches.  Prints the exit codes and
+# the (file, first line, qualified name) of every code object entered.
+_TRACE = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+entered = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+
+sys.setprofile(profile)
+from jcgrid import cli, grids
+with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+    grids.spin_to_spin_system(grids.spin_grid(2, True))
+    grids.hermitian_to_matrix_units(grids.hermitian_grid(3)).unit(1, 2)
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "entered": [[c.co_filename, c.co_firstlineno, c.co_qualname]
+                                              for c in entered]}))
+"""
+
+ORACLE = "a test oracle"
+DUNDER = "a dunder of a value type"
+PERFBENCH = "read by perfbench"
+READER = "a JSON round-trip reader"
+ERROR_PATH = "an error path no command reaches"
+# module.qualname -> why no command or criterion needs to reach it
+UNREACHED_ALLOWED = {
+    "grids.Grid.__repr__": DUNDER,
+    "grids.labels_to_indices": READER,
+    "hnk.Combination.__str__": DUNDER,
+    "hnk.RankOneRealization.__repr__": DUNDER,
+    "numlin.ExactScalar.__add__": ORACLE,
+    "numlin.ExactScalar.__rsub__": DUNDER,
+    "numlin.ExactScalar.conjugate": ORACLE,
+    "numlin.ExactScalar.__hash__": DUNDER,
+    "numlin.ExactScalar.__repr__": DUNDER,
+    "numlin.ExactMatrix.entry": ORACLE,
+    "numlin.ExactMatrix.nnz": ORACLE,
+    "numlin.ExactMatrix.support": PERFBENCH,
+    "numlin.ExactMatrix.__neg__": DUNDER,
+    "numlin.ExactMatrix.__rmul__": DUNDER,
+    "numlin.ExactMatrix.__hash__": DUNDER,
+    "numlin.ExactMatrix.__repr__": DUNDER,
+    "numlin.ApproxMatrix.__repr__": DUNDER,
+    "report.VerificationReport.failures": ERROR_PATH,
+    "serialize.scalar_from_json": READER,
+    "serialize.matrix_from_json": PERFBENCH,
+    "serialize.grid_from_json": READER,
+    "serialize.hnk_basis_from_json": PERFBENCH,
+    "triple.PartialIsometry.__eq__": DUNDER,
+    "triple.PartialIsometry.__hash__": DUNDER,
+    "triple.PartialIsometry.__repr__": DUNDER,
+}
+
+
+def _functions(source: str, module: str) -> dict:
+    """(first line, qualified name) -> "module.qualname" for every function
+    and method a module defines, nested ones included; class bodies,
+    lambdas and comprehensions are parts of their functions."""
+    found = {}
+
+    def walk(code):
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                if const.co_flags & inspect.CO_NEWLOCALS and not const.co_name.startswith("<"):
+                    found[const.co_firstlineno, const.co_qualname] = f"{module}.{const.co_qualname}"
+                walk(const)
+
+    walk(compile(source, module, "exec"))
+    return found
+
+
+def _unreached(sources: dict, entered: set) -> list:
+    """The functions of ``sources`` (module -> source) that no entered
+    (module, first line, qualified name) names, by "module.qualname"."""
+    return sorted(name for module, source in sources.items()
+                  for (line, qual), name in _functions(source, module).items()
+                  if (module, line, qual) not in entered)
+
+
+def test_unreached_function_is_found():
+    source = """import functools
+
+
+class A:
+    table = [i for i in range(3)]
+
+    def used(self):
+        return lambda: [j for j in ()]
+
+    @functools.cache
+    def unused(self):
+        def inner():
+            pass
+
+
+def top():
+    pass
+"""
+    entered = {("m", 7, "A.used"), ("m", 16, "top")}
+    assert _unreached({"m": source}, entered) == ["m.A.unused", "m.A.unused.<locals>.inner"]
+
+
+def test_every_function_is_reached():
+    argv = json.dumps([a for a, _ in REACH_COMMANDS])
+    res = subprocess.run([sys.executable, "-c", _TRACE, argv], capture_output=True,
+                         text=True, env=cli_env(), check=True, timeout=60)
+    out = json.loads(res.stdout)
+    assert out["codes"] == [code for _, code in REACH_COMMANDS]
+    entered = {(Path(f).stem, line, qual) for f, line, qual in out["entered"]
+               if Path(f).resolve().parent == SOURCES[0].parent}
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    unreached = _unreached(sources, entered)
+    dead = [n for n in unreached if n not in UNREACHED_ALLOWED]
+    assert not dead, "reached by no command or criterion: " + ", ".join(dead)
+    defined = {name for module, source in sources.items()
+               for name in _functions(source, module).values()}
+    stale = [n for n in UNREACHED_ALLOWED if n not in defined or n not in unreached]
+    assert not stale, "allowed but missing or reached: " + ", ".join(stale)
+    assert set(UNREACHED_ALLOWED.values()) <= {ORACLE, DUNDER, PERFBENCH, READER, ERROR_PATH}

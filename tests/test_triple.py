@@ -11,8 +11,8 @@ from jcgrid.grids import hermitian_grid, rectangular_grid
 from jcgrid.hnk import build_hnk
 from jcgrid.numlin import EX_HALF, EX_I, ExactFamily, ExactMatrix, exact_rank
 from jcgrid.triple import (GridRelation, PartialIsometry, classify_relation,
-                           isotope_involution, isotope_product,
-                           ternary_product, triple_product)
+                           isotope_involution, isotope_product, triple_product)
+from test_numlin import ref_ternary
 
 E = ExactMatrix.unit
 
@@ -92,15 +92,10 @@ class TestTripleProduct:
 
 
 class TestTernaryProduct:
-    def test_unit_identities(self):
-        e12 = E(2, 2, 0, 1)
-        assert ternary_product(e12, e12, e12) == e12
-        assert ternary_product(E(2, 2, 0, 0), e12, e12).is_zero()
-
     def test_closure_fails_for_antisymmetric_triple(self):
         sp = build_hnk(3, 2)
         u1, u2, u3 = sp.basis
-        w = ternary_product(u1, u2, u3)
+        w = ExactMatrix.from_rows(ref_ternary(u1, u2, u3))
         assert not span_contains([u1, u2, u3], w)
 
 
