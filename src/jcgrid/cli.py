@@ -24,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import grids, hnk, numlin, opspace, serialize
+from . import grids, hnk, opspace, serialize
 from .errors import CapacityError, DimensionError, TransformError
 from .numlin import operator_norm
 from .report import VerificationReport
@@ -55,45 +55,60 @@ _EXIT_TABLE = (
 )
 
 
-def _parser(argv: List[str]) -> argparse.ArgumentParser:
-    """The parser with all three subcommands registered and only the
-    invoked one's arguments added; the invoked subcommand is the first token
-    of ``argv`` that does not start with "-".  The help width is measured
-    once and passed to every formatter, where argparse would measure it for
-    each one."""
+# subcommand -> its help line in the full parser
+_COMMANDS = {"construct": "build and print a space, grid or spin system",
+             "verify": "run a verification suite",
+             "witness": "block witness norms and cb lower bounds"}
+
+
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """``argv`` parsed by the parser of its subcommand alone when it starts
+    with one.  The full parser, with every subcommand registered, parses the
+    rest: top-level help, a missing or unknown command, options before the
+    command, and arguments the subcommand does not know, which it reports
+    with its own usage line.  The help width is measured once and passed to
+    every formatter, where argparse would measure it for each one."""
     width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
+    command = argv[0] if argv else None
+    if command in _COMMANDS:
+        p = argparse.ArgumentParser(prog=f"jcgrid {command}", formatter_class=formatter)
+        _add_flags(p, command)
+        args, extra = p.parse_known_args(argv[1:])
+        if not extra:
+            args.command = command
+            return args
     p = argparse.ArgumentParser(
         prog="jcgrid", description=__doc__,
         formatter_class=functools.partial(argparse.RawDescriptionHelpFormatter, width=width))
     sub = p.add_subparsers(dest="command", required=True)
-    formatter = functools.partial(argparse.HelpFormatter, width=width)
-    c = sub.add_parser("construct", help="build and print a space, grid or spin system",
-                       formatter_class=formatter)
-    v = sub.add_parser("verify", help="run a verification suite", formatter_class=formatter)
-    w = sub.add_parser("witness", help="block witness norms and cb lower bounds",
-                       formatter_class=formatter)
-    command = next((a for a in argv if not a.startswith("-")), None)
+    for name, text in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=text, formatter_class=formatter), name)
+    return p.parse_args(argv)
+
+
+def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """The arguments of ``command``."""
     if command == "construct":
-        c.add_argument("kind", choices=["hnk", "rectangular", "hermitian", "symplectic",
+        p.add_argument("kind", choices=["hnk", "rectangular", "hermitian", "symplectic",
                                         "spin", "spin-system", "diag-hnk", "diag-rect"])
-        _size_flags(c)
-        c.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
+        _size_flags(p)
+        p.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
     elif command == "verify":
-        v.add_argument("target", choices=["grid", "hnk", "uij-grid", "projection",
+        p.add_argument("target", choices=["grid", "hnk", "uij-grid", "projection",
                                           "trace", "split", "matrix-units"])
-        v.add_argument("--kind", choices=["rectangular", "hermitian", "symplectic", "spin"],
+        p.add_argument("--kind", choices=["rectangular", "hermitian", "symplectic", "spin"],
                        help="grid kind for the grid / matrix-units targets")
-        _size_flags(v)
-        v.add_argument("--samples", type=_positive_int, default=200,
+        _size_flags(p)
+        p.add_argument("--samples", type=_positive_int, default=200,
                        help="random samples for the projection contractivity check")
-        v.add_argument("--conjugations", type=_positive_int, default=20,
+        p.add_argument("--conjugations", type=_positive_int, default=20,
                        help="seeded conjugation count for matrix-units naturality")
-        v.add_argument("--seed", type=int, default=0)
-        v.add_argument("--format", choices=["text", "json"], default="text")
-    elif command == "witness":
-        w.add_argument("--n", type=int, required=True)
-        w.add_argument("--k", type=int, required=True)
-    return p
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", choices=["text", "json"], default="text")
+    else:
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
 
 
 def _positive_int(text: str) -> int:
@@ -280,14 +295,6 @@ def _verify_split(args) -> VerificationReport:
     return rep
 
 
-def _units_are(fam: grids.MatrixUnitFamily, units: tuple) -> bool:
-    """Whether the units e_ij are, in order, the members of the (re, im, den)
-    stack ``units``: one stacked comparison."""
-    n = fam.size ** 2
-    both = numlin.ExactFamily(_stacks=[fam.family.part(), units])
-    return bool(both.same(slice(n), slice(n, None)).all())
-
-
 def _verify_matrix_units(args) -> VerificationReport:
     import random as _random
     kind = args.kind or "hermitian"
@@ -297,31 +304,25 @@ def _verify_matrix_units(args) -> VerificationReport:
     if kind == "symplectic" and m < grids.SYMPLECTIC_TRANSFORM_MIN_SIZE:
         raise _UsageError(f"matrix-units --kind symplectic needs --m >= "
                           f"{grids.SYMPLECTIC_TRANSFORM_MIN_SIZE}, got {m}")
+    # an over-cap grid is refused from its size flags, before it is built
+    grids.check_verify_size(grids.grid_size(kind, m=m))
     rep = VerificationReport(subject=f"matrix-units({kind}, m={m})")
     build = grids.hermitian_grid if kind == "hermitian" else grids.symplectic_grid
     to_units = (grids.hermitian_to_matrix_units if kind == "hermitian"
                 else grids.symplectic_to_matrix_units)
     g = build(m)
-    # E_ij at member (i - 1) m + j - 1; naturality conjugates this stack
-    canonical = numlin.ExactFamily(_stacks=[(np.eye(m * m, dtype=np.int64).reshape(-1, m, m),
-                                             None, 1)])
     try:
-        rep.add("canonical_units_recovered", _units_are(to_units(g), canonical.part()))
+        rep.add("canonical_units_recovered", to_units(g).is_canonical())
     except (TransformError, DimensionError) as exc:  # failures carry the identity name
         rep.add("transform", False, detail=str(exc))
         return rep
     rng = _random.Random(args.seed)
-    bad, error = 0, None
-    for _ in range(args.conjugations):
-        size = g.matrix(g.indices[0]).rows
-        left = grids.random_signed_permutation(size, rng)
-        right = grids.random_signed_permutation(size, rng)
-        try:
-            natural = _units_are(to_units(grids.conjugate_grid(g, left, right)),
-                                 canonical.conjugate(left, right))
-        except (TransformError, DimensionError) as exc:  # a broken conjugation
-            natural, error = False, error or str(exc)
-        bad += not natural
+    size = g.family().shape[0]
+    # drawn a batch at a time, left then right for each conjugation
+    pairs = ((grids.random_signed_permutation(size, rng),
+              grids.random_signed_permutation(size, rng)) for _ in range(args.conjugations))
+    natural, errors = grids.conjugation_naturality(g, pairs)
+    bad, error = natural.count(False), next(filter(None, errors), None)
     failure = f"{bad} of {args.conjugations} conjugations break naturality"
     rep.add_counted("conjugation_naturality", bad == 0, args.conjugations,
                     "seeded signed-permutation conjugations",
@@ -378,7 +379,7 @@ def _cmd_witness(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser(argv).parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     start = time.perf_counter()

@@ -16,20 +16,26 @@ triple, minimality and unit-product relations on batched family tables
 grid are one such stack, and every exact step of the matrix-unit
 transforms works on stacks: a ``Grid`` checks its matrices in one table,
 ``conjugate_grid`` conjugates the whole stack at once, and the transforms
-return the units as the one stack they checked.
+return the units as the one stack they checked.  Each matrix-unit
+transform has one implementation over a stack of grids of one kind, size
+and index order, which evaluates every relation once for all of them;
+the single-grid functions are its one-grid case, and
+``conjugation_naturality`` runs every conjugation of the naturality check
+through it, in batches bounded by ``_NATURALITY_CELLS``.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import CapacityError, TransformError
 from .numlin import (_CHUNK_CELLS, EX_HALF, EX_I, EX_MINUS_ONE, EX_ZERO, ExactFamily,
-                     ExactMatrix, ExactScalar, exact_rank, scaled_members)
+                     ExactMatrix, ExactScalar, blocks, exact_rank, scaled_members)
 from .report import VerificationReport
 from .triple import (PartialIsometry, _relations_of_halves, _unit_table, classify_relation,
                      isotope_involution, isotope_product)
@@ -44,6 +50,10 @@ SPIN_SYSTEM_CAP = 12
 GRID_VERIFY_CAP = 78
 # Smallest symplectic grid that symplectic_to_matrix_units accepts.
 SYMPLECTIC_TRANSFORM_MIN_SIZE = 5
+# Most numerator cells that one batch of conjugation_naturality holds in its
+# conjugated elements, their units and the conjugated canonical units, so
+# that memory does not grow with the number of conjugations.
+_NATURALITY_CELLS = 1 << 15
 
 # Pauli matrices under their own names: SIGMA1 = Z = diag(1, -1),
 # SIGMA2 = X and SIGMA3 = [[0, i], [-i, 0]] = -Y.  The spin system is built
@@ -259,7 +269,7 @@ def conjugate_grid(g: Grid, left: ExactMatrix, right: ExactMatrix) -> Grid:
     """
     if not len(g):
         return Grid(g.kind, g.params, [])
-    out = ExactFamily(_stacks=[g.family().conjugate(left, right)])
+    out = ExactFamily(_stacks=[g.family().conjugate([left], [right])])
     return Grid(g.kind, g.params, list(zip(g.indices, out.members())), _family=out)
 
 
@@ -732,6 +742,12 @@ class MatrixUnitFamily:
     def unit(self, i: int, j: int) -> ExactMatrix:
         return self.family.member((i - 1) * self.size + j - 1)
 
+    def is_canonical(self) -> bool:
+        """Whether every e_ij is the size x size matrix unit E_ij."""
+        m = self.size
+        return (self.family.shape == (m, m)
+                and bool(_same_blocks(self.family, _canonical_units(m).part(), 1)[0]))
+
 
 def spin_to_spin_system(g: Grid):
     """Turn a spin grid into a spin system inside the isotope algebra at
@@ -782,6 +798,35 @@ def _pair_keys(g: Grid, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return key
 
 
+def _canonical_units(m: int) -> ExactFamily:
+    """The m x m matrix units E_ij as one family, E_ij at member (i - 1) m + j - 1."""
+    return ExactFamily(_stacks=[(np.eye(m * m, dtype=np.int64).reshape(-1, m, m), None, 1)])
+
+
+def _same_blocks(fam: ExactFamily, want: tuple, count: int) -> np.ndarray:
+    """For each of ``count`` equal blocks of ``fam``, whether its members
+    are, in order, those of the same block of the (re, im, den) stack
+    ``want``: one stacked comparison."""
+    n = len(fam)
+    both = ExactFamily(_stacks=[fam.part(), want])
+    return both.same(np.arange(n), np.arange(n, 2 * n)).reshape(count, -1).all(axis=1)
+
+
+def _first_failures(errors: list, ok: np.ndarray) -> list:
+    """(grid, row) of the first failing row of each grid that has no error
+    yet: ``ok`` holds one row of verdicts per grid."""
+    return [(k, int(np.argmin(ok[k]))) for k in np.flatnonzero(~ok.all(axis=1)).tolist()
+            if errors[k] is None]
+
+
+def _one_grid(transform, g: Grid) -> MatrixUnitFamily:
+    """A batched transform run on the one grid ``g``."""
+    units, isotope, errors = transform(g, g.family(), 1)
+    if errors[0] is not None:
+        raise TransformError(errors[0])
+    return MatrixUnitFamily(g.params["m"], units, isotope.member(0))
+
+
 def hermitian_to_matrix_units(g: Grid) -> MatrixUnitFamily:
     """Matrix units e_ij = u_ii . u_ij (isotope product at v = sum u_ii).
 
@@ -791,52 +836,7 @@ def hermitian_to_matrix_units(g: Grid) -> MatrixUnitFamily:
     raise ``TransformError`` naming the first failing relation in the
     order of the relations above.
     """
-    if g.kind != "hermitian":
-        raise TransformError("hermitian_to_matrix_units requires a hermitian grid")
-    m, n = g.params["m"], len(g)
-    i, j = _loops((m, m))  # the pairs (i, j), in loop order
-    key = _pair_keys(g, i, j)
-    diag, ends = key[(i - 1) * (m + 1)], key[(j - 1) * (m + 1)]  # u_ii and u_jj
-    grid = g.family()
-    # the grid elements, then v; the isotope unit v must be a partial isometry
-    fam = ExactFamily(_stacks=[grid.part(), grid.sums([key[::m + 1]], [np.ones(m)])])
-    try:
-        PartialIsometry.check_family(fam, np.array([n]))
-    except ValueError as exc:
-        raise TransformError(f"isotope unit v = sum u_ii: {exc}") from exc
-    units = ExactFamily(_stacks=[fam.ternary(diag, np.full(m * m, n), key)])
-    t, v = np.arange(m * m), m * m
-    # one family: the units in pair order, v, the grid elements, the sum of
-    # the diagonal units at s, then e_ij + e_ji (e_ii alone) per unit
-    fam = ExactFamily(_stacks=[units.part(), fam.part(np.r_[n, :n]),
-                               units.sums([t[i == j]], [np.ones(m)]),
-                               units.sums(np.column_stack([t, (j - 1) * m + i - 1]),
-                                          np.column_stack([np.ones(m * m), i != j]))])
-    s = v + 1 + n
-    keys = list(zip(i.tolist(), j.tolist()))
-    involution, product = _unit_table(fam, keys)
-    bad = np.flatnonzero(~involution | ~product.all(axis=1))
-    if bad.size:
-        i0, j0 = keys[bad[0]]
-        if not involution[bad[0]]:
-            raise TransformError(f"involution fails: e_{i0}{j0}^# != e_{j0}{i0}")
-        k, l = keys[int(np.argmin(product[bad[0]]))]
-        raise TransformError(f"product fails: e_{i0}{j0} . e_{k}{l} != delta e_{i0}{l}")
-    if not fam.same([v], [s])[0]:
-        raise TransformError("sum of diagonal units is not the isotope unit")
-    bad = np.flatnonzero(~fam.same(v + 1 + key, s + 1 + t))
-    if bad.size:
-        i0, j0 = keys[bad[0]]
-        raise TransformError(f"recovery fails: u_{i0}{j0} != e_{i0}{j0} + e_{j0}{i0}")
-    # u_ii . u_ij is e_ij itself; compare u_ij . u_jj with it
-    off = t[i != j]
-    same = fam.equal(v + 1 + key[off], np.full(len(off), v), v + 1 + ends[off],
-                     scaled_members(off))
-    bad = np.flatnonzero(~same)
-    if bad.size:
-        i0, j0 = keys[off[bad[0]]]
-        raise TransformError(f"u_{i0}{i0}.u_{i0}{j0} != u_{i0}{j0}.u_{j0}{j0}")
-    return MatrixUnitFamily(m, units, fam.member(v))
+    return _one_grid(_hermitian_units, g)
 
 
 def symplectic_to_matrix_units(g: Grid) -> MatrixUnitFamily:
@@ -849,90 +849,213 @@ def symplectic_to_matrix_units(g: Grid) -> MatrixUnitFamily:
     return; failures raise ``TransformError`` naming the first failing
     relation in the order above.
     """
+    return _one_grid(_symplectic_units, g)
+
+
+def _hermitian_units(g: Grid, elements: ExactFamily, count: int) -> tuple:
+    """``hermitian_to_matrix_units`` for ``count`` grids of the kind, size
+    and indices of ``g`` at once, whose elements ``elements`` holds grid
+    after grid.  Every relation is one table over all grids.  Returns the
+    units (m^2 per grid, grid after grid), the isotope units v (one per
+    grid) and, per grid, None or the message of its first failing
+    relation."""
+    if g.kind != "hermitian":
+        raise TransformError("hermitian_to_matrix_units requires a hermitian grid")
+    m, n = g.params["m"], len(g)
+    i, j = _loops((m, m))  # the pairs (i, j), in loop order
+    key = _pair_keys(g, i, j)
+    diag, ends = key[(i - 1) * (m + 1)], key[(j - 1) * (m + 1)]  # u_ii and u_jj
+    nn, mm, grid_no = n * count, m * m, np.arange(count)
+    # the grid elements, then each grid's v; the isotope unit v must be a
+    # partial isometry
+    fam = ExactFamily(_stacks=[elements.part(), elements.sums(blocks([key[::m + 1]], n, count),
+                                                             np.ones((count, m)))])
+    errors = [None if f is None else f"isotope unit v = sum u_ii: {f}"
+              for f in PartialIsometry.family_failures(fam, nn + grid_no)]
+    units = ExactFamily(_stacks=[fam.ternary(blocks(diag, n, count), np.repeat(nn + grid_no, mm),
+                                             blocks(key, n, count))])
+    t, v, every = np.arange(mm), count * mm + grid_no, np.arange(count * mm)
+    # the grid elements at the keys, then e_ij + e_ji (e_ii alone) per unit,
+    # in a family apart from the next: the unit table copies that one to
+    # float64, and a batch's memory grows with its grids
+    recovered = np.column_stack([t, (j - 1) * m + i - 1])
+    recovery = ExactFamily(_stacks=[fam.part(blocks(key, n, count)), units.sums(
+        blocks(recovered, mm, count),
+        np.tile(np.column_stack([np.ones(mm), i != j]), (count, 1)))])
+    recovery = recovery.same(every, every + mm * count)
+    # one family: the units of every grid, each grid's v, each grid's sum of
+    # its diagonal units at s, then the grid elements from elem
+    fam = ExactFamily(_stacks=[units.part(), fam.part(nn + grid_no),
+                               units.sums(blocks([t[i == j]], mm, count), np.ones((count, m))),
+                               fam.part(slice(nn))])
+    s, elem = v + count, v[-1] + count + 1
+    keys = list(zip(i.tolist(), j.tolist()))
+    involution, product = _unit_table(fam, keys, count)
+    involution, product = involution.reshape(count, mm), product.reshape(count, mm, mm)
+    for k, r in _first_failures(errors, involution & product.all(axis=2)):
+        i0, j0 = keys[r]
+        if not involution[k, r]:
+            errors[k] = f"involution fails: e_{i0}{j0}^# != e_{j0}{i0}"
+        else:
+            k0, l0 = keys[int(np.argmin(product[k, r]))]
+            errors[k] = f"product fails: e_{i0}{j0} . e_{k0}{l0} != delta e_{i0}{l0}"
+    for k, _ in _first_failures(errors, fam.same(v, s)[:, None]):
+        errors[k] = "sum of diagonal units is not the isotope unit"
+    for k, r in _first_failures(errors, recovery.reshape(count, mm)):
+        i0, j0 = keys[r]
+        errors[k] = f"recovery fails: u_{i0}{j0} != e_{i0}{j0} + e_{j0}{i0}"
+    # u_ii . u_ij is e_ij itself; compare u_ij . u_jj with it
+    off = t[i != j]
+    same = fam.equal(elem + blocks(key[off], n, count), np.repeat(v, len(off)),
+                     elem + blocks(ends[off], n, count), scaled_members(blocks(off, mm, count)))
+    for k, r in _first_failures(errors, same.reshape(count, -1)):
+        i0, j0 = keys[off[r]]
+        errors[k] = f"u_{i0}{i0}.u_{i0}{j0} != u_{i0}{j0}.u_{j0}{j0}"
+    return units, ExactFamily(_stacks=[fam.part(v)]), errors
+
+
+def _symplectic_units(g: Grid, elements: ExactFamily, count: int) -> tuple:
+    """``symplectic_to_matrix_units`` for ``count`` grids of the kind, size
+    and indices of ``g`` at once, returned as ``_hermitian_units`` returns
+    them."""
     if g.kind != "symplectic":
         raise TransformError("symplectic_to_matrix_units requires a symplectic grid")
-    m = g.params["m"]
+    m, n = g.params["m"], len(g)
     if m < SYMPLECTIC_TRANSFORM_MIN_SIZE:
         raise TransformError(
             f"symplectic transform requires size >= {SYMPLECTIC_TRANSFORM_MIN_SIZE}")
     i, j = _loops((m, m), lambda i, j: i != j)  # the pairs i != j, in loop order
-    t = np.arange(len(i))
+    t, p, grid_no = np.arange(len(i)), len(i), np.arange(count)
     at = np.zeros((m + 1, m + 1), dtype=np.intp)
     at[i, j] = t
+    tt = blocks(t, p, count)  # u_ij of every grid
+
+    def e(idx):  # the positions of e_ii for the diagonal indices idx, per grid
+        return count * p + blocks(np.asarray(idx) - 1, m, count)
+
     # u_ij = -u_ji for i > j
-    grid = g.family()
-    signed = ExactFamily(_stacks=[grid.sums(_pair_keys(g, i, j)[:, None],
-                                            np.where(i < j, 1, -1)[:, None])])
+    fam = ExactFamily(_stacks=[elements.sums(blocks(_pair_keys(g, i, j)[:, None], n, count),
+                                             np.tile(np.where(i < j, 1, -1)[:, None],
+                                                     (count, 1)))])
     # the first admissible pair (j, m) defines e_ii; every other must agree
     a, b, c = _loops((m, m, m), lambda a, b, c: (a != b) & (a != c) & (b != c))
     first = np.unique(a, return_index=True)[1]
-    diag = signed.ternary(at[a, b][first], at[b, c][first], at[a, c][first])
-    # one family: u_ab for a != b, then e_11 .. e_mm
-    fam = ExactFamily(_stacks=[signed.part(), diag])
-    e = len(t) - 1  # e + i is the position of e_ii
-    d = e + np.arange(1, m + 1)
-    fail = np.flatnonzero(~fam.equal(at[a, b], at[b, c], at[a, c], scaled_members(e + a)))
-    gone = np.flatnonzero(fam.vanish(d, d))  # e e* = 0 iff e = 0
-    ambiguous = a[fail[0]] if fail.size else m + 1
-    vanished = gone[0] + 1 if gone.size else m + 1
-    if ambiguous <= min(vanished, m):
-        raise TransformError(f"diagonal unit e_{ambiguous}{ambiguous} is ambiguous at pair "
-                             f"({b[fail[0]]},{c[fail[0]]})")
-    if vanished <= m:
-        raise TransformError(f"diagonal unit e_{vanished}{vanished} vanished")
+    # one family: u_ab for a != b of every grid, then e_11 .. e_mm of every
+    # grid, rebound so that the first is freed (memory grows with the batch)
+    fam = ExactFamily(_stacks=[fam.part(), fam.ternary(*(blocks(at[x, y][first], p, count)
+                                                         for x, y in ((a, b), (b, c), (a, c))))])
+    d = e(np.arange(1, m + 1))
+    fail = ~fam.equal(blocks(at[a, b], p, count), blocks(at[b, c], p, count),
+                      blocks(at[a, c], p, count), scaled_members(e(a))).reshape(count, -1)
+    gone = fam.vanish(d, d).reshape(count, m)  # e e* = 0 iff e = 0
+    errors = [None] * count
+    for k in np.flatnonzero(fail.any(axis=1) | gone.any(axis=1)).tolist():
+        row = np.argmax(fail[k]) if fail[k].any() else None
+        ambiguous = a[row] if row is not None else m + 1
+        vanished = np.argmax(gone[k]) + 1 if gone[k].any() else m + 1
+        if ambiguous <= min(vanished, m):
+            errors[k] = (f"diagonal unit e_{ambiguous}{ambiguous} is ambiguous at pair "
+                         f"({b[row]},{c[row]})")
+        else:
+            errors[k] = f"diagonal unit e_{vanished}{vanished} vanished"
     # per i: e_ii is a partial isometry, then orthogonal to each e_jj
-    ei, ej = e + i, e + j
+    ei, ej = e(i), e(j)
     apart = fam.vanish(ei, ej, star_first=True) & fam.vanish(ei, ej)
-    bad = np.flatnonzero(~np.column_stack([fam.equal(d, d, d, scaled_members(d)),
-                                           apart.reshape(m, m - 1)]))
-    if bad.size:
-        row, col = divmod(int(bad[0]), m)
+    isometry = fam.equal(d, d, d, scaled_members(d))
+    ok = np.column_stack([isometry, apart.reshape(-1, m - 1)]).reshape(count, -1)
+    for k, r in _first_failures(errors, ok):
+        row, col = divmod(r, m)
         if not col:
-            raise TransformError(f"e_{row + 1}{row + 1} is not a partial isometry")
-        k = j[row * (m - 1) + col - 1]
-        raise TransformError(f"e_{row + 1}{row + 1} not orthogonal to e_{k}{k}")
-    # e_ii e_ii* u_ij, then e_11 .. e_mm; e_ij is the first times e_jj* e_jj
-    left = ExactFamily(_stacks=[fam.ternary(ei, ei, t), fam.part(d)])
-    jj = len(t) + j - 1
-    units = ExactFamily(_stacks=[fam.part(d), left.ternary(t, jj, jj)])
+            errors[k] = f"e_{row + 1}{row + 1} is not a partial isometry"
+        else:
+            k0 = j[row * (m - 1) + col - 1]
+            errors[k] = f"e_{row + 1}{row + 1} not orthogonal to e_{k0}{k0}"
+    # e_ij is e_ii e_ii* u_ij times e_jj* e_jj, on a family of e_ii e_ii* u_ij
+    # of every grid, then e_11 .. e_mm of every grid, freed once it is read
+    units = ExactFamily(_stacks=[fam.part(d), ExactFamily(
+        _stacks=[fam.ternary(ei, ei, tt), fam.part(d)]).ternary(tt, ej, ej)])
+    # the units of each grid in key order: e_11 .. e_mm, then e_ij for i != j
     keys = [(k, k) for k in range(1, m + 1)] + list(zip(i.tolist(), j.tolist()))
-    # one family: the units in key order, v, u_ij for i != j, then
-    # e_ij - e_ji in the order of the u_ij
-    joined = ExactFamily(_stacks=[units.part(), units.sums([np.arange(m)], [np.ones(m)]),
-                                  signed.part(),
-                                  units.sums(np.column_stack([m + t, m + at[j, i]]),
-                                             np.tile([1, -1], (len(t), 1)))])
-    v = len(keys)
-    bad = np.flatnonzero(~joined.same(v + 1 + t, v + 1 + len(t) + t))
-    if bad.size:
-        i0, j0 = i[bad[0]], j[bad[0]]
-        raise TransformError(f"recovery fails: u_{i0}{j0} != e_{i0}{j0} - e_{j0}{i0}")
-    involution, product = _unit_table(joined, keys)
-    bad = np.flatnonzero(~involution | ~product.all(axis=1))
-    if bad.size:
-        i0, j0 = keys[bad[0]]
-        if not involution[bad[0]]:
-            raise TransformError(f"involution fails on e_{i0}{j0}")
-        l, k = keys[int(np.argmin(product[bad[0]]))]
-        raise TransformError(f"unit product fails: e_{i0}{j0} v* e_{l}{k}")
+    size = len(keys)
+    at_unit = np.concatenate([blocks([np.arange(m)], m, count),
+                              count * m + blocks([t], p, count)], axis=1)
+    # u_ij for i != j of every grid, then e_ij - e_ji in the order of the
+    # u_ij, in a family apart from the unit table's, as for the hermitian one
+    recovered = np.stack([at_unit[:, m + t], at_unit[:, m + at[j, i]]], axis=-1)
+    recovery = ExactFamily(_stacks=[fam.part(slice(count * p)), units.sums(
+        recovered.reshape(-1, 2), np.tile([1, -1], (count * p, 1)))]).same(tt, count * p + tt)
+    for k, r in _first_failures(errors, recovery.reshape(count, p)):
+        errors[k] = f"recovery fails: u_{i[r]}{j[r]} != e_{i[r]}{j[r]} - e_{j[r]}{i[r]}"
+    # one family: the units of every grid in key order, then each grid's v
+    v = count * size + grid_no
+    joined = ExactFamily(_stacks=[units.part(at_unit.ravel()),
+                                  units.sums(at_unit[:, :m], np.ones((count, m)))])
+    involution, product = _unit_table(joined, keys, count)
+    involution, product = involution.reshape(count, size), product.reshape(count, size, size)
+    for k, r in _first_failures(errors, involution & product.all(axis=2)):
+        i0, j0 = keys[r]
+        if not involution[k, r]:
+            errors[k] = f"involution fails on e_{i0}{j0}"
+        else:
+            l0, k0 = keys[int(np.argmin(product[k, r]))]
+            errors[k] = f"unit product fails: e_{i0}{j0} v* e_{l0}{k0}"
     # e_ii u_ij* e_ii = 0 and {e_ii, e_ii, u_ij} = u_ij / 2 for i != j, then
     # u_ij e_kk* = 0 = e_kk* u_ij for each k outside {i, j}
-    ts, ks = _loops((len(t), m), lambda s, k: (k != i[s - 1]) & (k != j[s - 1]))
-    ts -= 1
-    outside = fam.vanish(ts, e + ks) & fam.vanish(e + ks, ts, star_first=True)
-    bad = np.flatnonzero(~np.column_stack([
-        fam.equal(ei, t, ei), fam.equal(ei, ei, t, scaled_members(t, 1, 2), sym=True),
-        outside.reshape(len(t), m - 2)]))
-    if bad.size:
-        row, col = divmod(int(bad[0]), m)
+    ts, ks = _loops((p, m), lambda s, k: (k != i[s - 1]) & (k != j[s - 1]))
+    ts = blocks(ts - 1, p, count)
+    outside = fam.vanish(ts, e(ks)) & fam.vanish(e(ks), ts, star_first=True)
+    ok = np.column_stack([
+        fam.equal(ei, tt, ei), fam.equal(ei, ei, tt, scaled_members(tt, 1, 2), sym=True),
+        outside.reshape(-1, m - 2)]).reshape(count, -1)
+    for k, r in _first_failures(errors, ok):
+        row, col = divmod(r, m)
         i0, j0 = i[row], j[row]
         if col == 0:
-            raise TransformError(f"e_{i0}{i0} u_{i0}{j0}* e_{i0}{i0} != 0")
-        if col == 1:
-            raise TransformError(f"u_{i0}{j0} is not Peirce-1 for e_{i0}{i0}")
-        k = ks[row * (m - 2) + col - 2]
-        raise TransformError(f"u_{i0}{j0} not orthogonal to e_{k}{k}")
+            errors[k] = f"e_{i0}{i0} u_{i0}{j0}* e_{i0}{i0} != 0"
+        elif col == 1:
+            errors[k] = f"u_{i0}{j0} is not Peirce-1 for e_{i0}{i0}"
+        else:
+            k0 = ks[row * (m - 2) + col - 2]
+            errors[k] = f"u_{i0}{j0} not orthogonal to e_{k0}{k0}"
     # the units in the loop order of (p, q): e_pp at p - 1, e_pq at m + at[p, q]
-    p, q = _loops((m, m))
-    order = np.where(p == q, p - 1, m + at[p, q])
-    return MatrixUnitFamily(m, ExactFamily(_stacks=[units.part(order)]), joined.member(v))
+    pp, qq = _loops((m, m))
+    order = np.where(pp == qq, pp - 1, m + at[pp, qq])
+    return (ExactFamily(_stacks=[units.part(at_unit[:, order].ravel())]),
+            ExactFamily(_stacks=[joined.part(v)]), errors)
+
+
+def conjugation_naturality(g: Grid, pairs: Iterable[Tuple[ExactMatrix, ExactMatrix]]) -> tuple:
+    """Naturality of the matrix-unit transform of the hermitian or
+    symplectic grid ``g`` under each conjugation u -> left u right of
+    ``pairs``: whether the transform of the conjugated grid gives exactly
+    the conjugated matrix units left E_ij right.
+
+    The pairs run in batches of at most ``_NATURALITY_CELLS`` cells.  A
+    batch conjugates the grid and the canonical units for all its
+    pairs at once, checks every conjugated element as a partial isometry in
+    one table, runs the batched transform and compares all units in one
+    stacked pass.  Returns two lists, per pair in order: whether it is
+    natural, and None or its first error, which is the failed
+    partial-isometry check of a conjugated element, else the transform's
+    first failing relation.
+    """
+    transform = {"hermitian": _hermitian_units, "symplectic": _symplectic_units}.get(g.kind)
+    if transform is None:
+        raise TransformError("naturality needs a hermitian or symplectic grid")
+    m, n, (rows, cols) = g.params["m"], len(g), g.family().shape
+    per = max(1, _NATURALITY_CELLS // ((n + 2 * m * m) * rows * cols))
+    canonical, pairs = _canonical_units(m), iter(pairs)
+    natural, errors = [], []
+    while batch := list(itertools.islice(pairs, per)):
+        lefts, rights = zip(*batch)
+        count = len(batch)
+        elements = ExactFamily(_stacks=[g.family().conjugate(lefts, rights)])
+        checked = PartialIsometry.family_failures(elements, np.arange(count * n))
+        units, _, failed = transform(g, elements, count)
+        for k in range(count):
+            first = next(filter(None, checked[k * n:(k + 1) * n]), None)
+            failed[k] = failed[k] if first is None else f"conjugated grid: {first}"
+        same = _same_blocks(units, canonical.conjugate(lefts, rights), count)
+        natural += [bool(ok) and error is None for ok, error in zip(same, failed)]
+        errors += failed
+    return natural, errors

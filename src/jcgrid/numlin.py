@@ -648,6 +648,15 @@ def _cmatmul(x, y):
     return re - np.matmul(xi, yi), np.matmul(xr, yi) + np.matmul(xi, yr)
 
 
+def blocks(idx, size: int, count: int) -> np.ndarray:
+    """The member indices ``idx`` of one block of ``size`` members, for
+    each of ``count`` blocks stacked one after the other: block b's copy
+    shifted by b * size, the copies joined along the first axis."""
+    idx = np.asarray(idx, dtype=np.intp)
+    shift = size * np.arange(count).reshape((-1,) + (1,) * idx.ndim)
+    return (shift + idx).reshape((-1,) + idx.shape[1:])
+
+
 def scaled_members(kidx, coef=1, q: int = 1) -> tuple:
     """The ``want`` argument of ``ExactFamily.equal`` for coef[t] / q times
     the single member kidx[t] per triple; ``coef`` may be one number.  The
@@ -764,19 +773,24 @@ class ExactFamily:
 
         return total(self.re), None if self.im is None else total(self.im), self.den
 
-    def conjugate(self, left: ExactMatrix, right: ExactMatrix) -> tuple:
-        """left u right for every member u, as a (re, im, den) stack to join:
-        two batched products, on Python ints where their bound 4 rows cols
-        max|left| mag max|right| could reach 2^62."""
+    def conjugate(self, lefts: Sequence[ExactMatrix], rights: Sequence[ExactMatrix]) -> tuple:
+        """lefts[p] u rights[p] for every pair p and member u, pair by pair,
+        as a (re, im, den) stack to join: two batched products over all
+        pairs, on Python ints where their bound 4 rows cols max|left| mag
+        max|right| could reach 2^62."""
         rows, cols = self.shape
-        if (left.cols, right.rows) != self.shape:
+        left, right = ExactFamily(lefts), ExactFamily(rights)
+        if len(left) != len(right):
+            raise DimensionError("conjugation needs as many left as right factors")
+        if (left.shape[1], right.shape[0]) != self.shape:
             raise DimensionError("conjugation needs left.cols x right.rows members")
-        big = 4 * rows * cols * left._bound() * self.mag * right._bound() >= _INT64_LIMIT
-        lr, li, rr, ri = (None if p is None else p.astype(object) if big else p for p in (
-            left.re, left.im if left._mags()[1] else None,
-            right.re, right.im if right._mags()[1] else None))
-        out = _cmatmul(_cmatmul((lr, li), (self.re, self.im)), (rr, ri))
-        return (*out, left.den * self.den * right.den)
+        big = 4 * rows * cols * left.mag * self.mag * right.mag >= _INT64_LIMIT
+        lr, li, rr, ri = (None if p is None else (p.astype(object) if big else p)[:, None]
+                          for p in (left.re, left.im, right.re, right.im))
+        re, im = _cmatmul(_cmatmul((lr, li), (self.re, self.im)), (rr, ri))
+        shape = (-1,) + re.shape[2:]
+        return (re.reshape(shape), None if im is None else im.reshape(shape),
+                left.den * self.den * right.den)
 
     def span_sum(self, x: ExactMatrix, q: int) -> ExactMatrix:
         """sum_i trace(x U_i*) U_i / q over the members U_i.  On the

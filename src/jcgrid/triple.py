@@ -12,7 +12,7 @@ import enum
 import numpy as np
 
 from .errors import DimensionError
-from .numlin import ExactFamily, ExactMatrix, _product_sum, scaled_members
+from .numlin import ExactFamily, ExactMatrix, _product_sum, blocks, scaled_members
 
 
 class GridRelation(enum.Enum):
@@ -48,14 +48,21 @@ class PartialIsometry:
         self.mat = mat
 
     @classmethod
-    def check_family(cls, fam: ExactFamily, idx: np.ndarray) -> None:
+    def family_failures(cls, fam: ExactFamily, idx: np.ndarray) -> list:
         """Check the members ``idx`` of ``fam`` in one family table: v != 0,
-        read off the numerators, and v v* v = v.  The first failure in order
-        raises the ``ValueError`` that ``PartialIsometry`` raises for it."""
+        read off the numerators, and v v* v = v.  Per member, None or the
+        ``ValueError`` message that ``PartialIsometry`` raises for it."""
         nonzero = fam.nonzero(idx)
-        bad = np.flatnonzero(~nonzero | ~fam.equal(idx, idx, idx, scaled_members(idx)))
-        if bad.size:
-            raise ValueError(cls.FAILS if nonzero[bad[0]] else cls.ZERO)
+        good = nonzero & fam.equal(idx, idx, idx, scaled_members(idx))
+        return [None if ok else cls.FAILS if nz else cls.ZERO
+                for ok, nz in zip(good.tolist(), nonzero.tolist())]
+
+    @classmethod
+    def check_family(cls, fam: ExactFamily, idx: np.ndarray) -> None:
+        """``family_failures``, raising the first failure in order."""
+        failure = next(filter(None, cls.family_failures(fam, idx)), None)
+        if failure:
+            raise ValueError(failure)
 
     def left_support(self) -> ExactMatrix:
         """v v*, the same object on every call."""
@@ -155,18 +162,28 @@ def isotope_involution(v: PartialIsometry, a: ExactMatrix) -> ExactMatrix:
     return v.mat * a.adjoint() * v.mat
 
 
-def _unit_table(fam: ExactFamily, keys: list):
-    """The matrix-unit table of the isotope algebra at v, on a family that
-    holds units e_ij in the order of ``keys``, then v: per unit, whether
-    v e_ij* v = e_ji (the involution), and the row of e_ij v* e_kl =
-    delta_jk e_il over the units (k, l) (the product)."""
+def _unit_table(fam: ExactFamily, keys: list, count: int = 1):
+    """The matrix-unit table of the isotope algebra at v, for ``count``
+    grids at once, on a family that holds each grid's units e_ij in the
+    order of ``keys``, grid after grid, then each grid's v in the same
+    order: per unit, whether v e_ij* v = e_ji (the involution), and the row
+    of e_ij v* e_kl = delta_jk e_il over the units (k, l) of its grid (the
+    product).  Shapes (count * units,) and (count * units, units)."""
     i, j = np.array(keys, dtype=np.intp).T
+    n = len(i)
     at = np.zeros((i.max() + 1,) * 2, dtype=np.intp)
-    at[i, j] = np.arange(len(i))
-    v = np.full(len(i), len(i))
-    involution = fam.equal(v, range(len(i)), v, scaled_members(at[j, i]))
-    a, c = np.repeat(np.arange(len(i)), len(i)), np.tile(np.arange(len(i)), len(i))
+    at[i, j] = np.arange(n)
+    v = n * count + np.arange(count)
+    involution = fam.equal(np.repeat(v, n), np.arange(n * count), np.repeat(v, n),
+                           scaled_members(blocks(at[j, i], n, count)))
+    a, c = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
     hit = j[a] == i[c]
-    product = fam.equal(a, np.full(len(a), len(i)), c,
-                        scaled_members(np.where(hit, at[i[a], j[c]], 0), hit.astype(np.int64)))
-    return involution, product.reshape(len(i), len(i))
+    product = np.empty((count, n * n), dtype=bool)
+    # e_il where j = k, and the zero matrix, which needs no want, elsewhere
+    for rows, want in ((hit, at[i[a], j[c]]), (~hit, None)):
+        rows = np.flatnonzero(rows)
+        product[:, rows] = fam.equal(
+            blocks(a[rows], n, count), np.repeat(v, len(rows)), blocks(c[rows], n, count),
+            None if want is None else scaled_members(blocks(want[rows], n, count))
+        ).reshape(count, -1)
+    return involution, product.reshape(n * count, n)

@@ -1,5 +1,6 @@
 """CLI behaviour: outputs, exit codes, determinism, round trips."""
 
+import argparse
 import errno
 import hashlib
 import io
@@ -114,26 +115,28 @@ class TestVerify:
     @pytest.mark.parametrize("kind", ["hermitian", "symplectic"])
     def test_matrix_units_transform_error_on_a_conjugation_fails(self, monkeypatch, capsys,
                                                                    kind):
-        # the second and third conjugations break the transform: a failed
-        # check naming the first error, as on the canonical grid, not exit 4
-        name = f"{kind}_to_matrix_units"
-        orig, calls = getattr(grids, name), []
+        # the left factors of the second and third conjugations are doubled, so
+        # their conjugated elements are no partial isometries: a failed check
+        # naming the first error, as on the canonical grid, not exit 2 or 4
+        orig, draws = grids.random_signed_permutation, []
 
-        def broken(g):
-            calls.append(g)
-            if len(calls) in (3, 4):  # the canonical grid is call 1
-                raise TransformError(f"broken at call {len(calls)}")
-            return orig(g)
+        def doubled(n, rng):
+            draws.append(n)
+            perm = orig(n, rng)
+            return perm.scale(2) if len(draws) in (3, 5) else perm
 
-        monkeypatch.setattr(grids, name, broken)
+        monkeypatch.setattr(grids, "random_signed_permutation", doubled)
+        transforms = _count_calls(monkeypatch, grids, f"_{kind}_units")
         argv = ["verify", "matrix-units", "--kind", kind, "--m", "5", "--conjugations", "4",
                 "--format", "json"]
         assert cli.main(argv) == 1
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert [c["status"] for c in checks] == ["pass", "fail"]
-        assert checks[1]["detail"] == ("2 of 4 conjugations break naturality; "
-                                       "first error: broken at call 3")
-        assert len(calls) == 5
+        assert checks[1]["detail"] == ("2 of 4 conjugations break naturality; first error: "
+                                       "conjugated grid: matrix fails the partial isometry "
+                                       "identity v v* v = v")
+        # one transform of the canonical grid, then one batch of all 4 conjugations
+        assert (len(draws), len(transforms)) == (8, 2)
 
     def test_matrix_units_isotope_unit_not_a_partial_isometry_fails(self, monkeypatch, capsys):
         # e_11 in place of u_22 makes v = sum u_ii = 2 e_11 + e_33 + e_44 + e_55:
@@ -411,6 +414,96 @@ class TestGoldenOutput:
         res = run_cli(*args)
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == GOLDEN_STDOUT[args]
+
+
+# (exit code, sha256 of stdout, sha256 of stderr, last stderr line) of the
+# parser's help and usage errors at a width of 80 columns, recorded while
+# every command built the full parser with all three subcommands: a
+# subcommand's --help and a usage error of each subcommand, then what the
+# full parser handles (top-level help, a missing, unknown or late command,
+# arguments the subcommand does not know)
+GOLDEN_PARSER = {
+    ('construct', '--help'):
+        (0, "f39539fe686ca6508840ca279640c1fafe8c5a2243035f57f0214d2a602f8886",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         ''),
+    ('verify', '--help'):
+        (0, "cf0fd3107a40e4ac3c5e591894f7291a035ef91013f48cd016ed9b6c360d2436",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         ''),
+    ('witness', '--help'):
+        (0, "3d6d48543f4b289c2e4bc25b72c0ac6e11ebb39b418534dc509342fb3d49186c",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         ''),
+    ('--help',):
+        (0, "6848e1934d08b3f5c9612bef6900aea155a54dfb7a86544e2e4c1af0762ac3ef",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         ''),
+    ():
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "388df58499a3ece54b9320af48acd03aebfc5095c27e05ff0362707a52b8b195",
+         'jcgrid: error: the following arguments are required: command'),
+    ('construct', 'nope'):
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "67ff58e039399fe12c2a8453018bb148148283329e77e4d5097d091186f1bb97",
+         "jcgrid construct: error: argument kind: invalid choice: 'nope' (choose from 'hnk', 'rectangular', 'hermitian', 'symplectic', 'spin', 'spin-system', 'diag-hnk', 'diag-rect')"),
+    ('verify',):
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "8afcdfe1d3d632d4e1affa9e6905013f194134b5e8b4db6b4965ff48a3fe6361",
+         'jcgrid verify: error: the following arguments are required: target'),
+    ('witness', '--n', '3'):
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "d41b5b29a6c1da2af59d2593b13ef4f235e73de6397ccd3cd8da53a661f08945",
+         'jcgrid witness: error: the following arguments are required: --k'),
+    ('verify', 'grid', '--bogus'):
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "48a04c69758f1e741e876e621152a0c4a31b57f491533361638a6a5f8d45b20d",
+         'jcgrid: error: unrecognized arguments: --bogus'),
+    ('bogus',):
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "518589ebaa0e7a944250693ec82bc88fcdac32330295162d10a58e2ee2492bbe",
+         "jcgrid: error: argument command: invalid choice: 'bogus' (choose from 'construct', 'verify', 'witness')"),
+    ('--x', 'verify', 'grid'):
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "94482f13142aaaa8ea6902d498342a461cf67a02e7323647c3806ea52cb45a93",
+         'jcgrid: error: unrecognized arguments: --x'),
+    ('verify', 'grid', '--kind', 'hermitian', '--m', 'x'):
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "eac8ed5599cd920dc6fba561950041280a31fa18921bb14745fcc0878f784ed4",
+         "jcgrid verify: error: argument --m: invalid int value: 'x'"),
+    ('verify', '-h', 'grid'):
+        (0, "cf0fd3107a40e4ac3c5e591894f7291a035ef91013f48cd016ed9b6c360d2436",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         ''),
+    ('witness', '--n', '3', '--k', '2', 'extra'):
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "82d47d0fe07dc3674ffcc7c682111f6daf816c9742e9af711fbca6bc738f0524",
+         'jcgrid: error: unrecognized arguments: extra'),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", list(GOLDEN_PARSER), ids=lambda a: " ".join(a) or "empty")
+    def test_help_and_usage_errors(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        code = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        last = err.splitlines()[-1] if err else ""
+        digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+        assert (code, digest(out), digest(err), last) == GOLDEN_PARSER[argv]
+
+    @pytest.mark.parametrize("argv,parsers", [
+        (["verify", "grid", "--kind", "hermitian", "--m", "3"], 1),
+        (["witness", "--n", "3", "--k", "2"], 1),
+        # the subcommand's parser finds --bogus, the full one reports it
+        (["verify", "grid", "--bogus"], 5),
+        (["--help"], 4),
+    ], ids=["verify", "witness", "unknown-argument", "help"])
+    def test_a_command_builds_its_own_parser_only(self, monkeypatch, capsys, argv, parsers):
+        built = _count_calls(monkeypatch, argparse.ArgumentParser, "__init__")
+        cli.main(argv)
+        capsys.readouterr()
+        assert len(built) == parsers
 
 
 class TestExitCodeTable:
@@ -703,11 +796,6 @@ COMPLEX_ROTATION = [[ExactScalar(Fraction(3, 5)), ExactScalar(0, Fraction(4, 5))
                     [ExactScalar(0, Fraction(4, 5)), ExactScalar(Fraction(3, 5))]]
 
 
-def _canonical_units(m):
-    """The m x m matrix units E_ij as one family, E_ij at member i m + j."""
-    return numlin.ExactFamily(_stacks=[(np.eye(m * m, dtype=np.int64).reshape(-1, m, m), None, 1)])
-
-
 class TestConjugatedUnit:
     """The naturality check's left * E_ij * right for every unit E_ij, the
     canonical unit stack conjugated by ``ExactFamily.conjugate``, member by
@@ -715,7 +803,7 @@ class TestConjugatedUnit:
 
     def _check(self, left, right):
         m = left.cols
-        got = numlin.ExactFamily(_stacks=[_canonical_units(m).conjugate(left, right)])
+        got = numlin.ExactFamily(_stacks=[grids._canonical_units(m).conjugate([left], [right])])
         assert (len(got), got.shape) == (m * m, (left.rows, right.cols))
         for i in range(m):
             for j in range(m):
@@ -743,18 +831,32 @@ class TestConjugatedUnit:
         for rows, inner, cols in [(3, 3, 3), (2, 4, 5)]:
             self._check(random_exact(rng, rows, inner), random_exact(rng, inner, cols))
 
+    def test_pairs_stack_pair_by_pair(self):
+        # one call for every pair: the members of each pair's own call, in
+        # pair order, over the lcm of the denominators
+        rng = random.Random(6)
+        u = _embedded(4, COMPLEX_ROTATION)
+        perm = lambda: grids.random_signed_permutation(4, rng)
+        pairs = [(perm(), perm()), (u, u.adjoint()), (u * perm(), perm())]
+        units = grids._canonical_units(4)
+        got = numlin.ExactFamily(_stacks=[units.conjugate(*zip(*pairs))])
+        assert got.members() == [x for left, right in pairs for x in numlin.ExactFamily(
+            _stacks=[units.conjugate([left], [right])]).members()]
+        assert got.den == 25 and got.im is not None
+
     def test_units_are_compares_every_part(self):
         # conjugating the complex factors keeps every real part and negates
         # every imaginary part of left * E_ij * right
         u = _embedded(5, COMPLEX_ROTATION)
         conj = ExactMatrix(5, 5, [e.conjugate() for e in u.entries])
-        units = _canonical_units(5)
+        units = grids._canonical_units(5)
         for kind in ("hermitian", "symplectic"):
             g = getattr(grids, f"{kind}_grid")(5)
-            fam = getattr(grids, f"{kind}_to_matrix_units")(grids.conjugate_grid(g, u, u))
-            assert cli._units_are(fam, units.conjugate(u, u))
-            assert not cli._units_are(fam, units.conjugate(conj, conj))
-            assert not cli._units_are(fam, units.conjugate(u, ExactMatrix.identity(5)))
+            fam = getattr(grids, f"{kind}_to_matrix_units")(grids.conjugate_grid(g, u, u)).family
+            assert grids._same_blocks(fam, units.conjugate([u], [u]), 1).all()
+            assert not grids._same_blocks(fam, units.conjugate([conj], [conj]), 1).any()
+            assert not grids._same_blocks(fam, units.conjugate([u], [ExactMatrix.identity(5)]),
+                                          1).any()
 
     def test_wide_numerators_run_on_python_ints(self):
         big = 1 << 40

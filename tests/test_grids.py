@@ -798,6 +798,27 @@ class TestVerifyCap:
         assert out == "" and err == (f"capacity: grid verification is capped at "
                                      f"{GRID_VERIFY_CAP} elements, got {count}\n")
 
+    @pytest.mark.parametrize("kind,m", [("hermitian", 12), ("symplectic", 13)])
+    def test_matrix_units_at_cap_runs(self, capsys, kind, m):
+        assert grid_size(kind, m=m) == GRID_VERIFY_CAP
+        argv = ["verify", "matrix-units", "--kind", kind, "--m", str(m), "--conjugations", "1"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "1 seeded signed-permutation conjugations" in out and "overall: pass" in out
+
+    @pytest.mark.parametrize("kind,m", [("hermitian", 13), ("symplectic", 14)])
+    def test_matrix_units_above_cap_is_refused_before_building(self, monkeypatch, capsys,
+                                                               kind, m):
+        def build(*args):
+            raise AssertionError(f"the {kind} grid was built")
+
+        monkeypatch.setattr(grids, f"{kind}_grid", build)
+        argv = ["verify", "matrix-units", "--kind", kind, "--m", str(m), "--conjugations", "1"]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"capacity: grid verification is capped at "
+                                     f"{GRID_VERIFY_CAP} elements, got 91\n")
+
     def test_grid_size_counts_the_elements(self):
         for kind, sizes, build in [
                 ("rectangular", {"p": 2, "q": 5}, lambda: rectangular_grid(2, 5)),
@@ -1031,6 +1052,20 @@ def test_unit_table_matches_loop_oracle(case):
     assert product.tolist() == want_prod.tolist()
     clean = case in ("hermitian-3", "symplectic-5")
     assert (involution.all() and product.all()) == clean
+
+
+@pytest.mark.parametrize("size", [3, 5])
+def test_unit_table_of_several_grids_matches_loop_oracle(size):
+    # the cases of one size in one table: each grid's units, grid after
+    # grid, then each grid's v
+    cases = [UNIT_CASES[c] for c in UNIT_CASES if len(UNIT_CASES[c][0]) == size * size]
+    keys = list(cases[0][0])
+    fam = ExactFamily([u for units, _ in cases for u in units.values()] + [v for _, v in cases])
+    involution, product = grids._unit_table(fam, keys, len(cases))
+    want = [_unit_table_oracle(units, vmat) for units, vmat in cases]
+    assert involution.tolist() == [x for inv, _ in want for x in inv.tolist()]
+    assert product.tolist() == [row for _, prod in want for row in prod.tolist()]
+    assert len(cases) == {3: 4, 5: 2}[size]
 
 
 # The transforms as they were while every unit was its own ExactMatrix:
@@ -1347,20 +1382,200 @@ class TestTransformOracle:
     def test_recovery_sees_a_part_outside_the_units(self, kind):
         # u_12 + e_66 keeps every product of distinct elements, so only the
         # recovery of u_12 from its units fails
-        g = TRANSFORMS[kind][0](5)
-        wide = [(i, block_diag([g.matrix(i), E(1, 1, 0, 0) if i == (1, 2) else
-                                ExactMatrix.zeros(1, 1)])) for i in g.indices]
         sign = "+" if kind == "hermitian" else "-"
-        assert self._same(kind, Grid(kind, g.params, wide)) == \
+        assert self._same(kind, _widened(kind, True)) == \
             f"recovery fails: u_12 != e_12 {sign} e_21"
 
     def test_vanished_diagonal_unit(self):
         # mutually orthogonal elements: every e_ii is zero, and all agree
-        m = 5
-        elements = [((i, j), E(10, 10, t, t)) for t, (i, j) in
-                    enumerate((i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1))]
-        g = Grid("symplectic", {"m": m}, elements)
-        assert self._same("symplectic", g) == "diagonal unit e_11 vanished"
+        assert self._same("symplectic", _orthogonal_symplectic()) == \
+            "diagonal unit e_11 vanished"
+
+
+def _widened(kind, extra):
+    """The m = 5 grid of ``kind`` with a sixth row and column, where u_12
+    carries e_66 when ``extra``."""
+    g = TRANSFORMS[kind][0](5)
+    return Grid(kind, g.params, [(i, block_diag([g.matrix(i), E(1, 1, 0, 0) if extra and
+                                                 i == (1, 2) else ExactMatrix.zeros(1, 1)]))
+                                 for i in g.indices])
+
+
+def _orthogonal_symplectic():
+    """A symplectic m = 5 grid of mutually orthogonal diagonal units."""
+    m = 5
+    return Grid("symplectic", {"m": m}, [((i, j), E(10, 10, t, t)) for t, (i, j) in enumerate(
+        (i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1))])
+
+
+# -- the batched transforms ------------------------------------------------------
+
+BATCHED = {"hermitian": grids._hermitian_units, "symplectic": grids._symplectic_units}
+
+
+def _batch_outcomes(kind, gs):
+    """Each grid's outcome, as ``_transform_outcome`` gives it, from one
+    batched transform of all the grids ``gs`` (one kind, size and index
+    order), stacked grid after grid."""
+    elements = ExactFamily(_stacks=[g.family().part() for g in gs])
+    units, isotope, errors = BATCHED[kind](gs[0], elements, len(gs))
+    m = gs[0].params["m"]
+    out = []
+    for k, error in enumerate(errors):
+        if error is not None:
+            out.append(error)
+            continue
+        own = ExactFamily(_stacks=[units.part(slice(k * m * m, (k + 1) * m * m))])
+        fam = grids.MatrixUnitFamily(m, own, isotope.member(k))
+        out.append((m, list(_unit_dict(fam).items()), fam.v))
+    return out
+
+
+def _conjugated(g, seed, count):
+    """``count`` conjugations of ``g`` by seeded signed permutations."""
+    rng = random.Random(seed)
+    n = g.family().shape[0]
+    return [conjugate_grid(g, random_signed_permutation(n, rng), random_signed_permutation(n, rng))
+            for _ in range(count)]
+
+
+# (kind, the grids of one batch, the first error of the last one): corrupted
+# grids batched with conjugates of themselves or of their clean version
+BATCH_FAILURES = [
+    *[(kind, lambda kind=kind, grid=grid: [
+        *_conjugated(TRANSFORMS[kind][0](grid().params["m"]), 3, 2),
+        *_conjugated(grid(), 3, 1), grid()], message)
+      for transform, grid, message in TRANSFORM_ERRORS
+      for kind in ["hermitian" if transform is hermitian_to_matrix_units else "symplectic"]],
+    *[(kind, lambda kind=kind: [*_conjugated(_widened(kind, False), 5, 2),
+                                _widened(kind, True)],
+       f"recovery fails: u_12 != e_12 {sign} e_21")
+      for kind, sign in (("hermitian", "+"), ("symplectic", "-"))],
+    ("symplectic", lambda: [*_conjugated(_orthogonal_symplectic(), 5, 1),
+                            _orthogonal_symplectic()], "diagonal unit e_11 vanished"),
+]
+
+
+class TestBatchedTransform:
+    """One batched transform of several grids against one call per grid:
+    the same units in the same order and the same v, or the same first
+    error, grid by grid."""
+
+    @pytest.mark.parametrize("kind", list(TRANSFORMS))
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_seeded_conjugations(self, kind, m):
+        g = TRANSFORMS[kind][0](m)
+        u = _embedded(m, COMPLEX_ROTATION)
+        perm = random_signed_permutation(m, random.Random(m))
+        # a complex unitary with denominator 5: the batch is joined over the lcm
+        gs = [g, *_conjugated(g, 11, 5), conjugate_grid(g, u * perm, perm * u.adjoint())]
+        got = _batch_outcomes(kind, gs)
+        assert not any(isinstance(o, str) for o in got)
+        assert got == [_transform_outcome(TRANSFORMS[kind][1], x) for x in gs]
+
+    @pytest.mark.parametrize("kind", list(TRANSFORMS))
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_corrupted_transform_grids(self, kind, m):
+        gs = _corrupted_transform_grids(kind, m, 24, seed=m)
+        got = _batch_outcomes(kind, gs)
+        assert got == [_transform_outcome(TRANSFORMS[kind][1], x) for x in gs]
+        assert len({o for o in got if isinstance(o, str)}) >= 3
+
+    @pytest.mark.parametrize("case", ["hermitian", "hermitian-m6"])
+    def test_corrupted_grids(self, case):
+        bad = _corrupted_grids()[case]
+        gs = [hermitian_grid(bad.params["m"]), bad, *_conjugated(bad, 7, 2)]
+        got = _batch_outcomes("hermitian", gs)
+        assert got == [_transform_outcome(hermitian_to_matrix_units, x) for x in gs]
+        assert isinstance(got[1], str) and not isinstance(got[0], str)
+
+    def test_corrupted_symplectic_grid_is_too_small(self):
+        bad = _corrupted_grids()["symplectic"]
+        with pytest.raises(TransformError) as single:
+            symplectic_to_matrix_units(bad)
+        with pytest.raises(TransformError) as batch:
+            _batch_outcomes("symplectic", [bad, bad])
+        assert str(batch.value) == str(single.value)
+
+    @pytest.mark.parametrize("kind,grids,message", BATCH_FAILURES,
+                             ids=[m for _, _, m in BATCH_FAILURES])
+    def test_broken_grid(self, kind, grids, message):
+        gs = grids()
+        got = _batch_outcomes(kind, gs)
+        assert got == [_transform_outcome(TRANSFORMS[kind][1], x) for x in gs]
+        assert got[-1] == message
+
+    @pytest.mark.parametrize("case", list(INJECTED_FAULTS) + ["hermitian-sum"])
+    def test_injected_faults(self, monkeypatch, case):
+        # the canonical grid fails at the relation, its conjugates by seeded
+        # signed permutations have other operands
+        if case == "hermitian-sum":  # v = sum e_ii compared with itself
+            kind, method, operands, flag = "hermitian", "same", (_V5, _V5), False
+            message = "sum of diagonal units is not the isotope unit"
+        else:
+            kind, method, operands, flag, message = INJECTED_FAULTS[case]
+        g = TRANSFORMS[kind][0](5)
+        gs = [*_conjugated(g, 13, 2), g]
+        _flip(monkeypatch, method, operands, flag)
+        got = _batch_outcomes(kind, gs)
+        assert got == [_transform_outcome(TRANSFORMS[kind][1], x) for x in gs]
+        assert got[-1] == message and not any(isinstance(o, str) for o in got[:-1])
+
+
+class TestConjugationNaturality:
+    """``grids.conjugation_naturality``: every conjugation checked in
+    batches bounded by ``_NATURALITY_CELLS``."""
+
+    @pytest.mark.parametrize("kind", list(TRANSFORMS))
+    def test_seeded_signed_permutations_are_natural(self, kind):
+        g = TRANSFORMS[kind][0](5)
+        rng = random.Random(5)
+        pairs = [(random_signed_permutation(5, rng), random_signed_permutation(5, rng))
+                 for _ in range(6)]
+        assert grids.conjugation_naturality(g, pairs) == ([True] * 6, [None] * 6)
+
+    @pytest.mark.parametrize("kind", list(TRANSFORMS))
+    def test_each_pair_against_its_own_transform(self, kind):
+        # a doubled left factor leaves no partial isometry; a non-monomial
+        # unitary is natural like the signed permutations
+        g = TRANSFORMS[kind][0](5)
+        rng = random.Random(8)
+        u = _embedded(5, ROTATION)
+        pairs = [(random_signed_permutation(5, rng), random_signed_permutation(5, rng))
+                 for _ in range(4)]
+        pairs[1] = (pairs[1][0].scale(2), pairs[1][1])
+        pairs[3] = (u, u.adjoint())
+        natural, errors = grids.conjugation_naturality(g, pairs)
+        assert natural == [True, False, True, True]
+        assert errors == [None, "conjugated grid: " + PartialIsometry.FAILS, None, None]
+        for (left, right), ok in zip(pairs, natural):
+            if ok:
+                fam = TRANSFORMS[kind][1](conjugate_grid(g, left, right)).family
+                assert all(fam.member(i * 5 + j) == left * E(5, 5, i, j) * right
+                           for i in range(5) for j in range(5))
+
+    def test_batches_are_bounded(self, monkeypatch):
+        g = hermitian_grid(6)
+        rng = random.Random(2)
+        pairs = [(random_signed_permutation(6, rng), random_signed_permutation(6, rng))
+                 for _ in range(20)]
+        counts = []
+        orig = grids._hermitian_units
+        monkeypatch.setattr(grids, "_hermitian_units",
+                            lambda g, elements, count: counts.append(count) or
+                            orig(g, elements, count))
+        got = grids.conjugation_naturality(g, pairs)
+        # 21 elements, 36 units and 36 conjugated units of 36 cells per grid
+        per = grids._NATURALITY_CELLS // ((21 + 2 * 36) * 36)
+        assert counts == [per, per, 20 - 2 * per] and per == 9
+        counts.clear()
+        monkeypatch.setattr(grids, "_NATURALITY_CELLS", 1)
+        assert grids.conjugation_naturality(g, iter(pairs)) == got == ([True] * 20, [None] * 20)
+        assert counts == [1] * 20
+
+    def test_needs_a_transform_kind(self):
+        with pytest.raises(TransformError):
+            grids.conjugation_naturality(rectangular_grid(2, 2), [])
 
 
 # The per-kind index rules that verify_grid used before every expected value

@@ -122,6 +122,8 @@ with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
     grids.spin_to_spin_system(grids.spin_grid(2, True))
     grids.hermitian_to_matrix_units(grids.hermitian_grid(3)).unit(1, 2)
+    perm = grids.signed_permutation(3, [2, 0, 1], [1, -1, 1])
+    grids.conjugate_grid(grids.hermitian_grid(3), perm, perm)
 sys.setprofile(None)
 print(json.dumps({"codes": codes, "entered": [[c.co_filename, c.co_firstlineno, c.co_qualname]
                                               for c in entered]}))
