@@ -283,6 +283,8 @@ def _verify_split(args) -> VerificationReport:
         rep.add("cross_orthogonality", hnk.split_cross_orthogonal(real, proj))
         return rep
     p, q = _need(args, "p", "q")
+    # an over-cap grid is refused from its size flags, before it is built
+    grids.check_verify_size(grids.grid_size("diag-rect", p=p, q=q))
     g = hnk.diag_rect(p, q)
     rep = VerificationReport(subject=f"split(diag-rect {p}x{q})")
     rep.add("grid_verified", grids.verify_grid(g).passed)

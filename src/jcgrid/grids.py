@@ -3,7 +3,10 @@
 Constructors build concrete matrix families (rectangular / hermitian /
 symplectic / spin / rank-1); ``verify_grid`` checks every pairwise relation
 and the whole triple-product table against the kind's expected values,
-exactly, for grids of up to ``GRID_VERIFY_CAP`` elements.  Every expected
+exactly, for grids of up to ``GRID_VERIFY_CAP`` elements.  The table is
+exhaustive in that every triple gets a verdict: a triple whose operands'
+supports make it zero, and whose expected value is zero, is decided from
+the supports of the grid's own matrices without a product.  Every expected
 value comes from one triple rule on the indices alone: the matrix-unit rule
 for the rectangular, hermitian and symplectic grids and for rank-1 grids
 (read as one row of matrix units), an index rule for spin grids.  The
@@ -35,19 +38,26 @@ import numpy as np
 
 from .errors import CapacityError, TransformError
 from .numlin import (_CHUNK_CELLS, EX_HALF, EX_I, EX_MINUS_ONE, EX_ZERO, ExactFamily,
-                     ExactMatrix, ExactScalar, blocks, exact_rank, scaled_members)
+                     ExactMatrix, blocks, exact_rank, scaled_members)
 from .report import VerificationReport
 from .triple import (PartialIsometry, _relations_of_halves, _unit_table, classify_relation,
-                     isotope_involution, isotope_product)
+                     isotope_involution, isotope_product, live_products)
 
 SPIN_SYSTEM_CAP = 12
-# Most elements verify_grid accepts.  At 78 (hermitian m=12, symplectic
-# m=13, rectangular 6x13) the exhaustive table holds 240,318 triples: one
-# `verify grid` took 0.6-1.1 s at a peak RSS of 50.0-50.4 MB, 31 MB of it the
-# interpreter and imports (Xeon, 2 vCPU, Python 3.11, numpy 2.4; three fresh
-# processes each).  The time grows as n^3, so doubling the cap would cost
-# about 7 s.
-GRID_VERIFY_CAP = 78
+# Most elements verify_grid, and so `verify grid`, `verify split --p --q`
+# and `verify matrix-units`, accept.  At 120 (hermitian m=15, symplectic
+# m=16) the exhaustive table has 871,200 triples, of which the supports
+# leave 47,475 (hermitian) and 52,200 (symplectic) to evaluate: `verify
+# grid` took 0.26 s in process (3.3-3.6 s with every row evaluated) at a
+# peak RSS of 58-62 MB, `verify matrix-units` 0.19-0.26 s.  `verify split
+# --p 2 --q 60`, the slowest shape, took 22 s: its diag-rect elements are
+# 62 x 62 and meet along a whole row and column.  At 136 that split took
+# 59 s, more than any command took at the old cap of 78 (split 2 x 39: 33 s
+# with every row evaluated).  Xeon, 2 vCPU, Python 3.11, numpy 2.4.
+GRID_VERIFY_CAP = 120
+# Most cells of the (x, y, z) masks that one chunk of verify_grid's triple
+# table holds.
+_TABLE_CELLS = 1 << 17
 # Smallest symplectic grid that symplectic_to_matrix_units accepts.
 SYMPLECTIC_TRANSFORM_MIN_SIZE = 5
 # Most numerator cells that one batch of conjugation_naturality holds in its
@@ -151,12 +161,17 @@ def labels_to_indices(kind: str, labels: Sequence[str]) -> list:
 def grid_size(kind: str, p: int = 0, q: int = 0, m: int = 0, r: int = 0,
               odd: bool = False) -> int:
     """The element count of the canonical ``kind`` grid of these sizes, read
-    off the sizes before any matrix is made: p q (rectangular), m (m + 1) / 2
-    (hermitian), m (m - 1) / 2 (symplectic) or 2 r, plus one when ``odd``
-    (spin).  Sizes the kind's constructor rejects raise its error here."""
+    off the sizes before any matrix is made: p q (rectangular, and the
+    diag-rect grid of ``hnk.diag_rect``), m (m + 1) / 2 (hermitian),
+    m (m - 1) / 2 (symplectic) or 2 r, plus one when ``odd`` (spin).  Sizes
+    the kind's constructor rejects raise its error here."""
     if kind == "rectangular":
         if p < 1 or q < 1:
             raise ValueError("rectangular grid requires p, q >= 1")
+        return p * q
+    if kind == "diag-rect":
+        if p < 2 or q < 2:
+            raise ValueError("diag_rect requires p, q >= 2")
         return p * q
     if kind == "hermitian":
         if m < 2:
@@ -274,14 +289,16 @@ def conjugate_grid(g: Grid, left: ExactMatrix, right: ExactMatrix) -> Grid:
 
 
 def signed_permutation(n: int, perm: Sequence[int], signs: Sequence[int]) -> ExactMatrix:
-    """Exact signed permutation unitary: column j carries sign[j] at row perm[j]."""
-    out = [EX_ZERO] * (n * n)
-    for j in range(n):
-        out[perm[j] * n + j] = ExactScalar(signs[j])
-    return ExactMatrix(n, n, out)
+    """Exact signed permutation unitary: column j carries sign[j] at row
+    perm[j], written straight into one numerator array."""
+    re = np.zeros((n, n), dtype=np.int64)
+    re[np.asarray(perm, dtype=np.intp), np.arange(n)] = signs
+    return ExactMatrix(n, n, _arrays=(re, None, 1))
 
 
 def random_signed_permutation(n: int, rng: random.Random) -> ExactMatrix:
+    """A signed permutation drawn from ``rng``: the shuffled rows, then one
+    sign per column."""
     perm = list(range(n))
     rng.shuffle(perm)
     signs = [rng.choice((1, -1)) for _ in range(n)]
@@ -402,12 +419,98 @@ def _triple_rule(grid: Grid, xs, ys, zs) -> tuple:
     return _matrix_unit_table(grid, xs, ys, zs)
 
 
-def _expected_table(grid: Grid, xs, ys, zs) -> tuple:
-    """The want of ``verify_grid``'s exhaustive triple table: the triple rule
-    at every row.  The pair relations and the minimal elements evaluate the
-    rule at their own rows (``_expected_pairs``), so a fault in this array
-    shows in ``triple_products`` alone."""
-    return _triple_rule(grid, xs, ys, zs)
+def _unit_meets(grid: Grid) -> tuple:
+    """``ExactFamily.meets`` of the matrix-unit model, from the indices
+    alone: whether two elements have a row, and a column, of their parts
+    (``_unit_parts``) in common."""
+    rows, cols, signs = _unit_parts(grid)
+    part, k = np.nonzero(signs)
+    out = []
+    for lines in (rows, cols):
+        on = np.zeros((len(grid), rows.max() + 1), dtype=bool)
+        on[k, lines[part, k]] = True
+        out.append(on @ on.T)
+    return tuple(out)
+
+
+def _live_rows(meets: tuple, x0: int, x1: int) -> np.ndarray:
+    """mask[x - x0, y, z] for the first indices x0 <= x < x1: whether the
+    row (x, y, z), x <= z, of the triple table can be nonzero by the
+    supports ``meets`` (``triple.live_products``)."""
+    x = np.arange(x0, x1)
+    return live_products(meets, x, sym=True) & (np.arange(len(meets[0])) >= x[:, None, None])
+
+
+def _expected_table(grid: Grid, x0: int, x1: int) -> tuple:
+    """The rows (x, y, z) of the triple table with x0 <= x < x1 where the
+    triple rule is not zero, in loop order, and its want there:
+    (x, y, z, want).  Every other row wants 0.
+
+    A matrix-unit rule keeps a term e_pq e_rs* e_tu where delta_qs delta_rt
+    holds, so only where the parts of the elements meet: the rule is
+    evaluated on that join (``_live_rows`` of ``_unit_meets``) alone.  A
+    spin grid has at most 13 elements, and its rule is evaluated on every
+    row.  The pair relations and the minimal elements evaluate the rule at
+    their own rows (``_expected_pairs``), so a fault in this want shows in
+    ``triple_products`` alone."""
+    n = len(grid)
+    if grid.kind == "spin":
+        rows = np.broadcast_to(np.arange(n) >= np.arange(x0, x1)[:, None, None], (x1 - x0, n, n))
+    else:
+        rows = _live_rows(_unit_meets(grid), x0, x1)
+    x, y, z = np.nonzero(rows)
+    x += x0
+    kidx, kcoef, q = _triple_rule(grid, x, y, z)
+    keep = kcoef[:, 0] != 0
+    return x[keep], y[keep], z[keep], (kidx[keep], kcoef[keep], q)
+
+
+def _table_row(n: int, x, y, z):
+    """The position of the row (x, y, z), x <= z, in the loop order of the
+    triple table of n elements: n (n - x') rows for each first index x'
+    before x."""
+    return n * (x * n - x * (x - 1) // 2) + y * (n - x) + z - x
+
+
+def _triple_table(grid: Grid) -> tuple:
+    """The exhaustive triple table of ``verify_grid``: a verdict for every
+    row (x, y, z) with x <= z ({a,b,c} = {c,b,a}), in loop order.
+
+    A row is evaluated, on the grid's family, where its supports let it be
+    nonzero (``_live_rows`` on ``ExactFamily.meets``) or where the rule
+    wants a nonzero value (``_expected_table``).  Every other row is zero by
+    its supports and wants 0, so it passes with no product formed.  The
+    supports are read off the matrices themselves: a corrupted element
+    moves its own triples into the evaluated rows.  The rows are built and
+    evaluated a few first indices at a time, at most ``_TABLE_CELLS`` cells
+    of (x, y, z) at once, so no array over all rows is held.  Returns the
+    evaluated rows as (row, (x, y, z), want, ok), row being each one's
+    position in loop order (``_table_row``).
+    """
+    n, fam = len(grid), grid.family()
+    per = max(1, _TABLE_CELLS // (n * n))
+    chunks = []
+    for x0 in range(0, n, per):
+        x1 = min(n, x0 + per)
+        *rule, want = _expected_table(grid, x0, x1)
+        x, y, z, want = _joined_rows(_live_rows(fam.meets(), x0, x1), x0, *rule, want)
+        chunks.append((x, y, z, *want[:2], fam.equal(x, y, z, want, sym=True)))
+    x, y, z, kidx, kcoef, ok = (np.concatenate(c) for c in zip(*chunks))
+    return _table_row(n, x, y, z), (x, y, z), (kidx, kcoef, want[2]), ok
+
+
+def _joined_rows(mask: np.ndarray, x0: int, x, y, z, want: tuple) -> tuple:
+    """The rows of ``mask`` (mask[x - x0, y, z]) and the rows (x, y, z)
+    with their ``want``, joined in loop order: (x, y, z, want), where a row
+    of the mask alone wants 0.  ``mask`` is marked with the rows."""
+    at = np.ravel_multi_index((x - x0, y, z), mask.shape)
+    np.put(mask, at, True)
+    cells = np.flatnonzero(mask)
+    at = np.searchsorted(cells, at)
+    joined = [np.zeros((len(cells),) + part.shape[1:], part.dtype) for part in want[:2]]
+    joined[0][at], joined[1][at] = want[:2]
+    x, y, z = np.unravel_index(cells, mask.shape)
+    return x + x0, y, z, (*joined, want[2])
 
 
 def _expected_pairs(grid: Grid) -> tuple:
@@ -457,15 +560,20 @@ def verify_grid(grid: Grid) -> VerificationReport:
     rule, or the spin rule) on index arrays alone, never from a model grid:
     the triple table (``_expected_table``), the pair relations and the
     minimal elements (``_expected_pairs``).  The observed relations of all
-    pairs come from one ``classify_relation`` call on the grid's family.
-    The triple table covers every triple with the
-    first index not after the third ({a,b,c} = {c,b,a}), at every size, in
-    one batched family table (``ExactFamily``).  Every other verdict is read
-    off it (``_table_verdicts``): minimality, since {v,w,v} = v w* v; the
-    orthogonality of the spin partners, since {u,u,u~} = 0 iff
-    u* u~ = u u~* = 0 for a partial isometry u; and the kind's named
-    identities (``_named_table``).  Failures are reported, never raised,
-    each check listing its first failures in loop order.
+    pairs come from one ``classify_relation`` call on the grid's family;
+    a pair apart by its supports forms no product there.  The triple table
+    (``_triple_table``) is exhaustive: every triple with the first index
+    not after the third ({a,b,c} = {c,b,a}) gets a verdict, at every size.
+    The rows that the supports of the grid's own matrices let be nonzero,
+    and the rows the rule wants nonzero, are evaluated in batched family
+    tables (``ExactFamily``); every other row is zero by its supports and
+    wants 0, so it is decided from the supports with no product formed.
+    Every other verdict is read off the table (``_table_verdicts``):
+    minimality, since {v,w,v} = v w* v; the orthogonality of the spin
+    partners, since {u,u,u~} = 0 iff u* u~ = u u~* = 0 for a partial
+    isometry u; and the kind's named identities (``_named_table``).
+    Failures are reported, never raised, each check listing its first
+    failures in loop order.
     """
     n = len(grid)
     check_verify_size(n)
@@ -487,11 +595,8 @@ def verify_grid(grid: Grid) -> VerificationReport:
     rep.add_counted("pairwise_relations", not mism, len(px), "pairs",
                     failure=f"mismatch {mism}")
 
-    # x <= z covers every ordered triple, in loop order x, y, z
-    upper = np.triu(np.ones((n, n), dtype=bool))[:, None, :]
-    x, y, z = np.unravel_index(np.flatnonzero(np.broadcast_to(upper, (n, n, n))), (n, n, n))
-    want = _expected_table(grid, x, y, z)
-    ok = fam.equal(x, y, z, want, sym=True)
+    table = _triple_table(grid)
+    _, (x, y, z), _, ok = table
 
     # {v, w, v} = 0 for a minimal v and every w != v, {u_i, u_i, u~_i} = 0
     # for the spin partners, then the named identities
@@ -502,7 +607,7 @@ def verify_grid(grid: Grid) -> VerificationReport:
     us, uts = (np.array([pos[(tag, i)] for i in range(1, r + 1)], dtype=np.intp)
                for tag in ("u", "ut"))
     forms, form, params, *named = _named_table(grid)
-    good = _table_verdicts(fam, want, ok, *(np.concatenate(p) for p in zip(
+    good = _table_verdicts(fam, table, *(np.concatenate(p) for p in zip(
         (vs, ws, vs, 0 * vs, 0 * vs), (us, us, uts, 0 * us, 0 * us), named)))
     minimal_ok, apart, named_ok = np.split(good, [len(vs), len(vs) + r])
 
@@ -513,7 +618,7 @@ def verify_grid(grid: Grid) -> VerificationReport:
         rep.add_counted("minimality", not notmin, len(minimal), "elements",
                         failure=f"failed {notmin[:3]}")
     badt = [(idxs[x[t]], idxs[y[t]], idxs[z[t]]) for t in np.flatnonzero(~ok)[:3]]
-    rep.add_counted("triple_products", not badt, len(x), "triples (exhaustive)",
+    rep.add_counted("triple_products", not badt, n * n * (n + 1) // 2, "triples (exhaustive)",
                     failure=f"failed {badt}")
     _report_named(grid, rep, _named_summary(forms, form, params, named_ok), apart)
     return rep
@@ -527,20 +632,19 @@ def _same_want(want: tuple, row: np.ndarray, member: np.ndarray, coef: np.ndarra
     return (kcoef * 2 == coef * q) & ((kidx == member) | (kcoef == 0))
 
 
-def _table_verdicts(fam: ExactFamily, want: tuple, ok: np.ndarray, a, b, c, member,
-                    coef) -> np.ndarray:
+def _table_verdicts(fam: ExactFamily, table: tuple, a, b, c, member, coef) -> np.ndarray:
     """Whether 2 {u_a, u_b, u_c} = coef u_member at each instance.
 
     The instance is the table's row (min(a, c), b, max(a, c)), since
     {a,b,c} = {c,b,a}.  Where its want is the table's want there, the
-    table's verdict is its verdict; an instance whose want differs, or whose
-    row failed, is evaluated on its own.
+    table's verdict is its verdict: a row the table did not evaluate is
+    zero and wants 0.  An instance whose want differs, or whose row failed,
+    is evaluated on its own.
     """
-    n = len(fam)
-    lo, hi = np.minimum(a, c), np.maximum(a, c)
-    # n (n - x) rows for each first index x before lo
-    row = n * (lo * n - lo * (lo - 1) // 2) + b * (n - lo) + hi - lo
-    good = ok[row] & _same_want(want, row, member, coef)
+    rows, _, want, ok = table
+    row = _table_row(len(fam), np.minimum(a, c), b, np.maximum(a, c))
+    at = np.minimum(np.searchsorted(rows, row), len(rows) - 1)
+    good = np.where(rows[at] == row, ok[at] & _same_want(want, at, member, coef), coef == 0)
     redo = np.flatnonzero(~good)
     if redo.size:
         good[redo] = fam.equal(a[redo], b[redo], c[redo],

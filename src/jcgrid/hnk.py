@@ -21,11 +21,11 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapacityError, DecompositionError, DimensionError
-from .grids import Grid
+from .grids import _TABLE_CELLS, Grid, _joined_rows, grid_size
 from .numlin import (EX_HALF, ApproxMatrix, ExactFamily, ExactMatrix, ExactScalar,
                      block_diag, scaled_members, trace_norm)
 from .report import VerificationReport
-from .triple import PartialIsometry, triple_product
+from .triple import PartialIsometry, live_products, triple_product
 
 HNK_BUILD_CAP = 8
 UIJ_VERIFY_CAP = 5
@@ -694,8 +694,7 @@ def diag_hnk(n: int, ks: Sequence[int]) -> RankOneRealization:
 def diag_rect(p: int, q: int) -> Grid:
     """The rank-min(p,q) rectangular grid {(x, x^t)} on matrix units:
     v_ij = diag(E_ij, E_ij^t)."""
-    if p < 2 or q < 2:
-        raise ValueError("diag_rect requires p, q >= 2")
+    grid_size("diag-rect", p=p, q=q)
     elems = []
     for i in range(1, p + 1):
         for j in range(1, q + 1):
@@ -736,17 +735,33 @@ def grid_support_split(grid: Grid):
 
 def ternary_matrix_unit_image(grid: Grid) -> bool:
     """True iff the grid's ternary products follow the matrix-unit calculus
-    u_ij u_kl* u_mn = delta_jl delta_km u_in exactly."""
+    u_ij u_kl* u_mn = delta_jl delta_km u_in exactly.
+
+    The calculus wants u_in at the rows (a, b, c) whose b is u_mj: at most
+    one row per pair (a, c), found by that index join.  Every other row
+    wants 0 and is evaluated only where the supports of its operands let it
+    be nonzero (``triple.live_products``), a few first operands at a time,
+    as in ``grids.verify_grid``'s triple table."""
     i, j = np.array(grid.indices, dtype=np.intp).T
+    n = len(i)
     at = np.full((i.max() + 1, j.max() + 1), -1, dtype=np.intp)
-    at[i, j] = np.arange(len(i))
-    a, b, c = np.indices((len(i),) * 3).reshape(3, -1)
-    unit = (j[a] == j[b]) & (i[b] == i[c])
-    target = np.where(unit, at[i[a], j[c]], 0)
+    at[i, j] = np.arange(n)
+    a, c = np.indices((n, n)).reshape(2, -1)
+    b = at[i[c], j[a]]
+    keep = b >= 0
+    a, b, c = a[keep], b[keep], c[keep]
+    target = at[i[a], j[c]]
     if (target < 0).any():
         raise KeyError(f"{grid.describe()} lacks an element of its matrix-unit image")
-    want = scaled_members(target, unit.astype(np.int64))
-    return bool(grid.family().equal(a, b, c, want).all())
+    fam, per = grid.family(), max(1, _TABLE_CELLS // (n * n))
+    for a0 in range(0, n, per):
+        rows = slice(*np.searchsorted(a, [a0, a0 + per]))
+        mask = live_products(fam.meets(), np.arange(a0, min(n, a0 + per)))
+        x, y, z, want = _joined_rows(mask, a0, a[rows], b[rows], c[rows],
+                                     scaled_members(target[rows]))
+        if not fam.equal(x, y, z, want).all():
+            return False
+    return True
 
 
 # -- projection and trace formula ---------------------------------------------

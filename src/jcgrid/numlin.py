@@ -693,7 +693,8 @@ class ExactFamily:
     matrices as one-member stacks.  ``equal`` compares a b* c, or the triple
     product {a,b,c} = (a b* c + c b* a)/2, with a rational combination of
     members for arrays of index triples; ``vanish`` tests a b* or a* b for
-    zero.  ``same`` and ``nonzero`` test members; ``ternary``, ``sums`` and
+    zero.  ``same`` and ``nonzero`` test members, and ``meets`` tells which
+    of them share a nonzero row or column; ``ternary``, ``sums`` and
     ``conjugate`` form a b* c, sums of members and left u right as stacks to
     join, ``span_sum`` the matrix sum_i trace(x U_i*) U_i / q.  Triples are
     sorted by their first, then middle index and evaluated in chunks of at
@@ -729,7 +730,7 @@ class ExactFamily:
         re, im, self.den = _canonical(re, im, den)
         tops = _abs_max(re), _abs_max(im)
         self.re, self.im, self.mag, self.shape = re, im if tops[1] else None, max(tops), re.shape[1:]
-        self._rungs = {}
+        self._rungs, self._meets = {}, None
 
     def __len__(self):
         return len(self.re)
@@ -759,6 +760,19 @@ class ExactFamily:
         if self.im is not None:
             nonzero |= self.im[idx].any(axis=(1, 2))
         return nonzero
+
+    def meets(self) -> tuple:
+        """(rows, cols): N x N bool arrays, whether members a and b have a
+        nonzero row, and a nonzero column, in common.  a* b = 0 where
+        rows[a, b] is False and a b* = 0 where cols[a, b] is False.  Read
+        once off the numerators and kept."""
+        if self._meets is None:
+            nonzero = self.re != 0
+            if self.im is not None:
+                nonzero |= self.im != 0
+            # a bool matmul: any(on[a] & on[b]) over the lines
+            self._meets = tuple(on @ on.T for on in (nonzero.any(axis=2), nonzero.any(axis=1)))
+        return self._meets
 
     def sums(self, kidx, kcoef) -> tuple:
         """sum_k kcoef[t, k] member kidx[t, k] per row t, as a (re, im, den)

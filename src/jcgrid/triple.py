@@ -125,15 +125,20 @@ def _relations_of_halves(c: np.ndarray, c2: np.ndarray) -> list:
 def classify_relation(fam: ExactFamily, xs, zs) -> list:
     """The grid relation of members xs[t] and zs[t] of ``fam``, exactly, one
     per pair in order: equal, read off the numerators; orthogonal iff
-    u_x* u_z = u_x u_z* = 0; else colinear (each in the other's Peirce-1
-    space), governing (one in the other's Peirce-2 space, which sits in its
-    Peirce-1 space) or unclassified, by the halves (c, c').  Both directions
-    run in one batched family table, c = 2 only where c = 1 failed.
+    u_x* u_z = u_x u_z* = 0, each product zero outright where the rows (the
+    columns) of the two do not meet (``ExactFamily.meets``), so a pair
+    apart by its supports forms no product; else colinear (each in the
+    other's Peirce-1 space), governing (one in the other's Peirce-2 space,
+    which sits in its Peirce-1 space) or unclassified, by the halves
+    (c, c').  Both directions run in one batched family table, c = 2 only
+    where c = 1 failed.
     """
     xs, zs = (np.asarray(v, dtype=np.intp) for v in (xs, zs))
     same = fam.same(xs, zs)
-    apart = fam.vanish(xs, zs, star_first=True)
-    apart[apart] = fam.vanish(xs[apart], zs[apart])
+    apart = np.ones(len(xs), dtype=bool)
+    for meet, star_first in zip(fam.meets(), (True, False)):
+        t = np.flatnonzero(apart & meet[xs, zs])
+        apart[t] = fam.vanish(xs[t], zs[t], star_first=star_first)
     rest = np.flatnonzero(~same & ~apart)
     # c at the rows (x, x, z), then c' at the rows (z, z, x); -1: neither 1 nor 2
     a, b = np.concatenate([xs[rest], zs[rest]]), np.concatenate([zs[rest], xs[rest]])
@@ -146,6 +151,18 @@ def classify_relation(fam: ExactFamily, xs, zs) -> list:
     c[:, rest] = halves.reshape(2, -1)
     return [GridRelation.EQUAL if equal else rel
             for equal, rel in zip(same.tolist(), _relations_of_halves(*c))]
+
+
+def live_products(meets: tuple, a, sym: bool = False) -> np.ndarray:
+    """mask[t, b, c]: whether a b* c at a = a[t] (with ``sym``, a b* c +
+    c b* a) can be nonzero by the supports ``meets`` (rows, cols) of
+    ``ExactFamily.meets``: a b* is zero where the columns of a and b do not
+    meet, and b* c where the rows of b and c do not."""
+    rows, cols = meets
+    live = cols[a, :, None] & rows[None]
+    if sym:
+        live |= rows[a, :, None] & cols[None]
+    return live
 
 
 def isotope_product(v: PartialIsometry, a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jcgrid import cli, grids
+from jcgrid import cli, grids, hnk
 from jcgrid.errors import CapacityError, DimensionError, TransformError
 from jcgrid.grids import (GRID_VERIFY_CAP, Grid, conjugate_grid, grid_size, hermitian_grid,
                           hermitian_to_matrix_units, random_signed_permutation,
@@ -14,11 +14,12 @@ from jcgrid.grids import (GRID_VERIFY_CAP, Grid, conjugate_grid, grid_size, herm
                           spin_to_spin_system, symplectic_grid,
                           symplectic_to_matrix_units, verify_grid)
 from jcgrid.hnk import build_hnk
-from jcgrid.numlin import (EX_HALF, EX_I, ExactFamily, ExactMatrix, block_diag, exact_rank,
-                           scaled_members)
+from jcgrid.numlin import (EX_HALF, EX_I, ExactFamily, ExactMatrix, ExactScalar, block_diag,
+                           exact_rank, scaled_members)
 from jcgrid.triple import (GridRelation, PartialIsometry, classify_relation,
                            isotope_product, triple_product)
 from test_cli import COMPLEX_ROTATION, ROTATION, _embedded
+from table_oracle import spin_triple, table_verdicts, wants_nonzero, zero_by_supports
 from test_numlin import _relation_by_definition, as_rows, ref_ternary
 
 E = ExactMatrix.unit
@@ -656,11 +657,17 @@ def _model_coefficients(g, xs, ys, zs):
 
 
 def _rule_coefficients(g, xs, ys, zs):
-    """The u-coefficients of 2 {u_x, u_y, u_z} that verify_grid expects."""
-    kidx, kcoef, q = grids._expected_table(g, xs, ys, zs)
-    assert q == 2
+    """The u-coefficients of 2 {u_x, u_y, u_z} that verify_grid expects at
+    the rows (xs, ys, zs), x <= z: the rule's nonzero rows of the whole
+    table, in loop order, and zero at every other row."""
+    x, y, z, (kidx, kcoef, q) = grids._expected_table(g, 0, len(g))
+    assert q == 2 and kidx.shape == kcoef.shape == (len(x), 1) and (kcoef != 0).all()
+    at = {key: t for t, key in enumerate(zip(x.tolist(), y.tolist(), z.tolist()))}
+    assert list(at) == sorted(at) and len(at) == len(x)
     dense = np.zeros((len(xs), len(g)), dtype=np.int64)
-    np.add.at(dense, (np.arange(len(xs))[:, None], kidx), kcoef.astype(np.int64))
+    for t, key in enumerate(zip(xs.tolist(), ys.tolist(), zs.tolist())):
+        if key in at:
+            dense[t, kidx[at[key], 0]] = kcoef[at[key], 0]
     return dense
 
 
@@ -677,44 +684,6 @@ class TestMatrixUnitRule:
         assert (_rule_coefficients(g, xs, ys, zs) == _model_coefficients(g, xs, ys, zs)).all()
 
 
-def _spin_partner(key):
-    return ("ut" if key[0] == "u" else "u", key[1])
-
-
-def _spin_triple(a, b, c):
-    """Complete triple-product table of the spin grid (derived in the Pauli
-    model; symmetric in the outer arguments)."""
-    def is0(k):
-        return k[0] == "u0"
-
-    if a == b == c:
-        return {a: Fraction(1)}
-    if not is0(b) and (_spin_partner(b) == a or _spin_partner(b) == c):
-        return {}
-    if a == b:
-        if is0(a):
-            return {c: Fraction(1)}
-        if is0(c) or c[1] != a[1]:
-            return {c: Fraction(1, 2)}
-        return {}
-    if b == c:
-        if is0(b):
-            return {a: Fraction(1)}
-        if is0(a) or a[1] != b[1]:
-            return {a: Fraction(1, 2)}
-        return {}
-    if a == c:
-        if is0(a) and not is0(b):
-            return {_spin_partner(b): Fraction(-1)}
-        return {}
-    if not is0(a) and not is0(c) and _spin_partner(a) == c:
-        if is0(b):
-            return {b: Fraction(-1, 2)}
-        if b[1] != a[1]:
-            return {_spin_partner(b): Fraction(-1, 2)}
-    return {}
-
-
 class TestSpinRule:
     """The spin grid's index rule against the dict rule it replaces."""
 
@@ -726,12 +695,83 @@ class TestSpinRule:
         xs, ys, zs = (v.ravel() for v in np.indices((n, n, n)))
         want = np.zeros((len(xs), 2), dtype=np.int64)
         for t, (x, y, z) in enumerate(zip(xs, ys, zs)):
-            for idx, v in _spin_triple(idxs[x], idxs[y], idxs[z]).items():
+            for idx, v in spin_triple(idxs[x], idxs[y], idxs[z]).items():
                 want[t] = idxs.index(idx), 2 * v
         kidx, kcoef, q = grids._triple_rule(g, xs, ys, zs)
         assert q == 2 and kidx.shape == kcoef.shape == (len(xs), 1)
         assert kidx.dtype == np.intp and kcoef.dtype == np.int64
         assert (np.hstack([kidx, kcoef]) == want).all()
+
+
+def _table_of(g):
+    """verify_grid's verdict on every triple x <= z of ``g``, in loop order:
+    the verdicts of the rows its table evaluated, and a pass at every other
+    row, which its supports make zero and which wants 0."""
+    n = len(g)
+    rows, _, _, ok = grids._triple_table(g)
+    full = np.ones(n * n * (n + 1) // 2, dtype=bool)
+    full[rows[~ok]] = False
+    return full.tolist()
+
+
+def _failing_triples(g, verdicts):
+    """The triples (x, y, z) of ``verdicts`` (in loop order) that fail."""
+    triples = zip(*_upper_triples(len(g)).tolist())
+    return [t for t, ok in zip(triples, verdicts) if not ok]
+
+
+def _against_oracle(g):
+    """``_table_of(g)``, once it and verify_grid's triple_products line
+    match ``table_oracle``: the same verdicts, the first three failures."""
+    want, got = table_verdicts(g), _table_of(g)
+    assert got == want
+    failures = [tuple(g.indices[t] for t in row) for row in _failing_triples(g, want)]
+    check = {c["name"]: c for c in verify_grid(g).to_json_dict()["checks"]}["triple_products"]
+    detail = f"failed {failures[:3]}" if failures else f"{len(got)} triples (exhaustive)"
+    assert (check["status"], check["detail"]) == ("fail" if failures else "pass", detail)
+    return got
+
+
+ORACLE_GRIDS = [rectangular_grid(2, 3), hermitian_grid(3), symplectic_grid(4), spin_grid(2, False),
+                spin_grid(2, True), build_hnk(3, 2).as_grid()]
+# one element with one entry more, still a partial isometry
+EXTRA_ENTRY = {
+    "rectangular": (rectangular_grid(2, 3), (1, 1), E(2, 3, 0, 0) + E(2, 3, 1, 2)),
+    "hermitian": (hermitian_grid(3), (1, 1), E(3, 3, 0, 0) + E(3, 3, 2, 2)),
+    "symplectic": (symplectic_grid(4), (1, 2), E(4, 4, 0, 1) - E(4, 4, 1, 0) + E(4, 4, 2, 3)),
+}
+
+
+class TestTableOracle:
+    """verify_grid's full verdict list against ``table_oracle``, which forms
+    every triple on Fraction entries one at a time."""
+
+    @pytest.mark.parametrize("g", ORACLE_GRIDS, ids=lambda g: g.describe())
+    def test_clean_grids(self, g):
+        assert all(_against_oracle(g))
+
+    @pytest.mark.parametrize("kind", list(EXTRA_ENTRY))
+    def test_extra_entry_turns_a_dead_triple_live(self, kind):
+        clean, idx, mat = EXTRA_ENTRY[kind]
+        g = _replace(clean, idx, mat)
+        got = _against_oracle(g)
+        # a triple the clean grid's supports make zero is live now, and fails
+        before, after = clean.matrices(), g.matrices()
+        turned = [(x, y, z) for x, y, z in _failing_triples(g, got)
+                  if zero_by_supports(before[x], before[y], before[z])
+                  and not zero_by_supports(after[x], after[y], after[z])]
+        assert turned
+
+    def test_removed_entry_leaves_a_wanted_triple_dead(self):
+        # u_12 = e_12 + e_21 loses e_21, so {u_12, u_11, u_12} = u_22 is zero
+        # by its supports.  A symplectic element that loses one of its two
+        # entries leaves no such triple: each wanted product keeps a term
+        g = _replace(hermitian_grid(3), (1, 2), E(3, 3, 0, 1))
+        got = _against_oracle(g)
+        mats = g.matrices()
+        dead = [t for t in _failing_triples(g, got)
+                if zero_by_supports(*(mats[x] for x in t))]
+        assert dead and all(wants_nonzero(g, *t) for t in dead)
 
 
 # grids that the canonical model read-off could not report: a broken element
@@ -759,12 +799,36 @@ class TestBrokenConstruction:
         assert "[FAIL   ] triple_products" in out and "overall: fail" in out
 
 
+class TestSignedPermutation:
+    def test_drawn_as_numerators(self, monkeypatch):
+        # the same draws and the same matrices as when each of the n^2
+        # entries was an ExactScalar, with no scalar made
+        rng, again = random.Random(5), random.Random(5)
+        made = []
+        orig = ExactScalar.__init__
+        monkeypatch.setattr(ExactScalar, "__init__",
+                            lambda self, *a: made.append(a) or orig(self, *a))
+        got = [random_signed_permutation(6, rng) for _ in range(3)]
+        assert made == []
+        monkeypatch.undo()
+        for m in got:
+            perm = list(range(6))
+            again.shuffle(perm)
+            signs = [again.choice((1, -1)) for _ in range(6)]
+            entries = [ExactScalar(0)] * 36
+            for j in range(6):
+                entries[perm[j] * 6 + j] = ExactScalar(signs[j])
+            assert m == ExactMatrix(6, 6, entries)
+
+
 class TestVerifyCap:
+    # the cap was 78 (hermitian m=12, 240,318 triples) while the table
+    # evaluated every row
     def test_at_cap_is_exhaustive(self, capsys):
-        assert len(hermitian_grid(12)) == GRID_VERIFY_CAP
-        assert cli.main(["verify", "grid", "--kind", "hermitian", "--m", "12"]) == 0
+        assert len(hermitian_grid(15)) == GRID_VERIFY_CAP
+        assert cli.main(["verify", "grid", "--kind", "hermitian", "--m", "15"]) == 0
         out = capsys.readouterr().out
-        assert "240318 triples (exhaustive)" in out and "overall: pass" in out
+        assert "871200 triples (exhaustive)" in out and "overall: pass" in out
 
     def test_above_cap_forms_no_product(self, monkeypatch):
         g = rectangular_grid(1, GRID_VERIFY_CAP + 1)
@@ -785,7 +849,7 @@ class TestVerifyCap:
         assert out == "" and err.startswith("capacity: ")
 
     @pytest.mark.parametrize("kind,size,count", [
-        ("hermitian", ["--m", "13"], 91), ("hermitian", ["--m", "999"], 499500),
+        ("hermitian", ["--m", "16"], 136), ("hermitian", ["--m", "999"], 499500),
         ("symplectic", ["--m", "400"], 79800),
         ("rectangular", ["--p", "300", "--q", "300"], 90000)])
     def test_above_cap_is_refused_before_building(self, monkeypatch, capsys, kind, size, count):
@@ -798,7 +862,7 @@ class TestVerifyCap:
         assert out == "" and err == (f"capacity: grid verification is capped at "
                                      f"{GRID_VERIFY_CAP} elements, got {count}\n")
 
-    @pytest.mark.parametrize("kind,m", [("hermitian", 12), ("symplectic", 13)])
+    @pytest.mark.parametrize("kind,m", [("hermitian", 15), ("symplectic", 16)])
     def test_matrix_units_at_cap_runs(self, capsys, kind, m):
         assert grid_size(kind, m=m) == GRID_VERIFY_CAP
         argv = ["verify", "matrix-units", "--kind", kind, "--m", str(m), "--conjugations", "1"]
@@ -806,7 +870,7 @@ class TestVerifyCap:
         out = capsys.readouterr().out
         assert "1 seeded signed-permutation conjugations" in out and "overall: pass" in out
 
-    @pytest.mark.parametrize("kind,m", [("hermitian", 13), ("symplectic", 14)])
+    @pytest.mark.parametrize("kind,m", [("hermitian", 16), ("symplectic", 17)])
     def test_matrix_units_above_cap_is_refused_before_building(self, monkeypatch, capsys,
                                                                kind, m):
         def build(*args):
@@ -817,7 +881,24 @@ class TestVerifyCap:
         assert cli.main(argv) == 3
         out, err = capsys.readouterr()
         assert out == "" and err == (f"capacity: grid verification is capped at "
-                                     f"{GRID_VERIFY_CAP} elements, got 91\n")
+                                     f"{GRID_VERIFY_CAP} elements, got 136\n")
+
+    @pytest.mark.parametrize("p,q", [(2, GRID_VERIFY_CAP // 2 + 1), (300, 300)])
+    def test_split_above_cap_is_refused_before_building(self, monkeypatch, capsys, p, q):
+        def build(*args):
+            raise AssertionError("the diag-rect grid was built")
+
+        monkeypatch.setattr(hnk, "diag_rect", build)
+        assert cli.main(["verify", "split", "--p", str(p), "--q", str(q)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"capacity: grid verification is capped at "
+                                     f"{GRID_VERIFY_CAP} elements, got {p * q}\n")
+
+    @pytest.mark.parametrize("p,q", [(1, 200), (0, 2)])
+    def test_split_constructor_errors_come_first(self, capsys, p, q):
+        assert cli.main(["verify", "split", "--p", str(p), "--q", str(q)]) == 2
+        err = capsys.readouterr().err.splitlines()[0]
+        assert err == "usage error: diag_rect requires p, q >= 2"
 
     def test_grid_size_counts_the_elements(self):
         for kind, sizes, build in [
@@ -825,7 +906,8 @@ class TestVerifyCap:
                 ("hermitian", {"m": 4}, lambda: hermitian_grid(4)),
                 ("symplectic", {"m": 5}, lambda: symplectic_grid(5)),
                 ("spin", {"r": 3}, lambda: spin_grid(3, False)),
-                ("spin", {"r": 3, "odd": True}, lambda: spin_grid(3, True))]:
+                ("spin", {"r": 3, "odd": True}, lambda: spin_grid(3, True)),
+                ("diag-rect", {"p": 2, "q": 3}, lambda: hnk.diag_rect(2, 3))]:
             assert grid_size(kind, **sizes) == len(build())
 
     @pytest.mark.parametrize("kind,size,code,err", [
@@ -963,6 +1045,11 @@ class TestNamedTable:
         with pytest.raises(KeyError):
             grids._named_table(short)
 
+    # The table's want is the rule's nonzero rows (_expected_table), not one
+    # array over every row: the wrong want raises the coefficient of the
+    # first named instance's row, which the table evaluates (of every row
+    # the rule returns with "every-row"), and adds a nonzero want at the
+    # first row the table decides by its supports, where the grid has one
     @pytest.mark.parametrize("every", [False, True], ids=["one-row", "every-row"])
     @pytest.mark.parametrize("case", ["clean-hermitian", "clean-spin", "clean-rank1"]
                              + list(FAILURE_REPORTS))
@@ -973,15 +1060,21 @@ class TestNamedTable:
         named = {c["name"]: c for c in verify_grid(g).to_json_dict()["checks"]}
         _, _, _, a, b, c, _, _ = grids._named_table(g)
         n = len(g)
-        lo, hi = min(a[0], c[0]), max(a[0], c[0])
-        first = n * (lo * n - lo * (lo - 1) // 2) + b[0] * (n - lo) + hi - lo
+        first = (min(a[0], c[0]), b[0], max(a[0], c[0]))
+        _, evaluated, _, _ = grids._triple_table(g)
+        evaluated = set(zip(*(v.tolist() for v in evaluated)))
+        dead = [t for t in zip(*_upper_triples(n).tolist()) if t not in evaluated][:1]
         orig = grids._expected_table
 
-        def wrong(grid, xs, ys, zs):
-            kidx, kcoef, q = orig(grid, xs, ys, zs)
+        def wrong(grid, x0, x1):
+            x, y, z, (kidx, kcoef, q) = orig(grid, x0, x1)
             kcoef = np.array(kcoef)
-            kcoef[slice(None) if every else first] += 1
-            return kidx, kcoef, q
+            rows = list(zip(x.tolist(), y.tolist(), z.tolist()))
+            kcoef[slice(None) if every else rows.index(first)] += 1
+            for row in dead:
+                x, y, z = (np.append(v, t) for v, t in zip((x, y, z), row))
+                kidx, kcoef = np.append(kidx, [[0]], axis=0), np.append(kcoef, [[2]], axis=0)
+            return x, y, z, (kidx, kcoef, q)
 
         monkeypatch.setattr(grids, "_expected_table", wrong)
         calls = []
@@ -993,6 +1086,9 @@ class TestNamedTable:
         for check in got:
             if check["name"] == "triple_products":
                 assert check["status"] == "fail"
+                if case in clean and not every:  # both wrong rows fail, and only they
+                    labels = [tuple(g.indices[t] for t in row) for row in sorted([first, *dead])]
+                    assert check["detail"] == f"failed {labels}"
             else:
                 assert check == named[check["name"]]
         # the relations' c = 1 pass, and a c = 2 pass where some pair fails

@@ -646,11 +646,22 @@ class TestDiagRect:
         got = ternary_matrix_unit_image(p_grid)
         monkeypatch.setattr(ExactFamily, "equal", orig)
         a, b, c, want = _unit_image_by_comprehension(p_grid)
+        full = dict(zip(zip(a.tolist(), b.tolist(), c.tolist()),
+                        zip(want[0][:, 0].tolist(), want[1][:, 0].tolist())))
+        # one evaluation of the rows in loop order, each with the
+        # comprehension's want; a row it skips wants 0 and is the zero
+        # matrix, by its supports.  All 216 rows were evaluated before
         (ga, gb, gc, (kidx, kcoef, q)), = calls
-        assert all((x == y).all() for x, y in [(ga, a), (gb, b), (gc, c), (kidx, want[0]),
-                                               (kcoef, want[1])])
-        assert q == want[2]
-        assert got is bool(ExactFamily(p_grid.matrices()).equal(a, b, c, want).all())
+        rows = list(zip(ga.tolist(), gb.tolist(), gc.tolist()))
+        assert rows == sorted(rows) and q == want[2] == 1
+        assert [full[t] for t in rows] == list(zip(kidx[:, 0].tolist(), kcoef[:, 0].tolist()))
+        mats = p_grid.matrices()
+        skipped = set(full) - set(rows)
+        assert len(skipped) == 180
+        for x, y, z in skipped:
+            assert full[x, y, z][1] == 0
+            assert (mats[x] * mats[y].adjoint() * mats[z]).is_zero()
+        assert got is bool(ExactFamily(mats).equal(a, b, c, want).all())
         assert got is (corrupt is None)
 
     def test_unit_image_of_a_grid_without_a_target_raises(self):

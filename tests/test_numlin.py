@@ -891,6 +891,14 @@ class TestFamilyOracle:
             (mats[a] * mats[b].adjoint()).is_zero() for a, b in zip(pa, pb)]
         assert fam.vanish(pa, pb, star_first=True).tolist() == [
             (mats[a].adjoint() * mats[b]).is_zero() for a, b in zip(pa, pb)]
+        # the supports: members meet where they share a nonzero row (column),
+        # and a* b (a b*) is zero where they do not
+        nonzero = [[(t // cols, t % cols) for t, e in enumerate(m.entries) if e] for m in mats]
+        for meet, side, star_first in zip(fam.meets(), (0, 1), (True, False)):
+            lines = [{cell[side] for cell in cells} for cells in nonzero]
+            assert meet.tolist() == [[bool(lines[a] & lines[b]) for b in range(n)]
+                                     for a in range(n)]
+            assert fam.vanish(pa, pb, star_first=star_first)[~meet[pa, pb]].all()
         # compared with combinations of members: the products themselves, or twice them
         for sym, values in ((False, ternary), (True, braces)):
             ext = ExactFamily(mats + values + values)

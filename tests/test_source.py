@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import cli_env
+from jcgrid.numlin import ExactFamily
 
 SOURCES = sorted(p for p in (Path(__file__).resolve().parents[1] / "src" / "jcgrid").glob("*.py")
                  if p.name != "__init__.py")
@@ -78,6 +79,48 @@ def test_guard_read_is_found():
                                     (4, "_mags"), (5, "_mag")]
 
 
+# The table oracle (tests/table_oracle.py) takes from the exact kernels only
+# what builds its input matrices, so that a fault in a kernel cannot pass on
+# both sides of the comparison.
+ORACLE_HELPER = Path(__file__).resolve().parent / "table_oracle.py"
+KERNEL_MODULES = {"jcgrid.numlin", "jcgrid.triple"}
+INPUT_CONSTRUCTORS = {"ExactMatrix"}
+FAMILY_METHODS = {"family"} | {name for name, value in vars(ExactFamily).items()
+                               if callable(value) and not name.startswith("__")}
+
+
+def _kernel_reads(source: str) -> list:
+    """What a module takes from ``jcgrid.numlin`` or ``jcgrid.triple``
+    beyond the input constructors, with line numbers: the names it imports from
+    them, the modules themselves, and the methods of a family it reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+            if node.module in KERNEL_MODULES:
+                found += [(node.lineno, n) for n in names if n not in INPUT_CONSTRUCTORS]
+            elif node.module == "jcgrid":
+                found += [(node.lineno, n) for n in names if f"jcgrid.{n}" in KERNEL_MODULES]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name in KERNEL_MODULES]
+        elif isinstance(node, ast.Attribute) and node.attr in FAMILY_METHODS:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_table_oracle_shares_no_kernel():
+    assert _kernel_reads(ORACLE_HELPER.read_text()) == []
+
+
+def test_kernel_read_is_found():
+    source = ("from jcgrid.numlin import ExactMatrix, scaled_members\n"
+              "from jcgrid import grids, triple\n"
+              "import jcgrid.numlin\n"
+              "ok = g.family().equal(a, b, c)\n")
+    assert _kernel_reads(source) == [(1, "scaled_members"), (2, "triple"), (3, "jcgrid.numlin"),
+                                     (4, "equal"), (4, "family")]
+
+
 # -- every function reached by a command or a criterion ------------------------------
 
 _CONSTRUCT_SIZES = {"hnk": "--n 3 --k 2", "rectangular": "--p 2 --q 3", "hermitian": "--m 3",
@@ -92,14 +135,15 @@ _VERIFY_SIZES = ["grid --kind rectangular --p 2 --q 3", "grid --kind hermitian -
                  "matrix-units --kind hermitian --m 3 --conjugations 2",
                  "matrix-units --kind symplectic --m 5 --conjugations 2"]
 # (argv, exit code): every subcommand, --format and grid or construct kind at
-# small sizes, then a usage error and a capacity error
+# small sizes, then a usage error, a grid at the verify cap and a capacity error
 REACH_COMMANDS = (
     [(f"construct {kind} {sizes} --format {fmt}".split(), 0)
      for kind, sizes in _CONSTRUCT_SIZES.items() for fmt in ("json", "csv", "pretty")]
     + [(f"verify {target} --format {fmt}".split(), 0)
        for target in _VERIFY_SIZES for fmt in ("text", "json")]
     + [("witness --n 3 --k 2".split(), 0), ("verify grid --m 3".split(), 2),
-       ("verify grid --kind hermitian --m 13".split(), 3)])
+       ("verify grid --kind hermitian --m 15".split(), 0),
+       ("verify grid --kind hermitian --m 16".split(), 3)])
 
 # Run in a fresh interpreter, so that what the package calls while it is
 # imported counts: the commands in-process, then the acceptance criteria's
