@@ -190,37 +190,41 @@ def grid_size(kind: str, p: int = 0, q: int = 0, m: int = 0, r: int = 0,
     raise ValueError(f"unknown grid kind {kind!r}")
 
 
+def _unit_grid(kind: str, params: dict, shape: tuple, indices: list) -> Grid:
+    """The canonical ``kind`` grid over ``indices``, every entry written into
+    one (N, rows, cols) numerator stack by index assignment: u_ij is e_ij,
+    plus e_ji (hermitian) or minus e_ji (symplectic) off the diagonal.  The
+    grid checks the elements on that stack."""
+    i, j = np.array(indices, dtype=np.intp).T - 1
+    stack = np.zeros((len(indices),) + shape, dtype=np.int64)
+    stack[np.arange(len(indices)), i, j] = 1
+    if kind != "rectangular":
+        off = np.flatnonzero(i != j)
+        stack[off, j[off], i[off]] = 1 if kind == "hermitian" else -1
+    fam = ExactFamily(_stacks=[(stack, None, 1)])
+    return Grid(kind, params, list(zip(indices, fam.members())), _family=fam)
+
+
 def rectangular_grid(p: int, q: int) -> Grid:
     """The canonical rectangular grid: matrix units E_ij of shape p x q."""
     grid_size("rectangular", p=p, q=q)
-    elems = [((i, j), ExactMatrix.unit(p, q, i - 1, j - 1))
-             for i in range(1, p + 1) for j in range(1, q + 1)]
-    return Grid("rectangular", {"p": p, "q": q}, elems)
+    indices = [(i, j) for i in range(1, p + 1) for j in range(1, q + 1)]
+    return _unit_grid("rectangular", {"p": p, "q": q}, (p, q), indices)
 
 
 def hermitian_grid(m: int) -> Grid:
-    """The canonical hermitian grid in m x m symmetric matrices."""
+    """The canonical hermitian grid in m x m symmetric matrices: E_ii and
+    E_ij + E_ji for i < j."""
     grid_size("hermitian", m=m)
-    elems = []
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            if i == j:
-                mat = ExactMatrix.unit(m, m, i - 1, i - 1)
-            else:
-                mat = ExactMatrix.unit(m, m, i - 1, j - 1) + ExactMatrix.unit(m, m, j - 1, i - 1)
-            elems.append(((i, j), mat))
-    return Grid("hermitian", {"m": m}, elems)
+    indices = [(i, j) for i in range(1, m + 1) for j in range(i, m + 1)]
+    return _unit_grid("hermitian", {"m": m}, (m, m), indices)
 
 
 def symplectic_grid(m: int) -> Grid:
-    """The canonical antisymmetric grid, indexed by pairs i < j."""
+    """The canonical antisymmetric grid, E_ij - E_ji indexed by pairs i < j."""
     grid_size("symplectic", m=m)
-    elems = []
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            mat = ExactMatrix.unit(m, m, i - 1, j - 1) - ExactMatrix.unit(m, m, j - 1, i - 1)
-            elems.append(((i, j), mat))
-    return Grid("symplectic", {"m": m}, elems)
+    indices = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    return _unit_grid("symplectic", {"m": m}, (m, m), indices)
 
 
 def spin_system(k: int) -> List[ExactMatrix]:

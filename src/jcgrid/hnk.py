@@ -3,7 +3,10 @@
 ``build_hnk(n, k)`` realizes the n-dimensional Hilbertian space whose basis
 element U_c is the sum of signed matrix units E_{J,I} over all disjoint pairs
 (I, J) with |I| = k-1, |J| = n-k and complement {c}; rows and columns are
-indexed by combinations in lexicographic order.  On top of that sit the
+indexed by combinations in lexicographic order.  The signs are those of the
+Jordan-Wigner creation operators: ``build_hnk`` computes all of them at once
+from subset bitmasks (``_jordan_wigner_signs``), and ``signature_one`` is
+the same rule for one triple (I, c, J).  On top of that sit the
 support products, the indices (i_R, i_L), the general u_IJ words with their
 signature calculus and decomposition into "ones", the Peirce splittings, the
 trace formula and the contractive projection onto the span.
@@ -53,9 +56,6 @@ class Combination:
 
     def __len__(self):
         return len(self.members)
-
-    def __contains__(self, x):
-        return x in self.members
 
     def union(self, other: "Combination") -> "Combination":
         return Combination.of(self.n, set(self.members) | set(other.members))
@@ -114,6 +114,28 @@ def signature_one(I: Combination, c: int, J: Combination) -> int:
     return -1 if inv % 2 else 1
 
 
+def _masks(combs: Sequence[Combination]) -> np.ndarray:
+    """Each combination as a subset bitmask: bit x-1 for member x."""
+    return np.array([sum(1 << (x - 1) for x in C) for C in combs], dtype=np.intp)
+
+
+def _jordan_wigner_signs(n: int, cols: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``signature_one`` for arrays of triples: the sign of the word (I, c, J)
+    for each column bitmask I = cols[t] and 0-based mode c = c[t] outside I,
+    J the complement of I | {c}.  The word's inversions are
+    #{i in I : i > c} + #{j in J : j < c} + #{(i, j) in I x J : i > j}.  The
+    c modes below c lie in I or J, so the first two terms add up to
+    |I| - c + 2 #{j in J : j < c}, and the parity is that of
+    |I| + c + #{(i, j) in I x J : i > j}: read off the membership masks and
+    one cumulative sum over J."""
+    modes = np.arange(n)
+    in_i = (cols[:, None] >> modes) & 1
+    in_j = (((1 << n) - 1 - cols - (1 << c))[:, None] >> modes) & 1
+    j_below = np.cumsum(in_j, axis=1) - in_j  # #{j in J : j < x} at each mode x
+    inv = (in_i * (j_below + 1)).sum(axis=1) + c
+    return 1 - 2 * (inv & 1)
+
+
 @dataclass(frozen=True)
 class SignedUnit:
     """A signed matrix unit epsilon * E_{J,I}; I, J disjoint with singleton
@@ -138,7 +160,9 @@ class SignedUnit:
 class HnkSpace:
     """The space H(n, k): n signed-unit basis matrices with multiplicity
     C(n-1, k-1), rows indexed by size-(n-k) combinations and columns by
-    size-(k-1) combinations, lexicographically."""
+    size-(k-1) combinations, lexicographically.  ``stack`` is the read-only
+    (n, rows, cols) int64 array of the basis; every basis matrix is its
+    slice."""
 
     n: int
     k: int
@@ -147,6 +171,7 @@ class HnkSpace:
     col_combs: Tuple[Combination, ...]
     multiplicity: int
     rank_one: "RankOneRealization" = field(compare=False, repr=False)
+    stack: np.ndarray = field(compare=False, repr=False)
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -155,12 +180,12 @@ class HnkSpace:
     @cached_property
     def basis_array(self) -> np.ndarray:
         """The basis as one (n, rows, cols) complex array, converted once."""
-        return np.stack([b.to_approx().array for b in self.basis])
+        return self.stack.astype(np.complex128)
 
     @cached_property
     def basis_family(self) -> ExactFamily:
-        """The basis as one ``ExactFamily``, stacked once."""
-        return ExactFamily(self.basis)
+        """The basis as one ``ExactFamily``, formed once from the stack."""
+        return ExactFamily(_stacks=[(self.stack, None, 1)])
 
     def row_index(self, J: Combination) -> int:
         return J.rank()
@@ -186,7 +211,13 @@ class HnkSpace:
 
 def build_hnk(n: int, k: int) -> HnkSpace:
     """Construct H(n, k) and validate its defining invariants exactly, once:
-    the space keeps the validated ``RankOneRealization``."""
+    the space keeps the validated ``RankOneRealization``.
+
+    The basis is one index computation: rows and columns as subset bitmasks,
+    every pair (c, I) with c outside I placed at row J = complement of
+    I | {c} by a rank table over all 2^n subsets, its sign from
+    ``_jordan_wigner_signs``, and every entry of the n matrices written into
+    one (n, rows, cols) int64 stack at once."""
     if n < 1 or k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     if n > HNK_BUILD_CAP:
@@ -194,23 +225,26 @@ def build_hnk(n: int, k: int) -> HnkSpace:
     rows = combinations(n, n - k)
     cols = combinations(n, k - 1)
     m = math.comb(n - 1, k - 1)
-    row_of = {J.members: r for r, J in enumerate(rows)}
-    everything = frozenset(range(1, n + 1))
-    basis = []
-    for c in range(1, n + 1):
-        re = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        for j, I in enumerate(cols):
-            if c in I:
-                continue
-            r = row_of[tuple(sorted(everything.difference(I.members, (c,))))]
-            re[r, j] = signature_one(I, c, rows[r])
-        if np.count_nonzero(re) != m or np.abs(re).sum() != m:
-            raise AssertionError(f"basis element {c} is not a sum of {m} signed units")
-        basis.append(ExactMatrix(len(rows), len(cols), _arrays=(re, None, 1)))
+    full = (1 << n) - 1
+    rank = np.zeros(1 << n, dtype=np.intp)
+    rank[_masks(rows)] = np.arange(len(rows))
+    col_masks = _masks(cols)
+    # every c outside I, c-major: the bits of I's complement
+    c, j = np.nonzero(((full - col_masks) >> np.arange(n)[:, None]) & 1)
+    r = rank[full - col_masks[j] - (1 << c)]
+    stack = np.zeros((n, len(rows), len(cols)), dtype=np.int64)
+    stack[c, r, j] = _jordan_wigner_signs(n, col_masks[j], c)
+    # m signed units: sum |x| = sum x^2 = m, as x^2 >= |x| for every integer x
+    sums = zip(np.abs(stack).sum(axis=(1, 2)).tolist(), (stack * stack).sum(axis=(1, 2)).tolist())
+    bad = [u for u, pair in enumerate(sums, start=1) if pair != (m, m)]
+    if bad:
+        raise AssertionError(f"basis element {bad[0]} is not a sum of {m} signed units")
+    stack.flags.writeable = False
+    basis = tuple(ExactMatrix(len(rows), len(cols), _arrays=(u, None, 1)) for u in stack)
     real = RankOneRealization(PartialIsometry(u) for u in basis)
     if indices(real) != (k, n - k + 1):
         raise AssertionError("constructed space has wrong support indices")
-    return HnkSpace(n, k, tuple(basis), tuple(rows), tuple(cols), m, real)
+    return HnkSpace(n, k, basis, tuple(rows), tuple(cols), m, real, stack)
 
 
 class RankOneRealization:

@@ -748,10 +748,18 @@ class ExactFamily:
         return [self.member(k) for k in range(len(self))]
 
     def same(self, xs, zs) -> np.ndarray:
-        """For each t, whether members xs[t] and zs[t] are equal."""
-        same = (self.re[xs] == self.re[zs]).all(axis=(1, 2))
-        if self.im is not None:
-            same &= (self.im[xs] == self.im[zs]).all(axis=(1, 2))
+        """For each t, whether members xs[t] and zs[t] are equal, gathered
+        at most ``_CHUNK_CELLS`` cells per operand at a time."""
+        xs, zs = (np.asarray(x, dtype=np.intp) for x in (xs, zs))
+        rows, cols = self.shape
+        per = max(1, _CHUNK_CELLS // (rows * cols))
+        same = np.empty(len(xs), dtype=bool)
+        for s in range(0, len(xs), per):
+            x, z = xs[s:s + per], zs[s:s + per]
+            ok = (self.re[x] == self.re[z]).all(axis=(1, 2))
+            if self.im is not None:
+                ok &= (self.im[x] == self.im[z]).all(axis=(1, 2))
+            same[s:s + per] = ok
         return same
 
     def nonzero(self, idx) -> np.ndarray:

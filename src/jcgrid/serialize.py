@@ -133,7 +133,8 @@ def dumps(payload: dict) -> str:
     byte, written without the standard library's pure-Python indent encoder.
 
     Dicts (keys sorted) and lists are laid out here; a plain ``int`` or
-    ``str`` is written as ``json`` writes it, and keys, every other scalar and
+    ``str`` is written as ``json`` writes it, a non-empty list of plain
+    ``int`` (an index list) as one piece, and keys, every other scalar and
     every empty container go through ``json``'s own encoders, so floats
     (``NaN``, ``Infinity``), bools and ``None`` read as they always have.  A
     matrix cell, a dict whose only keys are ``"re"`` and ``"im"``, each a
@@ -176,6 +177,12 @@ def _write(obj, level: int, out: List[str], texts: dict, items: dict) -> None:
         else:
             out.append(text)
     elif isinstance(obj, (list, tuple)) and obj:
+        if type(obj[0]) is int and all(type(item) is int for item in obj):
+            # an index list: written as one piece
+            inner = "\n" + "  " * (level + 1)
+            out.append("[" + inner + ("," + inner).join(map(repr, obj))
+                       + "\n" + "  " * level + "]")
+            return
         key = (id(obj), level)
         pieces = texts.get(key)
         if pieces is not None:

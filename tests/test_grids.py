@@ -187,6 +187,38 @@ class TestGridValidation:
             Grid("rank1", {"n": 2}, [(1, first), (2, wide)])
 
 
+def _unit_sums(m):
+    """The canonical grids' (index, matrix) lists as sums of ExactMatrix.unit:
+    rectangular m x (m+1), hermitian and symplectic m x m."""
+    def e(i, j, rows=m, cols=m):
+        return E(rows, cols, i - 1, j - 1)
+
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i, m + 1)]
+    return {
+        "rectangular": [((i, j), e(i, j, m, m + 1))
+                        for i in range(1, m + 1) for j in range(1, m + 2)],
+        "hermitian": [((i, j), e(i, i) if i == j else e(i, j) + e(j, i)) for i, j in pairs],
+        "symplectic": [((i, j), e(i, j) - e(j, i)) for i, j in pairs if i < j],
+    }
+
+
+class TestCanonicalStacks:
+    """The canonical constructors write one numerator stack, whose members
+    are the grid's matrices."""
+
+    @pytest.mark.parametrize("m", [2, 4, 7])
+    def test_elements_are_their_unit_sums(self, m):
+        built = {"rectangular": rectangular_grid(m, m + 1), "hermitian": hermitian_grid(m)}
+        if m >= 4:
+            built["symplectic"] = symplectic_grid(m)
+        for kind, g in built.items():
+            want = _unit_sums(m)[kind]
+            assert list(g.indices) == [idx for idx, _ in want]
+            assert g.matrices() == [mat for _, mat in want]
+            assert g.family().members() == g.matrices()
+            assert all(x.re.dtype == np.int64 for x in g.matrices())
+
+
 class TestHermitian:
     def test_m2_structure(self):
         g = hermitian_grid(2)

@@ -168,17 +168,33 @@ class TestJordanWigner:
             assert _jordan_wigner_mismatches(build_hnk(n, k)) == []
 
     def test_a_wrong_sign_rule_is_caught(self, monkeypatch):
-        # the third value negated still builds a valid rank-one grid
-        calls = []
-        sign = signature_one
+        # the third sign negated still builds a valid rank-one grid
+        negated = []
+        signs = hnk._jordan_wigner_signs
 
-        def broken(I, c, J):
-            calls.append(c)
-            return -sign(I, c, J) if len(calls) == 3 else sign(I, c, J)
+        def broken(n, cols, c):
+            out = signs(n, cols, c)
+            out[2] = -out[2]
+            negated.append(int(c[2]) + 1)
+            return out
 
-        monkeypatch.setattr(hnk, "signature_one", broken)
+        monkeypatch.setattr(hnk, "_jordan_wigner_signs", broken)
         space = build_hnk(4, 2)
-        assert _jordan_wigner_mismatches(space) == [calls[2]]
+        assert _jordan_wigner_mismatches(space) == negated
+
+
+class TestSignRule:
+    """The array sign rule of build_hnk against the one-triple rule."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_signature_one_for_every_triple(self, n):
+        triples = [(I, c) for r in range(n) for I in combinations(n, r)
+                   for c in range(1, n + 1) if c not in I.members]
+        cols = np.array([sum(1 << (x - 1) for x in I) for I, _ in triples], dtype=np.intp)
+        modes = np.array([c - 1 for _, c in triples], dtype=np.intp)
+        want = [signature_one(I, c, I.union(C(n, [c])).complement()) for I, c in triples]
+        assert hnk._jordan_wigner_signs(n, cols, modes).tolist() == want
+        assert len(triples) == n * 2 ** (n - 1)
 
 
 class TestBuildHnk:
@@ -224,17 +240,25 @@ class TestBuildHnk:
             assert list(got) == want
             assert all(g.re.dtype == g.im.dtype == np.int64 for g in got)
 
+    @pytest.mark.parametrize("n, k", [(1, 1), (4, 2), (6, 3), (8, 3)])
+    def test_basis_is_one_stack(self, n, k):
+        sp = build_hnk(n, k)
+        assert sp.stack.dtype == np.int64 and not sp.stack.flags.writeable
+        assert all(np.shares_memory(b.re, sp.stack) for b in sp.basis)
+        assert sp.basis_family.members() == list(sp.basis)
+        assert np.array_equal(sp.basis_array, np.stack([b.to_approx().array for b in sp.basis]))
+
     @pytest.mark.parametrize("bad", [0, 2, -2])
     def test_a_broken_sign_fails_validation(self, monkeypatch, bad):
         # the third entry of the basis gets a value that is no sign
-        calls = []
-        sign = signature_one
+        signs = hnk._jordan_wigner_signs
 
-        def broken(I, c, J):
-            calls.append(c)
-            return bad if len(calls) == 3 else sign(I, c, J)
+        def broken(n, cols, c):
+            out = signs(n, cols, c)
+            out[2] = bad
+            return out
 
-        monkeypatch.setattr(hnk, "signature_one", broken)
+        monkeypatch.setattr(hnk, "_jordan_wigner_signs", broken)
         with pytest.raises(AssertionError, match="is not a sum of 3 signed units"):
             build_hnk(4, 2)
 

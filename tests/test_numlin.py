@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from jcgrid.numlin import (_BLAS_MIN_SIZE, EX_HALF, EX_I, EX_ZERO, ApproxMatrix,
                            ExactMatrix, ExactScalar, block_diag, exact_rank,
                            operator_norm, scaled_members, singular_values,
                            trace_norm)
-from jcgrid.numlin import _product_sum, _scaled_coefficients
+from jcgrid.numlin import _CHUNK_CELLS, _product_sum, _scaled_coefficients
 from jcgrid.serialize import matrices_to_json, matrix_to_csv_lines
 from jcgrid.triple import GridRelation, classify_relation, triple_product
 
@@ -1029,6 +1030,22 @@ class TestFamilyStacks:
         got = ExactFamily(_stacks=[fam.sums(kidx, kcoef)]).members()
         assert got == [sum((mats[k].scale(c) for k, c in zip(ks, cs)), ExactMatrix.zeros(2, 2))
                        for ks, cs in zip(kidx, kcoef)]
+
+    def test_same_holds_a_chunk_at_a_time(self):
+        # 8 distinct complex 16 x 16 members, each 5 times: 1,600 pairs, whose
+        # operands gathered whole would hold 409,600 cells per part
+        rng = np.random.default_rng(7)
+        base = rng.integers(-2, 3, size=(2, 8, 16, 16))
+        fam = ExactFamily(_stacks=[(np.tile(base[0], (5, 1, 1)), np.tile(base[1], (5, 1, 1)), 1)])
+        xs, zs = np.repeat(np.arange(40), 40), np.tile(np.arange(40), 40)
+        tracemalloc.start()
+        try:
+            same = fam.same(xs, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same.tolist() == (xs % 8 == zs % 8).tolist()
+        assert peak < 6 * _CHUNK_CELLS * fam.re.itemsize
 
     @settings(max_examples=25, deadline=None)
     @given(_stacks())

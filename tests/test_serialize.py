@@ -283,6 +283,26 @@ def test_scalar_fast_path_writes_the_stdlib_bytes(value):
     assert dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+@pytest.mark.parametrize("ints", [
+    [1], [-3, 0, 7], [2 ** 63, -(2 ** 63) - 1, 3 ** 200], (4, -5),
+    [1, True], [False, 0], [True], [1, _Small.ONE, 2], [1, 2.0], [1, None], [1, [2]],
+], ids=repr)
+def test_int_lists_write_the_stdlib_bytes(monkeypatch, ints):
+    payload = {"a": ints, "b": [ints, [ints]], "c": {"d": ints}}
+    calls = []
+    orig = serialize._write
+
+    def counted(obj, *args):
+        calls.append(obj)
+        return orig(obj, *args)
+
+    monkeypatch.setattr(serialize, "_write", counted)
+    assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    # a list of exact ints is one piece: no call per item
+    exact = all(type(x) is int for x in ints)
+    assert any(obj is ints[0] for obj in calls) != exact
+
+
 def test_dumps_does_not_use_the_pure_python_encoder(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("pure-Python indent encoder used")
