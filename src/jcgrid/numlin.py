@@ -12,10 +12,11 @@ rungs: float64 on BLAS when every partial sum of a dot is an integer below
 2^62, Python ints above.  ``ExactFamily`` stacks equally shaped exact
 matrices, and every operation on its numerator stacks is one of its
 methods; ``part``, ``ternary``, ``sums`` and ``conjugate`` return
-(re, im, den) stacks to join.  Every overflow bound of the package is taken
-in this module.  ``ApproxMatrix`` wraps a complex128 array and carries the
-spectral computations (operator norm, trace norm) through LAPACK's
-Hermitian eigensolver on the smaller Gram matrix.
+(re, im, den) stacks to join, and a family whose members are all monomial
+compares and tests its products by index gathers.  Every overflow bound of
+the package is taken in this module.  ``ApproxMatrix`` wraps a complex128
+array and carries the spectral computations (operator norm, trace norm)
+through LAPACK's Hermitian eigensolver on the smaller Gram matrix.
 """
 
 from __future__ import annotations
@@ -648,6 +649,26 @@ def _cmatmul(x, y):
     return re - np.matmul(xi, yi), np.matmul(xr, yi) + np.matmul(xi, yr)
 
 
+def _chase(g, shape, a, b, c) -> tuple:
+    """Every row r of a b* c on the gather form ``g`` of a monomial family
+    (``ExactFamily._gathers``), for member index arrays a, b, c of length T:
+    (column, re, im) as (rows, T) arrays, im None for a real family.  Row r
+    of a meets b* only at k = col_a[r], column k of b* c only at the row s
+    of b holding column k, and row s of c only at col_c[s]: the one entry
+    of the row is a[r] conj(b[s]) c[s], at column col_c[s], and a row where
+    a link is missing ends at the padding column with the entry 0."""
+    col, row, vr, vi = g
+    nr, nc = shape
+    at_a = a * (nr + 1) + np.arange(nr)[:, None]
+    s = row[b * (nc + 1) + col[at_a]]
+    at_b, at_c = b * (nr + 1) + s, c * (nr + 1) + s
+    if vi is None:
+        return col[at_c], vr[at_a] * vr[at_b] * vr[at_c], None
+    ar, ai, br, bi, cr, ci = vr[at_a], vi[at_a], vr[at_b], vi[at_b], vr[at_c], vi[at_c]
+    xr, xi = ar * br + ai * bi, ai * br - ar * bi  # a conj(b)
+    return col[at_c], xr * cr - xi * ci, xr * ci + xi * cr
+
+
 def blocks(idx, size: int, count: int) -> np.ndarray:
     """The member indices ``idx`` of one block of ``size`` members, for
     each of ``count`` blocks stacked one after the other: block b's copy
@@ -697,17 +718,31 @@ class ExactFamily:
     of them share a nonzero row or column; ``ternary``, ``sums`` and
     ``conjugate`` form a b* c, sums of members and left u right as stacks to
     join, ``span_sum`` the matrix sum_i trace(x U_i*) U_i / q.  Triples are
-    sorted by their first, then middle index and evaluated in chunks of at
-    most ``_CHUNK_CELLS`` cells per operand; a chunk forms each of its
-    distinct products a b* (and b* a) once where that is the smaller square.
+    evaluated in chunks of at most ``_CHUNK_CELLS`` cells per operand (on
+    the gather rung, (row, triple) cells).  The dense rung sorts them by
+    their first, then middle index, and a chunk forms each of its distinct
+    products a b* (and b* a) once where that is the smaller square.
 
     Every evaluation first bounds each product and partial sum it can form
-    from the largest numerator ``mag``: a b* c sums 2·rows·cols terms of at
-    most 2·mag^3, so |a b* c| <= 4·rows·cols·mag^3 and the triple product
-    doubles that.  Below 2^53 the evaluation runs in float64 on BLAS, where
-    every such integer is exact in any summation order; otherwise on Python
-    ints (dtype=object).  ``sums``, ``conjugate`` and ``span_sum`` bound
-    their results likewise, on int64 below 2^62.
+    from the largest numerator ``mag``, and the members and the bound pick
+    its rung:
+      - gathers on int64, where every member is monomial (at most one
+        nonzero per row and per column, as in the grids of type 1 to 3, the
+        basis of H(n,k) and their signed-permutation conjugates; read once
+        and kept, ``_gathers``).  Then a b* c is monomial, and row r of it is
+        one chase of indices with the entry a[r] conj(b[s]) c[s]: one product
+        of three numerators, at most 4·mag^3 and doubled for the triple
+        product.  ``equal`` runs there while q times that bound, and the
+        want's weight times mag, stay below 2^62 and the want is at most
+        one member; ``vanish`` reads its verdicts off ``meets``, since each
+        entry of a b* or a* b is then one term.
+      - otherwise the dense products: a b* c sums 2·rows·cols terms of at
+        most 2·mag^3, so |a b* c| <= 4·rows·cols·mag^3 and the triple
+        product doubles that.  Below 2^53 the evaluation runs in float64 on
+        BLAS, where every such integer is exact in any summation order;
+        otherwise on Python ints (dtype=object).
+    ``sums``, ``conjugate`` and ``span_sum`` bound their results likewise,
+    on int64 below 2^62.
     """
 
     def __init__(self, mats: Sequence[ExactMatrix] = (), *, _stacks=None):
@@ -730,7 +765,7 @@ class ExactFamily:
         re, im, self.den = _canonical(re, im, den)
         tops = _abs_max(re), _abs_max(im)
         self.re, self.im, self.mag, self.shape = re, im if tops[1] else None, max(tops), re.shape[1:]
-        self._rungs, self._meets = {}, None
+        self._rungs, self._meets, self._gather = {}, None, None
 
     def __len__(self):
         return len(self.re)
@@ -781,6 +816,39 @@ class ExactFamily:
             # a bool matmul: any(on[a] & on[b]) over the lines
             self._meets = tuple(on @ on.T for on in (nonzero.any(axis=2), nonzero.any(axis=1)))
         return self._meets
+
+    def _gathers(self):
+        """The gather form of a monomial family, or None where some member
+        has two nonzeros in one row or column (or the stack is on Python
+        ints); read once off the numerators and kept.  (col, row, re, im),
+        flattened from (N + 1, rows + 1), (N + 1, cols + 1) and (N + 1,
+        rows + 1): col[n, r] the column of the nonzero of row r of member
+        n, row[n, c] the row holding column c, and re, im the numerators of
+        the entry of row r (im None for a real family).  An empty row
+        points at the padding column ``cols``, an empty column at the
+        padding row ``rows``, and the padding row holds the entry 0 at the
+        padding column, so every chase of indices stays in bounds; the
+        padding member N is the zero matrix."""
+        if self._gather is None:
+            self._gather = False
+            on = self.re != 0
+            if self.im is not None:
+                on |= self.im != 0
+            if self.re.dtype != _OBJECT and max(on.sum(axis=2).max(), on.sum(axis=1).max()) <= 1:
+                n, (nr, nc) = len(self) + 1, self.shape
+                m, r, c = np.nonzero(on)
+                col = np.full((n, nr + 1), nc, dtype=np.intp)
+                row = np.full((n, nc + 1), nr, dtype=np.intp)
+                col[m, r], row[m, c] = c, r
+                parts = []
+                for part in (self.re, self.im):
+                    if part is not None:
+                        v = np.zeros((n, nr + 1), dtype=np.int64)
+                        v[m, r] = part[m, r, c]
+                        part = v.ravel()
+                    parts.append(part)
+                self._gather = (col.ravel(), row.ravel(), *parts)
+        return self._gather or None
 
     def sums(self, kidx, kcoef) -> tuple:
         """sum_k kcoef[t, k] member kidx[t, k] per row t, as a (re, im, den)
@@ -845,6 +913,13 @@ class ExactFamily:
         rows, cols = self.shape
         return (8 if sym else 4) * rows * cols * self.mag ** 3
 
+    def _gather_bound(self, sym: bool) -> int:
+        """Every entry of a b* c on a monomial family is one product of
+        three numerators: its parts are at most 4 mag^3, doubled for
+        a b* c + c b* a.  mag is taken as at least 1, so that the bound
+        also keeps q and the coefficients of a zero family on int64."""
+        return (8 if sym else 4) * max(self.mag, 1) ** 3
+
     def _chunks(self, fam, ia, ib, ic, sym: bool):
         """Yield (positions, (re, im)): a b* c, or a b* c + c b* a with
         ``sym``, over den^3 for the triples at those positions.
@@ -881,7 +956,10 @@ class ExactFamily:
         ``want`` is (kidx, kcoef, q): (T, K) integer arrays and a positive
         int, standing for sum_k kcoef[t, k] / q * member kidx[t, k]
         (``scaled_members`` and the grids' triple rules give K = 1); None is
-        the zero matrix.
+        the zero matrix.  On a monomial family a want of at most one member
+        is compared row by row on index gathers (``_gather_equal``) while
+        its bounds stay below 2^62; every other evaluation forms the dense
+        products.
         """
         ia, ib, ic = (np.asarray(x, dtype=np.intp) for x in (ia, ib, ic))
         if want is None:
@@ -894,6 +972,9 @@ class ExactFamily:
         factor = self.den ** 2 * (2 if sym else 1)
         kcoef = _scaled_coefficients(kcoef, factor)
         weight = int(np.abs(kcoef).sum(axis=1).max())
+        if (kidx.shape[1] <= 1 and max(q * self._gather_bound(sym), weight * max(self.mag, 1))
+                < _INT64_LIMIT and self._gathers() is not None):
+            return self._gather_equal(ia, ib, ic, kidx, kcoef.astype(np.int64), q, sym)
         fam = self._stack(max(q * self._ternary_bound(sym), weight * self.mag))
         kcoef = kcoef.astype(fam[0].dtype)
         for rows, (re, im) in self._chunks(fam, ia, ib, ic, sym):
@@ -909,10 +990,54 @@ class ExactFamily:
             ok[rows] = same if im is None else same & (im == wi).all(axis=(1, 2))
         return ok
 
+    def _gather_equal(self, ia, ib, ic, kidx, kcoef, q: int, sym: bool) -> np.ndarray:
+        """``equal`` on the gather form, on int64 below ``_gather_bound``, a
+        chunk of at most ``_CHUNK_CELLS`` (row, triple) cells at a time.
+
+        Every row of a b* c and of the want holds at most one entry, and an
+        entry is nonzero exactly where its column is not the padding one, so
+        they are equal row by row iff the columns and the values agree.  A
+        want of coefficient 0, or none, is the padding member: the zero
+        matrix.  With ``sym`` a row of a b* c + c b* a has two entries; it
+        can equal a want of one member only where they share a column, or
+        one of them is the padding entry 0, and where their sum cancels the
+        row is zero whatever its column."""
+        g, (nr, nc) = self._gathers(), self.shape
+        if kidx.shape[1]:
+            kcoef = kcoef[:, 0]
+            kidx = np.where(kcoef == 0, len(self), kidx[:, 0])
+        else:
+            kidx, kcoef = np.full(len(ia), len(self)), np.zeros(len(ia), dtype=np.int64)
+        ok = np.empty(len(ia), dtype=bool)
+        per = max(1, _CHUNK_CELLS // nr)
+        for s in range(0, len(ia), per):
+            a, b, c, w, k = (x[s:s + per] for x in (ia, ib, ic, kidx, kcoef))
+            col, re, im = _chase(g, self.shape, a, b, c)
+            if sym:
+                col2, re2, im2 = _chase(g, self.shape, c, b, a)
+                one = (col == col2) | (np.maximum(col, col2) == nc)
+                col, re, im = np.minimum(col, col2), re + re2, None if im is None else im + im2
+            if q != 1:
+                re, im = re * q, None if im is None else im * q
+            at = w * (nr + 1) + np.arange(nr)[:, None]
+            same = re == k * g[2][at]
+            if im is not None:
+                same &= im == k * g[3][at]
+            hit = col == g[0][at]
+            if sym:
+                zero = re == 0 if im is None else (re == 0) & (im == 0)
+                hit = (hit | zero) & one
+            ok[s:s + per] = (same & hit).all(axis=0)
+        return ok
+
     def vanish(self, ia, ib, star_first: bool = False) -> np.ndarray:
         """For each pair t, whether a b* (with ``star_first``, a* b) is zero
-        at a, b = ia[t], ib[t]."""
+        at a, b = ia[t], ib[t].  On a monomial family each entry of the
+        product is one term, so the product is zero exactly where the
+        columns (the rows) of a and b do not meet (``meets``)."""
         ia, ib = (np.asarray(x, dtype=np.intp) for x in (ia, ib))
+        if self._gathers() is not None:
+            return ~self.meets()[0 if star_first else 1][ia, ib]
         rows, cols = self.shape
         fam = self._stack(2 * (rows if star_first else cols) * self.mag ** 2)
         per = max(1, _CHUNK_CELLS // max(self.shape) ** 2)

@@ -405,6 +405,12 @@ GOLDEN_STDOUT = {
     ("verify", "matrix-units", "--kind", "symplectic", "--m", "5", "--conjugations", "3",
      "--seed", "7", "--format", "json"):
         "71883aab7760a9d37f5d971f6462f3aec8049a73f2cfe16f126df862c495809a",
+    # recorded while every family table of a monomial family formed its
+    # products with batched matmuls
+    ("verify", "split", "--p", "6", "--q", "6", "--format", "json"):
+        "1398af052dc27744a400e57ed6a3029064a6c19f71cb2fdbb3b985bff28239cb",
+    ("verify", "uij-grid", "--n", "5", "--k", "3", "--format", "json"):
+        "4a97778e3ec8d2009e3d3b2b3113b920af5ae9af1a6cfb2ee3c995057fe414a0",
 }
 
 

@@ -691,23 +691,26 @@ def _all_triples(n):
 
 
 def _rungs(monkeypatch):
-    """Record the dtype each family evaluation runs in."""
+    """Record the rung each family evaluation runs on: "gather", or the
+    dtype of the dense stack."""
     used = []
-    orig = ExactFamily._stack
+    stack, gather = ExactFamily._stack, ExactFamily._gather_equal
 
     def spy(self, bound):
-        stack = orig(self, bound)
-        used.append(stack[0].dtype)
-        return stack
+        fam = stack(self, bound)
+        used.append(fam[0].dtype)
+        return fam
 
     monkeypatch.setattr(ExactFamily, "_stack", spy)
+    monkeypatch.setattr(ExactFamily, "_gather_equal",
+                        lambda self, *a: used.append("gather") or gather(self, *a))
     return used
 
 
-def _largest_below(k, power):
-    """The largest a with k * a**power < 2^53."""
-    a = int((2 ** 53 / k) ** (1 / power)) + 2
-    while k * a ** power >= 2 ** 53:
+def _largest_below(k, power, limit=2 ** 53):
+    """The largest a with k * a**power < limit."""
+    a = int((limit / k) ** (1 / power)) + 2
+    while k * a ** power >= limit:
         a -= 1
     return a
 
@@ -757,13 +760,16 @@ class TestFamilyGuard:
 
     @pytest.mark.parametrize("sym", [False, True])
     def test_ternary_bound(self, monkeypatch, sym):
-        # a 1x1 family: |a b* c| <= 4 rows cols mag^3, doubled for {a,b,c}
+        # a 1x2 family [v, v], two nonzeros in one row, so not monomial:
+        # a b* c = [2 v^3, 2 v^3], and |a b* c| <= 4 rows cols mag^3,
+        # doubled for {a,b,c}
         used = _rungs(monkeypatch)
-        top = _largest_below(8 if sym else 4, 3)
+        top = _largest_below(16 if sym else 8, 3)
         for value, rung in ((top, np.float64), (top + 1, object)):
-            fam = ExactFamily([one(value)])
+            fam = ExactFamily([ExactMatrix.from_rows([[value, value]])])
             re, im, den = fam.ternary([0], [0], [0], sym=sym)
-            assert re.tolist() == [[[value ** 3 * (2 if sym else 1)]]] and im is None and den == 1
+            assert re.tolist() == [[[2 * value ** 3 * (2 if sym else 1)] * 2]]
+            assert im is None and den == 1
             assert not fam.equal([0], [0], [0], sym=sym)[0]
             assert used[-2:] == [np.dtype(rung)] * 2
 
@@ -777,11 +783,14 @@ class TestFamilyGuard:
         assert set(used) == {np.dtype(object)}
 
     def test_pair_bound(self, monkeypatch):
+        # |a b*| <= 2 cols mag^2 and |a* b| <= 2 rows mag^2: a 2x1 and a 1x2
+        # family, each [v, v] and 0, so not monomial
         used = _rungs(monkeypatch)
         top = _largest_below(2, 2)
         for value, rung in ((top, np.float64), (top + 1, object)):
-            fam = ExactFamily([one(value), one(0)])
+            fam = ExactFamily([ExactMatrix.from_rows([[value], [value]]), ExactMatrix.zeros(2, 1)])
             assert fam.vanish([0, 0, 1], [0, 1, 0]).tolist() == [False, True, True]
+            fam = ExactFamily([ExactMatrix.from_rows([[value, value]]), ExactMatrix.zeros(1, 2)])
             assert fam.vanish([0], [0], star_first=True).tolist() == [False]
             assert used[-2:] == [np.dtype(rung)] * 2
 
@@ -962,6 +971,143 @@ class TestFamilyOracle:
         ext = ExactFamily(mats + braces)
         assert ext.equal(ia, ib, ic, scaled_members(len(mats) + np.arange(len(braces))),
                          sym=True).all()
+
+
+_SMALL_PARTS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def monomial_families(draw):
+    """(rows, cols, members): at most one nonzero per row and column, with
+    real or complex entries over denominators 1 to 3 from a few values, so
+    that equal values in other places are common, and zero members among
+    them; never 1x1, so that one full member makes the family dense."""
+    rows, cols = draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]))
+    complex_ = draw(st.booleans())
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        perm = draw(st.permutations(range(max(rows, cols))))
+        entries = [[0] * cols for _ in range(rows)]
+        for r in range(rows):
+            if perm[r] < cols and draw(st.booleans()):
+                entries[r][perm[r]] = ExactScalar(draw(_SMALL_PARTS), draw(
+                    _SMALL_PARTS | st.just(0)) if complex_ else 0)
+        mats.append(ExactMatrix.from_rows(entries))
+    return rows, cols, mats
+
+
+# (side, sym, member value, coef, q, gathers): 1x1 families, where a b* c =
+# {a,a,a} = value^3, against coef / q times the member.  The gather rung runs
+# while q (4 or 8) mag^3 and the want's weight, |coef| den^2 (2 den^2 with
+# sym), times mag stay below 2^62: each side at its last value below and at
+# its first at or above, where the dense rung runs.
+_M4, _M8 = _largest_below(4, 3, LIMIT), _largest_below(8, 3, LIMIT)
+GATHER_EDGES = [
+    ("mag", False, _M4, _M4 ** 2, 1, True), ("mag", False, _M4 + 1, (_M4 + 1) ** 2, 1, False),
+    ("mag", True, _M8, _M8 ** 2, 1, True), ("mag", True, _M8 + 1, (_M8 + 1) ** 2, 1, False),
+    ("q", False, 1, 2 ** 60 - 1, 2 ** 60 - 1, True), ("q", False, 1, 2 ** 60, 2 ** 60, False),
+    ("q", True, 1, 2 ** 59 - 1, 2 ** 59 - 1, True), ("q", True, 1, 2 ** 59, 2 ** 59, False),
+    ("coef", False, 1, 2 ** 62 - 1, 1, True), ("coef", False, 1, 2 ** 62, 1, False),
+    ("coef", True, 1, 2 ** 61 - 1, 1, True), ("coef", True, 1, 2 ** 61, 1, False),
+]
+
+
+class TestGatherRung:
+    """``equal`` and ``vanish`` on monomial families read index gathers, and
+    agree with the dense rung and with Fraction arithmetic."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(monomial_families(), st.data())
+    def test_against_the_dense_rung_and_fractions(self, stack, data):
+        rows, cols, mats = stack
+        n = len(mats)
+        ia, ib, ic = _all_triples(n)
+        # the products a b* c are monomial too: as members they give wants
+        # that hold, and with their columns rotated wants of the same values
+        # in other columns
+        products = [mats[a] * mats[b].adjoint() * mats[c] for a, b, c in zip(ia, ib, ic)]
+        rotated = [ExactMatrix.from_rows([r[-1:] + r[:-1] for r in as_rows(p)]) for p in products]
+        members = mats + products + rotated
+        fam = ExactFamily(members)
+        dense = ExactFamily(members + [ExactMatrix(rows, cols, [1] * (rows * cols))])
+        t = len(ia)
+        pick = data.draw(st.lists(st.integers(0, 2), min_size=t, max_size=t))
+        other = data.draw(st.lists(st.integers(0, len(members) - 1), min_size=t, max_size=t))
+        kidx = np.array([[n + s, n + t + s, k][p] for s, (p, k) in enumerate(zip(pick, other))])
+        kcoef = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=t, max_size=t)))
+        q = data.draw(st.integers(1, 3))
+        abc = [ref_ternary(mats[a], mats[b], mats[c]) for a, b, c in zip(ia, ib, ic)]
+        cba = [abc[c * n * n + b * n + a] for a, b, c in zip(ia, ib, ic)]
+        with pytest.MonkeyPatch.context() as mp:
+            used = _rungs(mp)
+            for sym in (False, True):
+                values = abc if not sym else [
+                    [[(x + y) * EX_HALF for x, y in zip(r1, r2)] for r1, r2 in zip(p1, p2)]
+                    for p1, p2 in zip(abc, cba)]
+                zero = [all(not x for row in v for x in row) for v in values]
+                wants = [[[x * Fraction(int(k), q) for x in row] for row in as_rows(members[m])]
+                         for m, k in zip(kidx.tolist(), kcoef.tolist())]
+                held = [v == w for v, w in zip(values, wants)]
+                for want, expected in ((None, zero), ((kidx[:, None], kcoef[:, None], q), held)):
+                    used.clear()
+                    got = fam.equal(ia, ib, ic, want, sym=sym).tolist()
+                    assert used == ["gather"]
+                    assert got == dense.equal(ia, ib, ic, want, sym=sym).tolist() == expected
+                    assert used[1:] == [np.dtype(np.float64)]
+        pa, pb = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        for star_first in (False, True):
+            products = [ref_product(mats[a].adjoint(), mats[b]) if star_first
+                        else ref_product(mats[a], mats[b].adjoint()) for a, b in zip(pa, pb)]
+            expected = [all(not x for row in p for x in row) for p in products]
+            assert fam.vanish(pa, pb, star_first).tolist() == expected
+            assert dense.vanish(pa, pb, star_first).tolist() == expected
+
+    @pytest.mark.parametrize("side,sym,value,coef,q,gathers", GATHER_EDGES,
+                             ids=[f"{e[0]}-{'sym' if e[1] else 'plain'}-{'below' if e[5] else 'at'}"
+                                  for e in GATHER_EDGES])
+    def test_bound(self, monkeypatch, side, sym, value, coef, q, gathers):
+        used = _rungs(monkeypatch)
+        fam = ExactFamily([one(value)])
+        got = fam.equal([0], [0], [0], scaled_members([0], coef, q), sym=sym).tolist()
+        assert got == [value ** 3 * q == coef * value] == [side != "coef"]
+        assert used == (["gather"] if gathers else [np.dtype(object)])
+
+    @pytest.mark.parametrize("rows,want,held", [
+        # a b* c = S D = -D S = -c b* a: {a,b,c} = 0, its terms are not
+        ([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]]], None, [True, False]),
+        # a b* c = e_12 and c b* a = e_33 - e_11: row 1 of {a,b,c} has two
+        # entries, which no one-member want holds; 2 {a,b,c} = e_33 there
+        # only if the entries of row 1 were summed into one column
+        ([[[0, 0, -1], [0, 0, 0], [-1, 0, 0]], [[0, -1, 0], [0, 0, 0], [0, 0, -1]],
+          [[0, 0, -1], [-1, 0, 0], [0, 1, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]]],
+         scaled_members([3], 1, 2), [False, False])], ids=["cancel", "two-columns"])
+    def test_rows_of_two_entries(self, rows, want, held):
+        mats = [ExactMatrix.from_rows(r) for r in rows]
+        fam = ExactFamily(mats)
+        dense = ExactFamily(mats + [ExactMatrix(*mats[0].shape, [1] * mats[0].rows ** 2)])
+        assert fam._gathers() is not None and dense._gathers() is None
+        for f in (fam, dense):
+            assert [f.equal([0], [1], [2], want, sym=sym)[0] for sym in (True, False)] == held
+
+    def test_chunks_agree_with_one_chunk(self, monkeypatch):
+        from jcgrid import grids, numlin
+        mats = grids.hermitian_grid(3).matrices()
+        mats += [mats[1].scale(ExactScalar(0, Fraction(1, 3))), ExactMatrix.zeros(3, 3)]
+        ia, ib, ic = _all_triples(len(mats))
+        want = combination([{int(c): Fraction(1, 2)} for c in ic])
+
+        def evaluate():
+            fresh = ExactFamily(mats)
+            assert fresh._gathers() is not None
+            return [fresh.equal(ia, ib, ic, want, sym=sym) for sym in (False, True)] + \
+                [fresh.equal(ia, ib, ic)]
+
+        whole = evaluate()
+        monkeypatch.setattr(numlin, "_CHUNK_CELLS", 1)
+        split = evaluate()
+        assert all(w.any() and not w.all() for w in whole[:2])
+        for a, b in zip(whole, split):
+            assert (a == b).all()
 
 
 def _state(fam):
