@@ -6,12 +6,14 @@ is an immutable matrix of Gaussian rationals held as two integer numerator
 arrays over one common denominator, (re + i*im) / den; its algebra is numpy
 integer array arithmetic, on int64 while a bound on the result stays below
 2^62 and on Python ints otherwise.  One kernel forms every exact product, or
-sum of two products over one denominator, as one matrix, on one of three
-rungs: float64 on BLAS when every partial sum of a dot is an integer below
-2^53 and the products are large enough to pay for the casts, int64 below
-2^62, Python ints above.  ``ExactFamily`` stacks equally shaped exact
-matrices, and every operation on its numerator stacks is one of its
-methods; ``part``, ``ternary``, ``sums`` and ``conjugate`` return
+sum of two products over one denominator, as one matrix, on one of four
+rungs.  On products large enough to pay for casts: a row or column scaling
+on int64 where a factor is a kept diagonal (a Gram product with at most one
+nonzero per column, such as a support projection of H(n,k)), else float64
+on BLAS when every partial sum of a dot is an integer below 2^53.  Else
+int64 dots below 2^62, and Python ints above.  ``ExactFamily`` stacks
+equally shaped exact matrices, and every operation on its numerator stacks
+is one of its methods; ``part``, ``ternary``, ``sums`` and ``conjugate`` return
 (re, im, den) stacks to join, and a family whose members are all monomial
 compares and tests its products by index gathers.  Every overflow bound of
 the package is taken in this module.  ``ApproxMatrix`` wraps a complex128
@@ -242,15 +244,22 @@ class ExactMatrix:
     runs on Python ints (``dtype=object``) when the bound could reach 2^62, so
     no operation can overflow.  Products go through one kernel,
     ``_product_sum``, which forms a product or a sum of products (as in
-    ``triple.triple_product``) as one matrix on the rung its bound allows:
-    float64 on BLAS, int64 or Python ints.  Canonical form makes ``==`` and
-    ``hash`` exact comparisons of (shape, den, re, im).  Real int64 matrices
-    of one shape share one read-only zero array as ``im``; a producer that
-    knows its result is real passes ``im`` as None.  ``adjoint`` and ``gram``
-    keep their results.
+    ``triple.triple_product``) as one matrix on the rung its bound and size
+    allow: a row or column scaling by a kept diagonal, float64 on BLAS, int64
+    or Python ints.  Canonical form makes ``==`` and ``hash`` exact
+    comparisons of (shape, den, re, im).  Real int64 matrices of one shape
+    share one read-only zero array as ``im``; a producer that knows its
+    result is real passes ``im`` as None.  ``adjoint`` and ``gram`` keep
+    their results.
+
+    ``_diag`` is None or the int64 numerators of the diagonal of a real
+    diagonal matrix, kept where the kernel may scale by it: on a ``gram``
+    read off the row norms (at least ``_BLAS_MIN_SIZE`` multiplications,
+    at most one nonzero per column) and on a product of kept diagonals of
+    that size.  Every other matrix keeps none, diagonal or not.
     """
 
-    __slots__ = ("rows", "cols", "re", "im", "den", "_adj", "_gram", "_mag")
+    __slots__ = ("rows", "cols", "re", "im", "den", "_adj", "_gram", "_mag", "_diag")
 
     def __init__(self, rows: int, cols: int, entries: Sequence = None, *, _arrays=None):
         if rows < 1 or cols < 1:
@@ -279,6 +288,7 @@ class ExactMatrix:
         self._adj = None
         self._gram = None
         self._mag = None
+        self._diag = None
 
     # -- constructors ------------------------------------------------------
 
@@ -428,11 +438,37 @@ class ExactMatrix:
         """self self*, formed on first use; every call returns the same object.
 
         The right Gram product self* self is ``self.adjoint().gram()``, kept
-        on the adjoint, which this matrix keeps.
+        on the adjoint, which this matrix keeps.  A large enough matrix with at
+        most one nonzero per column gives a kept diagonal, read off its row
+        norms with no product (``_diagonal_gram``).
         """
         if self._gram is None:
-            self._gram = self * self.adjoint()
+            gram = self._diagonal_gram()
+            self._gram = self * self.adjoint() if gram is None else gram
         return self._gram
+
+    def _diagonal_gram(self):
+        """self self* as a kept diagonal, or None.  Where every column holds
+        at most one nonzero, entry (i, j) of self self* has a term only if
+        i == j: it is the diagonal of the squared row norms over den^2, each
+        at most 2 cols max|self|^2.  Read off so only where the product would
+        take at least ``_BLAS_MIN_SIZE`` multiplications and that bound stays
+        below 2^62; its numerators are kept as ``_diag``."""
+        rows, cols = self.shape
+        if rows * rows * cols < _BLAS_MIN_SIZE or 2 * cols * self._bound() ** 2 >= _INT64_LIMIT:
+            return None
+        re, im = self.re, self.im if self._mag[1] else None
+        on = re != 0 if im is None else (re != 0) | (im != 0)
+        if np.count_nonzero(on) > np.count_nonzero(on.any(axis=0)):
+            return None  # some column holds two nonzeros
+        norms = (re * re).sum(axis=1)
+        if im is not None:
+            norms += (im * im).sum(axis=1)
+        diag = np.zeros((rows, rows), dtype=np.int64)
+        np.fill_diagonal(diag, norms)
+        out = ExactMatrix(rows, rows, _arrays=(diag, None, self.den ** 2))
+        out._diag = out.re.diagonal()
+        return out
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product; the (i, j) block of the result is self[i, j] * other."""
@@ -460,8 +496,9 @@ class ExactMatrix:
         if self.re.dtype is _OBJECT or other.re.dtype is _OBJECT:
             # canonical storage: equal matrices have equal dtypes
             return bool((self.re == other.re).all()) and bool((self.im == other.im).all())
+        # real matrices of one shape share their zero im
         return (self.re.tobytes() == other.re.tobytes()
-                and self.im.tobytes() == other.im.tobytes())
+                and (self.im is other.im or self.im.tobytes() == other.im.tobytes()))
 
     def __hash__(self):
         if self.re.dtype is _OBJECT:
@@ -515,18 +552,22 @@ def _cast(a: np.ndarray, dtype, casts: dict) -> np.ndarray:
 def _product_sum(terms, q: int = 1) -> ExactMatrix:
     """(x_1 y_1 + x_2 y_2 + ...) / q for ``terms``, a sequence of (x, y)
     ``ExactMatrix`` pairs whose products share one shape, as one canonical
-    matrix: one bound, one dot per nonzero part of each term and one
-    construction.  ``ExactMatrix.__mul__`` is the one-term call.
+    matrix: one bound, one dot or scaling per nonzero part of each term and
+    one construction.  ``ExactMatrix.__mul__`` is the one-term call.
 
     The sum runs over den, the lcm of the terms' x.den * y.den; a term is
     lifted by f = den / (x.den * y.den).  Every partial sum of one real dot
     of a term is at most inner = x.cols * max|x| * max|y|, and every partial
     sum of the whole at most the total of 2 * f * inner.  The rung:
       - Python ints when that total reaches 2^62;
-      - float64 on BLAS when every inner is below 2^53 and some term takes
-        at least ``_BLAS_MIN_SIZE`` scalar multiplications; each dot is cast
-        back to int64 before the int64 sums that join it;
-      - int64 otherwise.
+      - where some term takes at least ``_BLAS_MIN_SIZE`` scalar
+        multiplications: a term with a kept diagonal factor (``_diag``)
+        scales the rows of y, or the columns of x, by it on int64, with no
+        dot; every other term runs in float64 on BLAS when every inner is
+        below 2^53, each dot cast back to int64 before the int64 sums that
+        join it, and in int64 dots otherwise.  A result whose every term
+        is a product of two kept diagonals keeps its diagonal;
+      - int64 dots otherwise, whatever the factors keep.
     A term with a zero factor adds nothing: it forms no dot and lifts no den.
     """
     x, y = terms[0]
@@ -555,38 +596,50 @@ def _product_sum(terms, q: int = 1) -> ExactMatrix:
         live.append((x, y, d))
     if not live:
         return ExactMatrix.zeros(rows, cols)
-    dot, cast = np.dot, None
+    dot, cast, scaling = np.dot, None, False
     if 2 * total >= _INT64_LIMIT:
         cast = _OBJECT
-    elif widest < _FLOAT_EXACT and size >= _BLAS_MIN_SIZE:
-        dot, cast = _float_dot, np.float64
+    elif size >= _BLAS_MIN_SIZE:
+        scaling = True
+        if widest < _FLOAT_EXACT:
+            dot, cast = _float_dot, np.float64
     casts = {}
     re = im = None
     for x, y, d in live:
         xr, xi, yr, yi = x.re, x.im, y.re, y.im
         x_im, y_im = x._mag[1], y._mag[1]
-        if cast is not None:
-            xr, yr = _cast(xr, cast, casts), _cast(yr, cast, casts)
-            xi = _cast(xi, cast, casts) if x_im else xi
-            yi = _cast(yi, cast, casts) if y_im else yi
-        # products with an all-zero imaginary part are skipped
-        r = dot(xr, yr)
-        if x_im and y_im:
-            r = r - dot(xi, yi)
-            i = dot(xr, yi) + dot(xi, yr)
-        elif x_im:
-            i = dot(xi, yr)
-        elif y_im:
-            i = dot(xr, yi)
+        if scaling and x._diag is not None:
+            s = x._diag[:, None]  # the rows of y scaled by the real diagonal of x
+            r, i = s * yr, s * yi if y_im else None
+        elif scaling and y._diag is not None:
+            s = y._diag  # the columns of x scaled by the real diagonal of y
+            r, i = xr * s, xi * s if x_im else None
         else:
-            i = None
+            if cast is not None:
+                xr, yr = _cast(xr, cast, casts), _cast(yr, cast, casts)
+                xi = _cast(xi, cast, casts) if x_im else xi
+                yi = _cast(yi, cast, casts) if y_im else yi
+            # products with an all-zero imaginary part are skipped
+            r = dot(xr, yr)
+            if x_im and y_im:
+                r = r - dot(xi, yi)
+                i = dot(xr, yi) + dot(xi, yr)
+            elif x_im:
+                i = dot(xi, yr)
+            elif y_im:
+                i = dot(xr, yi)
+            else:
+                i = None
         if d != den:
             f = den // d
             r, i = r * f, None if i is None else i * f
         re = r if re is None else re + r
         if i is not None:
             im = i if im is None else im + i
-    return ExactMatrix(rows, cols, _arrays=(re, im, den * q))
+    out = ExactMatrix(rows, cols, _arrays=(re, im, den * q))
+    if scaling and all(x._diag is not None and y._diag is not None for x, y, _ in live):
+        out._diag = out.re.diagonal()
+    return out
 
 
 def _assemble(rows: int, cols: int, placed) -> ExactMatrix:
@@ -813,8 +866,11 @@ class ExactFamily:
             nonzero = self.re != 0
             if self.im is not None:
                 nonzero |= self.im != 0
-            # a bool matmul: any(on[a] & on[b]) over the lines
-            self._meets = tuple(on @ on.T for on in (nonzero.any(axis=2), nonzero.any(axis=1)))
+            # a float32 matmul of the 0/1 line indicators counts the shared
+            # lines on BLAS (a bool matmul does not use it); exact, as every
+            # count is below 2^24
+            on = [x.astype(np.float32) for x in (nonzero.any(axis=2), nonzero.any(axis=1))]
+            self._meets = tuple(x @ x.T > 0 for x in on)
         return self._meets
 
     def _gathers(self):

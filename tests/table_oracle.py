@@ -1,6 +1,7 @@
-"""A reference for the exhaustive triple table of ``verify_grid``: every
-verdict recomputed one triple at a time on Fraction entries, with no code
-of the exact kernels.
+"""References for the exhaustive triple table of ``verify_grid`` and for the
+pair check of ``RankOneRealization``: every verdict recomputed one triple,
+or one pair, at a time on Fraction entries, with no code of the exact
+kernels.
 
 The products come from ``test_numlin.ref_ternary``, which multiplies the
 entries as Gaussian rationals one at a time.  The want of a triple is read
@@ -13,7 +14,7 @@ models and nothing else; ``tests/test_source.py`` holds this module to that.
 from fractions import Fraction
 
 from jcgrid.grids import hermitian_grid, rectangular_grid, symplectic_grid
-from test_numlin import ref_ternary
+from test_numlin import as_rows, ref_ternary
 
 
 def spin_partner(key):
@@ -137,3 +138,21 @@ def zero_by_supports(a, b, c) -> bool:
 
     (ra, ca), (rb, cb), (rc, cc) = lines(a), lines(b), lines(c)
     return (not ca & cb or not rb & rc) and (not cc & cb or not rb & ra)
+
+
+def pairwise_verdict(mats):
+    """The check of ``RankOneRealization`` as it ran before it read
+    minimality off colinearity: per ordered pair in loop order, a b* a = 0,
+    then {a,a,b} = b/2.  None, or the message of the first failure."""
+    rows = [as_rows(m) for m in mats]
+    for a, va in enumerate(mats):
+        for b, vb in enumerate(mats):
+            if a == b:
+                continue
+            if any(x for row in ref_ternary(va, vb, va) for x in row):
+                return f"element {a + 1} is not minimal against {b + 1}"
+            twice = [[x + y for x, y in zip(r1, r2)]  # 2{a,a,b} = b
+                     for r1, r2 in zip(ref_ternary(va, va, vb), ref_ternary(vb, va, va))]
+            if twice != rows[b]:
+                return f"elements {a + 1}, {b + 1} are not colinear"
+    return None

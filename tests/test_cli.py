@@ -639,9 +639,12 @@ class TestSharedWork:
         # relations were classified pair by pair, 4 products per pair that
         # is not orthogonal.  The 60 left are the support split's own
         (("verify", "split", "--p", "4", "--q", "4"), (60, 60)),
-        # 8 validations of 2 products, 56 ordered pairs of 2, 8 right
-        # supports, and 3 + 6 support products to find the indices (3, 6)
-        (("construct", "hnk", "--n", "8", "--k", "3"), (89, 145)),
+        # 8 validations of 1 product, 56 ordered pairs of 2, and 3 + 6
+        # support products to find the indices (3, 6).  (89, 145) while each
+        # support projection u u* and u* u was formed as a product: 8
+        # validations of 2 products and 8 right supports; now the 56 x 28
+        # and 28 x 56 Grams are read off the row norms as kept diagonals
+        (("construct", "hnk", "--n", "8", "--k", "3"), (73, 129)),
         # 834 while naturality formed left * E_ij * right for the 36 units of
         # each of the 5 conjugations.  474 while conjugate_grid formed left * u
         # * right per element (210) and each Grid checked its 21 elements one
@@ -650,8 +653,9 @@ class TestSharedWork:
         (("verify", "matrix-units", "--kind", "hermitian", "--m", "6", "--conjugations", "5"),
          (0, 0)),
         # 91 while the exact projection formed x U* for each of the 6 basis
-        # elements of each of the 6 basis elements it fixes
-        (("verify", "projection", "--n", "6", "--k", "3", "--samples", "10"), (55, 85)),
+        # elements of each of the 6 basis elements it fixes; (55, 85) while
+        # the 6 left and 6 right supports of H(6,3) were formed as products
+        (("verify", "projection", "--n", "6", "--k", "3", "--samples", "10"), (43, 73)),
     ], ids=["uij-grid", "split", "construct-hnk", "matrix-units", "projection"])
     def test_exact_products(self, monkeypatch, capsys, args, products):
         terms = _count_product_terms(monkeypatch)

@@ -24,6 +24,7 @@ from jcgrid.hnk import (Combination, build_hnk, build_uIJ, combinations,
 from jcgrid.numlin import (EX_I, ExactFamily, ExactMatrix, ExactScalar, operator_norm,
                            scaled_members)
 from jcgrid.triple import PartialIsometry
+from table_oracle import pairwise_verdict
 from test_numlin import as_rows, ref_ternary
 
 E = ExactMatrix.unit
@@ -277,21 +278,6 @@ class TestBuildHnk:
         assert uij_family(real) is uij_family(real)
 
 
-def _pairwise_oracle(mats):
-    """The realization's check as it ran before it read minimality off
-    colinearity: per ordered pair, a b* a = 0, then {a,a,b} = b/2, each from
-    plain products.  None, or the message of the first failure."""
-    for a, va in enumerate(mats):
-        for b, vb in enumerate(mats):
-            if a == b:
-                continue
-            if not (va * vb.adjoint() * va).is_zero():
-                return f"element {a + 1} is not minimal against {b + 1}"
-            if va * va.adjoint() * vb + vb * va.adjoint() * va != vb:  # 2{a,a,b} = b
-                return f"elements {a + 1}, {b + 1} are not colinear"
-    return None
-
-
 def _partial_permutation(rng, rows, cols):
     """A random nonzero partial permutation with entries all +-1 or all +-i."""
     r = int(rng.integers(1, min(rows, cols) + 1))
@@ -320,7 +306,7 @@ class TestRealizationValidation:
     def test_every_space_up_to_n6_is_accepted(self):
         for n in range(1, 7):
             for k in range(1, n + 1):
-                assert _pairwise_oracle(build_hnk(n, k).basis) is None
+                assert pairwise_verdict(build_hnk(n, k).basis) is None
 
     def test_corrupted_families_agree_with_the_oracle(self):
         rng = np.random.default_rng(11)
@@ -330,7 +316,7 @@ class TestRealizationValidation:
             space = spaces[int(rng.integers(len(spaces)))]
             mats = list(space.basis)
             mats[int(rng.integers(len(mats)))] = _partial_permutation(rng, *space.shape)
-            want = _pairwise_oracle(mats)
+            want = pairwise_verdict(mats)
             got = _realization_error(mats)
             if want is None:
                 outcomes["accepted"] += 1
@@ -349,7 +335,7 @@ class TestRealizationValidation:
         # u_2 replaced by u_1: minimality fails first in the oracle
         mats = list(build_hnk(3, 2).basis)
         mats[1] = mats[0]
-        assert _pairwise_oracle(mats) == "element 1 is not minimal against 2"
+        assert pairwise_verdict(mats) == "element 1 is not minimal against 2"
         with pytest.raises(ValueError, match=r"^elements 1, 2 are not colinear$"):
             hnk.RankOneRealization(PartialIsometry(m) for m in mats)
 

@@ -307,14 +307,19 @@ def one(value):
 
 
 def ref_product(a, b):
-    """Product from ExactScalar arithmetic on the entries: the Fraction reference."""
-    rows_a = [a.entries[i * a.cols:(i + 1) * a.cols] for i in range(a.rows)]
-    cols_b = [b.entries[j::b.cols] for j in range(b.cols)]
-    return [[sum((x * y for x, y in zip(r, c)), ExactScalar(0)) for c in cols_b] for r in rows_a]
+    """Product from ExactScalar arithmetic on the entries: the Fraction
+    reference.  A term with a zero factor adds nothing and is skipped."""
+    ea, eb = a.entries, b.entries
+    rows_a = [[(k, x) for k, x in enumerate(ea[i * a.cols:(i + 1) * a.cols]) if x]
+              for i in range(a.rows)]
+    cols_b = [eb[j::b.cols] for j in range(b.cols)]
+    return [[sum((x * c[k] for k, x in r if c[k]), ExactScalar(0)) for c in cols_b]
+            for r in rows_a]
 
 
 def as_rows(m):
-    return [list(m.entries[i * m.cols:(i + 1) * m.cols]) for i in range(m.rows)]
+    entries = m.entries
+    return [list(entries[i * m.cols:(i + 1) * m.cols]) for i in range(m.rows)]
 
 
 def assert_canonical_storage(m):
@@ -1336,11 +1341,14 @@ class TestProductSum:
             _filled(RUNG_ROWS - 1, RUNG_ROWS - 1, ExactScalar(-6 * INNER))
         assert used == [np.dtype(np.int64)] * 2
 
-    def test_a_shared_operand_is_cast_once(self, monkeypatch):
+    def test_a_shared_operand_is_cast_once(self, monkeypatch, rng):
         from jcgrid import numlin
-        from jcgrid.hnk import build_hnk
-        a, b = build_hnk(7, 4).basis[:2]  # 35 x 35, on the float64 rung
+        # dense 20 x 15 operands on the float64 rung: their Gram products
+        # have columns of many nonzeros and keep no diagonal (this test read
+        # two basis elements of H(7,4) while those Grams were dense too)
+        a, b = (_real(random_exact(rng, 20, 15, density=0.8)) for _ in range(2))
         left, right = a.gram(), a.adjoint().gram()
+        assert left._diag is None and right._diag is None
         want = (left * b + b * right).scale(EX_HALF)
         used = _dot_dtypes(monkeypatch)
         cast = []
@@ -1357,12 +1365,169 @@ class TestProductSum:
         assert sorted(cast) == sorted([id(left.re), id(b.re), id(right.re)])
         assert used == [np.dtype(np.float64)] * 2
 
+    def test_the_hnk_triple_forms_no_float_dot(self, monkeypatch):
+        from jcgrid.hnk import build_hnk
+        a, b = build_hnk(7, 4).basis[:2]  # 35 x 35 signed sums of matrix units
+        left, right = a.gram(), a.adjoint().gram()
+        assert left._diag is not None and right._diag is not None
+        used = _dot_dtypes(monkeypatch)
+        # {a,a,b} = b/2: the two terms are a row and a column scaling of b
+        assert triple_product(a, a, b) == b.scale(EX_HALF)
+        assert used == []
+
     def test_shapes_must_agree(self):
         with pytest.raises(DimensionError, match="cannot multiply 2x3 by 2x3"):
             ExactMatrix.zeros(2, 3) * ExactMatrix.zeros(2, 3)
         with pytest.raises(DimensionError):
             _product_sum([(ExactMatrix.zeros(2, 2), ExactMatrix.zeros(2, 2)),
                           (ExactMatrix.zeros(1, 2), ExactMatrix.zeros(2, 2))])
+
+
+# shapes r x c whose Gram products a a* and a* a, and the product of two
+# r x r Grams, take at least _BLAS_MIN_SIZE multiplications
+SCALING_SHAPES = [(13, 13), (13, 14), (14, 13)]
+assert all(min(r * r * c, c * c * r, r ** 3) >= _BLAS_MIN_SIZE for r, c in SCALING_SHAPES)
+
+
+@st.composite
+def _one_per_column(draw, rows, cols, complex_, monomial):
+    """At most one nonzero per column, with values over denominators 1 to
+    3; with ``monomial`` also at most one per row."""
+    if monomial:
+        perm = draw(st.permutations(range(max(rows, cols))))
+        at = [(r, perm[r]) for r in range(rows) if perm[r] < cols and draw(st.booleans())]
+    else:
+        at = [(r, c) for c, r in enumerate(draw(st.lists(
+            st.integers(-1, rows - 1), min_size=cols, max_size=cols))) if r >= 0]
+    entries = [[0] * cols for _ in range(rows)]
+    for r, c in at:
+        entries[r][c] = ExactScalar(draw(_SMALL_PARTS),
+                                    draw(_SMALL_PARTS | st.just(0)) if complex_ else 0)
+    return ExactMatrix.from_rows(entries)
+
+
+def _dense_factor(rows, cols, complex_):
+    """A seeded random matrix with denominators 1 to 3, or the zero matrix."""
+    def make(seed, density):
+        m = random_exact(np.random.default_rng(seed), rows, cols, density)
+        return m if complex_ else _real(m)
+
+    return st.builds(make, st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.3, 1.0]))
+
+
+def _kept_diagonal(n, value):
+    """The Gram product of value * I_n: a kept diagonal of |value|^2."""
+    g = ExactMatrix.identity(n).scale(value).gram()
+    assert g._diag is not None
+    return g
+
+
+class TestScalingRung:
+    """Gram products of matrices with at most one nonzero per column are kept
+    diagonals, and every product with one, at and above _BLAS_MIN_SIZE,
+    scales rows or columns on int64: checked against Fraction arithmetic."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(SCALING_SHAPES), st.booleans(), st.data())
+    def test_against_fractions(self, shape, complex_, data):
+        rows, cols = shape
+        draw = data.draw
+        a = draw(_one_per_column(rows, cols, complex_, False))
+        mono = draw(_one_per_column(rows, cols, complex_, True))
+        b, e = (draw(_dense_factor(rows, cols, complex_)) for _ in range(2))
+        q = draw(st.integers(1, 3))
+        left, right = a.gram(), mono.adjoint().gram()
+        ref_left = ref_product(a, a.adjoint())
+        ref_right = ref_product(mono.adjoint(), mono)
+        for got, ref in ((left, ref_left), (right, ref_right)):
+            assert got._diag is not None
+            assert as_rows(got) == ref
+            assert_canonical_storage(got)
+        with pytest.MonkeyPatch.context() as mp:
+            used = _dot_dtypes(mp)
+            # shaped like triple_product, (u u* b + e v* v) / q: a row and a
+            # column scaling, over den(a)^2 den(b) and den(e) den(v)^2
+            got = _product_sum([(left, b), (e, right)], q)
+            ref = [[(x + y) / q for x, y in zip(r1, r2)] for r1, r2 in zip(
+                ref_product(ExactMatrix.from_rows(ref_left), b),
+                ref_product(e, ExactMatrix.from_rows(ref_right)))]
+            assert as_rows(got) == ref
+            assert_canonical_storage(got)
+            # a term with one dense factor keeps no diagonal, diagonal or not
+            assert got._diag is None and (left * b)._diag is None
+            # diag x diag, one term or two, keeps its diagonal; a zero factor
+            # leaves no term, and the zero matrix keeps none
+            both = mono.gram()
+            for terms in ([(left, both)], [(left, both), (both, left)]):
+                got = _product_sum(terms, q)
+                assert (got._diag is None) == (left.is_zero() or both.is_zero())
+                assert (got.re == np.diag(np.diag(got.re))).all() and not got.im.any()
+                ref = ref_product(left, both)
+                if len(terms) == 2:
+                    ref = [[x + y for x, y in zip(r1, r2)]
+                           for r1, r2 in zip(ref, ref_product(both, left))]
+                assert as_rows(got) == [[x / q for x in row] for row in ref]
+            assert used == []
+
+    def test_a_column_of_two_nonzeros_keeps_no_diagonal(self, monkeypatch):
+        n = SCALING_SHAPES[0][0]
+        a = ExactMatrix.identity(n) + E(n, n, 1, 0, ExactScalar(Fraction(1, 2), -1))
+        gram = a.gram()
+        assert gram._diag is None
+        assert as_rows(gram) == ref_product(a, a.adjoint())
+        # u* u of the same matrix: one nonzero per column of a*
+        assert a.adjoint().gram()._diag is None
+        used = _dot_dtypes(monkeypatch)
+        b = _filled(n, n, ExactScalar(1, 2))
+        assert as_rows(gram * b) == ref_product(gram, b)
+        assert used == [np.dtype(np.float64)] * 4
+
+    def test_below_the_size_gate_no_diagonal_is_kept(self, monkeypatch):
+        n = next(r for r in itertools.count(1) if (r + 1) ** 3 >= _BLAS_MIN_SIZE)
+        gram = ExactMatrix.identity(n).gram()
+        assert gram._diag is None and gram == ExactMatrix.identity(n)
+        used = _dot_dtypes(monkeypatch)
+        assert gram * gram == gram
+        assert used == [np.dtype(np.int64)]
+
+    @pytest.mark.parametrize("offset, kept", [(0, True), (1, False)], ids=["below", "at"])
+    def test_gram_bound(self, monkeypatch, offset, kept):
+        # 2 cols max|a|^2 < 2^62 keeps the diagonal; from the bound on, the
+        # Gram is the product on Python ints
+        n = SCALING_SHAPES[0][0]
+        v = _largest_below(2 * n, 2, LIMIT) + offset
+        a = ExactMatrix.identity(n) + E(n, n, 0, 0, v - 1)
+        used = _dot_dtypes(monkeypatch)
+        gram = a.gram()
+        assert (gram._diag is not None) == kept
+        assert used == ([] if kept else [np.dtype(object)])
+        assert gram.entry(0, 0) == ExactScalar(v * v) and gram.entry(1, 1) == ExactScalar(1)
+        assert gram == ExactMatrix.from_rows(ref_product(a, a.adjoint()))
+        assert_canonical_storage(gram)
+
+    @pytest.mark.parametrize("offset, rung", [(0, []), (1, [np.dtype(object)] * 2)],
+                             ids=["below", "at"])
+    def test_product_bound(self, monkeypatch, offset, rung):
+        # one term: 2 * n * max|d| * max|y| < 2^62 scales on int64; from the
+        # bound on, the term is a dot on Python ints
+        n = SCALING_SHAPES[0][0]
+        d = _kept_diagonal(n, 2)  # 4 I
+        w = _largest_below(2 * n * 4, 1, LIMIT) + offset
+        y = ExactMatrix(n, n, [ExactScalar(w, -w)] + [1] * (n * n - 1))
+        used = _dot_dtypes(monkeypatch)
+        for got, ref in ((d * y, ref_product(d, y)), (y * d, ref_product(y, d))):
+            assert as_rows(got) == ref
+            assert_canonical_storage(got)
+        assert used == rung * 2
+
+    def test_numerators_past_int64(self):
+        # 4 * 2^61 = 2^63: Python ints hold both the dot and its result
+        n = SCALING_SHAPES[0][0]
+        d = _kept_diagonal(n, 2)
+        y = E(n, n, 3, 3, 2 ** 61)
+        got = d * y
+        assert got.entry(3, 3) == ExactScalar(2 ** 63) and got.re.dtype == object
+        assert got == y.scale(4)
 
 
 def _grids_with_pairs():

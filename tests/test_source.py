@@ -128,9 +128,12 @@ _CONSTRUCT_SIZES = {"hnk": "--n 3 --k 2", "rectangular": "--p 2 --q 3", "hermiti
                     "diag-hnk": "--n 3 --ks 2,1", "diag-rect": "--p 2 --q 2"}
 _VERIFY_SIZES = ["grid --kind rectangular --p 2 --q 3", "grid --kind hermitian --m 3",
                  "grid --kind symplectic --m 4", "grid --kind spin --r 2 --odd",
-                 # the smallest H(n,k) whose products run on the float64 rung
+                 # H(6,3): 20 x 15 basis elements, whose Gram products are
+                 # kept diagonals and multiply as row and column scalings
                  "hnk --n 6 --k 3", "uij-grid --n 3 --k 2",
-                 "projection --n 3 --k 2 --samples 5", "trace --n 3 --k 2",
+                 "projection --n 3 --k 2 --samples 5",
+                 # x x* of a dense 20 x 15 x in H(6,3): a product on the float64 rung
+                 "trace --n 6 --k 3",
                  "split --n 3 --ks 2,1", "split --p 2 --q 2",
                  "matrix-units --kind hermitian --m 3 --conjugations 2",
                  "matrix-units --kind symplectic --m 5 --conjugations 2"]
