@@ -9,8 +9,9 @@ supports make it zero, and whose expected value is zero, is decided from
 the supports of the grid's own matrices without a product.  Every expected
 value comes from one triple rule on the indices alone: the matrix-unit rule
 for the rectangular, hermitian and symplectic grids and for rank-1 grids
-(read as one row of matrix units), an index rule for spin grids.  The
-expected pair relations and minimal elements are read off that rule.  The
+(read as one row of matrix units), an index rule for spin grids, and
+the rule runs once per grid, on the rows of the triple table.  The expected
+pair relations and minimal elements are read off the table's wants.  The
 transforms turn hermitian and symplectic grids into associative matrix
 units and a spin grid into a spin system inside the isotope algebra.  The
 verifier and the matrix-unit transforms evaluate their pair relations,
@@ -454,9 +455,8 @@ def _expected_table(grid: Grid, x0: int, x1: int) -> tuple:
     holds, so only where the parts of the elements meet: the rule is
     evaluated on that join (``_live_rows`` of ``_unit_meets``) alone.  A
     spin grid has at most 13 elements, and its rule is evaluated on every
-    row.  The pair relations and the minimal elements evaluate the rule at
-    their own rows (``_expected_pairs``), so a fault in this want shows in
-    ``triple_products`` alone."""
+    row.  This is the one place the rule runs: the pair relations and the
+    minimal elements read this want off the table (``_expected_pairs``)."""
     n = len(grid)
     if grid.kind == "spin":
         rows = np.broadcast_to(np.arange(n) >= np.arange(x0, x1)[:, None, None], (x1 - x0, n, n))
@@ -517,9 +517,10 @@ def _joined_rows(mask: np.ndarray, x0: int, x, y, z, want: tuple) -> tuple:
     return x + x0, y, z, (*joined, want[2])
 
 
-def _expected_pairs(grid: Grid) -> tuple:
+def _expected_pairs(table: tuple, n: int) -> tuple:
     """The expected relation of each pair of positions x < z, in loop order,
-    and the minimal positions, from the triple rule alone.
+    and the minimal positions, read off the wants of ``_triple_table``'s
+    rows; a row the table did not evaluate wants 0.
 
     With {u_x, u_x, u_z} = c u_z / 2 and {u_x, u_z, u_z} = c' u_x / 2 (rows
     (x, x, z) and (x, z, z)), the relation is ``classify_relation``'s table
@@ -528,17 +529,17 @@ def _expected_pairs(grid: Grid) -> tuple:
     gives one member per row, so ``_same_want`` reads c and c' off one
     column.
     """
-    n = len(grid)
-    x, z = np.triu_indices(n, 1)
-    v, w = np.nonzero(~np.eye(n, dtype=bool))
-    want = _triple_rule(grid, np.concatenate([x, x, v]), np.concatenate([x, z, w]),
-                        np.concatenate([z, z, v]))
-    rows = np.arange(len(x))
-    halves = [np.select([_same_want(want, row, member, c) for c in (0, 1, 2)], [0, 1, 2], -1)
-              for row, member in ((rows, z), (rows + len(x), x))]
-    relations = _relations_of_halves(*halves)
-    zero = _same_want(want, 2 * len(x) + np.arange(len(v)), 0, 0).reshape(n, n - 1)
-    return relations, np.flatnonzero(zero.all(axis=1))
+    _, (x, y, z), want, _ = table
+    halves = np.zeros((2, n, n), dtype=np.intp)
+    for half, (middle, member) in enumerate(((x, z), (z, x))):
+        at = np.flatnonzero((y == middle) & (x < z))
+        halves[half, x[at], z[at]] = np.select(
+            [_same_want(want, at, member[at], c) for c in (0, 1, 2)], [0, 1, 2], -1)
+    at = np.flatnonzero((x == z) & (y != x))
+    minimal = np.ones(n, dtype=bool)
+    minimal[x[at[~_same_want(want, at, 0, 0)]]] = False
+    relations = _relations_of_halves(*(h[np.triu_indices(n, 1)] for h in halves))
+    return relations, np.flatnonzero(minimal)
 
 
 # -- verification -------------------------------------------------------------
@@ -561,11 +562,13 @@ def verify_grid(grid: Grid) -> VerificationReport:
     ``partial_isometry`` line counts the elements that the ``Grid`` checked
     when it was made; they are not evaluated again.  Every expected value
     comes from the kind's triple rule (``_triple_rule``: the matrix-unit
-    rule, or the spin rule) on index arrays alone, never from a model grid:
-    the triple table (``_expected_table``), the pair relations and the
-    minimal elements (``_expected_pairs``).  The observed relations of all
-    pairs come from one ``classify_relation`` call on the grid's family;
-    a pair apart by its supports forms no product there.  The triple table
+    rule, or the spin rule) on index arrays alone, never from a model grid.
+    The rule runs once, for the triple table's want (``_expected_table``);
+    the expected pair relations and minimal elements are read off that want
+    (``_expected_pairs``), so a fault in it fails ``triple_products`` and
+    can fail them too.  The observed relations of all pairs come from one
+    ``classify_relation`` call on the grid's family; a pair apart by its
+    supports forms no product there.  The triple table
     (``_triple_table``) is exhaustive: every triple with the first index
     not after the third ({a,b,c} = {c,b,a}) gets a verdict, at every size.
     The rows that the supports of the grid's own matrices let be nonzero,
@@ -590,17 +593,16 @@ def verify_grid(grid: Grid) -> VerificationReport:
     # every element was checked when the Grid was made
     rep.add_counted("partial_isometry", True, n, "elements")
 
-    relations, minimal = _expected_pairs(grid)
     fam = grid.family()
     px, pz = np.triu_indices(n, 1)
     got = classify_relation(fam, px, pz)
+    table = _triple_table(grid)
+    _, (x, y, z), _, ok = table
+    relations, minimal = _expected_pairs(table, n)
     mism = [(idxs[px[t]], idxs[pz[t]], relations[t].value, got[t].value)
             for t in np.flatnonzero(np.asarray(got) != np.asarray(relations))[:3]]
     rep.add_counted("pairwise_relations", not mism, len(px), "pairs",
                     failure=f"mismatch {mism}")
-
-    table = _triple_table(grid)
-    _, (x, y, z), _, ok = table
 
     # {v, w, v} = 0 for a minimal v and every w != v, {u_i, u_i, u~_i} = 0
     # for the spin partners, then the named identities

@@ -678,14 +678,12 @@ def peirce_split(real: RankOneRealization):
     for J in combinations(real.n, i_r):
         term = support_product(real, "right", J)
         p = term if p is None else p + term
-    rows = p.rows
-    one = ExactMatrix.identity(rows)
     p_elems = []
     q_elems = []
     for i in range(1, real.n + 1):
         u = real.matrix(i)
         pu = p * u
-        qu = (one - p) * u
+        qu = u - pu
         if pu.is_zero():
             raise ValueError(f"p annihilates element {i}; not a valid split")
         p_elems.append(PartialIsometry(pu))
@@ -700,9 +698,9 @@ def peirce_split(real: RankOneRealization):
 
 def split_cross_orthogonal(real: RankOneRealization, p: ExactMatrix) -> bool:
     """All ternary cross products between pY and (1-p)Y vanish exactly."""
-    q = ExactMatrix.identity(p.rows) - p
     n = real.n
-    parts = ExactFamily([p * u.mat for u in real.elements] + [q * u.mat for u in real.elements])
+    pu = [p * u.mat for u in real.elements]
+    parts = ExactFamily(pu + [u.mat - v for u, v in zip(real.elements, pu)])
     a, b = np.repeat(np.arange(n), n), n + np.tile(np.arange(n), n)
     return bool(parts.vanish(a, b).all() and parts.vanish(a, b, star_first=True).all())
 
@@ -751,13 +749,12 @@ def grid_support_split(grid: Grid):
             t = grid.matrix((i, k)).gram()
             row = t if row is None else row * t
         proj = row if proj is None else proj + row
-    one = ExactMatrix.identity(proj.rows)
     p_elems, q_elems = [], []
     for idx in grid.indices:
         u = grid.matrix(idx)
-        p_elems.append((idx, proj * u))
-        qu = (one - proj) * u
-        q_elems.append((idx, qu))
+        pu = proj * u
+        p_elems.append((idx, pu))
+        q_elems.append((idx, u - pu))
     p_grid = Grid("rectangular", {"p": p_, "q": q_}, p_elems)
     q_grid = None
     if all(not m.is_zero() for _, m in q_elems):

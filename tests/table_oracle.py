@@ -1,7 +1,7 @@
-"""References for the exhaustive triple table of ``verify_grid`` and for the
-pair check of ``RankOneRealization``: every verdict recomputed one triple,
-or one pair, at a time on Fraction entries, with no code of the exact
-kernels.
+"""References for the exhaustive triple table of ``verify_grid``, for
+``classify_relation`` and for the pair check of ``RankOneRealization``:
+every verdict recomputed one triple, or one pair, at a time on Fraction
+entries, with no code of the exact kernels.
 
 The products come from ``test_numlin.ref_ternary``, which multiplies the
 entries as Gaussian rationals one at a time.  The want of a triple is read
@@ -14,7 +14,7 @@ models and nothing else; ``tests/test_source.py`` holds this module to that.
 from fractions import Fraction
 
 from jcgrid.grids import hermitian_grid, rectangular_grid, symplectic_grid
-from test_numlin import as_rows, ref_ternary
+from test_numlin import as_rows, ref_product, ref_ternary
 
 
 def spin_partner(key):
@@ -90,7 +90,7 @@ def _model_rule(grid):
         keys = list(grid.indices)
     mats = [model.matrix(k) for k in keys]
     rows, cols = mats[0].shape
-    entries = [_flat([m.entries[r * cols:(r + 1) * cols] for r in range(rows)]) for m in mats]
+    entries = [_flat([m.entries]) for m in mats]  # each matrix's entries read once
 
     def want(x, y, z):
         product = twice_triple(mats[x], mats[y], mats[z])
@@ -113,7 +113,7 @@ def table_verdicts(grid) -> list:
     ``grid`` in loop order, one triple at a time."""
     n, mats = len(grid), grid.matrices()
     rows, cols = mats[0].shape
-    entries = [_flat([m.entries[r * cols:(r + 1) * cols] for r in range(rows)]) for m in mats]
+    entries = [_flat([m.entries]) for m in mats]  # each matrix's entries read once
     want = _spin_rule(grid) if grid.kind == "spin" else _model_rule(grid)
     return [twice_triple(mats[x], mats[y], mats[z])
             == _combination(want(x, y, z), entries, rows * cols)
@@ -156,3 +156,23 @@ def pairwise_verdict(mats):
             if twice != rows[b]:
                 return f"elements {a + 1}, {b + 1} are not colinear"
     return None
+
+
+def classify_by_triple_products(v, w) -> str:
+    """The value of the grid relation of the matrices v and w, read off
+    2 {w,w,v} and 2 {v,v,w} on Fraction entries, one pair at a time: a
+    reference for ``classify_relation``."""
+    ev, ew = _flat([v.entries]), _flat([w.entries])
+    if ev == ew:
+        return "equal"
+    if not any(x for p in (ref_product(v.adjoint(), w), ref_product(v, w.adjoint()))
+               for row in p for x in row):
+        return "orthogonal"
+    wwv, vvw = twice_triple(w, w, v), twice_triple(v, v, w)
+    if wwv == ev and vvw == ew:
+        return "colinear"
+    if vvw == [(2 * re, 2 * im) for re, im in ew] and wwv == ev:
+        return "governs-first-over-second"
+    if wwv == [(2 * re, 2 * im) for re, im in ev] and vvw == ew:
+        return "governs-second-over-first"
+    return "unclassified"

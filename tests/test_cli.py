@@ -286,6 +286,58 @@ class TestWitnessFailures:
         assert capsys.readouterr().out.splitlines()[-1].startswith("certified:")
 
 
+def _regrid(g, mats):
+    """A grid of the kind, parameters and indices of ``g`` on the matrices
+    ``mats``."""
+    return grids.Grid(g.kind, g.params, list(zip(g.indices, mats)))
+
+
+def _one_negated(g):
+    """The grid ``g`` with its first element negated."""
+    first, *rest = g.matrices()
+    return _regrid(g, [-first, *rest])
+
+
+class TestSplitFailures:
+    """Each verdict line of ``verify split --p --q`` fails, alone and with
+    exit 1, on a seeded fault that reaches that line only."""
+
+    @pytest.mark.parametrize("line", ["grid_verified", "p_part_verified",
+                                      "p_part_ternary_closed_matrix_units", "q_part_verified"])
+    def test_each_line_fails_alone(self, monkeypatch, capsys, line):
+        verify, split = grids.verify_grid, hnk.grid_support_split
+        if line in ("grid_verified", "p_part_verified"):
+            # the grid, or its p part, reaches the verifier with one element
+            # negated.  A fault in the grid is carried into its parts, and a
+            # part that is a ternary matrix-unit image is a grid, so no fault
+            # of the grid or of the split fails either line alone
+            faulty, calls = (0 if line == "grid_verified" else 1), []
+
+            def faulty_verify(g):
+                calls.append(g)
+                return verify(_one_negated(g) if len(calls) - 1 == faulty else g)
+
+            monkeypatch.setattr(grids, "verify_grid", faulty_verify)
+        else:
+            # the split hands over its q part with one element negated, or
+            # its p part transposed: transposition keeps every Jordan triple
+            # product, so that part still verifies as a grid, but it
+            # reverses the associative product u_ij u_kl* u_mn
+            def faulty_split(g):
+                p_grid, q_grid, proj = split(g)
+                if line == "q_part_verified":
+                    return p_grid, _one_negated(q_grid), proj
+                return _regrid(p_grid, [m.adjoint() for m in p_grid.matrices()]), q_grid, proj
+
+            monkeypatch.setattr(hnk, "grid_support_split", faulty_split)
+        assert cli.main(["verify", "split", "--p", "2", "--q", "3", "--format", "json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["name"] for c in checks] == ["grid_verified", "p_part_verified",
+                                               "p_part_ternary_closed_matrix_units",
+                                               "q_part_verified"]
+        assert [c["name"] for c in checks if c["status"] != "pass"] == [line]
+
+
 class TestValidityBeforeCapacity:
     """An invalid input that exceeds no cap is a usage error, not capacity."""
 
@@ -637,8 +689,9 @@ class TestSharedWork:
         # 1100 and 1388 while each Grid checked its matrices one at a time, two
         # products each (96 for the three grids); 1052 and 1340 while the
         # relations were classified pair by pair, 4 products per pair that
-        # is not orthogonal.  The 60 left are the support split's own
-        (("verify", "split", "--p", "4", "--q", "4"), (60, 60)),
+        # is not orthogonal.  The 44 left are the support split's own; 60
+        # while (1 - p) u was formed as a second product, not as u - p u
+        (("verify", "split", "--p", "4", "--q", "4"), (44, 44)),
         # 8 validations of 1 product, 56 ordered pairs of 2, and 3 + 6
         # support products to find the indices (3, 6).  (89, 145) while each
         # support projection u u* and u* u was formed as a product: 8

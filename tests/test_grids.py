@@ -19,7 +19,8 @@ from jcgrid.numlin import (EX_HALF, EX_I, ExactFamily, ExactMatrix, ExactScalar,
 from jcgrid.triple import (GridRelation, PartialIsometry, classify_relation,
                            isotope_product, triple_product)
 from test_cli import COMPLEX_ROTATION, ROTATION, _embedded
-from table_oracle import spin_triple, table_verdicts, wants_nonzero, zero_by_supports
+from table_oracle import (classify_by_triple_products, spin_triple, table_verdicts,
+                          wants_nonzero, zero_by_supports)
 from test_numlin import _relation_by_definition, as_rows, ref_ternary
 
 E = ExactMatrix.unit
@@ -555,26 +556,6 @@ FAILURE_REPORTS = {
 }
 
 
-def _classify_by_triple_products(v, w):
-    """The relation of the matrices v and w read off the triple products
-    {w,w,v} and {v,v,w}, one pair at a time: a reference for
-    ``classify_relation``."""
-    if v == w:
-        return GridRelation.EQUAL
-    if (v.adjoint() * w).is_zero() and (v * w.adjoint()).is_zero():
-        return GridRelation.ORTHOGONAL
-    wwv = triple_product(w, w, v)
-    vvw = triple_product(v, v, w)
-    half_v, half_w = v.scale(EX_HALF), w.scale(EX_HALF)
-    if wwv == half_v and vvw == half_w:
-        return GridRelation.COLINEAR
-    if vvw == w and wwv == half_v:
-        return GridRelation.GOVERNS_FIRST_OVER_SECOND
-    if wwv == v and vvw == half_w:
-        return GridRelation.GOVERNS_SECOND_OVER_FIRST
-    return GridRelation.UNCLASSIFIED
-
-
 def _classifier_grids():
     """The clean and corrupted grids, conjugates over den 5 and 25 (real and
     complex), and a conjugate with numerators from 2^62 up."""
@@ -600,7 +581,7 @@ def test_classify_relation_matches_triple_products():
         got = classify_relation(fam, x, z)
         mats = g.matrices()
         for t, (a, b) in enumerate(zip(x.tolist(), z.tolist())):
-            assert got[t] is _classify_by_triple_products(mats[a], mats[b])
+            assert got[t].value == classify_by_triple_products(mats[a], mats[b])
             assert got[t] is _relation_by_definition(mats[a], mats[b])
         seen.update(got)
         dtypes.add((fam.den > 1, fam.im is not None, fam.re.dtype == object))
@@ -1081,7 +1062,10 @@ class TestNamedTable:
     # array over every row: the wrong want raises the coefficient of the
     # first named instance's row, which the table evaluates (of every row
     # the rule returns with "every-row"), and adds a nonzero want at the
-    # first row the table decides by its supports, where the grid has one
+    # first row the table decides by its supports, where the grid has one.
+    # The expected relations and minimal elements are read off that same
+    # want, so pairwise_relations and minimality may fail with it; every
+    # other line keeps its verdict
     @pytest.mark.parametrize("every", [False, True], ids=["one-row", "every-row"])
     @pytest.mark.parametrize("case", ["clean-hermitian", "clean-spin", "clean-rank1"]
                              + list(FAILURE_REPORTS))
@@ -1121,7 +1105,7 @@ class TestNamedTable:
                 if case in clean and not every:  # both wrong rows fail, and only they
                     labels = [tuple(g.indices[t] for t in row) for row in sorted([first, *dead])]
                     assert check["detail"] == f"failed {labels}"
-            else:
+            elif check["name"] not in ("pairwise_relations", "minimality"):
                 assert check == named[check["name"]]
         # the relations' c = 1 pass, and a c = 2 pass where some pair fails
         # c = 1; the table; then the instances whose want differs, on their
@@ -1792,12 +1776,12 @@ PAIR_GRIDS = ([hermitian_grid(m) for m in range(2, 8)]
 
 
 class TestExpectedPairs:
-    """The pair relations and minimal elements read off the triple rule
-    against the per-kind rules they replace."""
+    """The pair relations and minimal elements read off the triple table's
+    want against the per-kind rules they replace."""
 
     @pytest.mark.parametrize("g", PAIR_GRIDS, ids=lambda g: g.describe())
     def test_relations_and_minimal_match_the_kind_rules(self, g):
-        relations, minimal = grids._expected_pairs(g)
+        relations, minimal = grids._expected_pairs(grids._triple_table(g), len(g))
         idxs, rule = g.indices, PAIR_ORACLES[g.kind]
         assert relations == [rule(idxs[x], idxs[z])
                              for x in range(len(g)) for z in range(x + 1, len(g))]
@@ -1834,3 +1818,28 @@ class TestExpectedPairs:
         # classified pair by pair
         governing = g.kind == "hermitian" or g.kind == "spin" and g.params["odd"]
         assert calls == ["vanish"] * 2 + ["equal"] * (2 + governing + (g.kind == "hermitian"))
+
+    def test_rule_runs_once_over_the_table_rows(self, monkeypatch):
+        calls = []
+        orig = grids._triple_rule
+        monkeypatch.setattr(grids, "_triple_rule", lambda grid, xs, ys, zs:
+                            calls.append(len(xs)) or orig(grid, xs, ys, zs))
+        assert verify_grid(hermitian_grid(6)).passed
+        # [840, 1116] while the pairs ran the rule again on their own rows
+        assert calls == [1116]
+
+    def test_wrong_pair_want_fails_the_table_and_the_relations(self, monkeypatch):
+        # a wrong want at a row (x, x, z) can never pass silently: the table
+        # evaluates the row, and the expected relation of (x, z) reads it
+        orig = grids._expected_table
+
+        def wrong(grid, x0, x1):
+            x, y, z, (kidx, kcoef, q) = orig(grid, x0, x1)
+            kcoef = np.array(kcoef)
+            kcoef[np.flatnonzero((y == x) & (x < z))[0]] += 1
+            return x, y, z, (kidx, kcoef, q)
+
+        monkeypatch.setattr(grids, "_expected_table", wrong)
+        checks = verify_grid(hermitian_grid(4)).to_json_dict()["checks"]
+        status = {c["name"]: c["status"] for c in checks}
+        assert status["triple_products"] == status["pairwise_relations"] == "fail"
