@@ -339,7 +339,7 @@ def _matrix_unit_table(grid: Grid, xs, ys, zs) -> tuple:
     name an element: every entry (rectangular, rank-1), p <= u (hermitian),
     p < u (symplectic).  The coefficients are those of 2 {u_x, u_y, u_z}, so q = 2.
     In a grid every such product is a multiple of one element, so all the
-    terms a triple keeps name the same member: the result has one column.
+    terms a triple keeps name the same member: the result is one member.
     The rule sees only which indices of a triple are equal and how they are
     ordered, and the grids of ``test_grids.TestMatrixUnitRule`` realize every
     such pattern (at most six distinct indices), so that test proves this
@@ -348,8 +348,8 @@ def _matrix_unit_table(grid: Grid, xs, ys, zs) -> tuple:
     parts = rows, cols, signs = _unit_parts(grid)
     at = np.full((rows.max() + 1,) * 2, -1, dtype=np.intp)
     at[rows[0], cols[0]] = np.arange(len(grid))
-    kidx = np.zeros((len(xs), 1), dtype=np.intp)
-    kcoef = np.zeros((len(xs), 1), dtype=np.int64)
+    kidx = np.zeros(len(xs), dtype=np.intp)
+    kcoef = np.zeros(len(xs), dtype=np.int64)
     # 16 terms per triple: a chunk's term arrays hold at most _CHUNK_CELLS
     per = _CHUNK_CELLS // 16
     for start in range(0, len(xs), per):
@@ -366,8 +366,8 @@ def _matrix_unit_table(grid: Grid, xs, ys, zs) -> tuple:
         coef = sign_a * sign_b * sign_c * ((q == s) & (r == t))
         member = at[p, u]
         live = (coef != 0) & (member >= 0)
-        kidx[chunk, 0] = np.where(live, member, 0).max(axis=(0, 1, 2, 3))
-        kcoef[chunk, 0] = np.where(live, coef, 0).sum(axis=(0, 1, 2, 3))
+        kidx[chunk] = np.where(live, member, 0).max(axis=(0, 1, 2, 3))
+        kcoef[chunk] = np.where(live, coef, 0).sum(axis=(0, 1, 2, 3))
     return kidx, kcoef, 2
 
 
@@ -408,8 +408,7 @@ def _spin_table(grid: Grid, xs, ys, zs) -> tuple:
     ]
     conds, members, coefs = zip(*branches)
     kidx = np.select(conds, members, 0).astype(np.intp)
-    kcoef = np.select(conds, coefs, 0).astype(np.int64)
-    return kidx[:, None], kcoef[:, None], 2
+    return kidx, np.select(conds, coefs, 0).astype(np.int64), 2
 
 
 def _triple_rule(grid: Grid, xs, ys, zs) -> tuple:
@@ -465,7 +464,7 @@ def _expected_table(grid: Grid, x0: int, x1: int) -> tuple:
     x, y, z = np.nonzero(rows)
     x += x0
     kidx, kcoef, q = _triple_rule(grid, x, y, z)
-    keep = kcoef[:, 0] != 0
+    keep = kcoef != 0
     return x[keep], y[keep], z[keep], (kidx[keep], kcoef[keep], q)
 
 
@@ -511,7 +510,7 @@ def _joined_rows(mask: np.ndarray, x0: int, x, y, z, want: tuple) -> tuple:
     np.put(mask, at, True)
     cells = np.flatnonzero(mask)
     at = np.searchsorted(cells, at)
-    joined = [np.zeros((len(cells),) + part.shape[1:], part.dtype) for part in want[:2]]
+    joined = [np.zeros(len(cells), part.dtype) for part in want[:2]]
     joined[0][at], joined[1][at] = want[:2]
     x, y, z = np.unravel_index(cells, mask.shape)
     return x + x0, y, z, (*joined, want[2])
@@ -526,8 +525,7 @@ def _expected_pairs(table: tuple, n: int) -> tuple:
     (x, x, z) and (x, z, z)), the relation is ``classify_relation``'s table
     ``triple._RELATION_OF_HALVES`` at (c, c').  v is minimal
     where {u_v, u_w, u_v} = 0 for every w != v (rows (v, w, v)).  The rule
-    gives one member per row, so ``_same_want`` reads c and c' off one
-    column.
+    gives one member per row, so ``_same_want`` reads c and c' off it.
     """
     _, (x, y, z), want, _ = table
     halves = np.zeros((2, n, n), dtype=np.intp)
@@ -631,10 +629,9 @@ def verify_grid(grid: Grid) -> VerificationReport:
 
 
 def _same_want(want: tuple, row: np.ndarray, member: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Whether the want at each row is coef / 2 times the member; the triple
-    rule's want has one column."""
+    """Whether the want at each row is coef / 2 times the member."""
     kidx, kcoef, q = want
-    kidx, kcoef = kidx[row, 0], kcoef[row, 0]
+    kidx, kcoef = kidx[row], kcoef[row]
     return (kcoef * 2 == coef * q) & ((kidx == member) | (kcoef == 0))
 
 

@@ -536,9 +536,9 @@ def verify_uIJ_grid(real: RankOneRealization,
     words = ExactFamily([mats[k] for k in keys])
     size = len(keys)
     every = np.arange(size)
-    zero = np.array([mats[k].is_zero() for k in keys])
-    cube = words.equal(every, every, every, scaled_members(every))
-    bad = [k for k, z, good in zip(keys, zero, cube) if z or not good]
+    zero = ~words.nonzero(every)
+    bad = [k for k, failure in zip(keys, PartialIsometry.family_failures(words, every))
+           if failure]
     rep.add_counted("uij_partial_isometries", not bad, len(keys), "elements",
                     failure=f"failed {bad[:2]}")
 

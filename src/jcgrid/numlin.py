@@ -733,10 +733,9 @@ def blocks(idx, size: int, count: int) -> np.ndarray:
 
 def scaled_members(kidx, coef=1, q: int = 1) -> tuple:
     """The ``want`` argument of ``ExactFamily.equal`` for coef[t] / q times
-    the single member kidx[t] per triple; ``coef`` may be one number.  The
+    member kidx[t] per triple; ``coef`` may be one number.  The
     coefficients are int64 while all of them are below 2^62."""
-    kidx = np.asarray(kidx, dtype=np.intp)[:, None]
-    coef = np.asarray(coef).reshape(-1, 1)
+    kidx, coef = np.asarray(kidx, dtype=np.intp), np.asarray(coef)
     if coef.dtype.kind != "i" or (coef.size and
                                   max(int(coef.max()), -int(coef.min())) >= _INT64_LIMIT):
         coef = coef.astype(object)
@@ -745,13 +744,12 @@ def scaled_members(kidx, coef=1, q: int = 1) -> tuple:
 
 def _scaled_coefficients(kcoef, factor: int) -> np.ndarray:
     """kcoef * factor, on int64 while max|kcoef| * factor stays below 2^62
-    (times the width, so that every row's sum of absolute values fits too;
-    and factor itself, for all-zero coefficients), else on Python ints."""
+    (and factor itself, for all-zero coefficients), else on Python ints."""
     kcoef = np.asarray(kcoef)
     small = kcoef.dtype != _OBJECT
     if small:
         top = max(int(kcoef.max()), -int(kcoef.min())) if kcoef.size else 0
-        small = factor * max(1, top * kcoef.shape[1]) < _INT64_LIMIT
+        small = factor * max(1, top) < _INT64_LIMIT
     return kcoef.astype(np.int64 if small else object) * factor
 
 
@@ -765,8 +763,8 @@ class ExactFamily:
     order over the lcm of their denominators, such as a ``ternary`` result
     over den^3 or a ``part`` of a family; ``ExactFamily(mats)`` joins the
     matrices as one-member stacks.  ``equal`` compares a b* c, or the triple
-    product {a,b,c} = (a b* c + c b* a)/2, with a rational combination of
-    members for arrays of index triples; ``vanish`` tests a b* or a* b for
+    product {a,b,c} = (a b* c + c b* a)/2, with a rational multiple of one
+    member for arrays of index triples; ``vanish`` tests a b* or a* b for
     zero.  ``same`` and ``nonzero`` test members, and ``meets`` tells which
     of them share a nonzero row or column; ``ternary``, ``sums`` and
     ``conjugate`` form a b* c, sums of members and left u right as stacks to
@@ -786,9 +784,9 @@ class ExactFamily:
         one chase of indices with the entry a[r] conj(b[s]) c[s]: one product
         of three numerators, at most 4·mag^3 and doubled for the triple
         product.  ``equal`` runs there while q times that bound, and the
-        want's weight times mag, stay below 2^62 and the want is at most
-        one member; ``vanish`` reads its verdicts off ``meets``, since each
-        entry of a b* or a* b is then one term.
+        want's coefficient times mag, stay below 2^62; ``vanish`` reads its
+        verdicts off ``meets``, since each entry of a b* or a* b is then one
+        term.
       - otherwise the dense products: a b* c sums 2·rows·cols terms of at
         most 2·mag^3, so |a b* c| <= 4·rows·cols·mag^3 and the triple
         product doubles that.  Below 2^53 the evaluation runs in float64 on
@@ -1007,19 +1005,19 @@ class ExactFamily:
 
     def equal(self, ia, ib, ic, want=None, sym: bool = False) -> np.ndarray:
         """For each triple t, whether a b* c (with ``sym``, {a,b,c}) at
-        a, b, c = ia[t], ib[t], ic[t] equals the combination ``want``.
+        a, b, c = ia[t], ib[t], ic[t] equals the scaled member ``want``.
 
-        ``want`` is (kidx, kcoef, q): (T, K) integer arrays and a positive
-        int, standing for sum_k kcoef[t, k] / q * member kidx[t, k]
-        (``scaled_members`` and the grids' triple rules give K = 1); None is
-        the zero matrix.  On a monomial family a want of at most one member
-        is compared row by row on index gathers (``_gather_equal``) while
-        its bounds stay below 2^62; every other evaluation forms the dense
-        products.
+        ``want`` is (kidx, kcoef, q): integer arrays of length T and a
+        positive int, standing for kcoef[t] / q * member kidx[t]
+        (``scaled_members``, and the grids' triple rules); a coefficient of
+        0, or ``want=None``, is the zero matrix.  On a monomial family the
+        want is compared row by row on index gathers (``_gather_equal``)
+        while its bounds stay below 2^62; every other evaluation forms the
+        dense products.
         """
         ia, ib, ic = (np.asarray(x, dtype=np.intp) for x in (ia, ib, ic))
         if want is None:
-            want = np.zeros((len(ia), 0), dtype=np.intp), np.zeros((len(ia), 0), np.int64), 1
+            want = np.zeros(len(ia), dtype=np.intp), np.zeros(len(ia), dtype=np.int64), 1
         kidx, kcoef, q = want
         ok = np.empty(len(ia), dtype=bool)
         if not len(ia):
@@ -1027,23 +1025,18 @@ class ExactFamily:
         # P / den^3 (2 den^3 with sym) == W / (q den)  <=>  q P == factor W
         factor = self.den ** 2 * (2 if sym else 1)
         kcoef = _scaled_coefficients(kcoef, factor)
-        weight = int(np.abs(kcoef).sum(axis=1).max())
-        if (kidx.shape[1] <= 1 and max(q * self._gather_bound(sym), weight * max(self.mag, 1))
-                < _INT64_LIMIT and self._gathers() is not None):
+        top = int(np.abs(kcoef).max())
+        if (max(q * self._gather_bound(sym), top * max(self.mag, 1)) < _INT64_LIMIT
+                and self._gathers() is not None):
             return self._gather_equal(ia, ib, ic, kidx, kcoef.astype(np.int64), q, sym)
-        fam = self._stack(max(q * self._ternary_bound(sym), weight * self.mag))
+        fam = self._stack(max(q * self._ternary_bound(sym), top * self.mag))
         kcoef = kcoef.astype(fam[0].dtype)
         for rows, (re, im) in self._chunks(fam, ia, ib, ic, sym):
-            wr = wi = 0
-            for k in range(kidx.shape[1]):
-                w, idx = kcoef[rows, k][:, None, None], kidx[rows, k]
-                wr = wr + w * fam[0][idx]
-                if im is not None:
-                    wi = wi + w * fam[1][idx]
+            w, idx = kcoef[rows][:, None, None], kidx[rows]
             if q != 1:
                 re, im = re * q, None if im is None else im * q
-            same = (re == wr).all(axis=(1, 2))  # wr, wi are 0 for the zero matrix
-            ok[rows] = same if im is None else same & (im == wi).all(axis=(1, 2))
+            same = (re == w * fam[0][idx]).all(axis=(1, 2))
+            ok[rows] = same if im is None else same & (im == w * fam[1][idx]).all(axis=(1, 2))
         return ok
 
     def _gather_equal(self, ia, ib, ic, kidx, kcoef, q: int, sym: bool) -> np.ndarray:
@@ -1053,17 +1046,13 @@ class ExactFamily:
         Every row of a b* c and of the want holds at most one entry, and an
         entry is nonzero exactly where its column is not the padding one, so
         they are equal row by row iff the columns and the values agree.  A
-        want of coefficient 0, or none, is the padding member: the zero
-        matrix.  With ``sym`` a row of a b* c + c b* a has two entries; it
-        can equal a want of one member only where they share a column, or
-        one of them is the padding entry 0, and where their sum cancels the
-        row is zero whatever its column."""
+        want of coefficient 0 is the padding member: the zero matrix.  With
+        ``sym`` a row of a b* c + c b* a has two entries; it can equal the
+        want only where they share a column, or one of them is the padding
+        entry 0, and where their sum cancels the row is zero whatever its
+        column."""
         g, (nr, nc) = self._gathers(), self.shape
-        if kidx.shape[1]:
-            kcoef = kcoef[:, 0]
-            kidx = np.where(kcoef == 0, len(self), kidx[:, 0])
-        else:
-            kidx, kcoef = np.full(len(ia), len(self)), np.zeros(len(ia), dtype=np.int64)
+        kidx = np.where(kcoef == 0, len(self), kidx)
         ok = np.empty(len(ia), dtype=bool)
         per = max(1, _CHUNK_CELLS // nr)
         for s in range(0, len(ia), per):

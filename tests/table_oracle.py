@@ -1,20 +1,23 @@
 """References for the exhaustive triple table of ``verify_grid``, for
 ``classify_relation`` and for the pair check of ``RankOneRealization``:
-every verdict recomputed one triple, or one pair, at a time on Fraction
+every verdict recomputed one triple, or one pair, at a time on rational
 entries, with no code of the exact kernels.
 
-The products come from ``test_numlin.ref_ternary``, which multiplies the
-entries as Gaussian rationals one at a time.  The want of a triple is read
-off the same products on the kind's canonical model (a rank-1 grid is the
+Each matrix's entries are read once per oracle call, as rows of (re, im)
+pairs of Python rationals (``test_numlin.fraction_rows``), and the products
+come from ``test_numlin.fraction_product``, which multiplies those lists as
+Gaussian rationals one term at a time.  The want of a triple is read off the
+same products on the kind's canonical model (a rank-1 grid is the
 rectangular grid of one row) or, for a spin grid, from the dict rule
 ``spin_triple``.  The library builds the input matrices and the canonical
-models and nothing else; ``tests/test_source.py`` holds this module to that.
+models and nothing else; ``tests/test_source.py`` holds this module, and the
+``test_numlin`` helpers it calls, to that.
 """
 
 from fractions import Fraction
 
 from jcgrid.grids import hermitian_grid, rectangular_grid, symplectic_grid
-from test_numlin import as_rows, ref_product, ref_ternary
+from test_numlin import fraction_adjoint, fraction_product, fraction_rows, fraction_ternary
 
 
 def spin_partner(key):
@@ -55,23 +58,23 @@ def spin_triple(a, b, c):
     return {}
 
 
-def _flat(rows) -> list:
-    """Rows of Gaussian rationals as one row-major list of (re, im) Fractions."""
-    return [(Fraction(s.re), Fraction(s.im)) for row in rows for s in row]
-
-
 def twice_triple(a, b, c) -> list:
-    """2 {a, b, c} = a b* c + c b* a, as a row-major list of (re, im)
-    Fractions."""
-    return [(p[0] + q[0], p[1] + q[1])
-            for p, q in zip(_flat(ref_ternary(a, b, c)), _flat(ref_ternary(c, b, a)))]
+    """2 {a, b, c} = a b* c + c b* a on rows of (re, im) pairs."""
+    return [[(p[0] + q[0], p[1] + q[1]) for p, q in zip(r1, r2)]
+            for r1, r2 in zip(fraction_ternary(a, b, c), fraction_ternary(c, b, a))]
 
 
-def _combination(coefs: dict, entries: list, size: int) -> list:
-    """sum_k coefs[k] entries[k], the coefficients real."""
-    out = [(Fraction(0), Fraction(0))] * size
+def _twice(x) -> list:
+    return [[(2 * re, 2 * im) for re, im in row] for row in x]
+
+
+def _combination(coefs: dict, mats: list) -> list:
+    """sum_k coefs[k] mats[k] on rows of (re, im) pairs, the coefficients
+    real; mats[0] gives the shape."""
+    out = [[(0, 0)] * len(row) for row in mats[0]]
     for k, c in coefs.items():
-        out = [(o[0] + c * e[0], o[1] + c * e[1]) for o, e in zip(out, entries[k])]
+        out = [[(o[0] + c * e[0], o[1] + c * e[1]) for o, e in zip(r, s)]
+               for r, s in zip(out, mats[k])]
     return out
 
 
@@ -88,15 +91,13 @@ def _model_rule(grid):
                  "hermitian": lambda: hermitian_grid(params["m"]),
                  "symplectic": lambda: symplectic_grid(params["m"])}[grid.kind]()
         keys = list(grid.indices)
-    mats = [model.matrix(k) for k in keys]
-    rows, cols = mats[0].shape
-    entries = [_flat([m.entries]) for m in mats]  # each matrix's entries read once
+    mats = [fraction_rows(model.matrix(k)) for k in keys]  # each matrix's entries read once
 
     def want(x, y, z):
         product = twice_triple(mats[x], mats[y], mats[z])
-        coefs = {k: product[(i - 1) * cols + j - 1][0] for k, (i, j) in enumerate(keys)}
+        coefs = {k: product[i - 1][j - 1][0] for k, (i, j) in enumerate(keys)}
         coefs = {k: c for k, c in coefs.items() if c}
-        assert _combination(coefs, entries, rows * cols) == product
+        assert _combination(coefs, mats) == product
         return coefs
 
     return want
@@ -111,12 +112,10 @@ def _spin_rule(grid):
 def table_verdicts(grid) -> list:
     """Whether 2 {u_x, u_y, u_z} is its want, for every triple x <= z of
     ``grid`` in loop order, one triple at a time."""
-    n, mats = len(grid), grid.matrices()
-    rows, cols = mats[0].shape
-    entries = [_flat([m.entries]) for m in mats]  # each matrix's entries read once
+    n = len(grid)
+    mats = [fraction_rows(m) for m in grid.matrices()]  # each matrix's entries read once
     want = _spin_rule(grid) if grid.kind == "spin" else _model_rule(grid)
-    return [twice_triple(mats[x], mats[y], mats[z])
-            == _combination(want(x, y, z), entries, rows * cols)
+    return [twice_triple(mats[x], mats[y], mats[z]) == _combination(want(x, y, z), mats)
             for x in range(n) for y in range(n) for z in range(x, n)]
 
 
@@ -144,35 +143,34 @@ def pairwise_verdict(mats):
     """The check of ``RankOneRealization`` as it ran before it read
     minimality off colinearity: per ordered pair in loop order, a b* a = 0,
     then {a,a,b} = b/2.  None, or the message of the first failure."""
-    rows = [as_rows(m) for m in mats]
-    for a, va in enumerate(mats):
-        for b, vb in enumerate(mats):
+    rows = [fraction_rows(m) for m in mats]
+    for a, va in enumerate(rows):
+        for b, vb in enumerate(rows):
             if a == b:
                 continue
-            if any(x for row in ref_ternary(va, vb, va) for x in row):
+            if any(re or im for row in fraction_ternary(va, vb, va) for re, im in row):
                 return f"element {a + 1} is not minimal against {b + 1}"
-            twice = [[x + y for x, y in zip(r1, r2)]  # 2{a,a,b} = b
-                     for r1, r2 in zip(ref_ternary(va, va, vb), ref_ternary(vb, va, va))]
-            if twice != rows[b]:
+            if twice_triple(va, va, vb) != vb:  # 2{a,a,b} = b
                 return f"elements {a + 1}, {b + 1} are not colinear"
     return None
 
 
 def classify_by_triple_products(v, w) -> str:
     """The value of the grid relation of the matrices v and w, read off
-    2 {w,w,v} and 2 {v,v,w} on Fraction entries, one pair at a time: a
+    2 {w,w,v} and 2 {v,v,w} on their rational entries, one pair at a time: a
     reference for ``classify_relation``."""
-    ev, ew = _flat([v.entries]), _flat([w.entries])
+    ev, ew = fraction_rows(v), fraction_rows(w)
     if ev == ew:
         return "equal"
-    if not any(x for p in (ref_product(v.adjoint(), w), ref_product(v, w.adjoint()))
-               for row in p for x in row):
+    if not any(re or im for p in (fraction_product(fraction_adjoint(ev), ew),
+                                  fraction_product(ev, fraction_adjoint(ew)))
+               for row in p for re, im in row):
         return "orthogonal"
-    wwv, vvw = twice_triple(w, w, v), twice_triple(v, v, w)
+    wwv, vvw = twice_triple(ew, ew, ev), twice_triple(ev, ev, ew)
     if wwv == ev and vvw == ew:
         return "colinear"
-    if vvw == [(2 * re, 2 * im) for re, im in ew] and wwv == ev:
+    if vvw == _twice(ew) and wwv == ev:
         return "governs-first-over-second"
-    if wwv == [(2 * re, 2 * im) for re, im in ev] and vvw == ew:
+    if wwv == _twice(ev) and vvw == ew:
         return "governs-second-over-first"
     return "unclassified"

@@ -338,6 +338,27 @@ class TestSplitFailures:
         assert [c["name"] for c in checks if c["status"] != "pass"] == [line]
 
 
+class TestProjectionFailures:
+    """``fixes_basis_exactly`` of ``verify projection`` fails, alone and
+    with exit 1, when the exact projection moves one basis element: the
+    other lines sample the float projection ``hnk_projection``."""
+
+    def test_moved_basis_element_fails_alone(self, monkeypatch, capsys):
+        exact = hnk.hnk_projection_exact
+
+        def faulty(space, x):
+            # the projection of the second basis element comes back halved
+            p = exact(space, x)
+            return p.scale(Fraction(1, 2)) if x == space.basis[1] else p
+
+        monkeypatch.setattr(hnk, "hnk_projection_exact", faulty)
+        argv = "verify projection --n 3 --k 2 --samples 5 --format json".split()
+        assert cli.main(argv) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["name"] for c in checks] == ["fixes_basis_exactly", "idempotent", "contractive"]
+        assert [c["name"] for c in checks if c["status"] != "pass"] == ["fixes_basis_exactly"]
+
+
 class TestValidityBeforeCapacity:
     """An invalid input that exceeds no cap is a usage error, not capacity."""
 

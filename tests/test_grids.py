@@ -674,13 +674,13 @@ def _rule_coefficients(g, xs, ys, zs):
     the rows (xs, ys, zs), x <= z: the rule's nonzero rows of the whole
     table, in loop order, and zero at every other row."""
     x, y, z, (kidx, kcoef, q) = grids._expected_table(g, 0, len(g))
-    assert q == 2 and kidx.shape == kcoef.shape == (len(x), 1) and (kcoef != 0).all()
+    assert q == 2 and kidx.shape == kcoef.shape == (len(x),) and (kcoef != 0).all()
     at = {key: t for t, key in enumerate(zip(x.tolist(), y.tolist(), z.tolist()))}
     assert list(at) == sorted(at) and len(at) == len(x)
     dense = np.zeros((len(xs), len(g)), dtype=np.int64)
     for t, key in enumerate(zip(xs.tolist(), ys.tolist(), zs.tolist())):
         if key in at:
-            dense[t, kidx[at[key], 0]] = kcoef[at[key], 0]
+            dense[t, kidx[at[key]]] = kcoef[at[key]]
     return dense
 
 
@@ -711,9 +711,9 @@ class TestSpinRule:
             for idx, v in spin_triple(idxs[x], idxs[y], idxs[z]).items():
                 want[t] = idxs.index(idx), 2 * v
         kidx, kcoef, q = grids._triple_rule(g, xs, ys, zs)
-        assert q == 2 and kidx.shape == kcoef.shape == (len(xs), 1)
+        assert q == 2 and kidx.shape == kcoef.shape == (len(xs),)
         assert kidx.dtype == np.intp and kcoef.dtype == np.int64
-        assert (np.hstack([kidx, kcoef]) == want).all()
+        assert (np.stack([kidx, kcoef], axis=1) == want).all()
 
 
 def _table_of(g):
@@ -1089,7 +1089,7 @@ class TestNamedTable:
             kcoef[slice(None) if every else rows.index(first)] += 1
             for row in dead:
                 x, y, z = (np.append(v, t) for v, t in zip((x, y, z), row))
-                kidx, kcoef = np.append(kidx, [[0]], axis=0), np.append(kcoef, [[2]], axis=0)
+                kidx, kcoef = np.append(kidx, 0), np.append(kcoef, 2)
             return x, y, z, (kidx, kcoef, q)
 
         monkeypatch.setattr(grids, "_expected_table", wrong)

@@ -657,14 +657,14 @@ class TestDiagRect:
         monkeypatch.setattr(ExactFamily, "equal", orig)
         a, b, c, want = _unit_image_by_comprehension(p_grid)
         full = dict(zip(zip(a.tolist(), b.tolist(), c.tolist()),
-                        zip(want[0][:, 0].tolist(), want[1][:, 0].tolist())))
+                        zip(want[0].tolist(), want[1].tolist())))
         # one evaluation of the rows in loop order, each with the
         # comprehension's want; a row it skips wants 0 and is the zero
         # matrix, by its supports.  All 216 rows were evaluated before
         (ga, gb, gc, (kidx, kcoef, q)), = calls
         rows = list(zip(ga.tolist(), gb.tolist(), gc.tolist()))
         assert rows == sorted(rows) and q == want[2] == 1
-        assert [full[t] for t in rows] == list(zip(kidx[:, 0].tolist(), kcoef[:, 0].tolist()))
+        assert [full[t] for t in rows] == list(zip(kidx.tolist(), kcoef.tolist()))
         mats = p_grid.matrices()
         skipped = set(full) - set(rows)
         assert len(skipped) == 180

@@ -306,15 +306,52 @@ def one(value):
     return ExactMatrix.from_rows([[value]])
 
 
+def fraction_rows(m):
+    """The entries of m as rows of (re, im) pairs of Python rationals (int
+    or Fraction), read once."""
+    entries = m.entries
+    return [[(s.re, s.im) for s in entries[i * m.cols:(i + 1) * m.cols]] for i in range(m.rows)]
+
+
+def fraction_adjoint(x):
+    """The conjugate transpose of rows of (re, im) pairs."""
+    return [[(re, -im) for re, im in col] for col in zip(*x)]
+
+
+def fraction_product(x, y):
+    """x y on rows of (re, im) pairs, one Gaussian-rational term at a time:
+    the Fraction reference.  A term with a zero factor adds nothing and is
+    skipped."""
+    cols = list(zip(*y))
+    out = []
+    for row in x:
+        terms = [(k, re, im) for k, (re, im) in enumerate(row) if re or im]
+        out.append([])
+        for col in cols:
+            sr = si = 0
+            for k, ar, ai in terms:
+                br, bi = col[k]
+                if ai or bi:
+                    sr, si = sr + ar * br - ai * bi, si + ar * bi + ai * br
+                elif br:
+                    sr += ar * br
+            out[-1].append((sr, si))
+    return out
+
+
+def fraction_ternary(x, y, z):
+    """(x y*) z on rows of (re, im) pairs."""
+    return fraction_product(fraction_product(x, fraction_adjoint(y)), z)
+
+
+def _scalar_rows(x):
+    return [[ExactScalar(re, im) for re, im in row] for row in x]
+
+
 def ref_product(a, b):
-    """Product from ExactScalar arithmetic on the entries: the Fraction
-    reference.  A term with a zero factor adds nothing and is skipped."""
-    ea, eb = a.entries, b.entries
-    rows_a = [[(k, x) for k, x in enumerate(ea[i * a.cols:(i + 1) * a.cols]) if x]
-              for i in range(a.rows)]
-    cols_b = [eb[j::b.cols] for j in range(b.cols)]
-    return [[sum((x * c[k] for k, x in r if c[k]), ExactScalar(0)) for c in cols_b]
-            for r in rows_a]
+    """a b of exact matrices on their entries (``fraction_product``), as
+    rows of ExactScalar."""
+    return _scalar_rows(fraction_product(fraction_rows(a), fraction_rows(b)))
 
 
 def as_rows(m):
@@ -721,8 +758,9 @@ def _largest_below(k, power, limit=2 ** 53):
 
 
 def ref_ternary(a, b, c):
-    """(a b*) c from ExactScalar arithmetic on the entries."""
-    return ref_product(ExactMatrix.from_rows(ref_product(a, b.adjoint())), c)
+    """(a b*) c of exact matrices on their entries (``fraction_ternary``),
+    as rows of ExactScalar."""
+    return _scalar_rows(fraction_ternary(*(fraction_rows(m) for m in (a, b, c))))
 
 
 def _gram_operands(rng, kind, rows, cols):
@@ -800,16 +838,20 @@ class TestFamilyGuard:
             assert used[-2:] == [np.dtype(rung)] * 2
 
     def test_combination_bound(self, monkeypatch):
-        # the coefficient side is bounded too: 2^60 + 1 rounds to 2^60 in float64
+        # the want's side is bounded too: 2^60 + 1 rounds to 2^60 in float64
         used = _rungs(monkeypatch)
         fam = ExactFamily([one(1)])
         q = 2 ** 60
         assert fam.equal([0], [0], [0], scaled_members([0], q + 1, q)).tolist() == [False]
         assert fam.equal([0], [0], [0], scaled_members([0], q, q)).tolist() == [True]
-        # (2^60 + 1) u - 2^60 u = u, though each term is far above 2^53
-        want = np.zeros((1, 2), dtype=np.intp), np.array([[q + 1, -q]], dtype=object), 1
-        assert fam.equal([0], [0], [0], want).tolist() == [True]
-        assert used == [np.dtype(object)] * 3
+        assert used == [np.dtype(object)] * 2
+        # the coefficient times mag alone picks the dense rung: a 1x2
+        # [1, 1], so not monomial, with a b* c = [2, 2] and a product bound of 8
+        dense = ExactFamily([ExactMatrix.from_rows([[1, 1]])])
+        for coef, rung in ((2 ** 53 - 1, np.float64), (2 ** 53, object)):
+            used.clear()
+            assert dense.equal([0], [0], [0], scaled_members([0], coef)).tolist() == [False]
+            assert used == [np.dtype(rung)]
 
     @pytest.mark.parametrize("sym", [False, True])
     def test_coefficients_stay_int64_below_2_62(self, sym):
@@ -818,8 +860,8 @@ class TestFamilyGuard:
         factor = 2 if sym else 1
         edge = LIMIT // factor
         for coef, dtype in ((edge - 1, np.int64), (edge, object)):
-            scaled = _scaled_coefficients(np.array([[coef]], dtype=np.int64), factor)
-            assert scaled.dtype == dtype and scaled.tolist() == [[coef * factor]]
+            scaled = _scaled_coefficients(np.array([coef], dtype=np.int64), factor)
+            assert scaled.dtype == dtype and scaled.tolist() == [coef * factor]
         # 1 / q times the member: equal only at coef == q
         fam = ExactFamily([one(1)])
         for coef in (edge - 1, edge):
@@ -827,16 +869,15 @@ class TestFamilyGuard:
             assert got.tolist() == [coef == edge]
 
     def test_coefficient_width_and_storage(self):
-        # two columns: a row's sum of absolute values must fit as well
-        half = LIMIT // 2
-        assert _scaled_coefficients(np.array([[half - 1, 0]]), 1).dtype == np.int64
-        assert _scaled_coefficients(np.array([[half, 0]]), 1).dtype == object
         # huge coefficients arrive as Python ints already
         assert scaled_members([0], LIMIT)[1].dtype == object
         assert scaled_members([0], LIMIT - 1)[1].dtype == np.int64
-        assert scaled_members([], np.array([], dtype=int))[1].shape == (0, 1)
+        assert scaled_members([], np.array([], dtype=int))[1].shape == (0,)
+        # one coefficient per triple, one number broadcast to every triple
+        kidx, kcoef, q = scaled_members([2, 0, 1], 3, 2)
+        assert (kidx.tolist(), kcoef.tolist(), q) == ([2, 0, 1], [3, 3, 3], 2)
         # all-zero coefficients beside a factor past int64
-        assert _scaled_coefficients(np.zeros((1, 1), dtype=np.int64), 2 ** 70).dtype == object
+        assert _scaled_coefficients(np.zeros(1, dtype=np.int64), 2 ** 70).dtype == object
 
     def test_members_must_share_a_shape(self):
         with pytest.raises(DimensionError):
@@ -859,19 +900,6 @@ class TestFamilyGuard:
             for r, c in itertools.product(range(2), repeat=2):
                 want = sum(Fraction(k * int(x[r, c]), 3) for k, x in zip(kcoef, part))
                 assert Fraction(int(got[0, r, c]), den) == want
-
-
-def combination(rows):
-    """The ``want`` of ``ExactFamily.equal`` for one {member position:
-    Fraction} dict per triple, over the common denominator of its values."""
-    width = max(map(len, rows), default=0)
-    q = math.lcm(*{v.denominator for row in rows for v in row.values()})
-    kidx = np.zeros((len(rows), width), dtype=np.intp)
-    kcoef = np.zeros((len(rows), width), dtype=np.int64)
-    for t, row in enumerate(rows):
-        kidx[t, :len(row)] = list(row)
-        kcoef[t, :len(row)] = [v.numerator * (q // v.denominator) for v in row.values()]
-    return kidx, kcoef, q
 
 
 class TestFamilyOracle:
@@ -914,7 +942,8 @@ class TestFamilyOracle:
             assert meet.tolist() == [[bool(lines[a] & lines[b]) for b in range(n)]
                                      for a in range(n)]
             assert fam.vanish(pa, pb, star_first=star_first)[~meet[pa, pb]].all()
-        # compared with combinations of members: the products themselves, or twice them
+        # compared with scaled members: the products themselves, twice them,
+        # or 3/3 times their second copy
         for sym, values in ((False, ternary), (True, braces)):
             ext = ExactFamily(mats + values + values)
             own = n + np.arange(len(values))
@@ -922,16 +951,14 @@ class TestFamilyOracle:
             assert ext.equal(ia, ib, ic, scaled_members(own, 2), sym=sym).tolist() == \
                 [v.is_zero() for v in values]
             assert ext.equal(ia, ib, ic, sym=sym).tolist() == [v.is_zero() for v in values]
-            thirds = combination([{t: Fraction(1, 3), t + len(values): Fraction(2, 3)}
-                                  for t in own])
-            assert ext.equal(ia, ib, ic, thirds, sym=sym).all()
+            assert ext.equal(ia, ib, ic, scaled_members(own + len(values), 3, 3), sym=sym).all()
 
     def test_chunks_agree_with_one_chunk(self, monkeypatch):
         from jcgrid import grids, numlin
         mats = grids.spin_grid(2, True).matrices()
         mats += [mats[0].scale(Fraction(1, 3)), ExactMatrix.zeros(4, 4)]
         ia, ib, ic = _all_triples(len(mats))
-        want = combination([{int(c): Fraction(1, 2)} for c in ic])
+        want = scaled_members(ic, 1, 2)
 
         def evaluate():
             fresh = ExactFamily(mats)
@@ -1003,7 +1030,7 @@ def monomial_families(draw):
 
 # (side, sym, member value, coef, q, gathers): 1x1 families, where a b* c =
 # {a,a,a} = value^3, against coef / q times the member.  The gather rung runs
-# while q (4 or 8) mag^3 and the want's weight, |coef| den^2 (2 den^2 with
+# while q (4 or 8) mag^3 and the want's coefficient, |coef| den^2 (2 den^2 with
 # sym), times mag stay below 2^62: each side at its last value below and at
 # its first at or above, where the dense rung runs.
 _M4, _M8 = _largest_below(4, 3, LIMIT), _largest_below(8, 3, LIMIT)
@@ -1053,7 +1080,7 @@ class TestGatherRung:
                 wants = [[[x * Fraction(int(k), q) for x in row] for row in as_rows(members[m])]
                          for m, k in zip(kidx.tolist(), kcoef.tolist())]
                 held = [v == w for v, w in zip(values, wants)]
-                for want, expected in ((None, zero), ((kidx[:, None], kcoef[:, None], q), held)):
+                for want, expected in ((None, zero), ((kidx, kcoef, q), held)):
                     used.clear()
                     got = fam.equal(ia, ib, ic, want, sym=sym).tolist()
                     assert used == ["gather"]
@@ -1099,7 +1126,7 @@ class TestGatherRung:
         mats = grids.hermitian_grid(3).matrices()
         mats += [mats[1].scale(ExactScalar(0, Fraction(1, 3))), ExactMatrix.zeros(3, 3)]
         ia, ib, ic = _all_triples(len(mats))
-        want = combination([{int(c): Fraction(1, 2)} for c in ic])
+        want = scaled_members(ic, 1, 2)
 
         def evaluate():
             fresh = ExactFamily(mats)

@@ -81,35 +81,66 @@ def test_guard_read_is_found():
 
 # The table oracle (tests/table_oracle.py) takes from the exact kernels only
 # what builds its input matrices, so that a fault in a kernel cannot pass on
-# both sides of the comparison.
+# both sides of the comparison; so do the test_numlin helpers it calls.
 ORACLE_HELPER = Path(__file__).resolve().parent / "table_oracle.py"
+NUMLIN_TESTS = Path(__file__).resolve().parent / "test_numlin.py"
 KERNEL_MODULES = {"jcgrid.numlin", "jcgrid.triple"}
 INPUT_CONSTRUCTORS = {"ExactMatrix"}
 FAMILY_METHODS = {"family"} | {name for name, value in vars(ExactFamily).items()
                                if callable(value) and not name.startswith("__")}
 
 
-def _kernel_reads(source: str) -> list:
+def _kernel_imports(node) -> list:
+    """The names an import node takes from ``jcgrid.numlin`` or
+    ``jcgrid.triple`` beyond the input constructors, and the modules
+    themselves, with its line number."""
+    if isinstance(node, ast.ImportFrom):
+        names = [a.name for a in node.names]
+        if node.module in KERNEL_MODULES:
+            return [(node.lineno, n) for n in names if n not in INPUT_CONSTRUCTORS]
+        if node.module == "jcgrid":
+            return [(node.lineno, n) for n in names if f"jcgrid.{n}" in KERNEL_MODULES]
+    elif isinstance(node, ast.Import):
+        return [(node.lineno, a.name) for a in node.names if a.name in KERNEL_MODULES]
+    return []
+
+
+def _kernel_reads(source: str, helpers=None) -> list:
     """What a module takes from ``jcgrid.numlin`` or ``jcgrid.triple``
     beyond the input constructors, with line numbers: the names it imports from
-    them, the modules themselves, and the methods of a family it reads."""
+    them, the modules themselves, and the methods of a family it reads.
+
+    With ``helpers``, only the bodies of those module-level functions, and
+    of the module-level functions they call, are read; there a name that
+    the module imports from the kernels counts where it is read."""
+    tree = ast.parse(source)
+    scope, imported = [tree], set()
+    if helpers is not None:
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        imported = {name for node in tree.body for _, name in _kernel_imports(node)}
+        scope, todo = [], list(helpers)
+        while todo:
+            node = defs.get(todo.pop())
+            if node is not None and node not in scope:
+                scope.append(node)
+                todo += [n.id for n in ast.walk(node) if isinstance(n, ast.Name)]
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom):
-            names = [a.name for a in node.names]
-            if node.module in KERNEL_MODULES:
-                found += [(node.lineno, n) for n in names if n not in INPUT_CONSTRUCTORS]
-            elif node.module == "jcgrid":
-                found += [(node.lineno, n) for n in names if f"jcgrid.{n}" in KERNEL_MODULES]
-        elif isinstance(node, ast.Import):
-            found += [(node.lineno, a.name) for a in node.names if a.name in KERNEL_MODULES]
+    for node in (n for top in scope for n in ast.walk(top)):
+        found += _kernel_imports(node)
+        if isinstance(node, ast.Name) and node.id in imported:
+            found.append((node.lineno, node.id))
         elif isinstance(node, ast.Attribute) and node.attr in FAMILY_METHODS:
             found.append((node.lineno, node.attr))
     return sorted(found)
 
 
 def test_table_oracle_shares_no_kernel():
-    assert _kernel_reads(ORACLE_HELPER.read_text()) == []
+    source = ORACLE_HELPER.read_text()
+    assert _kernel_reads(source) == []
+    helpers = {a.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ImportFrom) and node.module == "test_numlin"
+               for a in node.names}
+    assert helpers and _kernel_reads(NUMLIN_TESTS.read_text(), helpers) == []
 
 
 def test_kernel_read_is_found():
@@ -119,6 +150,17 @@ def test_kernel_read_is_found():
               "ok = g.family().equal(a, b, c)\n")
     assert _kernel_reads(source) == [(1, "scaled_members"), (2, "triple"), (3, "jcgrid.numlin"),
                                      (4, "equal"), (4, "family")]
+    # a helper's body, and the helpers it calls: the module's imports are
+    # read only where a body reads them, and an uncalled function not at all
+    helpers = ("from jcgrid.numlin import ExactMatrix, _product_sum\n"
+               "def ref(a, b):\n"
+               "    return inner(ExactMatrix.from_rows(a), b)\n"
+               "def inner(a, b):\n"
+               "    from jcgrid import triple\n"
+               "    return _product_sum([(a, b)]) + triple.triple_product(a, b, a)\n"
+               "def uncalled(g):\n"
+               "    return g.family().equal(g)\n")
+    assert _kernel_reads(helpers, {"ref"}) == [(5, "triple"), (6, "_product_sum")]
 
 
 # -- every function reached by a command or a criterion ------------------------------
