@@ -25,10 +25,10 @@ import numpy as np
 
 from .errors import CapacityError, DecompositionError, DimensionError
 from .grids import _TABLE_CELLS, Grid, _joined_rows, grid_size
-from .numlin import (EX_HALF, ApproxMatrix, ExactFamily, ExactMatrix, ExactScalar,
-                     block_diag, scaled_members, trace_norm)
+from .numlin import (ApproxMatrix, ExactFamily, ExactMatrix, ExactScalar, block_diag,
+                     scaled_members, trace_norm)
 from .report import VerificationReport
-from .triple import PartialIsometry, live_products, triple_product
+from .triple import PartialIsometry, live_products
 
 HNK_BUILD_CAP = 8
 UIJ_VERIFY_CAP = 5
@@ -182,10 +182,11 @@ class HnkSpace:
         """The basis as one (n, rows, cols) complex array, converted once."""
         return self.stack.astype(np.complex128)
 
-    @cached_property
+    @property
     def basis_family(self) -> ExactFamily:
-        """The basis as one ``ExactFamily``, formed once from the stack."""
-        return ExactFamily(_stacks=[(self.stack, None, 1)])
+        """The basis as one ``ExactFamily``: the realization's, on which its
+        colinearity was checked."""
+        return self.rank_one.family
 
     def row_index(self, J: Combination) -> int:
         return J.rank()
@@ -258,20 +259,20 @@ class RankOneRealization:
       - {a,a,b} = b/2 reads L b + b R = b;
       - multiplying by L on the left and by R on the right gives L b R = 0;
       - a = L a R, so a b* a = a (L b R)* a = 0.
+    The n(n-1) ordered pairs are one family table (``ExactFamily.equal``)
+    on the elements' ``family``, which the realization keeps; the first
+    failing pair in loop order is named.  An empty realization has no
+    family, as an empty ``Grid`` has none.
     """
 
     def __init__(self, elements: Iterable[PartialIsometry]):
         elements = tuple(elements)
-        mats = [e.mat for e in elements]
-        halves = [v.scale(EX_HALF) for v in mats]
-        # triple_product reads each element's two kept Gram products and sums
-        # their two products into one matrix: one construction per pair; the
-        # trace of perfbench's hnk-build workload records
-        # triple.triple_product here
-        for a, va in enumerate(mats):
-            for b, vb in enumerate(mats):
-                if a != b and triple_product(va, va, vb) != halves[b]:
-                    raise ValueError(f"elements {a + 1}, {b + 1} are not colinear")
+        self.family = ExactFamily([e.mat for e in elements]) if elements else None
+        if len(elements) > 1:
+            a, b = np.nonzero(~np.eye(len(elements), dtype=bool))
+            bad = np.flatnonzero(~self.family.equal(a, a, b, scaled_members(b, 1, 2), sym=True))
+            if bad.size:
+                raise ValueError(f"elements {a[bad[0]] + 1}, {b[bad[0]] + 1} are not colinear")
         self.elements = elements
         self._indices: Optional[Tuple[int, int]] = None
         self._words: dict = {}
@@ -287,7 +288,8 @@ class RankOneRealization:
 
     def as_grid(self) -> Grid:
         """The elements, unchanged, as a rank-1 grid indexed 1..n."""
-        return Grid("rank1", {"n": self.n}, list(enumerate(self.elements, start=1)))
+        return Grid("rank1", {"n": self.n}, list(enumerate(self.elements, start=1)),
+                    _family=self.family)
 
     def __repr__(self):
         return f"RankOneRealization(n={self.n})"

@@ -25,7 +25,8 @@ class GridRelation(enum.Enum):
 
 
 class PartialIsometry:
-    """An exact matrix v with v v* v = v, validated at construction.
+    """An exact matrix v with v v* v = v, validated at construction: the
+    tripotent identity {v,v,v} = v, one ``triple_product``.
 
     Its support projections are the Gram products kept on the matrix:
     v v* = ``v.gram()`` is formed by the validation and v* v =
@@ -43,7 +44,7 @@ class PartialIsometry:
     def __init__(self, mat: ExactMatrix):
         if mat.is_zero():
             raise ValueError(self.ZERO)
-        if mat.gram() * mat != mat:
+        if triple_product(mat, mat, mat) != mat:
             raise ValueError(self.FAILS)
         self.mat = mat
 
@@ -96,8 +97,12 @@ def _check_triple_shapes(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> None
 
 def triple_product(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatrix:
     """{a,b,c} = (a b* c + c b* a)/2, exact, formed as one sum of two
-    products; a repeated operand reads its kept Gram products."""
+    products; a repeated operand reads its kept Gram products.  For
+    a = b = c both terms are v v* v, so {v,v,v} is the one product
+    ``v.gram() * v``."""
     _check_triple_shapes(a, b, c)
+    if a is b is c:
+        return a.gram() * a
     if a is b:
         terms = ((a.gram(), c), (c, a.adjoint().gram()))
     elif b is c:

@@ -155,18 +155,17 @@ def pairwise_verdict(mats):
     return None
 
 
-def classify_by_triple_products(v, w) -> str:
-    """The value of the grid relation of the matrices v and w, read off
-    2 {w,w,v} and 2 {v,v,w} on their rational entries, one pair at a time: a
-    reference for ``classify_relation``."""
-    ev, ew = fraction_rows(v), fraction_rows(w)
-    if ev == ew:
-        return "equal"
-    if not any(re or im for p in (fraction_product(fraction_adjoint(ev), ew),
-                                  fraction_product(ev, fraction_adjoint(ew)))
-               for row in p for re, im in row):
-        return "orthogonal"
-    wwv, vvw = twice_triple(ew, ew, ev), twice_triple(ev, ev, ew)
+def _plus(x, y) -> list:
+    return [[(p[0] + q[0], p[1] + q[1]) for p, q in zip(r1, r2)] for r1, r2 in zip(x, y)]
+
+
+def _is_zero(x) -> bool:
+    return not any(re or im for row in x for re, im in row)
+
+
+def _relation_of(ev, ew, wwv, vvw) -> str:
+    """The relation of v to w, not equal and not orthogonal, from
+    2 {w,w,v} and 2 {v,v,w}."""
     if wwv == ev and vvw == ew:
         return "colinear"
     if vvw == _twice(ew) and wwv == ev:
@@ -174,3 +173,31 @@ def classify_by_triple_products(v, w) -> str:
     if wwv == _twice(ev) and vvw == ew:
         return "governs-second-over-first"
     return "unclassified"
+
+
+def classify_by_triple_products(mats) -> list:
+    """table[a][b]: the value of the grid relation of the matrices mats[a]
+    and mats[b], read off 2 {w,w,v} and 2 {v,v,w} on their rational
+    entries, one unordered pair at a time: a reference for
+    ``classify_relation``.  Each matrix's rows, adjoint and v v* are formed
+    once per call, and each pair's v w* once: w v* is its adjoint, and both
+    halves serve both orders of the pair."""
+    rows = [fraction_rows(m) for m in mats]  # each matrix's entries read once
+    adj = [fraction_adjoint(x) for x in rows]
+    gram = [fraction_product(x, y) for x, y in zip(rows, adj)]
+    table = [[None] * len(mats) for _ in mats]
+    for a, ev in enumerate(rows):
+        for b in range(a, len(rows)):
+            ew = rows[b]
+            if ev == ew:
+                table[a][b] = table[b][a] = "equal"
+                continue
+            vw = fraction_product(ev, adj[b])  # v w*
+            if _is_zero(vw) and _is_zero(fraction_product(adj[a], ew)):
+                table[a][b] = table[b][a] = "orthogonal"
+                continue
+            wwv = _plus(fraction_product(gram[b], ev), fraction_product(vw, ew))
+            vvw = _plus(fraction_product(gram[a], ew), fraction_product(fraction_adjoint(vw), ev))
+            table[a][b] = _relation_of(ev, ew, wwv, vvw)
+            table[b][a] = _relation_of(ew, ev, vvw, wwv)
+    return table

@@ -18,7 +18,7 @@ from conftest import cli_env, random_exact
 from jcgrid import cli, grids, hnk, numlin, opspace, triple
 from jcgrid.errors import (CapacityError, DecompositionError, DimensionError,
                            NumericError, TransformError)
-from jcgrid.hnk import build_hnk
+from jcgrid.hnk import build_hnk, hnk_projection
 from jcgrid.numlin import ExactMatrix, ExactScalar
 from jcgrid.serialize import hnk_basis_from_json, matrix_from_json
 
@@ -338,10 +338,35 @@ class TestSplitFailures:
         assert [c["name"] for c in checks if c["status"] != "pass"] == [line]
 
 
+def _half_projection(space, x):
+    # P/2: contractive, but P/2 P/2 = P/4 is not P/2
+    return numlin.ApproxMatrix(hnk_projection(space, x).array / 2)
+
+
+def _oblique_projection(space, x):
+    # sum_i trace(x V_i*)/m U_i with V_i = U_i + 4m E, for a unit E off the
+    # support of every U_j: trace(U_j V_i*) = m delta_ij still, so this is an
+    # idempotent onto the span, but E goes to 4 sum_i U_i, of norm above 1
+    basis, m = space.basis_array, space.multiplicity
+    r, c = np.argwhere((basis == 0).all(axis=0))[0]
+    v = basis.copy()
+    v[:, r, c] = 4 * m
+    coeffs = np.tensordot(x, v.conj(), axes=([-2, -1], [1, 2])) / m
+    return numlin.ApproxMatrix(np.tensordot(coeffs, basis, axes=(-1, 0)))
+
+
 class TestProjectionFailures:
-    """``fixes_basis_exactly`` of ``verify projection`` fails, alone and
-    with exit 1, when the exact projection moves one basis element: the
-    other lines sample the float projection ``hnk_projection``."""
+    """Each line of ``verify projection`` fails, alone and with exit 1, on
+    its own seeded fault.  ``fixes_basis_exactly`` reads the exact
+    projection ``hnk_projection_exact``; the other two lines sample the
+    float projection ``hnk_projection``."""
+
+    def _failing(self, capsys):
+        argv = "verify projection --n 3 --k 2 --samples 5 --format json".split()
+        assert cli.main(argv) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["name"] for c in checks] == ["fixes_basis_exactly", "idempotent", "contractive"]
+        return [c["name"] for c in checks if c["status"] != "pass"]
 
     def test_moved_basis_element_fails_alone(self, monkeypatch, capsys):
         exact = hnk.hnk_projection_exact
@@ -352,11 +377,14 @@ class TestProjectionFailures:
             return p.scale(Fraction(1, 2)) if x == space.basis[1] else p
 
         monkeypatch.setattr(hnk, "hnk_projection_exact", faulty)
-        argv = "verify projection --n 3 --k 2 --samples 5 --format json".split()
-        assert cli.main(argv) == 1
-        checks = json.loads(capsys.readouterr().out)["checks"]
-        assert [c["name"] for c in checks] == ["fixes_basis_exactly", "idempotent", "contractive"]
-        assert [c["name"] for c in checks if c["status"] != "pass"] == ["fixes_basis_exactly"]
+        assert self._failing(capsys) == ["fixes_basis_exactly"]
+
+    @pytest.mark.parametrize("fault, line", [(_half_projection, "idempotent"),
+                                             (_oblique_projection, "contractive")],
+                             ids=["half", "oblique"])
+    def test_float_projection_fault_fails_one_line(self, monkeypatch, capsys, fault, line):
+        monkeypatch.setattr(hnk, "hnk_projection", fault)
+        assert self._failing(capsys) == [line]
 
 
 class TestValidityBeforeCapacity:
@@ -691,34 +719,38 @@ class TestSharedWork:
         monkeypatch.setattr(numlin.ExactFamily, "equal", counted)
         assert cli.main(["verify", "hnk", "--n", "6", "--k", "3"]) == 0
         assert "overall: pass" in capsys.readouterr().out
-        # the relations' halves c = 1 at (x, x, z) and (z, z, x) for the 15
-        # pairs, all colinear, so no c = 2 pass; [126] while the relations
-        # were classified pair by pair.  Then one batched evaluation: the
-        # exhaustive table, 6 * 6 * 21 triples with x <= z.  The 6 * 5 *
-        # (1 + 1 + 4) named rank-one instances are read off it; they were
-        # evaluated with it, as [126 + 180], before
-        assert sizes == [30, 126]
+        # the realization's colinearity check, {a,a,b} = b/2 for the 6 * 5
+        # ordered pairs, when build_hnk makes the space (none while it formed
+        # one triple product per pair); then the relations' halves c = 1 at
+        # (x, x, z) and (z, z, x) for the 15 pairs, all colinear, so no c = 2
+        # pass; [126] while the relations were classified pair by pair.  Then
+        # one batched evaluation: the exhaustive table, 6 * 6 * 21 triples
+        # with x <= z.  The 6 * 5 * (1 + 1 + 4) named rank-one instances are
+        # read off it; they were evaluated with it, as [126 + 180], before
+        assert sizes == [30, 30, 126]
 
     # (exact-product kernel calls, product terms); ExactMatrix.__mul__ is a
     # one-term call.  Before triple_product and classify_relation summed
     # their products in one call, every term was its own call: 137, 1,388 and
     # 145.  The terms were 524 and 10,124 while every support projection and
     # every one was formed afresh where it was read; uij-grid was 185 and
-    # construct hnk 368 while the realization formed six products per pair.
+    # construct hnk 368 while the realization formed six products per pair,
+    # and (125, 137) and (73, 129) while it formed one triple product, of
+    # two terms, per ordered pair: 12 and 56 calls, now one family table.
     @pytest.mark.parametrize("args,products", [
-        (("verify", "uij-grid", "--n", "4", "--k", "2"), (125, 137)),
+        (("verify", "uij-grid", "--n", "4", "--k", "2"), (113, 113)),
         # 1100 and 1388 while each Grid checked its matrices one at a time, two
         # products each (96 for the three grids); 1052 and 1340 while the
         # relations were classified pair by pair, 4 products per pair that
         # is not orthogonal.  The 44 left are the support split's own; 60
         # while (1 - p) u was formed as a second product, not as u - p u
         (("verify", "split", "--p", "4", "--q", "4"), (44, 44)),
-        # 8 validations of 1 product, 56 ordered pairs of 2, and 3 + 6
-        # support products to find the indices (3, 6).  (89, 145) while each
-        # support projection u u* and u* u was formed as a product: 8
-        # validations of 2 products and 8 right supports; now the 56 x 28
-        # and 28 x 56 Grams are read off the row norms as kept diagonals
-        (("construct", "hnk", "--n", "8", "--k", "3"), (73, 129)),
+        # 8 validations of 1 product and 3 + 6 support products to find the
+        # indices (3, 6).  (89, 145) while each support projection u u* and
+        # u* u was formed as a product: 8 validations of 2 products and 8
+        # right supports; now the 56 x 28 and 28 x 56 Grams are read off the
+        # row norms as kept diagonals
+        (("construct", "hnk", "--n", "8", "--k", "3"), (17, 17)),
         # 834 while naturality formed left * E_ij * right for the 36 units of
         # each of the 5 conjugations.  474 while conjugate_grid formed left * u
         # * right per element (210) and each Grid checked its 21 elements one
@@ -728,8 +760,9 @@ class TestSharedWork:
          (0, 0)),
         # 91 while the exact projection formed x U* for each of the 6 basis
         # elements of each of the 6 basis elements it fixes; (55, 85) while
-        # the 6 left and 6 right supports of H(6,3) were formed as products
-        (("verify", "projection", "--n", "6", "--k", "3", "--samples", "10"), (43, 73)),
+        # the 6 left and 6 right supports of H(6,3) were formed as products,
+        # (43, 73) while the 30 ordered pairs were one triple product each
+        (("verify", "projection", "--n", "6", "--k", "3", "--samples", "10"), (13, 13)),
     ], ids=["uij-grid", "split", "construct-hnk", "matrix-units", "projection"])
     def test_exact_products(self, monkeypatch, capsys, args, products):
         terms = _count_product_terms(monkeypatch)

@@ -25,6 +25,7 @@ from jcgrid.numlin import (EX_I, ExactFamily, ExactMatrix, ExactScalar, operator
                            scaled_members)
 from jcgrid.triple import PartialIsometry
 from table_oracle import pairwise_verdict
+from test_cli import ROTATION, _embedded
 from test_numlin import as_rows, ref_ternary
 
 E = ExactMatrix.unit
@@ -272,6 +273,15 @@ class TestBuildHnk:
             assert grid.matrix(i) is real.elements[i - 1].mat
             assert real.matrix(i) is sp.basis[i - 1]
 
+    @pytest.mark.parametrize("n, k", [(1, 1), (4, 2), (6, 3)])
+    def test_space_keeps_one_family(self, n, k):
+        # the family the realization checked colinearity on is the basis
+        # family and the grid's
+        sp = build_hnk(n, k)
+        fam = sp.realization().family
+        assert sp.basis_family is fam and sp.as_grid().family() is fam
+        assert fam.members() == list(sp.basis)
+
     def test_realization_keeps_indices_and_words(self):
         real = build_hnk(4, 2).realization()
         assert indices(real) is indices(real)
@@ -289,12 +299,45 @@ def _partial_permutation(rng, rows, cols):
     return out
 
 
+def _dense_partial_isometry(rng, rows, cols):
+    """A random rank-1 partial isometry x y* with entries +-1/2 or +-i/2:
+    unit vectors x and y with 2 and 2, 4 and 1, or 1 and 4 nonzeros, so it
+    has two nonzeros in one row or one column."""
+    fits = [(p, q) for p, q in ((2, 2), (4, 1), (1, 4)) if p <= rows and q <= cols]
+    p, q = fits[int(rng.integers(len(fits)))]
+    units = [ExactScalar(1), ExactScalar(-1), EX_I, -EX_I]
+    x = [(int(r), units[int(rng.integers(4))]) for r in rng.permutation(rows)[:p]]
+    y = [(int(c), units[int(rng.integers(4))]) for c in rng.permutation(cols)[:q]]
+    entries = [[ExactScalar(0)] * cols for _ in range(rows)]
+    for r, s in x:
+        for c, t in y:
+            entries[r][c] = s * t.conjugate() * ExactScalar(Fraction(1, 2))
+    return ExactMatrix.from_rows(entries)
+
+
 def _realization_error(mats):
     try:
         hnk.RankOneRealization(PartialIsometry(m) for m in mats)
     except ValueError as exc:
         return str(exc)
     return None
+
+
+def _agree_with_the_oracle(mats, outcomes):
+    """The realization accepts ``mats`` iff the pairwise oracle does, and
+    names the oracle's first failing pair; count the oracle's outcome."""
+    want = pairwise_verdict(mats)
+    got = _realization_error(mats)
+    if want is None:
+        outcomes["accepted"] += 1
+        assert got is None
+    elif "minimal" in want:
+        outcomes["minimality"] += 1
+        a, b = want.removeprefix("element ").split(" is not minimal against ")
+        assert got == f"elements {a}, {b} are not colinear"
+    else:
+        outcomes["colinearity"] += 1
+        assert got == want
 
 
 class TestRealizationValidation:
@@ -316,19 +359,31 @@ class TestRealizationValidation:
             space = spaces[int(rng.integers(len(spaces)))]
             mats = list(space.basis)
             mats[int(rng.integers(len(mats)))] = _partial_permutation(rng, *space.shape)
-            want = pairwise_verdict(mats)
-            got = _realization_error(mats)
-            if want is None:
-                outcomes["accepted"] += 1
-                assert got is None
-            elif "minimal" in want:
-                outcomes["minimality"] += 1
-                a, b = want.removeprefix("element ").split(" is not minimal against ")
-                assert got == f"elements {a}, {b} are not colinear"
-            else:
-                outcomes["colinearity"] += 1
-                assert got == want
+            _agree_with_the_oracle(mats, outcomes)
         # all three outcomes occur
+        assert min(outcomes.values()) > 0, outcomes
+
+    def test_dense_corruptions_agree_with_the_oracle(self):
+        # families with a member that is not monomial, checked on the dense
+        # rung: the basis, or the basis conjugated by rational rotations
+        # (every triple relation kept), with one member replaced by a
+        # partial isometry with entries 1/2 and two nonzeros in one line
+        rng = np.random.default_rng(12)
+        spaces = [sp for sp in (build_hnk(n, k) for n in range(3, 6) for k in range(1, n + 1))
+                  if min(sp.shape) > 1 or max(sp.shape) > 3]  # room for two nonzeros in a line
+        outcomes = {"accepted": 0, "minimality": 0, "colinearity": 0}
+        for _ in range(150):
+            space = spaces[int(rng.integers(len(spaces)))]
+            (rows, cols), mats = space.shape, list(space.basis)
+            rotate = rng.random() < 0.4
+            if rotate:
+                left, right = (_embedded(m, ROTATION) if m > 1 else ExactMatrix.identity(1)
+                               for m in (rows, cols))
+                mats = [left * m * right for m in mats]
+            if not rotate or rng.random() < 0.5:
+                mats[int(rng.integers(len(mats)))] = _dense_partial_isometry(rng, rows, cols)
+            assert ExactFamily(mats)._gathers() is None
+            _agree_with_the_oracle(mats, outcomes)
         assert min(outcomes.values()) > 0, outcomes
 
     def test_message_names_the_pair(self):
@@ -338,6 +393,23 @@ class TestRealizationValidation:
         assert pairwise_verdict(mats) == "element 1 is not minimal against 2"
         with pytest.raises(ValueError, match=r"^elements 1, 2 are not colinear$"):
             hnk.RankOneRealization(PartialIsometry(m) for m in mats)
+
+    def test_empty_realization_has_no_family(self):
+        real = hnk.RankOneRealization([])
+        assert (real.n, real.family) == (0, None)
+        grid = real.as_grid()
+        assert len(grid) == 0 and grid.family() is None
+
+    def test_one_element_has_no_pair(self, monkeypatch):
+        evaluated = []
+        equal = ExactFamily.equal
+        monkeypatch.setattr(ExactFamily, "equal", lambda self, ia, *args, **kw:
+                            evaluated.append(len(ia)) or equal(self, ia, *args, **kw))
+        m = _dense_partial_isometry(np.random.default_rng(5), 3, 3)
+        real = hnk.RankOneRealization([PartialIsometry(m)])
+        assert real.n == 1 and real.family.members() == [m]
+        assert real.as_grid().family() is real.family
+        assert sum(evaluated) == 0
 
 
 class TestSupportAndIndices:
