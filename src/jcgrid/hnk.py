@@ -185,7 +185,7 @@ class HnkSpace:
     @property
     def basis_family(self) -> ExactFamily:
         """The basis as one ``ExactFamily``: the realization's, on which its
-        colinearity was checked."""
+        colinearity was checked, holding ``stack`` itself as its numerators."""
         return self.rank_one.family
 
     def row_index(self, J: Combination) -> int:
@@ -242,7 +242,8 @@ def build_hnk(n: int, k: int) -> HnkSpace:
         raise AssertionError(f"basis element {bad[0]} is not a sum of {m} signed units")
     stack.flags.writeable = False
     basis = tuple(ExactMatrix(len(rows), len(cols), _arrays=(u, None, 1)) for u in stack)
-    real = RankOneRealization(PartialIsometry(u) for u in basis)
+    real = RankOneRealization((PartialIsometry(u) for u in basis),
+                              _family=ExactFamily(_stacks=[(stack, None, 1)]))
     if indices(real) != (k, n - k + 1):
         raise AssertionError("constructed space has wrong support indices")
     return HnkSpace(n, k, basis, tuple(rows), tuple(cols), m, real, stack)
@@ -260,14 +261,16 @@ class RankOneRealization:
       - multiplying by L on the left and by R on the right gives L b R = 0;
       - a = L a R, so a b* a = a (L b R)* a = 0.
     The n(n-1) ordered pairs are one family table (``ExactFamily.equal``)
-    on the elements' ``family``, which the realization keeps; the first
-    failing pair in loop order is named.  An empty realization has no
-    family, as an empty ``Grid`` has none.
+    on the elements' ``family``, which the realization keeps (the caller's
+    ``_family`` of the elements, or one stacked here); the first failing
+    pair in loop order is named.  An empty realization has no family, as an
+    empty ``Grid`` has none.
     """
 
-    def __init__(self, elements: Iterable[PartialIsometry]):
+    def __init__(self, elements: Iterable[PartialIsometry], *, _family=None):
         elements = tuple(elements)
-        self.family = ExactFamily([e.mat for e in elements]) if elements else None
+        mats = [e.mat for e in elements]
+        self.family = ExactFamily(mats) if mats and _family is None else _family
         if len(elements) > 1:
             a, b = np.nonzero(~np.eye(len(elements), dtype=bool))
             bad = np.flatnonzero(~self.family.equal(a, a, b, scaled_members(b, 1, 2), sym=True))
@@ -326,9 +329,26 @@ def indices(real: RankOneRealization) -> Tuple[int, int]:
     """(i_R, i_L): the largest sizes with nonvanishing support products.
 
     One witness set {1..r} per size suffices because vanishing at one size-r
-    set forces vanishing at all of them.  Computed once per realization.
+    set forces vanishing at all of them.  Computed once per realization, on
+    one of two rungs chosen by the family:
+      - a monomial family (``ExactFamily._gathers``: H(n,k), its Peirce parts
+        and signed-permutation conjugates): u_j u_j* is diagonal and positive
+        exactly on the rows where u_j has its nonzero, so the product over
+        {1..r} is nonzero iff some row is live in each of u_1..u_r.  i_R is
+        the number of such prefixes, read off the gather form with no
+        product, and i_L likewise on the columns, for u_j* u_j;
+      - otherwise the support products themselves, multiplied one factor at
+        a time until the product vanishes.
     """
     if real._indices is None:
+        gathers = real.family._gathers() if real.family is not None else None
+        if gathers:
+            n, (rows, cols) = real.n, real.family.shape
+            live = (gathers[0].reshape(n + 1, rows + 1)[:n, :rows] != cols,
+                    gathers[1].reshape(n + 1, cols + 1)[:n, :cols] != rows)
+            real._indices = tuple(int(np.logical_and.accumulate(x).any(axis=1).sum())
+                                  for x in live)
+            return real._indices
         sizes = []
         for support in (PartialIsometry.left_support, PartialIsometry.right_support):
             acc, size = None, real.n

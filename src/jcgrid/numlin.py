@@ -762,7 +762,8 @@ class ExactFamily:
     ``ExactFamily(_stacks=parts)`` joins (re, im, den) numerator stacks in
     order over the lcm of their denominators, such as a ``ternary`` result
     over den^3 or a ``part`` of a family; ``ExactFamily(mats)`` joins the
-    matrices as one-member stacks.  ``equal`` compares a b* c, or the triple
+    matrices as one-member stacks.  A single read-only stack in lowest terms
+    is kept as it is, not copied.  ``equal`` compares a b* c, or the triple
     product {a,b,c} = (a b* c + c b* a)/2, with a rational multiple of one
     member for arrays of index triples; ``vanish`` tests a b* or a* b for
     zero.  ``same`` and ``nonzero`` test members, and ``meets`` tells which
@@ -809,10 +810,14 @@ class ExactFamily:
             top = 0 if f == 1 else _abs_max(x)
             return x if not top else (x.astype(object) if top * f >= _INT64_LIMIT else x) * f
 
-        re, im = np.concatenate([lift(r, den // d) for r, _, d in _stacks]), None
+        def join(parts):  # one read-only stack is kept, not copied
+            one = len(parts) == 1 and not parts[0].flags.writeable
+            return parts[0] if one else np.concatenate(parts)
+
+        re, im = join([lift(r, den // d) for r, _, d in _stacks]), None
         if any(i is not None for _, i, _ in _stacks):
-            im = np.concatenate([np.zeros_like(r) if i is None else lift(i, den // d)
-                                 for r, i, d in _stacks])
+            im = join([np.zeros_like(r) if i is None else lift(i, den // d)
+                       for r, i, d in _stacks])
         re, im, self.den = _canonical(re, im, den)
         tops = _abs_max(re), _abs_max(im)
         self.re, self.im, self.mag, self.shape = re, im if tops[1] else None, max(tops), re.shape[1:]

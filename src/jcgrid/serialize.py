@@ -6,11 +6,12 @@ round-trips are exact; CSV emits floats only (17 significant digits, each
 complex entry as a re,im pair).  ``matrices_to_json`` gives equal entries
 over one denominator one shared cell dict and equal rows of all its matrices
 one shared list, so payloads are read-only: mutating a cell or a row changes
-every entry or row of that value.  ``dumps`` writes the bytes of
-``json.dumps(payload, indent=2, sort_keys=True)`` without the standard
-library's pure-Python indent encoder: each cell object and each row of cells
-is laid out once per indent depth and its text reused.  Payload keys must be
-``str``.
+every entry or row of that value.  An int64 row is found by the bytes of its
+numerators and converted to Python ints only the first time it is seen.
+``dumps`` writes the bytes of ``json.dumps(payload, indent=2,
+sort_keys=True)`` without the standard library's pure-Python indent encoder:
+each cell object and each row of cells is laid out once per indent depth and
+its text reused.  Payload keys must be ``str``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .grids import Grid, labels_to_indices
 from .hnk import HnkSpace
-from .numlin import ExactMatrix, ExactScalar
+from .numlin import ExactMatrix, ExactScalar, _is_zero_im
 
 
 def scalar_from_json(d: dict) -> ExactScalar:
@@ -53,11 +54,23 @@ class _Cells(dict):
         return cell
 
 
+def _row_keys(a: np.ndarray) -> list:
+    """Each row of a 2-d numerator array as a key of its values: the bytes
+    of an int64 row, the tuple of a row of Python ints (whose bytes are
+    pointers)."""
+    if a.dtype == object:
+        return list(map(tuple, a.tolist()))
+    a = np.ascontiguousarray(a)
+    return a.view(f"V{a.shape[1] * a.itemsize}").ravel().tolist()  # one void item per row
+
+
 def matrices_to_json(mats: List[ExactMatrix]) -> List[dict]:
     """The matrices as JSON data.  Equal entries over one denominator are one
     shared cell dict, and equal rows of all the matrices are one shared list,
-    keyed on the denominator and the numerator values of the row, so the
-    result is read-only."""
+    so the result is read-only.  A row is keyed on the denominator, its
+    ``re`` numerators and its ``im`` numerators (None for a real int64
+    matrix), as bytes on int64 (``_row_keys``), and only a row not seen
+    before is converted to Python ints."""
     cells: dict = {}
     rows: dict = {}
     out = []
@@ -66,12 +79,13 @@ def matrices_to_json(mats: List[ExactMatrix]) -> List[dict]:
         cell = cells.get(den)
         if cell is None:
             cell = cells[den] = _Cells(den)
+        ims = [None] * m.rows if _is_zero_im(m.im) else _row_keys(m.im)
         entries = []
-        for r, i in zip(m.re.tolist(), m.im.tolist()):
-            key = (den, tuple(r), tuple(i))
+        for r, key in enumerate(zip([den] * m.rows, _row_keys(m.re), ims)):
             row = rows.get(key)
             if row is None:
-                row = rows[key] = list(map(cell.__getitem__, zip(r, i)))
+                row = rows[key] = list(map(cell.__getitem__,
+                                           zip(m.re[r].tolist(), m.im[r].tolist())))
             entries.append(row)
         out.append({"rows": m.rows, "cols": m.cols, "entries": entries})
     return out

@@ -1,7 +1,8 @@
 """References for the exhaustive triple table of ``verify_grid``, for
-``classify_relation`` and for the pair check of ``RankOneRealization``:
-every verdict recomputed one triple, or one pair, at a time on rational
-entries, with no code of the exact kernels.
+``classify_relation``, for the pair check of ``RankOneRealization`` and for
+the support indices ``hnk.indices``: every verdict recomputed one triple,
+one pair, or one support product, at a time on rational entries, with no
+code of the exact kernels.
 
 Each matrix's entries are read once per oracle call, as rows of (re, im)
 pairs of Python rationals (``test_numlin.fraction_rows``), and the products
@@ -201,3 +202,23 @@ def classify_by_triple_products(mats) -> list:
             table[a][b] = _relation_of(ev, ew, wwv, vvw)
             table[b][a] = _relation_of(ew, ev, vvw, wwv)
     return table
+
+
+def support_indices(mats) -> tuple:
+    """(i_R, i_L) of the realization of ``mats`` in order: for the left
+    supports v v* (i_R), then the right supports v* v (i_L), the number of
+    leading prefixes v_1..v_r whose ordered product of supports is not zero,
+    multiplied one rational factor at a time; (0, 0) for no matrices.  A
+    reference for ``hnk.indices``."""
+    rows = [fraction_rows(m) for m in mats]  # each matrix's entries read once
+    sizes = []
+    for support in (lambda x: fraction_product(x, fraction_adjoint(x)),
+                    lambda x: fraction_product(fraction_adjoint(x), x)):
+        acc, size = None, 0
+        for x in rows:
+            acc = support(x) if acc is None else fraction_product(acc, support(x))
+            if _is_zero(acc):
+                break
+            size += 1
+        sizes.append(size)
+    return tuple(sizes)

@@ -387,6 +387,20 @@ class TestProjectionFailures:
         assert self._failing(capsys) == [line]
 
 
+class TestSupportIndicesFailure:
+    """``support_indices`` of ``verify hnk`` cannot turn to FAIL: a wrong
+    ``hnk.indices`` result first fails ``build_hnk``'s own assertion, an
+    internal error with exit 4 and no report."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_wrong_indices_stop_the_build(self, monkeypatch, capsys, fmt):
+        monkeypatch.setattr(hnk, "indices", lambda real: (3, 2))  # (2, 3) for H(4, 2)
+        assert cli.main(["verify", "hnk", "--n", "4", "--k", "2", "--format", fmt]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "constructed space has wrong support indices" in err
+
+
 class TestValidityBeforeCapacity:
     """An invalid input that exceeds no cap is a usage error, not capacity."""
 
@@ -737,20 +751,24 @@ class TestSharedWork:
     # construct hnk 368 while the realization formed six products per pair,
     # and (125, 137) and (73, 129) while it formed one triple product, of
     # two terms, per ordered pair: 12 and 56 calls, now one family table.
+    # uij-grid was (113, 113), construct hnk (17, 17) and projection (13, 13)
+    # while the indices of a monomial realization were found by multiplying
+    # its support projections (2 + 3, 3 + 6 and 3 + 4 products); now they are
+    # read off the family's gather form.
     @pytest.mark.parametrize("args,products", [
-        (("verify", "uij-grid", "--n", "4", "--k", "2"), (113, 113)),
+        (("verify", "uij-grid", "--n", "4", "--k", "2"), (108, 108)),
         # 1100 and 1388 while each Grid checked its matrices one at a time, two
         # products each (96 for the three grids); 1052 and 1340 while the
         # relations were classified pair by pair, 4 products per pair that
         # is not orthogonal.  The 44 left are the support split's own; 60
         # while (1 - p) u was formed as a second product, not as u - p u
         (("verify", "split", "--p", "4", "--q", "4"), (44, 44)),
-        # 8 validations of 1 product and 3 + 6 support products to find the
-        # indices (3, 6).  (89, 145) while each support projection u u* and
-        # u* u was formed as a product: 8 validations of 2 products and 8
-        # right supports; now the 56 x 28 and 28 x 56 Grams are read off the
-        # row norms as kept diagonals
-        (("construct", "hnk", "--n", "8", "--k", "3"), (17, 17)),
+        # 8 validations of 1 product.  (17, 17) while 3 + 6 support products
+        # found the indices (3, 6); (89, 145) while each support projection
+        # u u* and u* u was formed as a product: 8 validations of 2 products
+        # and 8 right supports; then the 56 x 28 and 28 x 56 Grams were read
+        # off the row norms as kept diagonals
+        (("construct", "hnk", "--n", "8", "--k", "3"), (8, 8)),
         # 834 while naturality formed left * E_ij * right for the 36 units of
         # each of the 5 conjugations.  474 while conjugate_grid formed left * u
         # * right per element (210) and each Grid checked its 21 elements one
@@ -761,8 +779,9 @@ class TestSharedWork:
         # 91 while the exact projection formed x U* for each of the 6 basis
         # elements of each of the 6 basis elements it fixes; (55, 85) while
         # the 6 left and 6 right supports of H(6,3) were formed as products,
-        # (43, 73) while the 30 ordered pairs were one triple product each
-        (("verify", "projection", "--n", "6", "--k", "3", "--samples", "10"), (13, 13)),
+        # (43, 73) while the 30 ordered pairs were one triple product each,
+        # (13, 13) while 3 + 4 support products found the indices (3, 4)
+        (("verify", "projection", "--n", "6", "--k", "3", "--samples", "10"), (6, 6)),
     ], ids=["uij-grid", "split", "construct-hnk", "matrix-units", "projection"])
     def test_exact_products(self, monkeypatch, capsys, args, products):
         terms = _count_product_terms(monkeypatch)

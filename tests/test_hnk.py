@@ -11,7 +11,7 @@ import pytest
 from conftest import random_exact
 from jcgrid import hnk, numlin
 from jcgrid.errors import CapacityError, DecompositionError, DimensionError
-from jcgrid.grids import Grid, verify_grid
+from jcgrid.grids import Grid, signed_permutation, verify_grid
 from jcgrid.hnk import (Combination, build_hnk, build_uIJ, combinations,
                         decompose_into_ones, diag_hnk, diag_rect,
                         grid_support_split, hnk_projection,
@@ -24,8 +24,8 @@ from jcgrid.hnk import (Combination, build_hnk, build_uIJ, combinations,
 from jcgrid.numlin import (EX_I, ExactFamily, ExactMatrix, ExactScalar, operator_norm,
                            scaled_members)
 from jcgrid.triple import PartialIsometry
-from table_oracle import pairwise_verdict
-from test_cli import ROTATION, _embedded
+from table_oracle import pairwise_verdict, support_indices
+from test_cli import COMPLEX_ROTATION, ROTATION, _count_product_terms, _embedded
 from test_numlin import as_rows, ref_ternary
 
 E = ExactMatrix.unit
@@ -281,6 +281,8 @@ class TestBuildHnk:
         fam = sp.realization().family
         assert sp.basis_family is fam and sp.as_grid().family() is fam
         assert fam.members() == list(sp.basis)
+        # and it holds the space's stack, not a copy of it
+        assert np.shares_memory(sp.stack, sp.basis_family.re)
 
     def test_realization_keeps_indices_and_words(self):
         real = build_hnk(4, 2).realization()
@@ -438,6 +440,101 @@ class TestSupportAndIndices:
                      build_hnk(4, 2).realization()):
             i_r, i_l = indices(real)
             assert i_r + i_l >= real.n + 1
+
+
+# a Pythagorean triple a^2 + b^2 = c^2 with c >= 2^62: (a + i b) / c is a
+# phase whose numerators hold a family on Python ints
+_M, _N = 2 ** 31 + 1, 2 ** 31
+BIG_PHASE = ExactScalar(Fraction(_M * _M - _N * _N, _M * _M + _N * _N),
+                        Fraction(2 * _M * _N, _M * _M + _N * _N))
+
+
+def _conjugates(space, left, right):
+    return [left * m * right for m in space.basis]
+
+
+def _rotations(space, block):
+    return (_embedded(m, block) if m > 1 else ExactMatrix.identity(1) for m in space.shape)
+
+
+class TestIndexRungs:
+    """``indices`` reads a monomial family's (i_R, i_L) off its gather form
+    and multiplies support projections for any other family; both rungs
+    agree with the rational oracle ``table_oracle.support_indices``."""
+
+    @staticmethod
+    def _rungs(mats, monkeypatch):
+        """(whether the family has a gather form, indices as computed, indices
+        on the support-product chain, support projections and product terms
+        formed by the computed ones) for realizations of ``mats``."""
+        elements = [PartialIsometry(m) for m in mats]
+        real, chain_real = (hnk.RankOneRealization(elements) for _ in range(2))
+        gathers = real.family is not None and real.family._gathers() is not None
+        supports = []
+        for name in ("left_support", "right_support"):
+            orig = getattr(PartialIsometry, name)
+            monkeypatch.setattr(PartialIsometry, name,
+                                lambda self, orig=orig: supports.append(1) or orig(self))
+        terms = _count_product_terms(monkeypatch)
+        got = indices(real)
+        formed = (len(supports), sum(terms))
+        monkeypatch.setattr(ExactFamily, "_gathers", lambda self: None)
+        chain = indices(chain_real)
+        monkeypatch.undo()
+        return gathers, got, chain, formed
+
+    def _check(self, mats, monkeypatch, gathers, want=None):
+        has, got, chain, formed = self._rungs(mats, monkeypatch)
+        assert has == gathers
+        assert got == chain == support_indices(mats)
+        if want is not None:
+            assert got == want
+        # the gather rung forms no support projection and no product
+        assert (formed == (0, 0)) == gathers
+        return got
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_space_up_to_n6(self, n, monkeypatch):
+        for k in range(1, n + 1):
+            got = self._check(build_hnk(n, k).basis, monkeypatch, True, (k, n - k + 1))
+            # H(n, n) and H(n, 1): a support chain that never vanishes has size n
+            assert (got[0] == n) == (k == n) and (got[1] == n) == (k == 1)
+
+    def test_diagonal_join_and_its_peirce_parts(self, monkeypatch):
+        real = diag_hnk(6, [4, 2])
+        p_part, q_part, _ = peirce_split(real)
+        got = [self._check([e.mat for e in r.elements], monkeypatch, True)
+               for r in (real, p_part, q_part)]
+        assert got[0] == (4, 5) and got[1][0] > got[2][0]
+
+    def test_signed_permutation_conjugates_take_the_gather_rung(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        for n, k in ((3, 2), (4, 2), (5, 3), (6, 3), (6, 5)):
+            space = build_hnk(n, k)
+            left, right = (signed_permutation(m, rng.permutation(m), rng.choice((1, -1), m))
+                           for m in space.shape)
+            self._check(_conjugates(space, left, right), monkeypatch, True, (k, n - k + 1))
+
+    def test_rational_rotation_conjugates_take_the_chain_rung(self, monkeypatch):
+        for n, k in ((3, 2), (4, 2), (4, 3), (5, 3), (6, 3)):
+            space = build_hnk(n, k)
+            for block in (ROTATION, COMPLEX_ROTATION):
+                mats = _conjugates(space, *_rotations(space, block))
+                self._check(mats, monkeypatch, False, (k, n - k + 1))
+
+    def test_a_family_on_python_ints_takes_the_chain_rung(self, monkeypatch):
+        mats = [m.scale(BIG_PHASE) for m in build_hnk(4, 2).basis]
+        assert ExactFamily(mats).re.dtype == object
+        self._check(mats, monkeypatch, False, (2, 3))
+
+    def test_edges(self, monkeypatch):
+        # no element: both sizes 0, with no family to read
+        assert self._rungs([], monkeypatch)[1:3] == ((0, 0), (0, 0))
+        assert support_indices([]) == (0, 0)
+        # one element: each chain is its one support, on either rung
+        self._check(build_hnk(1, 1).basis, monkeypatch, True, (1, 1))
+        m = _dense_partial_isometry(np.random.default_rng(7), 3, 4)
+        self._check([m], monkeypatch, False, (1, 1))
 
 
 class TestOnesAreWords:

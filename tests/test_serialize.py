@@ -4,6 +4,7 @@ import json
 from enum import IntEnum
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +88,38 @@ def test_equal_numerators_over_other_denominators_keep_their_cells():
     text = dumps(payload)
     assert text == json.dumps(payload, indent=2, sort_keys=True)
     assert [matrix_from_json(e) for e in json.loads(text)["elements"]] == [a, b]
+
+
+def test_rows_keyed_on_numerator_bytes_in_a_mixed_payload():
+    # int64 rows are keyed on the bytes of their numerators, Python-int rows
+    # on their values; one payload of real int64, complex int64 and
+    # Python-int matrices
+    half, big = Fraction(1, 2), 2 ** 62 + 3
+    real = ExactMatrix.from_rows([[1, -2, 0], [0, 0, 5], [1, -2, 0]])
+    again = ExactMatrix.from_rows([[0, 0, 5], [7, 7, 7]])
+    halves = ExactMatrix.from_rows([[half, -1, 0], [0, 0, Fraction(5, 2)]])
+    cplx = ExactMatrix.from_rows([[1, ExactScalar(-2, 3), 0], [0, 0, 5]])
+    cplx_again = ExactMatrix.from_rows([[0, 1, 0], [1, ExactScalar(-2, 3), 0]])
+    wide = ExactMatrix.from_rows([[1, 2, 3, 4]])  # the bytes of 1, 2 then 3, 4
+    pair = ExactMatrix.from_rows([[ExactScalar(1, 3), ExactScalar(2, 4)]])
+    huge = ExactMatrix.from_rows([[big, 0, 0], [0, 0, 5], [big, 0, 0]])
+    mats = [real, again, halves, cplx, cplx_again, wide, pair, huge]
+    assert [m.re.dtype for m in mats].count(np.dtype(object)) == 1
+    assert wide.re.tobytes() == pair.re.tobytes() + pair.im.tobytes()
+    assert halves.den == 2 and halves.re.tolist() == [[1, -2, 0], [0, 0, 5]]
+    payload = {"elements": matrices_to_json(mats)}
+    r, a, h, c, ca, w, pr, g = (e["entries"] for e in payload["elements"])
+    # equal int64 rows of all the matrices are one list
+    assert r[0] is r[2] and r[1] is a[0] and c[0] is ca[1]
+    # and Python-int rows equal by value are one list among themselves
+    assert g[0] is g[2]
+    # numerator bytes over another denominator, or as re and im parts
+    # rather than one wider real row, are another row
+    assert h[0] is not r[0] and h[1] is not r[1]
+    assert c[0] is not r[0] and w[0] is not pr[0]
+    text = dumps(payload)
+    assert text == json.dumps(payload, indent=2, sort_keys=True)
+    assert [matrix_from_json(e) for e in json.loads(text)["elements"]] == mats
 
 
 def test_grid_roundtrip_reverifies_identically():
