@@ -329,8 +329,9 @@ def indices(real: RankOneRealization) -> Tuple[int, int]:
     """(i_R, i_L): the largest sizes with nonvanishing support products.
 
     One witness set {1..r} per size suffices because vanishing at one size-r
-    set forces vanishing at all of them.  Computed once per realization, on
-    one of two rungs chosen by the family:
+    set forces vanishing at all of them.  Computed once per realization: with
+    n <= 1 elements they are (n, n), a nonzero element being its own
+    nonvanishing product; else on one of two rungs chosen by the family:
       - a monomial family (``ExactFamily._gathers``: H(n,k), its Peirce parts
         and signed-permutation conjugates): u_j u_j* is diagonal and positive
         exactly on the rows where u_j has its nonzero, so the product over
@@ -340,8 +341,10 @@ def indices(real: RankOneRealization) -> Tuple[int, int]:
       - otherwise the support products themselves, multiplied one factor at
         a time until the product vanishes.
     """
+    if real._indices is None and real.n <= 1:
+        real._indices = (real.n, real.n)
     if real._indices is None:
-        gathers = real.family._gathers() if real.family is not None else None
+        gathers = real.family._gathers()
         if gathers:
             n, (rows, cols) = real.n, real.family.shape
             live = (gathers[0].reshape(n + 1, rows + 1)[:n, :rows] != cols,

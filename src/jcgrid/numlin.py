@@ -5,20 +5,20 @@ so all algebraic identities can be checked with zero residual.  ``ExactMatrix``
 is an immutable matrix of Gaussian rationals held as two integer numerator
 arrays over one common denominator, (re + i*im) / den; its algebra is numpy
 integer array arithmetic, on int64 while a bound on the result stays below
-2^62 and on Python ints otherwise.  One kernel forms every exact product, or
-sum of two products over one denominator, as one matrix, on one of four
-rungs.  On products large enough to pay for casts: a row or column scaling
-on int64 where a factor is a kept diagonal (a Gram product with at most one
-nonzero per column, such as a support projection of H(n,k)), else float64
-on BLAS when every partial sum of a dot is an integer below 2^53.  Else
-int64 dots below 2^62, and Python ints above.  ``ExactFamily`` stacks
-equally shaped exact matrices, and every operation on its numerator stacks
-is one of its methods; ``part``, ``ternary``, ``sums`` and ``conjugate`` return
-(re, im, den) stacks to join, and a family whose members are all monomial
-compares and tests its products by index gathers.  Every overflow bound of
-the package is taken in this module.  ``ApproxMatrix`` wraps a complex128
-array and carries the spectral computations (operator norm, trace norm)
-through LAPACK's Hermitian eigensolver on the smaller Gram matrix.
+2^62 and on Python ints otherwise.  One kernel forms every exact product
+as one matrix, on one of four rungs.  On products large enough to pay for
+casts: a row or column scaling on int64 where a factor is a kept diagonal
+(a Gram product with at most one nonzero per column, such as a support
+projection of H(n,k)), else float64 on BLAS when every partial sum of a
+dot is an integer below 2^53.  Else int64 dots below 2^62, and Python ints
+above.  ``ExactFamily`` stacks equally shaped exact matrices, and every
+operation on its numerator stacks is one of its methods; ``part``,
+``ternary``, ``sums`` and ``conjugate`` return (re, im, den) stacks to
+join, and a family whose members are all monomial compares and tests its
+products by index gathers.  Every overflow bound of the package is taken
+in this module.  ``ApproxMatrix`` wraps a complex128 array and carries the
+spectral computations (operator norm, trace norm) through LAPACK's
+Hermitian eigensolver on the smaller Gram matrix.
 """
 
 from __future__ import annotations
@@ -243,11 +243,10 @@ class ExactMatrix:
     product first bounds its result from the operands' largest numerators and
     runs on Python ints (``dtype=object``) when the bound could reach 2^62, so
     no operation can overflow.  Products go through one kernel,
-    ``_product_sum``, which forms a product or a sum of products (as in
-    ``triple.triple_product``) as one matrix on the rung its bound and size
-    allow: a row or column scaling by a kept diagonal, float64 on BLAS, int64
-    or Python ints.  Canonical form makes ``==`` and ``hash`` exact
-    comparisons of (shape, den, re, im).  Real int64 matrices of one shape
+    ``_product``, which forms each as one matrix on the rung its bound and
+    size allow: a row or column scaling by a kept diagonal, float64 on
+    BLAS, int64 or Python ints.  Canonical form makes ``==`` and ``hash``
+    exact comparisons of (shape, den, re, im).  Real int64 matrices of one shape
     share one read-only zero array as ``im``; a producer that knows its
     result is real passes ``im`` as None.  ``adjoint`` and ``gram`` keep
     their results.
@@ -400,7 +399,7 @@ class ExactMatrix:
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
-            return _product_sum(((self, other),))
+            return _product(self, other)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -540,104 +539,61 @@ class ExactMatrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
-def _cast(a: np.ndarray, dtype, casts: dict) -> np.ndarray:
-    """``a`` as ``dtype``, cast once per kernel call (an operand of two
-    terms is read twice)."""
-    c = casts.get(id(a))
-    if c is None:
-        c = casts[id(a)] = a.astype(dtype)
-    return c
+def _product(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
+    """x y as one canonical matrix: one bound, one dot or scaling per
+    nonzero part and one construction.  ``ExactMatrix.__mul__`` calls it.
 
-
-def _product_sum(terms, q: int = 1) -> ExactMatrix:
-    """(x_1 y_1 + x_2 y_2 + ...) / q for ``terms``, a sequence of (x, y)
-    ``ExactMatrix`` pairs whose products share one shape, as one canonical
-    matrix: one bound, one dot or scaling per nonzero part of each term and
-    one construction.  ``ExactMatrix.__mul__`` is the one-term call.
-
-    The sum runs over den, the lcm of the terms' x.den * y.den; a term is
-    lifted by f = den / (x.den * y.den).  Every partial sum of one real dot
-    of a term is at most inner = x.cols * max|x| * max|y|, and every partial
-    sum of the whole at most the total of 2 * f * inner.  The rung:
-      - Python ints when that total reaches 2^62;
-      - where some term takes at least ``_BLAS_MIN_SIZE`` scalar
-        multiplications: a term with a kept diagonal factor (``_diag``)
-        scales the rows of y, or the columns of x, by it on int64, with no
-        dot; every other term runs in float64 on BLAS when every inner is
-        below 2^53, each dot cast back to int64 before the int64 sums that
-        join it, and in int64 dots otherwise.  A result whose every term
-        is a product of two kept diagonals keeps its diagonal;
+    Every partial sum of one real dot is at most inner = x.cols * max|x| *
+    max|y|, and an entry sums two such dots.  The rung:
+      - Python ints when 2 * inner reaches 2^62;
+      - at ``_BLAS_MIN_SIZE`` scalar multiplications and above: where a
+        factor is a kept diagonal (``_diag``), the rows of y, or the columns
+        of x, scaled by it on int64, with no dot; else float64 on BLAS when
+        inner is below 2^53, each dot cast back to int64 before the int64
+        sums that join it, and int64 dots otherwise.  A product of two kept
+        diagonals keeps its diagonal;
       - int64 dots otherwise, whatever the factors keep.
-    A term with a zero factor adds nothing: it forms no dot and lifts no den.
+    A zero factor gives the zero matrix: no dot, and its den is not kept.
     """
-    x, y = terms[0]
+    if x.cols != y.rows:
+        raise DimensionError(f"cannot multiply {x.rows}x{x.cols} by {y.rows}x{y.cols}")
     rows, cols = x.rows, y.cols
-    # total: the sum over the terms so far of inner * den / (x.den * y.den)
-    den, total, widest, size = 1, 0, 0, 0
-    live = []
-    for x, y in terms:
-        if x.cols != y.rows:
-            raise DimensionError(f"cannot multiply {x.rows}x{x.cols} by {y.rows}x{y.cols}")
-        if x.rows != rows or y.cols != cols:
-            raise DimensionError(f"cannot add a {x.rows}x{y.cols} product to {rows}x{cols}")
-        inner = x.cols * max(x._mags()) * max(y._mags())
-        if not inner:
-            continue  # den may not fit the int64 zeros a zero term would be lifted by
-        d = x.den * y.den
-        if d == den:
-            total += inner
-        else:
-            lift = math.lcm(den, d)
-            total = total * (lift // den) + inner * (lift // d)
-            den = lift
-        widest = inner if inner > widest else widest
-        mults = x.rows * x.cols * y.cols
-        size = mults if mults > size else size
-        live.append((x, y, d))
-    if not live:
+    inner = x.cols * max(x._mags()) * max(y._mags())
+    if not inner:
         return ExactMatrix.zeros(rows, cols)
     dot, cast, scaling = np.dot, None, False
-    if 2 * total >= _INT64_LIMIT:
+    if 2 * inner >= _INT64_LIMIT:
         cast = _OBJECT
-    elif size >= _BLAS_MIN_SIZE:
+    elif rows * x.cols * cols >= _BLAS_MIN_SIZE:
         scaling = True
-        if widest < _FLOAT_EXACT:
+        if inner < _FLOAT_EXACT:
             dot, cast = _float_dot, np.float64
-    casts = {}
-    re = im = None
-    for x, y, d in live:
-        xr, xi, yr, yi = x.re, x.im, y.re, y.im
-        x_im, y_im = x._mag[1], y._mag[1]
-        if scaling and x._diag is not None:
-            s = x._diag[:, None]  # the rows of y scaled by the real diagonal of x
-            r, i = s * yr, s * yi if y_im else None
-        elif scaling and y._diag is not None:
-            s = y._diag  # the columns of x scaled by the real diagonal of y
-            r, i = xr * s, xi * s if x_im else None
+    xr, xi, yr, yi = x.re, x.im, y.re, y.im
+    x_im, y_im = x._mag[1], y._mag[1]
+    if scaling and x._diag is not None:
+        s = x._diag[:, None]  # the rows of y scaled by the real diagonal of x
+        re, im = s * yr, s * yi if y_im else None
+    elif scaling and y._diag is not None:
+        s = y._diag  # the columns of x scaled by the real diagonal of y
+        re, im = xr * s, xi * s if x_im else None
+    else:
+        if cast is not None:
+            xr, yr = xr.astype(cast), yr.astype(cast)
+            xi = xi.astype(cast) if x_im else xi
+            yi = yi.astype(cast) if y_im else yi
+        # products with an all-zero imaginary part are skipped
+        re = dot(xr, yr)
+        if x_im and y_im:
+            re = re - dot(xi, yi)
+            im = dot(xr, yi) + dot(xi, yr)
+        elif x_im:
+            im = dot(xi, yr)
+        elif y_im:
+            im = dot(xr, yi)
         else:
-            if cast is not None:
-                xr, yr = _cast(xr, cast, casts), _cast(yr, cast, casts)
-                xi = _cast(xi, cast, casts) if x_im else xi
-                yi = _cast(yi, cast, casts) if y_im else yi
-            # products with an all-zero imaginary part are skipped
-            r = dot(xr, yr)
-            if x_im and y_im:
-                r = r - dot(xi, yi)
-                i = dot(xr, yi) + dot(xi, yr)
-            elif x_im:
-                i = dot(xi, yr)
-            elif y_im:
-                i = dot(xr, yi)
-            else:
-                i = None
-        if d != den:
-            f = den // d
-            r, i = r * f, None if i is None else i * f
-        re = r if re is None else re + r
-        if i is not None:
-            im = i if im is None else im + i
-    out = ExactMatrix(rows, cols, _arrays=(re, im, den * q))
-    if scaling and all(x._diag is not None and y._diag is not None for x, y, _ in live):
+            im = None
+    out = ExactMatrix(rows, cols, _arrays=(re, im, x.den * y.den))
+    if scaling and x._diag is not None and y._diag is not None:
         out._diag = out.re.diagonal()
     return out
 

@@ -12,7 +12,7 @@ import enum
 import numpy as np
 
 from .errors import DimensionError
-from .numlin import ExactFamily, ExactMatrix, _product_sum, blocks, scaled_members
+from .numlin import EX_HALF, ExactFamily, ExactMatrix, blocks, scaled_members
 
 
 class GridRelation(enum.Enum):
@@ -96,21 +96,21 @@ def _check_triple_shapes(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> None
 
 
 def triple_product(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatrix:
-    """{a,b,c} = (a b* c + c b* a)/2, exact, formed as one sum of two
-    products; a repeated operand reads its kept Gram products.  For
-    a = b = c both terms are v v* v, so {v,v,v} is the one product
-    ``v.gram() * v``."""
+    """{a,b,c} = (a b* c + c b* a)/2, exact: its two terms formed as
+    products, then one sum and one halving; a repeated operand reads its
+    kept Gram products.  For a = b = c both terms are v v* v, so {v,v,v} is
+    the one product ``v.gram() * v``."""
     _check_triple_shapes(a, b, c)
     if a is b is c:
         return a.gram() * a
     if a is b:
-        terms = ((a.gram(), c), (c, a.adjoint().gram()))
+        first, second = a.gram() * c, c * a.adjoint().gram()
     elif b is c:
-        terms = ((a, b.adjoint().gram()), (b.gram(), a))
+        first, second = a * b.adjoint().gram(), b.gram() * a
     else:
         bstar = b.adjoint()
-        terms = ((a * bstar, c), (c * bstar, a))
-    return _product_sum(terms, 2)
+        first, second = a * bstar * c, c * bstar * a
+    return (first + second).scale(EX_HALF)
 
 
 # (c, c') -> the relation of a pair with {u_x, u_x, u_z} = c u_z / 2 and

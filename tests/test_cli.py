@@ -387,6 +387,47 @@ class TestProjectionFailures:
         assert self._failing(capsys) == [line]
 
 
+class TestTraceFailures:
+    """Each verdict line of ``verify trace`` fails, alone and with exit 1, on
+    its own seeded fault.  ``single_eigenvalue_with_multiplicity`` reads the
+    exact products x x* and (x x*)^2; the multiplicity formula reads the
+    float trace norm of x."""
+
+    def _failing(self, capsys):
+        assert cli.main("verify trace --n 4 --k 2 --format json".split()) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["name"] for c in checks] == ["trace_norm_matches_multiplicity_formula",
+                                               "single_eigenvalue_with_multiplicity",
+                                               "alternative_sqrt_normalization"]
+        return [c["name"] for c in checks if c["status"] == "fail"]
+
+    @pytest.mark.parametrize("faulted", [0, 1], ids=["gram", "square"])
+    def test_product_fault_fails_the_eigenvalue_line(self, monkeypatch, capsys, faulted):
+        build, product = hnk.build_hnk, numlin._product
+        calls = []
+
+        def faulty(x, y):
+            # of the products after the build, x x* and then (x x*)^2, the
+            # one numbered ``faulted`` comes back doubled
+            calls.append(1)
+            p = product(x, y)
+            return p.scale(2) if len(calls) - 1 == faulted else p
+
+        def armed(n, k):
+            space = build(n, k)
+            monkeypatch.setattr(numlin, "_product", faulty)
+            return space
+
+        monkeypatch.setattr(hnk, "build_hnk", armed)
+        assert self._failing(capsys) == ["single_eigenvalue_with_multiplicity"]
+        assert len(calls) == 2
+
+    def test_trace_norm_fault_fails_the_formula_line(self, monkeypatch, capsys):
+        norm = hnk.trace_norm
+        monkeypatch.setattr(hnk, "trace_norm", lambda a: 1.5 * norm(a))
+        assert self._failing(capsys) == ["trace_norm_matches_multiplicity_formula"]
+
+
 class TestSupportIndicesFailure:
     """``support_indices`` of ``verify hnk`` cannot turn to FAIL: a wrong
     ``hnk.indices`` result first fails ``build_hnk``'s own assertion, an
@@ -700,24 +741,6 @@ class TestValidateOnce:
         assert len(calls) == 1
 
 
-def _count_product_terms(monkeypatch):
-    """Patch every binding of the exact-product kernel in ``jcgrid`` with a
-    wrapper that records the number of product terms of each call."""
-    terms = []
-    orig = numlin._product_sum
-
-    def counted(pairs, q=1):
-        terms.append(len(pairs))
-        return orig(pairs, q)
-
-    for name, mod in list(sys.modules.items()):
-        if name == "jcgrid" or name.startswith("jcgrid."):
-            for attr, value in list(vars(mod).items()):
-                if value is orig:
-                    monkeypatch.setattr(mod, attr, counted)
-    return terms
-
-
 class TestSharedWork:
     """Work done for one check is read by the next, not redone."""
 
@@ -743,63 +766,65 @@ class TestSharedWork:
         # read off it; they were evaluated with it, as [126 + 180], before
         assert sizes == [30, 30, 126]
 
-    # (exact-product kernel calls, product terms); ExactMatrix.__mul__ is a
-    # one-term call.  Before triple_product and classify_relation summed
-    # their products in one call, every term was its own call: 137, 1,388 and
-    # 145.  The terms were 524 and 10,124 while every support projection and
-    # every one was formed afresh where it was read; uij-grid was 185 and
-    # construct hnk 368 while the realization formed six products per pair,
-    # and (125, 137) and (73, 129) while it formed one triple product, of
+    # exact-product kernel calls, one product each.  While the kernel summed
+    # the two terms of a triple product in one call, the figures were
+    # (calls, product terms): (108, 108), (44, 44), (8, 8), (0, 0) and
+    # (6, 6), every call one term.  Before triple_product and
+    # classify_relation summed their products in one call, every term was
+    # its own call: 137, 1,388 and 145.  The terms were 524 and 10,124
+    # while every support projection and every one was formed afresh where
+    # it was read; uij-grid was 185 and construct hnk 368 while the
+    # realization formed six products per pair, and (125, 137) and (73, 129) while it formed one triple product, of
     # two terms, per ordered pair: 12 and 56 calls, now one family table.
     # uij-grid was (113, 113), construct hnk (17, 17) and projection (13, 13)
     # while the indices of a monomial realization were found by multiplying
     # its support projections (2 + 3, 3 + 6 and 3 + 4 products); now they are
     # read off the family's gather form.
     @pytest.mark.parametrize("args,products", [
-        (("verify", "uij-grid", "--n", "4", "--k", "2"), (108, 108)),
+        (("verify", "uij-grid", "--n", "4", "--k", "2"), 108),
         # 1100 and 1388 while each Grid checked its matrices one at a time, two
         # products each (96 for the three grids); 1052 and 1340 while the
         # relations were classified pair by pair, 4 products per pair that
         # is not orthogonal.  The 44 left are the support split's own; 60
         # while (1 - p) u was formed as a second product, not as u - p u
-        (("verify", "split", "--p", "4", "--q", "4"), (44, 44)),
+        (("verify", "split", "--p", "4", "--q", "4"), 44),
         # 8 validations of 1 product.  (17, 17) while 3 + 6 support products
         # found the indices (3, 6); (89, 145) while each support projection
         # u u* and u* u was formed as a product: 8 validations of 2 products
         # and 8 right supports; then the 56 x 28 and 28 x 56 Grams were read
         # off the row norms as kept diagonals
-        (("construct", "hnk", "--n", "8", "--k", "3"), (8, 8)),
+        (("construct", "hnk", "--n", "8", "--k", "3"), 8),
         # 834 while naturality formed left * E_ij * right for the 36 units of
         # each of the 5 conjugations.  474 while conjugate_grid formed left * u
         # * right per element (210) and each Grid checked its 21 elements one
         # at a time (252); 12 while the isotope unit v of each of the 6
         # transforms was checked as its own matrix, v v* and then v v* v
         (("verify", "matrix-units", "--kind", "hermitian", "--m", "6", "--conjugations", "5"),
-         (0, 0)),
+         0),
         # 91 while the exact projection formed x U* for each of the 6 basis
         # elements of each of the 6 basis elements it fixes; (55, 85) while
         # the 6 left and 6 right supports of H(6,3) were formed as products,
         # (43, 73) while the 30 ordered pairs were one triple product each,
         # (13, 13) while 3 + 4 support products found the indices (3, 4)
-        (("verify", "projection", "--n", "6", "--k", "3", "--samples", "10"), (6, 6)),
+        (("verify", "projection", "--n", "6", "--k", "3", "--samples", "10"), 6),
     ], ids=["uij-grid", "split", "construct-hnk", "matrix-units", "projection"])
     def test_exact_products(self, monkeypatch, capsys, args, products):
-        terms = _count_product_terms(monkeypatch)
+        calls = _count_calls(monkeypatch, numlin, "_product")
         assert cli.main(list(args)) == 0
         out = capsys.readouterr().out
         assert args[0] == "construct" or "overall: pass" in out
-        assert (len(terms), sum(terms)) == products
+        assert len(calls) == products
 
     def test_transforms_form_no_product_per_unit(self, monkeypatch):
         sizes = (5, 6, 8)
         made = [(grids.hermitian_grid(m), grids.symplectic_grid(m)) for m in sizes]
-        terms = _count_product_terms(monkeypatch)
+        calls = _count_calls(monkeypatch, numlin, "_product")
         for herm, sympl in made:
             grids.hermitian_to_matrix_units(herm)
             grids.symplectic_to_matrix_units(sympl)
         # [1, 1] per size while the hermitian isotope unit v was checked as
         # its own matrix (v v*, v v* v); now it is a member of the family
-        assert terms == []
+        assert calls == []
 
     def test_uij_family_builds_each_word_once(self, monkeypatch, capsys):
         calls = _count_calls(monkeypatch, hnk, "_word_matrix")

@@ -25,7 +25,7 @@ from jcgrid.numlin import (EX_I, ExactFamily, ExactMatrix, ExactScalar, operator
                            scaled_members)
 from jcgrid.triple import PartialIsometry
 from table_oracle import pairwise_verdict, support_indices
-from test_cli import COMPLEX_ROTATION, ROTATION, _count_product_terms, _embedded
+from test_cli import COMPLEX_ROTATION, ROTATION, _count_calls, _embedded
 from test_numlin import as_rows, ref_ternary
 
 E = ExactMatrix.unit
@@ -465,7 +465,7 @@ class TestIndexRungs:
     @staticmethod
     def _rungs(mats, monkeypatch):
         """(whether the family has a gather form, indices as computed, indices
-        on the support-product chain, support projections and product terms
+        on the support-product chain, support projections and products
         formed by the computed ones) for realizations of ``mats``."""
         elements = [PartialIsometry(m) for m in mats]
         real, chain_real = (hnk.RankOneRealization(elements) for _ in range(2))
@@ -475,9 +475,9 @@ class TestIndexRungs:
             orig = getattr(PartialIsometry, name)
             monkeypatch.setattr(PartialIsometry, name,
                                 lambda self, orig=orig: supports.append(1) or orig(self))
-        terms = _count_product_terms(monkeypatch)
+        products = _count_calls(monkeypatch, numlin, "_product")
         got = indices(real)
-        formed = (len(supports), sum(terms))
+        formed = (len(supports), len(products))
         monkeypatch.setattr(ExactFamily, "_gathers", lambda self: None)
         chain = indices(chain_real)
         monkeypatch.undo()
@@ -489,8 +489,9 @@ class TestIndexRungs:
         assert got == chain == support_indices(mats)
         if want is not None:
             assert got == want
-        # the gather rung forms no support projection and no product
-        assert (formed == (0, 0)) == gathers
+        # the gather rung, and a realization of at most one element, form no
+        # support projection and no product
+        assert (formed == (0, 0)) == (gathers or len(mats) <= 1)
         return got
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -531,10 +532,15 @@ class TestIndexRungs:
         # no element: both sizes 0, with no family to read
         assert self._rungs([], monkeypatch)[1:3] == ((0, 0), (0, 0))
         assert support_indices([]) == (0, 0)
-        # one element: each chain is its one support, on either rung
+        # one element: (1, 1), a nonzero element's own support, on either rung
         self._check(build_hnk(1, 1).basis, monkeypatch, True, (1, 1))
         m = _dense_partial_isometry(np.random.default_rng(7), 3, 4)
         self._check([m], monkeypatch, False, (1, 1))
+
+    def test_one_element_forms_no_gather_form(self):
+        for real in (build_hnk(1, 1).realization(), diag_hnk(1, [1])):
+            assert indices(real) == (1, 1)
+            assert real.family._gather is None
 
 
 class TestOnesAreWords:

@@ -17,7 +17,7 @@ from jcgrid.numlin import (_BLAS_MIN_SIZE, EX_HALF, EX_I, EX_ZERO, ApproxMatrix,
                            ExactMatrix, ExactScalar, block_diag, exact_rank,
                            operator_norm, scaled_members, singular_values,
                            trace_norm)
-from jcgrid.numlin import _CHUNK_CELLS, _product_sum, _scaled_coefficients
+from jcgrid.numlin import _CHUNK_CELLS, _scaled_coefficients
 from jcgrid.serialize import matrices_to_json, matrix_to_csv_lines
 from jcgrid.triple import GridRelation, classify_relation, triple_product
 
@@ -1237,7 +1237,7 @@ class TestFamilyStacks:
         assert got.members() == products + mats
 
 
-# -- the exact product-sum kernel -------------------------------------------------
+# -- the exact product kernel ------------------------------------------------------
 
 
 def _real(m):
@@ -1251,146 +1251,84 @@ def _kernel_operands(rows, cols):
                      wide_matrices(rows, cols), st.just(ExactMatrix.zeros(rows, cols)))
 
 
-def _kernel_terms():
-    """(q, terms): one or two (x, y) pairs whose products are r x c."""
-    def terms(rows, cols, inners):
-        return st.tuples(*(st.tuples(_kernel_operands(rows, k), _kernel_operands(k, cols))
-                           for k in inners)).map(list)
-
-    return st.tuples(st.integers(1, 3), st.integers(1, 3),
-                     st.lists(st.integers(1, 3), min_size=1, max_size=2)).flatmap(
-        lambda s: st.tuples(st.sampled_from([1, 2, 3]), terms(*s)))
+def _kernel_pairs():
+    """(x, y) with x r x k and y k x c."""
+    return st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda s: st.tuples(_kernel_operands(s[0], s[1]), _kernel_operands(s[1], s[2])))
 
 
-def _separate_sum(terms, q):
-    """The sum of the terms' products, each formed alone, then scaled by 1/q."""
-    total = terms[0][0] * terms[0][1]
-    for x, y in terms[1:]:
-        total = total + x * y
-    return total.scale(Fraction(1, q))
-
-
-class TestProductSum:
-    """``_product_sum``: (sum of x y) / q as one canonical matrix."""
+class TestProduct:
+    """``ExactMatrix.__mul__``: x y as one canonical matrix, on the rung its
+    bound and size choose, against Fraction arithmetic."""
 
     @settings(max_examples=60, deadline=None)
-    @given(_kernel_terms())
-    # two terms over denominators 2 * 3 and 5 * 7: the sum runs over their lcm
-    @example((2, [(one(Fraction(1, 2)), one(Fraction(1, 3))),
-                  (one(ExactScalar(Fraction(2, 5), 1)), one(Fraction(3, 7)))]))
-    def test_equals_the_separate_products(self, qqi, case):
+    @given(_kernel_pairs())
+    # denominators 2 and 5: the product runs over den 10
+    @example((one(Fraction(1, 2)), one(ExactScalar(Fraction(2, 5), 1))))
+    def test_against_fractions(self, qqi, pair):
         convert = qqi[0]
-        q, terms = case
-        got = _product_sum(terms, q)
-        assert got == _separate_sum(terms, q)
+        x, y = pair
+        got = x * y
+        assert as_rows(got) == ref_product(x, y)
         assert_canonical_storage(got)
-        rows = [[sum(col, ExactScalar(0)) / q for col in zip(*cells)]
-                for cells in zip(*(ref_product(x, y) for x, y in terms))]
-        assert as_rows(got) == rows
-        want = convert(terms[0][0]) * convert(terms[0][1])
-        for x, y in terms[1:]:
-            want = want + convert(x) * convert(y)
-        assert convert(got.scale(q)).to_list() == want.to_list()
+        assert convert(got).to_list() == (convert(x) * convert(y)).to_list()
 
-    def test_lcm_of_the_denominators(self):
-        # 2^61/2 + 2^61/3: lifted by 3 and 2, the numerators pass 2^62 over
-        # den 6; the result 5 * 2^60 / 3 is back on int64
-        terms = [(one(Fraction(1, 2)), one(2 ** 61)), (one(Fraction(1, 3)), one(2 ** 61))]
-        got = _product_sum(terms)
-        assert got.entry(0, 0) == ExactScalar(Fraction(5 * 2 ** 60, 3)) and got.den == 3
-        assert_canonical_storage(got)
-
-    def test_a_zero_term_lifts_no_denominator(self):
-        # a zero factor beside den 2^64 + 1: no int64 zero is scaled by it
-        wide = one(Fraction(1, 2 ** 64 + 1))
-        terms = [(ExactMatrix.zeros(1, 1), wide), (one(3), one(Fraction(1, 2)))]
-        assert _product_sum(terms) == one(Fraction(3, 2))
-        assert _product_sum(terms[:1], 2) == ExactMatrix.zeros(1, 1)
-
-    @pytest.mark.parametrize("second, rung", [
-        ((2 ** 30 - 1, 2 ** 30), np.int64),  # twice the total 2^62 - 2^31: int64
-        ((2 ** 30, 2 ** 30), object),        # twice the total 2^62: Python ints
-    ])
-    def test_int64_bound_covers_the_whole_sum(self, monkeypatch, second, rung):
+    def test_a_zero_factor_beside_a_wide_denominator(self, monkeypatch):
+        # den 2^64 + 1 does not fit int64: a zero factor forms no dot and
+        # gives the zero matrix over den 1
+        wide = one(ExactScalar(Fraction(1, 2 ** 64 + 1), 1))
+        zero = ExactMatrix.zeros(1, 1)
         used = _dot_dtypes(monkeypatch)
-        a, b = second
-        got = _product_sum([(one(2 ** 30), one(2 ** 30)), (one(a), one(b))])
-        assert got.entry(0, 0) == ExactScalar(2 ** 60 + a * b)
+        for got in (zero * wide, wide * zero):
+            assert got == zero and got.den == 1
+            assert_canonical_storage(got)
+        assert used == []
+        got = wide * one(3)
+        assert as_rows(got) == ref_product(wide, one(3)) and got.den == 2 ** 64 + 1
+
+    @pytest.mark.parametrize("offset, rung", [(1, np.int64), (0, object)], ids=["below", "at"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_int64_bound_at_twice_inner(self, monkeypatch, k, offset, rung):
+        # inner = k * a * b; the real part of each entry sums two dots, re re
+        # and -im im, to 2 * inner, which reaches 2^62 at offset 0
+        a, b = 2 ** 30 - offset, 2 ** 31 // k
+        x, y = _filled(1, k, ExactScalar(a, a)), _filled(k, 1, ExactScalar(b, -b))
+        used = _dot_dtypes(monkeypatch)
+        got = x * y
+        assert got.entry(0, 0) == ExactScalar(2 * k * a * b)
+        assert as_rows(got) == ref_product(x, y)
+        assert_canonical_storage(got)
+        assert (got.re.dtype == object) == (offset == 0)
+        assert used == [np.dtype(rung)] * 4
+
+    @pytest.mark.parametrize("offset, rung", [(0, np.float64), (2, np.int64)],
+                             ids=["below", "above"])
+    def test_float_bound_reads_the_imaginary_parts(self, monkeypatch, offset, rung):
+        # the largest numerator of x is one imaginary part: inner = INNER * a
+        # * B is below 2^53 at the largest odd a, above it at the next
+        b = TestFloatRung.B
+        a = _largest_odd_below(b) + offset
+        x = _filled(RUNG_ROWS, INNER, ExactScalar(1, 1)) + E(RUNG_ROWS, INNER, 0, 0,
+                                                             ExactScalar(0, a - 1))
+        y = _filled(INNER, RUNG_ROWS, ExactScalar(b))
+        used = _dot_dtypes(monkeypatch)
+        got = x * y
+        assert as_rows(got) == ref_product(x, y)
         assert_canonical_storage(got)
         assert used == [np.dtype(rung)] * 2
 
-    @pytest.mark.parametrize("value", [2 ** 31 - 1, 2 ** 31])
-    def test_object_storage_of_the_sum(self, value):
-        # each product fits int64 (below 2^62 at 2^31 - 1); their sum may not
-        terms = [(one(value), one(value))] * 2
-        got = _product_sum(terms)
-        assert got.entry(0, 0) == ExactScalar(2 * value * value)
+    @pytest.mark.parametrize("mults, rung", [(_BLAS_MIN_SIZE - 1, np.int64),
+                                             (_BLAS_MIN_SIZE, np.float64)], ids=["below", "at"])
+    @pytest.mark.parametrize("long", [0, 1, 2], ids=["rows", "inner", "cols"])
+    def test_blas_size_gate(self, monkeypatch, long, mults, rung):
+        # rows * inner * cols scalar multiplications, all along one dimension
+        r, k, c = (mults if d == long else 1 for d in range(3))
+        x, y = _filled(r, k, ExactScalar(3, -1)), _filled(k, c, ExactScalar(-2, 1))
+        used = _dot_dtypes(monkeypatch)
+        got = x * y
+        assert as_rows(got) == ref_product(x, y)
         assert_canonical_storage(got)
-        assert (got.re.dtype == object) == (2 * value * value >= LIMIT)
-        halved = _product_sum(terms, 2)
-        assert halved.entry(0, 0) == ExactScalar(value * value)
-        assert_canonical_storage(halved)
-        assert _product_sum([(one(value), one(value)), (one(-value), one(value))]).is_zero()
-
-    @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_float_bound_just_below_and_above(self, monkeypatch, kind):
-        used = _dot_dtypes(monkeypatch)
-        b = TestFloatRung.B
-        top = _largest_odd_below(b)
-        for a, rung in ((top, np.float64), (top + 2, np.int64)):
-            x, y = ExactScalar(a), ExactScalar(b)
-            if kind == "complex":
-                x, y = ExactScalar(a, a), ExactScalar(b, -b)
-            left = _filled(RUNG_ROWS, INNER, x)
-            right = _filled(INNER, RUNG_ROWS, y)
-            # the second term's inner bound is the first's: the larger decides
-            small = _filled(RUNG_ROWS, INNER, ExactScalar(1))
-            want = _separate_sum([(small, right), (left, right)], 1)
-            del used[:]
-            got = _product_sum([(small, right), (left, right)])
-            assert got == want
-            assert_canonical_storage(got)
-            # the real first term forms one dot per part of the second factor
-            assert used == [np.dtype(rung)] * (2 if kind == "real" else 6)
-
-    def test_int64_below_the_blas_gate(self, monkeypatch, rng):
-        used = _dot_dtypes(monkeypatch)
-        x, y, z = (random_exact(rng, 6, 6) for _ in range(3))
-        assert x._mags()[1] and y._mags()[1] and z._mags()[1]
-        want = _separate_sum([(x, y), (z, x)], 2)
-        del used[:]
-        assert _product_sum([(x, y), (z, x)], 2) == want
-        assert used == [np.dtype(np.int64)] * 8
-        del used[:]
-        short = _filled(RUNG_ROWS - 1, INNER, ExactScalar(3))
-        tall = _filled(INNER, RUNG_ROWS - 1, ExactScalar(-1))
-        assert _product_sum([(short, tall), (short, tall)]) == \
-            _filled(RUNG_ROWS - 1, RUNG_ROWS - 1, ExactScalar(-6 * INNER))
-        assert used == [np.dtype(np.int64)] * 2
-
-    def test_a_shared_operand_is_cast_once(self, monkeypatch, rng):
-        from jcgrid import numlin
-        # dense 20 x 15 operands on the float64 rung: their Gram products
-        # have columns of many nonzeros and keep no diagonal (this test read
-        # two basis elements of H(7,4) while those Grams were dense too)
-        a, b = (_real(random_exact(rng, 20, 15, density=0.8)) for _ in range(2))
-        left, right = a.gram(), a.adjoint().gram()
-        assert left._diag is None and right._diag is None
-        want = (left * b + b * right).scale(EX_HALF)
-        used = _dot_dtypes(monkeypatch)
-        cast = []
-        orig = numlin._cast
-
-        def counted(arr, dtype, memo):
-            if id(arr) not in memo:
-                cast.append(id(arr))
-            return orig(arr, dtype, memo)
-
-        monkeypatch.setattr(numlin, "_cast", counted)
-        # {a,a,b} = (a a* b + b a* a)/2 reads b in both terms
-        assert triple_product(a, a, b) == want
-        assert sorted(cast) == sorted([id(left.re), id(b.re), id(right.re)])
-        assert used == [np.dtype(np.float64)] * 2
+        assert used == [np.dtype(rung)] * 4
 
     def test_the_hnk_triple_forms_no_float_dot(self, monkeypatch):
         from jcgrid.hnk import build_hnk
@@ -1405,9 +1343,6 @@ class TestProductSum:
     def test_shapes_must_agree(self):
         with pytest.raises(DimensionError, match="cannot multiply 2x3 by 2x3"):
             ExactMatrix.zeros(2, 3) * ExactMatrix.zeros(2, 3)
-        with pytest.raises(DimensionError):
-            _product_sum([(ExactMatrix.zeros(2, 2), ExactMatrix.zeros(2, 2)),
-                          (ExactMatrix.zeros(1, 2), ExactMatrix.zeros(2, 2))])
 
 
 # shapes r x c whose Gram products a a* and a* a, and the product of two
@@ -1462,7 +1397,6 @@ class TestScalingRung:
         a = draw(_one_per_column(rows, cols, complex_, False))
         mono = draw(_one_per_column(rows, cols, complex_, True))
         b, e = (draw(_dense_factor(rows, cols, complex_)) for _ in range(2))
-        q = draw(st.integers(1, 3))
         left, right = a.gram(), mono.adjoint().gram()
         ref_left = ref_product(a, a.adjoint())
         ref_right = ref_product(mono.adjoint(), mono)
@@ -1472,28 +1406,23 @@ class TestScalingRung:
             assert_canonical_storage(got)
         with pytest.MonkeyPatch.context() as mp:
             used = _dot_dtypes(mp)
-            # shaped like triple_product, (u u* b + e v* v) / q: a row and a
-            # column scaling, over den(a)^2 den(b) and den(e) den(v)^2
-            got = _product_sum([(left, b), (e, right)], q)
-            ref = [[(x + y) / q for x, y in zip(r1, r2)] for r1, r2 in zip(
-                ref_product(ExactMatrix.from_rows(ref_left), b),
-                ref_product(e, ExactMatrix.from_rows(ref_right)))]
-            assert as_rows(got) == ref
-            assert_canonical_storage(got)
-            # a term with one dense factor keeps no diagonal, diagonal or not
-            assert got._diag is None and (left * b)._diag is None
-            # diag x diag, one term or two, keeps its diagonal; a zero factor
-            # leaves no term, and the zero matrix keeps none
+            # the terms of triple_product: a row and a column scaling, over
+            # den(a)^2 den(b) and den(e) den(v)^2
+            for x, y in ((left, b), (e, right)):
+                got = x * y
+                assert as_rows(got) == ref_product(x, y)
+                assert_canonical_storage(got)
+                # a product with a dense factor keeps no diagonal, diagonal or not
+                assert got._diag is None
+            # diag x diag keeps its diagonal; a zero factor gives the zero
+            # matrix, which keeps none
             both = mono.gram()
-            for terms in ([(left, both)], [(left, both), (both, left)]):
-                got = _product_sum(terms, q)
+            for x, y in ((left, both), (both, left)):
+                got = x * y
                 assert (got._diag is None) == (left.is_zero() or both.is_zero())
                 assert (got.re == np.diag(np.diag(got.re))).all() and not got.im.any()
-                ref = ref_product(left, both)
-                if len(terms) == 2:
-                    ref = [[x + y for x, y in zip(r1, r2)]
-                           for r1, r2 in zip(ref, ref_product(both, left))]
-                assert as_rows(got) == [[x / q for x in row] for row in ref]
+                assert as_rows(got) == ref_product(x, y)
+                assert_canonical_storage(got)
             assert used == []
 
     def test_a_column_of_two_nonzeros_keeps_no_diagonal(self, monkeypatch):
@@ -1566,9 +1495,11 @@ def _grids_with_pairs():
     return clean + list(_corrupted_grids().values())
 
 
-def _braces(a, b, c):
-    """{a,b,c} from its definition: two separate products each side, one sum, one halving."""
-    return (a * b.adjoint() * c + c * b.adjoint() * a).scale(EX_HALF)
+def _fraction_braces(x, y, z):
+    """{x,y,z} = (x y* z + z y* x)/2 on rows of (re, im) pairs
+    (``fraction_ternary``), shared with no kernel."""
+    return [[(Fraction(pr + qr, 2), Fraction(pi + qi, 2)) for (pr, pi), (qr, qi) in zip(p, q)]
+            for p, q in zip(fraction_ternary(x, y, z), fraction_ternary(z, y, x))]
 
 
 def _relation_by_definition(v, w):
@@ -1592,19 +1523,20 @@ def _relation_by_definition(v, w):
 
 def test_triple_products_and_relations_on_grid_pairs():
     """Every ordered pair of the clean and corrupted grids of test_grids:
-    the kernel's triple products and the batched relations against their
-    definitions."""
+    the kernel's triple products against Fraction arithmetic, and the
+    batched relations against their definitions."""
     seen = set()
     for g in _grids_with_pairs():
         mats, n = g.matrices(), len(g)
+        rows = [fraction_rows(m) for m in mats]
         got = iter(classify_relation(g.family(), np.repeat(np.arange(n), n),
                                      np.tile(np.arange(n), n)))
-        for a in mats:
-            for b in mats:
+        for a, x in zip(mats, rows):
+            for b, y in zip(mats, rows):
                 # the a-is-b and b-is-c shortcuts, and the general a b* c + c b* a
-                assert triple_product(a, a, b) == _braces(a, a, b)
-                assert triple_product(a, b, b) == _braces(a, b, b)
-                assert triple_product(a, b, a) == _braces(a, b, a)
+                assert fraction_rows(triple_product(a, a, b)) == _fraction_braces(x, x, y)
+                assert fraction_rows(triple_product(a, b, b)) == _fraction_braces(x, y, y)
+                assert fraction_rows(triple_product(a, b, a)) == _fraction_braces(x, y, x)
                 rel = next(got)
                 assert rel is _relation_by_definition(a, b)
                 seen.add(rel)

@@ -15,6 +15,7 @@ from jcgrid.numlin import ExactFamily
 
 SOURCES = sorted(p for p in (Path(__file__).resolve().parents[1] / "src" / "jcgrid").glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list:
@@ -31,7 +32,7 @@ def _unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
@@ -152,15 +153,15 @@ def test_kernel_read_is_found():
                                      (4, "equal"), (4, "family")]
     # a helper's body, and the helpers it calls: the module's imports are
     # read only where a body reads them, and an uncalled function not at all
-    helpers = ("from jcgrid.numlin import ExactMatrix, _product_sum\n"
+    helpers = ("from jcgrid.numlin import ExactMatrix, _product\n"
                "def ref(a, b):\n"
                "    return inner(ExactMatrix.from_rows(a), b)\n"
                "def inner(a, b):\n"
                "    from jcgrid import triple\n"
-               "    return _product_sum([(a, b)]) + triple.triple_product(a, b, a)\n"
+               "    return _product(a, b) + triple.triple_product(a, b, a)\n"
                "def uncalled(g):\n"
                "    return g.family().equal(g)\n")
-    assert _kernel_reads(helpers, {"ref"}) == [(5, "triple"), (6, "_product_sum")]
+    assert _kernel_reads(helpers, {"ref"}) == [(5, "triple"), (6, "_product")]
 
 
 # -- every function reached by a command or a criterion ------------------------------
